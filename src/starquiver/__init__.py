@@ -1,10 +1,14 @@
 """Star-shaped quiver representations and parabolic Higgs data on the line.
 
-The package is organized around five computational layers:
+The package is organized around these computational layers:
 
 - ``combinat``: parabolic types, nilpotent classes, and the integer /
   rational predicates derived from them (weight smallness, residue-sum
   feasibility, spectral degrees, arm chain positivity).
+- ``arith``: the seam between the two entry formats, exact ``Fraction``
+  row lists and complex ndarrays: ``ops(mode)`` returns the backend
+  (``EXACT`` or ``FLOAT``) whose operations every layer below calls, so no
+  layer tests the mode string itself.
 - ``starrep``: representations of the doubled star quiver, the moment map,
   stability characters, arm rank tests and trace invariants.
 - ``higgs``: the dictionary between moment-zero quiver representations and

@@ -12,8 +12,9 @@ Subcommands:
 - ``poisson check``: bracket identity residuals on a representation.
 
 Exit codes: 0 success / all checks pass, 1 input error, 2 budget exhausted
-or undetermined, 3 violated invariant.  Identical configuration and seed
-produce byte-identical reports (no timestamps, sorted keys).
+or undetermined, 3 violated invariant; ``EXIT_CODES`` maps the exceptions
+that end a command to 1, 2 or 3.  Identical configuration and seed produce
+byte-identical reports (no timestamps, sorted keys).
 """
 
 import argparse
@@ -32,19 +33,12 @@ from .combinat import (
     spectral_degrees,
     weights_generic,
 )
-from .dsolve import SolverConfig, exact_refine, flags_from_solution, solve, verify
-from .higgs import (
-    BridgeError,
-    WeightsNotSmallError,
-    higgs_to_quiver,
-    quiver_to_higgs,
-    stability_verdict,
-)
+from .dsolve import RefinementError, SolverConfig, solve, verify
+from .higgs import WeightsNotSmallError, higgs_to_quiver, quiver_to_higgs, stability_verdict
 from .jsonio import InputFormatError
 from .poisson import (
     GradientOracleError,
     QuadraticObservable,
-    bracket,
     check_commutativity,
     check_entry_bracket,
     entry_observable,
@@ -53,10 +47,19 @@ from .poisson import (
     poisson_tensor,
     trace_power_observable,
 )
-from .spectral import char_poly, is_integral, spectral_poly, vanishing_orders
-from .starrep import moment_residual, random_rep
+from .spectral import ExactnessRequired, char_poly, is_integral, spectral_poly, vanishing_orders
+from .starrep import moment_residual
 
 OK, INPUT_ERROR, BUDGET, INVARIANT_VIOLATION = 0, 1, 2, 3
+
+# first match wins: a failed rational refinement leaves the answer
+# undetermined, an exact-mode invariant breaking inside the pipeline is an
+# internal violation, and every other ValueError is bad input
+EXIT_CODES = (
+    (RefinementError, BUDGET),
+    (ExactnessRequired, INVARIANT_VIOLATION),
+    (ValueError, INPUT_ERROR),
+)
 
 
 def _write_report(path, payload):
@@ -248,6 +251,10 @@ def cmd_ds_verify(args):
 
 
 def _spectral_appendix(h):
+    """Report entries for the exact spectral appendix; none for floats."""
+    if h.mode != "exact":
+        print("spectral appendix skipped: requires exact mode", file=sys.stderr)
+        return {}
     hp = char_poly(h)
     report = vanishing_orders(hp, h.sigma)
     verdict, factors = is_integral(spectral_poly(hp))
@@ -257,12 +264,14 @@ def _spectral_appendix(h):
     print(f"orders all exact  : {_fmt_bool(report.all_exact)}")
     print(f"spectral polynomial integral: {verdict}")
     return {
-        "point": jsonio.hitchin_to_json(hp),
-        "member": report.member,
-        "all_orders_exact": report.all_exact,
-        "orders": [[("inf" if o is None else o) for o in row] for row in report.orders],
-        "required": report.required,
-        "integral": verdict,
+        "spectral": {
+            "point": jsonio.hitchin_to_json(hp),
+            "member": report.member,
+            "all_orders_exact": report.all_exact,
+            "orders": [[("inf" if o is None else o) for o in row] for row in report.orders],
+            "required": report.required,
+            "integral": verdict,
+        }
     }
 
 
@@ -273,10 +282,7 @@ def cmd_bridge_to_quiver(args):
     print(f"moment residual after conversion: {resid:.3e}")
     payload = {"moment_residual": resid, "invariants": "all residue-tuple invariants hold"}
     if args.hitchin:
-        if h.mode != "exact":
-            print("spectral appendix skipped: requires exact mode", file=sys.stderr)
-        else:
-            payload["spectral"] = _spectral_appendix(h)
+        payload.update(_spectral_appendix(h))
     if args.out:
         jsonio.dump(args.out, jsonio.rep_to_json(rep))
     _write_report(args.report, payload)
@@ -301,10 +307,7 @@ def cmd_bridge_to_higgs(args):
         payload["stability"] = {"verdict": "refused", "reason": str(e)}
         print(f"stability verdict : refused ({e})")
     if args.hitchin:
-        if h.mode != "exact":
-            print("spectral appendix skipped: requires exact mode", file=sys.stderr)
-        else:
-            payload["spectral"] = _spectral_appendix(h)
+        payload.update(_spectral_appendix(h))
     if args.out:
         jsonio.dump(args.out, jsonio.higgs_to_json(h))
     _write_report(args.report, payload)
@@ -477,9 +480,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputFormatError, BridgeError, WeightsNotSmallError, ValueError) as e:
+    except tuple(kind for kind, _ in EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return INPUT_ERROR
+        return next(code for kind, code in EXIT_CODES if isinstance(e, kind))
 
 
 if __name__ == "__main__":

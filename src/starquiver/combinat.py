@@ -273,11 +273,6 @@ def spectral_degrees(sigma: ParabolicType):
     return degrees, dim
 
 
-def hitchin_base_degrees(sigma: ParabolicType):
-    """Alias kept close to the mathematical name used in reports."""
-    return spectral_degrees(sigma)
-
-
 def condition_spectral_top(sigma: ParabolicType) -> bool:
     """Nonnegativity of the top spectral degree:
     -2r + sum_x (r - eps_r(x)) >= 0."""

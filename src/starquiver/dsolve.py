@@ -27,6 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg_exact as ex
+from .arith import FLOAT, ops
 from .combinat import (
     FeasibilityReport,
     NilpotentClass,
@@ -34,9 +35,8 @@ from .combinat import (
     ds_feasible,
     type_from_classes,
 )
-from .higgs import HiggsTuple, IrreducibilityCertificate, irreducible
+from .higgs import HiggsTuple, irreducible
 from .spectral import rank_profile
-from .starrep import numerical_rank
 
 
 @dataclass(frozen=True)
@@ -104,10 +104,12 @@ class SolveOutcome:
     message: str = ""
 
 
+def _jordan(cls: NilpotentClass):
+    return ex.jordan_nilpotent(cls.to_partition() if cls.rank_sequence else (), cls.rank)
+
+
 def _jordan_float(cls: NilpotentClass):
-    return np.array(
-        [[float(x) for x in row] for row in ex.jordan_nilpotent(cls.to_partition() if cls.rank_sequence else (), cls.rank)]
-    )
+    return FLOAT.from_exact(_jordan(cls))
 
 
 def _random_orthogonal(r, rng):
@@ -286,32 +288,26 @@ def verify(
     """Certification report: sum residual, exact-class rank profile,
     irreducibility words, conjugator consistency, and optionally the exact
     spectral cross-check via rational refinement."""
-    mode = solution.mode
-    if mode == "exact":
-        total = solution.matrices[0]
-        for m in solution.matrices[1:]:
-            total = ex.madd(total, m)
-        residual = 0.0 if ex.is_zero(total) else float(
-            np.linalg.norm(np.array([[float(x) for x in row] for row in total]))
-        )
-    else:
-        residual = float(np.linalg.norm(sum(solution.matrices)))
-    if rank_tol is None and mode == "float":
+    o = ops(solution.mode)
+    total = solution.matrices[0]
+    for m in solution.matrices[1:]:
+        total = o.add(total, m)
+    residual = o.norm(total)
+    if rank_tol is None:
         rank_tol = max(1e-7, 1e3 * residual)
     profiles = solution.profile(rank_tol)
     expected = [c.rank_sequence for c in instance.classes]
     profile_ok = all(p == e for p, e in zip(profiles, expected))
-    cert = irreducible(solution.matrices, mode)
+    cert = irreducible(solution.matrices, solution.mode)
     conj_err = 0.0
-    if mode == "float":
-        for a, p, c in zip(solution.matrices, solution.conjugators, instance.classes):
-            n = _jordan_float(c)
-            conj_err = max(conj_err, float(np.linalg.norm(a - p @ n @ np.linalg.inv(p))))
+    for a, p, c in zip(solution.matrices, solution.conjugators, instance.classes):
+        n = o.from_exact(_jordan(c))
+        conj_err = max(conj_err, o.norm(o.sub(a, o.mul(o.mul(p, n), o.inv(p)))))
     hitchin_report = None
     if hitchin:
         from .spectral import char_poly, vanishing_orders
 
-        exact_sol = solution if mode == "exact" else exact_refine(solution, instance)
+        exact_sol = exact_refine(solution, instance)
         sigma = instance.parabolic_type()
         h = flags_from_solution(exact_sol, sigma)
         hp = char_poly(h)
@@ -332,26 +328,6 @@ def verify(
 # flags from a solution
 
 
-def _col_space_exact(m):
-    """Basis of the column space as a matrix (columns)."""
-    rr, piv = ex.rref(ex.mtrans(m))
-    rows = rr[: len(piv)]
-    if not rows:
-        return [[] for _ in m]
-    return ex.mtrans(rows)
-
-
-def _col_space_float(m, threshold=None):
-    s = np.linalg.svd(m, compute_uv=False)
-    if threshold is None:
-        threshold = max(m.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    rk = int(np.sum(s > threshold))
-    if rk == 0:
-        return np.zeros((m.shape[0], 0), dtype=complex)
-    u, _, _ = np.linalg.svd(m)
-    return u[:, :rk]
-
-
 def flags_from_solution(
     solution: DSSolution, sigma: ParabolicType, rank_tol=None
 ) -> HiggsTuple:
@@ -366,79 +342,48 @@ def flags_from_solution(
     residual, because a refined last matrix is nilpotent only up to that
     residual.
     """
-    mode = solution.mode
-    if mode == "float" and rank_tol is None:
+    o = ops(solution.mode)
+    if rank_tol is None:
         rank_tol = max(1e-7, 1e3 * solution.residual)
     flags = []
     # the validation tolerance must dominate the same residual scale
-    higgs_tol = 1e-8 if mode == "exact" else max(1e-8, 1e2 * solution.residual)
+    higgs_tol = max(1e-8, 1e2 * solution.residual)
     for i in range(sigma.n_points):
         gam = sigma.gamma(i)[:-1]
-        a = solution.matrices[i]
-        if mode == "float":
-            a = np.asarray(a, dtype=complex)
-            s = np.linalg.svd(a, compute_uv=False)
-            scale = float(s[0]) if s.size else 0.0
+        a = o.coerce(solution.matrices[i])
+        scale = o.singular_scale(a)
         fl = []
         power = a
         for j, gj in enumerate(gam, start=1):
-            if mode == "exact":
-                basis = _col_space_exact(power)
-                width = ex.shape(basis)[1]
-            else:
-                sp = np.linalg.svd(power, compute_uv=False)
-                anchor = max(float(sp[0]) if sp.size else 0.0, scale**j)
-                basis = _col_space_float(power, threshold=rank_tol * anchor)
-                width = basis.shape[1]
-            if width != gj:
-                basis = _complete_flag_step(a, power, gj, mode)
+            basis = o.col_space(power, rank_tol, scale**j)
+            if o.shape(basis)[1] != gj:
+                basis = _complete_flag_step(o, a, power, gj)
             fl.append(basis)
-            power = ex.mmul(power, a) if mode == "exact" else power @ a
+            power = o.mul(power, a)
         flags.append(fl)
     return HiggsTuple(
         sigma=sigma,
         matrices=list(solution.matrices),
         flags=flags,
-        mode=mode,
+        mode=solution.mode,
         tol=higgs_tol,
     )
 
 
-def _complete_flag_step(a, power, target_dim, mode):
+def _complete_flag_step(o, a, power, target_dim):
     """Extend Im(power) inside ker(a)-directions to the target dimension,
     choosing kernel basis columns deterministically."""
-    if mode == "exact":
-        base = _col_space_exact(power)
-        have = ex.shape(base)[1]
-        if have > target_dim:
-            raise ValueError("rank exceeds the flag step dimension")
-        kernel = ex.nullspace(a)
-        cols = ex.mtrans(base) if have else []
-        for v in kernel:
-            if len(cols) == target_dim:
-                break
-            cand = cols + [v]
-            if ex.rank(cand) == len(cand):
-                cols = cand
-        if len(cols) != target_dim:
-            raise ValueError("cannot complete the flag step inside the kernel")
-        return ex.mtrans(cols)
-    base = _col_space_float(power)
-    if base.shape[1] > target_dim:
+    cols = o.columns(o.col_space(power))
+    if len(cols) > target_dim:
         raise ValueError("rank exceeds the flag step dimension")
-    u, s, vh = np.linalg.svd(a)
-    rk = numerical_rank(a)
-    kernel = vh[rk:].conj().T
-    cols = [base[:, k] for k in range(base.shape[1])]
-    for k in range(kernel.shape[1]):
+    for v in o.nullspace(a):
         if len(cols) == target_dim:
             break
-        cand = np.stack(cols + [kernel[:, k]], axis=1)
-        if numerical_rank(cand) == len(cols) + 1:
-            cols.append(kernel[:, k])
+        if o.rank(o.from_columns(cols + [v])) == len(cols) + 1:
+            cols = cols + [v]
     if len(cols) != target_dim:
         raise ValueError("cannot complete the flag step inside the kernel")
-    return np.stack(cols, axis=1)
+    return o.from_columns(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -592,12 +537,7 @@ def exact_refine(
         if profiles != list(expected):
             continue
         drift = max(
-            float(
-                np.linalg.norm(
-                    np.array([[float(x) for x in row] for row in m])
-                    - np.asarray(solution.matrices[i]).real
-                )
-            )
+            float(np.linalg.norm(FLOAT.from_exact(m) - np.asarray(solution.matrices[i]).real))
             for i, m in enumerate(mats)
         )
         if drift > 1e-2:

@@ -13,7 +13,9 @@ The two conversions:
 - a tuple satisfying the invariants yields inward inclusions and outward
   corestrictions of the residues, landing back on the moment-zero locus.
 
-Both directions are implemented for floating and exact entries.
+Both directions work for either entry format of ``arith``: each value
+resolves its backend once and runs the same code on floats and exact
+rationals.
 """
 
 from dataclasses import dataclass, field
@@ -21,17 +23,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg_exact as ex
+from . import arith
 from .combinat import ParabolicType, check_small_weights
 from .starrep import (
-    StarQuiver,
     StarRep,
     arm_semistable,
     build_star_quiver,
     moment_is_zero,
     moment_residual,
-    numerical_rank,
-    to_float_matrix,
 )
 
 
@@ -43,53 +42,6 @@ class WeightsNotSmallError(ValueError):
     """The weight bound fails, so subspace slope tests do not certify
     semistability (a heavy top weight lets a twisted sub-line-bundle beat
     every constant subspace)."""
-
-
-def _is_exact(mode):
-    return mode == "exact"
-
-
-def _col_rank(a, mode, tol=None):
-    if _is_exact(mode):
-        return ex.rank(a)
-    return numerical_rank(a, tol)
-
-
-def _subspace_contained(span, vecs, mode, tol=1e-8):
-    """Column space of vecs contained in column space of span?"""
-    if _is_exact(mode):
-        if not vecs or not vecs[0]:
-            return True
-        if not span or not span[0]:
-            return ex.is_zero(vecs)
-        stacked = ex.hstack([span, vecs])
-        return ex.rank(stacked) == ex.rank(span)
-    if vecs.shape[1] == 0:
-        return True
-    if span.shape[1] == 0:
-        return bool(np.linalg.norm(vecs) <= tol)
-    # residual of least-squares projection onto span
-    q, _ = np.linalg.qr(span)
-    resid = vecs - q @ (q.conj().T @ vecs)
-    scale = max(1.0, float(np.linalg.norm(vecs)))
-    return bool(np.linalg.norm(resid) <= tol * scale)
-
-
-def _intersection_dim(a, b, mode, tol=None):
-    """dim(col a  meet  col b) = rk a + rk b - rk [a b]."""
-    if _is_exact(mode):
-        if not a or not a[0]:
-            return 0
-        if not b or not b[0]:
-            return 0
-        return ex.rank(a) + ex.rank(b) - ex.rank(ex.hstack([a, b]))
-    if a.shape[1] == 0 or b.shape[1] == 0:
-        return 0
-    return (
-        numerical_rank(a, tol)
-        + numerical_rank(b, tol)
-        - numerical_rank(np.hstack([a, b]), tol)
-    )
 
 
 @dataclass
@@ -109,13 +61,9 @@ class HiggsTuple:
     check: bool = field(default=True, compare=False)
 
     def __post_init__(self):
-        if self.mode not in ("float", "exact"):
-            raise ValueError("mode must be 'float' or 'exact'")
-        if self.mode == "float":
-            self.matrices = [np.asarray(m, dtype=complex) for m in self.matrices]
-            self.flags = [
-                [np.asarray(b, dtype=complex) for b in fl] for fl in self.flags
-            ]
+        self.ops = arith.ops(self.mode)
+        self.matrices = [self.ops.coerce(m) for m in self.matrices]
+        self.flags = [[self.ops.coerce(b) for b in fl] for fl in self.flags]
         if self.check:
             problems = self.validate()
             if problems:
@@ -133,17 +81,14 @@ class HiggsTuple:
         """List of violated invariants (empty when valid)."""
         out = []
         r = self.rank
+        o = self.ops
         if len(self.matrices) != self.n or len(self.flags) != self.n:
             return ["need one residue matrix and one flag list per marked point"]
-        # residues sum to zero
         total = self.matrices[0]
         for m in self.matrices[1:]:
-            total = ex.madd(total, m) if self.mode == "exact" else total + m
-        if self.mode == "exact":
-            if not ex.is_zero(total):
-                out.append("residues do not sum to zero")
-        elif np.linalg.norm(total) > self.tol:
-            out.append(f"residue sum has norm {np.linalg.norm(total):.2e}")
+            total = o.add(total, m)
+        if not o.is_zero(total, self.tol):
+            out.append(f"residues do not sum to zero (norm {o.norm(total):.2e})")
         for i in range(self.n):
             gam = self.sigma.gamma(i)[:-1]
             fl = self.flags[i]
@@ -151,26 +96,20 @@ class HiggsTuple:
                 out.append(f"point {i}: expected {len(gam)} flag steps")
                 continue
             for j, (b, gj) in enumerate(zip(fl, gam), start=1):
-                mshape = ex.shape(b) if self.mode == "exact" else b.shape
-                if mshape != (r, gj):
+                if o.shape(b) != (r, gj):
                     out.append(f"point {i}: flag step {j} should be {r}x{gj}")
-                elif _col_rank(b, self.mode) != gj:
+                elif o.rank(b) != gj:
                     out.append(f"point {i}: flag step {j} basis is rank deficient")
             # strong preservation through the full chain, zero space last
             chain = [None] + list(fl) + [None]  # None = full space / zero space
             a = self.matrices[i]
             for j in range(len(chain) - 1):
                 src, dst = chain[j], chain[j + 1]
-                image = a if src is None else (
-                    ex.mmul(a, src) if self.mode == "exact" else a @ src
-                )
+                image = a if src is None else o.mul(a, src)
                 if dst is None:  # zero space
-                    if self.mode == "exact":
-                        okay = ex.is_zero(image)
-                    else:
-                        okay = np.linalg.norm(image) <= self.tol
+                    okay = o.is_zero(image, self.tol)
                 else:
-                    okay = _subspace_contained(dst, image, self.mode, self.tol)
+                    okay = o.contains(dst, image, self.tol)
                 if not okay:
                     out.append(f"point {i}: residue does not push step {j} deeper")
                     break
@@ -203,9 +142,7 @@ def quiver_to_higgs(rep: StarRep, sigma: ParabolicType, tol=1e-8) -> HiggsTuple:
         fl = []
         acc = None
         for gm in rep.g[j]:
-            acc = gm if acc is None else (
-                ex.mmul(acc, gm) if rep.mode == "exact" else acc @ gm
-            )
+            acc = gm if acc is None else rep.ops.mul(acc, gm)
             fl.append(acc)
         flags.append(fl)
     return HiggsTuple(sigma=sigma, matrices=mats, flags=flags, mode=rep.mode, tol=tol)
@@ -221,35 +158,21 @@ def higgs_to_quiver(h: HiggsTuple, tol=None) -> StarRep:
     if tol is None:
         tol = h.tol
     quiver = build_star_quiver(h.sigma)
-    r = h.rank
+    o = h.ops
     f, g = [], []
     for i in range(h.n):
-        chain = [ex.meye(r) if h.mode == "exact" else np.eye(r, dtype=complex)]
-        chain += list(h.flags[i])
+        chain = [o.eye(h.rank)] + list(h.flags[i])
         fj, gj = [], []
         a = h.matrices[i]
         for j in range(1, len(chain)):
             prev, cur = chain[j - 1], chain[j]
-            if h.mode == "exact":
-                try:
-                    gj.append(ex.solve(prev, cur))
-                    fj.append(ex.solve(cur, ex.mmul(a, prev)))
-                except ValueError as e:
-                    raise BridgeError(
-                        f"point {i}: flag step {j} is not preserved strongly ({e})"
-                    ) from None
-            else:
-                gsol, gres, _, _ = np.linalg.lstsq(prev, cur, rcond=None)
-                fsol, fres, _, _ = np.linalg.lstsq(cur, a @ prev, rcond=None)
-                for sol, target, basis in ((gsol, cur, prev), (fsol, a @ prev, cur)):
-                    resid = np.linalg.norm(basis @ sol - target)
-                    if resid > tol * max(1.0, np.linalg.norm(target)):
-                        raise BridgeError(
-                            f"point {i}: flag step {j} is not preserved strongly "
-                            f"(residual {resid:.2e})"
-                        )
-                gj.append(gsol)
-                fj.append(fsol)
+            try:
+                gj.append(o.solve(prev, cur, tol))
+                fj.append(o.solve(cur, o.mul(a, prev), tol))
+            except ValueError as e:
+                raise BridgeError(
+                    f"point {i}: flag step {j} is not preserved strongly ({e})"
+                ) from None
         f.append(fj)
         g.append(gj)
     return StarRep(quiver, f, g, h.mode)
@@ -257,21 +180,14 @@ def higgs_to_quiver(h: HiggsTuple, tol=None) -> StarRep:
 
 def assemble_phi(h: HiggsTuple, z):
     """Value sum A_i / (z - x_i); z must avoid the marked points."""
-    pts = h.sigma.line.points
-    if h.mode == "exact":
-        z = z if isinstance(z, Fraction) else Fraction(z)
-        if z in pts:
-            raise BridgeError(f"evaluation at the pole {z}")
-        out = ex.mzeros(h.rank, h.rank)
-        for a, x in zip(h.matrices, pts):
-            out = ex.madd(out, ex.mscale(Fraction(1) / (z - x), a))
-        return out
-    zc = complex(z)
-    if any(abs(zc - complex(x)) == 0.0 for x in pts):
+    o = h.ops
+    zc = o.scalar(z)
+    gaps = [zc - o.scalar(x) for x in h.sigma.line.points]
+    if any(d == 0 for d in gaps):
         raise BridgeError(f"evaluation at the pole {z}")
-    out = np.zeros((h.rank, h.rank), dtype=complex)
-    for a, x in zip(h.matrices, pts):
-        out = out + a / (zc - complex(x))
+    out = o.zeros(h.rank, h.rank)
+    for a, d in zip(h.matrices, gaps):
+        out = o.add(out, o.div(a, d))
     return out
 
 
@@ -292,16 +208,13 @@ def parabolic_slope(h: HiggsTuple, w=None, degree=0, point_fibers=None, tol=None
     sig = h.sigma
     if w is None and point_fibers is None:
         return Fraction(degree, sig.rank) + sig.full_slope()
-    if point_fibers is not None:
-        fibers = point_fibers
-        k = ex.shape(fibers[0])[1] if h.mode == "exact" else fibers[0].shape[1]
-    else:
-        fibers = [w] * sig.n_points
-        k = ex.shape(w)[1] if h.mode == "exact" else w.shape[1]
+    o = h.ops
+    fibers = point_fibers if point_fibers is not None else [w] * sig.n_points
+    k = o.shape(fibers[0])[1]
     if k == 0:
         raise BridgeError("subobject must be nonzero")
     for fib in fibers:
-        if _col_rank(fib, h.mode, tol) != k:
+        if o.rank(fib, tol) != k:
             raise BridgeError("subobject basis is rank deficient")
     total = Fraction(0)
     for i in range(sig.n_points):
@@ -313,7 +226,7 @@ def parabolic_slope(h: HiggsTuple, w=None, degree=0, point_fibers=None, tol=None
             elif j == len(fl) - 1:
                 inter.append(0)
             else:
-                inter.append(_intersection_dim(step, fibers[i], h.mode, tol))
+                inter.append(o.intersection_dim(step, fibers[i], tol))
         for j, a in enumerate(sig.weights[i], start=1):
             total += a * (inter[j - 1] - inter[j])
     return (Fraction(degree) + total / sig.K) / k
@@ -331,58 +244,6 @@ class IrreducibilityCertificate:
     invariant_subspace: object = None  # basis of a common invariant subspace
 
 
-class _SpanTracker:
-    """Incremental linear-independence bookkeeping for flattened matrices."""
-
-    def __init__(self, mode, dim, tol=1e-9):
-        self.mode = mode
-        self.dim = dim
-        self.tol = tol
-        self.rows = []  # exact: reduced rows with pivot index; float: orthonormal
-        self.pivots = []
-        self.scale0 = 0.0  # largest vector magnitude seen (float mode)
-
-    def add(self, vec):
-        if self.mode == "exact":
-            v = list(vec)
-            for row, piv in zip(self.rows, self.pivots):
-                c = v[piv]
-                if c != 0:
-                    v = [x - c * y for x, y in zip(v, row)]
-            piv = next((i for i, x in enumerate(v) if x != 0), None)
-            if piv is None:
-                return False
-            inv = Fraction(1) / v[piv]
-            v = [x * inv for x in v]
-            self.rows.append(v)
-            self.pivots.append(piv)
-            return True
-        v = np.asarray(vec, dtype=complex)
-        scale = np.linalg.norm(v)
-        self.scale0 = max(self.scale0, scale)
-        # vectors at roundoff scale relative to the data are numerically
-        # zero, not new directions
-        if scale <= self.tol * self.scale0:
-            return False
-        for _ in range(2):  # reorthogonalize once for numerical safety
-            for row in self.rows:
-                v = v - row * np.vdot(row, v)
-        resid = np.linalg.norm(v)
-        if resid <= self.tol * scale:
-            return False
-        self.rows.append(v / resid)
-        return True
-
-    def __len__(self):
-        return len(self.rows)
-
-
-def _flatten(m, mode):
-    if mode == "exact":
-        return [x for row in m for x in row]
-    return np.asarray(m, dtype=complex).reshape(-1)
-
-
 def irreducible(mats, mode="float", tol=1e-9, want_witness=True):
     """Do the matrices generate the full matrix algebra?
 
@@ -394,10 +255,11 @@ def irreducible(mats, mode="float", tol=1e-9, want_witness=True):
     """
     if not mats:
         raise ValueError("need at least one matrix")
-    r = len(mats[0]) if mode == "exact" else mats[0].shape[0]
-    eye = ex.meye(r) if mode == "exact" else np.eye(r, dtype=complex)
-    tracker = _SpanTracker(mode, r * r, tol)
-    tracker.add(_flatten(eye, mode))
+    o = arith.ops(mode)
+    r = o.shape(mats[0])[0]
+    eye = o.eye(r)
+    tracker = o.span_tracker(tol)
+    tracker.add(o.flatten(eye))
     words = [()]
     elements = [eye]
     frontier = list(range(len(elements)))
@@ -405,12 +267,8 @@ def irreducible(mats, mode="float", tol=1e-9, want_witness=True):
         next_frontier = []
         for idx in frontier:
             for a_idx, a in enumerate(mats):
-                prod = (
-                    ex.mmul(a, elements[idx])
-                    if mode == "exact"
-                    else a @ elements[idx]
-                )
-                if tracker.add(_flatten(prod, mode)):
+                prod = o.mul(a, elements[idx])
+                if tracker.add(o.flatten(prod)):
                     words.append((a_idx,) + words[idx])
                     elements.append(prod)
                     next_frontier.append(len(elements) - 1)
@@ -428,62 +286,34 @@ def irreducible(mats, mode="float", tol=1e-9, want_witness=True):
     return IrreducibilityCertificate(False, dim, words, invariant_subspace=witness)
 
 
-def _algebra_closure_of_vector(elements, v, mode, tol):
+def _algebra_closure_of_vector(elements, v, o, tol):
     """Column space of {m v : m in algebra span}; invariant by closure."""
-    if mode == "exact":
-        cols = []
-        for m in elements:
-            cols.append([sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(v))])
-        mat = [list(row) for row in zip(*cols)]
-        rk = ex.rank(mat)
-        if rk == 0 or rk == len(v):
-            return None
-        # extract a basis of the column space
-        rr, piv = ex.rref([list(row) for row in zip(*mat)])  # row space of transpose
-        basis_rows = rr[: len(piv)]
-        return [list(col) for col in zip(*basis_rows)]
-    stacked = np.stack([m @ v for m in elements], axis=1)
-    rk = numerical_rank(stacked, tol)
-    if rk == 0 or rk == stacked.shape[0]:
+    stacked = o.from_columns([o.apply(m, v) for m in elements])
+    rk = o.rank(stacked, tol)
+    if rk == 0 or rk == o.shape(stacked)[0]:
         return None
-    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    return u[:, :rk]
+    return o.basis(stacked, rk)
 
 
 def _find_invariant_subspace(mats, elements, mode, tol):
-    r = len(mats[0]) if mode == "exact" else mats[0].shape[0]
-    candidates = []
+    o = arith.ops(mode)
+    r = o.shape(mats[0])[0]
+    candidates = o.columns(o.eye(r))
+    for m in mats:
+        candidates.extend(o.nullspace(m))
     if mode == "exact":
-        for k in range(r):
-            e = [Fraction(int(i == k)) for i in range(r)]
-            candidates.append(e)
-        for m in mats:
-            for v in ex.nullspace(m):
-                candidates.append(v)
         for t in range(1, 6):
             v = [Fraction((t * i * i + 3 * i + t) % 7 - 3) for i in range(r)]
             if any(x != 0 for x in v):
                 candidates.append(v)
     else:
-        for k in range(r):
-            e = np.zeros(r, dtype=complex)
-            e[k] = 1.0
-            candidates.append(e)
-        for m in mats:
-            u, s, vh = np.linalg.svd(m)
-            rk = numerical_rank(m, None)
-            for col in range(rk, r):
-                candidates.append(vh[col].conj())
         rng = np.random.default_rng(20240 + r)
-        combo = sum(
-            rng.standard_normal() * np.asarray(to_float_matrix(m, mode), dtype=complex)
-            for m in mats
-        )
+        combo = sum(rng.standard_normal() * np.asarray(m, dtype=complex) for m in mats)
         vals, vecs = np.linalg.eig(combo)
         for col in range(vecs.shape[1]):
             candidates.append(vecs[:, col])
     for v in candidates:
-        basis = _algebra_closure_of_vector(elements, v, mode, tol)
+        basis = _algebra_closure_of_vector(elements, v, o, tol)
         if basis is not None:
             return basis
     return None
@@ -553,70 +383,44 @@ def _invariant_subspace_candidates(h: HiggsTuple, cert, seed, tol):
     vectors.  Zero tuples make every subspace invariant, so flag steps and
     coordinate subspaces enter directly."""
     r = h.rank
-    mode = h.mode
+    o = h.ops
     mats = h.matrices
-    all_zero = all(
-        (ex.is_zero(m) if mode == "exact" else np.linalg.norm(m) == 0.0) for m in mats
-    )
+    all_zero = all(o.is_zero(m) for m in mats)
     # rebuild algebra span elements (cheap at this scale)
-    cert2 = irreducible(mats, mode, tol, want_witness=False)
-    eye = ex.meye(r) if mode == "exact" else np.eye(r, dtype=complex)
+    cert2 = irreducible(mats, h.mode, tol, want_witness=False)
+    eye = o.eye(r)
     elements = [eye]
     for word in cert2.words:
         m = eye
         for idx in word:
-            m = ex.mmul(mats[idx], m) if mode == "exact" else mats[idx] @ m
+            m = o.mul(mats[idx], m)
         elements.append(m)
     out = []
     if cert.invariant_subspace is not None:
         out.append(cert.invariant_subspace)
-    seeds = []
-    for i in range(h.n):
-        for b in h.flags[i]:
-            if mode == "exact":
-                for col in zip(*b):
-                    seeds.append(list(col))
-            else:
-                for col in range(b.shape[1]):
-                    seeds.append(b[:, col])
-    for k in range(r):
-        if mode == "exact":
-            seeds.append([Fraction(int(i == k)) for i in range(r)])
-        else:
-            e = np.zeros(r, dtype=complex)
-            e[k] = 1.0
-            seeds.append(e)
+    seeds = [v for fl in h.flags for b in fl for v in o.columns(b)]
+    seeds += o.columns(eye)
     rng = np.random.default_rng(seed)
     for _ in range(4):
-        if mode == "exact":
+        if h.mode == "exact":
             seeds.append([Fraction(int(rng.integers(-5, 6))) for _ in range(r)])
         else:
             seeds.append(rng.standard_normal(r) + 1j * rng.standard_normal(r))
     for v in seeds:
-        if mode == "exact" and all(x == 0 for x in v):
+        basis = o.column(v)
+        if o.is_zero(basis):
             continue
         if all_zero:
-            basis = (
-                [[x] for x in v] if mode == "exact" else np.asarray(v).reshape(-1, 1)
-            )
-            if _col_rank(basis, mode) == 1:
+            if o.rank(basis) == 1:
                 out.append(basis)
             continue
-        basis = _algebra_closure_of_vector(elements, v, mode, tol)
+        basis = _algebra_closure_of_vector(elements, v, o, tol)
         if basis is not None:
             out.append(basis)
     # also flag steps themselves when invariant
     for i in range(h.n):
         for b in h.flags[i]:
-            invariant = all(
-                _subspace_contained(
-                    b,
-                    ex.mmul(m, b) if mode == "exact" else m @ b,
-                    mode,
-                    1e-8,
-                )
-                for m in mats
-            )
+            invariant = all(o.contains(b, o.mul(m, b), 1e-8) for m in mats)
             if invariant:
                 out.append(b)
     return out

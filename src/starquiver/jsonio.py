@@ -58,17 +58,16 @@ def matrix_to_json(m, mode):
 
 
 def matrix_from_json(rows, mode, shape=None):
-    if not isinstance(rows, list) or (rows and not isinstance(rows[0], list)):
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise InputFormatError("matrix must be a list of rows")
+    width = len(rows[0]) if rows else 0
+    if any(len(row) != width for row in rows):
+        raise InputFormatError("matrix rows have different lengths")
+    if shape is not None and (len(rows), width) != tuple(shape):
+        raise InputFormatError(f"matrix has shape {(len(rows), width)}, expected {shape}")
     if mode == "exact":
-        out = [[parse_frac(x) for x in row] for row in rows]
-        return out
-    out = np.array(
-        [[scalar_from_json(x, "float") for x in row] for row in rows], dtype=complex
-    )
-    if shape is not None and out.shape != shape:
-        raise InputFormatError(f"matrix has shape {out.shape}, expected {shape}")
-    return out
+        return [[parse_frac(x) for x in row] for row in rows]
+    return np.array([[scalar_from_json(x, "float") for x in row] for row in rows], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +275,6 @@ def solution_from_json(data) -> DSSolution:
         mode = data.get("mode", "float")
         mats = [matrix_from_json(m, mode) for m in data["matrices"]]
         conj = [matrix_from_json(p, mode) for p in data["conjugators"]]
-        if mode == "float":
-            mats = [np.asarray(m) for m in mats]
-            conj = [np.asarray(p) for p in conj]
         return DSSolution(
             matrices=mats,
             conjugators=conj,

@@ -358,10 +358,6 @@ def peval(p, x):
     return acc
 
 
-def pdeg(p):
-    return len(p) - 1 if p else -1
-
-
 def root_order(p, x, cap=None):
     """Multiplicity of x as a root of p; None for the zero polynomial
     (order is unbounded)."""

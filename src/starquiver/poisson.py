@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .starrep import StarQuiver, StarRep, moment_map, random_rep
+from .starrep import StarQuiver, StarRep, random_rep
 
 
 @dataclass

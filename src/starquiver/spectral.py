@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import sympy
 
 from . import linalg_exact as ex
+from .arith import ops
 from .combinat import ParabolicType, condition_spectral_top, mu_eps, spectral_degrees
 from .higgs import HiggsTuple
 
@@ -86,25 +86,16 @@ def _sample_pool(points, count, seed=0):
 
 
 def pole_cleared_matrix(h: HiggsTuple, z):
-    """M(z) = sum_i A_i prod_{k != i} (z - x_k), exactly or in floats."""
-    pts = h.sigma.line.points
-    if h.mode == "exact":
-        out = ex.mzeros(h.rank, h.rank)
-        for i, a in enumerate(h.matrices):
-            c = Fraction(1)
-            for k, x in enumerate(pts):
-                if k != i:
-                    c *= z - x
-            out = ex.madd(out, ex.mscale(c, a))
-        return out
-    zc = complex(z)
-    out = np.zeros((h.rank, h.rank), dtype=complex)
+    """M(z) = sum_i A_i prod_{k != i} (z - x_k), in the tuple's entry format."""
+    o = h.ops
+    gaps = [o.scalar(z) - o.scalar(x) for x in h.sigma.line.points]
+    out = o.zeros(h.rank, h.rank)
     for i, a in enumerate(h.matrices):
-        c = 1.0 + 0.0j
-        for k, x in enumerate(pts):
+        c = o.scalar(1)
+        for k, d in enumerate(gaps):
             if k != i:
-                c *= zc - complex(x)
-        out = out + c * a
+                c *= d
+        out = o.add(out, o.scale(c, a))
     return out
 
 
@@ -163,36 +154,19 @@ def rank_profile(matrices, mode="float", tol=None):
     matrix's largest singular value: a near-nilpotent power must be
     compared against the base scale, not against its own vanishing norm.
     """
-    from .starrep import numerical_rank
-
+    o = ops(mode)
     out = []
     for a in matrices:
-        if mode == "exact":
-            r = len(a)
-            ranks = []
-            power = a
-            for _ in range(r):
-                rk = ex.rank(power)
-                if rk == 0:
-                    break
-                ranks.append(rk)
-                power = ex.mmul(power, a)
-            out.append(tuple(ranks))
-            continue
-        a = np.asarray(a, dtype=complex)
-        r = a.shape[0]
-        scale = float(np.linalg.svd(a, compute_uv=False)[0]) if r else 0.0
-        rel = tol if tol is not None else r * np.finfo(float).eps
+        a = o.coerce(a)
+        scale = o.singular_scale(a)
         ranks = []
         power = a
-        for j in range(1, r + 1):
-            s = np.linalg.svd(power, compute_uv=False)
-            anchor = max(float(s[0]) if s.size else 0.0, scale**j)
-            rk = int(np.sum(s > rel * anchor)) if anchor > 0 else 0
+        for j in range(1, o.shape(a)[0] + 1):
+            rk = o.relative_rank(power, tol, scale**j)
             if rk == 0:
                 break
             ranks.append(rk)
-            power = power @ a
+            power = o.mul(power, a)
         out.append(tuple(ranks))
     return out
 
@@ -261,12 +235,20 @@ def vanishing_orders(hp: HitchinPoint, sigma: ParabolicType) -> VanishingOrderRe
 # spectral polynomial and integrality
 
 
-_LAM, _Z = sympy.symbols("lam z")
+def _symbols():
+    """The plane coordinates (lam, z); sympy is imported on first use, so
+    importing the package does not pay for it."""
+    import sympy
+
+    return sympy.symbols("lam z")
 
 
 def _poly_to_sympy(p):
+    import sympy
+
+    _, z = _symbols()
     return sum(
-        (sympy.Rational(c.numerator, c.denominator) * _Z**k for k, c in enumerate(p)),
+        (sympy.Rational(c.numerator, c.denominator) * z**k for k, c in enumerate(p)),
         sympy.Integer(0),
     )
 
@@ -275,11 +257,14 @@ def spectral_poly(hp: HitchinPoint):
     """The plane model lambda^r + sum_j p_j(z) lambda^{r-j} as a sympy
     expression in (lam, z); exactly the characteristic polynomial of the
     pole-cleared matrix."""
+    import sympy
+
     if hp.mode != "exact":
         raise ExactnessRequired("spectral polynomials are only built in exact mode")
-    expr = _LAM**hp.rank
+    lam, _ = _symbols()
+    expr = lam**hp.rank
     for j in range(1, hp.rank + 1):
-        expr = expr + _poly_to_sympy(hp.coeffs[j - 1]) * _LAM ** (hp.rank - j)
+        expr = expr + _poly_to_sympy(hp.coeffs[j - 1]) * lam ** (hp.rank - j)
     return sympy.expand(expr)
 
 
@@ -295,20 +280,23 @@ def is_integral(p_expr):
     univariate polynomial certifies integrality (the polynomial is monic
     in lambda); otherwise an exact bivariate factorization decides.
     """
-    poly = sympy.Poly(p_expr, _LAM, _Z, domain="QQ")
-    r = poly.degree(_LAM)
+    import sympy
+
+    lam, z = _symbols()
+    poly = sympy.Poly(p_expr, lam, z, domain="QQ")
+    r = poly.degree(lam)
     if r <= 0:
         return "not_integral", p_expr
-    dlam = sympy.Poly(sympy.diff(p_expr, _LAM), _LAM, _Z, domain="QQ")
+    dlam = sympy.Poly(sympy.diff(p_expr, lam), lam, z, domain="QQ")
     g = sympy.gcd(poly, dlam)
     if sympy.total_degree(g.as_expr()) > 0:
         return "not_integral", sympy.factor(p_expr)
     for z0 in (0, 1, -1, 2, -2, 3, sympy.Rational(1, 2)):
-        spec = sympy.Poly(p_expr.subs(_Z, z0), _LAM, domain="QQ")
+        spec = sympy.Poly(p_expr.subs(z, z0), lam, domain="QQ")
         if spec.degree() == r and spec.is_irreducible:
             return "integral", None
     try:
-        _, factors = sympy.factor_list(p_expr, _LAM, _Z, domain="QQ")
+        _, factors = sympy.factor_list(p_expr, lam, z, domain="QQ")
     except Exception:
         return "undetermined", None
     nontrivial = [f for f, m in factors if sympy.total_degree(f) > 0]

@@ -12,17 +12,17 @@ compositions are endomorphisms: the central component is the sum of
 ``f_i g_i - g_{i+1} f_{i+1}`` (just ``f_s g_s`` at the tip).  Vanishing of
 all components encodes residue-sum zero plus strong flag preservation.
 
-Two entry representations are supported and never mixed inside one value:
-``float`` (complex128 ndarrays) and ``exact`` (Fraction row lists).
+Entries are in one of the two formats of ``arith`` (``mode="float"`` or
+``"exact"``), never mixed inside one value; every matrix operation goes
+through the value's ``arith`` backend.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from . import linalg_exact as ex
+from .arith import ops
 from .combinat import ParabolicType, flag_dimension_vector
 
 
@@ -119,76 +119,6 @@ def build_character(sigma: ParabolicType) -> StabilityCharacter:
 
 
 # ---------------------------------------------------------------------------
-# mode-dispatched matrix helpers
-
-
-def _is_exact(mode):
-    return mode == "exact"
-
-
-def _mul(a, b, mode):
-    return ex.mmul(a, b) if _is_exact(mode) else a @ b
-
-
-def _sub(a, b, mode):
-    return ex.msub(a, b) if _is_exact(mode) else a - b
-
-
-def _add(a, b, mode):
-    return ex.madd(a, b) if _is_exact(mode) else a + b
-
-
-def _zeros(m, n, mode):
-    return ex.mzeros(m, n) if _is_exact(mode) else np.zeros((m, n), dtype=complex)
-
-
-def _eye(n, mode):
-    return ex.meye(n) if _is_exact(mode) else np.eye(n, dtype=complex)
-
-
-def _trace(a, mode):
-    return ex.mtrace(a) if _is_exact(mode) else np.trace(a)
-
-
-def _inv(a, mode):
-    return ex.inv(a) if _is_exact(mode) else np.linalg.inv(a)
-
-
-def _norm(a, mode):
-    if _is_exact(mode):
-        return float(sum(float(x) ** 2 for row in a for x in row)) ** 0.5
-    return float(np.linalg.norm(a))
-
-
-def _shape(a, mode):
-    return ex.shape(a) if _is_exact(mode) else a.shape
-
-
-def numerical_rank(a, tol=None):
-    """Rank by singular values; threshold max-dim * eps * largest singular
-    value unless overridden."""
-    a = np.asarray(a, dtype=complex)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    if tol is None:
-        tol = max(a.shape) * np.finfo(float).eps * s[0]
-    return int(np.sum(s > tol))
-
-
-def _rank(a, mode, tol=None):
-    return ex.rank(a) if _is_exact(mode) else numerical_rank(a, tol)
-
-
-def to_float_matrix(a, mode):
-    if _is_exact(mode):
-        return np.array([[float(x) for x in row] for row in a], dtype=complex)
-    return np.asarray(a, dtype=complex)
-
-
-# ---------------------------------------------------------------------------
 # representations
 
 
@@ -201,8 +131,7 @@ class StarRep:
     """
 
     def __init__(self, quiver: StarQuiver, f, g, mode="float"):
-        if mode not in ("float", "exact"):
-            raise ValueError("mode must be 'float' or 'exact'")
+        self.ops = ops(mode)
         self.quiver = quiver
         self.mode = mode
         if len(f) != quiver.n_arms or len(g) != quiver.n_arms:
@@ -215,11 +144,11 @@ class StarRep:
                 raise ValueError(f"arm {j}: wrong number of levels")
             fj, gj = [], []
             for i in range(len(dims) - 1):
-                fm = f[j][i] if mode == "exact" else np.asarray(f[j][i], dtype=complex)
-                gm = g[j][i] if mode == "exact" else np.asarray(g[j][i], dtype=complex)
-                if _shape(fm, mode) != (dims[i + 1], dims[i]):
+                fm = self.ops.coerce(f[j][i])
+                gm = self.ops.coerce(g[j][i])
+                if self.ops.shape(fm) != (dims[i + 1], dims[i]):
                     raise ValueError(f"arm {j} level {i + 1}: f has wrong shape")
-                if _shape(gm, mode) != (dims[i], dims[i + 1]):
+                if self.ops.shape(gm) != (dims[i], dims[i + 1]):
                     raise ValueError(f"arm {j} level {i + 1}: g has wrong shape")
                 fj.append(fm)
                 gj.append(gm)
@@ -229,35 +158,31 @@ class StarRep:
     def residue(self, j):
         """g_1 f_1 on arm j; the zero endomorphism for an empty arm."""
         if not self.f[j]:
-            return _zeros(self.quiver.rank, self.quiver.rank, self.mode)
-        return _mul(self.g[j][0], self.f[j][0], self.mode)
+            return self.ops.zeros(self.quiver.rank, self.quiver.rank)
+        return self.ops.mul(self.g[j][0], self.f[j][0])
 
     def residues(self):
         return [self.residue(j) for j in range(self.quiver.n_arms)]
 
+    def _map(self, fn, mode):
+        f = [[fn(m) for m in arm] for arm in self.f]
+        g = [[fn(m) for m in arm] for arm in self.g]
+        return StarRep(self.quiver, f, g, mode)
+
     def copy(self):
-        if self.mode == "exact":
-            f = [[ex.mcopy(m) for m in arm] for arm in self.f]
-            g = [[ex.mcopy(m) for m in arm] for arm in self.g]
-        else:
-            f = [[m.copy() for m in arm] for arm in self.f]
-            g = [[m.copy() for m in arm] for arm in self.g]
-        return StarRep(self.quiver, f, g, self.mode)
+        return self._map(self.ops.copy, self.mode)
 
     def to_float(self):
-        if self.mode == "float":
-            return self
-        f = [[to_float_matrix(m, "exact") for m in arm] for arm in self.f]
-        g = [[to_float_matrix(m, "exact") for m in arm] for arm in self.g]
-        return StarRep(self.quiver, f, g, "float")
+        return self._map(self.ops.to_float, "float")
 
 
 def zero_rep(quiver: StarQuiver, mode="float") -> StarRep:
+    zeros = ops(mode).zeros
     f, g = [], []
     for j in range(quiver.n_arms):
         dims = quiver.dims(j)
-        f.append([_zeros(dims[i + 1], dims[i], mode) for i in range(len(dims) - 1)])
-        g.append([_zeros(dims[i], dims[i + 1], mode) for i in range(len(dims) - 1)])
+        f.append([zeros(dims[i + 1], dims[i]) for i in range(len(dims) - 1)])
+        g.append([zeros(dims[i], dims[i + 1]) for i in range(len(dims) - 1)])
     return StarRep(quiver, f, g, mode)
 
 
@@ -295,20 +220,20 @@ class MomentValue:
 
 
 def moment_map(rep: StarRep) -> MomentValue:
-    q, mode = rep.quiver, rep.mode
-    center = _zeros(q.rank, q.rank, mode)
+    q, o = rep.quiver, rep.ops
+    center = o.zeros(q.rank, q.rank)
     for j in range(q.n_arms):
         if rep.f[j]:
-            center = _add(center, rep.residue(j), mode)
+            center = o.add(center, rep.residue(j))
     arms = []
     for j in range(q.n_arms):
         comps = []
         s = len(rep.f[j])
         for i in range(s):
-            fg = _mul(rep.f[j][i], rep.g[j][i], mode)
+            fg = o.mul(rep.f[j][i], rep.g[j][i])
             if i + 1 < s:
-                gf = _mul(rep.g[j][i + 1], rep.f[j][i + 1], mode)
-                comps.append(_sub(fg, gf, mode))
+                gf = o.mul(rep.g[j][i + 1], rep.f[j][i + 1])
+                comps.append(o.sub(fg, gf))
             else:
                 comps.append(fg)
         arms.append(comps)
@@ -318,13 +243,12 @@ def moment_map(rep: StarRep) -> MomentValue:
 def moment_residual(rep: StarRep) -> float:
     """Largest Frobenius norm over all moment components."""
     mv = moment_map(rep)
-    return max(_norm(m, rep.mode) for _, m in mv.components())
+    return max(rep.ops.norm(m) for _, m in mv.components())
 
 
 def moment_is_zero(rep: StarRep, tol=1e-8) -> bool:
-    if rep.mode == "exact":
-        return all(ex.is_zero(m) for _, m in moment_map(rep).components())
-    return moment_residual(rep) <= tol
+    """Every component is zero (float: Frobenius norm at most ``tol``)."""
+    return all(rep.ops.is_zero(m, tol) for _, m in moment_map(rep).components())
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +260,7 @@ def arm_semistable(rep: StarRep, j: int, tol=None) -> bool:
     injects into the center."""
     dims = rep.quiver.dims(j)
     for i, gm in enumerate(rep.g[j]):
-        if _rank(gm, rep.mode, tol) < dims[i + 1]:
+        if rep.ops.rank(gm, tol) < dims[i + 1]:
             return False
     return True
 
@@ -371,15 +295,9 @@ def destabilizing_one_ps(rep: StarRep, j: int, tol=None):
     dims = rep.quiver.dims(j)
     for i, gm in enumerate(rep.g[j]):
         size = dims[i + 1]
-        if _rank(gm, rep.mode, tol) >= size:
+        if rep.ops.rank(gm, tol) >= size:
             continue
-        if rep.mode == "exact":
-            kernel = ex.nullspace(gm)
-            v = kernel[0]
-            vf = np.array([float(x) for x in v], dtype=complex)
-        else:
-            _, _, vh = np.linalg.svd(gm)
-            vf = vh[-1].conj()
+        vf = rep.ops.kernel_vector(gm)
         # complete vf to a basis by Gram-Schmidt over the identity
         cols = [vf / np.linalg.norm(vf)]
         for k in range(size):
@@ -440,8 +358,9 @@ class GroupElement:
     arms: list  # arms[j][i]: block at arm j, vertex i+1
 
     def inverse(self, mode="float"):
-        c = _inv(self.center, mode)
-        arms = [[_inv(b, mode) for b in arm] for arm in self.arms]
+        inv = ops(mode).inv
+        c = inv(self.center)
+        arms = [[inv(b) for b in arm] for arm in self.arms]
         return GroupElement(center=c, arms=arms)
 
 
@@ -459,18 +378,18 @@ def random_group_element(quiver: StarQuiver, rng) -> GroupElement:
 def group_act(rep: StarRep, h: GroupElement) -> StarRep:
     """Base change at every vertex: each map is conjugated by the blocks
     at its head and tail."""
-    mode = rep.mode
+    o = rep.ops
     f, g = [], []
     for j in range(rep.quiver.n_arms):
         fj, gj = [], []
         blocks = [h.center] + list(h.arms[j])
-        inv_blocks = [_inv(b, mode) for b in blocks]
+        inv_blocks = [o.inv(b) for b in blocks]
         for i in range(len(rep.f[j])):
-            fj.append(_mul(_mul(blocks[i + 1], rep.f[j][i], mode), inv_blocks[i], mode))
-            gj.append(_mul(_mul(blocks[i], rep.g[j][i], mode), inv_blocks[i + 1], mode))
+            fj.append(o.mul(o.mul(blocks[i + 1], rep.f[j][i]), inv_blocks[i]))
+            gj.append(o.mul(o.mul(blocks[i], rep.g[j][i]), inv_blocks[i + 1]))
         f.append(fj)
         g.append(gj)
-    return StarRep(rep.quiver, f, g, mode)
+    return StarRep(rep.quiver, f, g, rep.mode)
 
 
 class InvalidCycle(ValueError):
@@ -484,10 +403,10 @@ def trace_along_cycle(rep: StarRep, cycle):
     the walk must start and end at the central vertex.  The empty walk
     gives the trace of the identity, i.e. the rank.
     """
-    mode = rep.mode
+    o = rep.ops
     q = rep.quiver
     at = None  # None = center, else (arm, level)
-    acc = _eye(q.rank, mode)
+    acc = o.eye(q.rank)
     for step in cycle:
         kind, j, level = step
         if not (0 <= j < q.n_arms) or not (1 <= level <= len(q.arms[j])):
@@ -496,18 +415,18 @@ def trace_along_cycle(rep: StarRep, cycle):
             here = None if level == 1 else (j, level - 1)
             if at != here:
                 raise InvalidCycle(f"outward step {step} does not start at {at}")
-            acc = _mul(rep.f[j][level - 1], acc, mode)
+            acc = o.mul(rep.f[j][level - 1], acc)
             at = (j, level)
         elif kind == "g":
             if at != (j, level):
                 raise InvalidCycle(f"inward step {step} does not start at {at}")
-            acc = _mul(rep.g[j][level - 1], acc, mode)
+            acc = o.mul(rep.g[j][level - 1], acc)
             at = None if level == 1 else (j, level - 1)
         else:
             raise InvalidCycle(f"unknown step kind {kind!r}")
     if at is not None:
         raise InvalidCycle("walk does not return to the central vertex")
-    return _trace(acc, mode)
+    return o.trace(acc)
 
 
 def center_cycles(quiver: StarQuiver, max_len: int):

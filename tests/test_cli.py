@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURES, closed_form_flags, closed_form_matrices
-from starquiver import jsonio
+from starquiver import cli, jsonio
 from starquiver.cli import main
 from starquiver.combinat import NilpotentClass
-from starquiver.dsolve import DSInstance, DSSolution
-from starquiver.higgs import HiggsTuple
-from starquiver.spectral import HitchinPoint
+from starquiver.dsolve import DSInstance, DSSolution, RefinementError
+from starquiver.higgs import BridgeError, HiggsTuple, WeightsNotSmallError
+from starquiver.spectral import ExactnessRequired, HitchinPoint
 from starquiver.starrep import StarQuiver, StarRep, random_rep
 
 F = Fraction
@@ -338,3 +338,46 @@ def test_type_check_report_byte_identical(tmp_path):
         )
         blobs.append(p.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_ragged_exact_matrix_is_an_input_error(tmp_path, capsys):
+    # the first row has the right length, so only a full rectangularity
+    # check catches the empty second row before the exact kernels index it
+    good_rep = tmp_path / "good.json"
+    assert main(["bridge", "to-quiver", "--higgs", str(FIXTURES / "higgs_rank2_heavy_top.json"),
+                 "--out", str(good_rep)]) == 0
+    rep = json.loads(good_rep.read_text(encoding="utf-8"))
+    assert rep["mode"] == "exact"
+    rep["matrices"]["g/1/1"] = [["1"], []]
+    bad_rep = tmp_path / "ragged.json"
+    jsonio.dump(bad_rep, rep)
+    capsys.readouterr()
+    code = main(["bridge", "to-higgs", "--rep", str(bad_rep),
+                 "--type", str(FIXTURES / "type_rank2_full_flags.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "rows have different lengths" in err
+    assert "Traceback" not in err
+
+
+def test_matrix_shape_checked_in_both_modes():
+    for mode, entry in (("exact", "1"), ("float", [1.0, 0.0])):
+        with pytest.raises(jsonio.InputFormatError, match="shape"):
+            jsonio.matrix_from_json([[entry, entry]], mode, shape=(2, 1))
+
+
+@pytest.mark.parametrize("error,code", [
+    (RefinementError("snapped flags kept degenerating"), 2),
+    (ExactnessRequired("vanishing orders need exact entries"), 3),
+    (jsonio.InputFormatError("not an exact rational"), 1),
+    (BridgeError("moment map does not vanish"), 1),
+    (WeightsNotSmallError("weights are too large"), 1),
+    (ValueError("bad value"), 1),
+])
+def test_exit_code_table(monkeypatch, capsys, error, code):
+    def raiser(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_type_check", raiser)
+    assert main(["type-check", "--type", str(FIXTURES / "type_rank2_full_flags.json")]) == code
+    assert capsys.readouterr().err == f"error: {error}\n"

@@ -1,0 +1,35 @@
+"""Source hygiene: no unused imports in the package, and a CLI import that
+does not load sympy."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def unused_imports(path):
+    """Names bound by an import anywhere in the module and never read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    hits = [hit for path in sorted((SRC / "starquiver").glob("*.py")) for hit in unused_imports(path)]
+    assert hits == []
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    code = "import sys, starquiver.cli; print('sympy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
