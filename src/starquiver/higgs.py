@@ -386,11 +386,10 @@ def _invariant_subspace_candidates(h: HiggsTuple, cert, seed, tol):
     o = h.ops
     mats = h.matrices
     all_zero = all(o.is_zero(m) for m in mats)
-    # rebuild algebra span elements (cheap at this scale)
-    cert2 = irreducible(mats, h.mode, tol, want_witness=False)
+    # rebuild the algebra span elements from the certificate's words
     eye = o.eye(r)
     elements = [eye]
-    for word in cert2.words:
+    for word in cert.words:
         m = eye
         for idx in word:
             m = o.mul(mats[idx], m)

@@ -229,6 +229,8 @@ def higgs_from_json(data, check=True) -> HiggsTuple:
         )
     except KeyError as e:
         raise InputFormatError(f"residue tuple is missing the field {e}") from e
+    except (TypeError, ValueError) as e:
+        raise InputFormatError(f"invalid residue tuple: {e}") from e
 
 
 def hitchin_to_json(hp: HitchinPoint) -> dict:
@@ -250,6 +252,8 @@ def hitchin_from_json(data) -> HitchinPoint:
         )
     except KeyError as e:
         raise InputFormatError(f"coefficient point is missing the field {e}") from e
+    except (TypeError, ValueError) as e:
+        raise InputFormatError(f"invalid coefficient point: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +289,8 @@ def solution_from_json(data) -> DSSolution:
         )
     except KeyError as e:
         raise InputFormatError(f"solution is missing the field {e}") from e
+    except (AttributeError, TypeError, ValueError) as e:  # AttributeError: not a JSON object
+        raise InputFormatError(f"invalid solution: {e}") from e
 
 
 # ---------------------------------------------------------------------------

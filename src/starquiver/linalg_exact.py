@@ -195,25 +195,6 @@ def solve_anchored(a, anchor):
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial (Faddeev-LeVerrier)
-
-
-def charpoly(a):
-    """Coefficients (c_1..c_n) with det(tI - a) = t^n + c_1 t^{n-1} + ... + c_n."""
-    n = len(a)
-    coeffs = []
-    mk = mcopy(a)
-    for k in range(1, n + 1):
-        ck = -mtrace(mk) / k
-        coeffs.append(ck)
-        if k < n:
-            for i in range(n):
-                mk[i][i] += ck
-            mk = mmul(a, mk)
-    return coeffs
-
-
-# ---------------------------------------------------------------------------
 # nilpotent normal form
 
 
@@ -323,22 +304,6 @@ def ptrim(p):
     return p
 
 
-def padd(p, q):
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return ptrim(out)
-
-
-def pscale(c, p):
-    if c == 0:
-        return []
-    return [c * x for x in p]
-
-
 def pmul(p, q):
     if not p or not q:
         return []
@@ -378,22 +343,6 @@ def root_order(p, x, cap=None):
         order += 1
         if cap is not None and order >= cap:
             return order
-
-
-def lagrange_interpolate(xs, ys):
-    """Exact interpolation through (xs[i], ys[i]); ascending coefficients."""
-    n = len(xs)
-    result = []
-    for i in range(n):
-        li = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            li = pmul(li, [-xs[j], Fraction(1)])
-            denom *= xs[i] - xs[j]
-        result = padd(result, pscale(ys[i] / denom, li))
-    return result
 
 
 def poly_from_roots(roots_with_mult):

@@ -5,9 +5,14 @@ With marked points x_1..x_n and residues A_i, write
 ``M(z) = sum_i A_i prod_{k != i} (z - x_k)``, the pole-cleared matrix.
 The coefficient of lambda^{r-j} in det(lambda I - M(z)) is the numerator
 polynomial p_j; residues summing to zero kill the z^{n-1} terms of M, so
-deg p_j <= j(n-2).  Membership in the admissible coefficient space means
-p_j vanishes at x_i to order at least eps_j(x_i); the orders are computed
-by repeated exact division, so certified answers require exact entries.
+deg p_j <= j(n-2).  Exact tuples get their p_j from one Faddeev-LeVerrier
+pass over Z[z] on the denominator-cleared matrix, in plain Python integers,
+so the exact cross-check of ``ds verify --hitchin`` never loads sympy.
+Membership in the admissible coefficient space means p_j vanishes at x_i
+to order at least eps_j(x_i); the orders are computed by repeated exact
+division, so certified answers require exact entries.  The integrality
+test runs on one sympy ``Poly``; sympy is imported on first use, so
+importing the package does not pay for it.
 
 Levels whose coefficient space has negative degree carry the zero
 polynomial identically (the level-1 trace is the universal example); the
@@ -17,6 +22,7 @@ witnesses.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -55,7 +61,7 @@ class HitchinPoint:
             raise ValueError("need one coefficient polynomial per level")
         for j, p in enumerate(self.coeffs, start=1):
             bound = j * (n - 2)
-            if len(p) - 1 > bound:
+            if p and len(p) - 1 > bound:
                 raise ValueError(
                     f"level {j}: degree {len(p) - 1} exceeds the bound {bound}"
                 )
@@ -99,9 +105,50 @@ def pole_cleared_matrix(h: HiggsTuple, z):
     return out
 
 
+def _zx_mul_acc(acc, p, q):
+    """acc += p * q for integer polynomials (ascending coefficient lists)."""
+    acc.extend([0] * (len(p) + len(q) - 1 - len(acc)))
+    for u, x in enumerate(p):
+        if x:
+            for v, y in enumerate(q):
+                acc[u + v] += x * y
+    return acc
+
+
+def _zx_charpoly(a):
+    """(c_1..c_r) of det(lambda I - a) for a square matrix over Z[z], by
+    Faddeev-LeVerrier: M_1 = a, c_k = -tr(M_k) / k, M_{k+1} = a M_k + c_k a.
+    Every c_k lies in Z[z], so the division by k is exact."""
+    r = len(a)
+    coeffs = []
+    m = a
+    for k in range(1, r + 1):
+        tr = []
+        for i in range(r):
+            _zx_mul_acc(tr, m[i][i], [1])
+        ck = [-x // k for x in tr]
+        coeffs.append(ck)
+        if k < r:
+            prev, m = m, [[_zx_mul_acc([], ck, a[i][j]) for j in range(r)] for i in range(r)]
+            for i in range(r):
+                for t in range(r):
+                    if a[i][t]:
+                        # the last product only feeds a trace
+                        for j in range(r) if k < r - 1 else (i,):
+                            _zx_mul_acc(m[i][j], a[i][t], prev[t][j])
+    return coeffs
+
+
 def char_poly(h: HiggsTuple, seed=0) -> HitchinPoint:
-    """Coefficient polynomials of det(lambda I - M(z)) by evaluation at
-    small-height rational points followed by interpolation.
+    """Coefficient polynomials of det(lambda I - M(z)).
+
+    Exact tuples are computed directly over Z[z]: with D the lcm of the
+    entry denominators and E the lcm of the point denominators,
+    s M(z) = sum_i (D A_i) prod_{k != i} (E z - E x_k) for s = D E^{n-1}
+    is an integer polynomial matrix, and p_j = c_j(s M) / s^j.  A level
+    whose degree exceeds j(n-2) raises ``ExactnessRequired``.  Float tuples
+    are screened, without certificates, by evaluation at ``seed``-chosen
+    sample points and a Vandermonde solve.
 
     The sign convention: p_j is (-1)^j times the j-th elementary symmetric
     function of the eigenvalues of M(z), so lambda^r + sum_j p_j
@@ -109,26 +156,33 @@ def char_poly(h: HiggsTuple, seed=0) -> HitchinPoint:
     """
     r = h.rank
     n = h.sigma.n_points
-    top = r * max(n - 1, 1) + 1  # evaluation count covers degree n-1 slack
-    samples = _sample_pool(h.sigma.line.points, top, seed)
+    points = h.sigma.line.points
     if h.mode == "exact":
-        values = []
-        for z in samples:
-            m = pole_cleared_matrix(h, z)
-            values.append(ex.charpoly(m))
+        e = lcm(*(x.denominator for x in points))
+        d = lcm(*(x.denominator for m in h.matrices for row in m for x in row))
+        factors = [[-x.numerator * (e // x.denominator), e] for x in points]
+        zm = [[[] for _ in range(r)] for _ in range(r)]
+        for i, a in enumerate(h.matrices):
+            weight = [1]
+            for k, f in enumerate(factors):
+                if k != i:
+                    weight = _zx_mul_acc([], weight, f)
+            for row, zrow in zip(a, zm):
+                for x, entry in zip(row, zrow):
+                    if x:
+                        _zx_mul_acc(entry, [x.numerator * (d // x.denominator)], weight)
+        scale = d * e ** (n - 1)
         coeffs = []
-        for j in range(1, r + 1):
-            ys = [v[j - 1] for v in values]
-            p = ex.lagrange_interpolate(samples, ys)
+        for j, c in enumerate(_zx_charpoly(zm), start=1):
+            p = ex.ptrim([Fraction(x, scale**j) for x in c])
             bound = j * (n - 2)
-            if len(p) - 1 > bound:
-                raise ExactnessRequired(
-                    f"level {j} interpolant has degree {len(p) - 1} > {bound}; "
-                    "the residues do not sum to zero exactly"
-                )
+            if p and len(p) - 1 > bound:
+                raise ExactnessRequired(f"level {j} coefficient has degree {len(p) - 1} > {bound}; "
+                                        "the residues do not sum to zero exactly")
             coeffs.append(p)
-        return HitchinPoint(rank=r, points=h.sigma.line.points, coeffs=coeffs)
+        return HitchinPoint(rank=r, points=points, coeffs=coeffs)
     # floating screening mode: non-certifying
+    samples = _sample_pool(points, r * max(n - 1, 1) + 1, seed)
     zs = np.array([complex(z) for z in samples])
     vals = np.zeros((len(zs), r), dtype=complex)
     for s, z in enumerate(zs):
@@ -235,24 +289,6 @@ def vanishing_orders(hp: HitchinPoint, sigma: ParabolicType) -> VanishingOrderRe
 # spectral polynomial and integrality
 
 
-def _symbols():
-    """The plane coordinates (lam, z); sympy is imported on first use, so
-    importing the package does not pay for it."""
-    import sympy
-
-    return sympy.symbols("lam z")
-
-
-def _poly_to_sympy(p):
-    import sympy
-
-    _, z = _symbols()
-    return sum(
-        (sympy.Rational(c.numerator, c.denominator) * z**k for k, c in enumerate(p)),
-        sympy.Integer(0),
-    )
-
-
 def spectral_poly(hp: HitchinPoint):
     """The plane model lambda^r + sum_j p_j(z) lambda^{r-j} as a sympy
     expression in (lam, z); exactly the characteristic polynomial of the
@@ -261,19 +297,22 @@ def spectral_poly(hp: HitchinPoint):
 
     if hp.mode != "exact":
         raise ExactnessRequired("spectral polynomials are only built in exact mode")
-    lam, _ = _symbols()
-    expr = lam**hp.rank
-    for j in range(1, hp.rank + 1):
-        expr = expr + _poly_to_sympy(hp.coeffs[j - 1]) * lam ** (hp.rank - j)
-    return sympy.expand(expr)
+    terms = {(hp.rank, 0): sympy.Integer(1)}
+    for j, p in enumerate(hp.coeffs, start=1):
+        for k, c in enumerate(p):
+            if c:
+                terms[(hp.rank - j, k)] = sympy.Rational(c.numerator, c.denominator)
+    return sympy.Poly.from_dict(terms, *sympy.symbols("lam z"), domain="QQ").as_expr()
 
 
-def is_integral(p_expr):
+def is_integral(p):
     """'integral' when the plane spectral polynomial is squarefree and
     irreducible over the rationals; 'not_integral' with an explicit
     factorization witness otherwise; 'undetermined' only if every check is
     inconclusive.
 
+    ``p`` is a sympy expression or ``Poly`` in (lam, z); it is converted
+    once to a ``Poly`` over QQ and every check runs on that.
     Rational irreducibility is the desk-scale proxy here: absolute
     irreducibility over the algebraic closure is not certified.
     Specializing z to a rational and finding a full-degree irreducible
@@ -281,29 +320,27 @@ def is_integral(p_expr):
     in lambda); otherwise an exact bivariate factorization decides.
     """
     import sympy
+    from sympy.polys.polyerrors import BasePolynomialError
 
-    lam, z = _symbols()
-    poly = sympy.Poly(p_expr, lam, z, domain="QQ")
+    lam, z = sympy.symbols("lam z")
+    poly = sympy.Poly(p, lam, z, domain="QQ")
     r = poly.degree(lam)
     if r <= 0:
-        return "not_integral", p_expr
-    dlam = sympy.Poly(sympy.diff(p_expr, lam), lam, z, domain="QQ")
-    g = sympy.gcd(poly, dlam)
-    if sympy.total_degree(g.as_expr()) > 0:
-        return "not_integral", sympy.factor(p_expr)
+        return "not_integral", poly.as_expr()
+    if poly.gcd(poly.diff(lam)).total_degree() > 0:
+        return "not_integral", sympy.factor(poly.as_expr())
     for z0 in (0, 1, -1, 2, -2, 3, sympy.Rational(1, 2)):
-        spec = sympy.Poly(p_expr.subs(z, z0), lam, domain="QQ")
+        spec = poly.eval(z, z0)
         if spec.degree() == r and spec.is_irreducible:
             return "integral", None
     try:
-        _, factors = sympy.factor_list(p_expr, lam, z, domain="QQ")
-    except Exception:
+        _, factors = poly.factor_list()
+    except (BasePolynomialError, NotImplementedError):  # factorization unsupported or failed
         return "undetermined", None
-    nontrivial = [f for f, m in factors if sympy.total_degree(f) > 0]
-    total_mult = sum(m for f, m in factors if sympy.total_degree(f) > 0)
-    if len(nontrivial) == 1 and total_mult == 1:
+    nontrivial = [m for f, m in factors if f.total_degree() > 0]
+    if nontrivial == [1]:
         return "integral", None
-    return "not_integral", sympy.factor(p_expr)
+    return "not_integral", sympy.factor(poly.as_expr())
 
 
 def sample_hitchin_point(sigma: ParabolicType, seed=0, max_retries=50):

@@ -1,0 +1,61 @@
+"""Reference characteristic polynomial for differential tests.
+
+This is the library's former exact ``char_poly``: a Fraction
+Faddeev-LeVerrier characteristic polynomial of the pole-cleared matrix at
+r(n-1)+1 small-height rational sample points, then exact Lagrange
+interpolation of every level.  It is slow and shares no arithmetic with
+the integer kernel in ``starquiver.spectral``, which is what makes it a
+useful oracle.  One fix rides along: the zero polynomial passes every
+degree bound, which matters only for single-point tuples (bound -j).
+"""
+
+from fractions import Fraction
+
+from starquiver import linalg_exact as ex
+from starquiver.spectral import ExactnessRequired, _sample_pool, pole_cleared_matrix
+
+
+def charpoly(a):
+    """Coefficients (c_1..c_n) with det(tI - a) = t^n + c_1 t^{n-1} + ... + c_n."""
+    n = len(a)
+    coeffs = []
+    mk = ex.mcopy(a)
+    for k in range(1, n + 1):
+        ck = -ex.mtrace(mk) / k
+        coeffs.append(ck)
+        if k < n:
+            for i in range(n):
+                mk[i][i] += ck
+            mk = ex.mmul(a, mk)
+    return coeffs
+
+
+def lagrange_interpolate(xs, ys):
+    """Exact interpolation through (xs[i], ys[i]); ascending coefficients."""
+    result = [Fraction(0)] * len(xs)
+    for i, xi in enumerate(xs):
+        li = [Fraction(1)]  # the Lagrange basis polynomial, up to 1 / denom
+        denom = Fraction(1)
+        for j, xj in enumerate(xs):
+            if j != i:
+                li = ex.pmul(li, [-xj, Fraction(1)])
+                denom *= xi - xj
+        weight = ys[i] / denom
+        result = [a + weight * c for a, c in zip(result, li)]
+    return ex.ptrim(result)
+
+
+def char_poly(h, seed=0):
+    """Coefficient lists p_1..p_r of det(lambda I - M(z)) for an exact tuple,
+    raising ``ExactnessRequired`` where a level exceeds degree j(n-2)."""
+    r = h.rank
+    n = h.sigma.n_points
+    samples = _sample_pool(h.sigma.line.points, r * max(n - 1, 1) + 1, seed)
+    values = [charpoly(pole_cleared_matrix(h, z)) for z in samples]
+    coeffs = []
+    for j in range(1, r + 1):
+        p = lagrange_interpolate(samples, [v[j - 1] for v in values])
+        if p and len(p) - 1 > j * (n - 2):
+            raise ExactnessRequired(f"level {j} interpolant has degree {len(p) - 1} > {j * (n - 2)}")
+        coeffs.append(p)
+    return coeffs

@@ -7,7 +7,7 @@ import pytest
 
 from starquiver import linalg_exact as ex
 from starquiver.combinat import MarkedLine, NilpotentClass, ParabolicType
-from starquiver.dsolve import DSInstance
+from starquiver.dsolve import DSInstance, SolverConfig, random_feasible_instance, solve
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -60,6 +60,21 @@ def closed_form_flags():
 def rank2_instance():
     c = NilpotentClass(rank=2, rank_sequence=(1,))
     return DSInstance(rank=2, classes=(c, c, c, c))
+
+
+@pytest.fixture(scope="session")
+def certified_batch(rank2_instance):
+    """The boundary instance plus twenty random feasible instances, solved
+    once for the acceptance criteria and the differential tests."""
+    batch = []
+    out = solve(rank2_instance, SolverConfig(seed=7, restarts=20, tolerance=1e-10))
+    assert out.success
+    batch.append((rank2_instance, out))
+    rng = np.random.default_rng(42)
+    for k in range(20):
+        inst = random_feasible_instance(rng, max_rank=5, max_points=6)
+        batch.append((inst, solve(inst, SolverConfig(seed=100 + k))))
+    return batch
 
 
 def random_parabolic_type(rng, max_rank=6, max_points=8):

@@ -10,7 +10,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from conftest import FIXTURES, random_parabolic_type
 from starquiver import jsonio, linalg_exact as ex
@@ -53,21 +52,6 @@ def _report(name, t0, limit):
     elapsed = time.time() - t0
     print(f"PASS  {name}  ({elapsed:.2f}s / limit {limit:.0f}s)")
     assert elapsed < limit, f"{name}: {elapsed:.1f}s exceeded the {limit:.0f}s budget"
-
-
-@pytest.fixture(scope="session")
-def certified_batch(rank2_instance):
-    """The boundary instance plus twenty random feasible instances, solved
-    and verified once for the residue-sum and membership criteria."""
-    batch = []
-    out = solve(rank2_instance, SolverConfig(seed=7, restarts=20, tolerance=1e-10))
-    assert out.success
-    batch.append((rank2_instance, out))
-    rng = np.random.default_rng(42)
-    for k in range(20):
-        inst = random_feasible_instance(rng, max_rank=5, max_points=6)
-        batch.append((inst, solve(inst, SolverConfig(seed=100 + k))))
-    return batch
 
 
 def test_fixture_slopes(tight_weight_type, heavy_top_type):

@@ -360,6 +360,42 @@ def test_ragged_exact_matrix_is_an_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _malformed_run(tmp_path, capsys, payload, argv):
+    """Exit code and stderr of ``argv`` with the malformed ``payload``
+    written to the file named by the placeholder ``BAD``."""
+    bad = tmp_path / "bad.json"
+    jsonio.dump(bad, payload)
+    capsys.readouterr()
+    code = main([str(bad) if a == "BAD" else a for a in argv])
+    return code, capsys.readouterr().err
+
+
+def test_residue_tuple_with_scalar_matrices_is_an_input_error(tmp_path, capsys):
+    data = jsonio.load(FIXTURES / "higgs_rank2_heavy_top.json")
+    data["matrices"] = 5
+    code, err = _malformed_run(tmp_path, capsys, data, ["bridge", "to-quiver", "--higgs", "BAD"])
+    assert code == 1
+    assert err.startswith("error: invalid residue tuple:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("data", [{"mode": "exact", "matrices": 5, "conjugators": []}, [1, 2]])
+def test_malformed_solution_is_an_input_error(tmp_path, capsys, data):
+    argv = ["ds", "verify", "--solution", "BAD", "--instance", str(FIXTURES / "ds_rank2_four_rank1.json")]
+    code, err = _malformed_run(tmp_path, capsys, data, argv)
+    assert code == 1
+    assert err.startswith("error: invalid solution:")
+    assert "Traceback" not in err
+
+
+def test_coefficient_point_with_scalar_points_is_an_input_error():
+    # no subcommand reads coefficient points, so the decoder is tested alone
+    with pytest.raises(jsonio.InputFormatError, match="invalid coefficient point"):
+        jsonio.hitchin_from_json({"rank": 2, "points": 5, "coefficients": [[], []]})
+    with pytest.raises(jsonio.InputFormatError, match="exceeds the bound"):
+        jsonio.hitchin_from_json({"rank": 1, "points": ["0", "1", "2", "3"], "coefficients": [["1"] * 4]})
+
+
 def test_matrix_shape_checked_in_both_modes():
     for mode, entry in (("exact", "1"), ("float", [1.0, 0.0])):
         with pytest.raises(jsonio.InputFormatError, match="shape"):

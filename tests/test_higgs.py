@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import closed_form_flags, closed_form_matrices
+from starquiver import higgs
 from starquiver import linalg_exact as ex
 from starquiver.combinat import ParabolicType
 from starquiver.dsolve import DSInstance, SolverConfig, flags_from_solution, solve
@@ -266,3 +267,22 @@ def test_inconclusive_distinct_lines_zero_field(full_flag_type):
     h = HiggsTuple(full_flag_type, [ex.mzeros(2, 2)] * 4, [[l] for l in lines], mode="exact")
     rep = stability_verdict(h)
     assert rep.verdict == "inconclusive"
+
+
+def test_reducible_verdict_builds_the_algebra_once(full_flag_type, monkeypatch):
+    # E12 and -E12 on the e1 flags, zero residues on the e2 flags: the e1
+    # line is invariant and ties the full slope, so every candidate,
+    # algebra closures included, gets tested; the expected report is the
+    # one the verdict gave while it closed the algebra twice
+    e1, e2 = [[F(1)], [F(0)]], [[F(0)], [F(1)]]
+    e12 = [[F(0), F(1)], [F(0), F(0)]]
+    mats = [e12, ex.mscale(F(-1), e12), ex.mzeros(2, 2), ex.mzeros(2, 2)]
+    h = HiggsTuple(full_flag_type, mats, [[e1], [e1], [e2], [e2]], mode="exact")
+    calls = []
+    closure = higgs.irreducible
+    monkeypatch.setattr(higgs, "irreducible", lambda *args, **kw: calls.append(args) or closure(*args, **kw))
+    rep = stability_verdict(h)
+    assert rep.verdict == "semistable_only"
+    assert rep.witness_subspace == e1
+    assert rep.full_slope == rep.witness_slope == F(1, 8)
+    assert len(calls) == 1

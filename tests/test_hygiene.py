@@ -1,5 +1,5 @@
-"""Source hygiene: no unused imports in the package, and a CLI import that
-does not load sympy."""
+"""Source hygiene: no unused imports in the package, and a CLI import and
+an exact `ds verify --hitchin` that do not load sympy."""
 
 import ast
 import os
@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+FIXTURES = SRC.parent / "fixtures"
 
 
 def unused_imports(path):
@@ -33,3 +34,19 @@ def test_cli_import_leaves_sympy_unloaded():
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_verify_hitchin_leaves_sympy_unloaded(tmp_path):
+    # the exact spectral cross-check (char_poly and vanishing orders) runs on
+    # plain integers; only the integrality test needs sympy
+    instance, sol = str(FIXTURES / "ds_rank2_four_rank1.json"), str(tmp_path / "sol.json")
+    code = (
+        "import sys; from starquiver.cli import main; "
+        f"assert main(['ds', 'solve', '--instance', {instance!r}, '--seed', '7', '--out', {sol!r}]) == 0; "
+        f"assert main(['ds', 'verify', '--solution', {sol!r}, '--instance', {instance!r}, '--hitchin']) == 0; "
+        "print('sympy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip().splitlines()[-1] == "False"

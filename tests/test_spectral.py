@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from sympy.polys.polyerrors import ExtraneousFactors, PolynomialError
 
 from conftest import closed_form_flags, closed_form_matrices
 from starquiver import linalg_exact as ex
@@ -102,6 +103,13 @@ def test_char_poly_float_mode_close(closed_form_tuple):
     assert np.linalg.norm(approx - truth) < 1e-8
 
 
+def test_char_poly_single_zero_residue():
+    # one marked point: the bound j(n-2) = -j is met only by zero levels
+    sigma = ParabolicType(MarkedLine((F(1, 2),), allow_small=True), 2, 1, ((2,),), ((0,),))
+    h = HiggsTuple(sigma, [ex.mzeros(2, 2)], [[]], mode="exact")
+    assert char_poly(h).coeffs == [[], []]
+
+
 def test_degree_bound_enforced(full_flag_type):
     # residues that do not sum to zero break the degree bound and are caught
     e11 = [[F(1), F(0)], [F(0), F(0)]]
@@ -168,6 +176,77 @@ def test_is_integral_verdicts():
     assert is_integral((LAM - Z) ** 2)[0] == "not_integral"  # not squarefree
     # squarefree odd-degree radicand stays irreducible
     assert is_integral(LAM**2 - (Z**3 - Z))[0] == "integral"
+
+
+# every z0 that is_integral specializes at is a root of this factor
+_SPECIALIZATION_ROOTS = Z * (Z - 1) * (Z + 1) * (Z - 2) * (Z + 2) * (Z - 3) * (2 * Z - 1)
+
+
+def _forbid(monkeypatch, name):
+    def boom(*args, **kwargs):
+        raise AssertionError(f"Poly.{name} should not be reached")
+
+    monkeypatch.setattr(sympy.Poly, name, boom)
+
+
+def test_is_integral_decided_by_specialization(monkeypatch):
+    _forbid(monkeypatch, "factor_list")
+    assert is_integral(LAM**2 - Z) == ("integral", None)
+
+
+def test_is_integral_decided_by_bivariate_factorization(monkeypatch):
+    # lam^2 - z^2 - g(z) with g vanishing at every specialization point:
+    # each specialization is lam^2 - z0^2, reducible, but z^2 + g(z) has odd
+    # degree, so it is no square and the plane curve is irreducible
+    irreducible = LAM**2 - Z**2 - _SPECIALIZATION_ROOTS
+    for z0 in (0, 1, -1, 2, -2, 3, sympy.Rational(1, 2)):
+        assert not sympy.Poly(irreducible.subs(Z, z0), LAM).is_irreducible
+    calls = []
+    factor_list = sympy.Poly.factor_list
+    monkeypatch.setattr(sympy.Poly, "factor_list", lambda self: calls.append(self) or factor_list(self))
+    assert is_integral(irreducible) == ("integral", None)
+    assert len(calls) == 1
+    verdict, witness = is_integral(LAM**2 - Z**2)
+    assert verdict == "not_integral"
+    assert witness == sympy.factor(LAM**2 - Z**2)
+
+
+@pytest.mark.parametrize("error", [NotImplementedError, PolynomialError, ExtraneousFactors])
+def test_is_integral_factorization_failure_is_undetermined(monkeypatch, error):
+    irreducible = LAM**2 - Z**2 - _SPECIALIZATION_ROOTS
+
+    def unsupported(self):
+        raise error("no bivariate factorization here")
+
+    monkeypatch.setattr(sympy.Poly, "factor_list", unsupported)
+    assert is_integral(irreducible) == ("undetermined", None)
+
+    def broken(self):
+        raise RuntimeError("a defect, not an inconclusive check")
+
+    monkeypatch.setattr(sympy.Poly, "factor_list", broken)
+    with pytest.raises(RuntimeError):
+        is_integral(irreducible)
+
+
+def test_is_integral_rejects_non_squarefree(monkeypatch):
+    _forbid(monkeypatch, "eval")  # the specializations come after this check
+    expr = sympy.expand((LAM - Z) ** 2 * (LAM + 1))
+    verdict, witness = is_integral(expr)
+    assert verdict == "not_integral"
+    assert witness == sympy.factor(expr)
+
+
+def test_is_integral_poly_and_expression_agree():
+    for expr in (
+        LAM**2 - Z,
+        LAM**2 - Z**2,
+        (LAM - Z) ** 2,
+        LAM**2 - (Z**3 - Z),
+        LAM**2 - Z**2 - _SPECIALIZATION_ROOTS,
+        Z + 1,
+    ):
+        assert is_integral(sympy.Poly(expr, LAM, Z)) == is_integral(expr)
 
 
 def test_is_integral_closed_form(closed_form_tuple):
