@@ -2,14 +2,15 @@
 
 The solver works inside the prescribed conjugacy classes by construction:
 each matrix is parametrized as ``A_i = P_i N_i P_i^{-1}`` over invertible
-conjugators, with N_i the Jordan form of class i, and minimizes the
-squared Frobenius norm of the sum by first-order descent.  Perturbing
-``P_i`` to ``(I + X_i) P_i`` moves ``A_i`` by the commutator ``[X_i, A_i]``
-to first order, so the descent direction in the X coordinates is
-``-[S, A_i^T]`` with ``S`` the current sum.  Step sizes come from Armijo
-backtracking; restarts draw fresh random orthogonal conjugators from
-per-restart deterministic streams, and the first succeeding restart (by
-index) wins.
+conjugators, with N_i the Jordan form of class i, and drives the sum ``S``
+to zero by Gauss-Newton.  Perturbing ``P_i`` to ``(I + X_i) P_i`` moves
+``A_i`` by the commutator ``[X_i, A_i]`` to first order, so each step takes
+the minimum-norm least-squares solution of ``S + sum_i [X_i, A_i] = 0``
+(see ``orbit_jacobian``) and halves it until the residual drops.  Restarts
+draw fresh random orthogonal conjugators from per-restart deterministic
+streams.  The first converged restart (by index) at a smooth point of the
+zero-sum fibre wins, so the solver prefers tuples whose commutant is the
+scalars; reducible limits are only returned when no restart does better.
 
 ``exact_refine`` turns a certified floating solution into a nearby exact
 rational one: the flag data is snapped to small-denominator rationals,
@@ -20,7 +21,6 @@ exactly and is exactly nilpotent; the rank profile is then re-verified
 exactly.
 """
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,6 +37,15 @@ from .combinat import (
 )
 from .higgs import HiggsTuple, irreducible
 from .spectral import rank_profile
+
+# a Gauss-Newton step is halved while it would push a conjugator past this
+# condition number, or while it does not lower the residual; steps shorter
+# than _MIN_STEP end the restart
+_CONDITION_CAP = 1e8
+_MIN_STEP = 2.0**-20
+# converged tuples count as irreducible only at or above this singular
+# value ratio of the orbit Jacobian (see is_smooth_point)
+_SMOOTH_RATIO = 1e-3
 
 
 @dataclass(frozen=True)
@@ -79,7 +88,6 @@ class SolverConfig:
     max_iters: int = 5000
     restarts: int = 20
     seed: int = 0
-    condition_cap: float = 1e8
 
 
 @dataclass
@@ -117,79 +125,60 @@ def _random_orthogonal(r, rng):
     return q * np.sign(np.diag(rr))
 
 
-def _descent_run(instance, config, rng, max_iters):
-    """One restart of Armijo-backtracked gradient descent; returns
-    (residual, matrices, conjugators, iterations)."""
+def orbit_jacobian(mats):
+    """Jacobian of ``X -> sum_i [X_i, A_i]`` in row-major vec coordinates.
+
+    Block i is ``I (x) A_i^T - A_i (x) I``.  The image is orthogonal to the
+    transposed commutant of the tuple, so the rank is ``r^2`` minus the
+    dimension of the commutant.
+    """
+    eye = np.eye(mats[0].shape[0])
+    return np.hstack([np.kron(eye, a.T) - np.kron(a, eye) for a in mats])
+
+
+def is_smooth_point(mats):
+    """Whether the tuple's commutant is the scalars, i.e. ``J`` has the
+    largest possible rank ``r^2 - 1``, which makes the zero-sum fibre smooth
+    there: ``sigma_{r^2-1}(J) >= _SMOOTH_RATIO * sigma_1(J)``.
+
+    Irreducible tuples pass; reducible ones, and ones close to a reducible
+    tuple, have a commutant (numerically) larger than the scalars.
+    """
+    sv = np.linalg.svd(orbit_jacobian(mats), compute_uv=False)
+    return sv[mats[0].size - 2] >= _SMOOTH_RATIO * sv[0]
+
+
+def _gauss_newton_run(instance, config, rng):
+    """One restart of damped Gauss-Newton; returns (residual, matrices,
+    conjugators, iterations) as stacked arrays over all points."""
     r = instance.rank
-    jordans = [_jordan_float(c) for c in instance.classes]
-    active = [i for i, c in enumerate(instance.classes) if c.rank_sequence]
-    ps = [np.eye(r) if i not in active else _random_orthogonal(r, rng) for i in range(instance.n)]
-
-    def matrices_from(ps_):
-        out = []
-        for i in range(instance.n):
-            if i in active:
-                out.append(ps_[i] @ jordans[i] @ np.linalg.inv(ps_[i]))
-            else:
-                out.append(np.zeros((r, r)))
-        return out
-
-    mats = matrices_from(ps)
-    s = sum(mats)
-    phi = float(np.sum(s * s))
-    eta = 0.1
+    active = np.array([bool(c.rank_sequence) for c in instance.classes])
+    jordans = np.array([_jordan_float(c) for c in instance.classes])
+    ps = np.array([_random_orthogonal(r, rng) if a else np.eye(r) for a in active])
+    mats = ps @ jordans @ np.linalg.inv(ps)
+    s = mats.sum(axis=0)
+    norm = np.linalg.norm(s)
     iterations = 0
-    target = config.tolerance**2
-    stall = 0
-    history = []
-    for it in range(max_iters):
-        iterations = it + 1
-        if phi <= target:
-            break
-        grads = {}
-        gnorm2 = 0.0
-        for i in active:
-            g = s @ mats[i].T - mats[i].T @ s  # [S, A_i^T]
-            grads[i] = g
-            gnorm2 += float(np.sum(g * g))
-        if gnorm2 == 0.0:
-            break  # stationary point away from zero: give up this restart
-        phi_before = phi
-        accepted = False
-        backtracks = 0
-        while backtracks < 40:
-            trial_ps = list(ps)
-            okay = True
-            for i in active:
-                x = -eta * grads[i]
-                trial_ps[i] = (np.eye(r) + x) @ ps[i]
-                if np.linalg.cond(trial_ps[i]) > config.condition_cap:
-                    okay = False
+    while norm >= config.tolerance and iterations < config.max_iters:
+        # minimum-norm solution of the linearization S + sum_i [X_i, A_i] = 0
+        x = np.linalg.lstsq(orbit_jacobian(mats), -s.reshape(-1), rcond=None)[0]
+        x = x.reshape(instance.n, r, r)
+        x[~active] = 0.0  # zero classes: zero columns, keep P_i = I exactly
+        step = 1.0
+        while step >= _MIN_STEP:
+            trial = ps + step * (x @ ps)
+            if np.linalg.cond(trial).max() <= _CONDITION_CAP:
+                trial_mats = trial @ jordans @ np.linalg.inv(trial)
+                trial_s = trial_mats.sum(axis=0)
+                if np.linalg.norm(trial_s) < norm:
                     break
-            if okay:
-                trial_mats = matrices_from(trial_ps)
-                trial_s = sum(trial_mats)
-                trial_phi = float(np.sum(trial_s * trial_s))
-                if trial_phi <= phi - 0.25 * eta * gnorm2:
-                    ps, mats, s, phi = trial_ps, trial_mats, trial_s, trial_phi
-                    accepted = True
-                    eta = min(eta * 1.3, 10.0)
-                    break
-            eta *= 0.5
-            backtracks += 1
-        if not accepted:
-            break
-        # a restart stuck at a nonzero critical value will not recover;
-        # neither will one crawling along a flat valley
-        stall = stall + 1 if phi_before - phi <= 1e-14 * phi else 0
-        if stall >= 25:
-            break
-        history.append(phi)
-        # healthy runs contract superlinearly once near the zero locus; a
-        # run that cannot halve its value in 300 iterations never finishes
-        if len(history) > 300 and phi > 0.5 * history[-300]:
-            break
-    return math.sqrt(phi), mats, ps, iterations
+            step /= 2
+        else:
+            break  # no damped step lowers the residual: a nonzero critical point
+        ps, mats, s = trial, trial_mats, trial_s
+        norm = np.linalg.norm(s)
+        iterations += 1
+    return float(norm), mats, ps, iterations
 
 
 def solve(instance: DSInstance, config: SolverConfig = None) -> SolveOutcome:
@@ -197,9 +186,9 @@ def solve(instance: DSInstance, config: SolverConfig = None) -> SolveOutcome:
 
     Infeasible instances are still attempted (the feasibility inequality
     is a sufficient condition for existence, not a proven necessary one);
-    the report always carries the feasibility flags.  After convergence
-    the last matrix is replaced by minus the sum of the others, accepted
-    only when its rank profile survives at the rank threshold.
+    the report always carries the feasibility flags.  The first restart
+    (by index) that converges at a smooth point of the fibre wins; when no
+    converged restart is smooth, the first converged one is returned.
     """
     config = config or SolverConfig()
     feas = instance.feasibility()
@@ -214,21 +203,24 @@ def solve(instance: DSInstance, config: SolverConfig = None) -> SolveOutcome:
         )
         return SolveOutcome(True, sol, feas, [0.0])
     best_residuals = []
+    fallback = None
     for restart in range(config.restarts):
         rng = np.random.default_rng([config.seed, restart])
-        resid, mats, ps, iters = _descent_run(instance, config, rng, config.max_iters)
+        resid, mats, ps, iters = _gauss_newton_run(instance, config, rng)
         best_residuals.append(resid)
         if resid < config.tolerance:
-            mats = _exactness_refinement(mats, instance, config)
-            resid = float(np.linalg.norm(sum(mats)))
             sol = DSSolution(
-                matrices=mats,
-                conjugators=ps,
+                matrices=list(mats),
+                conjugators=list(ps),
                 residual=resid,
                 restart_index=restart,
                 iterations=iters,
             )
-            return SolveOutcome(True, sol, feas, best_residuals)
+            if is_smooth_point(mats):
+                return SolveOutcome(True, sol, feas, best_residuals)
+            fallback = fallback or sol
+    if fallback is not None:
+        return SolveOutcome(True, fallback, feas, best_residuals)
     return SolveOutcome(
         False,
         None,
@@ -239,24 +231,6 @@ def solve(instance: DSInstance, config: SolverConfig = None) -> SolveOutcome:
             + ("" if feas.feasible else " (instance fails the feasibility inequality)")
         ),
     )
-
-
-def _exactness_refinement(mats, instance, config):
-    """Replace the last active matrix by minus the sum of the others when
-    that preserves its rank profile."""
-    active = [i for i, c in enumerate(instance.classes) if c.rank_sequence]
-    if not active:
-        return mats
-    last = active[-1]
-    candidate = -sum(m for i, m in enumerate(mats) if i != last)
-    want = instance.classes[last].rank_sequence
-    residual = float(np.linalg.norm(sum(mats)))
-    got = rank_profile([candidate], "float", tol=max(1e-7, 1e3 * residual))[0]
-    if got == want:
-        out = list(mats)
-        out[last] = candidate
-        return out
-    return mats
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +313,8 @@ def flags_from_solution(
     lattice by deterministic column selection (flagged by construction
     failure if impossible).  Float-mode rank thresholds are anchored at
     the base matrix scale raised to the power, inflated by the sum
-    residual, because a refined last matrix is nilpotent only up to that
-    residual.
+    residual, because a solution whose sum is only near zero may be in its
+    classes only up to that residual.
     """
     o = ops(solution.mode)
     if rank_tol is None:

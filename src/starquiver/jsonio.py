@@ -33,13 +33,6 @@ def parse_frac(s) -> Fraction:
         raise InputFormatError(f"not an exact rational: {s!r}") from e
 
 
-def scalar_to_json(x, mode):
-    if mode == "exact":
-        return frac_str(x)
-    xc = complex(x)
-    return [xc.real, xc.imag]
-
-
 def scalar_from_json(v, mode):
     if mode == "exact":
         return parse_frac(v)

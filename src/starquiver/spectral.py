@@ -194,7 +194,7 @@ def char_poly(h: HiggsTuple, seed=0) -> HitchinPoint:
     for j in range(1, r + 1):
         sol = np.linalg.solve(v, vals[:, j - 1])
         bound = j * (n - 2)
-        coeffs.append(list(sol[: bound + 1]))
+        coeffs.append(list(sol[: max(bound + 1, 0)]))
     return HitchinPoint(rank=r, points=h.sigma.line.points, coeffs=coeffs, mode="float")
 
 

@@ -12,6 +12,8 @@ from starquiver.dsolve import (
     SolverConfig,
     exact_refine,
     flags_from_solution,
+    is_smooth_point,
+    orbit_jacobian,
     random_feasible_instance,
     solve,
     verify,
@@ -132,35 +134,65 @@ def test_pipeline_rank3_classes():
     assert moment_residual(rep) < 1e-8
 
 
-def test_descent_gradient_matches_finite_differences(rank2_instance):
+def test_orbit_jacobian_matches_finite_differences():
+    # J vec(X) is the derivative of sum_i (I + eps X_i) A_i (I + eps X_i)^-1
     rng = np.random.default_rng(0)
-    jordans = [
-        np.array([[0.0, 1.0], [0.0, 0.0]]) for _ in range(4)
-    ]
     worst = 0.0
     for _ in range(100):
-        ps = [np.linalg.qr(rng.standard_normal((2, 2)))[0] for _ in range(4)]
-        mats = [p @ n @ np.linalg.inv(p) for p, n in zip(ps, jordans)]
-        s = sum(mats)
-        xs = [rng.standard_normal((2, 2)) for _ in range(4)]
-        # analytic: dPhi = 2 <S, [X_i, A_i]>
-        analytic = sum(
-            2 * np.sum(s * (x @ a - a @ x)) for x, a in zip(xs, mats)
-        )
+        r = int(rng.integers(2, 4))
+        n = np.diag(np.ones(r - 1), 1)
+        ps = [rng.standard_normal((r, r)) for _ in range(4)]
+        mats = [p @ n @ np.linalg.inv(p) for p in ps]
+        xs = [rng.standard_normal((r, r)) for _ in range(4)]
+        analytic = orbit_jacobian(mats) @ np.concatenate([x.reshape(-1) for x in xs])
         h = 1e-6
-        phi_p, phi_m = 0.0, 0.0
 
-        def phi_of(eps):
-            total = sum(
-                (np.eye(2) + eps * x) @ a @ np.linalg.inv(np.eye(2) + eps * x)
+        def total(eps):
+            return sum(
+                (np.eye(r) + eps * x) @ a @ np.linalg.inv(np.eye(r) + eps * x)
                 for x, a in zip(xs, mats)
             )
-            return float(np.sum(total * total))
 
-        fd = (phi_of(h) - phi_of(-h)) / (2 * h)
-        scale = max(1.0, abs(fd))
-        worst = max(worst, abs(fd - analytic) / scale)
+        fd = ((total(h) - total(-h)) / (2 * h)).reshape(-1)
+        scale = max(1.0, float(np.linalg.norm(fd)))
+        worst = max(worst, float(np.linalg.norm(fd - analytic)) / scale)
     assert worst < 1e-6
+
+
+def test_boundary_instance_seed_sweep(rank2_instance):
+    # every seed must land on an irreducible tuple that refines exactly
+    for seed in range(30):
+        out = solve(rank2_instance, SolverConfig(seed=seed))
+        assert out.success, seed
+        assert verify(out.solution, rank2_instance).passed(), seed
+        exact = exact_refine(out.solution, rank2_instance)
+        assert exact.profile() == [c.rank_sequence for c in rank2_instance.classes]
+
+
+def test_smooth_point_threshold():
+    e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    e21 = e12.T
+    # the closed-form tuple: singular value ratio 1/sqrt(2)
+    assert is_smooth_point([e12, -e12, e21, -e21])
+    # a reducible family: the commutant has dimension 2, ratio ~1e-16
+    assert not is_smooth_point([e12, e12, -2 * e12])
+    # irreducible but close to reducible: the ratio is about eps, so the
+    # 1e-3 threshold falls between these two
+    assert is_smooth_point([e12, -e12, 1.2e-3 * e21, -1.2e-3 * e21])
+    assert not is_smooth_point([e12, -e12, 8e-4 * e21, -8e-4 * e21])
+
+
+def test_solver_falls_back_to_a_converged_reducible_tuple():
+    # the rank-5 infeasible instance has only reducible zero-sum tuples, so
+    # no restart is smooth and the first converged one is returned
+    c = NilpotentClass.from_partition((2, 1, 1, 1))
+    inst = DSInstance(rank=5, classes=(c,) * 4)
+    out = solve(inst, SolverConfig(seed=1, restarts=3))
+    assert out.success
+    assert len(out.best_residuals) == 3
+    assert out.solution.residual == out.best_residuals[out.solution.restart_index]
+    assert not is_smooth_point(out.solution.matrices)
+    assert not verify(out.solution, inst).irreducible
 
 
 def test_exact_refine_properties(rank2_instance):

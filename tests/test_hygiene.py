@@ -1,5 +1,6 @@
-"""Source hygiene: no unused imports in the package, and a CLI import and
-an exact `ds verify --hitchin` that do not load sympy."""
+"""Source hygiene: no unused imports and no unread private module-level
+names in the package, and a CLI import and an exact `ds verify --hitchin`
+that do not load sympy."""
 
 import ast
 import os
@@ -25,6 +26,34 @@ def unused_imports(path):
 
 def test_no_unused_imports():
     hits = [hit for path in sorted((SRC / "starquiver").glob("*.py")) for hit in unused_imports(path)]
+    assert hits == []
+
+
+def private_definitions(tree):
+    """Module-level private functions, classes and constants (no dunders)."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.extend((n.id, node.lineno) for n in ast.walk(target) if isinstance(n, ast.Name))
+    return [(name, line) for name, line in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_no_unread_private_names():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted((SRC / "starquiver").glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    hits = [f"{name}:{line}: {sym}" for name, tree in trees.items() for sym, line in private_definitions(tree) if sym not in read]
     assert hits == []
 
 
