@@ -13,14 +13,15 @@ zero-sum fibre wins, so the solver prefers tuples whose commutant is the
 scalars; reducible limits are only returned when no restart does better.
 
 ``exact_refine`` turns a certified floating solution into a nearby exact
-rational one: the flag data is snapped to small-denominator rationals,
-strong preservation becomes a per-point linear constraint on the matrix
-entries, and the zero-sum condition couples the blocks in one small exact
-linear solve anchored at the floating solution.  The result sums to zero
+rational one: each point's image flag is snapped to an integer basis, in
+which strong preservation is a pattern of free entries, and the zero-sum
+condition couples the points in one fraction-free elimination over the
+integers, anchored at the floating solution.  The result sums to zero
 exactly and is exactly nilpotent; the rank profile is then re-verified
 exactly.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -364,12 +365,19 @@ def _complete_flag_step(o, a, power, target_dim):
 # exact rational refinement
 
 
+# the first snap scales the unit flag columns by 2^16: small exact entries,
+# and a rounding error (2^-17 per entry) far inside the drift bound
+_SNAP_DENOMINATOR = 2**16
+# a rejected snap is retried 2^4 finer; the fourth, 2^28, is about as fine
+# as the floating flags are accurate, so further tries would not help
+_SNAP_ATTEMPTS = 4
+# per point, in Frobenius norm: the exact tuple must round the certified
+# floating one, not replace it by a different solution
+_MAX_DRIFT = 1e-2
+
+
 class RefinementError(RuntimeError):
     pass
-
-
-def _snap(x, denominator):
-    return Fraction(round(float(x) * denominator), denominator)
 
 
 def _nested_columns(float_flags, r):
@@ -397,139 +405,130 @@ def _nested_columns(float_flags, r):
     return np.stack(cols, axis=1)
 
 
-def _preservation_basis(flag_bases, r):
-    """Exact basis of the space of matrices pushing the snapped flag
-    strictly deeper, as flattened column vectors."""
-    chain = [ex.meye(r)] + list(flag_bases) + [None]  # None = zero space
-    constraints = []
-    for j in range(len(chain) - 1):
-        src, dst = chain[j], chain[j + 1]
-        if dst is None:
-            # A * src = 0
-            for col in range(ex.shape(src)[1]):
-                for row in range(r):
-                    eq = [Fraction(0)] * (r * r)
-                    for t in range(r):
-                        eq[row * r + t] = src[t][col]
-                    constraints.append(eq)
+def _flag_basis(cols, den):
+    """Integer basis whose leading columns ``round(den * cols)`` span the
+    snapped flag steps prefix by prefix, completed one at a time by the
+    standard vector farthest from the span so far."""
+    r, g = cols.shape
+    c = np.rint(den * cols)
+    u = np.linalg.qr(c)[0]
+    picks = []
+    for _ in range(r - g):
+        k = int(np.argmax(1.0 - (u * u).sum(axis=1)))
+        v = -(u @ u[k])
+        v[k] += 1.0
+        u = np.column_stack([u, v / np.linalg.norm(v)])
+        picks.append(k)
+    return [[int(x) for x in c[p]] + [int(p == k) for k in picks] for p in range(r)]
+
+
+def _free_entries(ranks, r):
+    """Entries (row, col) that strong preservation leaves free in the flag
+    basis: column k of step j but not of step j+1 lies in rows < gamma_{j+1}."""
+    return [(a, b) for b in range(r) for a in range(max(g for g in ranks + (0,) if g <= b))]
+
+
+def _int_profile(k):
+    """Ranks of the successive powers of an integer matrix, stopping at zero
+    (a nonnilpotent matrix yields a full-length tuple, as in rank_profile)."""
+    ranks = []
+    power = k
+    for _ in k:
+        rk = len(ex.bareiss(power)[1])
+        if rk == 0:
+            break
+        ranks.append(rk)
+        power = ex.mmul(power, k)
+    return tuple(ranks)
+
+
+def _refine_at(solution, instance, nested, den):
+    """The exact tuple for one snap at denominator ``den``, or None when the
+    snap is rejected (singular flag basis, wrong profile, or drift)."""
+    r = instance.rank
+    frames, unknowns, columns, anchor = [], [], [], []
+    for i, (cols, c) in enumerate(zip(nested, instance.classes)):
+        if not c.rank_sequence:
+            frames.append(None)
             continue
-        # rows spanning the left kernel of dst kill A * src
-        left = ex.nullspace(ex.mtrans(dst))
-        for lv in left:
-            for col in range(ex.shape(src)[1]):
-                eq = [Fraction(0)] * (r * r)
-                for row in range(r):
-                    for t in range(r):
-                        eq[row * r + t] += lv[row] * src[t][col]
-                constraints.append(eq)
-    if not constraints:
-        return [
-            [Fraction(int(k == t)) for k in range(r * r)] for t in range(r * r)
-        ]
-    return ex.nullspace(constraints)
+        q = _flag_basis(cols, den)
+        red, piv, d = ex.bareiss([row + [int(p == t) for t in range(r)] for p, row in enumerate(q)])
+        if piv != list(range(r)):
+            return None  # the snapped flag steps lost rank
+        adj = [row[r:] for row in red]  # d Q^-1
+        frames.append((q, adj, d))
+        qf = np.array(q, dtype=float)
+        nf = np.linalg.solve(qf, np.asarray(solution.matrices[i]).real @ qf)
+        g = c.rank_sequence[0]
+        # N = Q^-1 A Q = d K: the zero sum is sum_i Q_i K_i adj_i = 0 over Z.
+        # Free entries of N sit in flag rows (scale den); each is snapped at
+        # the same precision relative to its column's scale: to 1/den in a
+        # flag column, to 1/den^2 in a completion column (scale 1).
+        for a, b in _free_entries(c.rank_sequence, r):
+            unknowns.append((i, a, b))
+            columns.append([q[p][a] * adj[b][t] for p in range(r) for t in range(r)])
+            e = den if b < g else den * den
+            anchor.append(Fraction(round(nf[a, b] * e), e * d))
+    x = list(anchor)
+    if columns:
+        red, piv, d = ex.bareiss(ex.mtrans(columns))
+        free = sorted(set(range(len(columns))) - set(piv))
+        scale = math.lcm(*(anchor[j].denominator for j in free))
+        y = {j: anchor[j].numerator * (scale // anchor[j].denominator) for j in free}
+        for row, p in zip(red, piv):
+            x[p] = Fraction(-sum(row[j] * y[j] for j in free), d * scale)
+    ks = [ex.mzeros(r, r) for _ in frames]
+    for (i, a, b), v in zip(unknowns, x):
+        ks[i][a][b] = v
+    mats, conjugators = [], []
+    for k, f, c, af in zip(ks, frames, instance.classes, solution.matrices):
+        if f is None:
+            mats.append(k)
+            conjugators.append(ex.meye(r))
+            continue
+        q, adj, d = f
+        den_k = math.lcm(*(v.denominator for row in k for v in row))
+        kint = [[v.numerator * (den_k // v.denominator) for v in row] for row in k]
+        if _int_profile(kint) != c.rank_sequence:
+            return None
+        a = [[Fraction(v, den_k) for v in row] for row in ex.mmul(ex.mmul(q, kint), adj)]
+        if np.linalg.norm(FLOAT.from_exact(a) - np.asarray(af).real) > _MAX_DRIFT:
+            return None
+        n = [[v * d for v in row] for row in k]
+        mats.append(a)
+        conjugators.append(ex.mmul(q, ex.nilpotent_jordan_basis(n)))
+    return DSSolution(
+        matrices=mats,
+        conjugators=conjugators,
+        residual=0.0,
+        mode="exact",
+        restart_index=solution.restart_index,
+        iterations=solution.iterations,
+    )
 
 
-def exact_refine(
-    solution: DSSolution,
-    instance: DSInstance,
-    denominator=2**16,
-    max_attempts=4,
-) -> DSSolution:
+def exact_refine(solution: DSSolution, instance: DSInstance) -> DSSolution:
     """Exact rational solution near a certified floating one.
 
-    The image flags are snapped to rationals; inside each point's
-    strong-preservation space (a linear space in the matrix entries) the
-    zero-sum condition is one exact linear system, solved anchored at the
-    floating matrices.  Exact nilpotency and strong preservation hold by
-    construction; the rank profile and closeness are re-verified, with a
-    finer snap on failure.
+    Each point is parametrized in its own snapped flag basis: the nested
+    image-flag columns, scaled by the snapping denominator and rounded, are
+    completed to an integer basis ``Q_i``, in which strong preservation is a
+    pattern of free entries of ``N_i = Q_i^-1 A_i Q_i``.  The zero sum is
+    then r^2 integer equations in those entries, eliminated once without
+    fractions; free entries keep the snapped floating values and pivot
+    entries are solved exactly.  Exact nilpotency and strong preservation
+    hold by construction; the rank profile and closeness are re-verified,
+    with a finer snap on failure.  Conjugators are ``Q_i P_i`` with
+    ``P_i`` a Jordan basis of ``N_i``.
     """
     if solution.mode == "exact":
         return solution
-    r = instance.rank
-    sigma = instance.parabolic_type()
-    h = flags_from_solution(solution, sigma)
-    nested = [_nested_columns(h.flags[i], r) for i in range(sigma.n_points)]
-    for attempt in range(max_attempts):
-        den = denominator * (2 ** (4 * attempt))
-        snapped_flags = []
-        okay = True
-        for i in range(sigma.n_points):
-            gam = sigma.gamma(i)[:-1]
-            cols = nested[i]
-            snapped_cols = [
-                [_snap(cols[row, k], den) for k in range(cols.shape[1])]
-                for row in range(r)
-            ]
-            # prefixes of one snapped nested basis stay nested exactly
-            fl = []
-            for gj in gam:
-                sb = [row[:gj] for row in snapped_cols]
-                if ex.rank(sb) != gj:
-                    okay = False
-                fl.append(sb)
-            snapped_flags.append(fl)
-        if not okay:
-            continue
-        bases = [_preservation_basis(snapped_flags[i], r) for i in range(instance.n)]
-        dims = [len(b) for b in bases]
-        # central constraint sum_i B_i c_i = 0 over all coefficient vectors
-        total_dim = sum(dims)
-        if total_dim == 0:
-            mats = [ex.mzeros(r, r) for _ in range(instance.n)]
-        else:
-            central = [[Fraction(0)] * total_dim for _ in range(r * r)]
-            offset = 0
-            for i, basis in enumerate(bases):
-                for k, vec in enumerate(basis):
-                    for row_idx in range(r * r):
-                        central[row_idx][offset + k] = vec[row_idx]
-                offset += dims[i]
-            # anchor: coordinates of the floating matrices in each basis
-            anchor = []
-            for i, basis in enumerate(bases):
-                if not basis:
-                    continue
-                bf = np.array([[float(x) for x in vec] for vec in basis]).T
-                target = np.asarray(solution.matrices[i]).real.reshape(-1)
-                coeff, *_ = np.linalg.lstsq(bf, target, rcond=None)
-                anchor.extend(_snap(c, den) for c in coeff)
-            sol_vec = ex.solve_anchored(central, anchor)
-            mats = []
-            offset = 0
-            for i, basis in enumerate(bases):
-                flat = [Fraction(0)] * (r * r)
-                for k, vec in enumerate(basis):
-                    c = sol_vec[offset + k]
-                    if c != 0:
-                        for t in range(r * r):
-                            flat[t] += c * vec[t]
-                offset += dims[i]
-                mats.append([flat[t * r : (t + 1) * r] for t in range(r)])
-        profiles = rank_profile(mats, "exact")
-        expected = [c.rank_sequence for c in instance.classes]
-        if profiles != list(expected):
-            continue
-        drift = max(
-            float(np.linalg.norm(FLOAT.from_exact(m) - np.asarray(solution.matrices[i]).real))
-            for i, m in enumerate(mats)
-        )
-        if drift > 1e-2:
-            continue
-        conjugators = []
-        for m, c in zip(mats, instance.classes):
-            if c.rank_sequence:
-                conjugators.append(ex.nilpotent_jordan_basis(m))
-            else:
-                conjugators.append(ex.meye(r))
-        return DSSolution(
-            matrices=mats,
-            conjugators=conjugators,
-            residual=0.0,
-            mode="exact",
-            restart_index=solution.restart_index,
-            iterations=solution.iterations,
-        )
+    h = flags_from_solution(solution, instance.parabolic_type())
+    nested = [_nested_columns(fl, instance.rank) for fl in h.flags]
+    for attempt in range(_SNAP_ATTEMPTS):
+        exact = _refine_at(solution, instance, nested, _SNAP_DENOMINATOR * 16**attempt)
+        if exact is not None:
+            return exact
     raise RefinementError(
         "rational refinement failed: snapped flags kept degenerating"
     )

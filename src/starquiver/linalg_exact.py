@@ -3,12 +3,15 @@
 Matrices are lists of row lists with ``fractions.Fraction`` entries.  The
 sizes in this package are tiny (ranks up to ~6, systems up to a few
 hundred unknowns), so plain Gaussian elimination with magnitude pivoting
-is both fast enough and fully exact.
+is both fast enough and fully exact.  Integer matrices go through
+fraction-free elimination (``bareiss``) instead, which keeps every entry
+an integer minor and never reduces a fraction.
 
 Polynomials are dense coefficient lists in ascending order; trailing
 zeros are trimmed so that ``[]`` is the zero polynomial.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -176,110 +179,100 @@ def inv(a):
     return x
 
 
-def solve_anchored(a, anchor):
-    """A point of ker(a) close to ``anchor``: free variables keep their
-    anchor values, pivot variables are solved for exactly.
+def bareiss(a):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss
+    1968).  Returns (R, pivot_columns, d).
 
-    Pivot columns are chosen greedily by entry magnitude, which keeps the
-    correction small when ``anchor`` already nearly solves the system.
+    Pivot columns are the first independent columns, left to right.  Row k
+    of R (k < rank) is the pivot row of ``pivots[k]``: it holds d in its own
+    pivot column and 0 in the other pivot columns; the remaining rows are
+    zero.  Every entry is a minor of ``a``, so each division is exact and
+    the entries stay integers; d is the pivot minor up to sign, and for an
+    invertible square ``a`` elimination of ``[a | I]`` leaves ``d a^{-1}``
+    on the right.
     """
-    m, n = shape(a)
-    r, pivots = rref(a)
-    free = [j for j in range(n) if j not in pivots]
-    x = [Fraction(0)] * n
-    for j in free:
-        x[j] = Fraction(anchor[j])
-    for i, p in enumerate(pivots):
-        x[p] = -sum(r[i][j] * x[j] for j in free)
-    return x
+    r = [list(row) for row in a]
+    m, n = shape(r)
+    pivots = []
+    prev = 1
+    for col in range(n):
+        row = len(pivots)
+        if row == m:
+            break
+        k = next((i for i in range(row, m) if r[i][col]), None)
+        if k is None:
+            continue
+        r[row], r[k] = r[k], r[row]
+        prow = r[row]
+        p = prow[col]
+        for i in range(m):
+            if i != row:
+                # rows below the pivot are zero left of col
+                lo = 0 if i < row else col
+                f = r[i][col]
+                r[i][lo:] = [(p * x - f * y) // prev for x, y in zip(r[i][lo:], prow[lo:])]
+        prev = p
+        pivots.append(col)
+    return r, pivots, prev
 
 
 # ---------------------------------------------------------------------------
 # nilpotent normal form
 
 
+def int_kernel(a):
+    """Integer basis of the right kernel of an integer matrix: one
+    primitive vector per non-pivot column."""
+    red, pivots, d = bareiss(a)
+    n = shape(a)[1]
+    basis = []
+    for f in (j for j in range(n) if j not in pivots):
+        v = [0] * n
+        v[f] = d
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        g = math.gcd(*v)
+        basis.append([x // g for x in v])
+    return basis
+
+
 def nilpotent_jordan_basis(a):
     """Conjugator P with a = P N P^{-1}, N the Jordan form of the
     nilpotent matrix ``a`` (blocks ordered largest first).
 
-    Raises ValueError if ``a`` is not nilpotent.  The returned basis is a
-    matrix whose columns are Jordan chains, chain by chain, each chain
-    listed from its top vector downward so that N has ones on the
-    subdiagonal of each block.
+    Raises ValueError if ``a`` is not nilpotent.  The columns of P are
+    Jordan chains, chain by chain, each listed from its top vector downward
+    so that N has ones on the subdiagonal of each block.  The chains are
+    built on the integer matrix ``k = D a`` (D the lcm of the denominators):
+    going down from the longest length s, the tops of the chains of length
+    s extend ``ker k^{s-1}`` plus the level-s vectors of longer chains to
+    ``ker k^s``, greedily from an integer basis of ``ker k^s``.  Position t
+    of a chain of ``k`` is divided by ``D^t`` to give a chain of ``a``.
     """
     n = len(a)
-    powers = [meye(n)]
-    while not is_zero(powers[-1]):
-        if len(powers) > n:
+    den = math.lcm(*(Fraction(x).denominator for row in a for x in row))
+    k = [[int(x * den) for x in row] for row in a]
+    kernels = [[]]  # kernels[j]: integer basis of ker k^j
+    power = k
+    while len(kernels[-1]) < n:
+        if len(kernels) > n:
             raise ValueError("matrix is not nilpotent")
-        powers.append(mmul(a, powers[-1]))
-    m = len(powers) - 1  # a^m = 0, a^{m-1} != 0
-    ranks = [rank(p) for p in powers]  # ranks[j] = rank(a^j)
-    # number of blocks of size >= j is rank(a^{j-1}) - rank(a^j)
+        kernels.append(int_kernel(power))
+        power = mmul(k, power)
     chains = []
-    used = []  # columns collected so far, as a matrix
-
-    def in_span(space_cols, vec):
-        if not space_cols:
-            return all(x == 0 for x in vec)
-        mat = [list(row) for row in zip(*space_cols)]
-        aug = [row + [v] for row, v in zip(mat, vec)]
-        return rank(mat) == rank(aug)
-
-    for size in range(m, 0, -1):
-        count = (ranks[size - 1] - ranks[size]) - (
-            (ranks[size] - ranks[size + 1]) if size < m else 0
-        )
-        for _ in range(count):
-            # top of chain: v with a^{size-1} v != 0, a^size v = 0, and the
-            # full chain independent from what we already have
-            top = None
-            ker = nullspace(powers[size])
-            for v in ker:
-                chain = []
-                w = v
-                for _ in range(size):
-                    chain.append(w)
-                    w = [sum(a[i][j] * chain[-1][j] for j in range(n)) for i in range(n)]
-                if any(x != 0 for x in chain[-1][:]) and not in_span(
-                    used, chain[0]
-                ):
-                    cand = used + chain
-                    mat = [list(row) for row in zip(*cand)]
-                    if rank(mat) == len(cand):
-                        top = chain
-                        break
-            if top is None:
-                # random rational combinations of the kernel
-                for trial in range(1, 200):
-                    v = [Fraction(0)] * n
-                    for idx, kv in enumerate(ker):
-                        c = Fraction(((trial * 7 + idx * 13) % 11) - 5)
-                        v = [x + c * y for x, y in zip(v, kv)]
-                    chain = []
-                    w = v
-                    for _ in range(size):
-                        chain.append(w)
-                        w = [
-                            sum(a[i][j] * chain[-1][j] for j in range(n))
-                            for i in range(n)
-                        ]
-                    if all(x == 0 for x in chain[-1]):
-                        continue
-                    cand = used + chain
-                    mat = [list(row) for row in zip(*cand)]
-                    if rank(mat) == len(cand):
-                        top = chain
-                        break
-            if top is None:
-                raise ValueError("failed to complete a Jordan chain")
-            used = used + top
-            chains.append(top)
-    cols = []
-    for chain in chains:
-        cols.extend(chain)
-    p = [list(row) for row in zip(*cols)] if cols else meye(n)
-    return p
+    for s in range(len(kernels) - 1, 0, -1):
+        span = kernels[s - 1] + [c[len(c) - s] for c in chains]
+        found = len(bareiss(span)[1]) if span else 0
+        for v in kernels[s]:
+            if len(bareiss(span + [v])[1]) > found:
+                span.append(v)
+                found += 1
+                chain = [v]
+                for _ in range(s - 1):
+                    chain.append([sum(x * y for x, y in zip(row, chain[-1])) for row in k])
+                chains.append(chain)
+    cols = [[Fraction(x, den**t) for x in v] for c in chains for t, v in enumerate(c)]
+    return mtrans(cols)
 
 
 def jordan_nilpotent(partition, n):

@@ -1,4 +1,4 @@
-"""Source hygiene: no unused imports and no unread private module-level
+"""Source hygiene: no unused imports, no unread private module-level
 names in the package, and a CLI import and an exact `ds verify --hitchin`
 that do not load sympy."""
 
@@ -79,3 +79,27 @@ def test_verify_hitchin_leaves_sympy_unloaded(tmp_path):
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip().splitlines()[-1] == "False"
+
+
+
+def names_read(node):
+    """Names loaded and attributes read anywhere under an AST node."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def test_every_linalg_exact_function_has_a_package_caller():
+    # test-only kernels, such as the reference oracles, belong under tests/
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted((SRC / "starquiver").glob("*.py"))}
+    functions = [node for node in trees.pop("linalg_exact.py").body if isinstance(node, ast.FunctionDef)]
+    called = set().union(*(names_read(tree) for tree in trees.values()))
+    # callers inside linalg_exact count, a function's own body does not
+    hits = [
+        f"linalg_exact.py:{f.lineno}: {f.name}"
+        for f in functions
+        if not f.name.startswith("_")
+        and f.name not in called
+        and not any(f.name in names_read(g) for g in functions if g is not f)
+    ]
+    assert hits == []
