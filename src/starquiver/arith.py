@@ -159,16 +159,10 @@ class _Exact:
 
     def contains(self, span, vecs, *_):
         """Column space of vecs contained in column space of span?"""
-        if not vecs or not vecs[0]:
-            return True
-        if not span or not span[0]:
-            return ex.is_zero(vecs)
         return ex.rank(ex.hstack([span, vecs])) == ex.rank(span)
 
     def intersection_dim(self, a, b, *_):
         """dim(col a  meet  col b) = rk a + rk b - rk [a b]."""
-        if not a or not a[0] or not b or not b[0]:
-            return 0
         return ex.rank(a) + ex.rank(b) - ex.rank(ex.hstack([a, b]))
 
     def span_tracker(self, *_):

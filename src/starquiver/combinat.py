@@ -176,10 +176,6 @@ class NilpotentClass:
     def gamma1(self):
         return self.rank_sequence[0] if self.rank_sequence else 0
 
-    @property
-    def nilpotency_index(self):
-        return len(self.rank_sequence) + 1
-
     def to_partition(self):
         """Jordan block sizes, largest first, summing to the rank.
 

@@ -49,6 +49,13 @@ _MIN_STEP = 2.0**-20
 _SMOOTH_RATIO = 1e-3
 
 
+def rank_tolerance(residual):
+    """Singular value cut for the float ranks of a solution: a solution
+    whose sum is only near zero lies in its classes only up to that
+    residual, so the cut sits 1e3 above it, and never below 1e-7."""
+    return max(1e-7, 1e3 * residual)
+
+
 @dataclass(frozen=True)
 class DSInstance:
     rank: int
@@ -269,7 +276,7 @@ def verify(
         total = o.add(total, m)
     residual = o.norm(total)
     if rank_tol is None:
-        rank_tol = max(1e-7, 1e3 * residual)
+        rank_tol = rank_tolerance(residual)
     profiles = solution.profile(rank_tol)
     expected = [c.rank_sequence for c in instance.classes]
     profile_ok = all(p == e for p, e in zip(profiles, expected))
@@ -319,7 +326,7 @@ def flags_from_solution(
     """
     o = ops(solution.mode)
     if rank_tol is None:
-        rank_tol = max(1e-7, 1e3 * solution.residual)
+        rank_tol = rank_tolerance(solution.residual)
     flags = []
     # the validation tolerance must dominate the same residual scale
     higgs_tol = max(1e-8, 1e2 * solution.residual)
@@ -428,20 +435,6 @@ def _free_entries(ranks, r):
     return [(a, b) for b in range(r) for a in range(max(g for g in ranks + (0,) if g <= b))]
 
 
-def _int_profile(k):
-    """Ranks of the successive powers of an integer matrix, stopping at zero
-    (a nonnilpotent matrix yields a full-length tuple, as in rank_profile)."""
-    ranks = []
-    power = k
-    for _ in k:
-        rk = len(ex.bareiss(power)[1])
-        if rk == 0:
-            break
-        ranks.append(rk)
-        power = ex.mmul(power, k)
-    return tuple(ranks)
-
-
 def _refine_at(solution, instance, nested, den):
     """The exact tuple for one snap at denominator ``den``, or None when the
     snap is rejected (singular flag basis, wrong profile, or drift)."""
@@ -489,7 +482,7 @@ def _refine_at(solution, instance, nested, den):
         q, adj, d = f
         den_k = math.lcm(*(v.denominator for row in k for v in row))
         kint = [[v.numerator * (den_k // v.denominator) for v in row] for row in k]
-        if _int_profile(kint) != c.rank_sequence:
+        if rank_profile([kint], "exact")[0] != c.rank_sequence:
             return None
         a = [[Fraction(v, den_k) for v in row] for row in ex.mmul(ex.mmul(q, kint), adj)]
         if np.linalg.norm(FLOAT.from_exact(a) - np.asarray(af).real) > _MAX_DRIFT:

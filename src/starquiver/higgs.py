@@ -79,11 +79,18 @@ class HiggsTuple:
 
     def validate(self):
         """List of violated invariants (empty when valid)."""
-        out = []
         r = self.rank
         o = self.ops
         if len(self.matrices) != self.n or len(self.flags) != self.n:
             return ["need one residue matrix and one flag list per marked point"]
+        # the sum and the products below need square residues of the rank
+        out = [
+            f"point {i}: residue should be {r}x{r}"
+            for i, m in enumerate(self.matrices)
+            if o.shape(m) != (r, r)
+        ]
+        if out:
+            return out
         total = self.matrices[0]
         for m in self.matrices[1:]:
             total = o.add(total, m)
@@ -95,11 +102,15 @@ class HiggsTuple:
             if len(fl) != len(gam):
                 out.append(f"point {i}: expected {len(gam)} flag steps")
                 continue
+            shapes_ok = True
             for j, (b, gj) in enumerate(zip(fl, gam), start=1):
                 if o.shape(b) != (r, gj):
                     out.append(f"point {i}: flag step {j} should be {r}x{gj}")
+                    shapes_ok = False
                 elif o.rank(b) != gj:
                     out.append(f"point {i}: flag step {j} basis is rank deficient")
+            if not shapes_ok:
+                continue
             # strong preservation through the full chain, zero space last
             chain = [None] + list(fl) + [None]  # None = full space / zero space
             a = self.matrices[i]

@@ -227,8 +227,6 @@ def higgs_from_json(data, check=True) -> HiggsTuple:
 
 
 def hitchin_to_json(hp: HitchinPoint) -> dict:
-    if hp.mode != "exact":
-        raise InputFormatError("only exact coefficient points are serialized")
     return {
         "rank": hp.rank,
         "points": [frac_str(p) for p in hp.points],

@@ -1,11 +1,11 @@
 """Exact linear algebra and dense univariate polynomials over Fraction.
 
-Matrices are lists of row lists with ``fractions.Fraction`` entries.  The
-sizes in this package are tiny (ranks up to ~6, systems up to a few
-hundred unknowns), so plain Gaussian elimination with magnitude pivoting
-is both fast enough and fully exact.  Integer matrices go through
-fraction-free elimination (``bareiss``) instead, which keeps every entry
-an integer minor and never reduces a fraction.
+Matrices are lists of row lists with ``fractions.Fraction`` entries.  All
+elimination is fraction-free (``bareiss``, Bareiss 1968) on integer
+matrices, which keeps every entry an integer minor and never reduces a
+fraction; rational matrices are cleared of denominators row by row first,
+and ``rref``, ``rank``, ``nullspace``, ``solve`` and ``inv`` read their
+answers off that one elimination.
 
 Polynomials are dense coefficient lists in ascending order; trailing
 zeros are trimmed so that ``[]`` is the zero polynomial.
@@ -91,56 +91,38 @@ def is_zero(a):
 # elimination
 
 
+def _integer_rows(a):
+    """Each row of ``a`` times the lcm of its denominators, as integers."""
+    out = []
+    for row in a:
+        den = math.lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
+
+
 def rref(a):
-    """Reduced row echelon form.  Returns (R, pivot_columns)."""
-    r = mcopy(a)
-    m, n = shape(r)
-    pivots = []
-    row = 0
-    for col in range(n):
-        if row >= m:
-            break
-        # largest entry by magnitude keeps intermediate fractions tame
-        best, best_val = -1, Fraction(0)
-        for i in range(row, m):
-            v = abs(r[i][col])
-            if v > best_val:
-                best, best_val = i, v
-        if best < 0:
-            continue
-        r[row], r[best] = r[best], r[row]
-        piv = r[row][col]
-        r[row] = [x / piv for x in r[row]]
-        for i in range(m):
-            if i != row and r[i][col] != 0:
-                c = r[i][col]
-                r[i] = [x - c * y for x, y in zip(r[i], r[row])]
-        pivots.append(col)
-        row += 1
-    return r, pivots
+    """Reduced row echelon form.  Returns (R, pivot_columns).
+
+    Scaling a row does not change the reduced form, so the rows are cleared
+    of denominators, eliminated once by ``bareiss`` and divided by its d.
+    """
+    red, pivots, d = bareiss(_integer_rows(a))
+    return [[Fraction(x, d) for x in row] for row in red], pivots
 
 
 def rank(a):
-    if not a or not a[0]:
-        return 0
-    return len(rref(a)[1])
+    return len(bareiss(_integer_rows(a))[1])
 
 
 def nullspace(a):
     """Basis of the right kernel, as a list of column vectors (lists)."""
-    m, n = shape(a)
-    if n == 0:
-        return []
-    if m == 0:
-        return [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
+    n = shape(a)[1]
     r, pivots = rref(a)
-    free = [j for j in range(n) if j not in pivots]
     basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -r[i][f]
+    for f in (j for j in range(n) if j not in pivots):
+        v = [Fraction(int(j == f)) for j in range(n)]
+        for row, p in zip(r, pivots):
+            v[p] = -row[f]
         basis.append(v)
     return basis
 
@@ -156,9 +138,6 @@ def solve(a, b):
         raise ValueError("incompatible right-hand side")
     aug = [a[i] + b[i] for i in range(m)]
     r, pivots = rref(aug)
-    for i in range(len(pivots), m):
-        if any(r[i][j] != 0 for j in range(n, n + k)):
-            raise ValueError("inconsistent linear system")
     if any(p >= n for p in pivots):
         raise ValueError("inconsistent linear system")
     x = mzeros(n, k)
@@ -169,14 +148,11 @@ def solve(a, b):
 
 
 def inv(a):
-    n = len(a)
+    # a x = I is consistent only for a of full row rank
     try:
-        x = solve(a, meye(n))
+        return solve(a, meye(len(a)))
     except ValueError:
         raise ValueError("matrix is singular")
-    if rank(a) < n:
-        raise ValueError("matrix is singular")
-    return x
 
 
 def bareiss(a):

@@ -5,14 +5,14 @@ With marked points x_1..x_n and residues A_i, write
 ``M(z) = sum_i A_i prod_{k != i} (z - x_k)``, the pole-cleared matrix.
 The coefficient of lambda^{r-j} in det(lambda I - M(z)) is the numerator
 polynomial p_j; residues summing to zero kill the z^{n-1} terms of M, so
-deg p_j <= j(n-2).  Exact tuples get their p_j from one Faddeev-LeVerrier
-pass over Z[z] on the denominator-cleared matrix, in plain Python integers,
-so the exact cross-check of ``ds verify --hitchin`` never loads sympy.
-Membership in the admissible coefficient space means p_j vanishes at x_i
-to order at least eps_j(x_i); the orders are computed by repeated exact
-division, so certified answers require exact entries.  The integrality
-test runs on one sympy ``Poly``; sympy is imported on first use, so
-importing the package does not pay for it.
+deg p_j <= j(n-2).  Only exact tuples have a characteristic point: their
+p_j come from one Faddeev-LeVerrier pass over Z[z] on the
+denominator-cleared matrix, in plain Python integers, so the exact
+cross-check of ``ds verify --hitchin`` never loads sympy.  Membership in
+the admissible coefficient space means p_j vanishes at x_i to order at
+least eps_j(x_i); the orders are computed by repeated exact division.
+The integrality test runs on one sympy ``Poly``; sympy is imported on
+first use, so importing the package does not pay for it.
 
 Levels whose coefficient space has negative degree carry the zero
 polynomial identically (the level-1 trace is the universal example); the
@@ -45,14 +45,12 @@ class HitchinPoint:
     """Numerator polynomials p_1..p_r over the marked line.
 
     ``coeffs[j-1]`` is the ascending coefficient list of p_j (empty list =
-    zero polynomial); exact entries are Fractions, floating entries are
-    complex and carry no certificates.
+    zero polynomial), with Fraction entries.
     """
 
     rank: int
     points: tuple
     coeffs: list
-    mode: str = "exact"
 
     def __post_init__(self):
         self.points = tuple(self.points)
@@ -65,44 +63,6 @@ class HitchinPoint:
                 raise ValueError(
                     f"level {j}: degree {len(p) - 1} exceeds the bound {bound}"
                 )
-
-    def degree_bounds(self):
-        n = len(self.points)
-        return [j * (n - 2) for j in range(1, self.rank + 1)]
-
-
-def _sample_pool(points, count, seed=0):
-    """Deterministic small-height rationals avoiding the marked points."""
-    out = []
-    k = 0
-    taken = set(points)
-    denominators = (1, 2, 3, 5, 7)
-    idx = int(seed) % len(denominators)
-    while len(out) < count:
-        for den in denominators[idx:] + denominators[:idx]:
-            for num in (k, -k) if k else (0,):
-                z = Fraction(num + (1 if den > 1 else 0), den)
-                if z not in taken:
-                    taken.add(z)
-                    out.append(z)
-                    if len(out) == count:
-                        return out
-        k += 1
-    return out
-
-
-def pole_cleared_matrix(h: HiggsTuple, z):
-    """M(z) = sum_i A_i prod_{k != i} (z - x_k), in the tuple's entry format."""
-    o = h.ops
-    gaps = [o.scalar(z) - o.scalar(x) for x in h.sigma.line.points]
-    out = o.zeros(h.rank, h.rank)
-    for i, a in enumerate(h.matrices):
-        c = o.scalar(1)
-        for k, d in enumerate(gaps):
-            if k != i:
-                c *= d
-        out = o.add(out, o.scale(c, a))
-    return out
 
 
 def _zx_mul_acc(acc, p, q):
@@ -139,63 +99,48 @@ def _zx_charpoly(a):
     return coeffs
 
 
-def char_poly(h: HiggsTuple, seed=0) -> HitchinPoint:
+def char_poly(h: HiggsTuple) -> HitchinPoint:
     """Coefficient polynomials of det(lambda I - M(z)).
 
     Exact tuples are computed directly over Z[z]: with D the lcm of the
     entry denominators and E the lcm of the point denominators,
     s M(z) = sum_i (D A_i) prod_{k != i} (E z - E x_k) for s = D E^{n-1}
     is an integer polynomial matrix, and p_j = c_j(s M) / s^j.  A level
-    whose degree exceeds j(n-2) raises ``ExactnessRequired``.  Float tuples
-    are screened, without certificates, by evaluation at ``seed``-chosen
-    sample points and a Vandermonde solve.
+    whose degree exceeds j(n-2), or a float tuple, raises
+    ``ExactnessRequired``.
 
     The sign convention: p_j is (-1)^j times the j-th elementary symmetric
     function of the eigenvalues of M(z), so lambda^r + sum_j p_j
     lambda^{r-j} is the characteristic polynomial.
     """
+    if h.mode != "exact":
+        raise ExactnessRequired("characteristic polynomials are only certified in exact mode")
     r = h.rank
     n = h.sigma.n_points
     points = h.sigma.line.points
-    if h.mode == "exact":
-        e = lcm(*(x.denominator for x in points))
-        d = lcm(*(x.denominator for m in h.matrices for row in m for x in row))
-        factors = [[-x.numerator * (e // x.denominator), e] for x in points]
-        zm = [[[] for _ in range(r)] for _ in range(r)]
-        for i, a in enumerate(h.matrices):
-            weight = [1]
-            for k, f in enumerate(factors):
-                if k != i:
-                    weight = _zx_mul_acc([], weight, f)
-            for row, zrow in zip(a, zm):
-                for x, entry in zip(row, zrow):
-                    if x:
-                        _zx_mul_acc(entry, [x.numerator * (d // x.denominator)], weight)
-        scale = d * e ** (n - 1)
-        coeffs = []
-        for j, c in enumerate(_zx_charpoly(zm), start=1):
-            p = ex.ptrim([Fraction(x, scale**j) for x in c])
-            bound = j * (n - 2)
-            if p and len(p) - 1 > bound:
-                raise ExactnessRequired(f"level {j} coefficient has degree {len(p) - 1} > {bound}; "
-                                        "the residues do not sum to zero exactly")
-            coeffs.append(p)
-        return HitchinPoint(rank=r, points=points, coeffs=coeffs)
-    # floating screening mode: non-certifying
-    samples = _sample_pool(points, r * max(n - 1, 1) + 1, seed)
-    zs = np.array([complex(z) for z in samples])
-    vals = np.zeros((len(zs), r), dtype=complex)
-    for s, z in enumerate(zs):
-        m = pole_cleared_matrix(h, z)
-        cp = np.poly(m)  # leading 1, then c_1..c_r
-        vals[s, :] = cp[1:]
+    e = lcm(*(x.denominator for x in points))
+    d = lcm(*(x.denominator for m in h.matrices for row in m for x in row))
+    factors = [[-x.numerator * (e // x.denominator), e] for x in points]
+    zm = [[[] for _ in range(r)] for _ in range(r)]
+    for i, a in enumerate(h.matrices):
+        weight = [1]
+        for k, f in enumerate(factors):
+            if k != i:
+                weight = _zx_mul_acc([], weight, f)
+        for row, zrow in zip(a, zm):
+            for x, entry in zip(row, zrow):
+                if x:
+                    _zx_mul_acc(entry, [x.numerator * (d // x.denominator)], weight)
+    scale = d * e ** (n - 1)
     coeffs = []
-    v = np.vander(zs, len(zs), increasing=True)
-    for j in range(1, r + 1):
-        sol = np.linalg.solve(v, vals[:, j - 1])
+    for j, c in enumerate(_zx_charpoly(zm), start=1):
+        p = ex.ptrim([Fraction(x, scale**j) for x in c])
         bound = j * (n - 2)
-        coeffs.append(list(sol[: max(bound + 1, 0)]))
-    return HitchinPoint(rank=r, points=h.sigma.line.points, coeffs=coeffs, mode="float")
+        if p and len(p) - 1 > bound:
+            raise ExactnessRequired(f"level {j} coefficient has degree {len(p) - 1} > {bound}; "
+                                    "the residues do not sum to zero exactly")
+        coeffs.append(p)
+    return HitchinPoint(rank=r, points=points, coeffs=coeffs)
 
 
 def rank_profile(matrices, mode="float", tol=None):
@@ -249,8 +194,6 @@ def vanishing_orders(hp: HitchinPoint, sigma: ParabolicType) -> VanishingOrderRe
     """Exact root orders of every p_j at every marked point, the
     membership verdict (order >= eps everywhere), and where the order is
     exactly eps (the full-rank locus)."""
-    if hp.mode != "exact":
-        raise ExactnessRequired("vanishing orders are only certified in exact mode")
     me = mu_eps(sigma)
     degrees, _ = spectral_degrees(sigma)
     orders, required, exact = [], [], []
@@ -295,8 +238,6 @@ def spectral_poly(hp: HitchinPoint):
     pole-cleared matrix."""
     import sympy
 
-    if hp.mode != "exact":
-        raise ExactnessRequired("spectral polynomials are only built in exact mode")
     terms = {(hp.rank, 0): sympy.Integer(1)}
     for j, p in enumerate(hp.coeffs, start=1):
         for k, c in enumerate(p):

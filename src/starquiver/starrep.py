@@ -161,9 +161,6 @@ class StarRep:
             return self.ops.zeros(self.quiver.rank, self.quiver.rank)
         return self.ops.mul(self.g[j][0], self.f[j][0])
 
-    def residues(self):
-        return [self.residue(j) for j in range(self.quiver.n_arms)]
-
     def _map(self, fn, mode):
         f = [[fn(m) for m in arm] for arm in self.f]
         g = [[fn(m) for m in arm] for arm in self.g]
@@ -356,12 +353,6 @@ def one_ps_replay(rep: StarRep, ps: OneParameterSubgroup, ts=(1e2, 1e4, 1e6)):
 class GroupElement:
     center: object
     arms: list  # arms[j][i]: block at arm j, vertex i+1
-
-    def inverse(self, mode="float"):
-        inv = ops(mode).inv
-        c = inv(self.center)
-        arms = [[inv(b) for b in arm] for arm in self.arms]
-        return GroupElement(center=c, arms=arms)
 
 
 def random_group_element(quiver: StarQuiver, rng) -> GroupElement:

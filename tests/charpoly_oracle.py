@@ -7,12 +7,48 @@ interpolation of every level.  It is slow and shares no arithmetic with
 the integer kernel in ``starquiver.spectral``, which is what makes it a
 useful oracle.  One fix rides along: the zero polynomial passes every
 degree bound, which matters only for single-point tuples (bound -j).
+Its sample points and the pole-cleared matrix M(z) live here too, since
+no library code evaluates M(z) any more.
 """
 
 from fractions import Fraction
 
 from starquiver import linalg_exact as ex
-from starquiver.spectral import ExactnessRequired, _sample_pool, pole_cleared_matrix
+from starquiver.spectral import ExactnessRequired
+
+
+def _sample_pool(points, count, seed=0):
+    """Deterministic small-height rationals avoiding the marked points."""
+    out = []
+    k = 0
+    taken = set(points)
+    denominators = (1, 2, 3, 5, 7)
+    idx = int(seed) % len(denominators)
+    while len(out) < count:
+        for den in denominators[idx:] + denominators[:idx]:
+            for num in (k, -k) if k else (0,):
+                z = Fraction(num + (1 if den > 1 else 0), den)
+                if z not in taken:
+                    taken.add(z)
+                    out.append(z)
+                    if len(out) == count:
+                        return out
+        k += 1
+    return out
+
+
+def pole_cleared_matrix(h, z):
+    """M(z) = sum_i A_i prod_{k != i} (z - x_k), in the tuple's entry format."""
+    o = h.ops
+    gaps = [o.scalar(z) - o.scalar(x) for x in h.sigma.line.points]
+    out = o.zeros(h.rank, h.rank)
+    for i, a in enumerate(h.matrices):
+        c = o.scalar(1)
+        for k, d in enumerate(gaps):
+            if k != i:
+                c *= d
+        out = o.add(out, o.scale(c, a))
+    return out
 
 
 def charpoly(a):

@@ -1,0 +1,53 @@
+"""Reference elimination for differential tests.
+
+This is the library's former exact ``rref``: Gauss-Jordan elimination over
+Fraction with magnitude pivoting.  It shares no arithmetic with the
+fraction-free ``bareiss`` that ``starquiver.linalg_exact`` now eliminates
+with, and the reduced row echelon form is unique, so the two must agree
+exactly.  ``reference`` runs a ``linalg_exact`` function on this
+elimination instead, which is how the former ``nullspace``, ``solve`` and
+``inv`` worked; the former ``rank`` was the pivot count of this ``rref``.
+"""
+
+from fractions import Fraction
+from unittest import mock
+
+from starquiver import linalg_exact as ex
+from starquiver.linalg_exact import mcopy, shape
+
+
+def rref(a):
+    """Reduced row echelon form.  Returns (R, pivot_columns)."""
+    r = mcopy(a)
+    m, n = shape(r)
+    pivots = []
+    row = 0
+    for col in range(n):
+        if row >= m:
+            break
+        # largest entry by magnitude keeps intermediate fractions tame
+        best, best_val = -1, Fraction(0)
+        for i in range(row, m):
+            v = abs(r[i][col])
+            if v > best_val:
+                best, best_val = i, v
+        if best < 0:
+            continue
+        r[row], r[best] = r[best], r[row]
+        piv = r[row][col]
+        r[row] = [x / piv for x in r[row]]
+        for i in range(m):
+            if i != row and r[i][col] != 0:
+                c = r[i][col]
+                r[i] = [x - c * y for x, y in zip(r[i], r[row])]
+        pivots.append(col)
+        row += 1
+    return r, pivots
+
+
+def reference(fn, *args):
+    """``fn(*args)`` for a ``linalg_exact`` function, eliminating with this
+    module's ``rref``."""
+    with mock.patch.object(ex, "rref", rref):
+        return fn(*args)
+

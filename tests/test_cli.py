@@ -379,6 +379,29 @@ def test_residue_tuple_with_scalar_matrices_is_an_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _closed_form_json(full_flag_type, mode):
+    mats, flags = closed_form_matrices(), closed_form_flags()
+    if mode == "float":
+        mats = [np.array(m, dtype=float) for m in mats]
+        flags = [[np.array(b, dtype=float) for b in fl] for fl in flags]
+    return jsonio.higgs_to_json(HiggsTuple(full_flag_type, mats, flags, mode=mode))
+
+
+@pytest.mark.parametrize("mode,field,bad,message", [
+    ("exact", "matrices", [["0"] * 3] * 3, "point 0: residue should be 2x2"),
+    ("float", "flags", [[[[1.0, 0.0]]] * 3], "point 0: flag step 1 should be 2x1"),
+])
+def test_misshapen_residue_tuple_is_an_input_error(
+    tmp_path, capsys, full_flag_type, mode, field, bad, message
+):
+    # shapes are checked before any sum or product uses them
+    data = _closed_form_json(full_flag_type, mode)
+    data[field][0] = bad
+    code, err = _malformed_run(tmp_path, capsys, data, ["bridge", "to-quiver", "--higgs", "BAD"])
+    assert code == 1
+    assert err == f"error: invalid residue tuple: {message}\n"
+
+
 @pytest.mark.parametrize("data", [{"mode": "exact", "matrices": 5, "conjugators": []}, [1, 2]])
 def test_malformed_solution_is_an_input_error(tmp_path, capsys, data):
     argv = ["ds", "verify", "--solution", "BAD", "--instance", str(FIXTURES / "ds_rank2_four_rank1.json")]

@@ -15,6 +15,7 @@ from starquiver.dsolve import (
     is_smooth_point,
     orbit_jacobian,
     random_feasible_instance,
+    rank_tolerance,
     solve,
     verify,
 )
@@ -180,6 +181,14 @@ def test_smooth_point_threshold():
     # 1e-3 threshold falls between these two
     assert is_smooth_point([e12, -e12, 1.2e-3 * e21, -1.2e-3 * e21])
     assert not is_smooth_point([e12, -e12, 8e-4 * e21, -8e-4 * e21])
+
+
+def test_rank_tolerance_floor():
+    # below a residual of 1e-10 the 1e-7 floor holds; above it the cut
+    # follows 1e3 times the residual
+    assert rank_tolerance(0.0) == 1e-7
+    assert rank_tolerance(1e-11) == 1e-7
+    assert rank_tolerance(1e-9) == pytest.approx(1e-6, rel=1e-12)
 
 
 def test_solver_falls_back_to_a_converged_reducible_tuple():

@@ -1,6 +1,6 @@
 """Source hygiene: no unused imports, no unread private module-level
-names in the package, and a CLI import and an exact `ds verify --hitchin`
-that do not load sympy."""
+names or public methods in the package, and a CLI import and an exact
+`ds verify --hitchin` that do not load sympy."""
 
 import ast
 import os
@@ -101,5 +101,24 @@ def test_every_linalg_exact_function_has_a_package_caller():
         if not f.name.startswith("_")
         and f.name not in called
         and not any(f.name in names_read(g) for g in functions if g is not f)
+    ]
+    assert hits == []
+
+
+def test_every_public_method_is_read():
+    # a method that no module of the package, its tests or its benchmark
+    # reads by name is dead code
+    root = SRC.parent
+    paths = [path for d in ("src", "tests", "perfbench") for path in sorted((root / d).rglob("*.py"))]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    read = set().union(*(names_read(tree) for tree in trees.values()))
+    hits = [
+        f"{path.name}:{f.lineno}: {cls.name}.{f.name}"
+        for path, tree in trees.items()
+        if path.is_relative_to(SRC)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for f in cls.body
+        if isinstance(f, ast.FunctionDef) and not f.name.startswith("_") and f.name not in read
     ]
     assert hits == []

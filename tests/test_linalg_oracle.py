@@ -1,0 +1,159 @@
+"""Differential tests of the fraction-free exact elimination against the
+Fraction oracle in ``linalg_oracle``, and exact/float agreement of rank
+profiles on integer nilpotents."""
+
+from fractions import Fraction
+from functools import partial
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import linalg_oracle as oracle
+from starquiver import linalg_exact as ex
+from starquiver.arith import FLOAT
+from starquiver.combinat import NilpotentClass
+from starquiver.dsolve import exact_refine, flags_from_solution
+from starquiver.spectral import rank_profile
+
+_ENTRIES = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+
+
+def _grid(m, n, entries=_ENTRIES):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m)
+
+
+@st.composite
+def matrices(draw, m=None, n=None):
+    """Small rational matrices: 0 to 5 rows and columns (no rows is ``[]``,
+    no columns is a list of empty rows), half of them of full rank before up
+    to two rows are replaced by combinations of the others (rank deficient),
+    and now and then a zeroed row and column."""
+    m = draw(st.integers(0, 5)) if m is None else m
+    n = draw(st.integers(0, 5)) if n is None else n
+    a = draw(_grid(m, n))
+    if draw(st.booleans()):  # diagonally dominant, so of full rank
+        for i in range(min(m, n)):
+            a[i][i] += 50
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=2)) if m > 1 else []:
+        c = draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
+        a[i] = [sum((c[t] * a[t][j] for t in range(m) if t != i), Fraction(0)) for j in range(n)]
+    if m and n and draw(st.integers(0, 3)) == 0:
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))
+        a[i] = [Fraction(0)] * n
+        for row in a:
+            row[j] = Fraction(0)
+    return a
+
+
+def _same_outcome(fn, ref, *args):
+    """``fn(*args)`` equals ``ref(*args)`` exactly, or both raise ValueError."""
+    try:
+        expected = ref(*args)
+    except ValueError:
+        with pytest.raises(ValueError):
+            fn(*args)
+        return False
+    assert fn(*args) == expected
+    return True
+
+
+def _rank_ref(a):
+    return len(oracle.rref(a)[1])
+
+
+_inv_ref = partial(oracle.reference, ex.inv)
+_nullspace_ref = partial(oracle.reference, ex.nullspace)
+_solve_ref = partial(oracle.reference, ex.solve)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(matrices())
+def test_rref_rank_nullspace_match_oracle(a):
+    assert ex.rref(a) == oracle.rref(a)
+    assert ex.rank(a) == _rank_ref(a)
+    assert ex.nullspace(a) == _nullspace_ref(a)
+
+
+@st.composite
+def linear_systems(draw):
+    """(a, b, consistent): b = a x for a drawn x when ``consistent``, else
+    drawn freely (and then usually inconsistent)."""
+    a = draw(matrices())
+    m, n = ex.shape(a)
+    k = draw(st.integers(0, 3))
+    consistent = draw(st.booleans())
+    if consistent:
+        b = ex.mmul(a, draw(_grid(n, k))) if a else []
+    else:
+        b = draw(_grid(m, k))
+    return a, b, consistent
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(linear_systems())
+def test_solve_matches_oracle(case):
+    a, b, consistent = case
+    solved = _same_outcome(ex.solve, _solve_ref, a, b)
+    assert solved or not consistent
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: matrices(n, n)))
+def test_inv_matches_oracle(a):
+    assert ex.rank(a) == _rank_ref(a)
+    assert _same_outcome(ex.inv, _inv_ref, a) == (ex.rank(a) == len(a))
+
+
+def test_elimination_matches_oracle_on_certified_batch(certified_batch):
+    # the exact flags and residues of the refined batch, through every kernel
+    # the flag, bridge and verification code applies to them
+    checked = 0
+    for inst, out in certified_batch:
+        if not out.success:
+            continue
+        exact = exact_refine(out.solution, inst)
+        h = flags_from_solution(exact, inst.parabolic_type())
+        for a, flags in zip(h.matrices, h.flags):
+            chain = [ex.meye(inst.rank)] + flags
+            for b in [a] + chain:
+                bt = ex.mtrans(b)
+                assert ex.rref(bt) == oracle.rref(bt)
+                assert ex.rank(b) == _rank_ref(b)
+                assert ex.nullspace(b) == _nullspace_ref(b)
+            for prev, cur in zip(chain, chain[1:]):
+                assert _same_outcome(ex.solve, _solve_ref, prev, cur)
+                assert _same_outcome(ex.solve, _solve_ref, cur, ex.mmul(a, prev))
+        for p in exact.conjugators:
+            assert _same_outcome(ex.inv, _inv_ref, p)
+        checked += 1
+    assert checked >= 20
+
+
+@st.composite
+def integer_nilpotents(draw):
+    """(partition, P J P^-1): J the Jordan nilpotent of a partition of a
+    rank from 1 to 5, P a product of unitriangular integer matrices, so
+    that P^-1 and the nilpotent are integer matrices too."""
+    r = draw(st.integers(1, 5))
+    parts, left = [], r
+    while left:
+        parts.append(draw(st.integers(1, left)))
+        left -= parts[-1]
+    partition = tuple(sorted(parts, reverse=True))
+    small = st.integers(-2, 2).map(Fraction)
+    lower, upper = draw(_grid(r, r, small)), draw(_grid(r, r, small))
+    for i in range(r):
+        lower[i][i:] = [Fraction(int(j == i)) for j in range(i, r)]
+        upper[i][: i + 1] = [Fraction(0)] * i + [Fraction(1)]
+    p = ex.mmul(lower, upper)
+    return partition, ex.mmul(ex.mmul(p, ex.jordan_nilpotent(partition, r)), ex.inv(p))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(integer_nilpotents())
+def test_rank_profile_exact_and_float_agree(case):
+    partition, a = case
+    expected = [NilpotentClass.from_partition(partition).rank_sequence]
+    assert rank_profile([a], "exact") == expected
+    assert rank_profile([FLOAT.from_exact(a)], "float") == expected

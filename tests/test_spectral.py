@@ -5,6 +5,7 @@ import pytest
 import sympy
 from sympy.polys.polyerrors import ExtraneousFactors, PolynomialError
 
+from charpoly_oracle import pole_cleared_matrix
 from conftest import closed_form_flags, closed_form_matrices
 from starquiver import linalg_exact as ex
 from starquiver.combinat import MarkedLine, NilpotentClass, ParabolicType
@@ -16,7 +17,6 @@ from starquiver.spectral import (
     SpectralPreconditionError,
     char_poly,
     is_integral,
-    pole_cleared_matrix,
     rank_profile,
     sample_hitchin_point,
     spectral_poly,
@@ -89,28 +89,22 @@ def test_char_poly_newton_identities(closed_form_tuple):
             assert acc == 0
 
 
-def test_char_poly_float_mode_close(closed_form_tuple):
+def test_char_poly_rejects_float_tuple(closed_form_tuple):
     hf = HiggsTuple(
         sigma=closed_form_tuple.sigma,
         matrices=[np.array([[float(x) for x in row] for row in mm]) for mm in closed_form_tuple.matrices],
         flags=[[np.array([[float(x) for x in row] for row in b]) for b in fl] for fl in closed_form_tuple.flags],
         mode="float",
     )
-    hp = char_poly(hf)
-    exact = char_poly(closed_form_tuple)
-    approx = np.array([complex(v) for v in hp.coeffs[1]])
-    truth = np.array([float(v) for v in exact.coeffs[1]])
-    assert np.linalg.norm(approx - truth) < 1e-8
+    with pytest.raises(ExactnessRequired):
+        char_poly(hf)
 
 
 def test_char_poly_single_zero_residue():
     # one marked point: the bound j(n-2) = -j is met only by zero levels
     sigma = ParabolicType(MarkedLine((F(1, 2),), allow_small=True), 2, 1, ((2,),), ((0,),))
-    for h in (
-        HiggsTuple(sigma, [ex.mzeros(2, 2)], [[]], mode="exact"),
-        HiggsTuple(sigma, [np.zeros((2, 2))], [[]], mode="float"),
-    ):
-        assert char_poly(h).coeffs == [[], []]
+    h = HiggsTuple(sigma, [ex.mzeros(2, 2)], [[]], mode="exact")
+    assert char_poly(h).coeffs == [[], []]
 
 
 def test_degree_bound_enforced(full_flag_type):
