@@ -38,11 +38,18 @@ def shape(a):
     return len(a), (len(a[0]) if a else 0)
 
 
+def _same_shape(a, b, what):
+    if [len(row) for row in a] != [len(row) for row in b]:
+        raise ValueError("shape mismatch in matrix {}: {}x{} and {}x{}".format(what, *shape(a), *shape(b)))
+
+
 def madd(a, b):
+    _same_shape(a, b, "sum")
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def msub(a, b):
+    _same_shape(a, b, "difference")
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 

@@ -37,26 +37,18 @@ class Gradient:
     f: list
     g: list
 
-    def to_vector(self):
-        parts = []
-        for arm in self.f:
-            parts.extend(m.reshape(-1) for m in arm)
-        for arm in self.g:
-            parts.extend(m.reshape(-1) for m in arm)
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
-
 
 def zero_gradient(quiver: StarQuiver) -> Gradient:
-    f, g = [], []
-    for j in range(quiver.n_arms):
-        dims = quiver.dims(j)
-        f.append(
-            [np.zeros((dims[i + 1], dims[i]), dtype=complex) for i in range(len(dims) - 1)]
-        )
-        g.append(
-            [np.zeros((dims[i], dims[i + 1]), dtype=complex) for i in range(len(dims) - 1)]
-        )
-    return Gradient(f=f, g=g)
+    shapes = [list(zip(quiver.dims(j)[1:], quiver.dims(j))) for j in range(quiver.n_arms)]
+    return Gradient(
+        f=[[np.zeros(s, dtype=complex) for s in arm] for arm in shapes],
+        g=[[np.zeros(s[::-1], dtype=complex) for s in arm] for arm in shapes],
+    )
+
+
+def _matrices(x) -> list:
+    """The f then the g matrices of x, arm by arm and level by level."""
+    return [m for arms in (x.f, x.g) for arm in arms for m in arm]
 
 
 @dataclass
@@ -65,6 +57,7 @@ class Observable:
     value: object  # rep -> complex
     grad: object  # rep -> Gradient
     label: str = ""
+    levels: float = float("inf")  # the gradient is zero past this many levels of each arm
 
 
 class GradientOracleError(RuntimeError):
@@ -73,25 +66,29 @@ class GradientOracleError(RuntimeError):
 
 def fd_gradient(obs: Observable, rep: StarRep, h=1e-6) -> Gradient:
     """Central finite differences entry by entry (real step; exact for the
-    holomorphic polynomials used here, up to truncation error)."""
+    holomorphic polynomials used here, up to truncation error).  Each entry
+    of ``rep`` is set to x + h and x - h in place and restored, also when
+    ``obs.value`` raises."""
     out = zero_gradient(rep.quiver)
-    for kind in ("f", "g"):
-        slots = rep.f if kind == "f" else rep.g
-        grads = out.f if kind == "f" else out.g
-        for j in range(rep.quiver.n_arms):
-            for i in range(len(slots[j])):
-                m, n = slots[j][i].shape
-                for a in range(m):
-                    for b in range(n):
-                        plus = rep.copy()
-                        minus = rep.copy()
-                        (plus.f if kind == "f" else plus.g)[j][i][a, b] += h
-                        (minus.f if kind == "f" else minus.g)[j][i][a, b] -= h
-                        grads[j][i][a, b] = (obs.value(plus) - obs.value(minus)) / (2 * h)
+    for mat, grad in zip(_matrices(rep), _matrices(out)):
+        for idx in np.ndindex(mat.shape):
+            x = mat[idx]
+            try:
+                mat[idx] = x + h
+                plus = obs.value(rep)
+                mat[idx] = x - h
+                minus = obs.value(rep)
+            finally:
+                mat[idx] = x
+            grad[idx] = (plus - minus) / (2 * h)
     return out
 
 
-def _selfcheck(obs: Observable, seed=911, probes=2, h=1e-6, rtol=1e-6):
+# central differences at h = 1e-6 err by ~1e-10 relative, a wrong oracle term by O(1)
+SELFCHECK_RTOL = 1e-4
+
+
+def _selfcheck(obs: Observable, seed=911, probes=2, h=1e-6):
     """Directional derivative probes of the closed-form oracle."""
     rng = np.random.default_rng(seed)
     rep = random_rep(obs.quiver, rng, scale=0.7)
@@ -99,34 +96,27 @@ def _selfcheck(obs: Observable, seed=911, probes=2, h=1e-6, rtol=1e-6):
     for _ in range(probes):
         d = random_rep(obs.quiver, rng, scale=1.0)
         plus, minus = rep.copy(), rep.copy()
-        for j in range(rep.quiver.n_arms):
-            for i in range(len(rep.f[j])):
-                plus.f[j][i] += h * d.f[j][i]
-                minus.f[j][i] -= h * d.f[j][i]
-                plus.g[j][i] += h * d.g[j][i]
-                minus.g[j][i] -= h * d.g[j][i]
+        for p, m, step in zip(_matrices(plus), _matrices(minus), _matrices(d)):
+            p += h * step
+            m -= h * step
         fd = (obs.value(plus) - obs.value(minus)) / (2 * h)
-        analytic = 0.0 + 0.0j
-        for j in range(rep.quiver.n_arms):
-            for i in range(len(rep.f[j])):
-                analytic += np.sum(g.f[j][i] * d.f[j][i])
-                analytic += np.sum(g.g[j][i] * d.g[j][i])
-        scale = max(1.0, abs(fd))
-        if abs(fd - analytic) > 1e-4 * scale:
+        analytic = complex(pack_rep(g) @ pack_rep(d))
+        if abs(fd - analytic) > SELFCHECK_RTOL * max(1.0, abs(fd)):
             raise GradientOracleError(
                 f"{obs.label}: oracle {analytic} vs finite difference {fd}"
             )
 
 
 def bracket(f_obs: Observable, g_obs: Observable, rep: StarRep) -> complex:
-    """Canonical bracket evaluated at the representation."""
+    """Canonical bracket evaluated at the representation.  The sum skips the
+    levels past ``Observable.levels``, whose terms are exact zeros."""
     if f_obs.quiver != rep.quiver or g_obs.quiver != rep.quiver:
         raise ValueError("observables and representation live on different quivers")
-    gf = f_obs.grad(rep)
-    gg = g_obs.grad(rep)
+    gf, gg = f_obs.grad(rep), g_obs.grad(rep)
+    cut = min(f_obs.levels, g_obs.levels)
     total = 0.0 + 0.0j
     for j in range(rep.quiver.n_arms):
-        for i in range(len(rep.f[j])):
+        for i in range(min(cut, len(rep.f[j]))):
             total += np.trace(gg.g[j][i] @ gf.f[j][i])
             total -= np.trace(gf.g[j][i] @ gg.f[j][i])
     return total
@@ -191,7 +181,7 @@ def trace_power_observable(
             out.g[m][0] = c * (rep.f[m][0] @ pw).T
         return out
 
-    obs = Observable(quiver=quiver, value=value, grad=grad, label=f"I_{t}({z})")
+    obs = Observable(quiver=quiver, value=value, grad=grad, label=f"I_{t}({z})", levels=1)
     if selfcheck:
         _selfcheck(obs)
     return obs
@@ -220,7 +210,7 @@ def entry_observable(
         return out
 
     obs = Observable(
-        quiver=quiver, value=value, grad=grad, label=f"phi[{row},{col}]({z})"
+        quiver=quiver, value=value, grad=grad, label=f"phi[{row},{col}]({z})", levels=1
     )
     if selfcheck:
         _selfcheck(obs)
@@ -257,19 +247,14 @@ class VectorField:
 def hamiltonian_vector_field(f_obs: Observable, rep: StarRep) -> VectorField:
     """Components dF/dp on position slots and -dF/dq on momentum slots."""
     gr = f_obs.grad(rep)
-    xf, xg = [], []
-    for j in range(rep.quiver.n_arms):
-        xf.append([gr.g[j][i].T.copy() for i in range(len(rep.f[j]))])
-        xg.append([-gr.f[j][i].T.copy() for i in range(len(rep.f[j]))])
-    return VectorField(f=xf, g=xg)
+    xf = [[m.T.copy() for m in arm] for arm in gr.g]
+    return VectorField(f=xf, g=[[-m.T.copy() for m in arm] for arm in gr.f])
 
 
 def euler_step(rep: StarRep, field: VectorField, h: float) -> StarRep:
     out = rep.copy()
-    for j in range(rep.quiver.n_arms):
-        for i in range(len(rep.f[j])):
-            out.f[j][i] += h * field.f[j][i]
-            out.g[j][i] += h * field.g[j][i]
+    for m, x in zip(_matrices(out), _matrices(field)):
+        m += h * x
     return out
 
 
@@ -279,53 +264,39 @@ def euler_step(rep: StarRep, field: VectorField, h: float) -> StarRep:
 
 def slot_index(quiver: StarQuiver):
     """Flat coordinate order: all f entries arm by arm, then all g."""
-    slots = []
-    for kind in ("f", "g"):
-        for j in range(quiver.n_arms):
-            dims = quiver.dims(j)
-            for i in range(len(dims) - 1):
-                m, n = (dims[i + 1], dims[i]) if kind == "f" else (dims[i], dims[i + 1])
-                for a in range(m):
-                    for b in range(n):
-                        slots.append((kind, j, i, a, b))
-    return slots
+    zero = zero_gradient(quiver)
+    return [
+        (kind, j, i, a, b)
+        for kind, arms in (("f", zero.f), ("g", zero.g))
+        for j, arm in enumerate(arms)
+        for i, m in enumerate(arm)
+        for a, b in np.ndindex(m.shape)
+    ]
 
 
 def poisson_tensor(quiver: StarQuiver) -> np.ndarray:
     """Constant antisymmetric pairing J with {v_a, v_b} = J[a, b]."""
     slots = slot_index(quiver)
     pos = {s: idx for idx, s in enumerate(slots)}
-    d = len(slots)
-    jmat = np.zeros((d, d))
-    for idx, (kind, j, i, a, b) in enumerate(slots):
-        if kind != "f":
-            continue
+    jmat = np.zeros((len(slots), len(slots)))
+    for idx, (_, j, i, a, b) in enumerate(slots[: len(slots) // 2]):  # the f slots
         p = pos[("g", j, i, b, a)]
         jmat[idx, p] = 1.0
         jmat[p, idx] = -1.0
     return jmat
 
 
-def pack_rep(rep: StarRep) -> np.ndarray:
-    parts = []
-    for arm in rep.f:
-        parts.extend(m.reshape(-1) for m in arm)
-    for arm in rep.g:
-        parts.extend(m.reshape(-1) for m in arm)
+def pack_rep(rep) -> np.ndarray:
+    """A representation's or a Gradient's entries in ``slot_index`` order."""
+    parts = [m.reshape(-1) for m in _matrices(rep)]
     return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
 
 
 def gradient_from_vector(quiver: StarQuiver, vec) -> Gradient:
-    out = zero_gradient(quiver)
-    pos = 0
-    for arm in out.f:
-        for i, m in enumerate(arm):
-            arm[i] = vec[pos : pos + m.size].reshape(m.shape)
-            pos += m.size
-    for arm in out.g:
-        for i, m in enumerate(arm):
-            arm[i] = vec[pos : pos + m.size].reshape(m.shape)
-            pos += m.size
+    out, pos = zero_gradient(quiver), 0
+    for m in _matrices(out):
+        m[...] = vec[pos : pos + m.size].reshape(m.shape)
+        pos += m.size
     return out
 
 
@@ -334,9 +305,10 @@ class QuadraticObservable:
 
     The bracket of two quadratics is again quadratic, which keeps Jacobi
     checks structurally exact: with J the Poisson tensor and the gradient
-    S v + b, {F, G} = (grad F)^T J (grad G) has
-    S' = S_F J S_G + (S_F J S_G)^T, b' = S_F J b_G - S_G J b_F and
-    c' = b_F^T J b_G.
+    H v + b, {A, B} = (grad A)^T J (grad B) has the Hessian
+    H_A J H_B - H_B J H_A (H symmetric, J^T = -J), b' = H_A J b_B - H_B J b_A
+    and c' = b_A^T J b_B.  A ``QuadraticBracket`` applies its Hessian to a
+    vector through its operands', so no d x d matrix is formed for it.
     """
 
     def __init__(self, quiver, s, b, c=0.0):
@@ -353,11 +325,14 @@ class QuadraticObservable:
         b = scale * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
         return cls(quiver, s, b, complex(rng.standard_normal()))
 
+    def hessian_product(self, u):
+        return self.s @ u
+
     def value_at(self, vec):
         return complex(vec @ self.s @ vec / 2 + self.b @ vec + self.c)
 
     def gradient_at(self, vec):
-        return self.s @ vec + self.b
+        return self.hessian_product(vec) + self.b
 
     def to_observable(self) -> Observable:
         def value(rep):
@@ -369,12 +344,24 @@ class QuadraticObservable:
         return Observable(self.quiver, value, grad, label="quadratic")
 
     def bracket_with(self, other, jmat):
-        """The bracket as a new quadratic observable."""
-        sjs = self.s @ jmat @ other.s
-        s_new = sjs + sjs.T
-        b_new = self.s @ jmat @ other.b - other.s @ jmat @ self.b
-        c_new = complex(self.b @ jmat @ other.b)
-        return QuadraticObservable(self.quiver, s_new, b_new, c_new)
+        """The bracket {self, other} as a new, matrix-free quadratic."""
+        return QuadraticBracket(self, other, jmat)
+
+
+class QuadraticBracket(QuadraticObservable):
+    """{A, B} of two quadratic observables; see ``QuadraticObservable``."""
+
+    def __init__(self, left, right, jmat):
+        self.quiver, self.left, self.right, self.jmat = left.quiver, left, right, jmat
+        self.b = left.hessian_product(jmat @ right.b) - right.hessian_product(jmat @ left.b)
+        self.c = complex(left.b @ jmat @ right.b)
+
+    def hessian_product(self, u):
+        ha, hb, j = self.left.hessian_product, self.right.hessian_product, self.jmat
+        return ha(j @ hb(u)) - hb(j @ ha(u))
+
+    def value_at(self, vec):
+        return complex(self.left.gradient_at(vec) @ self.jmat @ self.right.gradient_at(vec))
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +387,7 @@ def moment_entry_gradients(rep: StarRep):
                 g1, f1 = rep.g[m][0], rep.f[m][0]
                 for a in range(f1.shape[0]):
                     row[pos[("f", m, 0, a, l)]] += g1[k, a]
-                for b in range(g1.shape[1]):
-                    row[pos[("g", m, 0, k, b)]] += f1[b, l]
+                    row[pos[("g", m, 0, k, a)]] += f1[a, l]
             rows.append(row)
     # arm components f_i g_i - g_{i+1} f_{i+1} (tip: f_s g_s)
     for m in range(quiver.n_arms):
@@ -424,21 +410,31 @@ def moment_entry_gradients(rep: StarRep):
     return np.stack(rows, axis=0) if rows else np.zeros((0, d), dtype=complex)
 
 
-def moment_zero_tangent(rep: StarRep, rel_tol=1e-8) -> np.ndarray:
+# Relative singular-value cuts.  The moment Jacobian is linear in the entries,
+# so its zero singular values round to ~1e-15 of the largest: 1e-8 is midway.
+MOMENT_RANK_RTOL = 1e-8
+# the Hamiltonian rows (powers up to phi^(r+2), on that tangent basis) round coarser
+HAMILTONIAN_RANK_RTOL = 1e-6
+
+
+def singular_rank(s, rel_tol) -> int:
+    """How many descending singular values exceed rel_tol times the largest."""
+    return int(np.sum(s > rel_tol * s[0])) if s.size else 0
+
+
+def moment_zero_tangent(rep: StarRep, rel_tol=MOMENT_RANK_RTOL) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel of the moment
     differential at the representation."""
     jac = moment_entry_gradients(rep)
-    if jac.shape[0] == 0:
-        return np.eye(jac.shape[1], dtype=complex)
-    u, s, vh = np.linalg.svd(jac)
-    if s.size == 0 or s[0] == 0.0:
-        return np.eye(jac.shape[1], dtype=complex)
-    rk = int(np.sum(s > rel_tol * s[0]))
-    return vh[rk:].conj().T
+    rk = 0
+    if jac.shape[0]:
+        _, s, vh = np.linalg.svd(jac)
+        rk = singular_rank(s, rel_tol)
+    return vh[rk:].conj().T if rk else np.eye(jac.shape[1], dtype=complex)
 
 
 def independent_hamiltonian_count(
-    rep: StarRep, points, ts, zs, rel_tol=1e-6
+    rep: StarRep, points, ts, zs, rel_tol=HAMILTONIAN_RANK_RTOL
 ) -> int:
     """Rank of the sampled trace-power differentials restricted to the
     moment-zero tangent space at the representation."""
@@ -447,10 +443,6 @@ def independent_hamiltonian_count(
     for t in ts:
         for z in zs:
             obs = trace_power_observable(rep.quiver, points, t, z, selfcheck=False)
-            vec = obs.grad(rep).to_vector()
+            vec = pack_rep(obs.grad(rep))
             rows.append(vec @ tangent)  # holomorphic pairing, no conjugation
-    stacked = np.stack(rows, axis=0)
-    s = np.linalg.svd(stacked, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rel_tol * s[0]))
+    return singular_rank(np.linalg.svd(np.stack(rows, axis=0), compute_uv=False), rel_tol)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import linalg_oracle as oracle
 from starquiver import linalg_exact as ex
-from starquiver.arith import FLOAT
+from starquiver.arith import EXACT, FLOAT
 from starquiver.combinat import NilpotentClass
 from starquiver.dsolve import exact_refine, flags_from_solution
 from starquiver.spectral import rank_profile
@@ -157,3 +157,15 @@ def test_rank_profile_exact_and_float_agree(case):
     expected = [NilpotentClass.from_partition(partition).rank_sequence]
     assert rank_profile([a], "exact") == expected
     assert rank_profile([FLOAT.from_exact(a)], "float") == expected
+
+
+@pytest.mark.parametrize("op, expected", [(EXACT.add, [[2, 4], [6, 8]]), (EXACT.sub, [[0, 0], [0, 0]])])
+def test_entrywise_ops_check_shapes(op, expected):
+    a = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
+    assert op(a, a) == expected
+    # a smaller, a larger and a ragged operand used to be truncated by zip
+    for b in ([[Fraction(1)]], [[Fraction(1), Fraction(2), Fraction(3)]] * 2, [[Fraction(1), Fraction(2)], [Fraction(3)]]):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            op(a, b)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            op(b, a)

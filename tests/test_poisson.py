@@ -7,6 +7,9 @@ from starquiver.combinat import NilpotentClass
 from starquiver.dsolve import DSInstance, SolverConfig, flags_from_solution, solve
 from starquiver.higgs import higgs_to_quiver
 from starquiver.poisson import (
+    HAMILTONIAN_RANK_RTOL,
+    MOMENT_RANK_RTOL,
+    SELFCHECK_RTOL,
     GradientOracleError,
     Observable,
     QuadraticObservable,
@@ -24,6 +27,7 @@ from starquiver.poisson import (
     phi_derivative,
     phi_value,
     poisson_tensor,
+    singular_rank,
     trace_power_observable,
     zero_gradient,
 )
@@ -128,6 +132,37 @@ def test_selfcheck_flags_bad_oracle(quiver4):
         from starquiver.poisson import _selfcheck
 
         _selfcheck(Observable(quiver4, value, grad, "broken"))
+
+
+@pytest.mark.parametrize("error, flagged", [(2e-4, True), (5e-5, False)])
+def test_selfcheck_bound_is_relative(quiver4, error, flagged):
+    # an oracle off by a fixed factor 1 + error; the probed directional
+    # derivatives of this quadratic exceed 10, so the gap is relative
+    from starquiver.poisson import _selfcheck
+
+    assert SELFCHECK_RTOL == 1e-4
+    quad = QuadraticObservable.random(quiver4, np.random.default_rng(14), 1.0)
+    obs = Observable(
+        quiver4,
+        lambda rep: quad.value_at(pack_rep(rep)),
+        lambda rep: gradient_from_vector(quiver4, (1 + error) * quad.gradient_at(pack_rep(rep))),
+        "scaled",
+    )
+    if flagged:
+        with pytest.raises(GradientOracleError):
+            _selfcheck(obs)
+    else:
+        _selfcheck(obs)
+
+
+@pytest.mark.parametrize("rtol", [MOMENT_RANK_RTOL, HAMILTONIAN_RANK_RTOL])
+def test_singular_rank_cut(rtol):
+    assert (MOMENT_RANK_RTOL, HAMILTONIAN_RANK_RTOL) == (1e-8, 1e-6)
+    for top in (1.0, 3e5):
+        assert singular_rank(np.array([top, 1.01 * rtol * top, 0.0]), rtol) == 2
+        assert singular_rank(np.array([top, 0.99 * rtol * top, 0.0]), rtol) == 1
+    assert singular_rank(np.zeros(3), rtol) == 0
+    assert singular_rank(np.zeros(0), rtol) == 0
 
 
 def test_delta_identities(quiver4):
