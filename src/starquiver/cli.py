@@ -257,7 +257,7 @@ def _spectral_appendix(h):
         return {}
     hp = char_poly(h)
     report = vanishing_orders(hp, h.sigma)
-    verdict, factors = is_integral(spectral_poly(hp))
+    verdict, _ = is_integral(spectral_poly(hp))
     print("vanishing orders (found/required):")
     print(report.order_table())
     print(f"membership        : {_fmt_bool(report.member)}")

@@ -56,6 +56,13 @@ def rank_tolerance(residual):
     return max(1e-7, 1e3 * residual)
 
 
+def higgs_tolerance(residual):
+    """Validation tolerance of the tuple that ``flags_from_solution``
+    builds: its flags hold only up to the sum residual, so the tolerance
+    sits 1e2 above it, and never below 1e-8."""
+    return max(1e-8, 1e2 * residual)
+
+
 @dataclass(frozen=True)
 class DSInstance:
     rank: int
@@ -328,8 +335,6 @@ def flags_from_solution(
     if rank_tol is None:
         rank_tol = rank_tolerance(solution.residual)
     flags = []
-    # the validation tolerance must dominate the same residual scale
-    higgs_tol = max(1e-8, 1e2 * solution.residual)
     for i in range(sigma.n_points):
         gam = sigma.gamma(i)[:-1]
         a = o.coerce(solution.matrices[i])
@@ -348,7 +353,7 @@ def flags_from_solution(
         matrices=list(solution.matrices),
         flags=flags,
         mode=solution.mode,
-        tol=higgs_tol,
+        tol=higgs_tolerance(solution.residual),
     )
 
 

@@ -255,7 +255,14 @@ class IrreducibilityCertificate:
     invariant_subspace: object = None  # basis of a common invariant subspace
 
 
-def irreducible(mats, mode="float", tol=1e-9, want_witness=True):
+# a word of the residues spans a new direction of their algebra only when
+# its norm and its part orthogonal to the span both exceed this fraction of
+# the largest word norm and of its own norm: roundoff in the word products
+# of order-one entries stays orders of magnitude below it
+IRREDUCIBLE_RTOL = 1e-9
+
+
+def irreducible(mats, mode="float", tol=IRREDUCIBLE_RTOL, want_witness=True):
     """Do the matrices generate the full matrix algebra?
 
     Closes a word basis under left multiplication until the span
@@ -343,7 +350,7 @@ class StabilityReport:
     exhaustive: bool = False
 
 
-def stability_verdict(h: HiggsTuple, seed=0, tol=1e-9) -> StabilityReport:
+def stability_verdict(h: HiggsTuple, seed=0, tol=IRREDUCIBLE_RTOL) -> StabilityReport:
     """Stable when the residues act irreducibly; otherwise compares the
     slopes of the invariant subspaces the search finds.
 

@@ -293,32 +293,11 @@ def pmul(p, q):
 
 
 def peval(p, x):
-    acc = Fraction(0)
+    """p(x); integer coefficients at an integer x give an int."""
+    acc = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def root_order(p, x, cap=None):
-    """Multiplicity of x as a root of p; None for the zero polynomial
-    (order is unbounded)."""
-    q = ptrim(list(p))
-    if not q:
-        return None
-    order = 0
-    while True:
-        if peval(q, x) != 0:
-            return order
-        # synthetic division: q = (z - x) * out, remainder q(x) = 0
-        out = [Fraction(0)] * (len(q) - 1)
-        acc = q[-1]
-        for i in range(len(q) - 2, -1, -1):
-            out[i] = acc
-            acc = q[i] + acc * x
-        q = ptrim(out)
-        order += 1
-        if cap is not None and order >= cap:
-            return order
 
 
 def poly_from_roots(roots_with_mult):

@@ -10,9 +10,16 @@ p_j come from one Faddeev-LeVerrier pass over Z[z] on the
 denominator-cleared matrix, in plain Python integers, so the exact
 cross-check of ``ds verify --hitchin`` never loads sympy.  Membership in
 the admissible coefficient space means p_j vanishes at x_i to order at
-least eps_j(x_i); the orders are computed by repeated exact division.
-The integrality test runs on one sympy ``Poly``; sympy is imported on
-first use, so importing the package does not pay for it.
+least eps_j(x_i); the order at x = a/b comes from repeated exact integer
+division of the denominator-cleared p_j by (b z - a).
+
+The spectral polynomial lambda^r + sum_j p_j lambda^{r-j} is a small exact
+value (``SpectralPolynomial``).  Its integrality is certified in integers
+at a few specializations z = z0: an irreducible p(lambda, z0), shown by
+the factor degrees modulo small primes, or a discriminant in lambda that
+vanishes more often than its degree allows.  sympy's bivariate
+factorization runs only when neither decides, and sympy is imported only
+then, so the exact spectral checks of the CLI do not load it.
 
 Levels whose coefficient space has negative degree carry the zero
 polynomial identically (the level-1 trace is the universal example); the
@@ -200,12 +207,10 @@ def vanishing_orders(hp: HitchinPoint, sigma: ParabolicType) -> VanishingOrderRe
     member = True
     all_exact = True
     for j in range(1, hp.rank + 1):
-        p = hp.coeffs[j - 1]
-        row, req_row, ex_row = [], [], []
-        for i, x in enumerate(sigma.line.points):
+        row = _orders(hp.coeffs[j - 1], sigma.line.points)
+        req_row, ex_row = [], []
+        for i, order in enumerate(row):
             eps = me[i][1][j - 1]
-            order = ex.root_order(p, x)
-            row.append(order)
             req_row.append(eps)
             ok = order is None or order >= eps
             member = member and ok
@@ -228,60 +233,276 @@ def vanishing_orders(hp: HitchinPoint, sigma: ParabolicType) -> VanishingOrderRe
     )
 
 
+def _orders(p, points):
+    """Root order of the Fraction polynomial p at each point; None for
+    every point when p is zero.  The denominators are cleared once."""
+    den = lcm(*(c.denominator for c in p))
+    q = ex.ptrim([c.numerator * (den // c.denominator) for c in p])
+    return [_root_order(q, x.numerator, x.denominator) if q else None for x in points]
+
+
+def _root_order(q, a, b):
+    """Multiplicity of a/b (b > 0, lowest terms) as a root of the nonzero
+    integer polynomial q (ascending), by repeated division by b z - a from
+    the top.  b z - a is primitive, so by Gauss's lemma it divides q over Q
+    exactly when every step divides exactly over Z."""
+    order = 0
+    while len(q) > 1:
+        quot = [0] * (len(q) - 1)
+        carry = q[-1]
+        for i in range(len(q) - 2, -1, -1):
+            quot[i], rem = divmod(carry, b)
+            if rem:
+                return order
+            carry = q[i] + a * quot[i]
+        if carry:
+            return order
+        q = quot
+        order += 1
+    return order
+
+
 # ---------------------------------------------------------------------------
 # spectral polynomial and integrality
 
+# the integers z0 at which the certificates specialize p(lambda, z): off the
+# marked points 0..n-1 of the default types, where the fibre degenerates;
+# seven of them, so the discriminant certificate decides every
+# non-squarefree p whose discriminant degree bound is at most six
+SPECIALIZATION_POOL = (-1, -2, -3, -4, -5, -6, -7)
+# the degree analysis runs modulo the primes below this cap: a few primes
+# usually decide (Musser 1978), and every instance of the acceptance batch
+# is certified below 60
+PRIME_CAP = 100
+_PRIMES = tuple(q for q in range(2, PRIME_CAP) if all(q % d for d in range(2, int(q**0.5) + 1)))
 
-def spectral_poly(hp: HitchinPoint):
-    """The plane model lambda^r + sum_j p_j(z) lambda^{r-j} as a sympy
-    expression in (lam, z); exactly the characteristic polynomial of the
-    pole-cleared matrix."""
-    import sympy
 
-    terms = {(hp.rank, 0): sympy.Integer(1)}
-    for j, p in enumerate(hp.coeffs, start=1):
-        for k, c in enumerate(p):
-            if c:
-                terms[(hp.rank - j, k)] = sympy.Rational(c.numerator, c.denominator)
-    return sympy.Poly.from_dict(terms, *sympy.symbols("lam z"), domain="QQ").as_expr()
+@dataclass(frozen=True)
+class SpectralPolynomial:
+    """The plane model lambda^r + sum_j p_j(z) lambda^{r-j}: ``coeffs[j-1]``
+    is the trimmed ascending tuple of Fraction coefficients of p_j, and
+    r = len(coeffs)."""
+
+    coeffs: tuple
+
+    def as_expr(self):
+        """The polynomial as a sympy expression in (lam, z)."""
+        return self._poly().as_expr()
+
+    def _poly(self):
+        import sympy
+
+        r = len(self.coeffs)
+        terms = {(r, 0): sympy.Integer(1)}
+        for j, p in enumerate(self.coeffs, start=1):
+            for k, c in enumerate(p):
+                if c:
+                    terms[(r - j, k)] = sympy.Rational(c.numerator, c.denominator)
+        return sympy.Poly.from_dict(terms, *sympy.symbols("lam z"), domain="QQ")
+
+
+def spectral_poly(hp: HitchinPoint) -> SpectralPolynomial:
+    """The plane model lambda^r + sum_j p_j(z) lambda^{r-j}, exactly the
+    characteristic polynomial of the pole-cleared matrix, as exact
+    coefficient lists; ``.as_expr()`` hands it to sympy."""
+    return SpectralPolynomial(tuple(tuple(ex.ptrim(list(p))) for p in hp.coeffs))
 
 
 def is_integral(p):
-    """'integral' when the plane spectral polynomial is squarefree and
-    irreducible over the rationals; 'not_integral' with an explicit
-    factorization witness otherwise; 'undetermined' only if every check is
-    inconclusive.
+    """Whether the plane spectral polynomial is squarefree and irreducible
+    over the rationals: (verdict, certificate).
 
-    ``p`` is a sympy expression or ``Poly`` in (lam, z); it is converted
-    once to a ``Poly`` over QQ and every check runs on that.
-    Rational irreducibility is the desk-scale proxy here: absolute
-    irreducibility over the algebraic closure is not certified.
-    Specializing z to a rational and finding a full-degree irreducible
-    univariate polynomial certifies integrality (the polynomial is monic
-    in lambda); otherwise an exact bivariate factorization decides.
+    The verdict is 'integral', 'not_integral', or 'undetermined' when the
+    fallback factorization fails.  The certificate names what decided:
+
+    - ``(z0, l)``: p(lambda, z0) is irreducible over Q, because its
+      factor-degree patterns modulo the primes up to l leave only the
+      trivial subset sums {0, r} (Musser's degree analysis, with
+      distinct-degree factorization over F_l).  A factorization of p into
+      factors monic in lambda would specialize, so p is irreducible in
+      Q[lambda, z], and squarefree.
+    - ``'discriminant'``: disc_lambda(p) vanishes at more pool points than
+      its z-degree bound, so it is zero and p is not squarefree.
+    - ``'fallback'``: sympy's bivariate ``factor_list`` decided.
+    - ``'degree'``: p has no positive degree in lambda.
+    - ``None`` with 'undetermined'.
+
+    ``p`` is a ``SpectralPolynomial``, whose coefficients are read directly,
+    or a sympy expression or ``Poly`` in (lam, z), which is divided by its
+    lambda-leading coefficient when that is a constant and otherwise goes
+    straight to the fallback.  The certificates run on
+    s^r p(lambda/s, z) = lambda^r + sum_j c_j(z) lambda^{r-j}, monic over
+    Z[z] for s the lcm of the denominators, in plain integers; sympy is
+    imported only by the fallback.  Rational irreducibility is the
+    desk-scale proxy here: absolute irreducibility is not certified.
     """
-    import sympy
+    poly = None
+    if isinstance(p, SpectralPolynomial):
+        coeffs = p.coeffs
+    else:
+        import sympy
+
+        poly = sympy.Poly(p, *sympy.symbols("lam z"), domain="QQ")
+        coeffs = _monic_coefficients(poly) if poly.degree(poly.gens[0]) > 0 else ()
+    if coeffs is not None:
+        if not coeffs:
+            return "not_integral", "degree"
+        decided = _certify(_integer_form(coeffs))
+        if decided is not None:
+            return decided
+    return _factor_verdict(poly if poly is not None else p._poly())
+
+
+def _monic_coefficients(poly):
+    """The p_j of a ``Poly`` in (lam, z) divided by its lambda-leading
+    coefficient, or None when that coefficient is not a constant."""
+    r = poly.degree(poly.gens[0])
+    terms = {m: Fraction(int(c.p), int(c.q)) for m, c in poly.terms()}
+    lead = terms.get((r, 0))
+    if lead is None or any(a == r and b for a, b in terms):
+        return None
+    coeffs = [[Fraction(0)] * (1 + max((b for a, b in terms if a == r - j), default=-1)) for j in range(1, r + 1)]
+    for (a, b), c in terms.items():
+        if a < r:
+            coeffs[r - a - 1][b] = c / lead
+    return tuple(tuple(q) for q in coeffs)
+
+
+def _integer_form(coeffs):
+    """c_1..c_r of s^r p(lambda/s, z) = lambda^r + sum_j c_j(z) lambda^{r-j}
+    for s the lcm of the denominators: integer lists, since s^j clears p_j."""
+    s = lcm(*(c.denominator for q in coeffs for c in q))
+    out = []
+    for j, q in enumerate(coeffs, start=1):
+        sj = s**j
+        out.append([c.numerator * (sj // c.denominator) for c in q])
+    return out
+
+
+def _certify(c):
+    """(verdict, certificate) for lambda^r + sum_j c_j(z) lambda^{r-j}, r >= 1,
+    from its specializations at the pool points; None when none decides."""
+    r = len(c)
+    # disc_lambda is isobaric of weight r(r-1) in the c_j (c_j of weight j),
+    # so its z-degree is at most r(r-1) max_j deg(c_j)/j
+    bound = max((r * (r - 1) * (len(q) - 1) // j for j, q in enumerate(c, start=1) if q), default=0)
+    trivial = 1 | 1 << r
+    vanishing = 0
+    for z0 in SPECIALIZATION_POOL:
+        f = [ex.peval(q, z0) for q in reversed(c)] + [1]
+        common = -1  # bit k: some factor of f over Q may have degree k
+        squarefree = False
+        for q in _PRIMES:
+            degrees = _factor_degrees(f, q)
+            if degrees is None:
+                continue
+            squarefree = True  # f mod q is, so disc(f) != 0
+            sums = 1
+            for d in degrees:
+                sums |= sums << d
+            common &= sums
+            if common == trivial:
+                return "integral", (z0, q)
+        if not squarefree and _discriminant_vanishes(f):
+            vanishing += 1
+            if vanishing > bound:
+                return "not_integral", "discriminant"
+    return None
+
+
+def _factor_verdict(poly):
+    """sympy's bivariate factorization decides: integral exactly when p is
+    one irreducible factor to the first power."""
     from sympy.polys.polyerrors import BasePolynomialError
 
-    lam, z = sympy.symbols("lam z")
-    poly = sympy.Poly(p, lam, z, domain="QQ")
-    r = poly.degree(lam)
-    if r <= 0:
-        return "not_integral", poly.as_expr()
-    if poly.gcd(poly.diff(lam)).total_degree() > 0:
-        return "not_integral", sympy.factor(poly.as_expr())
-    for z0 in (0, 1, -1, 2, -2, 3, sympy.Rational(1, 2)):
-        spec = poly.eval(z, z0)
-        if spec.degree() == r and spec.is_irreducible:
-            return "integral", None
     try:
         _, factors = poly.factor_list()
     except (BasePolynomialError, NotImplementedError):  # factorization unsupported or failed
         return "undetermined", None
     nontrivial = [m for f, m in factors if f.total_degree() > 0]
-    if nontrivial == [1]:
-        return "integral", None
-    return "not_integral", sympy.factor(poly.as_expr())
+    return ("integral" if nontrivial == [1] else "not_integral"), "fallback"
+
+
+def _discriminant_vanishes(f):
+    """Whether the monic integer polynomial f (ascending) has a repeated
+    root: exactly when its Sylvester matrix with f' is singular."""
+    r = len(f) - 1
+    down, ddown = f[::-1], [k * c for k, c in enumerate(f)][:0:-1]
+    rows = [[0] * k + down + [0] * (r - 2 - k) for k in range(r - 1)]
+    rows += [[0] * k + ddown + [0] * (r - 1 - k) for k in range(r)]
+    return len(ex.bareiss(rows)[1]) < 2 * r - 1
+
+
+def _factor_degrees(f, q):
+    """Degrees of the irreducible factors of the monic integer polynomial f
+    modulo the prime q, by distinct-degree factorization; None when f mod q
+    is not squarefree."""
+    f = [c % q for c in f]
+    if len(_fp_gcd(f, ex.ptrim([k * c % q for k, c in enumerate(f)][1:]), q)) > 1:
+        return None
+    degrees = []
+    h = [0, 1]  # lambda^(q^d) mod f
+    d = 0
+    while 2 * (d + 1) < len(f):
+        d += 1
+        h = _fp_powmod(h, q, f, q)
+        moved = h + [0] * (2 - len(h))
+        moved[1] -= 1
+        g = _fp_gcd(f, ex.ptrim([c % q for c in moved]), q)
+        if len(g) > 1:
+            # g is the product of the factors of degree d
+            degrees += [d] * ((len(g) - 1) // d)
+            f = _fp_divmod(f, g, q)[0]
+            h = _fp_divmod(h, f, q)[1]
+    if len(f) > 1:
+        degrees.append(len(f) - 1)
+    return degrees
+
+
+def _fp_divmod(a, b, q):
+    """Quotient and remainder of a by b over F_q (trimmed ascending lists)."""
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, q)
+    quot = [0] * max(len(a) - db, 0)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = quot[k] = a[k + db] * inv % q
+        if c:
+            for i, x in enumerate(b):
+                a[k + i] = (a[k + i] - c * x) % q
+    return quot, ex.ptrim(a[:db])
+
+
+def _fp_gcd(a, b, q):
+    """Monic gcd over F_q."""
+    while b:
+        a, b = b, _fp_divmod(a, b, q)[1]
+    inv = pow(a[-1], -1, q)
+    return [c * inv % q for c in a]
+
+
+def _fp_powmod(a, e, f, q):
+    """a^e mod f over F_q."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _fp_mulmod(out, a, f, q)
+        e >>= 1
+        if e:
+            a = _fp_mulmod(a, a, f, q)
+    return out
+
+
+def _fp_mulmod(a, b, f, q):
+    """a b mod f over F_q."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _fp_divmod([c % q for c in out], f, q)[1]
 
 
 def sample_hitchin_point(sigma: ParabolicType, seed=0, max_retries=50):

@@ -1,0 +1,36 @@
+"""Reference integrality test for differential tests.
+
+This is the library's former ``is_integral``, which ran every check in
+sympy: a squarefree ``gcd`` with the lambda-derivative, irreducibility of
+p(lambda, z0) at seven rational z0, then the bivariate ``factor_list``.
+``starquiver.spectral`` now certifies in integers and calls sympy only
+when no certificate decides.  The oracle's specialization check assumes
+p monic in lambda (a factor in z alone escapes it), so the differential
+tests feed it monic polynomials.  It returns the verdict alone.
+"""
+
+import sympy
+from sympy.polys.polyerrors import BasePolynomialError
+
+LAM, Z = sympy.symbols("lam z")
+
+
+def is_integral(p):
+    """'integral', 'not_integral' or 'undetermined' for a sympy expression
+    or ``Poly`` in (lam, z)."""
+    poly = sympy.Poly(p, LAM, Z, domain="QQ")
+    r = poly.degree(LAM)
+    if r <= 0:
+        return "not_integral"
+    if poly.gcd(poly.diff(LAM)).total_degree() > 0:
+        return "not_integral"
+    for z0 in (0, 1, -1, 2, -2, 3, sympy.Rational(1, 2)):
+        spec = poly.eval(Z, z0)
+        if spec.degree() == r and spec.is_irreducible:
+            return "integral"
+    try:
+        _, factors = poly.factor_list()
+    except (BasePolynomialError, NotImplementedError):
+        return "undetermined"
+    nontrivial = [m for f, m in factors if f.total_degree() > 0]
+    return "integral" if nontrivial == [1] else "not_integral"

@@ -7,13 +7,18 @@ with, and the reduced row echelon form is unique, so the two must agree
 exactly.  ``reference`` runs a ``linalg_exact`` function on this
 elimination instead, which is how the former ``nullspace``, ``solve`` and
 ``inv`` worked; the former ``rank`` was the pivot count of this ``rref``.
+
+``root_order`` is the library's former Fraction root multiplicity:
+evaluate at x, then divide synthetically by (z - x), until the value is
+nonzero.  ``starquiver.spectral`` now divides integer numerators by
+(b z - a) instead.
 """
 
 from fractions import Fraction
 from unittest import mock
 
 from starquiver import linalg_exact as ex
-from starquiver.linalg_exact import mcopy, shape
+from starquiver.linalg_exact import mcopy, peval, ptrim, shape
 
 
 def rref(a):
@@ -51,3 +56,22 @@ def reference(fn, *args):
     with mock.patch.object(ex, "rref", rref):
         return fn(*args)
 
+
+def root_order(p, x):
+    """Multiplicity of x as a root of p; None for the zero polynomial
+    (order is unbounded)."""
+    q = ptrim(list(p))
+    if not q:
+        return None
+    order = 0
+    while True:
+        if peval(q, x) != 0:
+            return order
+        # synthetic division: q = (z - x) * out, remainder q(x) = 0
+        out = [Fraction(0)] * (len(q) - 1)
+        acc = q[-1]
+        for i in range(len(q) - 2, -1, -1):
+            out[i] = acc
+            acc = q[i] + acc * x
+        q = ptrim(out)
+        order += 1

@@ -12,6 +12,7 @@ from starquiver.dsolve import (
     SolverConfig,
     exact_refine,
     flags_from_solution,
+    higgs_tolerance,
     is_smooth_point,
     orbit_jacobian,
     random_feasible_instance,
@@ -189,6 +190,17 @@ def test_rank_tolerance_floor():
     assert rank_tolerance(0.0) == 1e-7
     assert rank_tolerance(1e-11) == 1e-7
     assert rank_tolerance(1e-9) == pytest.approx(1e-6, rel=1e-12)
+
+
+def test_higgs_tolerance_floor(rank2_instance):
+    # below a residual of 1e-10 the 1e-8 floor holds; above it the tolerance
+    # follows 1e2 times the residual, and the built tuple carries it
+    assert higgs_tolerance(0.0) == 1e-8
+    assert higgs_tolerance(5e-11) == 1e-8
+    assert higgs_tolerance(1e-9) == pytest.approx(1e-7, rel=1e-12)
+    out = solve(rank2_instance, SolverConfig(seed=3))
+    h = flags_from_solution(out.solution, rank2_instance.parabolic_type())
+    assert h.tol == higgs_tolerance(out.solution.residual)
 
 
 def test_solver_falls_back_to_a_converged_reducible_tuple():

@@ -9,6 +9,7 @@ from starquiver import linalg_exact as ex
 from starquiver.combinat import ParabolicType
 from starquiver.dsolve import DSInstance, SolverConfig, flags_from_solution, solve
 from starquiver.higgs import (
+    IRREDUCIBLE_RTOL,
     BridgeError,
     HiggsTuple,
     WeightsNotSmallError,
@@ -214,6 +215,27 @@ def test_irreducible_conjugation_invariant():
     conj = [p @ m @ np.linalg.inv(p) for m in mats]
     assert irreducible(mats, "float").irreducible
     assert irreducible(conj, "float").irreducible
+
+
+def _scaled_closed_form(delta):
+    """E12, -E12, delta E21, -delta E21 in float mode: irreducible for every
+    nonzero delta, numerically reducible once delta E21 drops below the
+    span tolerance times the identity's norm sqrt(2)."""
+    e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    e21 = np.array([[0.0, 0.0], [1.0, 0.0]])
+    return [e12, -e12, delta * e21, -delta * e21]
+
+
+@pytest.mark.parametrize("factor,expected", [(0.5, False), (4.0, True)])
+def test_irreducible_rtol_edges(factor, expected):
+    assert irreducible(_scaled_closed_form(factor * IRREDUCIBLE_RTOL), "float").irreducible is expected
+
+
+@pytest.mark.parametrize("factor,stable", [(0.5, False), (4.0, True)])
+def test_stability_verdict_rtol_edges(full_flag_type, factor, stable):
+    e1, e2 = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+    h = HiggsTuple(full_flag_type, _scaled_closed_form(factor * IRREDUCIBLE_RTOL), [[e1], [e1], [e2], [e2]], mode="float")
+    assert (stability_verdict(h).verdict == "stable") is stable
 
 
 # ---------------------------------------------------------------------------

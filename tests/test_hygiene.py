@@ -1,15 +1,20 @@
 """Source hygiene: no unused imports, no unread private module-level
-names or public methods in the package, and a CLI import and an exact
-`ds verify --hitchin` that do not load sympy."""
+names or public methods in the package, and a CLI import, an exact
+`ds verify --hitchin` and the `bridge --hitchin` conversions that do not
+load sympy."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 FIXTURES = SRC.parent / "fixtures"
+GOLDEN = SRC.parent / "tests" / "golden"
 
 
 def unused_imports(path):
@@ -67,7 +72,7 @@ def test_cli_import_leaves_sympy_unloaded():
 
 def test_verify_hitchin_leaves_sympy_unloaded(tmp_path):
     # the exact spectral cross-check (char_poly and vanishing orders) runs on
-    # plain integers; only the integrality test needs sympy
+    # plain integers
     instance, sol = str(FIXTURES / "ds_rank2_four_rank1.json"), str(tmp_path / "sol.json")
     code = (
         "import sys; from starquiver.cli import main; "
@@ -80,6 +85,26 @@ def test_verify_hitchin_leaves_sympy_unloaded(tmp_path):
     )
     assert out.stdout.strip().splitlines()[-1] == "False"
 
+
+@pytest.mark.parametrize("higgs", ["heavy_top_higgs.json", "closed_form_higgs.json"])
+def test_bridge_hitchin_leaves_sympy_unloaded(tmp_path, higgs):
+    # the spectral appendix certifies integrality in integers: the heavy top
+    # (p = lam^2) by its discriminant, the closed form by a specialization
+    higgs = GOLDEN / higgs
+    typ, rep = tmp_path / "type.json", str(tmp_path / "rep.json")
+    typ.write_text(json.dumps(json.loads(higgs.read_text(encoding="utf-8"))["type"]), encoding="utf-8")
+    code = (
+        "import sys; from starquiver.cli import main; "
+        f"assert main(['bridge', 'to-quiver', '--higgs', {str(higgs)!r}, '--hitchin', '--out', {rep!r}]) == 0; "
+        "print('sympy' in sys.modules); "
+        f"assert main(['bridge', 'to-higgs', '--rep', {rep!r}, '--type', {str(typ)!r}, '--hitchin']) == 0; "
+        "print('sympy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, check=True
+    )
+    assert [line for line in out.stdout.splitlines() if line in ("True", "False")] == ["False", "False"]
+    assert out.stdout.count("spectral polynomial integral: ") == 2
 
 
 def names_read(node):

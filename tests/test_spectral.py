@@ -12,6 +12,7 @@ from starquiver.combinat import MarkedLine, NilpotentClass, ParabolicType
 from starquiver.dsolve import DSInstance, SolverConfig, flags_from_solution, solve
 from starquiver.higgs import HiggsTuple
 from starquiver.spectral import (
+    SPECIALIZATION_POOL,
     ExactnessRequired,
     HitchinPoint,
     SpectralPreconditionError,
@@ -60,7 +61,7 @@ def test_char_poly_against_symbolic_determinant(closed_form_tuple):
         c = sympy.prod([Z - xx for k, xx in enumerate(pts) if k != i])
         m += sympy.Matrix([[sympy.Rational(str(v)) for v in row] for row in a]) * c
     det = sympy.expand((LAM * sympy.eye(2) - m).det())
-    assert sympy.simplify(spectral_poly(hp) - det) == 0
+    assert sympy.simplify(spectral_poly(hp).as_expr() - det) == 0
 
 
 def test_char_poly_conjugation_invariant(closed_form_tuple):
@@ -162,9 +163,10 @@ def test_rank_profile_matches_prescribed_classes(rank2_instance):
 
 def test_spectral_poly_shapes(full_flag_type):
     hp = HitchinPoint(rank=2, points=full_flag_type.line.points, coeffs=[[], []])
-    assert spectral_poly(hp) == LAM**2
-    hp1 = HitchinPoint(rank=1, points=full_flag_type.line.points, coeffs=[[F(1), F(2)]])
-    assert sympy.expand(spectral_poly(hp1) - (LAM + 1 + 2 * Z)) == 0
+    assert spectral_poly(hp).as_expr() == LAM**2
+    hp1 = HitchinPoint(rank=1, points=full_flag_type.line.points, coeffs=[[F(1), F(2), F(0)]])
+    assert spectral_poly(hp1).coeffs == ((F(1), F(2)),)  # trimmed
+    assert sympy.expand(spectral_poly(hp1).as_expr() - (LAM + 1 + 2 * Z)) == 0
 
 
 def test_is_integral_verdicts():
@@ -176,7 +178,7 @@ def test_is_integral_verdicts():
 
 
 # every z0 that is_integral specializes at is a root of this factor
-_SPECIALIZATION_ROOTS = Z * (Z - 1) * (Z + 1) * (Z - 2) * (Z + 2) * (Z - 3) * (2 * Z - 1)
+_SPECIALIZATION_ROOTS = sympy.prod([Z - z0 for z0 in SPECIALIZATION_POOL])
 
 
 def _forbid(monkeypatch, name):
@@ -187,25 +189,26 @@ def _forbid(monkeypatch, name):
 
 
 def test_is_integral_decided_by_specialization(monkeypatch):
+    # at z0 = -1: lam^2 + 1 is not squarefree mod 2 and irreducible mod 3
     _forbid(monkeypatch, "factor_list")
-    assert is_integral(LAM**2 - Z) == ("integral", None)
+    assert is_integral(LAM**2 - Z) == ("integral", (-1, 3))
 
 
 def test_is_integral_decided_by_bivariate_factorization(monkeypatch):
     # lam^2 - z^2 - g(z) with g vanishing at every specialization point:
     # each specialization is lam^2 - z0^2, reducible, but z^2 + g(z) has odd
-    # degree, so it is no square and the plane curve is irreducible
+    # degree, so it is no square and the plane curve is irreducible; the
+    # discriminant 4(z^2 + g) vanishes at no pool point
     irreducible = LAM**2 - Z**2 - _SPECIALIZATION_ROOTS
-    for z0 in (0, 1, -1, 2, -2, 3, sympy.Rational(1, 2)):
-        assert not sympy.Poly(irreducible.subs(Z, z0), LAM).is_irreducible
+    for z0 in SPECIALIZATION_POOL:
+        spec = sympy.Poly(irreducible.subs(Z, z0), LAM)
+        assert not spec.is_irreducible and spec.discriminant() != 0
     calls = []
     factor_list = sympy.Poly.factor_list
     monkeypatch.setattr(sympy.Poly, "factor_list", lambda self: calls.append(self) or factor_list(self))
-    assert is_integral(irreducible) == ("integral", None)
+    assert is_integral(irreducible) == ("integral", "fallback")
     assert len(calls) == 1
-    verdict, witness = is_integral(LAM**2 - Z**2)
-    assert verdict == "not_integral"
-    assert witness == sympy.factor(LAM**2 - Z**2)
+    assert is_integral(LAM**2 - Z**2) == ("not_integral", "fallback")
 
 
 @pytest.mark.parametrize("error", [NotImplementedError, PolynomialError, ExtraneousFactors])
@@ -227,11 +230,10 @@ def test_is_integral_factorization_failure_is_undetermined(monkeypatch, error):
 
 
 def test_is_integral_rejects_non_squarefree(monkeypatch):
-    _forbid(monkeypatch, "eval")  # the specializations come after this check
+    # the discriminant has z-degree at most 6 and vanishes at all 7 pool points
+    _forbid(monkeypatch, "factor_list")
     expr = sympy.expand((LAM - Z) ** 2 * (LAM + 1))
-    verdict, witness = is_integral(expr)
-    assert verdict == "not_integral"
-    assert witness == sympy.factor(expr)
+    assert is_integral(expr) == ("not_integral", "discriminant")
 
 
 def test_is_integral_poly_and_expression_agree():
@@ -246,9 +248,64 @@ def test_is_integral_poly_and_expression_agree():
         assert is_integral(sympy.Poly(expr, LAM, Z)) == is_integral(expr)
 
 
-def test_is_integral_closed_form(closed_form_tuple):
-    verdict, _ = is_integral(spectral_poly(char_poly(closed_form_tuple)))
-    assert verdict == "integral"
+def test_is_integral_closed_form(closed_form_tuple, monkeypatch):
+    # lam^2 - z(z-1)(z-2)(z-3) is lam^2 - 24 at z0 = -1, irreducible mod 7
+    _forbid(monkeypatch, "factor_list")
+    assert is_integral(spectral_poly(char_poly(closed_form_tuple))) == ("integral", (-1, 7))
+
+
+def test_is_integral_heavy_top_by_discriminant(monkeypatch):
+    # p = lam^2: the discriminant bound is 0 and the first pool point exceeds it
+    _forbid(monkeypatch, "factor_list")
+    hp = HitchinPoint(rank=2, points=(0, 1, 2, 3), coeffs=[[], []])
+    assert is_integral(spectral_poly(hp)) == ("not_integral", "discriminant")
+
+
+def test_is_integral_needs_the_intersection(monkeypatch):
+    # lam^4 - 6 lam + 1 is not squarefree mod 2 and splits as 2 + 2 mod 3 and
+    # as 1 + 3 mod 5: no prime alone certifies, the intersection {0, 4} of
+    # the subset sums {0, 2, 4} and {0, 1, 3, 4} does
+    expr = LAM**4 - 6 * LAM + 1
+    for q, degrees in ((3, [2, 2]), (5, [1, 3])):
+        assert sorted(f.degree() for f, _ in sympy.Poly(expr, LAM, modulus=q).factor_list()[1]) == degrees
+    _forbid(monkeypatch, "factor_list")
+    assert is_integral(expr) == ("integral", (-1, 5))
+
+
+def test_is_integral_skips_primes_where_the_reduction_is_not_squarefree():
+    # (lam^2 + 2)(lam^2 + 6) is lam^4 mod 2; read as a linear and a cubic
+    # factor, that reduction would meet the 2 + 2 split mod 13 in {0, 4}
+    assert is_integral((LAM**2 + 2) * (LAM**2 + 6)) == ("not_integral", "fallback")
+
+
+@pytest.mark.parametrize("expr", [LAM**4 - 10 * LAM**2 + 1, LAM**4 + 1])
+def test_is_integral_split_mod_every_prime_reaches_the_fallback(expr):
+    # irreducible over Q with no 4-cycle in the Galois group: every
+    # reduction splits, so no specialization certifies
+    assert is_integral(expr) == ("integral", "fallback")
+
+
+def test_is_integral_never_certifies_a_product():
+    assert is_integral((LAM**2 - Z) * (LAM**2 - Z - 1)) == ("not_integral", "fallback")
+
+
+def test_discriminant_bound_is_tight():
+    # lam^2 - q(z), q vanishing once at each pool point: the discriminant 4q
+    # has degree 7, exactly the bound 2 * 1 * 7/2, and vanishes at all 7
+    # pool points without being zero; p is irreducible
+    assert len(SPECIALIZATION_POOL) == 7
+    assert is_integral(LAM**2 - _SPECIALIZATION_ROOTS) == ("integral", "fallback")
+    # (lam - s)^2 with deg s = 3: the bound is 6, one below the 7 vanishing points
+    s = Z**3 + Z + 1
+    assert is_integral(sympy.expand((LAM - s) ** 2)) == ("not_integral", "discriminant")
+
+
+def test_is_integral_accepts_non_monic_input():
+    # a constant lambda-leading coefficient is divided out; one that depends
+    # on z goes to the fallback, which also sees a factor in z alone
+    assert is_integral(2 * LAM**2 - Z) == ("integral", (-1, 5))
+    assert is_integral(Z * LAM**2 - 1) == ("integral", "fallback")
+    assert is_integral(Z * (LAM**2 - 2)) == ("not_integral", "fallback")
 
 
 def test_sampler_full_flag(full_flag_type):
