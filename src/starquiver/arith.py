@@ -126,15 +126,14 @@ class _Exact:
     def singular_scale(self, a):
         return 0.0  # exact ranks need no anchor
 
-    def col_space(self, a, *_):
-        """Column space basis: the pivot rows of rref(a^T), as columns."""
+    def basis(self, a, *_):
+        """Column space basis: the pivot rows of rref(a^T), as columns; the
+        exact rank sets the width, whatever width is asked for."""
         rr, piv = ex.rref(ex.mtrans(a))
         rows = rr[: len(piv)]
         if not rows:
             return [[] for _ in a]
         return ex.mtrans(rows)
-
-    basis = col_space
 
     def kernel_vector(self, a):
         return np.array([float(x) for x in ex.nullspace(a)[0]], dtype=complex)
@@ -248,14 +247,6 @@ class _Float:
         if rel is None:
             rel = max(a.shape) * np.finfo(float).eps
         return int(np.sum(s > rel * max(float(s[0]) if s.size else 0.0, floor)))
-
-    def col_space(self, a, rel=None, floor=0.0):
-        """Leading left singular vectors, as many as ``relative_rank``."""
-        rk = self.relative_rank(a, rel, floor)
-        if rk == 0:
-            return np.zeros((a.shape[0], 0), dtype=complex)
-        u, _, _ = np.linalg.svd(a)
-        return u[:, :rk]
 
     def basis(self, a, rank):
         """The first ``rank`` left singular vectors (reduced SVD)."""

@@ -118,10 +118,6 @@ class ParabolicType:
     def n_points(self):
         return self.line.n
 
-    def sigma(self, i):
-        """Number of flag steps at point index i."""
-        return len(self.multiplicities[i])
-
     def gamma(self, i):
         """(gamma_1, ..., gamma_sigma) at point index i; gamma_sigma = 0."""
         mult = self.multiplicities[i]

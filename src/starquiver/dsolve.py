@@ -50,9 +50,10 @@ _SMOOTH_RATIO = 1e-3
 
 
 def rank_tolerance(residual):
-    """Singular value cut for the float ranks of a solution: a solution
-    whose sum is only near zero lies in its classes only up to that
-    residual, so the cut sits 1e3 above it, and never below 1e-7."""
+    """Singular value cut for the float rank profile that ``verify``
+    checks: a solution whose sum is only near zero lies in its classes only
+    up to that residual, so the cut sits 1e3 above it, and never below
+    1e-7."""
     return max(1e-7, 1e3 * residual)
 
 
@@ -267,13 +268,7 @@ class VerifyReport:
         return self.profile_ok and self.irreducible
 
 
-def verify(
-    solution: DSSolution,
-    instance: DSInstance,
-    tol=1e-8,
-    rank_tol=None,
-    hitchin=False,
-) -> VerifyReport:
+def verify(solution: DSSolution, instance: DSInstance, hitchin=False) -> VerifyReport:
     """Certification report: sum residual, exact-class rank profile,
     irreducibility words, conjugator consistency, and optionally the exact
     spectral cross-check via rational refinement."""
@@ -282,9 +277,7 @@ def verify(
     for m in solution.matrices[1:]:
         total = o.add(total, m)
     residual = o.norm(total)
-    if rank_tol is None:
-        rank_tol = rank_tolerance(residual)
-    profiles = solution.profile(rank_tol)
+    profiles = solution.profile(rank_tolerance(residual))
     expected = [c.rank_sequence for c in instance.classes]
     profile_ok = all(p == e for p, e in zip(profiles, expected))
     cert = irreducible(solution.matrices, solution.mode)
@@ -317,34 +310,28 @@ def verify(
 # flags from a solution
 
 
-def flags_from_solution(
-    solution: DSSolution, sigma: ParabolicType, rank_tol=None
-) -> HiggsTuple:
+def flags_from_solution(solution: DSSolution, sigma: ParabolicType) -> HiggsTuple:
     """Image flags of the powers: the step of dimension gamma_j at point i
     is the column space of the j-th power of A_i.
 
-    Requires the rank profile to match the type's flag dimensions; when a
-    type step is not of image form the flag is completed inside the kernel
-    lattice by deterministic column selection (flagged by construction
-    failure if impossible).  Float-mode rank thresholds are anchored at
-    the base matrix scale raised to the power, inflated by the sum
-    residual, because a solution whose sum is only near zero may be in its
-    classes only up to that residual.
+    The widths come from the type: a float step is spanned by the leading
+    gamma_j left singular vectors of A_i^j, and an exact step whose column
+    space has another dimension raises ``ValueError``.  A float solution
+    off its classes therefore gets flags it does not preserve, and the
+    tuple's validation, at a tolerance inflated by the sum residual (see
+    ``higgs_tolerance``), rejects it with ``BridgeError``.
     """
     o = ops(solution.mode)
-    if rank_tol is None:
-        rank_tol = rank_tolerance(solution.residual)
     flags = []
     for i in range(sigma.n_points):
-        gam = sigma.gamma(i)[:-1]
         a = o.coerce(solution.matrices[i])
-        scale = o.singular_scale(a)
         fl = []
         power = a
-        for j, gj in enumerate(gam, start=1):
-            basis = o.col_space(power, rank_tol, scale**j)
-            if o.shape(basis)[1] != gj:
-                basis = _complete_flag_step(o, a, power, gj)
+        for j, gj in enumerate(sigma.gamma(i)[:-1], start=1):
+            basis = o.basis(power, gj)
+            width = o.shape(basis)[1]
+            if width != gj:
+                raise ValueError(f"point {i}: flag step {j} has dimension {width}, the type needs {gj}")
             fl.append(basis)
             power = o.mul(power, a)
         flags.append(fl)
@@ -355,22 +342,6 @@ def flags_from_solution(
         mode=solution.mode,
         tol=higgs_tolerance(solution.residual),
     )
-
-
-def _complete_flag_step(o, a, power, target_dim):
-    """Extend Im(power) inside ker(a)-directions to the target dimension,
-    choosing kernel basis columns deterministically."""
-    cols = o.columns(o.col_space(power))
-    if len(cols) > target_dim:
-        raise ValueError("rank exceeds the flag step dimension")
-    for v in o.nullspace(a):
-        if len(cols) == target_dim:
-            break
-        if o.rank(o.from_columns(cols + [v])) == len(cols) + 1:
-            cols = cols + [v]
-    if len(cols) != target_dim:
-        raise ValueError("cannot complete the flag step inside the kernel")
-    return o.from_columns(cols)
 
 
 # ---------------------------------------------------------------------------

@@ -262,7 +262,7 @@ class IrreducibilityCertificate:
 IRREDUCIBLE_RTOL = 1e-9
 
 
-def irreducible(mats, mode="float", tol=IRREDUCIBLE_RTOL, want_witness=True):
+def irreducible(mats, mode="float", tol=IRREDUCIBLE_RTOL):
     """Do the matrices generate the full matrix algebra?
 
     Closes a word basis under left multiplication until the span
@@ -298,9 +298,7 @@ def irreducible(mats, mode="float", tol=IRREDUCIBLE_RTOL, want_witness=True):
     dim = len(tracker)
     if dim == r * r:
         return IrreducibilityCertificate(True, dim, words)
-    witness = None
-    if want_witness:
-        witness = _find_invariant_subspace(mats, elements, mode, tol)
+    witness = _find_invariant_subspace(mats, elements, mode, tol)
     return IrreducibilityCertificate(False, dim, words, invariant_subspace=witness)
 
 

@@ -22,10 +22,6 @@ class InputFormatError(ValueError):
     pass
 
 
-def frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def parse_frac(s) -> Fraction:
     try:
         return Fraction(s)
@@ -45,7 +41,7 @@ def scalar_from_json(v, mode):
 
 def matrix_to_json(m, mode):
     if mode == "exact":
-        return [[frac_str(x) for x in row] for row in m]
+        return [[str(x) for x in row] for row in m]
     arr = np.asarray(m, dtype=complex)
     return [[[float(x.real), float(x.imag)] for x in row] for row in arr]
 
@@ -69,7 +65,7 @@ def matrix_from_json(rows, mode, shape=None):
 
 def type_to_json(sigma: ParabolicType) -> dict:
     return {
-        "points": [frac_str(p) for p in sigma.line.points],
+        "points": [str(p) for p in sigma.line.points],
         "rank": sigma.rank,
         "K": sigma.K,
         "flags": [
@@ -127,7 +123,7 @@ def instance_to_json(inst: DSInstance) -> dict:
     return {
         "rank": inst.rank,
         "classes": [class_to_json(c) for c in inst.classes],
-        "points": [frac_str(p) for p in inst.points],
+        "points": [str(p) for p in inst.points],
     }
 
 
@@ -229,8 +225,8 @@ def higgs_from_json(data, check=True) -> HiggsTuple:
 def hitchin_to_json(hp: HitchinPoint) -> dict:
     return {
         "rank": hp.rank,
-        "points": [frac_str(p) for p in hp.points],
-        "coefficients": [[frac_str(c) for c in p] for p in hp.coeffs],
+        "points": [str(p) for p in hp.points],
+        "coefficients": [[str(c) for c in p] for p in hp.coeffs],
     }
 
 

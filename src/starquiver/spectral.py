@@ -14,12 +14,13 @@ least eps_j(x_i); the order at x = a/b comes from repeated exact integer
 division of the denominator-cleared p_j by (b z - a).
 
 The spectral polynomial lambda^r + sum_j p_j lambda^{r-j} is a small exact
-value (``SpectralPolynomial``).  Its integrality is certified in integers
-at a few specializations z = z0: an irreducible p(lambda, z0), shown by
-the factor degrees modulo small primes, or a discriminant in lambda that
-vanishes more often than its degree allows.  sympy's bivariate
-factorization runs only when neither decides, and sympy is imported only
-then, so the exact spectral checks of the CLI do not load it.
+value (``SpectralPolynomial``), the only input ``is_integral`` takes.  Its
+integrality is certified in integers at a few specializations z = z0: an
+irreducible p(lambda, z0), shown by the factor degrees modulo small
+primes, or a discriminant in lambda that vanishes more often than its
+degree allows.  sympy's bivariate factorization runs only when neither
+decides, and sympy is imported only then, so the exact spectral checks of
+the CLI do not load it.
 
 Levels whose coefficient space has negative degree carry the zero
 polynomial identically (the level-1 trace is the universal example); the
@@ -52,7 +53,7 @@ class HitchinPoint:
     """Numerator polynomials p_1..p_r over the marked line.
 
     ``coeffs[j-1]`` is the ascending coefficient list of p_j (empty list =
-    zero polynomial), with Fraction entries.
+    zero polynomial), with Fraction entries, stored without trailing zeros.
     """
 
     rank: int
@@ -64,6 +65,7 @@ class HitchinPoint:
         n = len(self.points)
         if len(self.coeffs) != self.rank:
             raise ValueError("need one coefficient polynomial per level")
+        self.coeffs = [ex.ptrim(list(p)) for p in self.coeffs]
         for j, p in enumerate(self.coeffs, start=1):
             bound = j * (n - 2)
             if p and len(p) - 1 > bound:
@@ -305,10 +307,10 @@ def spectral_poly(hp: HitchinPoint) -> SpectralPolynomial:
     """The plane model lambda^r + sum_j p_j(z) lambda^{r-j}, exactly the
     characteristic polynomial of the pole-cleared matrix, as exact
     coefficient lists; ``.as_expr()`` hands it to sympy."""
-    return SpectralPolynomial(tuple(tuple(ex.ptrim(list(p))) for p in hp.coeffs))
+    return SpectralPolynomial(tuple(map(tuple, hp.coeffs)))
 
 
-def is_integral(p):
+def is_integral(p: SpectralPolynomial):
     """Whether the plane spectral polynomial is squarefree and irreducible
     over the rationals: (verdict, certificate).
 
@@ -327,45 +329,15 @@ def is_integral(p):
     - ``'degree'``: p has no positive degree in lambda.
     - ``None`` with 'undetermined'.
 
-    ``p`` is a ``SpectralPolynomial``, whose coefficients are read directly,
-    or a sympy expression or ``Poly`` in (lam, z), which is divided by its
-    lambda-leading coefficient when that is a constant and otherwise goes
-    straight to the fallback.  The certificates run on
+    The certificates read the coefficients of ``p`` and run on
     s^r p(lambda/s, z) = lambda^r + sum_j c_j(z) lambda^{r-j}, monic over
     Z[z] for s the lcm of the denominators, in plain integers; sympy is
     imported only by the fallback.  Rational irreducibility is the
     desk-scale proxy here: absolute irreducibility is not certified.
     """
-    poly = None
-    if isinstance(p, SpectralPolynomial):
-        coeffs = p.coeffs
-    else:
-        import sympy
-
-        poly = sympy.Poly(p, *sympy.symbols("lam z"), domain="QQ")
-        coeffs = _monic_coefficients(poly) if poly.degree(poly.gens[0]) > 0 else ()
-    if coeffs is not None:
-        if not coeffs:
-            return "not_integral", "degree"
-        decided = _certify(_integer_form(coeffs))
-        if decided is not None:
-            return decided
-    return _factor_verdict(poly if poly is not None else p._poly())
-
-
-def _monic_coefficients(poly):
-    """The p_j of a ``Poly`` in (lam, z) divided by its lambda-leading
-    coefficient, or None when that coefficient is not a constant."""
-    r = poly.degree(poly.gens[0])
-    terms = {m: Fraction(int(c.p), int(c.q)) for m, c in poly.terms()}
-    lead = terms.get((r, 0))
-    if lead is None or any(a == r and b for a, b in terms):
-        return None
-    coeffs = [[Fraction(0)] * (1 + max((b for a, b in terms if a == r - j), default=-1)) for j in range(1, r + 1)]
-    for (a, b), c in terms.items():
-        if a < r:
-            coeffs[r - a - 1][b] = c / lead
-    return tuple(tuple(q) for q in coeffs)
+    if not p.coeffs:
+        return "not_integral", "degree"
+    return _certify(_integer_form(p.coeffs)) or _factor_verdict(p._poly())
 
 
 def _integer_form(coeffs):

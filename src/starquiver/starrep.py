@@ -183,14 +183,11 @@ def zero_rep(quiver: StarQuiver, mode="float") -> StarRep:
     return StarRep(quiver, f, g, mode)
 
 
-def random_rep(quiver: StarQuiver, rng, scale=1.0, real=False) -> StarRep:
-    """Independent Gaussian entries on every slot (float mode)."""
+def random_rep(quiver: StarQuiver, rng, scale=1.0) -> StarRep:
+    """Independent complex Gaussian entries on every slot (float mode)."""
 
     def draw(m, n):
-        a = rng.standard_normal((m, n))
-        if not real:
-            a = a + 1j * rng.standard_normal((m, n))
-        return scale * a
+        return scale * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
 
     f, g = [], []
     for j in range(quiver.n_arms):
@@ -285,27 +282,16 @@ class OneParameterSubgroup:
 def destabilizing_one_ps(rep: StarRep, j: int, tol=None):
     """Destabilizer for arm j, or None when every inward map has full rank.
 
-    Finds the shallowest rank-deficient level, column-reduces for a kernel
-    vector, and returns the one-parameter subgroup scaling that direction
-    by t^-1.
+    Finds the shallowest rank-deficient level, completes a kernel vector
+    to a unitary basis by one complete QR, and returns the one-parameter
+    subgroup scaling that direction by t^-1.
     """
     dims = rep.quiver.dims(j)
     for i, gm in enumerate(rep.g[j]):
         size = dims[i + 1]
         if rep.ops.rank(gm, tol) >= size:
             continue
-        vf = rep.ops.kernel_vector(gm)
-        # complete vf to a basis by Gram-Schmidt over the identity
-        cols = [vf / np.linalg.norm(vf)]
-        for k in range(size):
-            e = np.zeros(size, dtype=complex)
-            e[k] = 1.0
-            w = e - sum(c * np.vdot(c, e) for c in cols)
-            if np.linalg.norm(w) > 1e-9:
-                cols.append(w / np.linalg.norm(w))
-            if len(cols) == size:
-                break
-        basis = np.stack(cols, axis=1)
+        basis = np.linalg.qr(rep.ops.kernel_vector(gm)[:, None], mode="complete")[0]
         exponents = tuple([-1] + [0] * (size - 1))
         return OneParameterSubgroup(arm=j, level=i + 1, exponents=exponents, basis=basis)
     return None

@@ -7,12 +7,34 @@ p(lambda, z0) at seven rational z0, then the bivariate ``factor_list``.
 when no certificate decides.  The oracle's specialization check assumes
 p monic in lambda (a factor in z alone escapes it), so the differential
 tests feed it monic polynomials.  It returns the verdict alone.
+
+``spectral_of`` turns a monic expression into the ``SpectralPolynomial``
+that the library's ``is_integral`` takes.
 """
+
+from fractions import Fraction
 
 import sympy
 from sympy.polys.polyerrors import BasePolynomialError
 
+from starquiver import linalg_exact as ex
+from starquiver.spectral import SpectralPolynomial
+
 LAM, Z = sympy.symbols("lam z")
+
+
+def spectral_of(expr):
+    """The ``SpectralPolynomial`` of an expression in (lam, z) that is monic
+    in lam."""
+    poly = sympy.Poly(expr, LAM, Z, domain="QQ")
+    r = poly.degree(LAM)
+    terms = dict(poly.terms())
+    assert {m: c for m, c in terms.items() if m[0] == r} == {(r, 0): 1}, f"{expr} is not monic in lam"
+    coeffs = [[Fraction(0)] * (poly.degree(Z) + 1) for _ in range(r)]
+    for (a, b), c in terms.items():
+        if a < r:
+            coeffs[r - a - 1][b] = Fraction(int(c.p), int(c.q))
+    return SpectralPolynomial(tuple(tuple(ex.ptrim(q)) for q in coeffs))
 
 
 def is_integral(p):

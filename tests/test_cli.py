@@ -225,6 +225,23 @@ def test_ds_verify_roundtrip(tmp_path):
     assert code == 0
 
 
+def test_ds_verify_hitchin_rejects_an_off_class_solution(tmp_path, capsys):
+    # a stored solution moved off its classes, with the sum kept at zero,
+    # ends in an exit code and a one-line message
+    instance = str(FIXTURES / "ds_rank2_four_rank1.json")
+    out_path = tmp_path / "sol.json"
+    assert main(["ds", "solve", "--instance", instance, "--seed", "7", "--out", str(out_path)]) == 0
+    sol = jsonio.solution_from_json(jsonio.load(out_path))
+    g = 1e-3 * np.random.default_rng(0).standard_normal((2, 2))
+    sol.matrices[0], sol.matrices[1] = sol.matrices[0] + g, sol.matrices[1] - g
+    jsonio.dump(out_path, jsonio.solution_to_json(sol))
+    capsys.readouterr()
+    code = main(["ds", "verify", "--solution", str(out_path), "--instance", instance, "--hitchin"])
+    err = capsys.readouterr().err
+    assert code in (1, 2)
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bridge_round_trip_cli(tmp_path, capsys):
     rep_path = tmp_path / "rep.json"
     code = main(
@@ -417,6 +434,12 @@ def test_coefficient_point_with_scalar_points_is_an_input_error():
         jsonio.hitchin_from_json({"rank": 2, "points": 5, "coefficients": [[], []]})
     with pytest.raises(jsonio.InputFormatError, match="exceeds the bound"):
         jsonio.hitchin_from_json({"rank": 1, "points": ["0", "1", "2", "3"], "coefficients": [["1"] * 4]})
+
+
+def test_coefficient_point_trims_trailing_zeros():
+    # the constant 1 written with trailing zeros is within the degree bound
+    data = {"rank": 1, "points": ["0", "1", "2", "3"], "coefficients": [["1", "0", "0", "0"]]}
+    assert jsonio.hitchin_from_json(data).coeffs == [[F(1)]]
 
 
 def test_matrix_shape_checked_in_both_modes():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from starquiver.dsolve import (
     solve,
     verify,
 )
-from starquiver.higgs import higgs_to_quiver
+from starquiver.higgs import BridgeError, higgs_to_quiver
 from starquiver.starrep import moment_residual
 
 F = Fraction
@@ -123,6 +124,27 @@ def test_flags_from_zero_solution():
     out = solve(inst, SolverConfig(seed=0))
     h = flags_from_solution(out.solution, inst.parabolic_type())
     assert all(fl == [] for fl in h.flags)
+
+
+def test_off_class_float_solution_gets_no_flags(rank2_instance):
+    # the boundary solution moved off its classes, with the sum kept at zero:
+    # the flags of the prescribed widths are not preserved
+    out = solve(rank2_instance, SolverConfig(seed=2))
+    g = 1e-3 * np.random.default_rng(0).standard_normal((2, 2))
+    mats = list(out.solution.matrices)
+    mats[0], mats[1] = mats[0] + g, mats[1] - g
+    moved = replace(out.solution, matrices=mats)
+    with pytest.raises(BridgeError, match="point 0: residue does not push step 0 deeper"):
+        flags_from_solution(moved, rank2_instance.parabolic_type())
+
+
+def test_exact_flag_step_of_another_width_is_named(rank2_instance):
+    # an invertible residue at point 2 where the type asks for a line
+    mats = closed_form_matrices()
+    mats[2] = ex.meye(2)
+    sol = DSSolution(matrices=mats, conjugators=[ex.meye(2)] * 4, residual=0.0, mode="exact")
+    with pytest.raises(ValueError, match="point 2: flag step 1 has dimension 2, the type needs 1"):
+        flags_from_solution(sol, rank2_instance.parabolic_type())
 
 
 def test_pipeline_rank3_classes():

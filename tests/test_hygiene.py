@@ -1,7 +1,7 @@
 """Source hygiene: no unused imports, no unread private module-level
-names or public methods in the package, and a CLI import, an exact
-`ds verify --hitchin` and the `bridge --hitchin` conversions that do not
-load sympy."""
+names, public methods or function parameters in the package, and a CLI
+import, an exact `ds verify --hitchin` and the `bridge --hitchin`
+conversions that do not load sympy."""
 
 import ast
 import json
@@ -145,5 +145,26 @@ def test_every_public_method_is_read():
         if isinstance(cls, ast.ClassDef)
         for f in cls.body
         if isinstance(f, ast.FunctionDef) and not f.name.startswith("_") and f.name not in read
+    ]
+    assert hits == []
+
+
+def unread_parameters(tree):
+    """Named parameters of module-level functions that their body never reads."""
+    hits = []
+    for f in tree.body:
+        if isinstance(f, ast.FunctionDef):
+            args = f.args.posonlyargs + f.args.args + f.args.kwonlyargs
+            read = set().union(*(names_read(node) for node in f.body))
+            hits += [(f.name, a.arg, f.lineno) for a in args if a.arg not in read]
+    return hits
+
+
+def test_every_parameter_is_read():
+    # an option no body reads is an option no caller can use
+    hits = [
+        f"{path.name}:{line}: {name}({arg})"
+        for path in sorted((SRC / "starquiver").glob("*.py"))
+        for name, arg, line in unread_parameters(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert hits == []

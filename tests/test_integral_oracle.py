@@ -16,7 +16,7 @@ from starquiver import jsonio
 from starquiver import linalg_exact as ex
 from starquiver import spectral
 from starquiver.dsolve import exact_refine, flags_from_solution
-from starquiver.spectral import SpectralPolynomial, char_poly, is_integral, spectral_poly, vanishing_orders
+from starquiver.spectral import char_poly, is_integral, spectral_poly, vanishing_orders
 
 LAM, Z = oracle.LAM, oracle.Z
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -50,17 +50,6 @@ def _expr(coeffs):
     return LAM**r + sum(sum(c * Z**k for k, c in enumerate(q)) * LAM ** (r - j) for j, q in enumerate(coeffs, start=1))
 
 
-def _spectral(expr):
-    """The ``SpectralPolynomial`` of a monic expression in (lam, z)."""
-    poly = sympy.Poly(expr, LAM, Z)
-    r = poly.degree(LAM)
-    coeffs = [[Fraction(0)] * (poly.degree(Z) + 1) for _ in range(r)]
-    for (a, b), c in poly.terms():
-        if a < r:
-            coeffs[r - a - 1][b] = Fraction(int(c))
-    return SpectralPolynomial(tuple(tuple(ex.ptrim(q)) for q in coeffs))
-
-
 _MONIC = st.lists(st.lists(st.integers(-4, 4), max_size=3), min_size=1, max_size=3).map(_expr)
 
 
@@ -82,9 +71,7 @@ def monic_bivariates(draw):
 @given(expr=monic_bivariates())
 def test_is_integral_matches_oracle_on_monic_bivariates(expr):
     expr = sympy.expand(expr)
-    verdict, certificate = is_integral(_spectral(expr))
-    assert verdict == oracle.is_integral(expr)
-    assert is_integral(expr) == (verdict, certificate)
+    assert is_integral(oracle.spectral_of(expr))[0] == oracle.is_integral(expr)
 
 
 _POINTS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))

@@ -7,6 +7,7 @@ from sympy.polys.polyerrors import ExtraneousFactors, PolynomialError
 
 from charpoly_oracle import pole_cleared_matrix
 from conftest import closed_form_flags, closed_form_matrices
+from integral_oracle import spectral_of
 from starquiver import linalg_exact as ex
 from starquiver.combinat import MarkedLine, NilpotentClass, ParabolicType
 from starquiver.dsolve import DSInstance, SolverConfig, flags_from_solution, solve
@@ -170,11 +171,13 @@ def test_spectral_poly_shapes(full_flag_type):
 
 
 def test_is_integral_verdicts():
-    assert is_integral(LAM**2 - Z)[0] == "integral"
-    assert is_integral(LAM**2 - Z**2)[0] == "not_integral"
-    assert is_integral((LAM - Z) ** 2)[0] == "not_integral"  # not squarefree
+    assert is_integral(spectral_of(LAM**2 - Z))[0] == "integral"
+    assert is_integral(spectral_of(LAM**2 - Z**2))[0] == "not_integral"
+    assert is_integral(spectral_of((LAM - Z) ** 2))[0] == "not_integral"  # not squarefree
     # squarefree odd-degree radicand stays irreducible
-    assert is_integral(LAM**2 - (Z**3 - Z))[0] == "integral"
+    assert is_integral(spectral_of(LAM**2 - (Z**3 - Z)))[0] == "integral"
+    # no positive degree in lambda
+    assert is_integral(spectral_of(sympy.Integer(1))) == ("not_integral", "degree")
 
 
 # every z0 that is_integral specializes at is a root of this factor
@@ -191,7 +194,7 @@ def _forbid(monkeypatch, name):
 def test_is_integral_decided_by_specialization(monkeypatch):
     # at z0 = -1: lam^2 + 1 is not squarefree mod 2 and irreducible mod 3
     _forbid(monkeypatch, "factor_list")
-    assert is_integral(LAM**2 - Z) == ("integral", (-1, 3))
+    assert is_integral(spectral_of(LAM**2 - Z)) == ("integral", (-1, 3))
 
 
 def test_is_integral_decided_by_bivariate_factorization(monkeypatch):
@@ -206,9 +209,9 @@ def test_is_integral_decided_by_bivariate_factorization(monkeypatch):
     calls = []
     factor_list = sympy.Poly.factor_list
     monkeypatch.setattr(sympy.Poly, "factor_list", lambda self: calls.append(self) or factor_list(self))
-    assert is_integral(irreducible) == ("integral", "fallback")
+    assert is_integral(spectral_of(irreducible)) == ("integral", "fallback")
     assert len(calls) == 1
-    assert is_integral(LAM**2 - Z**2) == ("not_integral", "fallback")
+    assert is_integral(spectral_of(LAM**2 - Z**2)) == ("not_integral", "fallback")
 
 
 @pytest.mark.parametrize("error", [NotImplementedError, PolynomialError, ExtraneousFactors])
@@ -219,33 +222,21 @@ def test_is_integral_factorization_failure_is_undetermined(monkeypatch, error):
         raise error("no bivariate factorization here")
 
     monkeypatch.setattr(sympy.Poly, "factor_list", unsupported)
-    assert is_integral(irreducible) == ("undetermined", None)
+    assert is_integral(spectral_of(irreducible)) == ("undetermined", None)
 
     def broken(self):
         raise RuntimeError("a defect, not an inconclusive check")
 
     monkeypatch.setattr(sympy.Poly, "factor_list", broken)
     with pytest.raises(RuntimeError):
-        is_integral(irreducible)
+        is_integral(spectral_of(irreducible))
 
 
 def test_is_integral_rejects_non_squarefree(monkeypatch):
     # the discriminant has z-degree at most 6 and vanishes at all 7 pool points
     _forbid(monkeypatch, "factor_list")
     expr = sympy.expand((LAM - Z) ** 2 * (LAM + 1))
-    assert is_integral(expr) == ("not_integral", "discriminant")
-
-
-def test_is_integral_poly_and_expression_agree():
-    for expr in (
-        LAM**2 - Z,
-        LAM**2 - Z**2,
-        (LAM - Z) ** 2,
-        LAM**2 - (Z**3 - Z),
-        LAM**2 - Z**2 - _SPECIALIZATION_ROOTS,
-        Z + 1,
-    ):
-        assert is_integral(sympy.Poly(expr, LAM, Z)) == is_integral(expr)
+    assert is_integral(spectral_of(expr)) == ("not_integral", "discriminant")
 
 
 def test_is_integral_closed_form(closed_form_tuple, monkeypatch):
@@ -269,24 +260,24 @@ def test_is_integral_needs_the_intersection(monkeypatch):
     for q, degrees in ((3, [2, 2]), (5, [1, 3])):
         assert sorted(f.degree() for f, _ in sympy.Poly(expr, LAM, modulus=q).factor_list()[1]) == degrees
     _forbid(monkeypatch, "factor_list")
-    assert is_integral(expr) == ("integral", (-1, 5))
+    assert is_integral(spectral_of(expr)) == ("integral", (-1, 5))
 
 
 def test_is_integral_skips_primes_where_the_reduction_is_not_squarefree():
     # (lam^2 + 2)(lam^2 + 6) is lam^4 mod 2; read as a linear and a cubic
     # factor, that reduction would meet the 2 + 2 split mod 13 in {0, 4}
-    assert is_integral((LAM**2 + 2) * (LAM**2 + 6)) == ("not_integral", "fallback")
+    assert is_integral(spectral_of((LAM**2 + 2) * (LAM**2 + 6))) == ("not_integral", "fallback")
 
 
 @pytest.mark.parametrize("expr", [LAM**4 - 10 * LAM**2 + 1, LAM**4 + 1])
 def test_is_integral_split_mod_every_prime_reaches_the_fallback(expr):
     # irreducible over Q with no 4-cycle in the Galois group: every
     # reduction splits, so no specialization certifies
-    assert is_integral(expr) == ("integral", "fallback")
+    assert is_integral(spectral_of(expr)) == ("integral", "fallback")
 
 
 def test_is_integral_never_certifies_a_product():
-    assert is_integral((LAM**2 - Z) * (LAM**2 - Z - 1)) == ("not_integral", "fallback")
+    assert is_integral(spectral_of((LAM**2 - Z) * (LAM**2 - Z - 1))) == ("not_integral", "fallback")
 
 
 def test_discriminant_bound_is_tight():
@@ -294,18 +285,10 @@ def test_discriminant_bound_is_tight():
     # has degree 7, exactly the bound 2 * 1 * 7/2, and vanishes at all 7
     # pool points without being zero; p is irreducible
     assert len(SPECIALIZATION_POOL) == 7
-    assert is_integral(LAM**2 - _SPECIALIZATION_ROOTS) == ("integral", "fallback")
+    assert is_integral(spectral_of(LAM**2 - _SPECIALIZATION_ROOTS)) == ("integral", "fallback")
     # (lam - s)^2 with deg s = 3: the bound is 6, one below the 7 vanishing points
     s = Z**3 + Z + 1
-    assert is_integral(sympy.expand((LAM - s) ** 2)) == ("not_integral", "discriminant")
-
-
-def test_is_integral_accepts_non_monic_input():
-    # a constant lambda-leading coefficient is divided out; one that depends
-    # on z goes to the fallback, which also sees a factor in z alone
-    assert is_integral(2 * LAM**2 - Z) == ("integral", (-1, 5))
-    assert is_integral(Z * LAM**2 - 1) == ("integral", "fallback")
-    assert is_integral(Z * (LAM**2 - 2)) == ("not_integral", "fallback")
+    assert is_integral(spectral_of(sympy.expand((LAM - s) ** 2))) == ("not_integral", "discriminant")
 
 
 def test_sampler_full_flag(full_flag_type):

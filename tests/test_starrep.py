@@ -171,6 +171,21 @@ def test_destabilizer_middle_level_replay_bounded():
     assert max(sizes) < 10 * max(np.abs(rep.g[0][0]).max(), np.abs(rep.g[0][1]).max())
 
 
+def test_destabilizer_basis_is_unitary_and_spans_the_kernel():
+    rng = np.random.default_rng(4)
+    q = StarQuiver(rank=4, arms=((3, 1),))
+    rep = random_rep(q, rng)
+    u = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
+    v = rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3))
+    rep.g[0][0] = u @ v
+    b = destabilizing_one_ps(rep, 0).basis
+    assert b.shape == (3, 3)
+    assert np.linalg.norm(b.conj().T @ b - np.eye(3)) < 1e-12
+    # the first column spans the kernel of the rank-deficient inward map
+    assert np.linalg.norm(rep.g[0][0] @ b[:, 0]) < 1e-12 * np.linalg.norm(rep.g[0][0])
+    assert abs(abs(np.vdot(b[:, 0], rep.ops.kernel_vector(rep.g[0][0]))) - 1.0) < 1e-12
+
+
 def test_trace_along_cycles():
     rep = closed_form_rep()
     t = trace_along_cycle(rep, [("f", 0, 1), ("g", 0, 1)])
