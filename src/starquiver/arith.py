@@ -160,7 +160,7 @@ class _Exact:
         """Column space of vecs contained in column space of span?"""
         return ex.rank(ex.hstack([span, vecs])) == ex.rank(span)
 
-    def intersection_dim(self, a, b, *_):
+    def intersection_dim(self, a, b):
         """dim(col a  meet  col b) = rk a + rk b - rk [a b]."""
         return ex.rank(a) + ex.rank(b) - ex.rank(ex.hstack([a, b]))
 
@@ -299,11 +299,12 @@ class _Float:
         scale = max(1.0, float(np.linalg.norm(vecs)))
         return bool(np.linalg.norm(resid) <= tol * scale)
 
-    def intersection_dim(self, a, b, tol=None):
-        """dim(col a  meet  col b) = rk a + rk b - rk [a b], ranks at ``tol``."""
+    def intersection_dim(self, a, b):
+        """dim(col a  meet  col b) = rk a + rk b - rk [a b], at the default
+        ``rank`` cut."""
         if a.shape[1] == 0 or b.shape[1] == 0:
             return 0
-        return self.rank(a, tol) + self.rank(b, tol) - self.rank(np.hstack([a, b]), tol)
+        return self.rank(a) + self.rank(b) - self.rank(np.hstack([a, b]))
 
     def span_tracker(self, tol):
         return _FloatSpan(tol)

@@ -322,7 +322,7 @@ def cmd_poisson_check(args):
     rep = jsonio.rep_from_json(jsonio.load(args.rep)).to_float()
     n = rep.quiver.n_arms
     if args.points:
-        points = [float(Fraction(p)) for p in args.points.split(",")]
+        points = [float(jsonio.parse_frac(p)) for p in args.points.split(",")]
         if len(points) != n:
             raise InputFormatError("need one point per arm")
     else:

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 
 class EnumerationBoundExceeded(RuntimeError):
-    """Raised when an exhaustive search would exceed its configured cap."""
+    """Raised when an exhaustive search would exceed its fixed cap."""
 
 
 class UnknownPointError(KeyError):
@@ -321,7 +321,11 @@ def simpleness_condition(sigma: ParabolicType) -> bool:
     )
 
 
-def weights_generic(sigma: ParabolicType, max_cases: int = 5_000_000) -> bool:
+# weights_generic gives up past this many profiles at a point or weight sums
+_MAX_CASES = 5_000_000
+
+
+def weights_generic(sigma: ParabolicType) -> bool:
     """No proper sub-rank s, per-point intersection profile bounded by the
     multiplicities, and integer degree d in [-r, 0] gives a sub-object
     slope exactly equal to the full slope.
@@ -343,15 +347,15 @@ def weights_generic(sigma: ParabolicType, max_cases: int = 5_000_000) -> bool:
             count = 1
             for rg in ranges:
                 count *= len(rg)
-            if count > max_cases:
+            if count > _MAX_CASES:
                 raise EnumerationBoundExceeded(
-                    f"profile enumeration at a point exceeds {max_cases} cases"
+                    f"profile enumeration at a point exceeds {_MAX_CASES} cases"
                 )
             for combo in itertools.product(*ranges):
                 if sum(combo) == s:
                     point_vals.add(sum(a * m for a, m in zip(wts, combo)))
             new_sums = {t + v for t in sums for v in point_vals}
-            if len(new_sums) > max_cases:
+            if len(new_sums) > _MAX_CASES:
                 raise EnumerationBoundExceeded("weight sumset grew past the cap")
             sums = new_sums
         for d in range(-r, 1):
@@ -362,11 +366,11 @@ def weights_generic(sigma: ParabolicType, max_cases: int = 5_000_000) -> bool:
     return True
 
 
-def type_from_classes(classes, points=None, K=None):
+def type_from_classes(classes, points=None):
     """Parabolic type whose flag dimensions at point i match the power
     ranks of classes[i], with small weights.
 
-    Default points are 0, 1, 2, ...; default weights are 0, 1, ..., with K
+    Default points are 0, 1, 2, ...; the weights are 0, 1, ..., with K
     just large enough that the small-weights inequality holds strictly.
     """
     if not classes:
@@ -379,9 +383,7 @@ def type_from_classes(classes, points=None, K=None):
         raise ValueError("one marked point per class required")
     mults = [c.flag_multiplicities() for c in classes]
     weights = [tuple(range(len(m))) for m in mults]
-    if K is None:
-        top = sum(w[-1] for w in weights)
-        K = r * top + 1
+    K = r * sum(w[-1] for w in weights) + 1
     line = MarkedLine(tuple(points), allow_small=True)
     return ParabolicType(
         line=line, rank=r, K=K, multiplicities=tuple(mults), weights=tuple(weights)

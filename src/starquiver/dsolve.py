@@ -91,8 +91,8 @@ class DSInstance:
     def n(self):
         return len(self.classes)
 
-    def parabolic_type(self, K=None) -> ParabolicType:
-        return type_from_classes(list(self.classes), points=list(self.points), K=K)
+    def parabolic_type(self) -> ParabolicType:
+        return type_from_classes(list(self.classes), points=list(self.points))
 
     def feasibility(self) -> FeasibilityReport:
         return ds_feasible(list(self.classes), self.rank)
@@ -271,8 +271,21 @@ class VerifyReport:
 def verify(solution: DSSolution, instance: DSInstance, hitchin=False) -> VerifyReport:
     """Certification report: sum residual, exact-class rank profile,
     irreducibility words, conjugator consistency, and optionally the exact
-    spectral cross-check via rational refinement."""
+    spectral cross-check via rational refinement, which runs only when the
+    rank profile passes.
+
+    Raises ``ValueError`` naming the first point without one rank x rank
+    matrix and one rank x rank conjugator for its class.
+    """
     o = ops(solution.mode)
+    r, mats, conj = instance.rank, solution.matrices, solution.conjugators
+    for i in range(max(instance.n, len(mats), len(conj))):
+        pair = [x[i] for x in (mats, conj) if i < len(x)]
+        if i >= instance.n or len(pair) < 2 or any(o.shape(m) != (r, r) for m in pair):
+            raise ValueError(
+                f"point {i}: the solution needs one {r}x{r} matrix and one {r}x{r} "
+                f"conjugator at each of the instance's {instance.n} points"
+            )
     total = solution.matrices[0]
     for m in solution.matrices[1:]:
         total = o.add(total, m)
@@ -286,7 +299,7 @@ def verify(solution: DSSolution, instance: DSInstance, hitchin=False) -> VerifyR
         n = o.from_exact(_jordan(c))
         conj_err = max(conj_err, o.norm(o.sub(a, o.mul(o.mul(p, n), o.inv(p)))))
     hitchin_report = None
-    if hitchin:
+    if hitchin and profile_ok:
         from .spectral import char_poly, vanishing_orders
 
         exact_sol = exact_refine(solution, instance)

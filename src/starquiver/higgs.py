@@ -122,7 +122,8 @@ class HiggsTuple:
                 else:
                     okay = o.contains(dst, image, self.tol)
                 if not okay:
-                    out.append(f"point {i}: residue does not push step {j} deeper")
+                    step = f"step {j}" if j else "the full space"
+                    out.append(f"point {i}: residue does not push {step} deeper")
                     break
         return out
 
@@ -159,15 +160,12 @@ def quiver_to_higgs(rep: StarRep, sigma: ParabolicType, tol=1e-8) -> HiggsTuple:
     return HiggsTuple(sigma=sigma, matrices=mats, flags=flags, mode=rep.mode, tol=tol)
 
 
-def higgs_to_quiver(h: HiggsTuple, tol=None) -> StarRep:
+def higgs_to_quiver(h: HiggsTuple) -> StarRep:
     """Inward maps are basis inclusions of consecutive flag steps; outward
     maps are the residues written from one step's basis to the next.
 
-    The corestriction solve tolerance defaults to the tuple's own
-    validation tolerance.
+    The corestriction solves use the tuple's own validation tolerance.
     """
-    if tol is None:
-        tol = h.tol
     quiver = build_star_quiver(h.sigma)
     o = h.ops
     f, g = [], []
@@ -178,8 +176,8 @@ def higgs_to_quiver(h: HiggsTuple, tol=None) -> StarRep:
         for j in range(1, len(chain)):
             prev, cur = chain[j - 1], chain[j]
             try:
-                gj.append(o.solve(prev, cur, tol))
-                fj.append(o.solve(cur, o.mul(a, prev), tol))
+                gj.append(o.solve(prev, cur, h.tol))
+                fj.append(o.solve(cur, o.mul(a, prev), h.tol))
             except ValueError as e:
                 raise BridgeError(
                     f"point {i}: flag step {j} is not preserved strongly ({e})"
@@ -206,7 +204,7 @@ def assemble_phi(h: HiggsTuple, z):
 # slopes
 
 
-def parabolic_slope(h: HiggsTuple, w=None, degree=0, point_fibers=None, tol=None):
+def parabolic_slope(h: HiggsTuple, w=None, degree=0, point_fibers=None):
     """Weighted slope of the subobject spanned by ``w`` (the full object
     when ``w`` is None), as an exact rational.
 
@@ -225,7 +223,7 @@ def parabolic_slope(h: HiggsTuple, w=None, degree=0, point_fibers=None, tol=None
     if k == 0:
         raise BridgeError("subobject must be nonzero")
     for fib in fibers:
-        if o.rank(fib, tol) != k:
+        if o.rank(fib) != k:
             raise BridgeError("subobject basis is rank deficient")
     total = Fraction(0)
     for i in range(sig.n_points):
@@ -237,7 +235,7 @@ def parabolic_slope(h: HiggsTuple, w=None, degree=0, point_fibers=None, tol=None
             elif j == len(fl) - 1:
                 inter.append(0)
             else:
-                inter.append(o.intersection_dim(step, fibers[i], tol))
+                inter.append(o.intersection_dim(step, fibers[i]))
         for j, a in enumerate(sig.weights[i], start=1):
             total += a * (inter[j - 1] - inter[j])
     return (Fraction(degree) + total / sig.K) / k
@@ -258,11 +256,12 @@ class IrreducibilityCertificate:
 # a word of the residues spans a new direction of their algebra only when
 # its norm and its part orthogonal to the span both exceed this fraction of
 # the largest word norm and of its own norm: roundoff in the word products
-# of order-one entries stays orders of magnitude below it
+# of order-one entries stays orders of magnitude below it.  The search for an
+# invariant subspace of a reducible tuple cuts its ranks at the same value.
 IRREDUCIBLE_RTOL = 1e-9
 
 
-def irreducible(mats, mode="float", tol=IRREDUCIBLE_RTOL):
+def irreducible(mats, mode="float"):
     """Do the matrices generate the full matrix algebra?
 
     Closes a word basis under left multiplication until the span
@@ -276,7 +275,7 @@ def irreducible(mats, mode="float", tol=IRREDUCIBLE_RTOL):
     o = arith.ops(mode)
     r = o.shape(mats[0])[0]
     eye = o.eye(r)
-    tracker = o.span_tracker(tol)
+    tracker = o.span_tracker(IRREDUCIBLE_RTOL)
     tracker.add(o.flatten(eye))
     words = [()]
     elements = [eye]
@@ -298,20 +297,20 @@ def irreducible(mats, mode="float", tol=IRREDUCIBLE_RTOL):
     dim = len(tracker)
     if dim == r * r:
         return IrreducibilityCertificate(True, dim, words)
-    witness = _find_invariant_subspace(mats, elements, mode, tol)
+    witness = _find_invariant_subspace(mats, elements, mode)
     return IrreducibilityCertificate(False, dim, words, invariant_subspace=witness)
 
 
-def _algebra_closure_of_vector(elements, v, o, tol):
+def _algebra_closure_of_vector(elements, v, o):
     """Column space of {m v : m in algebra span}; invariant by closure."""
     stacked = o.from_columns([o.apply(m, v) for m in elements])
-    rk = o.rank(stacked, tol)
+    rk = o.rank(stacked, IRREDUCIBLE_RTOL)
     if rk == 0 or rk == o.shape(stacked)[0]:
         return None
     return o.basis(stacked, rk)
 
 
-def _find_invariant_subspace(mats, elements, mode, tol):
+def _find_invariant_subspace(mats, elements, mode):
     o = arith.ops(mode)
     r = o.shape(mats[0])[0]
     candidates = o.columns(o.eye(r))
@@ -329,7 +328,7 @@ def _find_invariant_subspace(mats, elements, mode, tol):
         for col in range(vecs.shape[1]):
             candidates.append(vecs[:, col])
     for v in candidates:
-        basis = _algebra_closure_of_vector(elements, v, o, tol)
+        basis = _algebra_closure_of_vector(elements, v, o)
         if basis is not None:
             return basis
     return None
@@ -348,7 +347,7 @@ class StabilityReport:
     exhaustive: bool = False
 
 
-def stability_verdict(h: HiggsTuple, seed=0, tol=IRREDUCIBLE_RTOL) -> StabilityReport:
+def stability_verdict(h: HiggsTuple) -> StabilityReport:
     """Stable when the residues act irreducibly; otherwise compares the
     slopes of the invariant subspaces the search finds.
 
@@ -364,11 +363,11 @@ def stability_verdict(h: HiggsTuple, seed=0, tol=IRREDUCIBLE_RTOL) -> StabilityR
             "the reduction to constant subspaces requires the small-weights bound"
         )
     full = parabolic_slope(h)
-    cert = irreducible(h.matrices, h.mode, tol)
+    cert = irreducible(h.matrices, h.mode)
     if cert.irreducible:
         return StabilityReport(verdict="stable", full_slope=full, exhaustive=True)
     # reducible: every subobject test happens on invariant subspaces
-    candidates = _invariant_subspace_candidates(h, cert, seed, tol)
+    candidates = _invariant_subspace_candidates(h, cert)
     best = None
     saw_equal = False
     for basis in candidates:
@@ -393,11 +392,11 @@ def stability_verdict(h: HiggsTuple, seed=0, tol=IRREDUCIBLE_RTOL) -> StabilityR
     return StabilityReport(verdict="inconclusive", full_slope=full)
 
 
-def _invariant_subspace_candidates(h: HiggsTuple, cert, seed, tol):
+def _invariant_subspace_candidates(h: HiggsTuple, cert):
     """Invariant subspaces to test: the certificate witness, algebra
-    closures of flag steps and coordinate vectors, and seeded random
-    vectors.  Zero tuples make every subspace invariant, so flag steps and
-    coordinate subspaces enter directly."""
+    closures of flag steps, coordinate vectors and four random vectors from
+    a fixed seed.  Zero tuples make every subspace invariant, so flag steps
+    and coordinate subspaces enter directly."""
     r = h.rank
     o = h.ops
     mats = h.matrices
@@ -415,7 +414,7 @@ def _invariant_subspace_candidates(h: HiggsTuple, cert, seed, tol):
         out.append(cert.invariant_subspace)
     seeds = [v for fl in h.flags for b in fl for v in o.columns(b)]
     seeds += o.columns(eye)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for _ in range(4):
         if h.mode == "exact":
             seeds.append([Fraction(int(rng.integers(-5, 6))) for _ in range(r)])
@@ -429,7 +428,7 @@ def _invariant_subspace_candidates(h: HiggsTuple, cert, seed, tol):
             if o.rank(basis) == 1:
                 out.append(basis)
             continue
-        basis = _algebra_closure_of_vector(elements, v, o, tol)
+        basis = _algebra_closure_of_vector(elements, v, o)
         if basis is not None:
             out.append(basis)
     # also flag steps themselves when invariant

@@ -6,6 +6,7 @@ by repr, and every report is dumped with sorted keys so identical inputs
 produce byte-identical files.
 """
 
+import functools
 import json
 from fractions import Fraction
 
@@ -29,9 +30,27 @@ def parse_frac(s) -> Fraction:
         raise InputFormatError(f"not an exact rational: {s!r}") from e
 
 
-def scalar_from_json(v, mode):
-    if mode == "exact":
-        return parse_frac(v)
+def _decoder(what):
+    """Decorate the decoder of the value ``what`` so that malformed data ends
+    in one ``InputFormatError``: a missing field, or an invalid value with
+    the message of the error that decoding it raised."""
+
+    def wrap(decode):
+        @functools.wraps(decode)
+        def run(data, *args, **kwargs):
+            try:
+                return decode(data, *args, **kwargs)
+            except KeyError as e:
+                raise InputFormatError(f"{what} is missing the field {e}") from e
+            except (AttributeError, TypeError, ValueError, ZeroDivisionError) as e:
+                raise InputFormatError(f"invalid {what}: {e}") from e
+
+        return run
+
+    return wrap
+
+
+def scalar_from_json(v):
     if isinstance(v, (int, float)):
         return complex(v)
     if isinstance(v, list) and len(v) == 2:
@@ -56,7 +75,7 @@ def matrix_from_json(rows, mode, shape=None):
         raise InputFormatError(f"matrix has shape {(len(rows), width)}, expected {shape}")
     if mode == "exact":
         return [[parse_frac(x) for x in row] for row in rows]
-    return np.array([[scalar_from_json(x, "float") for x in row] for row in rows], dtype=complex)
+    return np.array([[scalar_from_json(x) for x in row] for row in rows], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -75,24 +94,20 @@ def type_to_json(sigma: ParabolicType) -> dict:
     }
 
 
+@_decoder("parabolic type")
 def type_from_json(data) -> ParabolicType:
-    try:
-        points = tuple(parse_frac(p) for p in data["points"])
-        flags = data["flags"]
-        mults = tuple(tuple(int(x) for x in f["multiplicities"]) for f in flags)
-        weights = tuple(tuple(int(x) for x in f["weights"]) for f in flags)
-        line = MarkedLine(points, allow_small=len(points) < 4)
-        return ParabolicType(
-            line=line,
-            rank=int(data["rank"]),
-            K=int(data["K"]),
-            multiplicities=mults,
-            weights=weights,
-        )
-    except KeyError as e:
-        raise InputFormatError(f"parabolic type is missing the field {e}") from e
-    except (TypeError, ValueError) as e:
-        raise InputFormatError(f"invalid parabolic type: {e}") from e
+    points = tuple(parse_frac(p) for p in data["points"])
+    flags = data["flags"]
+    mults = tuple(tuple(int(x) for x in f["multiplicities"]) for f in flags)
+    weights = tuple(tuple(int(x) for x in f["weights"]) for f in flags)
+    line = MarkedLine(points, allow_small=len(points) < 4)
+    return ParabolicType(
+        line=line,
+        rank=int(data["rank"]),
+        K=int(data["K"]),
+        multiplicities=mults,
+        weights=weights,
+    )
 
 
 def class_to_json(c: NilpotentClass) -> dict:
@@ -103,20 +118,14 @@ def class_to_json(c: NilpotentClass) -> dict:
     }
 
 
+@_decoder("nilpotent class")
 def class_from_json(data) -> NilpotentClass:
-    try:
-        if "rank_sequence" in data:
-            return NilpotentClass(
-                rank=int(data["rank"]),
-                rank_sequence=tuple(int(x) for x in data["rank_sequence"]),
-            )
-        return NilpotentClass.from_partition(
-            data["partition"], rank=int(data["rank"])
+    if "rank_sequence" in data:
+        return NilpotentClass(
+            rank=int(data["rank"]),
+            rank_sequence=tuple(int(x) for x in data["rank_sequence"]),
         )
-    except KeyError as e:
-        raise InputFormatError(f"nilpotent class is missing the field {e}") from e
-    except (TypeError, ValueError) as e:
-        raise InputFormatError(f"invalid nilpotent class: {e}") from e
+    return NilpotentClass.from_partition(data["partition"], rank=int(data["rank"]))
 
 
 def instance_to_json(inst: DSInstance) -> dict:
@@ -127,17 +136,13 @@ def instance_to_json(inst: DSInstance) -> dict:
     }
 
 
+@_decoder("instance")
 def instance_from_json(data) -> DSInstance:
-    try:
-        classes = tuple(class_from_json(c) for c in data["classes"])
-        points = None
-        if "points" in data and data["points"] is not None:
-            points = tuple(parse_frac(p) for p in data["points"])
-        return DSInstance(rank=int(data["rank"]), classes=classes, points=points)
-    except KeyError as e:
-        raise InputFormatError(f"instance is missing the field {e}") from e
-    except (TypeError, ValueError) as e:
-        raise InputFormatError(f"invalid instance: {e}") from e
+    classes = tuple(class_from_json(c) for c in data["classes"])
+    points = None
+    if "points" in data and data["points"] is not None:
+        points = tuple(parse_frac(p) for p in data["points"])
+    return DSInstance(rank=int(data["rank"]), classes=classes, points=points)
 
 
 # ---------------------------------------------------------------------------
@@ -158,30 +163,18 @@ def rep_to_json(rep: StarRep) -> dict:
     }
 
 
+@_decoder("representation")
 def rep_from_json(data) -> StarRep:
-    try:
-        quiver = StarQuiver(
-            rank=int(data["rank"]), arms=tuple(tuple(a) for a in data["arms"])
-        )
-        mode = data.get("mode", "float")
-        f, g = [], []
-        for j in range(quiver.n_arms):
-            dims = quiver.dims(j)
-            fj, gj = [], []
-            for i in range(len(dims) - 1):
-                fj.append(
-                    matrix_from_json(data["matrices"][f"f/{j + 1}/{i + 1}"], mode)
-                )
-                gj.append(
-                    matrix_from_json(data["matrices"][f"g/{j + 1}/{i + 1}"], mode)
-                )
-            f.append(fj)
-            g.append(gj)
-        return StarRep(quiver, f, g, mode)
-    except KeyError as e:
-        raise InputFormatError(f"representation is missing the entry {e}") from e
-    except (TypeError, ValueError) as e:
-        raise InputFormatError(f"invalid representation: {e}") from e
+    quiver = StarQuiver(rank=int(data["rank"]), arms=tuple(tuple(int(d) for d in a) for a in data["arms"]))
+    mode = data.get("mode", "float")
+    f, g = [], []
+    for j in range(quiver.n_arms):
+        f.append([])
+        g.append([])
+        for i in range(1, len(quiver.dims(j))):
+            f[j].append(matrix_from_json(data["matrices"][f"f/{j + 1}/{i}"], mode))
+            g[j].append(matrix_from_json(data["matrices"][f"g/{j + 1}/{i}"], mode))
+    return StarRep(quiver, f, g, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +192,7 @@ def higgs_to_json(h: HiggsTuple) -> dict:
     }
 
 
+@_decoder("residue tuple")
 def higgs_from_json(data, check=True) -> HiggsTuple:
     if "splitting_type" in data and any(int(d) != 0 for d in data["splitting_type"]):
         raise InputFormatError(
@@ -207,19 +201,12 @@ def higgs_from_json(data, check=True) -> HiggsTuple:
             "requires a homologically trivial bundle with its global "
             "trivialization"
         )
-    try:
-        sigma = type_from_json(data["type"])
-        mode = data.get("mode", "float")
-        mats = [matrix_from_json(m, mode) for m in data["matrices"]]
-        flags = [[matrix_from_json(b, mode) for b in fl] for fl in data["flags"]]
-        tol = float(data.get("tol", 1e-8))
-        return HiggsTuple(
-            sigma=sigma, matrices=mats, flags=flags, mode=mode, tol=tol, check=check
-        )
-    except KeyError as e:
-        raise InputFormatError(f"residue tuple is missing the field {e}") from e
-    except (TypeError, ValueError) as e:
-        raise InputFormatError(f"invalid residue tuple: {e}") from e
+    sigma = type_from_json(data["type"])
+    mode = data.get("mode", "float")
+    mats = [matrix_from_json(m, mode) for m in data["matrices"]]
+    flags = [[matrix_from_json(b, mode) for b in fl] for fl in data["flags"]]
+    tol = float(data.get("tol", 1e-8))
+    return HiggsTuple(sigma=sigma, matrices=mats, flags=flags, mode=mode, tol=tol, check=check)
 
 
 def hitchin_to_json(hp: HitchinPoint) -> dict:
@@ -230,17 +217,13 @@ def hitchin_to_json(hp: HitchinPoint) -> dict:
     }
 
 
+@_decoder("coefficient point")
 def hitchin_from_json(data) -> HitchinPoint:
-    try:
-        return HitchinPoint(
-            rank=int(data["rank"]),
-            points=tuple(parse_frac(p) for p in data["points"]),
-            coeffs=[[parse_frac(c) for c in p] for p in data["coefficients"]],
-        )
-    except KeyError as e:
-        raise InputFormatError(f"coefficient point is missing the field {e}") from e
-    except (TypeError, ValueError) as e:
-        raise InputFormatError(f"invalid coefficient point: {e}") from e
+    return HitchinPoint(
+        rank=int(data["rank"]),
+        points=tuple(parse_frac(p) for p in data["points"]),
+        coeffs=[[parse_frac(c) for c in p] for p in data["coefficients"]],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -261,23 +244,17 @@ def solution_to_json(sol: DSSolution, report=None) -> dict:
     return out
 
 
+@_decoder("solution")
 def solution_from_json(data) -> DSSolution:
-    try:
-        mode = data.get("mode", "float")
-        mats = [matrix_from_json(m, mode) for m in data["matrices"]]
-        conj = [matrix_from_json(p, mode) for p in data["conjugators"]]
-        return DSSolution(
-            matrices=mats,
-            conjugators=conj,
-            residual=float(data.get("residual", 0.0)),
-            mode=mode,
-            restart_index=int(data.get("restart_index", -1)),
-            iterations=int(data.get("iterations", 0)),
-        )
-    except KeyError as e:
-        raise InputFormatError(f"solution is missing the field {e}") from e
-    except (AttributeError, TypeError, ValueError) as e:  # AttributeError: not a JSON object
-        raise InputFormatError(f"invalid solution: {e}") from e
+    mode = data.get("mode", "float")
+    return DSSolution(
+        matrices=[matrix_from_json(m, mode) for m in data["matrices"]],
+        conjugators=[matrix_from_json(p, mode) for p in data["conjugators"]],
+        residual=float(data.get("residual", 0.0)),
+        mode=mode,
+        restart_index=int(data.get("restart_index", -1)),
+        iterations=int(data.get("iterations", 0)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,14 @@ def zero_gradient(quiver: StarQuiver) -> Gradient:
 
 
 def _matrices(x) -> list:
-    """The f then the g matrices of x, arm by arm and level by level."""
+    """The f then the g matrices of x, arm by arm and level by level: the
+    order of the packed coordinates."""
     return [m for arms in (x.f, x.g) for arm in arms for m in arm]
+
+
+def _offsets(mats):
+    """Where each of ``mats`` starts in the packed vector, then its length."""
+    return np.cumsum([0] + [m.size for m in mats])
 
 
 @dataclass
@@ -64,42 +70,47 @@ class GradientOracleError(RuntimeError):
     pass
 
 
-def fd_gradient(obs: Observable, rep: StarRep, h=1e-6) -> Gradient:
-    """Central finite differences entry by entry (real step; exact for the
-    holomorphic polynomials used here, up to truncation error).  Each entry
-    of ``rep`` is set to x + h and x - h in place and restored, also when
-    ``obs.value`` raises."""
+# the step of every central difference: fd_gradient and the oracle self-check
+FD_STEP = 1e-6
+
+
+def fd_gradient(obs: Observable, rep: StarRep) -> Gradient:
+    """Central finite differences entry by entry (real step ``FD_STEP``;
+    exact for the holomorphic polynomials used here, up to truncation
+    error).  Each entry x of ``rep`` is set to x + FD_STEP and x - FD_STEP
+    in place and restored, also when ``obs.value`` raises."""
     out = zero_gradient(rep.quiver)
     for mat, grad in zip(_matrices(rep), _matrices(out)):
         for idx in np.ndindex(mat.shape):
             x = mat[idx]
             try:
-                mat[idx] = x + h
+                mat[idx] = x + FD_STEP
                 plus = obs.value(rep)
-                mat[idx] = x - h
+                mat[idx] = x - FD_STEP
                 minus = obs.value(rep)
             finally:
                 mat[idx] = x
-            grad[idx] = (plus - minus) / (2 * h)
+            grad[idx] = (plus - minus) / (2 * FD_STEP)
     return out
 
 
-# central differences at h = 1e-6 err by ~1e-10 relative, a wrong oracle term by O(1)
+# central differences at FD_STEP err by ~1e-10 relative, a wrong oracle term by O(1)
 SELFCHECK_RTOL = 1e-4
 
 
-def _selfcheck(obs: Observable, seed=911, probes=2, h=1e-6):
-    """Directional derivative probes of the closed-form oracle."""
-    rng = np.random.default_rng(seed)
+def _selfcheck(obs: Observable):
+    """Two directional derivative probes of the closed-form oracle, at a
+    random representation from a fixed seed."""
+    rng = np.random.default_rng(911)
     rep = random_rep(obs.quiver, rng, scale=0.7)
     g = obs.grad(rep)
-    for _ in range(probes):
+    for _ in range(2):
         d = random_rep(obs.quiver, rng, scale=1.0)
         plus, minus = rep.copy(), rep.copy()
         for p, m, step in zip(_matrices(plus), _matrices(minus), _matrices(d)):
-            p += h * step
-            m -= h * step
-        fd = (obs.value(plus) - obs.value(minus)) / (2 * h)
+            p += FD_STEP * step
+            m -= FD_STEP * step
+        fd = (obs.value(plus) - obs.value(minus)) / (2 * FD_STEP)
         analytic = complex(pack_rep(g) @ pack_rep(d))
         if abs(fd - analytic) > SELFCHECK_RTOL * max(1.0, abs(fd)):
             raise GradientOracleError(
@@ -262,41 +273,33 @@ def euler_step(rep: StarRep, field: VectorField, h: float) -> StarRep:
 # quadratic observables (closed under the bracket; used for Jacobi tests)
 
 
-def slot_index(quiver: StarQuiver):
-    """Flat coordinate order: all f entries arm by arm, then all g."""
-    zero = zero_gradient(quiver)
-    return [
-        (kind, j, i, a, b)
-        for kind, arms in (("f", zero.f), ("g", zero.g))
-        for j, arm in enumerate(arms)
-        for i, m in enumerate(arm)
-        for a, b in np.ndindex(m.shape)
-    ]
-
-
 def poisson_tensor(quiver: StarQuiver) -> np.ndarray:
-    """Constant antisymmetric pairing J with {v_a, v_b} = J[a, b]."""
-    slots = slot_index(quiver)
-    pos = {s: idx for idx, s in enumerate(slots)}
-    jmat = np.zeros((len(slots), len(slots)))
-    for idx, (_, j, i, a, b) in enumerate(slots[: len(slots) // 2]):  # the f slots
-        p = pos[("g", j, i, b, a)]
-        jmat[idx, p] = 1.0
-        jmat[p, idx] = -1.0
+    """Constant antisymmetric pairing J with {v_a, v_b} = J[a, b]: entry
+    [a, b] of each f matrix against entry [b, a] of its g matrix."""
+    mats = _matrices(zero_gradient(quiver))
+    at, half = _offsets(mats), len(mats) // 2
+    jmat = np.zeros((at[-1], at[-1]))
+    for k, m in enumerate(mats[:half]):
+        f_at = at[k] + np.arange(m.size).reshape(m.shape)
+        g_at = at[half + k] + np.arange(m.size).reshape(m.shape[::-1]).T
+        jmat[f_at, g_at] = 1.0
+        jmat[g_at, f_at] = -1.0
     return jmat
 
 
 def pack_rep(rep) -> np.ndarray:
-    """A representation's or a Gradient's entries in ``slot_index`` order."""
+    """A representation's or a Gradient's entries in ``_matrices`` order,
+    each matrix row-major."""
     parts = [m.reshape(-1) for m in _matrices(rep)]
     return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
 
 
 def gradient_from_vector(quiver: StarQuiver, vec) -> Gradient:
-    out, pos = zero_gradient(quiver), 0
-    for m in _matrices(out):
-        m[...] = vec[pos : pos + m.size].reshape(m.shape)
-        pos += m.size
+    out = zero_gradient(quiver)
+    mats = _matrices(out)
+    at = _offsets(mats)
+    for m, start, end in zip(mats, at, at[1:]):
+        m[...] = vec[start:end].reshape(m.shape)
     return out
 
 
@@ -368,46 +371,45 @@ class QuadraticBracket(QuadraticObservable):
 # moment entries as observables, tangent spaces, Hamiltonian counting
 
 
+def _kron(a, b):
+    """``np.kron`` of two matrices (the same products), without its overhead
+    on small operands."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def moment_entry_gradients(rep: StarRep):
     """Gradients of every moment-map entry at the representation, as rows
-    of a Jacobian over the packed coordinates."""
-    quiver = rep.quiver
-    slots = slot_index(quiver)
-    pos = {s: idx for idx, s in enumerate(slots)}
-    d = len(slots)
-    rows = []
-    r = quiver.rank
-    # central component sum_m g_1^m f_1^m
-    for k in range(r):
-        for l in range(r):
-            row = np.zeros(d, dtype=complex)
-            for m in range(quiver.n_arms):
-                if not rep.f[m]:
-                    continue
-                g1, f1 = rep.g[m][0], rep.f[m][0]
-                for a in range(f1.shape[0]):
-                    row[pos[("f", m, 0, a, l)]] += g1[k, a]
-                    row[pos[("g", m, 0, k, a)]] += f1[a, l]
-            rows.append(row)
-    # arm components f_i g_i - g_{i+1} f_{i+1} (tip: f_s g_s)
-    for m in range(quiver.n_arms):
-        s_len = len(rep.f[m])
-        for i in range(s_len):
-            fi, gi = rep.f[m][i], rep.g[m][i]
-            size = fi.shape[0]
-            for k in range(size):
-                for l in range(size):
-                    row = np.zeros(d, dtype=complex)
-                    for b in range(fi.shape[1]):
-                        row[pos[("f", m, i, k, b)]] += gi[b, l]
-                        row[pos[("g", m, i, b, l)]] += fi[k, b]
-                    if i + 1 < s_len:
-                        fn, gn = rep.f[m][i + 1], rep.g[m][i + 1]
-                        for b in range(gn.shape[1]):
-                            row[pos[("g", m, i + 1, k, b)]] -= fn[b, l]
-                            row[pos[("f", m, i + 1, b, l)]] -= gn[k, b]
-                    rows.append(row)
-    return np.stack(rows, axis=0) if rows else np.zeros((0, d), dtype=complex)
+    of a Jacobian over the packed coordinates: the central component's
+    entries first, then each arm vertex's, every component row-major.
+
+    Each component is a sum of products g f or f g, and in row-major
+    coordinates vec(A X B) = (A (x) B^T) vec(X), so every block of a row
+    is a Kronecker product, as in ``dsolve.orbit_jacobian``.
+    """
+    mats = _matrices(rep)
+    at, half = _offsets(mats), len(mats) // 2
+
+    def rows(size, blocks):
+        out = np.zeros((size * size, at[-1]), dtype=complex)
+        for k, block in blocks:  # the f matrix k of _matrices pairs with g matrix half + k
+            out[:, at[k] : at[k + 1]] += block
+        return out
+
+    eye = np.eye(rep.quiver.rank)
+    center, arms, k = [], [], 0
+    for fs, gs in zip(rep.f, rep.g):
+        # central component sum_m g_1^m f_1^m
+        if fs:
+            center += [(k, _kron(gs[0], eye)), (half + k, _kron(eye, fs[0].T))]
+        # arm components f_i g_i - g_{i+1} f_{i+1} (tip: f_s g_s)
+        for i, (fi, gi) in enumerate(zip(fs, gs)):
+            e = np.eye(fi.shape[0])
+            blocks = [(k + i, _kron(e, gi.T)), (half + k + i, _kron(fi, e))]
+            if i + 1 < len(fs):
+                blocks += [(k + i + 1, -_kron(gs[i + 1], e)), (half + k + i + 1, -_kron(e, fs[i + 1].T))]
+            arms.append(rows(fi.shape[0], blocks))
+        k += len(fs)
+    return np.vstack([rows(rep.quiver.rank, center)] + arms)
 
 
 # Relative singular-value cuts.  The moment Jacobian is linear in the entries,
@@ -422,20 +424,18 @@ def singular_rank(s, rel_tol) -> int:
     return int(np.sum(s > rel_tol * s[0])) if s.size else 0
 
 
-def moment_zero_tangent(rep: StarRep, rel_tol=MOMENT_RANK_RTOL) -> np.ndarray:
+def moment_zero_tangent(rep: StarRep) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel of the moment
     differential at the representation."""
     jac = moment_entry_gradients(rep)
     rk = 0
     if jac.shape[0]:
         _, s, vh = np.linalg.svd(jac)
-        rk = singular_rank(s, rel_tol)
+        rk = singular_rank(s, MOMENT_RANK_RTOL)
     return vh[rk:].conj().T if rk else np.eye(jac.shape[1], dtype=complex)
 
 
-def independent_hamiltonian_count(
-    rep: StarRep, points, ts, zs, rel_tol=HAMILTONIAN_RANK_RTOL
-) -> int:
+def independent_hamiltonian_count(rep: StarRep, points, ts, zs) -> int:
     """Rank of the sampled trace-power differentials restricted to the
     moment-zero tangent space at the representation."""
     tangent = moment_zero_tangent(rep)
@@ -445,4 +445,4 @@ def independent_hamiltonian_count(
             obs = trace_power_observable(rep.quiver, points, t, z, selfcheck=False)
             vec = pack_rep(obs.grad(rep))
             rows.append(vec @ tangent)  # holomorphic pairing, no conjugation
-    return singular_rank(np.linalg.svd(np.stack(rows, axis=0), compute_uv=False), rel_tol)
+    return singular_rank(np.linalg.svd(np.stack(rows, axis=0), compute_uv=False), HAMILTONIAN_RANK_RTOL)

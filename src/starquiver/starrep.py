@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import ops
+from .arith import FLOAT, ops
 from .combinat import ParabolicType, flag_dimension_vector
 
 
@@ -173,14 +173,14 @@ class StarRep:
         return self._map(self.ops.to_float, "float")
 
 
-def zero_rep(quiver: StarQuiver, mode="float") -> StarRep:
-    zeros = ops(mode).zeros
+def zero_rep(quiver: StarQuiver) -> StarRep:
+    """The zero representation (float mode)."""
     f, g = [], []
     for j in range(quiver.n_arms):
         dims = quiver.dims(j)
-        f.append([zeros(dims[i + 1], dims[i]) for i in range(len(dims) - 1)])
-        g.append([zeros(dims[i], dims[i + 1]) for i in range(len(dims) - 1)])
-    return StarRep(quiver, f, g, mode)
+        f.append([FLOAT.zeros(dims[i + 1], dims[i]) for i in range(len(dims) - 1)])
+        g.append([FLOAT.zeros(dims[i], dims[i + 1]) for i in range(len(dims) - 1)])
+    return StarRep(quiver, f, g)
 
 
 def random_rep(quiver: StarQuiver, rng, scale=1.0) -> StarRep:
@@ -249,12 +249,12 @@ def moment_is_zero(rep: StarRep, tol=1e-8) -> bool:
 # stability on arms
 
 
-def arm_semistable(rep: StarRep, j: int, tol=None) -> bool:
-    """Every inward map on arm j has full column rank, so each level
-    injects into the center."""
+def arm_semistable(rep: StarRep, j: int) -> bool:
+    """Every inward map on arm j has full column rank (at the default
+    ``rank`` cut), so each level injects into the center."""
     dims = rep.quiver.dims(j)
     for i, gm in enumerate(rep.g[j]):
-        if rep.ops.rank(gm, tol) < dims[i + 1]:
+        if rep.ops.rank(gm) < dims[i + 1]:
             return False
     return True
 
@@ -279,7 +279,7 @@ class OneParameterSubgroup:
         return d * sum(self.exponents)
 
 
-def destabilizing_one_ps(rep: StarRep, j: int, tol=None):
+def destabilizing_one_ps(rep: StarRep, j: int):
     """Destabilizer for arm j, or None when every inward map has full rank.
 
     Finds the shallowest rank-deficient level, completes a kernel vector
@@ -289,7 +289,7 @@ def destabilizing_one_ps(rep: StarRep, j: int, tol=None):
     dims = rep.quiver.dims(j)
     for i, gm in enumerate(rep.g[j]):
         size = dims[i + 1]
-        if rep.ops.rank(gm, tol) >= size:
+        if rep.ops.rank(gm) >= size:
             continue
         basis = np.linalg.qr(rep.ops.kernel_vector(gm)[:, None], mode="complete")[0]
         exponents = tuple([-1] + [0] * (size - 1))

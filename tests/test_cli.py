@@ -225,21 +225,60 @@ def test_ds_verify_roundtrip(tmp_path):
     assert code == 0
 
 
-def test_ds_verify_hitchin_rejects_an_off_class_solution(tmp_path, capsys):
-    # a stored solution moved off its classes, with the sum kept at zero,
-    # ends in an exit code and a one-line message
-    instance = str(FIXTURES / "ds_rank2_four_rank1.json")
+RANK2_INSTANCE = str(FIXTURES / "ds_rank2_four_rank1.json")
+
+
+@pytest.fixture
+def rank2_solution(tmp_path, capsys):
+    """The rank-2 fixture's solution, solved once per test and decoded."""
     out_path = tmp_path / "sol.json"
-    assert main(["ds", "solve", "--instance", instance, "--seed", "7", "--out", str(out_path)]) == 0
-    sol = jsonio.solution_from_json(jsonio.load(out_path))
+    assert main(["ds", "solve", "--instance", RANK2_INSTANCE, "--seed", "7", "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    return jsonio.solution_from_json(jsonio.load(out_path))
+
+
+def _verify_run(tmp_path, capsys, sol, *flags):
+    """Exit code, stdout and stderr of `ds verify` on the stored ``sol``."""
+    path = tmp_path / "stored.json"
+    jsonio.dump(path, jsonio.solution_to_json(sol))
+    code = main(["ds", "verify", "--solution", str(path), "--instance", RANK2_INSTANCE, *flags])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_ds_verify_hitchin_rejects_an_off_class_solution(tmp_path, capsys, rank2_solution):
+    # a stored solution moved off its classes, with the sum kept at zero,
+    # fails its rank profile as under plain `ds verify`; the exact
+    # cross-check needs a passing profile and does not run
+    sol = rank2_solution
     g = 1e-3 * np.random.default_rng(0).standard_normal((2, 2))
     sol.matrices[0], sol.matrices[1] = sol.matrices[0] + g, sol.matrices[1] - g
-    jsonio.dump(out_path, jsonio.solution_to_json(sol))
-    capsys.readouterr()
-    code = main(["ds", "verify", "--solution", str(out_path), "--instance", instance, "--hitchin"])
-    err = capsys.readouterr().err
-    assert code in (1, 2)
-    assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, err = _verify_run(tmp_path, capsys, sol, "--hitchin")
+    assert code == 2
+    assert "rank profile        : FAIL" in out.splitlines()
+    assert "spectral membership" not in out
+    assert err == ""
+
+
+@pytest.mark.parametrize("flags", [(), ("--hitchin",)])
+@pytest.mark.parametrize("cut,point", [("conjugators", 2), ("matrices", 3)])
+def test_ds_verify_rejects_a_short_solution(tmp_path, capsys, rank2_solution, flags, cut, point):
+    # a solution with fewer matrices or conjugators than classes is not
+    # certified on the points it covers
+    sol = rank2_solution
+    setattr(sol, cut, getattr(sol, cut)[:point])
+    code, out, err = _verify_run(tmp_path, capsys, sol, *flags)
+    assert code == 1
+    assert err == f"error: point {point}: the solution needs one 2x2 matrix and one 2x2 conjugator at each of the instance's 4 points\n"
+    assert out == ""
+
+
+def test_ds_verify_rejects_misshapen_matrices(tmp_path, capsys, rank2_solution):
+    sol = rank2_solution
+    sol.matrices = [np.zeros((3, 3)) for _ in sol.matrices]
+    code, out, err = _verify_run(tmp_path, capsys, sol, "--hitchin")
+    assert code == 1
+    assert err.startswith("error: point 0: the solution needs one 2x2 matrix") and err.count("\n") == 1
 
 
 def test_bridge_round_trip_cli(tmp_path, capsys):
@@ -394,6 +433,36 @@ def test_residue_tuple_with_scalar_matrices_is_an_input_error(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: invalid residue tuple:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("data,message", [
+    (5, "argument of type 'int' is not iterable"),
+    ({"splitting_type": 5}, "'int' object is not iterable"),
+])
+def test_residue_tuple_that_is_not_an_object_is_an_input_error(tmp_path, capsys, data, message):
+    # the splitting-type guard reads the document inside the decoder
+    code, err = _malformed_run(tmp_path, capsys, data, ["bridge", "to-quiver", "--higgs", "BAD"])
+    assert code == 1
+    assert err == f"error: invalid residue tuple: {message}\n"
+
+
+def test_poisson_points_are_parsed_as_rationals(tmp_path, capsys):
+    rep = tmp_path / "rep.json"
+    jsonio.dump(rep, jsonio.rep_to_json(random_rep(StarQuiver(rank=2, arms=((1,),) * 4), np.random.default_rng(0))))
+    code = main(["poisson", "check", "--rep", str(rep), "--points", "1/0,1,2,3"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: not an exact rational: '1/0'\n"
+
+
+def test_arm_dimensions_are_decoded_as_integers(tmp_path, capsys):
+    # a JSON true in an arm chain is the dimension 1, as int() reads every
+    # other integer field: numpy refuses a bool in the array shapes that the
+    # oracle self-check draws
+    data = jsonio.rep_to_json(random_rep(StarQuiver(rank=2, arms=((1,),) * 4), np.random.default_rng(5), scale=0.5))
+    data["arms"][3] = [True]
+    code, err = _malformed_run(tmp_path, capsys, data, ["poisson", "check", "--rep", "BAD", "--grid", "1"])
+    assert (code, err) == (0, "")
+    assert jsonio.rep_from_json(data).quiver.arms[3] == (1,)
 
 
 def _closed_form_json(full_flag_type, mode):

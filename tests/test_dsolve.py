@@ -134,7 +134,7 @@ def test_off_class_float_solution_gets_no_flags(rank2_instance):
     mats = list(out.solution.matrices)
     mats[0], mats[1] = mats[0] + g, mats[1] - g
     moved = replace(out.solution, matrices=mats)
-    with pytest.raises(BridgeError, match="point 0: residue does not push step 0 deeper"):
+    with pytest.raises(BridgeError, match="point 0: residue does not push the full space deeper"):
         flags_from_solution(moved, rank2_instance.parabolic_type())
 
 

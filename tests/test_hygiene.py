@@ -1,7 +1,8 @@
 """Source hygiene: no unused imports, no unread private module-level
-names, public methods or function parameters in the package, and a CLI
-import, an exact `ds verify --hitchin` and the `bridge --hitchin`
-conversions that do not load sympy."""
+names, public methods or function parameters in the package, no option
+that every caller leaves at its default, and a CLI import, an exact
+`ds verify --hitchin` and the `bridge --hitchin` conversions that do not
+load sympy."""
 
 import ast
 import json
@@ -168,3 +169,59 @@ def test_every_parameter_is_read():
         for name, arg, line in unread_parameters(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert hits == []
+
+
+def unset_options(trees, package):
+    """Defaulted parameters of the package's functions and methods (no
+    dunders) that no call in ``trees`` passes, by keyword or by position.
+
+    Calls match definitions by name only, so a call of another function of
+    the same name counts too: the scan can miss an unset option, never flag
+    a set one.  A call with ``*args`` passes every position and one with
+    ``**kwargs`` every keyword."""
+    keywords, positions = {}, {}
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            positions[name] = max(positions.get(name, 0), float("inf") if starred else len(call.args))
+            keywords.setdefault(name, set()).update(k.arg for k in call.keywords)
+    hits = []
+    for path, tree in trees.items():
+        if not path.is_relative_to(package):
+            continue
+        for scope in [tree] + [c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]:
+            for f in scope.body:
+                if not isinstance(f, ast.FunctionDef) or f.name.startswith("__"):
+                    continue
+                passed = keywords.get(f.name, set())
+                if None in passed:
+                    continue
+                # a method's first parameter is its receiver, not an argument
+                static = any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)
+                shift = 0 if scope is tree or static else 1
+                a = f.args
+                params = a.posonlyargs + a.args
+                first = len(params) - len(a.defaults)
+                hits += [
+                    f"{path.name}:{f.lineno}: {f.name}({p.arg})"
+                    for k, p in enumerate(params[first:], start=first)
+                    if p.arg not in passed and positions.get(f.name, 0) <= k - shift
+                ]
+                hits += [
+                    f"{path.name}:{f.lineno}: {f.name}({p.arg})"
+                    for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                    if d is not None and p.arg not in passed
+                ]
+    return hits
+
+
+def test_every_option_is_set():
+    # an option that every caller leaves at its default is a constant: each
+    # one doubles the configurations the tests must cover
+    root = SRC.parent
+    paths = [path for d in ("src", "tests", "perfbench") for path in sorted((root / d).rglob("*.py"))]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    assert unset_options(trees, SRC) == []

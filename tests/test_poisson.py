@@ -23,6 +23,7 @@ from starquiver.poisson import (
     gradient_from_vector,
     hamiltonian_vector_field,
     independent_hamiltonian_count,
+    moment_entry_gradients,
     pack_rep,
     phi_derivative,
     phi_value,
@@ -33,7 +34,9 @@ from starquiver.poisson import (
 )
 from starquiver.starrep import (
     StarQuiver,
+    StarRep,
     group_act,
+    moment_map,
     moment_residual,
     random_group_element,
     random_rep,
@@ -344,6 +347,33 @@ def test_leibniz_property(quiver4):
     lhs = bracket(f, product(g, h), rep)
     rhs = bracket(f, g, rep) * h.value(rep) + g.value(rep) * bracket(f, h, rep)
     assert abs(lhs - rhs) < 1e-12
+
+
+def _packed_moment(q, vec):
+    """Every moment component's entries, in the row order of
+    ``moment_entry_gradients``, at the packed coordinates ``vec``."""
+    x = gradient_from_vector(q, vec)
+    return np.concatenate([m.reshape(-1) for _, m in moment_map(StarRep(q, x.f, x.g)).components()])
+
+
+@pytest.mark.parametrize("rank,arms", [
+    (2, ((1,),) * 4),
+    (3, ((2, 1), (1,), (), (2,))),
+    (4, ((3, 2, 1), (2,), (3, 1))),
+])
+def test_moment_entry_gradients_match_central_differences(rank, arms):
+    # the moment map is quadratic, so central differences are exact up to
+    # rounding (about 1e-16 * |moment| / step)
+    q = StarQuiver(rank=rank, arms=arms)
+    rep = random_rep(q, np.random.default_rng(rank))
+    v, step = pack_rep(rep), 1e-4
+    fd = np.stack(
+        [(_packed_moment(q, v + step * e) - _packed_moment(q, v - step * e)) / (2 * step) for e in np.eye(v.size)],
+        axis=1,
+    )
+    jac = moment_entry_gradients(rep)
+    assert jac.shape == fd.shape
+    assert np.max(np.abs(jac - fd)) < 1e-8
 
 
 def test_hamiltonian_count_rank2_four_points(rank2_instance):
