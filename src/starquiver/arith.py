@@ -11,9 +11,17 @@ The exact backend delegates to ``linalg_exact`` and ignores every
 tolerance argument, because its answers are exact.  The float backend
 uses numpy; its thresholds are documented per operation.  Vectors are
 lists of ``Fraction`` entries (exact) or 1-d ndarrays (float).
+
+Two operations return different values in the two formats.  The exact
+``powers`` of A are the integer matrices (D A)^j, D the lcm of the entry
+denominators of A: rank and column space do not see the scale D^j, and
+integer products cost far less than Fraction ones.  The exact
+``conjugation_gap`` is ``a p - p n``, which needs no inverse; the float one
+is ``a - p n p^-1``.
 """
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -112,6 +120,11 @@ class _Exact:
     def div(self, a, c):
         return ex.mscale(Fraction(1) / c, a)
 
+    def powers(self, a, count):
+        """(D a)^1 .. (D a)^count as integer matrices, D the lcm of the
+        entry denominators of a."""
+        return accumulate(repeat(ex.clear(a)[0], count), ex.imul)
+
     def norm(self, a):
         return float(np.linalg.norm(_real_array(a)))
 
@@ -137,6 +150,11 @@ class _Exact:
 
     def kernel_vector(self, a):
         return np.array([float(x) for x in ex.nullspace(a)[0]], dtype=complex)
+
+    def conjugation_gap(self, a, p, n):
+        """a p - p n, which vanishes exactly when p n p^-1 = a for an
+        invertible p; it needs no inverse."""
+        return ex.msub(ex.mmul(a, p), ex.mmul(p, n))
 
     def columns(self, a):
         return [list(col) for col in zip(*a)]
@@ -209,6 +227,10 @@ class _Float:
     def div(self, a, c):
         return a / c
 
+    def powers(self, a, count):
+        """a^1 .. a^count."""
+        return accumulate(repeat(a, count), np.matmul)
+
     def trace(self, a):
         return np.trace(a)
 
@@ -220,7 +242,7 @@ class _Float:
 
     def is_zero(self, a, tol=0.0):
         """Frobenius norm at most ``tol``."""
-        return np.linalg.norm(a) <= tol
+        return bool(np.linalg.norm(a) <= tol)
 
     def rank(self, a, tol=None):
         """Singular values above ``tol`` (absolute; default max-dim * eps *
@@ -262,6 +284,10 @@ class _Float:
         """The right singular vector of the smallest singular value."""
         _, _, vh = np.linalg.svd(a)
         return vh[-1].conj()
+
+    def conjugation_gap(self, a, p, n):
+        """a - p n p^-1, whose size does not grow with the scale of p."""
+        return a - p @ n @ np.linalg.inv(p)
 
     def columns(self, a):
         return [a[:, k] for k in range(a.shape[1])]

@@ -48,9 +48,14 @@ from .poisson import (
     trace_power_observable,
 )
 from .spectral import ExactnessRequired, char_poly, is_integral, spectral_poly, vanishing_orders
-from .starrep import moment_residual
+from .starrep import BRIDGE_TOL, moment_residual
 
 OK, INPUT_ERROR, BUDGET, INVARIANT_VIOLATION = 0, 1, 2, 3
+
+# ``poisson check`` counts independent Hamiltonians only on a representation
+# whose moment residual is below this: the count is a statement about the
+# moment-zero locus
+HAMILTONIAN_MOMENT_TOL = 1e-6
 
 # first match wins: a failed rational refinement leaves the answer
 # undetermined, an exact-mode invariant breaking inside the pipeline is an
@@ -387,7 +392,7 @@ def cmd_poisson_check(args):
     }
     resid = moment_residual(rep)
     payload["moment_residual"] = resid
-    if resid < 1e-6:
+    if resid < HAMILTONIAN_MOMENT_TOL:
         zs = [float(z) for z in pool[: max(4, r)]]
         payload["independent_hamiltonians"] = independent_hamiltonian_count(
             rep, points, list(range(1, r + 3)), zs
@@ -453,7 +458,7 @@ def build_parser():
     b2h = brsub.add_parser("to-higgs", help="representation to residue tuple")
     b2h.add_argument("--rep", required=True)
     b2h.add_argument("--type", required=True)
-    b2h.add_argument("--tol", type=float, default=1e-8)
+    b2h.add_argument("--tol", type=float, default=BRIDGE_TOL)
     b2h.add_argument("--out")
     b2h.add_argument("--report")
     b2h.add_argument("--hitchin", action="store_true")

@@ -38,6 +38,7 @@ from .combinat import (
 )
 from .higgs import HiggsTuple, irreducible
 from .spectral import rank_profile
+from .starrep import BRIDGE_TOL
 
 # a Gauss-Newton step is halved while it would push a conjugator past this
 # condition number, or while it does not lower the residual; steps shorter
@@ -47,6 +48,11 @@ _MIN_STEP = 2.0**-20
 # converged tuples count as irreducible only at or above this singular
 # value ratio of the orbit Jacobian (see is_smooth_point)
 _SMOOTH_RATIO = 1e-3
+# a float conjugator certifies its matrix when ||A - P N P^-1|| is at most
+# this: roundoff in P N P^-1 at the solver's condition cap is about
+# 1e-16 * 1e8, a hundred times smaller, and a changed entry of P moves it by
+# the size of the change
+CONJUGATOR_TOL = 1e-6
 
 
 def rank_tolerance(residual):
@@ -60,8 +66,8 @@ def rank_tolerance(residual):
 def higgs_tolerance(residual):
     """Validation tolerance of the tuple that ``flags_from_solution``
     builds: its flags hold only up to the sum residual, so the tolerance
-    sits 1e2 above it, and never below 1e-8."""
-    return max(1e-8, 1e2 * residual)
+    sits 1e2 above it, and never below the bridge's ``BRIDGE_TOL``."""
+    return max(BRIDGE_TOL, 1e2 * residual)
 
 
 @dataclass(frozen=True)
@@ -262,10 +268,11 @@ class VerifyReport:
     irreducible: bool
     words: list
     conjugator_error: float
+    conjugators_ok: bool
     hitchin: object = None  # VanishingOrderReport from the exact cross-check
 
     def passed(self):
-        return self.profile_ok and self.irreducible
+        return self.profile_ok and self.irreducible and self.conjugators_ok
 
 
 def verify(solution: DSSolution, instance: DSInstance, hitchin=False) -> VerifyReport:
@@ -273,6 +280,13 @@ def verify(solution: DSSolution, instance: DSInstance, hitchin=False) -> VerifyR
     irreducibility words, conjugator consistency, and optionally the exact
     spectral cross-check via rational refinement, which runs only when the
     rank profile passes.
+
+    The report passes only when every conjugator is invertible and
+    conjugates its class's Jordan form to its matrix: exactly, as
+    ``A_i P_i = P_i N_i`` in integers, for an exact solution, and up to
+    ``CONJUGATOR_TOL`` in ``||A_i - P_i N_i P_i^-1||`` for a float one.
+    ``conjugator_error`` is the largest norm of those differences over the
+    invertible conjugators.
 
     Raises ``ValueError`` naming the first point without one rank x rank
     matrix and one rank x rank conjugator for its class.
@@ -294,10 +308,14 @@ def verify(solution: DSSolution, instance: DSInstance, hitchin=False) -> VerifyR
     expected = [c.rank_sequence for c in instance.classes]
     profile_ok = all(p == e for p, e in zip(profiles, expected))
     cert = irreducible(solution.matrices, solution.mode)
-    conj_err = 0.0
+    conj_err, conj_ok = 0.0, True
     for a, p, c in zip(solution.matrices, solution.conjugators, instance.classes):
-        n = o.from_exact(_jordan(c))
-        conj_err = max(conj_err, o.norm(o.sub(a, o.mul(o.mul(p, n), o.inv(p)))))
+        if o.rank(p) < r:
+            conj_ok = False
+            continue
+        gap = o.conjugation_gap(a, p, o.from_exact(_jordan(c)))
+        conj_err = max(conj_err, o.norm(gap))
+        conj_ok = conj_ok and o.is_zero(gap, CONJUGATOR_TOL)
     hitchin_report = None
     if hitchin and profile_ok:
         from .spectral import char_poly, vanishing_orders
@@ -315,6 +333,7 @@ def verify(solution: DSSolution, instance: DSInstance, hitchin=False) -> VerifyR
         irreducible=cert.irreducible,
         words=cert.words,
         conjugator_error=conj_err,
+        conjugators_ok=conj_ok,
         hitchin=hitchin_report,
     )
 
@@ -337,16 +356,15 @@ def flags_from_solution(solution: DSSolution, sigma: ParabolicType) -> HiggsTupl
     o = ops(solution.mode)
     flags = []
     for i in range(sigma.n_points):
-        a = o.coerce(solution.matrices[i])
+        gammas = sigma.gamma(i)[:-1]
+        powers = o.powers(o.coerce(solution.matrices[i]), len(gammas))
         fl = []
-        power = a
-        for j, gj in enumerate(sigma.gamma(i)[:-1], start=1):
+        for j, (gj, power) in enumerate(zip(gammas, powers), start=1):
             basis = o.basis(power, gj)
             width = o.shape(basis)[1]
             if width != gj:
                 raise ValueError(f"point {i}: flag step {j} has dimension {width}, the type needs {gj}")
             fl.append(basis)
-            power = o.mul(power, a)
         flags.append(fl)
     return HiggsTuple(
         sigma=sigma,
@@ -469,11 +487,10 @@ def _refine_at(solution, instance, nested, den):
             conjugators.append(ex.meye(r))
             continue
         q, adj, d = f
-        den_k = math.lcm(*(v.denominator for row in k for v in row))
-        kint = [[v.numerator * (den_k // v.denominator) for v in row] for row in k]
+        kint, den_k = ex.clear(k)
         if rank_profile([kint], "exact")[0] != c.rank_sequence:
             return None
-        a = [[Fraction(v, den_k) for v in row] for row in ex.mmul(ex.mmul(q, kint), adj)]
+        a = ex.divide(ex.imul(ex.imul(q, kint), adj), den_k)
         if np.linalg.norm(FLOAT.from_exact(a) - np.asarray(af).real) > _MAX_DRIFT:
             return None
         n = [[v * d for v in row] for row in k]

@@ -26,6 +26,7 @@ import numpy as np
 from . import arith
 from .combinat import ParabolicType, check_small_weights
 from .starrep import (
+    BRIDGE_TOL,
     StarRep,
     arm_semistable,
     build_star_quiver,
@@ -57,7 +58,7 @@ class HiggsTuple:
     matrices: list
     flags: list
     mode: str = "float"
-    tol: float = 1e-8
+    tol: float = BRIDGE_TOL
     check: bool = field(default=True, compare=False)
 
     def __post_init__(self):
@@ -132,7 +133,7 @@ class HiggsTuple:
 # conversions
 
 
-def quiver_to_higgs(rep: StarRep, sigma: ParabolicType, tol=1e-8) -> HiggsTuple:
+def quiver_to_higgs(rep: StarRep, sigma: ParabolicType, tol=BRIDGE_TOL) -> HiggsTuple:
     """Residues g_1 f_1 and image flags Im(g_1 ... g_j).
 
     Requires all moment components to vanish and every inward map to have
@@ -434,7 +435,7 @@ def _invariant_subspace_candidates(h: HiggsTuple, cert):
     # also flag steps themselves when invariant
     for i in range(h.n):
         for b in h.flags[i]:
-            invariant = all(o.contains(b, o.mul(m, b), 1e-8) for m in mats)
+            invariant = all(o.contains(b, o.mul(m, b), BRIDGE_TOL) for m in mats)
             if invariant:
                 out.append(b)
     return out

@@ -16,7 +16,7 @@ from .combinat import MarkedLine, NilpotentClass, ParabolicType
 from .dsolve import DSInstance, DSSolution
 from .higgs import HiggsTuple
 from .spectral import HitchinPoint
-from .starrep import StarQuiver, StarRep
+from .starrep import BRIDGE_TOL, StarQuiver, StarRep
 
 
 class InputFormatError(ValueError):
@@ -28,6 +28,15 @@ def parse_frac(s) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as e:
         raise InputFormatError(f"not an exact rational: {s!r}") from e
+
+
+def int_from_json(v):
+    """An integer field: a JSON integer or a string of integral value; a
+    bool, a JSON float or a non-integral string raises ``InputFormatError``."""
+    x = parse_frac(v) if isinstance(v, str) else v
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)) or x.denominator != 1:
+        raise InputFormatError(f"not an integer: {v!r}")
+    return int(x)
 
 
 def _decoder(what):
@@ -98,13 +107,13 @@ def type_to_json(sigma: ParabolicType) -> dict:
 def type_from_json(data) -> ParabolicType:
     points = tuple(parse_frac(p) for p in data["points"])
     flags = data["flags"]
-    mults = tuple(tuple(int(x) for x in f["multiplicities"]) for f in flags)
-    weights = tuple(tuple(int(x) for x in f["weights"]) for f in flags)
+    mults = tuple(tuple(int_from_json(x) for x in f["multiplicities"]) for f in flags)
+    weights = tuple(tuple(int_from_json(x) for x in f["weights"]) for f in flags)
     line = MarkedLine(points, allow_small=len(points) < 4)
     return ParabolicType(
         line=line,
-        rank=int(data["rank"]),
-        K=int(data["K"]),
+        rank=int_from_json(data["rank"]),
+        K=int_from_json(data["K"]),
         multiplicities=mults,
         weights=weights,
     )
@@ -122,10 +131,11 @@ def class_to_json(c: NilpotentClass) -> dict:
 def class_from_json(data) -> NilpotentClass:
     if "rank_sequence" in data:
         return NilpotentClass(
-            rank=int(data["rank"]),
-            rank_sequence=tuple(int(x) for x in data["rank_sequence"]),
+            rank=int_from_json(data["rank"]),
+            rank_sequence=tuple(int_from_json(x) for x in data["rank_sequence"]),
         )
-    return NilpotentClass.from_partition(data["partition"], rank=int(data["rank"]))
+    partition = [int_from_json(x) for x in data["partition"]]
+    return NilpotentClass.from_partition(partition, rank=int_from_json(data["rank"]))
 
 
 def instance_to_json(inst: DSInstance) -> dict:
@@ -142,7 +152,7 @@ def instance_from_json(data) -> DSInstance:
     points = None
     if "points" in data and data["points"] is not None:
         points = tuple(parse_frac(p) for p in data["points"])
-    return DSInstance(rank=int(data["rank"]), classes=classes, points=points)
+    return DSInstance(rank=int_from_json(data["rank"]), classes=classes, points=points)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +175,8 @@ def rep_to_json(rep: StarRep) -> dict:
 
 @_decoder("representation")
 def rep_from_json(data) -> StarRep:
-    quiver = StarQuiver(rank=int(data["rank"]), arms=tuple(tuple(int(d) for d in a) for a in data["arms"]))
+    arms = tuple(tuple(int_from_json(d) for d in a) for a in data["arms"])
+    quiver = StarQuiver(rank=int_from_json(data["rank"]), arms=arms)
     mode = data.get("mode", "float")
     f, g = [], []
     for j in range(quiver.n_arms):
@@ -194,7 +205,7 @@ def higgs_to_json(h: HiggsTuple) -> dict:
 
 @_decoder("residue tuple")
 def higgs_from_json(data, check=True) -> HiggsTuple:
-    if "splitting_type" in data and any(int(d) != 0 for d in data["splitting_type"]):
+    if "splitting_type" in data and any(int_from_json(d) != 0 for d in data["splitting_type"]):
         raise InputFormatError(
             "the underlying bundle is not a sum of trivial line bundles "
             f"(splitting type {data['splitting_type']}); residue-matrix form "
@@ -205,7 +216,7 @@ def higgs_from_json(data, check=True) -> HiggsTuple:
     mode = data.get("mode", "float")
     mats = [matrix_from_json(m, mode) for m in data["matrices"]]
     flags = [[matrix_from_json(b, mode) for b in fl] for fl in data["flags"]]
-    tol = float(data.get("tol", 1e-8))
+    tol = float(data.get("tol", BRIDGE_TOL))
     return HiggsTuple(sigma=sigma, matrices=mats, flags=flags, mode=mode, tol=tol, check=check)
 
 
@@ -220,7 +231,7 @@ def hitchin_to_json(hp: HitchinPoint) -> dict:
 @_decoder("coefficient point")
 def hitchin_from_json(data) -> HitchinPoint:
     return HitchinPoint(
-        rank=int(data["rank"]),
+        rank=int_from_json(data["rank"]),
         points=tuple(parse_frac(p) for p in data["points"]),
         coeffs=[[parse_frac(c) for c in p] for p in data["coefficients"]],
     )
@@ -252,8 +263,8 @@ def solution_from_json(data) -> DSSolution:
         conjugators=[matrix_from_json(p, mode) for p in data["conjugators"]],
         residual=float(data.get("residual", 0.0)),
         mode=mode,
-        restart_index=int(data.get("restart_index", -1)),
-        iterations=int(data.get("iterations", 0)),
+        restart_index=int_from_json(data.get("restart_index", -1)),
+        iterations=int_from_json(data.get("iterations", 0)),
     )
 
 

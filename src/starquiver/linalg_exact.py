@@ -5,13 +5,17 @@ elimination is fraction-free (``bareiss``, Bareiss 1968) on integer
 matrices, which keeps every entry an integer minor and never reduces a
 fraction; rational matrices are cleared of denominators row by row first,
 and ``rref``, ``rank``, ``nullspace``, ``solve`` and ``inv`` read their
-answers off that one elimination.
+answers off that one elimination.  Products run on integers too: ``clear``
+writes a matrix as integer rows over one denominator, ``imul`` multiplies
+integer matrices, and ``mmul`` builds one Fraction per entry of the
+integer product.
 
 Polynomials are dense coefficient lists in ascending order; trailing
 zeros are trimmed so that ``[]`` is the zero polynomial.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 
@@ -57,19 +61,35 @@ def mscale(c, a):
     return [[c * x for x in row] for row in a]
 
 
-def mmul(a, b):
+def clear(a):
+    """(rows, d): the integer rows of ``d a`` and the positive lcm d of the
+    entry denominators (1 for an integer or empty matrix)."""
+    d = math.lcm(*(x.denominator for row in a for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
+
+
+def divide(a, d):
+    """The rational matrix ``a / d`` of an integer matrix ``a``; undoes
+    ``clear``."""
+    return [[Fraction(x, d) for x in row] for row in a]
+
+
+def imul(a, b):
+    """Product of two integer matrices, in integers."""
     m, k = shape(a)
     k2, n = shape(b)
     if k != k2:
         raise ValueError(f"shape mismatch in matrix product: {m}x{k} by {k2}x{n}")
-    bt = list(zip(*b)) if n else []
-    out = mzeros(m, n)
-    for i in range(m):
-        ai = a[i]
-        for j in range(n):
-            bj = bt[j]
-            out[i][j] = sum(ai[t] * bj[t] for t in range(k))
-    return out
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+
+
+def mmul(a, b):
+    """Product of two rational matrices: both factors are cleared of
+    denominators once and multiplied in integers."""
+    ai, da = clear(a)
+    bi, db = clear(b)
+    return divide(imul(ai, bi), da * db)
 
 
 def mtrans(a):
@@ -114,7 +134,7 @@ def rref(a):
     of denominators, eliminated once by ``bareiss`` and divided by its d.
     """
     red, pivots, d = bareiss(_integer_rows(a))
-    return [[Fraction(x, d) for x in row] for row in red], pivots
+    return divide(red, d), pivots
 
 
 def rank(a):
@@ -233,15 +253,14 @@ def nilpotent_jordan_basis(a):
     of a chain of ``k`` is divided by ``D^t`` to give a chain of ``a``.
     """
     n = len(a)
-    den = math.lcm(*(Fraction(x).denominator for row in a for x in row))
-    k = [[int(x * den) for x in row] for row in a]
+    k, den = clear(a)
     kernels = [[]]  # kernels[j]: integer basis of ker k^j
     power = k
     while len(kernels[-1]) < n:
         if len(kernels) > n:
             raise ValueError("matrix is not nilpotent")
         kernels.append(int_kernel(power))
-        power = mmul(k, power)
+        power = imul(k, power)
     chains = []
     for s in range(len(kernels) - 1, 0, -1):
         span = kernels[s - 1] + [c[len(c) - s] for c in chains]

@@ -168,13 +168,11 @@ def rank_profile(matrices, mode="float", tol=None):
         a = o.coerce(a)
         scale = o.singular_scale(a)
         ranks = []
-        power = a
-        for j in range(1, o.shape(a)[0] + 1):
+        for j, power in enumerate(o.powers(a, o.shape(a)[0]), start=1):
             rk = o.relative_rank(power, tol, scale**j)
             if rk == 0:
                 break
             ranks.append(rk)
-            power = o.mul(power, a)
         out.append(tuple(ranks))
     return out
 

@@ -240,7 +240,13 @@ def moment_residual(rep: StarRep) -> float:
     return max(rep.ops.norm(m) for _, m in mv.components())
 
 
-def moment_is_zero(rep: StarRep, tol=1e-8) -> bool:
+# default tolerance of the bridge between quiver data and residue tuples:
+# the Frobenius norm up to which a float moment component, residue sum or
+# flag defect counts as zero (exact values ignore it)
+BRIDGE_TOL = 1e-8
+
+
+def moment_is_zero(rep: StarRep, tol=BRIDGE_TOL) -> bool:
     """Every component is zero (float: Frobenius norm at most ``tol``)."""
     return all(rep.ops.is_zero(m, tol) for _, m in moment_map(rep).components())
 

@@ -8,6 +8,10 @@ exactly.  ``reference`` runs a ``linalg_exact`` function on this
 elimination instead, which is how the former ``nullspace``, ``solve`` and
 ``inv`` worked; the former ``rank`` was the pivot count of this ``rref``.
 
+``mmul`` is the library's former matrix product: one Fraction sum of
+Fraction products per entry.  ``starquiver.linalg_exact.mmul`` now clears
+each factor of denominators once and multiplies integers.
+
 ``root_order`` is the library's former Fraction root multiplicity:
 evaluate at x, then divide synthetically by (z - x), until the value is
 nonzero.  ``starquiver.spectral`` now divides integer numerators by
@@ -18,7 +22,7 @@ from fractions import Fraction
 from unittest import mock
 
 from starquiver import linalg_exact as ex
-from starquiver.linalg_exact import mcopy, peval, ptrim, shape
+from starquiver.linalg_exact import mcopy, mzeros, peval, ptrim, shape
 
 
 def rref(a):
@@ -48,6 +52,22 @@ def rref(a):
         pivots.append(col)
         row += 1
     return r, pivots
+
+
+def mmul(a, b):
+    """Matrix product over Fraction."""
+    m, k = shape(a)
+    k2, n = shape(b)
+    if k != k2:
+        raise ValueError(f"shape mismatch in matrix product: {m}x{k} by {k2}x{n}")
+    bt = list(zip(*b)) if n else []
+    out = mzeros(m, n)
+    for i in range(m):
+        ai = a[i]
+        for j in range(n):
+            bj = bt[j]
+            out[i][j] = sum(ai[t] * bj[t] for t in range(k))
+    return out
 
 
 def reference(fn, *args):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,9 +8,10 @@ import pytest
 
 from conftest import FIXTURES, closed_form_flags, closed_form_matrices
 from starquiver import cli, jsonio
+from starquiver import linalg_exact as ex
 from starquiver.cli import main
 from starquiver.combinat import NilpotentClass
-from starquiver.dsolve import DSInstance, DSSolution, RefinementError
+from starquiver.dsolve import CONJUGATOR_TOL, DSInstance, DSSolution, RefinementError, exact_refine
 from starquiver.higgs import BridgeError, HiggsTuple, WeightsNotSmallError
 from starquiver.spectral import ExactnessRequired, HitchinPoint
 from starquiver.starrep import StarQuiver, StarRep, random_rep
@@ -228,13 +230,18 @@ def test_ds_verify_roundtrip(tmp_path):
 RANK2_INSTANCE = str(FIXTURES / "ds_rank2_four_rank1.json")
 
 
-@pytest.fixture
-def rank2_solution(tmp_path, capsys):
-    """The rank-2 fixture's solution, solved once per test and decoded."""
-    out_path = tmp_path / "sol.json"
+@pytest.fixture(scope="module")
+def rank2_solution_data(tmp_path_factory):
+    """The rank-2 fixture's stored solution JSON, solved once."""
+    out_path = tmp_path_factory.mktemp("rank2") / "sol.json"
     assert main(["ds", "solve", "--instance", RANK2_INSTANCE, "--seed", "7", "--out", str(out_path)]) == 0
-    capsys.readouterr()
-    return jsonio.solution_from_json(jsonio.load(out_path))
+    return jsonio.load(out_path)
+
+
+@pytest.fixture
+def rank2_solution(rank2_solution_data):
+    """The rank-2 fixture's solution, decoded afresh for each test."""
+    return jsonio.solution_from_json(rank2_solution_data)
 
 
 def _verify_run(tmp_path, capsys, sol, *flags):
@@ -271,6 +278,63 @@ def test_ds_verify_rejects_a_short_solution(tmp_path, capsys, rank2_solution, fl
     assert code == 1
     assert err == f"error: point {point}: the solution needs one 2x2 matrix and one 2x2 conjugator at each of the instance's 4 points\n"
     assert out == ""
+
+
+def _verify_report(tmp_path, capsys, sol):
+    """Exit code and JSON report of `ds verify` on the stored ``sol``."""
+    report = tmp_path / "report.json"
+    code, _, _ = _verify_run(tmp_path, capsys, sol, "--report", str(report))
+    return code, jsonio.load(report)
+
+
+def test_ds_verify_certifies_the_stored_conjugators(tmp_path, capsys, rank2_solution, rank2_solution_data):
+    code, report = _verify_report(tmp_path, capsys, rank2_solution)
+    assert (code, report["certified"]) == (0, True)
+    assert report["conjugator_error"] == rank2_solution_data["report"]["verification"]["conjugator_error"]
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0, 5.0])
+@pytest.mark.parametrize("row,col", [(0, 0), (0, 1), (1, 0), (1, 1)])
+@pytest.mark.parametrize("point", range(4))
+def test_ds_verify_rejects_a_tampered_conjugator(tmp_path, capsys, rank2_solution, point, row, col, value):
+    # a conjugator that no longer conjugates its Jordan form to the stored
+    # matrix voids the certificate, whatever the other checks say
+    rank2_solution.conjugators[point][row, col] = value
+    code, report = _verify_report(tmp_path, capsys, rank2_solution)
+    assert (code, report["certified"]) == (2, False)
+    assert report["conjugator_error"] > CONJUGATOR_TOL
+    assert report["profile_ok"] and report["irreducible"]
+
+
+def test_ds_verify_rejects_a_singular_float_conjugator(tmp_path, capsys, rank2_solution):
+    rank2_solution.conjugators[1] = np.zeros((2, 2))
+    code, report = _verify_report(tmp_path, capsys, rank2_solution)
+    assert (code, report["certified"]) == (2, False)
+
+
+@pytest.fixture(scope="module")
+def rank2_exact_solution(rank2_solution_data):
+    inst = jsonio.instance_from_json(jsonio.load(RANK2_INSTANCE))
+    return exact_refine(jsonio.solution_from_json(rank2_solution_data), inst)
+
+
+@pytest.mark.parametrize("tamper", ["none", "entry", "zero", "scaled"])
+def test_ds_verify_checks_exact_conjugators_exactly(tmp_path, capsys, rank2_exact_solution, tamper):
+    # A P = P N in integers, with P invertible: a scalar multiple of a good
+    # conjugator still conjugates, a zero one does not
+    p = rank2_exact_solution.conjugators[1]
+    changed = {
+        "none": p,
+        "entry": [p[0][:1] + [p[0][1] + Fraction(1, 10**30)], p[1]],
+        "zero": ex.mzeros(2, 2),
+        "scaled": ex.mscale(Fraction(3), p),
+    }[tamper]
+    conjugators = list(rank2_exact_solution.conjugators)
+    conjugators[1] = changed
+    code, report = _verify_report(tmp_path, capsys, replace(rank2_exact_solution, conjugators=conjugators))
+    certified = tamper in ("none", "scaled")
+    assert (code, report["certified"]) == ((0, True) if certified else (2, False))
+    assert (report["conjugator_error"] == 0.0) == (tamper != "entry")
 
 
 def test_ds_verify_rejects_misshapen_matrices(tmp_path, capsys, rank2_solution):
@@ -455,14 +519,60 @@ def test_poisson_points_are_parsed_as_rationals(tmp_path, capsys):
 
 
 def test_arm_dimensions_are_decoded_as_integers(tmp_path, capsys):
-    # a JSON true in an arm chain is the dimension 1, as int() reads every
-    # other integer field: numpy refuses a bool in the array shapes that the
-    # oracle self-check draws
+    # a JSON true in an arm chain is not the dimension 1: integer fields take
+    # JSON integers and integral strings only
     data = jsonio.rep_to_json(random_rep(StarQuiver(rank=2, arms=((1,),) * 4), np.random.default_rng(5), scale=0.5))
     data["arms"][3] = [True]
     code, err = _malformed_run(tmp_path, capsys, data, ["poisson", "check", "--rep", "BAD", "--grid", "1"])
-    assert (code, err) == (0, "")
+    assert (code, err) == (1, "error: invalid representation: not an integer: True\n")
+    data["arms"][3] = ["1"]
     assert jsonio.rep_from_json(data).quiver.arms[3] == (1,)
+
+
+@pytest.mark.parametrize("field,value", [("K", 16.9), ("K", True), ("rank", 2.5), ("K", "16.9"), ("K", None)])
+def test_type_check_rejects_non_integer_fields(tmp_path, capsys, field, value):
+    data = jsonio.load(FIXTURES / "type_rank2_full_flags.json")
+    data[field] = value
+    code, err = _malformed_run(tmp_path, capsys, data, ["type-check", "--type", "BAD"])
+    assert code == 1
+    assert err == f"error: invalid parabolic type: not an integer: {value!r}\n"
+
+
+@pytest.mark.parametrize("value,expected", [(16, 16), (-3, -3), ("16", 16), ("32/2", 16), (" 7 ", 7)])
+def test_integer_fields_take_integral_values(value, expected):
+    got = jsonio.int_from_json(value)
+    assert (got, type(got)) == (expected, int)
+
+
+@pytest.mark.parametrize("value", [True, False, 16.9, 16.0, "16.9", "1/2", float("inf"), None, [1], "x"])
+def test_integer_fields_refuse_other_values(value):
+    with pytest.raises(jsonio.InputFormatError):
+        jsonio.int_from_json(value)
+
+
+@pytest.mark.parametrize("decode,path,field,value", [
+    (jsonio.type_from_json, "type_rank2_full_flags.json", ("flags", 0, "weights", 0), 1.7),
+    (jsonio.type_from_json, "type_rank2_full_flags.json", ("flags", 1, "multiplicities", 0), True),
+    (jsonio.instance_from_json, "ds_rank2_four_rank1.json", ("rank",), 2.5),
+    (jsonio.instance_from_json, "ds_rank2_four_rank1.json", ("classes", 0, "rank_sequence", 0), 1.5),
+])
+def test_decoders_refuse_non_integer_fields(decode, path, field, value):
+    data = jsonio.load(FIXTURES / path)
+    node = data
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = value
+    with pytest.raises(jsonio.InputFormatError, match="not an integer"):
+        decode(data)
+
+
+@pytest.mark.parametrize("field,value", [("restart_index", 0.5), ("iterations", True)])
+def test_solution_counters_are_integers(field, value):
+    sol = DSSolution(matrices=[np.zeros((2, 2))], conjugators=[np.eye(2)], residual=0.0)
+    data = jsonio.solution_to_json(sol)
+    data[field] = value
+    with pytest.raises(jsonio.InputFormatError, match="invalid solution: not an integer"):
+        jsonio.solution_from_json(data)
 
 
 def _closed_form_json(full_flag_type, mode):
@@ -532,3 +642,16 @@ def test_exit_code_table(monkeypatch, capsys, error, code):
     monkeypatch.setattr(cli, "cmd_type_check", raiser)
     assert main(["type-check", "--type", str(FIXTURES / "type_rank2_full_flags.json")]) == code
     assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("factor,counted", [(0.99, True), (1.01, False)])
+def test_hamiltonian_count_needs_a_vanishing_moment(tmp_path, capsys, monkeypatch, factor, counted):
+    # the count runs only below HAMILTONIAN_MOMENT_TOL; the residual is
+    # pinned at the edge on the closed-form representation
+    monkeypatch.setattr(cli, "moment_residual", lambda rep: factor * cli.HAMILTONIAN_MOMENT_TOL)
+    report = tmp_path / "report.json"
+    rep = str(Path(__file__).resolve().parent / "golden" / "closed_form_rep.json")
+    assert main(["poisson", "check", "--rep", rep, "--grid", "1", "--report", str(report)]) == 0
+    capsys.readouterr()
+    assert ("independent_hamiltonians" in jsonio.load(report)) is counted
+

@@ -8,6 +8,7 @@ from conftest import closed_form_matrices
 from starquiver import linalg_exact as ex
 from starquiver.combinat import NilpotentClass
 from starquiver.dsolve import (
+    CONJUGATOR_TOL,
     DSInstance,
     DSSolution,
     SolverConfig,
@@ -35,6 +36,19 @@ def test_solve_rank2_boundary_instance(rank2_instance):
     rep = verify(out.solution, rank2_instance)
     assert rep.profile_ok and rep.irreducible
     assert rep.conjugator_error < 1e-6
+
+
+@pytest.mark.parametrize("factor,ok", [(0.99, True), (1.01, False)])
+def test_conjugator_tolerance_edge(rank2_instance, factor, ok):
+    # moving A_0 by t E12 leaves ||A_0 - P_0 N P_0^-1|| = t up to roundoff
+    sol = solve(rank2_instance, SolverConfig(seed=7, restarts=20, tolerance=1e-10)).solution
+    t = factor * CONJUGATOR_TOL
+    mats = list(sol.matrices)
+    mats[0] = mats[0] + t * np.array([[0.0, 1.0], [0.0, 0.0]])
+    rep = verify(replace(sol, matrices=mats), rank2_instance)
+    assert rep.conjugator_error == pytest.approx(t, rel=1e-6)
+    assert rep.conjugators_ok is ok
+    assert rep.passed() is ok
 
 
 def test_closed_form_certificate(rank2_instance):

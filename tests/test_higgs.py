@@ -1,10 +1,11 @@
+import inspect
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import closed_form_flags, closed_form_matrices
-from starquiver import higgs
+from starquiver import cli, higgs, jsonio
 from starquiver import linalg_exact as ex
 from starquiver.combinat import ParabolicType
 from starquiver.dsolve import DSInstance, SolverConfig, flags_from_solution, solve
@@ -21,6 +22,7 @@ from starquiver.higgs import (
     stability_verdict,
 )
 from starquiver.starrep import (
+    BRIDGE_TOL,
     StarQuiver,
     StarRep,
     build_star_quiver,
@@ -308,3 +310,48 @@ def test_reducible_verdict_builds_the_algebra_once(full_flag_type, monkeypatch):
     assert rep.witness_subspace == e1
     assert rep.full_slope == rep.witness_slope == F(1, 8)
     assert len(calls) == 1
+
+
+
+# ---------------------------------------------------------------------------
+# the bridge tolerance
+
+
+def test_bridge_defaults_share_one_tolerance(full_flag_type):
+    # the residue tuple, both conversions, the tuple's JSON and the CLI all
+    # default to BRIDGE_TOL
+    data = jsonio.higgs_to_json(HiggsTuple(full_flag_type, closed_form_matrices(), closed_form_flags(), mode="exact"))
+    args = cli.build_parser().parse_args(["bridge", "to-higgs", "--rep", "r.json", "--type", "t.json"])
+    defaults = [
+        HiggsTuple.tol,
+        inspect.signature(quiver_to_higgs).parameters["tol"].default,
+        inspect.signature(moment_is_zero).parameters["tol"].default,
+        jsonio.higgs_from_json(data).tol,
+        args.tol,
+    ]
+    assert defaults == [BRIDGE_TOL] * 5
+
+
+@pytest.mark.parametrize("factor,zero", [(0.99, True), (1.01, False)])
+def test_moment_is_zero_at_the_bridge_tolerance(factor, zero):
+    # one arm of dimension 1: the moment is g f at the center and f g = 0 on
+    # the arm, so the residual is the one entry t of f
+    t = factor * BRIDGE_TOL
+    rep = StarRep(StarQuiver(rank=2, arms=((1,),)), [[np.array([[0.0, t]])]], [[np.array([[1.0], [0.0]])]], "float")
+    assert moment_residual(rep) == pytest.approx(t, rel=1e-12)
+    assert moment_is_zero(rep) is zero
+
+
+@pytest.mark.parametrize("factor,valid", [(0.99, True), (1.01, False)])
+def test_residue_sum_at_the_bridge_tolerance(full_flag_type, factor, valid):
+    # scaling the first closed-form residue by 1 + t keeps its flag and moves
+    # the residue sum to t E12, of norm t
+    t = factor * BRIDGE_TOL
+    mats = [np.array([[float(x) for x in row] for row in m]) for m in closed_form_matrices()]
+    flags = [[np.array([[float(x) for x in row] for row in b]) for b in fl] for fl in closed_form_flags()]
+    mats[0] = (1 + t) * mats[0]
+    if valid:
+        HiggsTuple(full_flag_type, mats, flags)
+    else:
+        with pytest.raises(BridgeError, match="residues do not sum to zero"):
+            HiggsTuple(full_flag_type, mats, flags)

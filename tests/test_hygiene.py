@@ -1,8 +1,8 @@
 """Source hygiene: no unused imports, no unread private module-level
 names, public methods or function parameters in the package, no option
-that every caller leaves at its default, and a CLI import, an exact
-`ds verify --hitchin` and the `bridge --hitchin` conversions that do not
-load sympy."""
+that every caller leaves at its default, no new mode comparison outside
+`arith`, and a CLI import, an exact `ds verify --hitchin` and the
+`bridge --hitchin` conversions that do not load sympy."""
 
 import ast
 import json
@@ -225,3 +225,29 @@ def test_every_option_is_set():
     paths = [path for d in ("src", "tests", "perfbench") for path in sorted((root / d).rglob("*.py"))]
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
     assert unset_options(trees, SRC) == []
+
+
+def mode_comparisons(tree):
+    """Lines comparing a ``mode`` name or attribute with == or !=."""
+
+    def is_mode(node):
+        return getattr(node, "id", None) == "mode" or getattr(node, "attr", None) == "mode"
+
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+        and any(is_mode(x) for x in [node.left, *node.comparators])
+    ]
+
+
+def test_mode_forks_stay_in_arith():
+    # arith chooses between the entry formats; a new exact-only or float-only
+    # path elsewhere must come through a backend operation, not a mode test
+    counts = {
+        path.stem: len(mode_comparisons(ast.parse(path.read_text(encoding="utf-8"))))
+        for path in sorted((SRC / "starquiver").glob("*.py"))
+        if path.stem != "arith"
+    }
+    assert {k: v for k, v in counts.items() if v} == {"cli": 1, "dsolve": 1, "higgs": 2, "jsonio": 2, "spectral": 1}

@@ -1,10 +1,13 @@
-"""Differential tests of the fraction-free exact elimination against the
-Fraction oracle in ``linalg_oracle``, and exact/float agreement of rank
+"""Differential tests of the fraction-free exact elimination and the
+integer products against the Fraction oracle in ``linalg_oracle``,
+properties of the integer powers, and exact/float agreement of rank
 profiles on integer nilpotents."""
 
+import math
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,6 +106,105 @@ def test_solve_matches_oracle(case):
 def test_inv_matches_oracle(a):
     assert ex.rank(a) == _rank_ref(a)
     assert _same_outcome(ex.inv, _inv_ref, a) == (ex.rank(a) == len(a))
+
+
+@st.composite
+def products(draw):
+    """(a, b): an m x k and a k x n rational matrix, each of 0 to 5 rows
+    and columns."""
+    m, k, n = (draw(st.integers(0, 5)) for _ in range(3))
+    return draw(matrices(m, k)), draw(matrices(k, n))
+
+
+def _check_product(a, b):
+    if not _same_outcome(ex.mmul, oracle.mmul, a, b):
+        return
+    (ai, da), (bi, db) = ex.clear(a), ex.clear(b)
+    prod = ex.imul(ai, bi)
+    assert all(type(x) is int for row in prod for x in row)
+    assert prod == [[x * da * db for x in row] for row in oracle.mmul(a, b)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(products())
+def test_products_match_oracle(case):
+    _check_product(*case)
+
+
+_Z = Fraction(0)
+
+
+@pytest.mark.parametrize("a, b", [
+    ([], []),  # 0x0 by 0x0
+    ([[], []], []),  # 2x0 by 0x0: a 2x0 product
+    ([[Fraction(1), Fraction(2)]], [[], []]),  # 1x2 by 2x0
+    ([[_Z] * 3] * 3, [[Fraction(1, 2), Fraction(-3), Fraction(5, 7)]] * 3),  # zero factor
+    ([[Fraction(1, 3)] * 2] * 3, [[_Z] * 4] * 2),  # zero factor on the right
+    ([[Fraction(1, 2)]], [[Fraction(2), Fraction(1)]] * 2),  # shape mismatch
+])
+def test_products_match_oracle_at_the_edges(a, b):
+    _check_product(a, b)
+
+
+def _powers_ref(a, count):
+    out, power = [], a
+    for _ in range(count):
+        out.append(power)
+        power = oracle.mmul(power, a)
+    return out
+
+
+def _basis_ref(a):
+    rr, piv = oracle.rref(ex.mtrans(a))
+    return ex.mtrans(rr[: len(piv)]) if piv else [[] for _ in a]
+
+
+def _check_powers(a):
+    count = len(a) + 1
+    d = ex.clear(a)[1]
+    powers = list(EXACT.powers(a, count))
+    expected = _powers_ref(a, count)
+    assert len(powers) == count
+    for j, (p, q) in enumerate(zip(powers, expected), start=1):
+        assert p == [[x * d**j for x in row] for row in q]
+        assert EXACT.rank(p) == _rank_ref(q)
+        assert EXACT.basis(p) == _basis_ref(q)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: matrices(n, n)))
+def test_exact_powers_rank_and_basis_match_oracle(a):
+    _check_powers(a)
+
+
+@pytest.mark.parametrize("a", [[], [[_Z]], [[_Z] * 3] * 3, [[Fraction(2, 3)]]])
+def test_exact_powers_match_oracle_at_the_edges(a):
+    _check_powers(a)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: matrices(n, n)))
+def test_scaled_powers_keep_rank_and_column_space(a):
+    # (D A)^j = D^j A^j: the rank and the rref basis do not see the scale
+    for p, q in zip(EXACT.powers(a, len(a)), _powers_ref(a, len(a))):
+        assert EXACT.rank(p) == EXACT.rank(q)
+        assert EXACT.basis(p) == EXACT.basis(q)
+        assert ex.rref(ex.mtrans(p)) == ex.rref(ex.mtrans(q))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(matrices())
+def test_clearing_then_dividing_is_the_identity(a):
+    rows, d = ex.clear(a)
+    assert d > 0 and all(type(x) is int for row in rows for x in row)
+    assert math.gcd(d, *(x for row in rows for x in row)) == 1  # no smaller denominator
+    assert ex.divide(rows, d) == a
+
+
+def test_float_powers_are_the_repeated_products():
+    a = np.random.default_rng(3).standard_normal((4, 4)) + 0j
+    expected = [a, a @ a, a @ a @ a]
+    assert all(np.array_equal(p, q) for p, q in zip(FLOAT.powers(a, 3), expected, strict=True))
 
 
 def test_elimination_matches_oracle_on_certified_batch(certified_batch):
