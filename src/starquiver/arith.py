@@ -32,6 +32,12 @@ def _real_array(a):
     return np.array([[float(x) for x in row] for row in a])
 
 
+def kron(a, b):
+    """``np.kron`` of the last two axes (the same products), broadcast over the leading ones."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (out.shape[-4] * out.shape[-3], out.shape[-2] * out.shape[-1]))
+
+
 class _ExactSpan:
     """Incremental linear independence of exact vectors: reduced rows with
     their pivot indices."""

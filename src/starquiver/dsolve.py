@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg_exact as ex
-from .arith import FLOAT, ops
+from .arith import FLOAT, kron, ops
 from .combinat import (
     FeasibilityReport,
     NilpotentClass,
@@ -154,8 +154,10 @@ def orbit_jacobian(mats):
     transposed commutant of the tuple, so the rank is ``r^2`` minus the
     dimension of the commutant.
     """
-    eye = np.eye(mats[0].shape[0])
-    return np.hstack([np.kron(eye, a.T) - np.kron(a, eye) for a in mats])
+    a = np.asarray(mats)
+    eye = np.eye(a.shape[1])
+    blocks = kron(eye, a.transpose(0, 2, 1)) - kron(a, eye)  # all n blocks at once
+    return blocks.transpose(1, 0, 2).reshape(blocks.shape[1], -1)  # side by side
 
 
 def is_smooth_point(mats):
@@ -388,6 +390,8 @@ _SNAP_ATTEMPTS = 4
 # per point, in Frobenius norm: the exact tuple must round the certified
 # floating one, not replace it by a different solution
 _MAX_DRIFT = 1e-2
+# a flag column whose Gram-Schmidt residual is at most this lies in the span so far
+_NESTED_TOL = 1e-6
 
 
 class RefinementError(RuntimeError):
@@ -411,7 +415,7 @@ def _nested_columns(float_flags, r):
             for c in cols:
                 v = v - c * float(np.dot(c, v))
             nv = float(np.linalg.norm(v))
-            if nv > 1e-6:
+            if nv > _NESTED_TOL:
                 cols.append(v / nv)
     widths = [np.asarray(b).shape[1] for b in float_flags]
     if len(cols) != widths[0]:

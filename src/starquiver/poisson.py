@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arith import FLOAT, kron
 from .starrep import StarQuiver, StarRep, random_rep
 
 
@@ -165,6 +166,18 @@ def delta(rep: StarRep, points, z, w, at_equal=False) -> np.ndarray:
     return (phi_value(rep, points, z) - phi_value(rep, points, w)) / (complex(w) - complex(z))
 
 
+def _trace_power_grad(rep: StarRep, points, t, zc, pw) -> Gradient:
+    """The gradient of Tr(phi(zc)^t), given pw = phi(zc)^(t-1); see ``trace_power_observable``."""
+    out = zero_gradient(rep.quiver)
+    for m in range(rep.quiver.n_arms):
+        if not rep.f[m]:
+            continue
+        c = t / (zc - complex(points[m]))
+        out.f[m][0] = c * (pw @ rep.g[m][0]).T
+        out.g[m][0] = c * (rep.f[m][0] @ pw).T
+    return out
+
+
 def trace_power_observable(
     quiver: StarQuiver, points, t: int, z, selfcheck=True
 ) -> Observable:
@@ -182,15 +195,7 @@ def trace_power_observable(
         return complex(np.trace(np.linalg.matrix_power(phi_value(rep, points, zc), t)))
 
     def grad(rep):
-        out = zero_gradient(quiver)
-        pw = np.linalg.matrix_power(phi_value(rep, points, zc), t - 1)
-        for m in range(quiver.n_arms):
-            if not rep.f[m]:
-                continue
-            c = t / (zc - complex(points[m]))
-            out.f[m][0] = c * (pw @ rep.g[m][0]).T
-            out.g[m][0] = c * (rep.f[m][0] @ pw).T
-        return out
+        return _trace_power_grad(rep, points, t, zc, np.linalg.matrix_power(phi_value(rep, points, zc), t - 1))
 
     obs = Observable(quiver=quiver, value=value, grad=grad, label=f"I_{t}({z})", levels=1)
     if selfcheck:
@@ -371,12 +376,6 @@ class QuadraticBracket(QuadraticObservable):
 # moment entries as observables, tangent spaces, Hamiltonian counting
 
 
-def _kron(a, b):
-    """``np.kron`` of two matrices (the same products), without its overhead
-    on small operands."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-
-
 def moment_entry_gradients(rep: StarRep):
     """Gradients of every moment-map entry at the representation, as rows
     of a Jacobian over the packed coordinates: the central component's
@@ -400,13 +399,13 @@ def moment_entry_gradients(rep: StarRep):
     for fs, gs in zip(rep.f, rep.g):
         # central component sum_m g_1^m f_1^m
         if fs:
-            center += [(k, _kron(gs[0], eye)), (half + k, _kron(eye, fs[0].T))]
+            center += [(k, kron(gs[0], eye)), (half + k, kron(eye, fs[0].T))]
         # arm components f_i g_i - g_{i+1} f_{i+1} (tip: f_s g_s)
         for i, (fi, gi) in enumerate(zip(fs, gs)):
             e = np.eye(fi.shape[0])
-            blocks = [(k + i, _kron(e, gi.T)), (half + k + i, _kron(fi, e))]
+            blocks = [(k + i, kron(e, gi.T)), (half + k + i, kron(fi, e))]
             if i + 1 < len(fs):
-                blocks += [(k + i + 1, -_kron(gs[i + 1], e)), (half + k + i + 1, -_kron(e, fs[i + 1].T))]
+                blocks += [(k + i + 1, -kron(gs[i + 1], e)), (half + k + i + 1, -kron(e, fs[i + 1].T))]
             arms.append(rows(fi.shape[0], blocks))
         k += len(fs)
     return np.vstack([rows(rep.quiver.rank, center)] + arms)
@@ -438,11 +437,15 @@ def moment_zero_tangent(rep: StarRep) -> np.ndarray:
 def independent_hamiltonian_count(rep: StarRep, points, ts, zs) -> int:
     """Rank of the sampled trace-power differentials restricted to the
     moment-zero tangent space at the representation."""
+    if min(ts) < 1:
+        raise ValueError("trace power must be at least 1")
     tangent = moment_zero_tangent(rep)
-    rows = []
-    for t in ts:
-        for z in zs:
-            obs = trace_power_observable(rep.quiver, points, t, z, selfcheck=False)
-            vec = pack_rep(obs.grad(rep))
-            rows.append(vec @ tangent)  # holomorphic pairing, no conjugation
+    # phi(z)^0 .. phi(z)^(max(ts) - 1) at each z, one product per power
+    eye = np.eye(rep.quiver.rank, dtype=complex)
+    powers = [[eye, *FLOAT.powers(phi_value(rep, points, z), max(ts) - 1)] for z in zs]
+    rows = [
+        pack_rep(_trace_power_grad(rep, points, t, complex(z), pw[t - 1])) @ tangent  # holomorphic pairing
+        for t in ts
+        for z, pw in zip(zs, powers)
+    ]
     return singular_rank(np.linalg.svd(np.stack(rows, axis=0), compute_uv=False), HAMILTONIAN_RANK_RTOL)

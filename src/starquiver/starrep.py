@@ -389,7 +389,7 @@ def trace_along_cycle(rep: StarRep, cycle):
     o = rep.ops
     q = rep.quiver
     at = None  # None = center, else (arm, level)
-    acc = o.eye(q.rank)
+    acc = None  # the product so far; the walk's first factor starts it
     for step in cycle:
         kind, j, level = step
         if not (0 <= j < q.n_arms) or not (1 <= level <= len(q.arms[j])):
@@ -398,18 +398,19 @@ def trace_along_cycle(rep: StarRep, cycle):
             here = None if level == 1 else (j, level - 1)
             if at != here:
                 raise InvalidCycle(f"outward step {step} does not start at {at}")
-            acc = o.mul(rep.f[j][level - 1], acc)
+            factor = rep.f[j][level - 1]
             at = (j, level)
         elif kind == "g":
             if at != (j, level):
                 raise InvalidCycle(f"inward step {step} does not start at {at}")
-            acc = o.mul(rep.g[j][level - 1], acc)
+            factor = rep.g[j][level - 1]
             at = None if level == 1 else (j, level - 1)
         else:
             raise InvalidCycle(f"unknown step kind {kind!r}")
+        acc = factor if acc is None else o.mul(factor, acc)
     if at is not None:
         raise InvalidCycle("walk does not return to the central vertex")
-    return o.trace(acc)
+    return o.trace(o.eye(q.rank) if acc is None else acc)
 
 
 def center_cycles(quiver: StarQuiver, max_len: int):

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_parabolic_type
 from starquiver.combinat import (
@@ -259,6 +261,64 @@ def test_partition_rank_sequence_round_trip():
         if c.rank_sequence:
             c2 = NilpotentClass(rank=r, rank_sequence=c.rank_sequence)
             assert c2.to_partition() == parts
+
+
+def partitions_of(r, largest=None):
+    """Every partition of r, parts largest first."""
+    if r == 0:
+        yield ()
+        return
+    for p in range(min(r, largest or r), 0, -1):
+        for rest in partitions_of(r - p, p):
+            yield (p,) + rest
+
+
+@st.composite
+def partitions(draw, max_rank=8):
+    left = draw(st.integers(1, max_rank))
+    parts = []
+    while left:
+        parts.append(draw(st.integers(1, left)))
+        left -= parts[-1]
+    return tuple(sorted(parts, reverse=True))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(partitions())
+def test_partition_round_trips_through_its_rank_sequence(p):
+    c = NilpotentClass.from_partition(p)
+    assert c.rank == sum(p) and c.to_partition() == p
+    assert NilpotentClass(rank=c.rank, rank_sequence=c.rank_sequence) == c
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda r: st.tuples(st.just(r), st.sets(st.integers(1, 7)))))
+def test_valid_rank_sequence_round_trips_through_its_partition(draw):
+    # strictly decreasing positive sequences below the rank: the constructor
+    # accepts exactly those of a partition of the rank
+    r, ranks = draw
+    seq = tuple(sorted((g for g in ranks if g < r), reverse=True))
+    try:
+        c = NilpotentClass(rank=r, rank_sequence=seq)
+    except ValueError:
+        assert seq not in {NilpotentClass.from_partition(p).rank_sequence for p in partitions_of(r)}
+        return
+    assert NilpotentClass.from_partition(c.to_partition()) == c
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_partitions_and_valid_rank_sequences_are_in_bijection(r):
+    # every partition of r <= 8 and every subset of 1 .. r-1 as a sequence
+    valid = set()
+    for mask in range(2 ** (r - 1)):
+        seq = tuple(g for g in range(r - 1, 0, -1) if mask >> (g - 1) & 1)
+        try:
+            valid.add(NilpotentClass(rank=r, rank_sequence=seq))
+        except ValueError:
+            pass
+    classes = [NilpotentClass.from_partition(p) for p in partitions_of(r)]
+    assert all(c.to_partition() == p for c, p in zip(classes, partitions_of(r)))
+    assert len(set(classes)) == len(classes) and set(classes) == valid
 
 
 def test_invalid_rank_sequence_rejected():

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import closed_form_matrices
+from starquiver import dsolve
 from starquiver import linalg_exact as ex
 from starquiver.combinat import NilpotentClass
 from starquiver.dsolve import (
     CONJUGATOR_TOL,
     DSInstance,
     DSSolution,
+    RefinementError,
     SolverConfig,
     exact_refine,
     flags_from_solution,
@@ -49,6 +51,21 @@ def test_conjugator_tolerance_edge(rank2_instance, factor, ok):
     assert rep.conjugator_error == pytest.approx(t, rel=1e-6)
     assert rep.conjugators_ok is ok
     assert rep.passed() is ok
+
+
+@pytest.mark.parametrize("factor,kept", [(1.01, True), (0.99, False)])
+def test_nested_columns_tolerance_edge(factor, kept):
+    # the step e1 lies inside a step whose second column leaves a Gram-Schmidt
+    # residual of exactly factor * _NESTED_TOL against e1
+    assert dsolve._NESTED_TOL == 1e-6
+    eps = factor * dsolve._NESTED_TOL
+    outer = np.array([[1.0, 1.0], [0.0, eps], [0.0, 0.0]])
+    flags = [outer, np.array([[1.0], [0.0], [0.0]])]
+    if kept:
+        assert np.array_equal(dsolve._nested_columns(flags, 3), np.eye(3)[:, :2])
+    else:
+        with pytest.raises(RefinementError, match="not numerically nested"):
+            dsolve._nested_columns(flags, 3)
 
 
 def test_closed_form_certificate(rank2_instance):

@@ -1,0 +1,219 @@
+"""Differential and property tests of the float kernels behind the bridge
+round trip: the broadcast Kronecker product ``arith.kron`` against
+``np.kron``, ``orbit_jacobian`` against its per-block ``np.kron`` formula,
+cycle traces against an identity-started product, and the batched
+Hamiltonian rows against the per-(t, z) trace-power gradients."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from starquiver import poisson
+from starquiver.arith import kron
+from starquiver.combinat import spectral_degrees
+from starquiver.dsolve import SolverConfig, flags_from_solution, orbit_jacobian, random_feasible_instance, solve
+from starquiver.higgs import higgs_to_quiver
+from starquiver.poisson import (
+    HAMILTONIAN_RANK_RTOL,
+    independent_hamiltonian_count,
+    moment_zero_tangent,
+    pack_rep,
+    singular_rank,
+    trace_power_observable,
+)
+from starquiver.starrep import InvalidCycle, StarQuiver, StarRep, center_cycles, random_rep, trace_along_cycle
+
+# ---------------------------------------------------------------------------
+# the Kronecker product
+
+
+def _draw(rng, shape, complex_entries):
+    x = rng.standard_normal(shape)
+    return x + 1j * rng.standard_normal(shape) if complex_entries else x
+
+
+@st.composite
+def kron_operands(draw):
+    """Two arrays of 0x0 to 4x4 matrices, real or complex, either, both or
+    neither with leading stack axes that broadcast against each other."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n, p, q = draw(st.tuples(*[st.integers(0, 4)] * 4))
+    stack_a, stack_b = draw(st.sampled_from([((), ()), ((3,), ()), ((), (3,)), ((2, 3), (3,)), ((2, 1), (1, 4))]))
+    a = _draw(rng, stack_a + (m, n), draw(st.booleans()))
+    b = _draw(rng, stack_b + (p, q), draw(st.booleans()))
+    return a, b
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(kron_operands())
+def test_kron_equals_numpy_kron_matrix_by_matrix(operands):
+    a, b = operands
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    count = int(np.prod(lead))
+    pairs = zip(
+        np.broadcast_to(a, lead + a.shape[-2:]).reshape((count,) + a.shape[-2:]),
+        np.broadcast_to(b, lead + b.shape[-2:]).reshape((count,) + b.shape[-2:]),
+    )
+    rows, cols = a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]
+    expected = np.array([np.kron(x, y) for x, y in pairs]).reshape(lead + (rows, cols))
+    out = kron(a, b)
+    assert out.shape == expected.shape and out.dtype == expected.dtype
+    assert np.array_equal(out, expected)
+
+
+# ---------------------------------------------------------------------------
+# the orbit Jacobian
+
+
+def kron_orbit_jacobian(mats):
+    """Block i is I (x) A_i^T - A_i (x) I, each from two ``np.kron`` calls."""
+    eye = np.eye(mats[0].shape[0])
+    return np.hstack([np.kron(eye, a.T) - np.kron(a, eye) for a in mats])
+
+
+def _tuples(rng, r, n):
+    """Random, nilpotent, all-zero and partly zero tuples of n r x r matrices."""
+    nil = np.diag(np.ones(r - 1), 1)
+    ps = rng.standard_normal((n, r, r))
+    conj = ps @ nil @ np.linalg.inv(ps)
+    partly = rng.standard_normal((n, r, r))
+    partly[::2] = 0.0
+    return [rng.standard_normal((n, r, r)), conj, np.zeros((n, r, r)), partly]
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_orbit_jacobian_equals_the_kron_formula(r, n):
+    rng = np.random.default_rng([r, n])
+    for mats in _tuples(rng, r, n):
+        expected = kron_orbit_jacobian(mats)
+        for arg in (mats, list(mats)):  # the solver's stacked array, or a list
+            out = orbit_jacobian(arg)
+            assert out.shape == (r * r, n * r * r)
+            assert np.array_equal(out, expected)
+
+
+# ---------------------------------------------------------------------------
+# cycle traces
+
+QUIVER = StarQuiver(rank=3, arms=((2, 1), (1,), (2,), ()))
+
+
+def identity_started_trace(rep, cycle):
+    """The trace of the walk's product started from the identity."""
+    o = rep.ops
+    acc = o.eye(rep.quiver.rank)
+    for kind, j, level in cycle:
+        acc = o.mul((rep.f if kind == "f" else rep.g)[j][level - 1], acc)
+    return o.trace(acc)
+
+
+def exact_rep(quiver, rng):
+    def draw(m, n):
+        return [[Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4))) for _ in range(n)] for _ in range(m)]
+
+    dims = [quiver.dims(j) for j in range(quiver.n_arms)]
+    f = [[draw(d[i + 1], d[i]) for i in range(len(d) - 1)] for d in dims]
+    g = [[draw(d[i], d[i + 1]) for i in range(len(d) - 1)] for d in dims]
+    return StarRep(quiver, f, g, "exact")
+
+
+@pytest.fixture(params=["float", "exact"])
+def cycle_rep(request):
+    rng = np.random.default_rng(5)
+    return random_rep(QUIVER, rng) if request.param == "float" else exact_rep(QUIVER, rng)
+
+
+def test_trace_along_cycle_equals_the_identity_started_product(cycle_rep):
+    cycles = center_cycles(QUIVER, 6)
+    assert len(cycles) > 20 and max(map(len, cycles)) == 6
+    for cyc in [()] + cycles:
+        assert trace_along_cycle(cycle_rep, cyc) == identity_started_trace(cycle_rep, cyc)
+    assert trace_along_cycle(cycle_rep, []) == QUIVER.rank
+
+
+@pytest.mark.parametrize(
+    "cycle, message",
+    [
+        ([("f", 4, 1)], "no vertex at arm 4 level 1"),
+        ([("f", 0, 3)], "no vertex at arm 0 level 3"),
+        ([("g", 3, 1)], "no vertex at arm 3 level 1"),
+        ([("f", 0, 2)], "outward step .* does not start at None"),
+        ([("f", 0, 1), ("f", 1, 1)], r"outward step .* does not start at \(0, 1\)"),
+        ([("g", 0, 1)], "inward step .* does not start at None"),
+        ([("f", 0, 1), ("f", 0, 2), ("g", 0, 1)], r"inward step .* does not start at \(0, 2\)"),
+        ([("f", 0, 1), ("h", 0, 1)], "unknown step kind 'h'"),
+        ([("f", 0, 1)], "walk does not return to the central vertex"),
+        ([("f", 0, 1), ("f", 0, 2), ("g", 0, 2)], "walk does not return to the central vertex"),
+    ],
+)
+def test_trace_along_cycle_rejects_each_invalid_walk(cycle_rep, cycle, message):
+    with pytest.raises(InvalidCycle, match=message):
+        trace_along_cycle(cycle_rep, cycle)
+
+
+# ---------------------------------------------------------------------------
+# Hamiltonian rows
+
+
+def per_observable_count(rep, points, ts, zs):
+    """The count from one trace-power observable's gradient per (t, z)."""
+    tangent = moment_zero_tangent(rep)
+    rows = [
+        pack_rep(trace_power_observable(rep.quiver, points, t, z, selfcheck=False).grad(rep)) @ tangent
+        for t in ts
+        for z in zs
+    ]
+    return singular_rank(np.linalg.svd(np.stack(rows), compute_uv=False), HAMILTONIAN_RANK_RTOL)
+
+
+def test_hamiltonian_counts_on_the_bridge_batch():
+    # the first 50 draws of the bridge stream with solver seeds 500 + k, as
+    # the bridge benchmark and the acceptance round trip use them
+    rng = np.random.default_rng(9)
+    for k in range(50):
+        inst = random_feasible_instance(rng, max_rank=3, max_points=6)
+        out = solve(inst, SolverConfig(seed=500 + k))
+        assert out.success
+        sigma = inst.parabolic_type()
+        rep = higgs_to_quiver(flags_from_solution(out.solution, sigma))
+        r, n = inst.rank, inst.n
+        zs = [i - 0.5 for i in range(r * (n - 2) + 2)]
+        points, ts = [float(x) for x in inst.points], list(range(1, r + 1))
+        count = independent_hamiltonian_count(rep, points, ts, zs)
+        assert count == per_observable_count(rep, points, ts, zs) == spectral_degrees(sigma)[1]
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_hamiltonian_rows_match_the_trace_power_gradients(monkeypatch, r):
+    # powers up to phi^(r+1), past the products that matrix_power and the
+    # running product form alike
+    rng = np.random.default_rng(r)
+    points = [0.0, 1.0, 2.0, 3.0]
+    quiver = StarQuiver(rank=r, arms=(tuple(range(r - 1, 0, -1)),) * 4)
+    rep = random_rep(quiver, rng, scale=0.5)
+    ts, zs = list(range(1, r + 3)), [-0.75, 0.5, 1.25, 2.5, 3.75]
+    seen, helper = [], poisson._trace_power_grad
+
+    def record(rep, points, t, zc, pw):
+        grad = helper(rep, points, t, zc, pw)
+        seen.append((t, zc, pack_rep(grad)))
+        return grad
+
+    monkeypatch.setattr(poisson, "_trace_power_grad", record)
+    count = independent_hamiltonian_count(rep, points, ts, zs)
+    monkeypatch.undo()
+    assert [(t, z) for t, z, _ in seen] == [(t, complex(z)) for t in ts for z in zs]  # t-major rows
+    for t, z, row in seen:
+        expected = pack_rep(trace_power_observable(quiver, points, t, z, selfcheck=False).grad(rep))
+        assert np.linalg.norm(row - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert count == per_observable_count(rep, points, ts, zs)
+
+
+def test_hamiltonian_count_refuses_a_power_below_one():
+    rep = random_rep(StarQuiver(rank=2, arms=((1,),) * 4), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="at least 1"):
+        independent_hamiltonian_count(rep, [0.0, 1.0, 2.0, 3.0], [0, 1], [0.5])

@@ -1,7 +1,7 @@
 """Source hygiene: no unused imports, no unread private module-level
 names, public methods or function parameters in the package, no option
 that every caller leaves at its default, no new mode comparison outside
-`arith`, and a CLI import, an exact `ds verify --hitchin` and the
+`arith`, one Kronecker product and no `np.kron`, and a CLI import, an exact `ds verify --hitchin` and the
 `bridge --hitchin` conversions that do not load sympy."""
 
 import ast
@@ -251,3 +251,19 @@ def test_mode_forks_stay_in_arith():
         if path.stem != "arith"
     }
     assert {k: v for k, v in counts.items() if v} == {"cli": 1, "dsolve": 1, "higgs": 2, "jsonio": 2, "spectral": 1}
+
+
+def test_one_kronecker_product_and_no_numpy_kron():
+    # np.kron costs tens of microseconds a call on the solver's small
+    # matrices; arith.kron is the package's one Kronecker product
+    defined, numpy_kron = [], []
+    for path in sorted((SRC / "starquiver").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and "kron" in node.name.lower():
+                defined.append(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.Attribute) and node.attr == "kron":
+                numpy_kron.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                numpy_kron += [f"{path.name}:{node.lineno}" for a in node.names if a.name == "kron"]
+    assert defined == ["arith.kron"]
+    assert numpy_kron == []
