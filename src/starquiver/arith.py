@@ -38,32 +38,6 @@ def kron(a, b):
     return out.reshape(out.shape[:-4] + (out.shape[-4] * out.shape[-3], out.shape[-2] * out.shape[-1]))
 
 
-class _ExactSpan:
-    """Incremental linear independence of exact vectors: reduced rows with
-    their pivot indices."""
-
-    def __init__(self):
-        self.rows = []
-        self.pivots = []
-
-    def add(self, vec):
-        v = list(vec)
-        for row, piv in zip(self.rows, self.pivots):
-            c = v[piv]
-            if c != 0:
-                v = [x - c * y for x, y in zip(v, row)]
-        piv = next((i for i, x in enumerate(v) if x != 0), None)
-        if piv is None:
-            return False
-        inv = Fraction(1) / v[piv]
-        self.rows.append([x * inv for x in v])
-        self.pivots.append(piv)
-        return True
-
-    def __len__(self):
-        return len(self.rows)
-
-
 class _FloatSpan:
     """Incremental linear independence of float vectors: an orthonormal
     basis built by twice-repeated Gram-Schmidt.  A vector counts as new when
@@ -168,9 +142,6 @@ class _Exact:
     def from_columns(self, cols):
         return ex.mtrans(cols)
 
-    def column(self, v):
-        return [[x] for x in v]
-
     def apply(self, m, v):
         return [sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(v))]
 
@@ -189,7 +160,7 @@ class _Exact:
         return ex.rank(a) + ex.rank(b) - ex.rank(ex.hstack([a, b]))
 
     def span_tracker(self, *_):
-        return _ExactSpan()
+        return ex.Span()
 
 
 class _Float:
@@ -300,9 +271,6 @@ class _Float:
 
     def from_columns(self, cols):
         return np.stack(cols, axis=1)
-
-    def column(self, v):
-        return np.asarray(v).reshape(-1, 1)
 
     def apply(self, m, v):
         return m @ v

@@ -26,10 +26,10 @@ import numpy as np
 from . import jsonio
 from .combinat import (
     EnumerationBoundExceeded,
-    chain_simple,
     check_small_weights,
     condition_spectral_top,
     mu_eps,
+    simpleness_condition,
     spectral_degrees,
     weights_generic,
 )
@@ -88,9 +88,7 @@ def cmd_type_check(args):
     gamma1_sum = sum(sigma.gamma(i)[0] for i in range(sigma.n_points))
     feasible = 2 * sigma.rank <= gamma1_sum
     top = condition_spectral_top(sigma)
-    chains_ok = all(
-        chain_simple(sigma.rank, sigma.gamma(i)[:-1]) for i in range(sigma.n_points)
-    )
+    chains_ok = simpleness_condition(sigma)
     try:
         generic = weights_generic(sigma)
         generic_str = "yes" if generic else "no"
@@ -433,10 +431,10 @@ def build_parser():
     dssub = ds.add_subparsers(dest="ds_command", required=True)
     dsv = dssub.add_parser("solve", help="search for a certified solution")
     dsv.add_argument("--instance", required=True)
-    dsv.add_argument("--tol", type=float, default=1e-10)
-    dsv.add_argument("--restarts", type=int, default=20)
-    dsv.add_argument("--max-iters", type=int, default=5000)
-    dsv.add_argument("--seed", type=int, default=0)
+    dsv.add_argument("--tol", type=float, default=SolverConfig.tolerance)
+    dsv.add_argument("--restarts", type=int, default=SolverConfig.restarts)
+    dsv.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
+    dsv.add_argument("--seed", type=int, default=SolverConfig.seed)
     dsv.add_argument("--out", help="write the solution JSON here")
     dsv.add_argument("--report", help="write a JSON report here")
     dsv.set_defaults(func=cmd_ds_solve)

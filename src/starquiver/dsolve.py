@@ -37,7 +37,7 @@ from .combinat import (
     type_from_classes,
 )
 from .higgs import HiggsTuple, irreducible
-from .spectral import rank_profile
+from .spectral import char_poly, rank_profile, vanishing_orders
 from .starrep import BRIDGE_TOL
 
 # a Gauss-Newton step is halved while it would push a conjugator past this
@@ -320,8 +320,6 @@ def verify(solution: DSSolution, instance: DSInstance, hitchin=False) -> VerifyR
         conj_ok = conj_ok and o.is_zero(gap, CONJUGATOR_TOL)
     hitchin_report = None
     if hitchin and profile_ok:
-        from .spectral import char_poly, vanishing_orders
-
         exact_sol = exact_refine(solution, instance)
         sigma = instance.parabolic_type()
         h = flags_from_solution(exact_sol, sigma)

@@ -252,6 +252,8 @@ class IrreducibilityCertificate:
     dimension: int
     words: list  # index words spanning the algebra (0-based, () = identity)
     invariant_subspace: object = None  # basis of a common invariant subspace
+    # the product of each word, in the order of ``words``
+    elements: list = field(default=None, repr=False, compare=False)
 
 
 # a word of the residues spans a new direction of their algebra only when
@@ -265,11 +267,11 @@ IRREDUCIBLE_RTOL = 1e-9
 def irreducible(mats, mode="float"):
     """Do the matrices generate the full matrix algebra?
 
-    Closes a word basis under left multiplication until the span
-    stabilizes; the tuple has no common proper invariant subspace exactly
-    when the closed span has dimension rank squared.  When it does not, a
-    common invariant subspace is extracted from the stabilized span by
-    closing candidate vectors under the algebra.
+    Closes a word basis under left multiplication, breadth first, until the
+    span stabilizes; the tuple has no common proper invariant subspace
+    exactly when the closed span has dimension rank squared.  When it does
+    not, a common invariant subspace is extracted from the stabilized span
+    by closing candidate vectors under the algebra.
     """
     if not mats:
         raise ValueError("need at least one matrix")
@@ -280,38 +282,35 @@ def irreducible(mats, mode="float"):
     tracker.add(o.flatten(eye))
     words = [()]
     elements = [eye]
-    frontier = list(range(len(elements)))
-    while frontier and len(tracker) < r * r:
-        next_frontier = []
-        for idx in frontier:
-            for a_idx, a in enumerate(mats):
-                prod = o.mul(a, elements[idx])
-                if tracker.add(o.flatten(prod)):
-                    words.append((a_idx,) + words[idx])
-                    elements.append(prod)
-                    next_frontier.append(len(elements) - 1)
-                    if len(tracker) == r * r:
-                        break
-            if len(tracker) == r * r:
-                break
-        frontier = next_frontier
+    idx = 0
+    while idx < len(elements) and len(tracker) < r * r:
+        for a_idx, a in enumerate(mats):
+            prod = o.mul(a, elements[idx])
+            if tracker.add(o.flatten(prod)):
+                words.append((a_idx,) + words[idx])
+                elements.append(prod)
+                if len(tracker) == r * r:
+                    break
+        idx += 1
     dim = len(tracker)
     if dim == r * r:
-        return IrreducibilityCertificate(True, dim, words)
-    witness = _find_invariant_subspace(mats, elements, mode)
-    return IrreducibilityCertificate(False, dim, words, invariant_subspace=witness)
+        return IrreducibilityCertificate(True, dim, words, elements=elements)
+    witness = next(_proper_closures(elements, _witness_candidates(mats, mode), o), None)
+    return IrreducibilityCertificate(False, dim, words, invariant_subspace=witness, elements=elements)
 
 
-def _algebra_closure_of_vector(elements, v, o):
-    """Column space of {m v : m in algebra span}; invariant by closure."""
-    stacked = o.from_columns([o.apply(m, v) for m in elements])
-    rk = o.rank(stacked, IRREDUCIBLE_RTOL)
-    if rk == 0 or rk == o.shape(stacked)[0]:
-        return None
-    return o.basis(stacked, rk)
+def _proper_closures(elements, vectors, o):
+    """For each vector v in turn, the column space of {m v : m in the span
+    of ``elements``} when it is proper and nonzero; invariant by closure."""
+    for v in vectors:
+        stacked = o.from_columns([o.apply(m, v) for m in elements])
+        rk = o.rank(stacked, IRREDUCIBLE_RTOL)
+        if 0 < rk < o.shape(stacked)[0]:
+            yield o.basis(stacked, rk)
 
 
-def _find_invariant_subspace(mats, elements, mode):
+def _witness_candidates(mats, mode):
+    """Vectors whose closures may give an irreducibility witness."""
     o = arith.ops(mode)
     r = o.shape(mats[0])[0]
     candidates = o.columns(o.eye(r))
@@ -328,11 +327,7 @@ def _find_invariant_subspace(mats, elements, mode):
         vals, vecs = np.linalg.eig(combo)
         for col in range(vecs.shape[1]):
             candidates.append(vecs[:, col])
-    for v in candidates:
-        basis = _algebra_closure_of_vector(elements, v, o)
-        if basis is not None:
-            return basis
-    return None
+    return candidates
 
 
 # ---------------------------------------------------------------------------
@@ -395,47 +390,26 @@ def stability_verdict(h: HiggsTuple) -> StabilityReport:
 
 def _invariant_subspace_candidates(h: HiggsTuple, cert):
     """Invariant subspaces to test: the certificate witness, algebra
-    closures of flag steps, coordinate vectors and four random vectors from
-    a fixed seed.  Zero tuples make every subspace invariant, so flag steps
-    and coordinate subspaces enter directly."""
+    closures of flag columns, coordinate vectors and four random vectors
+    from a fixed seed, and the invariant flag steps."""
     r = h.rank
     o = h.ops
-    mats = h.matrices
-    all_zero = all(o.is_zero(m) for m in mats)
-    # rebuild the algebra span elements from the certificate's words
-    eye = o.eye(r)
-    elements = [eye]
-    for word in cert.words:
-        m = eye
-        for idx in word:
-            m = o.mul(mats[idx], m)
-        elements.append(m)
     out = []
     if cert.invariant_subspace is not None:
         out.append(cert.invariant_subspace)
     seeds = [v for fl in h.flags for b in fl for v in o.columns(b)]
-    seeds += o.columns(eye)
+    seeds += o.columns(o.eye(r))
     rng = np.random.default_rng(0)
     for _ in range(4):
         if h.mode == "exact":
             seeds.append([Fraction(int(rng.integers(-5, 6))) for _ in range(r)])
         else:
             seeds.append(rng.standard_normal(r) + 1j * rng.standard_normal(r))
-    for v in seeds:
-        basis = o.column(v)
-        if o.is_zero(basis):
-            continue
-        if all_zero:
-            if o.rank(basis) == 1:
-                out.append(basis)
-            continue
-        basis = _algebra_closure_of_vector(elements, v, o)
-        if basis is not None:
-            out.append(basis)
+    out.extend(_proper_closures(cert.elements, seeds, o))
     # also flag steps themselves when invariant
     for i in range(h.n):
         for b in h.flags[i]:
-            invariant = all(o.contains(b, o.mul(m, b), BRIDGE_TOL) for m in mats)
+            invariant = all(o.contains(b, o.mul(m, b), BRIDGE_TOL) for m in h.matrices)
             if invariant:
                 out.append(b)
     return out

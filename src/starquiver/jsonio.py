@@ -16,7 +16,7 @@ from .combinat import MarkedLine, NilpotentClass, ParabolicType
 from .dsolve import DSInstance, DSSolution
 from .higgs import HiggsTuple
 from .spectral import HitchinPoint
-from .starrep import BRIDGE_TOL, StarQuiver, StarRep
+from .starrep import StarQuiver, StarRep
 
 
 class InputFormatError(ValueError):
@@ -60,10 +60,11 @@ def _decoder(what):
 
 
 def scalar_from_json(v):
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2:
-        return complex(v[0], v[1])
+    """A float entry: a JSON number or an [re, im] pair of them; a bool is
+    not a number here, as in ``int_from_json``."""
+    parts = v if isinstance(v, list) and len(v) == 2 else [v]
+    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
+        return complex(*parts)
     raise InputFormatError(f"not a floating scalar: {v!r}")
 
 
@@ -216,8 +217,7 @@ def higgs_from_json(data, check=True) -> HiggsTuple:
     mode = data.get("mode", "float")
     mats = [matrix_from_json(m, mode) for m in data["matrices"]]
     flags = [[matrix_from_json(b, mode) for b in fl] for fl in data["flags"]]
-    tol = float(data.get("tol", BRIDGE_TOL))
-    return HiggsTuple(sigma=sigma, matrices=mats, flags=flags, mode=mode, tol=tol, check=check)
+    return HiggsTuple(sigma=sigma, matrices=mats, flags=flags, mode=mode, check=check)
 
 
 def hitchin_to_json(hp: HitchinPoint) -> dict:

@@ -5,13 +5,15 @@ elimination is fraction-free (``bareiss``, Bareiss 1968) on integer
 matrices, which keeps every entry an integer minor and never reduces a
 fraction; rational matrices are cleared of denominators row by row first,
 and ``rref``, ``rank``, ``nullspace``, ``solve`` and ``inv`` read their
-answers off that one elimination.  Products run on integers too: ``clear``
+answers off that one elimination; ``Span`` decides the independence of
+one vector at a time in integers.  Products run on integers too: ``clear``
 writes a matrix as integer rows over one denominator, ``imul`` multiplies
 integer matrices, and ``mmul`` builds one Fraction per entry of the
 integer product.
 
 Polynomials are dense coefficient lists in ascending order; trailing
-zeros are trimmed so that ``[]`` is the zero polynomial.
+zeros are trimmed so that ``[]`` is the zero polynomial.  ``paddmul`` is
+the one schoolbook product, for rational and integer coefficients alike.
 """
 
 import math
@@ -219,6 +221,39 @@ def bareiss(a):
     return r, pivots, prev
 
 
+class Span:
+    """Incremental linear independence of rational vectors, in integers.
+
+    Each vector is cleared of denominators and reduced against the rows kept
+    so far, in order; row k is zero at the pivots of rows 0..k-1, so no
+    reduction step undoes an earlier one.  A vector that does not reduce to
+    zero is kept primitive, with its first nonzero index as its pivot.
+    """
+
+    def __init__(self):
+        self.rows = []
+        self.pivots = []
+
+    def add(self, vec):
+        """Keep ``vec`` if it is independent of the kept rows; True if kept."""
+        v = _integer_rows([vec])[0]
+        for row, piv in zip(self.rows, self.pivots):
+            c = v[piv]
+            if c:
+                p = row[piv]
+                v = [p * x - c * y for x, y in zip(v, row)]
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is None:
+            return False
+        g = math.gcd(*v)
+        self.rows.append([x // g for x in v])
+        self.pivots.append(piv)
+        return True
+
+    def __len__(self):
+        return len(self.rows)
+
+
 # ---------------------------------------------------------------------------
 # nilpotent normal form
 
@@ -249,8 +284,9 @@ def nilpotent_jordan_basis(a):
     built on the integer matrix ``k = D a`` (D the lcm of the denominators):
     going down from the longest length s, the tops of the chains of length
     s extend ``ker k^{s-1}`` plus the level-s vectors of longer chains to
-    ``ker k^s``, greedily from an integer basis of ``ker k^s``.  Position t
-    of a chain of ``k`` is divided by ``D^t`` to give a chain of ``a``.
+    ``ker k^s``, greedily from an integer basis of ``ker k^s``; one ``Span``
+    per length decides each candidate.  Position t of a chain of ``k`` is
+    divided by ``D^t`` to give a chain of ``a``.
     """
     n = len(a)
     k, den = clear(a)
@@ -263,12 +299,11 @@ def nilpotent_jordan_basis(a):
         power = imul(k, power)
     chains = []
     for s in range(len(kernels) - 1, 0, -1):
-        span = kernels[s - 1] + [c[len(c) - s] for c in chains]
-        found = len(bareiss(span)[1]) if span else 0
+        span = Span()
+        for v in kernels[s - 1] + [c[len(c) - s] for c in chains]:
+            span.add(v)
         for v in kernels[s]:
-            if len(bareiss(span + [v])[1]) > found:
-                span.append(v)
-                found += 1
+            if span.add(v):
                 chain = [v]
                 for _ in range(s - 1):
                     chain.append([sum(x * y for x, y in zip(row, chain[-1])) for row in k])
@@ -299,16 +334,18 @@ def ptrim(p):
     return p
 
 
+def paddmul(acc, p, q):
+    """acc += p * q in place, extending acc with zeros as needed; returns acc."""
+    acc.extend([0] * (len(p) + len(q) - 1 - len(acc)))
+    for u, x in enumerate(p):
+        if x:
+            for v, y in enumerate(q):
+                acc[u + v] += x * y
+    return acc
+
+
 def pmul(p, q):
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return ptrim(out)
+    return ptrim(paddmul([Fraction(0)] * (len(p) + len(q) - 1), p, q))
 
 
 def peval(p, x):

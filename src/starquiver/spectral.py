@@ -74,16 +74,6 @@ class HitchinPoint:
                 )
 
 
-def _zx_mul_acc(acc, p, q):
-    """acc += p * q for integer polynomials (ascending coefficient lists)."""
-    acc.extend([0] * (len(p) + len(q) - 1 - len(acc)))
-    for u, x in enumerate(p):
-        if x:
-            for v, y in enumerate(q):
-                acc[u + v] += x * y
-    return acc
-
-
 def _zx_charpoly(a):
     """(c_1..c_r) of det(lambda I - a) for a square matrix over Z[z], by
     Faddeev-LeVerrier: M_1 = a, c_k = -tr(M_k) / k, M_{k+1} = a M_k + c_k a.
@@ -94,17 +84,17 @@ def _zx_charpoly(a):
     for k in range(1, r + 1):
         tr = []
         for i in range(r):
-            _zx_mul_acc(tr, m[i][i], [1])
+            ex.paddmul(tr, m[i][i], [1])
         ck = [-x // k for x in tr]
         coeffs.append(ck)
         if k < r:
-            prev, m = m, [[_zx_mul_acc([], ck, a[i][j]) for j in range(r)] for i in range(r)]
+            prev, m = m, [[ex.paddmul([], ck, a[i][j]) for j in range(r)] for i in range(r)]
             for i in range(r):
                 for t in range(r):
                     if a[i][t]:
                         # the last product only feeds a trace
                         for j in range(r) if k < r - 1 else (i,):
-                            _zx_mul_acc(m[i][j], a[i][t], prev[t][j])
+                            ex.paddmul(m[i][j], a[i][t], prev[t][j])
     return coeffs
 
 
@@ -135,11 +125,11 @@ def char_poly(h: HiggsTuple) -> HitchinPoint:
         weight = [1]
         for k, f in enumerate(factors):
             if k != i:
-                weight = _zx_mul_acc([], weight, f)
+                weight = ex.paddmul([], weight, f)
         for row, zrow in zip(a, zm):
             for x, entry in zip(row, zrow):
                 if x:
-                    _zx_mul_acc(entry, [x.numerator * (d // x.denominator)], weight)
+                    ex.paddmul(entry, [x.numerator * (d // x.denominator)], weight)
     scale = d * e ** (n - 1)
     coeffs = []
     for j, c in enumerate(_zx_charpoly(zm), start=1):
@@ -465,14 +455,7 @@ def _fp_powmod(a, e, f, q):
 
 def _fp_mulmod(a, b, f, q):
     """a b mod f over F_q."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _fp_divmod([c % q for c in out], f, q)[1]
+    return _fp_divmod([c % q for c in ex.paddmul([], a, b)], f, q)[1]
 
 
 def sample_hitchin_point(sigma: ParabolicType, seed=0, max_retries=50):

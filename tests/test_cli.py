@@ -510,6 +510,43 @@ def test_residue_tuple_that_is_not_an_object_is_an_input_error(tmp_path, capsys,
     assert err == f"error: invalid residue tuple: {message}\n"
 
 
+def _heavy_top_as_float():
+    data = jsonio.load(FIXTURES / "higgs_rank2_heavy_top.json")
+    data["mode"] = "float"
+    data["matrices"] = [[[float(F(x)) for x in row] for row in m] for m in data["matrices"]]
+    data["flags"] = [[[[float(F(x)) for x in row] for row in b] for b in fl] for fl in data["flags"]]
+    return data
+
+
+@pytest.mark.parametrize("tol", [None, "inf"])
+def test_residue_tuple_json_cannot_set_its_tolerance(tmp_path, capsys, tol):
+    # the tuple is validated at BRIDGE_TOL whatever the file says: a "tol"
+    # field used to switch validation off
+    data = _heavy_top_as_float()
+    assert main(["bridge", "to-quiver", "--higgs", str(_dump(tmp_path, data))]) == 0
+    data["matrices"][0][0][0] += 5
+    if tol is not None:
+        data["tol"] = tol
+    code, err = _malformed_run(tmp_path, capsys, data, ["bridge", "to-quiver", "--higgs", "BAD"])
+    assert code == 1
+    assert err.startswith("error: invalid residue tuple: residues do not sum to zero (norm 5.00e+00)")
+    assert err.count("\n") == 1
+
+
+def _dump(tmp_path, data):
+    path = tmp_path / "data.json"
+    jsonio.dump(path, data)
+    return path
+
+
+@pytest.mark.parametrize("entry", [True, False, [True, 0.0]])
+def test_float_entries_refuse_booleans(tmp_path, capsys, entry):
+    data = jsonio.rep_to_json(random_rep(StarQuiver(rank=2, arms=((1,),) * 4), np.random.default_rng(5), scale=0.5))
+    data["matrices"]["f/1/1"][0][0] = entry
+    code, err = _malformed_run(tmp_path, capsys, data, ["poisson", "check", "--rep", "BAD", "--grid", "1"])
+    assert (code, err) == (1, f"error: invalid representation: not a floating scalar: {entry!r}\n")
+
+
 def test_poisson_points_are_parsed_as_rationals(tmp_path, capsys):
     rep = tmp_path / "rep.json"
     jsonio.dump(rep, jsonio.rep_to_json(random_rep(StarQuiver(rank=2, arms=((1,),) * 4), np.random.default_rng(0))))
