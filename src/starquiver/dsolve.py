@@ -444,6 +444,37 @@ def _free_entries(ranks, r):
     return [(a, b) for b in range(r) for a in range(max(g for g in ranks + (0,) if g <= b))]
 
 
+def _solve_anchored(columns, anchor):
+    """The point x of the kernel of the integer matrix with these columns
+    whose free unknowns keep their (Fraction) anchor values and whose pivot
+    unknowns are solved for exactly.
+
+    One forward elimination ``R`` (pivots p_k, last pivot d) of the system;
+    with the free anchors as integers y over their common denominator s,
+    ``xs_k = d s x[p_k]`` is minus row k of d·rref applied to y, which
+    back substitution gives bottom-up from the combination of free columns
+    alone: ``xs_k = -(d R_k·y + sum_{l>k} R_k[p_l] xs_l) / R_k[p_k]``, an
+    exact division.
+    """
+    x = list(anchor)
+    if not columns:
+        return x
+    red, piv, d = ex.echelon(ex.mtrans(columns))
+    pivot_set = set(piv)
+    free = [j for j in range(len(columns)) if j not in pivot_set]
+    scale = math.lcm(*(anchor[j].denominator for j in free))
+    y = [anchor[j].numerator * (scale // anchor[j].denominator) for j in free]
+    xs = [0] * len(piv)
+    for k in range(len(piv) - 1, -1, -1):
+        row = red[k]
+        acc = d * sum(row[j] * yj for j, yj in zip(free, y))
+        acc += sum(row[piv[l]] * xs[l] for l in range(k + 1, len(piv)))
+        xs[k] = -(acc // row[piv[k]])
+    for p, v in zip(piv, xs):
+        x[p] = Fraction(v, d * scale)
+    return x
+
+
 def _refine_at(solution, instance, nested, den):
     """The exact tuple for one snap at denominator ``den``, or None when the
     snap is rejected (singular flag basis, wrong profile, or drift)."""
@@ -471,16 +502,8 @@ def _refine_at(solution, instance, nested, den):
             columns.append([q[p][a] * adj[b][t] for p in range(r) for t in range(r)])
             e = den if b < g else den * den
             anchor.append(Fraction(round(nf[a, b] * e), e * d))
-    x = list(anchor)
-    if columns:
-        red, piv, d = ex.bareiss(ex.mtrans(columns))
-        free = sorted(set(range(len(columns))) - set(piv))
-        scale = math.lcm(*(anchor[j].denominator for j in free))
-        y = {j: anchor[j].numerator * (scale // anchor[j].denominator) for j in free}
-        for row, p in zip(red, piv):
-            x[p] = Fraction(-sum(row[j] * y[j] for j in free), d * scale)
     ks = [ex.mzeros(r, r) for _ in frames]
-    for (i, a, b), v in zip(unknowns, x):
+    for (i, a, b), v in zip(unknowns, _solve_anchored(columns, anchor)):
         ks[i][a][b] = v
     mats, conjugators = [], []
     for k, f, c, af in zip(ks, frames, instance.classes, solution.matrices):

@@ -1,12 +1,14 @@
 """Exact linear algebra and dense univariate polynomials over Fraction.
 
 Matrices are lists of row lists with ``fractions.Fraction`` entries.  All
-elimination is fraction-free (``bareiss``, Bareiss 1968) on integer
-matrices, which keeps every entry an integer minor and never reduces a
-fraction; rational matrices are cleared of denominators row by row first,
-and ``rref``, ``rank``, ``nullspace``, ``solve`` and ``inv`` read their
-answers off that one elimination; ``Span`` decides the independence of
-one vector at a time in integers.  Products run on integers too: ``clear``
+elimination is fraction-free (Bareiss 1968) on integer matrices and runs
+one forward loop, ``echelon``, which keeps every entry an integer minor
+and never reduces a fraction; ``bareiss`` then reduces its rows bottom-up
+to d times the reduced row echelon form.  Rational matrices are cleared of
+denominators row by row first: ``rank`` counts the pivots of ``echelon``
+alone, and ``rref``, ``nullspace``, ``solve`` and ``inv`` read their
+answers off ``bareiss``; ``Span`` decides the independence of one vector
+at a time in integers.  Products run on integers too: ``clear``
 writes a matrix as integer rows over one denominator, ``imul`` multiplies
 integer matrices, and ``mmul`` builds one Fraction per entry of the
 integer product.
@@ -140,7 +142,7 @@ def rref(a):
 
 
 def rank(a):
-    return len(bareiss(_integer_rows(a))[1])
+    return len(echelon(_integer_rows(a))[1])
 
 
 def nullspace(a):
@@ -184,17 +186,17 @@ def inv(a):
         raise ValueError("matrix is singular")
 
 
-def bareiss(a):
-    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss
+def echelon(a):
+    """Fraction-free forward elimination of an integer matrix (Bareiss
     1968).  Returns (R, pivot_columns, d).
 
     Pivot columns are the first independent columns, left to right.  Row k
-    of R (k < rank) is the pivot row of ``pivots[k]``: it holds d in its own
-    pivot column and 0 in the other pivot columns; the remaining rows are
-    zero.  Every entry is a minor of ``a``, so each division is exact and
-    the entries stay integers; d is the pivot minor up to sign, and for an
-    invertible square ``a`` elimination of ``[a | I]`` leaves ``d a^{-1}``
-    on the right.
+    of R (k < rank) is the pivot row of ``pivots[k]``, zero left of it; its
+    pivot entry is the leading (k+1)-minor of the row-swapped ``a`` at the
+    first k+1 pivot columns, so d, the last pivot (1 for rank 0), is the
+    pivot minor up to sign.  The remaining rows are zero.  Only the rows
+    below each pivot are updated; every entry is a minor of ``a``, so each
+    division is exact.  ``rank`` needs nothing more.
     """
     r = [list(row) for row in a]
     m, n = shape(r)
@@ -208,17 +210,47 @@ def bareiss(a):
         if k is None:
             continue
         r[row], r[k] = r[k], r[row]
-        prow = r[row]
-        p = prow[col]
-        for i in range(m):
-            if i != row:
-                # rows below the pivot are zero left of col
-                lo = 0 if i < row else col
-                f = r[i][col]
-                r[i][lo:] = [(p * x - f * y) // prev for x, y in zip(r[i][lo:], prow[lo:])]
+        prow = r[row][col:]
+        p = prow[0]
+        for i in range(row + 1, m):
+            f = r[i][col]
+            r[i][col:] = [(p * x - f * y) // prev for x, y in zip(r[i][col:], prow)]
         prev = p
         pivots.append(col)
     return r, pivots, prev
+
+
+def bareiss(a):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix: d times
+    its reduced row echelon form.  Returns (R, pivot_columns, d).
+
+    ``echelon`` eliminates forward; then, bottom-up, each echelon row R_k
+    becomes row k of d·rref as ``(d R_k - sum_{l>k} R_k[p_l] D_l) / R_k[p_k]``
+    over the rows D_l already reduced, computed at the non-pivot columns
+    only.  d·rref is unique and has integer entries (minors of ``a``), so
+    each division is exact.  Row k (k < rank) holds d in its own pivot
+    column and 0 in the other pivot columns; the remaining rows are zero.
+    For an invertible square ``a``, elimination of ``[a | I]`` leaves
+    ``d a^{-1}`` on the right.
+    """
+    r, pivots, d = echelon(a)
+    pivot_set = set(pivots)
+    free = [j for j in range(shape(r)[1]) if j not in pivot_set]
+    tails = [None] * len(pivots)  # tails[l]: row l of d·rref at the free columns
+    for k in range(len(pivots) - 1, -1, -1):
+        row = r[k]
+        acc = [d * row[j] for j in free]
+        for l in range(k + 1, len(pivots)):
+            c = row[pivots[l]]
+            if c:
+                acc = [x - c * y for x, y in zip(acc, tails[l])]
+        p = row[pivots[k]]
+        tails[k] = [x // p for x in acc]
+        r[k] = [0] * len(row)
+        r[k][pivots[k]] = d
+        for j, x in zip(free, tails[k]):
+            r[k][j] = x
+    return r, pivots, d
 
 
 class Span:

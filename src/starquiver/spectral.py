@@ -6,9 +6,10 @@ With marked points x_1..x_n and residues A_i, write
 The coefficient of lambda^{r-j} in det(lambda I - M(z)) is the numerator
 polynomial p_j; residues summing to zero kill the z^{n-1} terms of M, so
 deg p_j <= j(n-2).  Only exact tuples have a characteristic point: their
-p_j come from one Faddeev-LeVerrier pass over Z[z] on the
-denominator-cleared matrix, in plain Python integers, so the exact
-cross-check of ``ds verify --hitchin`` never loads sympy.  Membership in
+p_j come from the denominator-cleared matrix, by an integer
+Faddeev-LeVerrier pass at each integer node z = 0..r·deg and Newton
+interpolation from forward differences, in plain Python integers, so the
+exact cross-check of ``ds verify --hitchin`` never loads sympy.  Membership in
 the admissible coefficient space means p_j vanishes at x_i to order at
 least eps_j(x_i); the order at x = a/b comes from repeated exact integer
 division of the denominator-cleared p_j by (b z - a).
@@ -30,7 +31,7 @@ witnesses.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 import numpy as np
 
@@ -75,26 +76,49 @@ class HitchinPoint:
 
 
 def _zx_charpoly(a):
-    """(c_1..c_r) of det(lambda I - a) for a square matrix over Z[z], by
-    Faddeev-LeVerrier: M_1 = a, c_k = -tr(M_k) / k, M_{k+1} = a M_k + c_k a.
-    Every c_k lies in Z[z], so the division by k is exact."""
+    """(c_1..c_r) of det(lambda I - a) for a square matrix over Z[z], each
+    a trimmed integer list, by evaluation and interpolation.
+
+    With N = r·deg(a), every c_k has degree at most N, so its values at
+    t = 0..N fix it; each value comes from the integer Faddeev-LeVerrier
+    of a(t).  The forward differences of those values give the
+    falling-factorial coefficients b_j = Δ^j c_k(0) / j!, integers because
+    c_k has integer coefficients, and c_k = b_0 + z (b_1 + (z - 1)(b_2 + ...)).
+    """
     r = len(a)
+    a = [[ex.ptrim(list(e)) for e in row] for row in a]
+    top = r * max(max((len(e) for row in a for e in row), default=0) - 1, 0)
+    values = [_int_charpoly([[ex.peval(e, t) for e in row] for row in a]) for t in range(top + 1)]
     coeffs = []
-    m = a
+    for v in zip(*values):
+        b = []
+        for j in range(top + 1):
+            b.append(v[0] // factorial(j))
+            v = [y - x for x, y in zip(v, v[1:])]
+        p = []
+        for j in range(top, -1, -1):  # p <- b_j + (z - j) p
+            p = [0] + p
+            for i in range(len(p) - 1):
+                p[i] -= j * p[i + 1]
+            p[0] += b[j]
+        coeffs.append(ex.ptrim(p))
+    return coeffs
+
+
+def _int_charpoly(a):
+    """(c_1..c_r) of det(lambda I - a) for an integer matrix, by
+    Faddeev-LeVerrier: M_1 = a, c_k = -tr(M_k) / k, M_{k+1} = a (M_k + c_k I).
+    Every c_k is an integer, so the division by k is exact."""
+    r = len(a)
+    m = [row[:] for row in a]  # c_k goes onto the diagonal of m, never of a
+    coeffs = []
     for k in range(1, r + 1):
-        tr = []
-        for i in range(r):
-            ex.paddmul(tr, m[i][i], [1])
-        ck = [-x // k for x in tr]
-        coeffs.append(ck)
+        c = -sum(m[i][i] for i in range(r)) // k
+        coeffs.append(c)
         if k < r:
-            prev, m = m, [[ex.paddmul([], ck, a[i][j]) for j in range(r)] for i in range(r)]
             for i in range(r):
-                for t in range(r):
-                    if a[i][t]:
-                        # the last product only feeds a trace
-                        for j in range(r) if k < r - 1 else (i,):
-                            ex.paddmul(m[i][j], a[i][t], prev[t][j])
+                m[i][i] += c
+            m = ex.imul(a, m)
     return coeffs
 
 
@@ -390,7 +414,7 @@ def _discriminant_vanishes(f):
     down, ddown = f[::-1], [k * c for k, c in enumerate(f)][:0:-1]
     rows = [[0] * k + down + [0] * (r - 2 - k) for k in range(r - 1)]
     rows += [[0] * k + ddown + [0] * (r - 1 - k) for k in range(r)]
-    return len(ex.bareiss(rows)[1]) < 2 * r - 1
+    return len(ex.echelon(rows)[1]) < 2 * r - 1
 
 
 def _factor_degrees(f, q):

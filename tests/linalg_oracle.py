@@ -12,6 +12,12 @@ elimination instead, which is how the former ``nullspace``, ``solve`` and
 Fraction products per entry.  ``starquiver.linalg_exact.mmul`` now clears
 each factor of denominators once and multiplies integers.
 
+``bareiss`` is the library's former fraction-free Gauss-Jordan
+elimination, which updated the rows above each pivot inside the forward
+loop.  ``starquiver.linalg_exact.bareiss`` now eliminates forward only
+(``echelon``) and reduces the echelon rows bottom-up afterwards; d times
+the reduced row echelon form is unique, so the two must agree exactly.
+
 ``root_order`` is the library's former Fraction root multiplicity:
 evaluate at x, then divide synthetically by (z - x), until the value is
 nonzero.  ``starquiver.spectral`` now divides integer numerators by
@@ -68,6 +74,43 @@ def mmul(a, b):
             bj = bt[j]
             out[i][j] = sum(ai[t] * bj[t] for t in range(k))
     return out
+
+
+def bareiss(a):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss
+    1968).  Returns (R, pivot_columns, d).
+
+    Pivot columns are the first independent columns, left to right.  Row k
+    of R (k < rank) is the pivot row of ``pivots[k]``: it holds d in its own
+    pivot column and 0 in the other pivot columns; the remaining rows are
+    zero.  Every entry is a minor of ``a``, so each division is exact and
+    the entries stay integers; d is the pivot minor up to sign, and for an
+    invertible square ``a`` elimination of ``[a | I]`` leaves ``d a^{-1}``
+    on the right.
+    """
+    r = [list(row) for row in a]
+    m, n = shape(r)
+    pivots = []
+    prev = 1
+    for col in range(n):
+        row = len(pivots)
+        if row == m:
+            break
+        k = next((i for i in range(row, m) if r[i][col]), None)
+        if k is None:
+            continue
+        r[row], r[k] = r[k], r[row]
+        prow = r[row]
+        p = prow[col]
+        for i in range(m):
+            if i != row:
+                # rows below the pivot are zero left of col
+                lo = 0 if i < row else col
+                f = r[i][col]
+                r[i][lo:] = [(p * x - f * y) // prev for x, y in zip(r[i][lo:], prow[lo:])]
+        prev = p
+        pivots.append(col)
+    return r, pivots, prev
 
 
 def reference(fn, *args):

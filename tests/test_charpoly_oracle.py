@@ -1,5 +1,7 @@
 """Differential tests of the integer characteristic-polynomial kernel
-against the Fraction oracle in ``charpoly_oracle``."""
+against the Fraction oracle in ``charpoly_oracle``, and of its evaluation
+and interpolation kernel against the former Faddeev-LeVerrier over Z[z]
+kept there."""
 
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +17,7 @@ from starquiver import linalg_exact as ex
 from starquiver.combinat import MarkedLine, ParabolicType
 from starquiver.dsolve import exact_refine, flags_from_solution
 from starquiver.higgs import HiggsTuple
+from starquiver import spectral
 from starquiver.spectral import ExactnessRequired, char_poly
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -105,3 +108,49 @@ def test_char_poly_matches_oracle_on_random_tuples(case):
             char_poly(h)
     else:
         assert char_poly(h).coeffs == expected
+
+
+@st.composite
+def zx_matrices(draw):
+    """Square matrices over Z[z] of rank 1 to 6: entries of degree up to 0,
+    1 or 4 (an empty list is zero), often with zero entries and trailing
+    zero coefficients; the trace is not forced to vanish, unlike the
+    pole-cleared matrix of a zero-sum tuple."""
+    r = draw(st.integers(1, 6))
+    top = draw(st.sampled_from([0, 1, 4]))
+    coefficient = st.integers(-50, 50) | st.integers(-(2**70), 2**70)
+    entry = st.lists(coefficient, max_size=top + 1) | st.just([]) | st.just([0] * (top + 1))
+    return [[draw(entry) for _ in range(r)] for _ in range(r)]
+
+
+def _check_zx(a):
+    before = [[list(e) for e in row] for row in a]
+    assert spectral._zx_charpoly(a) == [ex.ptrim(c) for c in oracle.zx_charpoly(before)]
+    assert a == before
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(zx_matrices())
+def test_zx_charpoly_matches_the_former_kernel(a):
+    _check_zx(a)
+
+
+@pytest.mark.parametrize("a", [
+    [[[]]],  # rank 1, zero
+    [[[7]]],  # rank 1, degree 0
+    [[[1, 2], [0, 1]], [[3], [5, 0, 0]]],  # trailing zeros, nonzero trace
+    [[[2], [1]], [[0], [3]]],  # degree 0, trace 5
+    [[[0, 1] if i == j else [] for j in range(6)] for i in range(6)],  # z I at rank 6
+    [[[i + j, i - j, 1] for j in range(5)] for i in range(5)],  # rank 5, degree 2
+])
+def test_zx_charpoly_matches_the_former_kernel_at_the_edges(a):
+    _check_zx(a)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda r: st.lists(
+    st.lists(st.integers(-(2**64), 2**64), min_size=r, max_size=r), min_size=r, max_size=r)))
+def test_int_charpoly_matches_fraction_faddeev_leverrier(a):
+    before = [row[:] for row in a]
+    assert spectral._int_charpoly(a) == oracle.charpoly([[Fraction(x) for x in row] for row in a])
+    assert a == before

@@ -1,7 +1,8 @@
 """Source hygiene: no unused imports, no unread private module-level
 names, public methods or function parameters in the package, no option
 that every caller leaves at its default, no new mode comparison outside
-`arith`, one Kronecker product and no `np.kron`, and a CLI import, an exact `ds verify --hitchin` and the
+`arith`, one Kronecker product and no `np.kron`, one fraction-free
+elimination loop, and a CLI import, an exact `ds verify --hitchin` and the
 `bridge --hitchin` conversions that do not load sympy."""
 
 import ast
@@ -268,3 +269,34 @@ def test_one_kronecker_product_and_no_numpy_kron():
                 numpy_kron += [f"{path.name}:{node.lineno}" for a in node.names if a.name == "kron"]
     assert defined == ["arith.kron"]
     assert numpy_kron == []
+
+
+def fraction_free_steps(tree):
+    """Floor divisions of a difference of two products, ``(p*x - f*y) // prev``:
+    the row update of a fraction-free elimination."""
+
+    def is_product(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.FloorDiv)
+        and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.Sub)
+        and is_product(node.left.left)
+        and is_product(node.left.right)
+    ]
+
+
+def test_one_elimination_loop():
+    # linalg_exact.echelon is the package's one forward elimination; bareiss,
+    # rank and the anchored zero-sum solve all run it, and none keeps a
+    # second copy of the loop beside it
+    owners = []
+    for path in sorted((SRC / "starquiver").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                owners += [f"{path.stem}.{node.name}"] * len(fraction_free_steps(node))
+    assert owners == ["linalg_exact.echelon"]

@@ -1,5 +1,6 @@
 """Differential tests of the fraction-free exact elimination and the
-integer products against the Fraction oracle in ``linalg_oracle``,
+integer products against the Fraction oracle in ``linalg_oracle``, of the
+two-phase ``bareiss`` against the former interleaved one kept there,
 properties of the integer powers, and exact/float agreement of rank
 profiles on integer nilpotents."""
 
@@ -76,6 +77,62 @@ def test_rref_rank_nullspace_match_oracle(a):
     assert ex.rref(a) == oracle.rref(a)
     assert ex.rank(a) == _rank_ref(a)
     assert ex.nullspace(a) == _nullspace_ref(a)
+
+
+_SMALL = st.integers(-9, 9)
+_HUGE = st.integers(-(2**200), 2**200)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices of 0x0 to 7x8 (no rows is ``[]``, no columns a list
+    of empty rows), with small entries or entries up to 2^200: drawn freely,
+    or as a product of an m x k and a k x n factor (rank at most k), then
+    with up to two rows and two columns zeroed."""
+    m, n = draw(st.integers(0, 7)), draw(st.integers(0, 8))
+    entries = draw(st.sampled_from([_SMALL, _HUGE]))
+    if draw(st.booleans()):
+        a = draw(_grid(m, n, entries))
+    else:
+        k = draw(st.integers(0, min(m, n)))
+        left, right = draw(_grid(m, k, entries)), draw(_grid(k, n, _SMALL))
+        a = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] if k else [0] * n for row in left]
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=2)) if m else []:
+        a[i] = [0] * n
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=2)) if m and n else []:
+        for row in a:
+            row[j] = 0
+    return a
+
+
+def _check_elimination(a):
+    expected = oracle.bareiss(a)
+    assert ex.bareiss(a) == expected
+    red, pivots, d = ex.echelon(a)
+    assert (pivots, d) == expected[1:]
+    assert all(type(x) is int for row in red for x in row)
+    assert all(not any(row[: p]) and row[p] for row, p in zip(red, pivots))  # echelon form
+    assert ex.is_zero(red[len(pivots):])
+    assert ex.rank([[Fraction(x) for x in row] for row in a]) == len(pivots)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(integer_matrices())
+def test_bareiss_and_echelon_match_the_interleaved_oracle(a):
+    _check_elimination(a)
+
+
+@pytest.mark.parametrize("a", [
+    [],  # 0x0
+    [[], [], []],  # 3x0
+    [[0] * 8] * 7,  # zero 7x8
+    [[0, 0, 5]],  # pivot in the last column
+    [[2**200, 1], [2**200 - 1, 1]],  # det 1 from entries of 200 bits
+    [[1, 2, 3], [2, 4, 6], [0, 0, 7], [3, 6, 9]],  # a swap below a zero pivot candidate
+    [[i * j + (i == j) for j in range(8)] for i in range(7)],  # full row rank 7x8
+])
+def test_bareiss_and_echelon_match_the_interleaved_oracle_at_the_edges(a):
+    _check_elimination(a)
 
 
 @st.composite

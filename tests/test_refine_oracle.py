@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import linalg_oracle
 import refine_oracle as oracle
 from conftest import FIXTURES
 from starquiver import dsolve, jsonio
@@ -158,6 +159,56 @@ def test_bareiss_matches_rref(a):
     for v in ex.int_kernel(a):
         assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)
     assert len(ex.int_kernel(a)) == len(a[0]) - len(pivots)
+
+
+@st.composite
+def anchored_systems(draw):
+    """(columns, anchor): 1 to 10 integer columns of height 1 to 9, with
+    small entries or entries up to 2^200, often of deficient rank, and one
+    rational anchor per column."""
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 10))
+    entries = draw(st.sampled_from([st.integers(-9, 9), st.integers(-(2**200), 2**200)]))
+    k = draw(st.integers(0, min(m, n)))
+    basis = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=k, max_size=k))
+    mix = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+    columns = [[sum(c * v[i] for c, v in zip(draw(mix), basis)) for i in range(m)] if k else [0] * m for _ in range(n)]
+    denominators = st.sampled_from([1, 3, 2**16, 2**40 * 7]) | st.integers(1, 2**64)
+    anchor = draw(st.lists(st.builds(F, st.integers(-(2**80), 2**80), denominators), min_size=n, max_size=n))
+    return columns, anchor
+
+
+def _check_anchored(columns, anchor):
+    system = [[F(x) for x in row] for row in ex.mtrans(columns)]
+    expected = linalg_oracle.reference(oracle.solve_anchored, system, anchor)
+    x = dsolve._solve_anchored(columns, anchor)
+    assert x == expected
+    assert all(sum(v * c[i] for v, c in zip(x, columns)) == 0 for i in range(len(columns[0])))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(anchored_systems())
+def test_anchored_zero_sum_solve_matches_oracle(case):
+    _check_anchored(*case)
+
+
+def test_anchored_zero_sum_solve_matches_oracle_on_the_batch(certified_batch, monkeypatch):
+    # the zero-sum systems of the refined batch up to rank 3, as built
+    systems = []
+    solve_anchored = dsolve._solve_anchored
+
+    def recording(columns, anchor):
+        systems.append((columns, anchor))
+        return solve_anchored(columns, anchor)
+
+    monkeypatch.setattr(dsolve, "_solve_anchored", recording)
+    for inst, out in certified_batch:
+        if inst.rank <= 3:
+            exact_refine(out.solution, inst)
+    monkeypatch.undo()
+    assert len(systems) >= 10
+    for columns, anchor in systems:
+        if columns:
+            _check_anchored(columns, anchor)
 
 
 _PARTITIONS = [(1,), (2,), (1, 1), (2, 1), (3,), (1, 1, 1), (2, 2), (3, 1), (2, 1, 1), (4,), (3, 2), (4, 1), (2, 2, 1)]
