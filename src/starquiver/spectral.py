@@ -9,10 +9,10 @@ deg p_j <= j(n-2).  Only exact tuples have a characteristic point: their
 p_j come from the denominator-cleared matrix, by an integer
 Faddeev-LeVerrier pass at each integer node z = 0..r·deg and Newton
 interpolation from forward differences, in plain Python integers, so the
-exact cross-check of ``ds verify --hitchin`` never loads sympy.  Membership in
-the admissible coefficient space means p_j vanishes at x_i to order at
-least eps_j(x_i); the order at x = a/b comes from repeated exact integer
-division of the denominator-cleared p_j by (b z - a).
+exact cross-check of ``ds verify --hitchin`` never loads sympy.
+Membership in the admissible coefficient space means p_j vanishes at x_i
+to order at least eps_j(x_i); the order at x = a/b comes from repeated
+exact integer division of the denominator-cleared p_j by (b z - a).
 
 The spectral polynomial lambda^r + sum_j p_j lambda^{r-j} is a small exact
 value (``SpectralPolynomial``), the only input ``is_integral`` takes.  Its
