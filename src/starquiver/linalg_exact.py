@@ -187,7 +187,7 @@ def inv(a):
 
 
 def echelon(a):
-    """Fraction-free forward elimination of an integer matrix (Bareiss
+    """Forward fraction-free elimination of an integer matrix (Bareiss
     1968).  Returns (R, pivot_columns, d).
 
     Pivot columns are the first independent columns, left to right.  Row k
