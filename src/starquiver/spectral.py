@@ -108,17 +108,23 @@ def _zx_charpoly(a):
 def _int_charpoly(a):
     """(c_1..c_r) of det(lambda I - a) for an integer matrix, by
     Faddeev-LeVerrier: M_1 = a, c_k = -tr(M_k) / k, M_{k+1} = a (M_k + c_k I).
-    Every c_k is an integer, so the division by k is exact."""
+    Every c_k is an integer, so the division by k is exact.  Of M_r only
+    the trace is read, so the last product forms only its diagonal."""
     r = len(a)
     m = [row[:] for row in a]  # c_k goes onto the diagonal of m, never of a
+    trace = sum(m[i][i] for i in range(r))
     coeffs = []
     for k in range(1, r + 1):
-        c = -sum(m[i][i] for i in range(r)) // k
+        c = -trace // k
         coeffs.append(c)
         if k < r:
             for i in range(r):
                 m[i][i] += c
-            m = ex.imul(a, m)
+            if k < r - 1:
+                m = ex.imul(a, m)
+                trace = sum(m[i][i] for i in range(r))
+            else:
+                trace = sum(x * y for row, col in zip(a, zip(*m)) for x, y in zip(row, col))
     return coeffs
 
 
