@@ -40,7 +40,7 @@ from .poisson import (
     GradientOracleError,
     QuadraticObservable,
     check_commutativity,
-    check_entry_bracket,
+    entry_bracket_residuals,
     entry_observable,
     independent_hamiltonian_count,
     pack_rep,
@@ -353,13 +353,7 @@ def cmd_poisson_check(args):
     entry_worst = 0.0
     for _ in range(max(1, args.grid // 20)):
         z, w = draw_zw()
-        for i in range(r):
-            for j in range(r):
-                for k in range(r):
-                    for l in range(r):
-                        entry_worst = max(
-                            entry_worst, check_entry_bracket(rep, points, z, w, i, j, k, l)
-                        )
+        entry_worst = max(entry_worst, entry_bracket_residuals(rep, points, z, w).max())
     # commutativity grid
     comm_worst = 0.0
     for _ in range(args.grid):

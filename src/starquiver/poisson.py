@@ -166,15 +166,24 @@ def delta(rep: StarRep, points, z, w, at_equal=False) -> np.ndarray:
     return (phi_value(rep, points, z) - phi_value(rep, points, w)) / (complex(w) - complex(z))
 
 
-def _trace_power_grad(rep: StarRep, points, t, zc, pw) -> Gradient:
-    """The gradient of Tr(phi(zc)^t), given pw = phi(zc)^(t-1); see ``trace_power_observable``."""
-    out = zero_gradient(rep.quiver)
+def _trace_power_slots(rep: StarRep, points, t, zc, pw):
+    """The level-1 f- and g-gradients of Tr(phi(zc)^t) on the nonempty arms,
+    given pw = phi(zc)^(t-1); see ``trace_power_observable``."""
+    fs, gs = [], []
     for m in range(rep.quiver.n_arms):
-        if not rep.f[m]:
-            continue
-        c = t / (zc - complex(points[m]))
-        out.f[m][0] = c * (pw @ rep.g[m][0]).T
-        out.g[m][0] = c * (rep.f[m][0] @ pw).T
+        if rep.f[m]:
+            c = t / (zc - complex(points[m]))
+            fs.append(c * (pw @ rep.g[m][0]).T)
+            gs.append(c * (rep.f[m][0] @ pw).T)
+    return fs, gs
+
+
+def _trace_power_grad(rep: StarRep, points, t, zc, pw) -> Gradient:
+    """The gradient of Tr(phi(zc)^t), given pw = phi(zc)^(t-1)."""
+    out = zero_gradient(rep.quiver)
+    fs, gs = _trace_power_slots(rep, points, t, zc, pw)
+    for m, gf, gg in zip([m for m in range(rep.quiver.n_arms) if rep.f[m]], fs, gs):
+        out.f[m][0], out.g[m][0] = gf, gg
     return out
 
 
@@ -233,14 +242,58 @@ def entry_observable(
     return obs
 
 
+def entry_bracket_residuals(rep: StarRep, points, z, w) -> np.ndarray:
+    """The (r, r, r, r) array of
+    |{phi_ij(z), phi_kl(w)} - (delta_jk Delta_il - delta_li Delta_kj)|.
+
+    The 2 r^2 entry gradients come from ``entry_observable``, so the sweep
+    checks its closed form.  They touch level 1 only, where ``bracket``'s
+    trace form is Tr(G_g F_f) = vec(G_g) . vec(F_f^T): with the rows
+    u = vec(F_f^T) and v = vec(F_g), stacked for every (i, j) at z and
+    every (k, l) at w, all r^4 brackets are U_z V_w^T - V_z U_w^T.  The
+    products are summed arm by arm, + then -, in ``bracket``'s order, so
+    each residual rounds as the per-pair bracket does.
+    """
+    q, r = rep.quiver, rep.quiver.rank
+    arms = [m for m in range(q.n_arms) if rep.f[m]]
+
+    def rows(x):
+        grads = [entry_observable(q, points, x, i, j, selfcheck=False).grad(rep) for i in range(r) for j in range(r)]
+        u = [np.stack([gr.f[m][0] for gr in grads]).transpose(0, 2, 1).reshape(r * r, -1) for m in arms]
+        v = [np.stack([gr.g[m][0] for gr in grads]).reshape(r * r, -1) for m in arms]
+        return u, v
+
+    (uz, vz), (uw, vw) = rows(z), rows(w)
+    lhs = np.zeros((r * r, r * r), dtype=complex)
+    for a, b, c, d in zip(uz, vw, vz, uw):
+        lhs += a @ b.T
+        lhs -= c @ d.T
+    lhs = lhs.reshape(r, r, r, r)
+    dm, eye = delta(rep, points, z, w), np.eye(r)
+    rhs = np.einsum("jk,il->ijkl", eye, dm) - np.einsum("li,kj->ijkl", eye, dm)
+    return np.abs(lhs - rhs)
+
+
+_last_sweep = None  # (key, residuals) of the last entry_bracket_residuals read
+
+
 def check_entry_bracket(rep: StarRep, points, z, w, i, j, k, l) -> float:
-    """|{phi_ij(z), phi_kl(w)} - (delta_jk Delta_il - delta_li Delta_kj)|."""
-    fij = entry_observable(rep.quiver, points, z, i, j, selfcheck=False)
-    fkl = entry_observable(rep.quiver, points, w, k, l, selfcheck=False)
-    lhs = bracket(fij, fkl, rep)
-    dm = delta(rep, points, z, w)
-    rhs = (1.0 if j == k else 0.0) * dm[i, l] - (1.0 if l == i else 0.0) * dm[k, j]
-    return abs(lhs - rhs)
+    """|{phi_ij(z), phi_kl(w)} - (delta_jk Delta_il - delta_li Delta_kj)|,
+    read from ``entry_bracket_residuals(rep, points, z, w)``.  The last
+    sweep is kept, keyed by the content of its inputs, so the r^4 calls at
+    one (z, w) run one sweep and any edit of those inputs runs a new one."""
+    global _last_sweep
+    r = rep.quiver.rank
+    if not all(0 <= x < r for x in (i, j, k, l)):
+        raise IndexError("entry indices out of range")
+    # Entry observables have levels=1: their gradients read only the level-1
+    # slots, and Delta only the residues g_1 f_1, so the level-1 bytes are
+    # all of rep that the sweep reads.
+    key = (rep.quiver, tuple(points), z, w, tuple(arm[0].tobytes() for arm in (*rep.f, *rep.g) if arm))
+    sweep = _last_sweep  # one read, so another thread's store cannot split key and array
+    if sweep is None or sweep[0] != key:
+        sweep = _last_sweep = (key, entry_bracket_residuals(rep, points, z, w))
+    return sweep[1][i, j, k, l]
 
 
 def check_commutativity(rep: StarRep, points, t, t_prime, z, w) -> float:
@@ -434,18 +487,28 @@ def moment_zero_tangent(rep: StarRep) -> np.ndarray:
     return vh[rk:].conj().T if rk else np.eye(jac.shape[1], dtype=complex)
 
 
+def _level1_coordinates(quiver: StarQuiver) -> np.ndarray:
+    """The packed coordinates of the level-1 slots, ascending: every
+    nonempty arm's f_1, then every g_1, as ``_trace_power_slots`` lists them."""
+    first = [i == 0 for _ in "fg" for chain in quiver.arms for i in range(len(chain))]
+    return np.flatnonzero(np.repeat(first, [m.size for m in _matrices(zero_gradient(quiver))]))
+
+
 def independent_hamiltonian_count(rep: StarRep, points, ts, zs) -> int:
     """Rank of the sampled trace-power differentials restricted to the
-    moment-zero tangent space at the representation."""
+    moment-zero tangent space at the representation.  The differentials
+    vanish past level 1, so each row pairs only the level-1 slots with the
+    matching rows of the tangent basis."""
     if min(ts) < 1:
         raise ValueError("trace power must be at least 1")
-    tangent = moment_zero_tangent(rep)
+    tangent = moment_zero_tangent(rep)[_level1_coordinates(rep.quiver)]
     # phi(z)^0 .. phi(z)^(max(ts) - 1) at each z, one product per power
     eye = np.eye(rep.quiver.rank, dtype=complex)
     powers = [[eye, *FLOAT.powers(phi_value(rep, points, z), max(ts) - 1)] for z in zs]
-    rows = [
-        pack_rep(_trace_power_grad(rep, points, t, complex(z), pw[t - 1])) @ tangent  # holomorphic pairing
-        for t in ts
-        for z, pw in zip(zs, powers)
-    ]
+    rows = []
+    for t in ts:
+        for z, pw in zip(zs, powers):
+            fs, gs = _trace_power_slots(rep, points, t, complex(z), pw[t - 1])
+            level1 = np.concatenate([np.zeros(0, dtype=complex), *(x.reshape(-1) for x in fs + gs)])
+            rows.append(level1 @ tangent)  # holomorphic pairing
     return singular_rank(np.linalg.svd(np.stack(rows, axis=0), compute_uv=False), HAMILTONIAN_RANK_RTOL)

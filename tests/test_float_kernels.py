@@ -2,7 +2,7 @@
 round trip: the broadcast Kronecker product ``arith.kron`` against
 ``np.kron``, ``orbit_jacobian`` against its per-block ``np.kron`` formula,
 cycle traces against an identity-started product, and the batched
-Hamiltonian rows against the per-(t, z) trace-power gradients."""
+level-1 Hamiltonian rows against the per-(t, z) trace-power gradients."""
 
 from fractions import Fraction
 
@@ -196,14 +196,19 @@ def test_hamiltonian_rows_match_the_trace_power_gradients(monkeypatch, r):
     quiver = StarQuiver(rank=r, arms=(tuple(range(r - 1, 0, -1)),) * 4)
     rep = random_rep(quiver, rng, scale=0.5)
     ts, zs = list(range(1, r + 3)), [-0.75, 0.5, 1.25, 2.5, 3.75]
-    seen, helper = [], poisson._trace_power_grad
+    seen, helper = [], poisson._trace_power_slots
+    level1 = poisson._level1_coordinates(quiver)
 
     def record(rep, points, t, zc, pw):
-        grad = helper(rep, points, t, zc, pw)
-        seen.append((t, zc, pack_rep(grad)))
-        return grad
+        # the count reads the level-1 slots only; the packed row puts them
+        # back among zeros, to compare with the whole gradient
+        fs, gs = helper(rep, points, t, zc, pw)
+        row = np.zeros(quiver.phase_dim(), dtype=complex)
+        row[level1] = np.concatenate([x.reshape(-1) for x in fs + gs])
+        seen.append((t, zc, row))
+        return fs, gs
 
-    monkeypatch.setattr(poisson, "_trace_power_grad", record)
+    monkeypatch.setattr(poisson, "_trace_power_slots", record)
     count = independent_hamiltonian_count(rep, points, ts, zs)
     monkeypatch.undo()
     assert [(t, z) for t, z, _ in seen] == [(t, complex(z)) for t in ts for z in zs]  # t-major rows

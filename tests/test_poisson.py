@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from starquiver import poisson
 from starquiver.combinat import NilpotentClass
 from starquiver.dsolve import DSInstance, SolverConfig, flags_from_solution, solve
 from starquiver.higgs import higgs_to_quiver
@@ -17,6 +20,7 @@ from starquiver.poisson import (
     check_commutativity,
     check_entry_bracket,
     delta,
+    entry_bracket_residuals,
     entry_observable,
     euler_step,
     fd_gradient,
@@ -214,6 +218,192 @@ def test_entry_bracket_offdiagonal_zero(quiver4):
     fkl = entry_observable(quiver4, PTS4, -0.6, 1, 1)
     assert abs(bracket(fij, fkl, rep)) < 1e-10
     assert check_entry_bracket(rep, PTS4, 0.4, -0.6, 0, 0, 1, 1) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the entry-bracket sweep against the per-call bracket
+
+
+def _entry_oracle(rep, points, z, w, i, j, k, l):
+    """The per-call check: one bracket of two entry observables, minus the
+    closed form delta_jk Delta_il - delta_li Delta_kj."""
+    q = rep.quiver
+    fij = entry_observable(q, points, z, i, j, selfcheck=False)
+    fkl = entry_observable(q, points, w, k, l, selfcheck=False)
+    lhs = bracket(fij, fkl, rep)
+    dm = delta(rep, points, z, w)
+    return abs(lhs - ((1.0 if j == k else 0.0) * dm[i, l] - (1.0 if l == i else 0.0) * dm[k, j]))
+
+
+def _entry_oracle_array(rep, points, z, w):
+    shape = (rep.quiver.rank,) * 4
+    return np.array([_entry_oracle(rep, points, z, w, *idx) for idx in np.ndindex(shape)]).reshape(shape)
+
+
+def _sweep_tolerance(rep, points, z, w):
+    """1e-15 times the size of the bracket's terms g_1 f_1 / ((z - x)(w - x)),
+    and never below 1e-15.  The sweep and the per-call bracket add the same
+    terms in different orders, so they differ by a few ulps of the terms:
+    next to a pole those reach 10-40, and 1e-15 absolute is below one ulp."""
+    terms = sum(
+        np.abs(g[0]) @ np.abs(f[0]) / abs((z - x) * (w - x)) for f, g, x in zip(rep.f, rep.g, points) if f
+    )
+    return 1e-15 * max(1.0, float(np.max(terms)))
+
+
+def _quarter_steps(points):
+    """The quarter steps `poisson check` draws z and w from."""
+    return [k / 4 for k in range(-20, 8 * len(points) + 20) if min(abs(k / 4 - x) for x in points) >= 0.25]
+
+
+SWEEP_QUIVERS = [
+    *(StarQuiver(rank=r, arms=(tuple(range(r - 1, 0, -1)),) * 4) for r in (2, 3, 4, 5)),
+    StarQuiver(rank=5, arms=((4, 3, 2, 1), (2,), (3, 1), (4, 2))),  # arms of unequal length
+    StarQuiver(rank=4, arms=((3, 1), (), (2,), (3, 2, 1))),  # an empty arm
+]
+
+
+@pytest.mark.parametrize("q", SWEEP_QUIVERS, ids=lambda q: f"r{q.rank}-" + "-".join(map(str, map(len, q.arms))))
+def test_sweep_matches_the_per_call_bracket(q):
+    rng = np.random.default_rng(q.rank + 10 * sum(map(len, q.arms)))
+    pool = _quarter_steps(PTS4)
+    for _ in range(3):
+        rep = random_rep(q, rng, scale=0.5)
+        z, w = (float(x) for x in rng.choice(pool, size=2, replace=False))
+        sweep = entry_bracket_residuals(rep, PTS4, z, w)
+        assert sweep.shape == (q.rank,) * 4
+        assert np.max(np.abs(sweep - _entry_oracle_array(rep, PTS4, z, w))) <= _sweep_tolerance(rep, PTS4, z, w)
+        for idx in np.ndindex(sweep.shape):
+            assert check_entry_bracket(rep, PTS4, z, w, *idx) == sweep[idx]
+
+
+@st.composite
+def sweep_cases(draw):
+    """A random quiver of rank 2-5 with 1-4 arms (possibly empty, possibly
+    of unequal length), a rep at scale 0.3-1, distinct half-integer marked
+    points, and two distinct quarter steps z, w at least 0.25 from them."""
+    r = draw(st.integers(2, 5))
+    chains = st.lists(st.integers(1, r - 1), unique=True, max_size=r - 1).map(lambda c: tuple(sorted(c, reverse=True)))
+    arms = draw(st.lists(chains, min_size=1, max_size=4))
+    points = draw(st.lists(st.integers(-4, 8), min_size=len(arms), max_size=len(arms), unique=True))
+    points = [p / 2 for p in points]
+    pool = _quarter_steps(points)
+    z = draw(st.sampled_from(pool))
+    w = draw(st.sampled_from([x for x in pool if x != z]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rep = random_rep(StarQuiver(rank=r, arms=arms), rng, scale=draw(st.sampled_from([0.3, 0.5, 1.0])))
+    return rep, points, z, w
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(sweep_cases())
+def test_sweep_matches_the_per_call_bracket_on_random_cases(case):
+    rep, points, z, w = case
+    sweep = entry_bracket_residuals(rep, points, z, w)
+    assert np.max(np.abs(sweep - _entry_oracle_array(rep, points, z, w))) <= _sweep_tolerance(rep, points, z, w)
+    assert sweep.max() < 1e-9
+
+
+@pytest.fixture
+def counted_sweeps(monkeypatch):
+    """An empty memo, and the list of the (z, w) of every sweep that
+    ``check_entry_bracket`` runs from here on."""
+    monkeypatch.setattr(poisson, "_last_sweep", None)
+    runs, sweep = [], poisson.entry_bracket_residuals
+
+    def counted(rep, points, z, w):
+        runs.append((z, w))
+        return sweep(rep, points, z, w)
+
+    monkeypatch.setattr(poisson, "entry_bracket_residuals", counted)
+    return runs
+
+
+def _check_all(rep, points, z, w):
+    shape = (rep.quiver.rank,) * 4
+    return np.array([check_entry_bracket(rep, points, z, w, *idx) for idx in np.ndindex(shape)]).reshape(shape)
+
+
+def test_sweep_memo_recomputes_on_every_content_change(counted_sweeps):
+    q = StarQuiver(rank=3, arms=((2, 1),) * 4)
+    rep = random_rep(q, np.random.default_rng(12), scale=0.5)
+    z, w = 0.5, -0.75
+
+    def agrees(points, z, w):
+        got = _check_all(rep, points, z, w)
+        return np.max(np.abs(got - _entry_oracle_array(rep, points, z, w))) <= _sweep_tolerance(rep, points, z, w)
+
+    assert agrees(PTS4, z, w) and len(counted_sweeps) == 1  # r^4 calls, one sweep
+    _check_all(rep.copy(), list(PTS4), z, w)  # same content, another object
+    assert len(counted_sweeps) == 1
+    rep.f[1][0][0, 1] += 0.25  # an in-place edit, as fd_gradient makes
+    assert agrees(PTS4, z, w) and len(counted_sweeps) == 2
+    rep.g[3][0][2, 0] -= 0.5j
+    assert agrees(PTS4, z, w) and len(counted_sweeps) == 3
+    assert agrees([0.0, 1.0, 2.0, 3.5], z, w) and len(counted_sweeps) == 4
+    assert agrees(PTS4, w, z) and counted_sweeps[-1] == (w, z)
+    assert len(counted_sweeps) == 5
+    # The key holds level 1 only, and that is complete: entry observables
+    # have levels=1, so neither their gradients nor Delta (through the
+    # residues g_1 f_1) read a deeper slot.  A level-2 edit keeps the sweep.
+    assert entry_observable(q, PTS4, z, 0, 0, selfcheck=False).levels == 1
+    rep.f[0][1][0, 0] += 1.0
+    assert agrees(PTS4, w, z)
+    assert len(counted_sweeps) == 5
+
+
+def _raised(call):
+    try:
+        call()
+    except Exception as exc:  # the type is compared, whatever it is
+        return type(exc)
+    raise AssertionError("no exception raised")
+
+
+@pytest.mark.parametrize(
+    "z, w, idx",
+    [
+        (0.5, 0.5, (0, 1, 1, 0)),  # z == w: Delta needs its limit
+        (1.0, 0.5, (0, 0, 0, 0)),  # z at the marked point of a nonempty arm
+        (0.5, 1.0, (1, 0, 0, 1)),  # w at one
+        (2.0, 0.5, (0, 0, 0, 0)),  # z at the marked point of the empty arm
+        (0.5, -0.75, (0, 0, 3, 0)),  # an index past the rank
+        (0.5, -0.75, (0, -1, 0, 0)),  # a negative index
+    ],
+)
+def test_sweep_memo_errors_match_the_per_call_check(counted_sweeps, z, w, idx):
+    q = StarQuiver(rank=3, arms=((2, 1), (1,), (), (2,)))
+    rep = random_rep(q, np.random.default_rng(13), scale=0.5)
+    check_entry_bracket(rep, PTS4, 0.25, -0.5, 0, 0, 0, 0)
+    memo = poisson._last_sweep
+    expected = _raised(lambda: _entry_oracle(rep, PTS4, z, w, *idx))
+    assert _raised(lambda: check_entry_bracket(rep, PTS4, z, w, *idx)) is expected
+    assert poisson._last_sweep is memo
+
+
+def test_sweep_fails_a_transposed_entry_gradient(monkeypatch):
+    # the sweep checks entry_observable's gradient and the pairing, not the
+    # closed form against itself: an f-gradient of entry (col, row) in place
+    # of (row, col) must show
+    q = StarQuiver(rank=3, arms=((2, 1),) * 4)
+    rep = random_rep(q, np.random.default_rng(14), scale=0.5)
+    z, w = 0.5, -0.75
+    assert entry_bracket_residuals(rep, PTS4, z, w).max() <= _sweep_tolerance(rep, PTS4, z, w)
+    honest = poisson.entry_observable
+
+    def swapped(quiver, points, z, row, col, selfcheck=True):
+        obs = honest(quiver, points, z, row, col, selfcheck=False)
+        twin = honest(quiver, points, z, col, row, selfcheck=False)
+
+        def grad(rep):
+            out = obs.grad(rep)
+            out.f = twin.grad(rep).f
+            return out
+
+        return Observable(quiver, obs.value, grad, obs.label, obs.levels)
+
+    monkeypatch.setattr(poisson, "entry_observable", swapped)
+    assert entry_bracket_residuals(rep, PTS4, z, w).max() > 1e-3
 
 
 def test_commutativity_t1(quiver4):
