@@ -178,15 +178,6 @@ def _trace_power_slots(rep: StarRep, points, t, zc, pw):
     return fs, gs
 
 
-def _trace_power_grad(rep: StarRep, points, t, zc, pw) -> Gradient:
-    """The gradient of Tr(phi(zc)^t), given pw = phi(zc)^(t-1)."""
-    out = zero_gradient(rep.quiver)
-    fs, gs = _trace_power_slots(rep, points, t, zc, pw)
-    for m, gf, gg in zip([m for m in range(rep.quiver.n_arms) if rep.f[m]], fs, gs):
-        out.f[m][0], out.g[m][0] = gf, gg
-    return out
-
-
 def trace_power_observable(
     quiver: StarQuiver, points, t: int, z, selfcheck=True
 ) -> Observable:
@@ -204,7 +195,12 @@ def trace_power_observable(
         return complex(np.trace(np.linalg.matrix_power(phi_value(rep, points, zc), t)))
 
     def grad(rep):
-        return _trace_power_grad(rep, points, t, zc, np.linalg.matrix_power(phi_value(rep, points, zc), t - 1))
+        out = zero_gradient(quiver)
+        pw = np.linalg.matrix_power(phi_value(rep, points, zc), t - 1)
+        fs, gs = _trace_power_slots(rep, points, t, zc, pw)
+        for m, gf, gg in zip([m for m in range(quiver.n_arms) if rep.f[m]], fs, gs):
+            out.f[m][0], out.g[m][0] = gf, gg
+        return out
 
     obs = Observable(quiver=quiver, value=value, grad=grad, label=f"I_{t}({z})", levels=1)
     if selfcheck:
