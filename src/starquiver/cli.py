@@ -15,13 +15,15 @@ Exit codes: 0 success / all checks pass, 1 input error, 2 budget exhausted
 or undetermined, 3 violated invariant; ``EXIT_CODES`` maps the exceptions
 that end a command to 1, 2 or 3.  Identical configuration and seed produce
 byte-identical reports (no timestamps, sorted keys).
+
+Each handler imports the layers it runs, so ``type-check`` loads no numpy
+and no subcommand loads a layer it does not call.  An option left unset
+takes the library's own default.
 """
 
 import argparse
 import sys
 from fractions import Fraction
-
-import numpy as np
 
 from . import jsonio
 from .combinat import (
@@ -33,22 +35,7 @@ from .combinat import (
     spectral_degrees,
     weights_generic,
 )
-from .dsolve import RefinementError, SolverConfig, solve, verify
-from .higgs import WeightsNotSmallError, higgs_to_quiver, quiver_to_higgs, stability_verdict
 from .jsonio import InputFormatError
-from .poisson import (
-    GradientOracleError,
-    QuadraticObservable,
-    check_commutativity,
-    entry_bracket_residuals,
-    entry_observable,
-    independent_hamiltonian_count,
-    pack_rep,
-    poisson_tensor,
-    trace_power_observable,
-)
-from .spectral import ExactnessRequired, char_poly, is_integral, spectral_poly, vanishing_orders
-from .starrep import BRIDGE_TOL, moment_residual
 
 OK, INPUT_ERROR, BUDGET, INVARIANT_VIOLATION = 0, 1, 2, 3
 
@@ -59,12 +46,23 @@ HAMILTONIAN_MOMENT_TOL = 1e-6
 
 # first match wins: a failed rational refinement leaves the answer
 # undetermined, an exact-mode invariant breaking inside the pipeline is an
-# internal violation, and every other ValueError is bad input
+# internal violation, and every other ValueError is bad input.  A row names
+# its exception by module so that reading the table imports no layer: an
+# exception whose module was never imported cannot have been raised
 EXIT_CODES = (
-    (RefinementError, BUDGET),
-    (ExactnessRequired, INVARIANT_VIOLATION),
-    (ValueError, INPUT_ERROR),
+    ("starquiver.dsolve", "RefinementError", BUDGET),
+    ("starquiver.spectral", "ExactnessRequired", INVARIANT_VIOLATION),
+    ("builtins", "ValueError", INPUT_ERROR),
 )
+
+
+def _exit_code(error):
+    """The code of the first row of ``EXIT_CODES`` that ``error`` is an
+    instance of, or None."""
+    for module, name, code in EXIT_CODES:
+        if module in sys.modules and isinstance(error, getattr(sys.modules[module], name)):
+            return code
+    return None
 
 
 def _write_report(path, payload):
@@ -178,13 +176,11 @@ def _verify_payload(rep):
 
 
 def cmd_ds_solve(args):
+    from .dsolve import SolverConfig, solve, verify
+
     inst = jsonio.instance_from_json(jsonio.load(args.instance))
-    config = SolverConfig(
-        tolerance=args.tol,
-        max_iters=args.max_iters,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
+    given = {"tolerance": args.tol, "max_iters": args.max_iters, "restarts": args.restarts, "seed": args.seed}
+    config = SolverConfig(**{k: v for k, v in given.items() if v is not None})
     outcome = solve(inst, config)
     feas = outcome.feasibility
     report = {
@@ -231,6 +227,8 @@ def cmd_ds_solve(args):
 
 
 def cmd_ds_verify(args):
+    from .dsolve import verify
+
     inst = jsonio.instance_from_json(jsonio.load(args.instance))
     sol = jsonio.solution_from_json(jsonio.load(args.solution))
     vrep = verify(sol, inst, hitchin=args.hitchin)
@@ -258,6 +256,8 @@ def _spectral_appendix(h):
     if h.mode != "exact":
         print("spectral appendix skipped: requires exact mode", file=sys.stderr)
         return {}
+    from .spectral import char_poly, is_integral, spectral_poly, vanishing_orders
+
     hp = char_poly(h)
     report = vanishing_orders(hp, h.sigma)
     verdict, _ = is_integral(spectral_poly(hp))
@@ -279,6 +279,9 @@ def _spectral_appendix(h):
 
 
 def cmd_bridge_to_quiver(args):
+    from .higgs import higgs_to_quiver
+    from .starrep import moment_residual
+
     h = jsonio.higgs_from_json(jsonio.load(args.higgs))
     rep = higgs_to_quiver(h)
     resid = moment_residual(rep)
@@ -293,9 +296,11 @@ def cmd_bridge_to_quiver(args):
 
 
 def cmd_bridge_to_higgs(args):
+    from .higgs import WeightsNotSmallError, quiver_to_higgs, stability_verdict
+
     rep = jsonio.rep_from_json(jsonio.load(args.rep))
     sigma = jsonio.type_from_json(jsonio.load(args.type))
-    h = quiver_to_higgs(rep, sigma, tol=args.tol)
+    h = quiver_to_higgs(rep, sigma, **({} if args.tol is None else {"tol": args.tol}))
     problems = h.validate()
     print(f"conversion produced a valid residue tuple: {_fmt_bool(not problems)}")
     payload = {"invariant_violations": problems}
@@ -322,6 +327,21 @@ def cmd_bridge_to_higgs(args):
 
 
 def cmd_poisson_check(args):
+    import numpy as np
+
+    from .poisson import (
+        GradientOracleError,
+        QuadraticObservable,
+        check_commutativity,
+        entry_bracket_residuals,
+        entry_observable,
+        independent_hamiltonian_count,
+        pack_rep,
+        poisson_tensor,
+        trace_power_observable,
+    )
+    from .starrep import moment_residual
+
     rep = jsonio.rep_from_json(jsonio.load(args.rep)).to_float()
     n = rep.quiver.n_arms
     if args.points:
@@ -425,10 +445,11 @@ def build_parser():
     dssub = ds.add_subparsers(dest="ds_command", required=True)
     dsv = dssub.add_parser("solve", help="search for a certified solution")
     dsv.add_argument("--instance", required=True)
-    dsv.add_argument("--tol", type=float, default=SolverConfig.tolerance)
-    dsv.add_argument("--restarts", type=int, default=SolverConfig.restarts)
-    dsv.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
-    dsv.add_argument("--seed", type=int, default=SolverConfig.seed)
+    # unset solver options take SolverConfig's defaults
+    dsv.add_argument("--tol", type=float)
+    dsv.add_argument("--restarts", type=int)
+    dsv.add_argument("--max-iters", type=int)
+    dsv.add_argument("--seed", type=int)
     dsv.add_argument("--out", help="write the solution JSON here")
     dsv.add_argument("--report", help="write a JSON report here")
     dsv.set_defaults(func=cmd_ds_solve)
@@ -450,7 +471,7 @@ def build_parser():
     b2h = brsub.add_parser("to-higgs", help="representation to residue tuple")
     b2h.add_argument("--rep", required=True)
     b2h.add_argument("--type", required=True)
-    b2h.add_argument("--tol", type=float, default=BRIDGE_TOL)
+    b2h.add_argument("--tol", type=float, help="moment tolerance (default: the library's BRIDGE_TOL)")
     b2h.add_argument("--out")
     b2h.add_argument("--report")
     b2h.add_argument("--hitchin", action="store_true")
@@ -477,9 +498,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except tuple(kind for kind, _ in EXIT_CODES) as e:
+    except Exception as e:
+        code = _exit_code(e)
+        if code is None:
+            raise
         print(f"error: {e}", file=sys.stderr)
-        return next(code for kind, code in EXIT_CODES if isinstance(e, kind))
+        return code
 
 
 if __name__ == "__main__":

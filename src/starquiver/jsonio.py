@@ -4,19 +4,17 @@ Numbers never pass through locale formatting: exact scalars are rational
 strings ("3/2"), floating complex entries are [re, im] pairs serialized
 by repr, and every report is dumped with sorted keys so identical inputs
 produce byte-identical files.
+
+Only ``combinat`` loads with this module: every other value type's module,
+and numpy, is imported by the decoder that builds the value, so reading a
+parabolic type loads no array code.
 """
 
 import functools
 import json
 from fractions import Fraction
 
-import numpy as np
-
 from .combinat import MarkedLine, NilpotentClass, ParabolicType
-from .dsolve import DSInstance, DSSolution
-from .higgs import HiggsTuple
-from .spectral import HitchinPoint
-from .starrep import StarQuiver, StarRep
 
 
 class InputFormatError(ValueError):
@@ -71,6 +69,8 @@ def scalar_from_json(v):
 def matrix_to_json(m, mode):
     if mode == "exact":
         return [[str(x) for x in row] for row in m]
+    import numpy as np
+
     arr = np.asarray(m, dtype=complex)
     return [[[float(x.real), float(x.imag)] for x in row] for row in arr]
 
@@ -85,6 +85,8 @@ def matrix_from_json(rows, mode, shape=None):
         raise InputFormatError(f"matrix has shape {(len(rows), width)}, expected {shape}")
     if mode == "exact":
         return [[parse_frac(x) for x in row] for row in rows]
+    import numpy as np
+
     return np.array([[scalar_from_json(x) for x in row] for row in rows], dtype=complex)
 
 
@@ -139,7 +141,7 @@ def class_from_json(data) -> NilpotentClass:
     return NilpotentClass.from_partition(partition, rank=int_from_json(data["rank"]))
 
 
-def instance_to_json(inst: DSInstance) -> dict:
+def instance_to_json(inst) -> dict:
     return {
         "rank": inst.rank,
         "classes": [class_to_json(c) for c in inst.classes],
@@ -148,7 +150,9 @@ def instance_to_json(inst: DSInstance) -> dict:
 
 
 @_decoder("instance")
-def instance_from_json(data) -> DSInstance:
+def instance_from_json(data):
+    from .dsolve import DSInstance
+
     classes = tuple(class_from_json(c) for c in data["classes"])
     points = None
     if "points" in data and data["points"] is not None:
@@ -160,7 +164,7 @@ def instance_from_json(data) -> DSInstance:
 # representations
 
 
-def rep_to_json(rep: StarRep) -> dict:
+def rep_to_json(rep) -> dict:
     mats = {}
     for j in range(rep.quiver.n_arms):
         for i in range(len(rep.f[j])):
@@ -175,7 +179,9 @@ def rep_to_json(rep: StarRep) -> dict:
 
 
 @_decoder("representation")
-def rep_from_json(data) -> StarRep:
+def rep_from_json(data):
+    from .starrep import StarQuiver, StarRep
+
     arms = tuple(tuple(int_from_json(d) for d in a) for a in data["arms"])
     quiver = StarQuiver(rank=int_from_json(data["rank"]), arms=arms)
     mode = data.get("mode", "float")
@@ -193,7 +199,7 @@ def rep_from_json(data) -> StarRep:
 # residue tuples with flags
 
 
-def higgs_to_json(h: HiggsTuple) -> dict:
+def higgs_to_json(h) -> dict:
     return {
         "type": type_to_json(h.sigma),
         "mode": h.mode,
@@ -205,7 +211,9 @@ def higgs_to_json(h: HiggsTuple) -> dict:
 
 
 @_decoder("residue tuple")
-def higgs_from_json(data, check=True) -> HiggsTuple:
+def higgs_from_json(data, check=True):
+    from .higgs import HiggsTuple
+
     if "splitting_type" in data and any(int_from_json(d) != 0 for d in data["splitting_type"]):
         raise InputFormatError(
             "the underlying bundle is not a sum of trivial line bundles "
@@ -220,7 +228,7 @@ def higgs_from_json(data, check=True) -> HiggsTuple:
     return HiggsTuple(sigma=sigma, matrices=mats, flags=flags, mode=mode, check=check)
 
 
-def hitchin_to_json(hp: HitchinPoint) -> dict:
+def hitchin_to_json(hp) -> dict:
     return {
         "rank": hp.rank,
         "points": [str(p) for p in hp.points],
@@ -229,7 +237,9 @@ def hitchin_to_json(hp: HitchinPoint) -> dict:
 
 
 @_decoder("coefficient point")
-def hitchin_from_json(data) -> HitchinPoint:
+def hitchin_from_json(data):
+    from .spectral import HitchinPoint
+
     return HitchinPoint(
         rank=int_from_json(data["rank"]),
         points=tuple(parse_frac(p) for p in data["points"]),
@@ -241,7 +251,7 @@ def hitchin_from_json(data) -> HitchinPoint:
 # solutions
 
 
-def solution_to_json(sol: DSSolution, report=None) -> dict:
+def solution_to_json(sol, report=None) -> dict:
     out = {
         "mode": sol.mode,
         "matrices": [matrix_to_json(m, sol.mode) for m in sol.matrices],
@@ -256,7 +266,9 @@ def solution_to_json(sol: DSSolution, report=None) -> dict:
 
 
 @_decoder("solution")
-def solution_from_json(data) -> DSSolution:
+def solution_from_json(data):
+    from .dsolve import DSSolution
+
     mode = data.get("mode", "float")
     return DSSolution(
         matrices=[matrix_from_json(m, mode) for m in data["matrices"]],

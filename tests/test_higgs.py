@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import closed_form_flags, closed_form_matrices
 from starquiver import cli, higgs, jsonio
 from starquiver import linalg_exact as ex
 from starquiver.combinat import ParabolicType
-from starquiver.dsolve import DSInstance, SolverConfig, flags_from_solution, solve
+from starquiver.dsolve import DSInstance, SolverConfig, exact_refine, flags_from_solution, solve
 from starquiver.higgs import (
     IRREDUCIBLE_RTOL,
     BridgeError,
@@ -66,6 +68,54 @@ def test_round_trip_exact(closed_form_tuple):
     h2 = quiver_to_higgs(rep, closed_form_tuple.sigma)
     assert h2.matrices[0] == closed_form_matrices()[0]
     assert h2.matrices == closed_form_matrices()
+
+
+@pytest.fixture(scope="module")
+def exact_tuples(certified_batch, full_flag_type):
+    """The closed-form tuple and the exact refinement of every solved
+    instance of the certified batch: ranks 2 to 5, four to six points."""
+    tuples = [HiggsTuple(full_flag_type, closed_form_matrices(), closed_form_flags(), mode="exact")]
+    for inst, out in certified_batch:
+        if out.success:
+            tuples.append(flags_from_solution(exact_refine(out.solution, inst), inst.parabolic_type()))
+    return tuples
+
+
+def _invertible(data, n):
+    """L U for L unit lower triangular and U upper triangular with a nonzero
+    diagonal, so never singular."""
+    entry = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+    pivot = st.sampled_from([F(1), F(-1), F(2), F(-1, 3)])
+    lower = [[data.draw(entry) if j < i else F(int(i == j)) for j in range(n)] for i in range(n)]
+    upper = [[data.draw(pivot if i == j else entry) if j >= i else F(0) for j in range(n)] for i in range(n)]
+    return ex.mmul(lower, upper)
+
+
+def _same_column_space(a, b):
+    return ex.rank(a) == ex.rank(b) == ex.rank(ex.hstack([a, b]))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.data())
+def test_round_trip_exact_on_conjugated_tuples(exact_tuples, data):
+    # conjugating a tuple by P, scaling it by c and changing every flag
+    # step's basis gives another valid exact tuple; the conversion there and
+    # back returns its residues exactly and its flags up to their bases
+    h0 = data.draw(st.sampled_from(exact_tuples))
+    r = h0.rank
+    p = _invertible(data, r)
+    p_inv = ex.inv(p)
+    c = data.draw(st.sampled_from([F(1), F(-1), F(2), F(-3, 2), F(1, 5)]))
+    mats = [ex.mscale(c, ex.mmul(ex.mmul(p, a), p_inv)) for a in h0.matrices]
+    flags = [[ex.mmul(ex.mmul(p, b), _invertible(data, len(b[0]))) for b in fl] for fl in h0.flags]
+    h = HiggsTuple(h0.sigma, mats, flags, mode="exact")
+    rep = higgs_to_quiver(h)
+    assert moment_residual(rep) == 0
+    h2 = quiver_to_higgs(rep, h.sigma)
+    assert h2.matrices == h.matrices
+    assert [len(fl) for fl in h2.flags] == [len(fl) for fl in h.flags]
+    for fl, fl2 in zip(h.flags, h2.flags):
+        assert all(_same_column_space(b, b2) for b, b2 in zip(fl, fl2))
 
 
 def test_round_trip_preserves_traces_float(rank2_instance):
@@ -317,17 +367,31 @@ def test_reducible_verdict_builds_the_algebra_once(full_flag_type, monkeypatch):
 # the bridge tolerance
 
 
-def test_bridge_defaults_share_one_tolerance(full_flag_type):
+def test_bridge_defaults_share_one_tolerance(full_flag_type, tmp_path, monkeypatch):
     # the residue tuple, both conversions, the tuple's JSON and the CLI all
-    # default to BRIDGE_TOL
-    data = jsonio.higgs_to_json(HiggsTuple(full_flag_type, closed_form_matrices(), closed_form_flags(), mode="exact"))
-    args = cli.build_parser().parse_args(["bridge", "to-higgs", "--rep", "r.json", "--type", "t.json"])
+    # default to BRIDGE_TOL; the CLI by leaving tol to quiver_to_higgs when
+    # --tol is omitted
+    h = HiggsTuple(full_flag_type, closed_form_matrices(), closed_form_flags(), mode="exact")
+    data = jsonio.higgs_to_json(h)
+    rep, typ = tmp_path / "rep.json", tmp_path / "type.json"
+    jsonio.dump(rep, jsonio.rep_to_json(higgs_to_quiver(h)))
+    jsonio.dump(typ, data["type"])
+    passed = []
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(quiver_to_higgs).bind(*args, **kwargs)
+        bound.apply_defaults()
+        passed.append(bound.arguments["tol"])
+        return quiver_to_higgs(*args, **kwargs)
+
+    monkeypatch.setattr(higgs, "quiver_to_higgs", spy)
+    assert cli.main(["bridge", "to-higgs", "--rep", str(rep), "--type", str(typ)]) == 0
     defaults = [
         HiggsTuple.tol,
         inspect.signature(quiver_to_higgs).parameters["tol"].default,
         inspect.signature(moment_is_zero).parameters["tol"].default,
         jsonio.higgs_from_json(data).tol,
-        args.tol,
+        *passed,
     ]
     assert defaults == [BRIDGE_TOL] * 5
 

@@ -2,8 +2,9 @@
 names, public methods or function parameters in the package, no option
 that every caller leaves at its default, no new mode comparison outside
 `arith`, one Kronecker product and no `np.kron`, one fraction-free
-elimination loop, and a CLI import, an exact `ds verify --hitchin` and the
-`bridge --hitchin` conversions that do not load sympy."""
+elimination loop, and subcommands that load only the layers they run: a
+CLI import and `type-check` without numpy, and an exact `ds verify
+--hitchin` and the `bridge --hitchin` conversions without sympy."""
 
 import ast
 import json
@@ -64,49 +65,105 @@ def test_no_unread_private_names():
     assert hits == []
 
 
-def test_cli_import_leaves_sympy_unloaded():
-    code = "import sys, starquiver.cli; print('sympy' in sys.modules)"
+# prints the package layers, numpy and sympy that the interpreter has loaded
+LOADED = (
+    "print(' '.join(sorted(m.removeprefix('starquiver.') for m in sys.modules"
+    " if m.startswith('starquiver.') or m in ('numpy', 'sympy'))))"
+)
+
+
+def run_fresh(code):
+    """Standard output lines of ``code`` run in a fresh interpreter on the sources."""
     out = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.splitlines()
+
+
+def test_cli_import_leaves_sympy_unloaded(tmp_path):
+    # the import loads no layer beyond combinat and jsonio, and type-check,
+    # on both type fixtures and on a malformed type, loads no numpy
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"points": ["0", "1/0"], "rank": 2, "K": 4, "flags": []}), encoding="utf-8")
+    runs = [
+        f"assert main(['type-check', '--type', {str(FIXTURES / name)!r}]) == 0; "
+        for name in ("type_rank2_full_flags.json", "type_rank2_tight_weights.json")
+    ]
+    code = (
+        f"import sys; from starquiver.cli import main; {LOADED}; "
+        + "".join(runs)
+        + f"assert main(['type-check', '--type', {str(bad)!r}]) == 1; {LOADED}"
+    )
+    lines = run_fresh(code)
+    assert lines[0] == lines[-1] == "cli combinat jsonio"
 
 
 def test_verify_hitchin_leaves_sympy_unloaded(tmp_path):
     # the exact spectral cross-check (char_poly and vanishing orders) runs on
-    # plain integers
+    # plain integers; ds loads no poisson
     instance, sol = str(FIXTURES / "ds_rank2_four_rank1.json"), str(tmp_path / "sol.json")
     code = (
         "import sys; from starquiver.cli import main; "
         f"assert main(['ds', 'solve', '--instance', {instance!r}, '--seed', '7', '--out', {sol!r}]) == 0; "
         f"assert main(['ds', 'verify', '--solution', {sol!r}, '--instance', {instance!r}, '--hitchin']) == 0; "
-        "print('sympy' in sys.modules)"
+        f"{LOADED}"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip().splitlines()[-1] == "False"
+    loaded = run_fresh(code)[-1].split()
+    assert "dsolve" in loaded and "spectral" in loaded
+    assert "poisson" not in loaded and "sympy" not in loaded
 
 
 @pytest.mark.parametrize("higgs", ["heavy_top_higgs.json", "closed_form_higgs.json"])
 def test_bridge_hitchin_leaves_sympy_unloaded(tmp_path, higgs):
     # the spectral appendix certifies integrality in integers: the heavy top
-    # (p = lam^2) by its discriminant, the closed form by a specialization
+    # (p = lam^2) by its discriminant, the closed form by a specialization.
+    # bridge loads no dsolve or poisson, and poisson check on the converted
+    # representation no dsolve, higgs or spectral
     higgs = GOLDEN / higgs
     typ, rep = tmp_path / "type.json", str(tmp_path / "rep.json")
     typ.write_text(json.dumps(json.loads(higgs.read_text(encoding="utf-8"))["type"]), encoding="utf-8")
     code = (
         "import sys; from starquiver.cli import main; "
         f"assert main(['bridge', 'to-quiver', '--higgs', {str(higgs)!r}, '--hitchin', '--out', {rep!r}]) == 0; "
-        "print('sympy' in sys.modules); "
+        f"{LOADED}; "
         f"assert main(['bridge', 'to-higgs', '--rep', {rep!r}, '--type', {str(typ)!r}, '--hitchin']) == 0; "
-        "print('sympy' in sys.modules)"
+        f"{LOADED}"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, check=True
+    lines = run_fresh(code)
+    bridge = "arith cli combinat higgs jsonio linalg_exact numpy spectral starrep"
+    assert [line for line in lines if line.startswith("arith ")] == [bridge, bridge]
+    assert sum(line.startswith("spectral polynomial integral: ") for line in lines) == 2
+    code = f"import sys; from starquiver.cli import main; main(['poisson', 'check', '--rep', {rep!r}, '--grid', '1']); {LOADED}"
+    assert run_fresh(code)[-1] == "arith cli combinat jsonio linalg_exact numpy poisson starrep"
+
+
+@pytest.mark.parametrize("factorable,integral", [(True, "integral"), (False, "undetermined")])
+def test_bridge_hitchin_fallback_loads_sympy(tmp_path, factorable, integral):
+    # with a _certify that decides nothing, the closed form's integrality
+    # falls to sympy's factorization, the one path that loads sympy; when
+    # the factorization fails too, the verdict is undetermined and the
+    # conversion still exits 0
+    higgs, report = str(GOLDEN / "closed_form_higgs.json"), tmp_path / "report.json"
+    unfactorable = [
+        "class Unfactorable:",
+        "    def factor_list(self):",
+        "        raise NotImplementedError('no bivariate factorization here')",
+        "spectral.SpectralPolynomial._poly = lambda self: Unfactorable()",
+    ]
+    code = "\n".join(
+        [
+            "import sys",
+            "from starquiver import cli, spectral",
+            "spectral._certify = lambda c: None",
+            *([] if factorable else unfactorable),
+            f"print(cli.main(['bridge', 'to-quiver', '--higgs', {higgs!r}, '--hitchin', '--report', {str(report)!r}]))",
+            LOADED,
+        ]
     )
-    assert [line for line in out.stdout.splitlines() if line in ("True", "False")] == ["False", "False"]
-    assert out.stdout.count("spectral polynomial integral: ") == 2
+    lines = run_fresh(code)
+    assert lines[-2] == "0"
+    assert "sympy" in lines[-1].split()
+    assert json.loads(report.read_text(encoding="utf-8"))["spectral"]["integral"] == integral
 
 
 def names_read(node):

@@ -9,6 +9,7 @@ from charpoly_oracle import pole_cleared_matrix
 from conftest import closed_form_flags, closed_form_matrices
 from integral_oracle import spectral_of
 from starquiver import linalg_exact as ex
+from starquiver import spectral
 from starquiver.combinat import MarkedLine, NilpotentClass, ParabolicType
 from starquiver.dsolve import DSInstance, SolverConfig, flags_from_solution, solve
 from starquiver.higgs import HiggsTuple
@@ -230,6 +231,20 @@ def test_is_integral_factorization_failure_is_undetermined(monkeypatch, error):
     monkeypatch.setattr(sympy.Poly, "factor_list", broken)
     with pytest.raises(RuntimeError):
         is_integral(spectral_of(irreducible))
+
+
+@pytest.mark.parametrize("factorable,verdict", [(True, ("integral", "fallback")), (False, ("undetermined", None))])
+def test_closed_form_integrality_by_the_sympy_fallback(monkeypatch, closed_form_tuple, factorable, verdict):
+    # a _certify that decides nothing hands the closed form to sympy's
+    # bivariate factorization; when that fails too, nothing decides
+    monkeypatch.setattr(spectral, "_certify", lambda c: None)
+    if not factorable:
+
+        def unsupported(self):
+            raise NotImplementedError("no bivariate factorization here")
+
+        monkeypatch.setattr(sympy.Poly, "factor_list", unsupported)
+    assert is_integral(spectral_poly(char_poly(closed_form_tuple))) == verdict
 
 
 def test_is_integral_rejects_non_squarefree(monkeypatch):
