@@ -16,9 +16,10 @@ or undetermined, 3 violated invariant; ``EXIT_CODES`` maps the exceptions
 that end a command to 1, 2 or 3.  Identical configuration and seed produce
 byte-identical reports (no timestamps, sorted keys).
 
-Each handler imports the layers it runs, so ``type-check`` loads no numpy
-and no subcommand loads a layer it does not call.  An option left unset
-takes the library's own default.
+Each handler decodes its input and then imports the layers it runs, so
+``type-check`` loads no numpy, no subcommand loads a layer it does not
+call, and input that fails to decode loads none beyond what its decoder
+needed.  An option left unset takes the library's own default.
 """
 
 import argparse
@@ -176,9 +177,10 @@ def _verify_payload(rep):
 
 
 def cmd_ds_solve(args):
+    inst = jsonio.instance_from_json(jsonio.load(args.instance))
+
     from .dsolve import SolverConfig, solve, verify
 
-    inst = jsonio.instance_from_json(jsonio.load(args.instance))
     given = {"tolerance": args.tol, "max_iters": args.max_iters, "restarts": args.restarts, "seed": args.seed}
     config = SolverConfig(**{k: v for k, v in given.items() if v is not None})
     outcome = solve(inst, config)
@@ -227,10 +229,11 @@ def cmd_ds_solve(args):
 
 
 def cmd_ds_verify(args):
-    from .dsolve import verify
-
     inst = jsonio.instance_from_json(jsonio.load(args.instance))
     sol = jsonio.solution_from_json(jsonio.load(args.solution))
+
+    from .dsolve import verify
+
     vrep = verify(sol, inst, hitchin=args.hitchin)
     payload = _verify_payload(vrep)
     print(f"residual            : {vrep.residual:.3e}")
@@ -279,10 +282,11 @@ def _spectral_appendix(h):
 
 
 def cmd_bridge_to_quiver(args):
+    h = jsonio.higgs_from_json(jsonio.load(args.higgs))
+
     from .higgs import higgs_to_quiver
     from .starrep import moment_residual
 
-    h = jsonio.higgs_from_json(jsonio.load(args.higgs))
     rep = higgs_to_quiver(h)
     resid = moment_residual(rep)
     print(f"moment residual after conversion: {resid:.3e}")
@@ -296,10 +300,11 @@ def cmd_bridge_to_quiver(args):
 
 
 def cmd_bridge_to_higgs(args):
-    from .higgs import WeightsNotSmallError, quiver_to_higgs, stability_verdict
-
     rep = jsonio.rep_from_json(jsonio.load(args.rep))
     sigma = jsonio.type_from_json(jsonio.load(args.type))
+
+    from .higgs import WeightsNotSmallError, quiver_to_higgs, stability_verdict
+
     h = quiver_to_higgs(rep, sigma, **({} if args.tol is None else {"tol": args.tol}))
     problems = h.validate()
     print(f"conversion produced a valid residue tuple: {_fmt_bool(not problems)}")
@@ -327,6 +332,8 @@ def cmd_bridge_to_higgs(args):
 
 
 def cmd_poisson_check(args):
+    rep = jsonio.rep_from_json(jsonio.load(args.rep)).to_float()
+
     import numpy as np
 
     from .poisson import (
@@ -342,7 +349,6 @@ def cmd_poisson_check(args):
     )
     from .starrep import moment_residual
 
-    rep = jsonio.rep_from_json(jsonio.load(args.rep)).to_float()
     n = rep.quiver.n_arms
     if args.points:
         points = [float(jsonio.parse_frac(p)) for p in args.points.split(",")]

@@ -5,9 +5,11 @@ strings ("3/2"), floating complex entries are [re, im] pairs serialized
 by repr, and every report is dumped with sorted keys so identical inputs
 produce byte-identical files.
 
-Only ``combinat`` loads with this module: every other value type's module,
-and numpy, is imported by the decoder that builds the value, so reading a
-parabolic type loads no array code.
+Only ``combinat`` loads with this module: every other value type's module
+is imported by the decoder that builds the value, once its fields have
+decoded, and numpy only by a float matrix.  So reading a parabolic type
+loads no array code, and a rejected file loads no more than its decoding
+reached.
 """
 
 import functools
@@ -151,12 +153,12 @@ def instance_to_json(inst) -> dict:
 
 @_decoder("instance")
 def instance_from_json(data):
-    from .dsolve import DSInstance
-
     classes = tuple(class_from_json(c) for c in data["classes"])
     points = None
     if "points" in data and data["points"] is not None:
         points = tuple(parse_frac(p) for p in data["points"])
+    from .dsolve import DSInstance
+
     return DSInstance(rank=int_from_json(data["rank"]), classes=classes, points=points)
 
 
@@ -212,8 +214,6 @@ def higgs_to_json(h) -> dict:
 
 @_decoder("residue tuple")
 def higgs_from_json(data, check=True):
-    from .higgs import HiggsTuple
-
     if "splitting_type" in data and any(int_from_json(d) != 0 for d in data["splitting_type"]):
         raise InputFormatError(
             "the underlying bundle is not a sum of trivial line bundles "
@@ -225,6 +225,8 @@ def higgs_from_json(data, check=True):
     mode = data.get("mode", "float")
     mats = [matrix_from_json(m, mode) for m in data["matrices"]]
     flags = [[matrix_from_json(b, mode) for b in fl] for fl in data["flags"]]
+    from .higgs import HiggsTuple
+
     return HiggsTuple(sigma=sigma, matrices=mats, flags=flags, mode=mode, check=check)
 
 

@@ -81,8 +81,9 @@ def run_fresh(code):
 
 
 def test_cli_import_leaves_sympy_unloaded(tmp_path):
-    # the import loads no layer beyond combinat and jsonio, and type-check,
-    # on both type fixtures and on a malformed type, loads no numpy
+    # the import loads no layer beyond combinat and jsonio; type-check, on
+    # both type fixtures and on a malformed type, loads no numpy, and
+    # neither does a residue tuple that its decoder rejects
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"points": ["0", "1/0"], "rank": 2, "K": 4, "flags": []}), encoding="utf-8")
     runs = [
@@ -92,7 +93,9 @@ def test_cli_import_leaves_sympy_unloaded(tmp_path):
     code = (
         f"import sys; from starquiver.cli import main; {LOADED}; "
         + "".join(runs)
-        + f"assert main(['type-check', '--type', {str(bad)!r}]) == 1; {LOADED}"
+        + f"assert main(['type-check', '--type', {str(bad)!r}]) == 1; "
+        + f"assert main(['bridge', 'to-quiver', '--higgs', {str(FIXTURES / 'higgs_rank2_split_bundle.json')!r}]) == 1; "
+        + LOADED
     )
     lines = run_fresh(code)
     assert lines[0] == lines[-1] == "cli combinat jsonio"
