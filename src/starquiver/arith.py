@@ -143,7 +143,9 @@ class _Exact:
         return ex.mtrans(cols)
 
     def apply(self, m, v):
-        return [sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(v))]
+        """m v, one entry per row of m; a row whose length is not len(v)
+        raises ValueError, as a float shape mismatch does."""
+        return [sum((x * y for x, y in zip(row, v, strict=True)), Fraction(0)) for row in m]
 
     def flatten(self, a):
         return [x for row in a for x in row]
@@ -195,8 +197,7 @@ class _Float:
     def sub(self, a, b):
         return a - b
 
-    def mul(self, a, b):
-        return a @ b
+    mul = staticmethod(np.matmul)  # a @ b, without a Python frame per product
 
     def scale(self, c, a):
         return c * a
@@ -208,8 +209,7 @@ class _Float:
         """a^1 .. a^count."""
         return accumulate(repeat(a, count), np.matmul)
 
-    def trace(self, a):
-        return np.trace(a)
+    trace = staticmethod(np.trace)
 
     def inv(self, a):
         return np.linalg.inv(a)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import FLOAT, kron
+from .arith import kron
 from .starrep import StarQuiver, StarRep, random_rep
 
 
@@ -168,13 +168,18 @@ def delta(rep: StarRep, points, z, w, at_equal=False) -> np.ndarray:
 
 def _trace_power_slots(rep: StarRep, points, t, zc, pw):
     """The level-1 f- and g-gradients of Tr(phi(zc)^t) on the nonempty arms,
-    given pw = phi(zc)^(t-1); see ``trace_power_observable``."""
+    given pw = phi(zc)^(t-1); see ``trace_power_observable``.
+
+    ``pw`` may be a stack (..., r, r) of powers, with t and zc scalars or
+    arrays that broadcast against its leading axes; each slot then carries
+    the same leading axes.  On one (r, r) power with scalar t and zc every
+    product is the per-matrix one, so the slots keep their bits."""
     fs, gs = [], []
     for m in range(rep.quiver.n_arms):
         if rep.f[m]:
-            c = t / (zc - complex(points[m]))
-            fs.append(c * (pw @ rep.g[m][0]).T)
-            gs.append(c * (rep.f[m][0] @ pw).T)
+            c = np.asarray(t / (zc - complex(points[m])))[..., None, None]
+            fs.append(c * np.swapaxes(pw @ rep.g[m][0], -1, -2))
+            gs.append(c * np.swapaxes(rep.f[m][0] @ pw, -1, -2))
     return fs, gs
 
 
@@ -490,21 +495,42 @@ def _level1_coordinates(quiver: StarQuiver) -> np.ndarray:
     return np.flatnonzero(np.repeat(first, [m.size for m in _matrices(zero_gradient(quiver))]))
 
 
+def _hamiltonian_rows(rep: StarRep, points, ts, zs) -> np.ndarray:
+    """The level-1 slots of d Tr(phi(z)^t) for every t in ``ts`` and z in
+    ``zs``, t-major, one row each in ``_level1_coordinates`` order.
+
+    phi is formed at every z at once, the powers phi^0 .. phi^(max t - 1)
+    as one stacked running product, and the slots of all (t, z) by one
+    ``_trace_power_slots`` call."""
+    r, zc = rep.quiver.rank, np.array([complex(z) for z in zs])
+    phi = np.zeros((zc.size, r, r), dtype=complex)
+    for m in range(rep.quiver.n_arms):
+        xm = complex(points[m])
+        if xm in zc:
+            raise ValueError(f"evaluation at the pole {points[m]}")
+        if rep.f[m]:
+            phi += rep.residue(m) / (zc - xm)[:, None, None]
+    powers = np.empty((max(ts),) + phi.shape, dtype=complex)
+    powers[0] = np.eye(r)
+    for k in range(1, max(ts)):
+        powers[k] = powers[k - 1] @ phi
+    t = np.array(ts)
+    fs, gs = _trace_power_slots(rep, points, t[:, None], zc, powers[t - 1])
+    n_rows = t.size * zc.size
+    return np.concatenate([np.zeros((n_rows, 0), dtype=complex), *(x.reshape(n_rows, -1) for x in fs + gs)], axis=1)
+
+
 def independent_hamiltonian_count(rep: StarRep, points, ts, zs) -> int:
     """Rank of the sampled trace-power differentials restricted to the
     moment-zero tangent space at the representation.  The differentials
-    vanish past level 1, so each row pairs only the level-1 slots with the
-    matching rows of the tangent basis."""
+    vanish past level 1, so the rows (``_hamiltonian_rows``) pair only the
+    level-1 slots with the matching rows of the tangent basis."""
+    if not len(ts):
+        raise ValueError("ts: no trace power to sample")
+    if not len(zs):
+        raise ValueError("zs: no sample point")
     if min(ts) < 1:
         raise ValueError("trace power must be at least 1")
     tangent = moment_zero_tangent(rep)[_level1_coordinates(rep.quiver)]
-    # phi(z)^0 .. phi(z)^(max(ts) - 1) at each z, one product per power
-    eye = np.eye(rep.quiver.rank, dtype=complex)
-    powers = [[eye, *FLOAT.powers(phi_value(rep, points, z), max(ts) - 1)] for z in zs]
-    rows = []
-    for t in ts:
-        for z, pw in zip(zs, powers):
-            fs, gs = _trace_power_slots(rep, points, t, complex(z), pw[t - 1])
-            level1 = np.concatenate([np.zeros(0, dtype=complex), *(x.reshape(-1) for x in fs + gs)])
-            rows.append(level1 @ tangent)  # holomorphic pairing
-    return singular_rank(np.linalg.svd(np.stack(rows, axis=0), compute_uv=False), HAMILTONIAN_RANK_RTOL)
+    rows = _hamiltonian_rows(rep, points, ts, zs) @ tangent  # holomorphic pairing
+    return singular_rank(np.linalg.svd(rows, compute_uv=False), HAMILTONIAN_RANK_RTOL)

@@ -387,12 +387,12 @@ def trace_along_cycle(rep: StarRep, cycle):
     gives the trace of the identity, i.e. the rank.
     """
     o = rep.ops
-    q = rep.quiver
+    arms, n_arms, mul = rep.quiver.arms, len(rep.quiver.arms), o.mul
     at = None  # None = center, else (arm, level)
     acc = None  # the product so far; the walk's first factor starts it
     for step in cycle:
         kind, j, level = step
-        if not (0 <= j < q.n_arms) or not (1 <= level <= len(q.arms[j])):
+        if not (0 <= j < n_arms) or not (1 <= level <= len(arms[j])):
             raise InvalidCycle(f"no vertex at arm {j} level {level}")
         if kind == "f":
             here = None if level == 1 else (j, level - 1)
@@ -407,37 +407,47 @@ def trace_along_cycle(rep: StarRep, cycle):
             at = None if level == 1 else (j, level - 1)
         else:
             raise InvalidCycle(f"unknown step kind {kind!r}")
-        acc = factor if acc is None else o.mul(factor, acc)
+        acc = factor if acc is None else mul(factor, acc)
     if at is not None:
         raise InvalidCycle("walk does not return to the central vertex")
-    return o.trace(o.eye(q.rank) if acc is None else acc)
+    return o.trace(o.eye(rep.quiver.rank) if acc is None else acc)
 
 
 def center_cycles(quiver: StarQuiver, max_len: int):
     """All closed center-based walks of length <= max_len (excluding the
-    empty walk)."""
-    out = []
+    empty walk), depth first: outward before inward, arm by arm.
 
-    def extend(path, at, remaining):
-        if at is None and path:
-            out.append(tuple(path))
-        if remaining == 0:
-            return
-        if at is None:
-            for j in range(quiver.n_arms):
-                if quiver.arms[j]:
-                    path.append(("f", j, 1))
-                    extend(path, (j, 1), remaining - 1)
-                    path.pop()
-        else:
-            j, level = at
-            if level < len(quiver.arms[j]):
-                path.append(("f", j, level + 1))
-                extend(path, (j, level + 1), remaining - 1)
-                path.pop()
-            path.append(("g", j, level))
-            extend(path, (j, level - 1) if level > 1 else None, remaining - 1)
-            path.pop()
+    A walk is a run of excursions, each of which leaves the center into one
+    arm and first comes back at its end.  So the walks are listed by first
+    excursion, in the depth-first order of the arms, each followed by every
+    walk that can continue it; the continuations of each length are built
+    once.  No walk is shorter than 2, so none for ``max_len`` < 2."""
+    if max_len < 2:
+        return []
+    excursions = []
 
-    extend([], None, max_len)
-    return out
+    def descend(j, path, level, room):
+        # path ends at level `level` of arm j; room >= 1 steps are left
+        if level < len(quiver.arms[j]) and room > 1:
+            descend(j, path + (("f", j, level + 1),), level + 1, room - 1)
+        path += (("g", j, level),)
+        if level == 1:
+            excursions.append(path)
+        elif room > 1:
+            descend(j, path, level - 1, room - 1)
+
+    for j, chain in enumerate(quiver.arms):
+        if chain:
+            descend(j, (("f", j, 1),), 1, max_len - 1)
+    walks = {}  # length budget -> every walk within it
+
+    def within(n):
+        if n not in walks:
+            walks[n] = []
+            for e in excursions:
+                if len(e) <= n:
+                    walks[n].append(e)
+                    walks[n].extend(e + rest for rest in within(n - len(e)))
+        return walks[n]
+
+    return within(max_len)

@@ -1,8 +1,9 @@
 """Differential and property tests of the float kernels behind the bridge
 round trip: the broadcast Kronecker product ``arith.kron`` against
 ``np.kron``, ``orbit_jacobian`` against its per-block ``np.kron`` formula,
-cycle traces against an identity-started product, and the batched
-level-1 Hamiltonian rows against the per-(t, z) trace-power gradients."""
+cycle traces against an identity-started product, center cycles against
+a step-by-step enumeration, and the batched level-1 Hamiltonian rows and
+count against the per-(t, z) trace-power gradients."""
 
 from fractions import Fraction
 
@@ -135,6 +136,45 @@ def test_trace_along_cycle_equals_the_identity_started_product(cycle_rep):
     assert trace_along_cycle(cycle_rep, []) == QUIVER.rank
 
 
+def step_by_step_cycles(quiver, max_len):
+    """Every closed center-based walk of length <= max_len, one step per
+    recursion: the enumeration ``center_cycles`` used before it was built
+    from excursions."""
+    out = []
+
+    def extend(path, at, remaining):
+        if at is None and path:
+            out.append(tuple(path))
+        if remaining <= 0:
+            return
+        if at is None:
+            for j in range(quiver.n_arms):
+                if quiver.arms[j]:
+                    extend(path + [("f", j, 1)], (j, 1), remaining - 1)
+        else:
+            j, level = at
+            if level < len(quiver.arms[j]):
+                extend(path + [("f", j, level + 1)], (j, level + 1), remaining - 1)
+            extend(path + [("g", j, level)], (j, level - 1) if level > 1 else None, remaining - 1)
+
+    extend([], None, max_len)
+    return out
+
+
+@st.composite
+def quivers(draw):
+    """Rank 1-4, 0-5 arms, each possibly empty."""
+    r = draw(st.integers(1, 4))
+    arms = tuple(tuple(sorted(draw(st.sets(st.integers(1, r))), reverse=True)) for _ in range(draw(st.integers(0, 5))))
+    return StarQuiver(rank=r, arms=arms)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(quivers(), st.integers(-3, 8))
+def test_center_cycles_equal_the_step_by_step_enumeration(quiver, max_len):
+    assert center_cycles(quiver, max_len) == step_by_step_cycles(quiver, max_len)
+
+
 @pytest.mark.parametrize(
     "cycle, message",
     [
@@ -188,34 +228,85 @@ def test_hamiltonian_counts_on_the_bridge_batch():
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
-def test_hamiltonian_rows_match_the_trace_power_gradients(monkeypatch, r):
+def test_hamiltonian_rows_match_the_trace_power_gradients(r):
     # powers up to phi^(r+1), past the products that matrix_power and the
-    # running product form alike
+    # stacked running product form alike
     rng = np.random.default_rng(r)
     points = [0.0, 1.0, 2.0, 3.0]
     quiver = StarQuiver(rank=r, arms=(tuple(range(r - 1, 0, -1)),) * 4)
     rep = random_rep(quiver, rng, scale=0.5)
     ts, zs = list(range(1, r + 3)), [-0.75, 0.5, 1.25, 2.5, 3.75]
-    seen, helper = [], poisson._trace_power_slots
     level1 = poisson._level1_coordinates(quiver)
-
-    def record(rep, points, t, zc, pw):
-        # the count reads the level-1 slots only; the packed row puts them
-        # back among zeros, to compare with the whole gradient
-        fs, gs = helper(rep, points, t, zc, pw)
-        row = np.zeros(quiver.phase_dim(), dtype=complex)
-        row[level1] = np.concatenate([x.reshape(-1) for x in fs + gs])
-        seen.append((t, zc, row))
-        return fs, gs
-
-    monkeypatch.setattr(poisson, "_trace_power_slots", record)
-    count = independent_hamiltonian_count(rep, points, ts, zs)
-    monkeypatch.undo()
-    assert [(t, z) for t, z, _ in seen] == [(t, complex(z)) for t in ts for z in zs]  # t-major rows
-    for t, z, row in seen:
+    batched = poisson._hamiltonian_rows(rep, points, ts, zs)
+    assert batched.shape == (len(ts) * len(zs), level1.size)
+    for row, (t, z) in zip(batched, [(t, z) for t in ts for z in zs], strict=True):  # t-major rows
+        # the rows hold the level-1 slots only; put them back among zeros
+        packed = np.zeros(quiver.phase_dim(), dtype=complex)
+        packed[level1] = row
         expected = pack_rep(trace_power_observable(quiver, points, t, z, selfcheck=False).grad(rep))
-        assert np.linalg.norm(row - expected) <= 1e-12 * np.linalg.norm(expected)
-    assert count == per_observable_count(rep, points, ts, zs)
+        assert np.linalg.norm(packed - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert independent_hamiltonian_count(rep, points, ts, zs) == per_observable_count(rep, points, ts, zs)
+
+
+@st.composite
+def count_cases(draw):
+    """A random representation of one of ``quivers``, trace powers up to
+    r + 2 and 1-6 sample points at quarter steps off the poles 0, 1, 2, ..."""
+    quiver = draw(quivers())
+    r, arms = quiver.rank, quiver.arms
+    rep = random_rep(quiver, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    ts = sorted(draw(st.sets(st.integers(1, r + 2), min_size=1)))
+    pool = [k / 4 for k in range(-8, 4 * len(arms) + 8) if k % 4]
+    zs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True))
+    return rep, [float(x) for x in range(len(arms))], ts, zs
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(count_cases())
+def test_batched_count_equals_the_per_observable_count(case):
+    rep, points, ts, zs = case
+    assert independent_hamiltonian_count(rep, points, ts, zs) == per_observable_count(rep, points, ts, zs)
+
+
+def per_matrix_slots(rep, points, t, zc, pw):
+    """The level-1 slots as formed one (r, r) power at a time."""
+    fs, gs = [], []
+    for m in range(rep.quiver.n_arms):
+        if rep.f[m]:
+            c = t / (zc - complex(points[m]))
+            fs.append(c * (pw @ rep.g[m][0]).T)
+            gs.append(c * (rep.f[m][0] @ pw).T)
+    return fs, gs
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_trace_power_slots_keep_the_bits_of_one_power(r):
+    rng = np.random.default_rng(40 + r)
+    points = [0.0, 1.0, 2.0, 3.0]
+    rep = random_rep(StarQuiver(rank=r, arms=(tuple(range(r - 1, 0, -1)), (), (1,), (r,))), rng)
+    zs, ts = [-0.75, 0.5, 2.25], [1, 2, 3]
+    stack = np.stack([rng.standard_normal((len(zs), r, r)) + 1j * rng.standard_normal((len(zs), r, r)) for _ in ts])
+    batched = poisson._trace_power_slots(rep, points, np.array(ts)[:, None], np.array(zs, dtype=complex), stack)
+    for a, t in enumerate(ts):
+        for b, z in enumerate(zs):
+            single = poisson._trace_power_slots(rep, points, t, complex(z), stack[a, b])
+            expected = per_matrix_slots(rep, points, t, complex(z), stack[a, b])
+            slots = zip(single[0] + single[1], expected[0] + expected[1], batched[0] + batched[1], strict=True)
+            for got, want, stacked in slots:
+                assert np.array_equal(got, want)
+                assert np.allclose(stacked[a, b], want, rtol=1e-14, atol=0)
+
+
+def test_hamiltonian_count_of_a_quiver_with_only_empty_arms_is_zero():
+    rep = random_rep(StarQuiver(rank=3, arms=((), (), ())), np.random.default_rng(0))
+    assert independent_hamiltonian_count(rep, [0.0, 1.0, 2.0], [1, 2, 3], [0.5, 1.5]) == 0
+
+
+@pytest.mark.parametrize("ts, zs, name", [([], [0.5], "ts"), ([1, 2], [], "zs"), ([], [], "ts")])
+def test_hamiltonian_count_refuses_empty_samples(ts, zs, name):
+    rep = random_rep(StarQuiver(rank=2, arms=((1,),) * 4), np.random.default_rng(0))
+    with pytest.raises(ValueError, match=f"^{name}: no "):
+        independent_hamiltonian_count(rep, [0.0, 1.0, 2.0, 3.0], ts, zs)
 
 
 def test_hamiltonian_count_refuses_a_power_below_one():

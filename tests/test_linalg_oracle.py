@@ -328,3 +328,33 @@ def test_entrywise_ops_check_shapes(op, expected):
             op(a, b)
         with pytest.raises(ValueError, match="shape mismatch"):
             op(b, a)
+
+
+@st.composite
+def matrix_vector_pairs(draw):
+    """An m x n rational matrix, square or not, 0 rows included, and an
+    n-vector."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    return draw(matrices(m, n)), m, n, draw(st.lists(_ENTRIES, min_size=n, max_size=n))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(matrix_vector_pairs())
+def test_exact_apply_matches_float_apply(case):
+    a, m, n, v = case
+    exact = EXACT.apply(a, v)
+    dense = np.array([[float(x) for x in row] for row in a], dtype=complex).reshape(m, n)
+    floated = FLOAT.apply(dense, np.array([float(x) for x in v], dtype=complex))
+    assert len(exact) == m and floated.shape == (m,)
+    assert all(isinstance(x, Fraction) for x in exact)
+    assert np.allclose(np.array([float(x) for x in exact]), floated, rtol=1e-12, atol=1e-12)
+
+
+def test_exact_apply_refuses_a_vector_of_the_wrong_length():
+    a = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)], [Fraction(5), Fraction(6)]]
+    assert EXACT.apply(a, [Fraction(1), Fraction(-1)]) == [-1, -1, -1]
+    for v in ([Fraction(1)], [Fraction(1)] * 3):
+        with pytest.raises(ValueError):
+            EXACT.apply(a, v)
+        with pytest.raises(ValueError):
+            FLOAT.apply(np.ones((3, 2)), np.ones(len(v)))

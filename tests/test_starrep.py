@@ -210,6 +210,12 @@ def test_center_cycles_enumeration():
     assert all(len(c) % 2 == 0 for c in cycles)
 
 
+@pytest.mark.parametrize("max_len", [0, -1, -5])
+def test_center_cycles_of_no_length(max_len):
+    # a negative length used to recurse until RecursionError
+    assert center_cycles(StarQuiver(rank=2, arms=((1,),) * 4), max_len) == []
+
+
 def test_group_act_identity_and_scalar():
     rep = closed_form_rep()
     q = rep.quiver
