@@ -128,9 +128,6 @@ class _Exact:
             return [[] for _ in a]
         return ex.mtrans(rows)
 
-    def kernel_vector(self, a):
-        return np.array([float(x) for x in ex.nullspace(a)[0]], dtype=complex)
-
     def conjugation_gap(self, a, p, n):
         """a p - p n, which vanishes exactly when p n p^-1 = a for an
         invertible p; it needs no inverse."""
@@ -256,11 +253,6 @@ class _Float:
         """Right singular vectors beyond the default ``rank``."""
         _, _, vh = np.linalg.svd(a)
         return [vh[k].conj() for k in range(self.rank(a), vh.shape[0])]
-
-    def kernel_vector(self, a):
-        """The right singular vector of the smallest singular value."""
-        _, _, vh = np.linalg.svd(a)
-        return vh[-1].conj()
 
     def conjugation_gap(self, a, p, n):
         """a - p n p^-1, whose size does not grow with the scale of p."""

@@ -11,10 +11,11 @@ Subcommands:
   optional spectral appendix.
 - ``poisson check``: bracket identity residuals on a representation.
 
-Exit codes: 0 success / all checks pass, 1 input error, 2 budget exhausted
-or undetermined, 3 violated invariant; ``EXIT_CODES`` maps the exceptions
-that end a command to 1, 2 or 3.  Identical configuration and seed produce
-byte-identical reports (no timestamps, sorted keys).
+Exit codes: 0 success / all checks pass, 1 input error (a usage error that
+argparse rejects included), 2 budget exhausted or undetermined, 3 violated
+invariant; ``EXIT_CODES`` maps the exceptions that end a command to 1, 2
+or 3.  Identical configuration and seed produce byte-identical reports (no
+timestamps, sorted keys).
 
 Each handler decodes its input and then imports the layers it runs, so
 ``type-check`` loads no numpy, no subcommand loads a layer it does not
@@ -305,10 +306,10 @@ def cmd_bridge_to_higgs(args):
 
     from .higgs import WeightsNotSmallError, quiver_to_higgs, stability_verdict
 
+    # the conversion validates the tuple and raises BridgeError on a violation
     h = quiver_to_higgs(rep, sigma, **({} if args.tol is None else {"tol": args.tol}))
-    problems = h.validate()
-    print(f"conversion produced a valid residue tuple: {_fmt_bool(not problems)}")
-    payload = {"invariant_violations": problems}
+    print("conversion produced a valid residue tuple: PASS")
+    payload = {"invariant_violations": []}
     try:
         srep = stability_verdict(h)
         print(f"stability verdict : {srep.verdict} (full slope {srep.full_slope})")
@@ -324,7 +325,7 @@ def cmd_bridge_to_higgs(args):
     if args.out:
         jsonio.dump(args.out, jsonio.higgs_to_json(h))
     _write_report(args.report, payload)
-    return OK if not problems else INVARIANT_VIOLATION
+    return OK
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +333,8 @@ def cmd_bridge_to_higgs(args):
 
 
 def cmd_poisson_check(args):
+    if args.grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {args.grid}")
     rep = jsonio.rep_from_json(jsonio.load(args.rep)).to_float()
 
     import numpy as np
@@ -501,7 +504,11 @@ def build_parser():
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 2 on a usage error, which is bad input here; 0 on --help
+        return INPUT_ERROR if e.code == 2 else e.code
     try:
         return args.func(args)
     except Exception as e:

@@ -68,12 +68,20 @@ def build_star_quiver(sigma: ParabolicType) -> StarQuiver:
 
 @dataclass(frozen=True)
 class StabilityCharacter:
-    """Multiplicative character: determinant of the central block to the
-    power -N times determinants of arm blocks to positive powers d.
+    """The character theta: exponent ``central_exponent`` (= -N) at the
+    center and a positive exponent d at each arm vertex, stored pre-scaled
+    so that every exponent is an integer.
 
-    The integrality N * rank = sum of d * dim over arm vertices is exactly
-    the condition that the diagonal one-parameter subgroup acts trivially
-    on the character; exponents are stored pre-scaled so N is an integer.
+    Sign convention: a subrepresentation W with ``pairing(W) > 0``
+    destabilizes, just as a subobject of slope above the full slope does,
+    and the full dimension vector pairs to 0.  For a residue tuple, W is a
+    subspace of the fiber with dimension vector (dim W; dim W meet F_ij),
+    and its pairing is c K dim W (slope(W) - full slope), c > 0 being the
+    factor ``build_character`` scaled the weight gaps by.  A kernel vector
+    of a rank-deficient inward map at arm j, level i spans a
+    subrepresentation of the inward maps with a single 1 at that vertex,
+    so it pairs to the positive arm exponent there: the defect that
+    ``arm_semistable`` detects (King, Quart. J. Math. 45, 1994).
     """
 
     central_exponent: int  # equals -N
@@ -88,13 +96,13 @@ class StabilityCharacter:
     def N(self):
         return -self.central_exponent
 
-    def check_diagonal(self, quiver: StarQuiver):
-        total = sum(
-            d * dim
-            for j, ds in enumerate(self.arm_exponents)
-            for d, dim in zip(ds, quiver.arms[j])
+    def pairing(self, center, arms):
+        """theta paired with the dimension vector (center; arms), where
+        ``arms[j][i]`` is the dimension at level i+1 of arm j; exact."""
+        return self.central_exponent * center + sum(
+            d * dim for ds, dims in zip(self.arm_exponents, arms, strict=True)
+            for d, dim in zip(ds, dims, strict=True)
         )
-        return total == self.N * quiver.rank
 
 
 def build_character(sigma: ParabolicType) -> StabilityCharacter:
@@ -263,78 +271,6 @@ def arm_semistable(rep: StarRep, j: int) -> bool:
         if rep.ops.rank(gm) < dims[i + 1]:
             return False
     return True
-
-
-@dataclass
-class OneParameterSubgroup:
-    """Diagonal destabilizer at a single arm vertex.
-
-    In the column basis ``basis`` of the vertex space, the subgroup acts
-    by t^(exponents) (one entry is -1, the rest 0).  The limit of the arm
-    action exists along t -> infinity, and the character pairing is
-    -(arm exponent at the vertex), which is negative.
-    """
-
-    arm: int
-    level: int  # 1-based vertex on the arm
-    exponents: tuple
-    basis: object  # square matrix over the vertex space
-
-    def pairing(self, character: StabilityCharacter) -> int:
-        d = character.arm_exponents[self.arm][self.level - 1]
-        return d * sum(self.exponents)
-
-
-def destabilizing_one_ps(rep: StarRep, j: int):
-    """Destabilizer for arm j, or None when every inward map has full rank.
-
-    Finds the shallowest rank-deficient level, completes a kernel vector
-    to a unitary basis by one complete QR, and returns the one-parameter
-    subgroup scaling that direction by t^-1.
-    """
-    dims = rep.quiver.dims(j)
-    for i, gm in enumerate(rep.g[j]):
-        size = dims[i + 1]
-        if rep.ops.rank(gm) >= size:
-            continue
-        basis = np.linalg.qr(rep.ops.kernel_vector(gm)[:, None], mode="complete")[0]
-        exponents = tuple([-1] + [0] * (size - 1))
-        return OneParameterSubgroup(arm=j, level=i + 1, exponents=exponents, basis=basis)
-    return None
-
-
-def one_ps_element(quiver: StarQuiver, ps: OneParameterSubgroup, t: float):
-    """Group element of the subgroup at parameter t (identity elsewhere)."""
-    blocks = []
-    for j in range(quiver.n_arms):
-        arm_blocks = []
-        for i, dim in enumerate(quiver.arms[j]):
-            if j == ps.arm and i + 1 == ps.level:
-                d = np.diag([t ** m for m in ps.exponents]).astype(complex)
-                b = np.asarray(ps.basis, dtype=complex)
-                arm_blocks.append(b @ d @ np.linalg.inv(b))
-            else:
-                arm_blocks.append(np.eye(dim, dtype=complex))
-        blocks.append(arm_blocks)
-    return GroupElement(center=np.eye(quiver.rank, dtype=complex), arms=blocks)
-
-
-def one_ps_replay(rep: StarRep, ps: OneParameterSubgroup, ts=(1e2, 1e4, 1e6)):
-    """Max entry magnitude of the acted arm's inward maps at growing t.
-
-    The destabilizer certificate lives in the arm construction (inward
-    maps only); a valid certificate keeps these bounded as t grows.
-    """
-    rep = rep.to_float()
-    out = []
-    for t in ts:
-        h = one_ps_element(rep.quiver, ps, t)
-        acted = group_act(rep, h)
-        biggest = 0.0
-        for gm in acted.g[ps.arm]:
-            biggest = max(biggest, float(np.max(np.abs(gm))) if gm.size else 0.0)
-        out.append(biggest)
-    return out
 
 
 # ---------------------------------------------------------------------------

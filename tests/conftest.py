@@ -1,17 +1,8 @@
-import sys
-from fractions import Fraction
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from starquiver import linalg_exact as ex
 from starquiver.combinat import MarkedLine, NilpotentClass, ParabolicType
 from starquiver.dsolve import DSInstance, SolverConfig, random_feasible_instance, solve
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
-F = Fraction
 
 
 @pytest.fixture(scope="session")
@@ -43,19 +34,6 @@ def heavy_top_type(line4):
     )
 
 
-def closed_form_matrices():
-    """E12, -E12, E21, -E21: nilpotent rank-1 matrices summing to zero."""
-    e12 = [[F(0), F(1)], [F(0), F(0)]]
-    e21 = [[F(0), F(0)], [F(1), F(0)]]
-    return [e12, ex.mscale(F(-1), e12), e21, ex.mscale(F(-1), e21)]
-
-
-def closed_form_flags():
-    e1 = [[F(1)], [F(0)]]
-    e2 = [[F(0)], [F(1)]]
-    return [[e1], [e1], [e2], [e2]]
-
-
 @pytest.fixture(scope="session")
 def rank2_instance():
     c = NilpotentClass(rank=2, rank_sequence=(1,))
@@ -75,31 +53,3 @@ def certified_batch(rank2_instance):
         inst = random_feasible_instance(rng, max_rank=5, max_points=6)
         batch.append((inst, solve(inst, SolverConfig(seed=100 + k))))
     return batch
-
-
-def random_parabolic_type(rng, max_rank=6, max_points=8):
-    r = int(rng.integers(1, max_rank + 1))
-    n = int(rng.integers(4, max_points + 1))
-    pts = list(range(n))
-    mults, weights = [], []
-    for _ in range(n):
-        left, m = r, []
-        while left > 0:
-            p = int(rng.integers(1, left + 1))
-            m.append(p)
-            left -= p
-        mults.append(tuple(m))
-    kk = 1
-    for m in mults:
-        kk = max(kk, len(m) * 3 + 1)
-    K = kk + int(rng.integers(0, 10))
-    for m in mults:
-        w = sorted(rng.choice(K, size=len(m), replace=False).tolist())
-        weights.append(tuple(int(x) for x in w))
-    return ParabolicType(
-        line=MarkedLine(tuple(pts)),
-        rank=r,
-        K=K,
-        multiplicities=tuple(mults),
-        weights=tuple(weights),
-    )

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import FIXTURES, random_parabolic_type
+from common import FIXTURES, random_parabolic_type
 from starquiver import jsonio, linalg_exact as ex
 from starquiver.cli import main
 from starquiver.combinat import NilpotentClass, mu_eps, spectral_degrees

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import charpoly_oracle as oracle
-from conftest import FIXTURES
+from common import FIXTURES
 from starquiver import jsonio
 from starquiver import linalg_exact as ex
 from starquiver.combinat import MarkedLine, ParabolicType

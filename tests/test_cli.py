@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, closed_form_flags, closed_form_matrices
+from common import FIXTURES, closed_form_flags, closed_form_matrices
 from starquiver import cli, jsonio, starrep
 from starquiver import linalg_exact as ex
 from starquiver.cli import main
@@ -693,3 +693,27 @@ def test_hamiltonian_count_needs_a_vanishing_moment(tmp_path, capsys, monkeypatc
     capsys.readouterr()
     assert ("independent_hamiltonians" in jsonio.load(report)) is counted
 
+
+
+@pytest.mark.parametrize("grid", [0, -1])
+def test_poisson_grid_below_one_is_refused(capsys, grid):
+    # a grid below 1 ran no commutativity check and passed with residual 0
+    rep = str(Path(__file__).resolve().parent / "golden" / "closed_form_rep.json")
+    assert main(["poisson", "check", "--rep", rep, "--grid", str(grid)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: --grid must be at least 1, got {grid}\n"
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["type-check"], 1),
+    (["no-such-command"], 1),
+    (["poisson", "check", "--rep", "rep.json", "--grid", "abc"], 1),
+    (["--help"], 0),
+])
+def test_usage_errors_are_input_errors(capsys, argv, code):
+    # argparse exits 2 on a usage error, the code of an undetermined answer
+    assert main(argv) == code
+    out = capsys.readouterr()
+    assert ("error: " in out.err) is (code == 1)
+    assert (out.out if code == 0 else out.err).startswith("usage: starquiver")

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import closure_oracle as oracle
+from common import assert_witness_pairing
 import linalg_oracle
 from starquiver import arith, higgs
 from starquiver import linalg_exact as ex
@@ -199,6 +200,7 @@ def test_every_candidate_and_witness_is_proper_and_invariant(mode):
         rep = stability_verdict(h)
         if rep.witness_subspace is not None:
             assert _proper_and_invariant(rep.witness_subspace, h.matrices, o)
+        assert_witness_pairing(h, rep)
     assert former_misses >= 1
 
 
@@ -260,5 +262,6 @@ def test_zero_residues_test_the_former_subspaces(r, mode, monkeypatch):
             former = stability_verdict(h)
         assert (rep.verdict, rep.full_slope, rep.witness_slope) == (former.verdict, former.full_slope, former.witness_slope)
         assert _same_column_space(rep.witness_subspace, former.witness_subspace, o)
+        assert_witness_pairing(h, rep)
         verdicts.add(rep.verdict)
     assert {"unstable", "inconclusive"} <= verdicts

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_parabolic_type
+from common import random_parabolic_type
 from starquiver.combinat import (
     MarkedLine,
     NilpotentClass,

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import closed_form_matrices
+from common import closed_form_matrices
 from starquiver import dsolve
 from starquiver import linalg_exact as ex
 from starquiver.combinat import NilpotentClass

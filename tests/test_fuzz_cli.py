@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES
+from common import FIXTURES
 from starquiver.cli import main
 
 GOLDEN = FIXTURES.parent / "tests" / "golden"

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, closed_form_flags, closed_form_matrices
+from common import FIXTURES, closed_form_flags, closed_form_matrices
 from starquiver import jsonio
 from starquiver.cli import main
 from starquiver.higgs import HiggsTuple

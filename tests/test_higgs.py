@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import closed_form_flags, closed_form_matrices
+from common import assert_witness_pairing, closed_form_flags, closed_form_matrices, theta
 from starquiver import cli, higgs, jsonio
 from starquiver import linalg_exact as ex
 from starquiver.combinat import ParabolicType
@@ -27,6 +27,7 @@ from starquiver.starrep import (
     BRIDGE_TOL,
     StarQuiver,
     StarRep,
+    build_character,
     build_star_quiver,
     center_cycles,
     moment_is_zero,
@@ -287,7 +288,9 @@ def test_irreducible_rtol_edges(factor, expected):
 def test_stability_verdict_rtol_edges(full_flag_type, factor, stable):
     e1, e2 = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
     h = HiggsTuple(full_flag_type, _scaled_closed_form(factor * IRREDUCIBLE_RTOL), [[e1], [e1], [e2], [e2]], mode="float")
-    assert (stability_verdict(h).verdict == "stable") is stable
+    rep = stability_verdict(h)
+    assert (rep.verdict == "stable") is stable
+    assert_witness_pairing(h, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +323,7 @@ def test_semistable_only_symmetric_single_step(line4):
     rep = stability_verdict(h)
     assert rep.verdict == "semistable_only"
     assert rep.witness_slope == rep.full_slope
+    assert_witness_pairing(h, rep)
 
 
 def test_unstable_aligned_flags(full_flag_type):
@@ -329,6 +333,7 @@ def test_unstable_aligned_flags(full_flag_type):
     rep = stability_verdict(h)
     assert rep.verdict == "unstable"
     assert rep.witness_slope > rep.full_slope
+    assert_witness_pairing(h, rep)
 
 
 def test_inconclusive_distinct_lines_zero_field(full_flag_type):
@@ -360,7 +365,50 @@ def test_reducible_verdict_builds_the_algebra_once(full_flag_type, monkeypatch):
     assert rep.witness_subspace == e1
     assert rep.full_slope == rep.witness_slope == F(1, 8)
     assert len(calls) == 1
+    assert_witness_pairing(h, rep)
 
+
+
+# ---------------------------------------------------------------------------
+# one stability across the bridge
+
+
+@pytest.fixture(scope="module")
+def float_tuples(certified_batch):
+    """The float solution of every solved instance of the certified batch."""
+    return [flags_from_solution(out.solution, inst.parabolic_type()) for inst, out in certified_batch if out.success]
+
+
+def _gap_scale(sigma):
+    """The factor c > 0 by which ``build_character`` scales the weight gaps;
+    1 when every arm is empty."""
+    ch = build_character(sigma)
+    for wts, ds in zip(sigma.weights, ch.arm_exponents):
+        if ds:
+            return F(ds[0], wts[1] - wts[0])
+    return 1
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_theta_is_the_slope_gap(exact_tuples, float_tuples, data):
+    # theta(W) = c K dim W (slope(W) - full slope) on every flag step and on
+    # a random subspace: some columns of a flag step topped up with random
+    # integer vectors, so that it meets the flags in every dimension
+    h = data.draw(st.sampled_from(exact_tuples + float_tuples))
+    o, r = h.ops, h.rank
+    steps = [b for fl in h.flags for b in fl]
+    base = data.draw(st.sampled_from(steps))
+    cols = o.columns(base)[: data.draw(st.integers(0, o.shape(base)[1]))]
+    extra = data.draw(st.integers(0 if cols else 1, r - len(cols)))
+    ints = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=extra, max_size=extra), min_size=r, max_size=r))
+    w = o.from_columns(cols + o.columns(o.from_exact([[F(x) for x in row] for row in ints])))
+    assume(o.rank(w) == o.shape(w)[1])
+    c, full = _gap_scale(h.sigma), parabolic_slope(h)
+    assert c > 0
+    for sub in steps + [w]:
+        k = o.shape(sub)[1]
+        assert theta(h, sub) == c * h.sigma.K * k * (parabolic_slope(h, sub) - full)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import linalg_oracle
 import refine_oracle as oracle
-from conftest import FIXTURES
+from common import FIXTURES
 from starquiver import dsolve, jsonio
 from starquiver import linalg_exact as ex
 from starquiver.cli import main

@@ -6,7 +6,7 @@ import sympy
 from sympy.polys.polyerrors import ExtraneousFactors, PolynomialError
 
 from charpoly_oracle import pole_cleared_matrix
-from conftest import closed_form_flags, closed_form_matrices
+from common import closed_form_flags, closed_form_matrices
 from integral_oracle import spectral_of
 from starquiver import linalg_exact as ex
 from starquiver import spectral

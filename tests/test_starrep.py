@@ -16,12 +16,10 @@ from starquiver.starrep import (
     build_character,
     build_star_quiver,
     center_cycles,
-    destabilizing_one_ps,
     group_act,
     moment_is_zero,
     moment_map,
     moment_residual,
-    one_ps_replay,
     random_group_element,
     random_rep,
     trace_along_cycle,
@@ -70,7 +68,24 @@ def test_character_four_arms(line4):
     ch = build_character(t)
     assert ch.N == 6
     assert ch.arm_exponents == ((3,), (3,), (3,), (3,))
-    assert ch.check_diagonal(build_star_quiver(t))
+    q = build_star_quiver(t)
+    assert ch.pairing(q.rank, q.arms) == 0
+
+
+def test_pairing_sign_convention(line4):
+    # theta > 0 destabilizes: a kernel vector of one rank-deficient inward
+    # map (a single 1 at that tip) pairs to the arm exponent there, a line
+    # through two of the four flag lines ties, one through three beats it
+    t = ParabolicType(
+        line=line4, rank=2, K=16, multiplicities=((1, 1),) * 4, weights=((0, 3),) * 4
+    )
+    ch = build_character(t)
+    assert ch.pairing(0, ((1,), (0,), (0,), (0,))) == 3
+    assert ch.pairing(1, ((1,), (1,), (0,), (0,))) == 0
+    assert ch.pairing(1, ((1,), (1,), (1,), (0,))) == 3
+    assert ch.pairing(1, ((0,),) * 4) == -6
+    with pytest.raises(ValueError):
+        ch.pairing(2, ((1,),) * 3)
 
 
 def test_character_trivial_for_equal_gaps_zero(line4):
@@ -91,7 +106,7 @@ def test_character_minimal_scaling():
     # one arm of chain (1,) with weight gap 1: scaled by 3 so N = 1
     assert ch.N == 1
     assert ch.arm_exponents[0] == (3,)
-    assert ch.check_diagonal(q)
+    assert ch.pairing(q.rank, q.arms) == 0
 
 
 def test_moment_map_zero_rep():
@@ -133,59 +148,6 @@ def test_arm_semistable_random_full_rank():
         assert all(arm_semistable(rep, j) for j in range(q.n_arms))
 
 
-def test_destabilizer_zero_column_at_tip():
-    q = StarQuiver(rank=2, arms=((1,),))
-    rep = zero_rep(q)
-    rep.f[0][0] = np.array([[0.0, 0.0]])
-    ps = destabilizing_one_ps(rep, 0)
-    assert ps is not None
-    assert ps.level == 1
-    assert ps.exponents == (-1,)
-    ch_d = 3
-    # pairing is minus the arm exponent at the chosen vertex
-    from starquiver.starrep import StabilityCharacter
-
-    ch = StabilityCharacter(central_exponent=-ch_d, arm_exponents=((ch_d,),))
-    assert ps.pairing(ch) == -ch_d
-
-
-def test_destabilizer_full_rank_arm_none():
-    rng = np.random.default_rng(2)
-    q = StarQuiver(rank=3, arms=((2, 1),))
-    rep = random_rep(q, rng)
-    assert destabilizing_one_ps(rep, 0) is None
-
-
-def test_destabilizer_middle_level_replay_bounded():
-    rng = np.random.default_rng(3)
-    q = StarQuiver(rank=4, arms=((3, 1),))
-    rep = random_rep(q, rng)
-    # make the first inward map rank deficient
-    u = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
-    v = rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3))
-    rep.g[0][0] = u @ v
-    ps = destabilizing_one_ps(rep, 0)
-    assert ps is not None and ps.level == 1
-    assert sum(ps.exponents) == -1
-    sizes = one_ps_replay(rep, ps, ts=(1e2, 1e4, 1e6))
-    assert max(sizes) < 10 * max(np.abs(rep.g[0][0]).max(), np.abs(rep.g[0][1]).max())
-
-
-def test_destabilizer_basis_is_unitary_and_spans_the_kernel():
-    rng = np.random.default_rng(4)
-    q = StarQuiver(rank=4, arms=((3, 1),))
-    rep = random_rep(q, rng)
-    u = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
-    v = rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3))
-    rep.g[0][0] = u @ v
-    b = destabilizing_one_ps(rep, 0).basis
-    assert b.shape == (3, 3)
-    assert np.linalg.norm(b.conj().T @ b - np.eye(3)) < 1e-12
-    # the first column spans the kernel of the rank-deficient inward map
-    assert np.linalg.norm(rep.g[0][0] @ b[:, 0]) < 1e-12 * np.linalg.norm(rep.g[0][0])
-    assert abs(abs(np.vdot(b[:, 0], rep.ops.kernel_vector(rep.g[0][0]))) - 1.0) < 1e-12
-
-
 def test_trace_along_cycles():
     rep = closed_form_rep()
     t = trace_along_cycle(rep, [("f", 0, 1), ("g", 0, 1)])
@@ -201,13 +163,11 @@ def test_trace_along_cycles():
 
 
 def test_center_cycles_enumeration():
+    # two one-step arms within length 4: the two excursions and the four
+    # ordered pairs of them, each excursion followed by its continuations
     q = StarQuiver(rank=2, arms=((1,), (1,)))
-    cycles = center_cycles(q, 4)
-    assert [("f", 0, 1), ("g", 0, 1)] not in [list(c) for c in []]
-    as_lists = [list(c) for c in cycles]
-    assert [("f", 0, 1), ("g", 0, 1)] in as_lists
-    assert [("f", 0, 1), ("g", 0, 1), ("f", 1, 1), ("g", 1, 1)] in as_lists
-    assert all(len(c) % 2 == 0 for c in cycles)
+    e0, e1 = (("f", 0, 1), ("g", 0, 1)), (("f", 1, 1), ("g", 1, 1))
+    assert center_cycles(q, 4) == [e0, e0 + e0, e0 + e1, e1, e1 + e0, e1 + e1]
 
 
 @pytest.mark.parametrize("max_len", [0, -1, -5])
