@@ -114,7 +114,8 @@ class _Exact:
     def rank(self, a, *_):
         return ex.rank(a)
 
-    relative_rank = rank
+    def unit(self, a):
+        return a  # exact ranks and spans do not see the scale
 
     def singular_scale(self, a):
         return 0.0  # exact ranks need no anchor
@@ -218,31 +219,28 @@ class _Float:
         """Frobenius norm at most ``tol``."""
         return bool(np.linalg.norm(a) <= tol)
 
-    def rank(self, a, tol=None):
-        """Singular values above ``tol`` (absolute; default max-dim * eps *
-        largest singular value); 0 for an empty or zero matrix."""
+    def rank(self, a, rtol=None, floor=0.0):
+        """Singular values above ``rtol * max(largest singular value, floor)``,
+        ``rtol`` by default max-dim * eps; 0 for an empty or zero matrix.  A
+        ``floor`` anchors the cut of a near-zero power of a matrix at the
+        scale of the matrix itself."""
         a = np.asarray(a, dtype=complex)
         if a.size == 0:
             return 0
         s = np.linalg.svd(a, compute_uv=False)
-        if s.size == 0 or s[0] == 0.0:
-            return 0
-        if tol is None:
-            tol = max(a.shape) * np.finfo(float).eps * s[0]
-        return int(np.sum(s > tol))
+        if rtol is None:
+            rtol = max(a.shape) * np.finfo(float).eps
+        return int(np.sum(s > rtol * max(float(s[0]), floor)))
 
     def singular_scale(self, a):
         s = np.linalg.svd(a, compute_uv=False)
         return float(s[0]) if s.size else 0.0
 
-    def relative_rank(self, a, rel=None, floor=0.0):
-        """Singular values above ``rel * max(largest singular value, floor)``;
-        ``rel`` defaults to max-dim * eps.  A ``floor`` anchors the cut of a
-        near-zero power of a matrix at the scale of the matrix itself."""
-        s = np.linalg.svd(a, compute_uv=False)
-        if rel is None:
-            rel = max(a.shape) * np.finfo(float).eps
-        return int(np.sum(s > rel * max(float(s[0]) if s.size else 0.0, floor)))
+    def unit(self, a):
+        """``a`` (or a stack of arrays) over its Frobenius norm, if nonzero."""
+        a = np.asarray(a)
+        n = np.linalg.norm(a)
+        return a / n if n else a
 
     def basis(self, a, rank):
         """The first ``rank`` left singular vectors (reduced SVD)."""

@@ -112,6 +112,11 @@ class HiggsTuple:
                     out.append(f"point {i}: flag step {j} basis is rank deficient")
             if not shapes_ok:
                 continue
+            out += [
+                f"point {i}: flag step {j + 1} is not inside step {j}"
+                for j in range(1, len(fl))
+                if not o.contains(fl[j - 1], fl[j], self.tol)
+            ]
             # strong preservation through the full chain, zero space last
             chain = [None] + list(fl) + [None]  # None = full space / zero space
             a = self.matrices[i]
@@ -252,26 +257,28 @@ class IrreducibilityCertificate:
     dimension: int
     words: list  # index words spanning the algebra (0-based, () = identity)
     invariant_subspace: object = None  # basis of a common invariant subspace
-    # the product of each word, in the order of ``words``
+    # the product of each word of the matrices scaled together to unit norm,
+    # in the order of ``words``
     elements: list = field(default=None, repr=False, compare=False)
 
 
-# a word of the residues spans a new direction of their algebra only when
-# its norm and its part orthogonal to the span both exceed this fraction of
-# the largest word norm and of its own norm: roundoff in the word products
-# of order-one entries stays orders of magnitude below it.  The search for an
-# invariant subspace of a reducible tuple cuts its ranks at the same value.
+# a word of the residues, scaled together to unit norm, spans a new direction
+# of their algebra only when its norm and its part orthogonal to the span both
+# exceed this fraction of the largest word norm and of its own norm: roundoff
+# in the word products stays orders of magnitude below it.  The closures that
+# give invariant subspaces count their dimension by the same rule.
 IRREDUCIBLE_RTOL = 1e-9
 
 
 def irreducible(mats, mode="float"):
     """Do the matrices generate the full matrix algebra?
 
-    Closes a word basis under left multiplication, breadth first, until the
-    span stabilizes; the tuple has no common proper invariant subspace
-    exactly when the closed span has dimension rank squared.  When it does
-    not, a common invariant subspace is extracted from the stabilized span
-    by closing candidate vectors under the algebra.
+    Closes a word basis of the matrices, scaled together to unit norm (the
+    same algebra at any scale), under left multiplication, breadth first,
+    until the span stabilizes; the tuple has no common proper invariant
+    subspace exactly when the closed span has dimension rank squared.  When
+    it does not, a common invariant subspace is extracted from the
+    stabilized span by closing candidate vectors under the algebra.
     """
     if not mats:
         raise ValueError("need at least one matrix")
@@ -282,9 +289,10 @@ def irreducible(mats, mode="float"):
     tracker.add(o.flatten(eye))
     words = [()]
     elements = [eye]
+    units = o.unit(mats)
     idx = 0
     while idx < len(elements) and len(tracker) < r * r:
-        for a_idx, a in enumerate(mats):
+        for a_idx, a in enumerate(units):
             prod = o.mul(a, elements[idx])
             if tracker.add(o.flatten(prod)):
                 words.append((a_idx,) + words[idx])
@@ -295,18 +303,22 @@ def irreducible(mats, mode="float"):
     dim = len(tracker)
     if dim == r * r:
         return IrreducibilityCertificate(True, dim, words, elements=elements)
-    witness = next(_proper_closures(elements, _witness_candidates(mats, mode), o), None)
+    witness = next(_proper_closures(elements, ([v] for v in _witness_candidates(mats, mode)), o), None)
     return IrreducibilityCertificate(False, dim, words, invariant_subspace=witness, elements=elements)
 
 
-def _proper_closures(elements, vectors, o):
-    """For each vector v in turn, the column space of {m v : m in the span
-    of ``elements``} when it is proper and nonzero; invariant by closure."""
-    for v in vectors:
-        stacked = o.from_columns([o.apply(m, v) for m in elements])
-        rk = o.rank(stacked, IRREDUCIBLE_RTOL)
-        if 0 < rk < o.shape(stacked)[0]:
-            yield o.basis(stacked, rk)
+def _proper_closures(elements, seeds, o):
+    """For each seed (a list of vectors) in turn, the column space of
+    {m v : m in the span of ``elements``, v in the seed} when it is proper
+    and nonzero; invariant by closure.  Unit-norm vectors meet the words of
+    the residues scaled to unit norm, and the dimension counts as the
+    algebra's does, so the closure does not depend on the residues' scale."""
+    for seed in seeds:
+        images = [o.apply(m, o.unit(v)) for v in seed for m in elements]
+        tracker = o.span_tracker(IRREDUCIBLE_RTOL)
+        rk = sum(tracker.add(x) for x in images)
+        if 0 < rk < len(images[0]):
+            yield o.basis(o.from_columns(images), rk)
 
 
 def _witness_candidates(mats, mode):
@@ -389,27 +401,11 @@ def stability_verdict(h: HiggsTuple) -> StabilityReport:
 
 
 def _invariant_subspace_candidates(h: HiggsTuple, cert):
-    """Invariant subspaces to test: the certificate witness, algebra
-    closures of flag columns, coordinate vectors and four random vectors
-    from a fixed seed, and the invariant flag steps."""
-    r = h.rank
+    """Invariant subspaces to test: the certificate witness, then the proper
+    algebra closures of every flag column and of every flag step (an
+    invariant step is its own closure)."""
     o = h.ops
-    out = []
-    if cert.invariant_subspace is not None:
-        out.append(cert.invariant_subspace)
-    seeds = [v for fl in h.flags for b in fl for v in o.columns(b)]
-    seeds += o.columns(o.eye(r))
-    rng = np.random.default_rng(0)
-    for _ in range(4):
-        if h.mode == "exact":
-            seeds.append([Fraction(int(rng.integers(-5, 6))) for _ in range(r)])
-        else:
-            seeds.append(rng.standard_normal(r) + 1j * rng.standard_normal(r))
-    out.extend(_proper_closures(cert.elements, seeds, o))
-    # also flag steps themselves when invariant
-    for i in range(h.n):
-        for b in h.flags[i]:
-            invariant = all(o.contains(b, o.mul(m, b), BRIDGE_TOL) for m in h.matrices)
-            if invariant:
-                out.append(b)
-    return out
+    steps = [o.columns(b) for fl in h.flags for b in fl]
+    seeds = [[v] for cols in steps for v in cols] + steps
+    out = [] if cert.invariant_subspace is None else [cert.invariant_subspace]
+    return out + list(_proper_closures(cert.elements, seeds, o))

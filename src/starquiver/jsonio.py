@@ -24,9 +24,13 @@ class InputFormatError(ValueError):
 
 
 def parse_frac(s) -> Fraction:
+    """An exact rational field: a string or a JSON integer; a bool or a JSON
+    float raises ``InputFormatError``."""
     try:
+        if isinstance(s, bool) or not isinstance(s, (str, int)):
+            raise TypeError
         return Fraction(s)
-    except (ValueError, ZeroDivisionError) as e:
+    except (TypeError, ValueError, ZeroDivisionError) as e:
         raise InputFormatError(f"not an exact rational: {s!r}") from e
 
 

@@ -156,13 +156,11 @@ def phi_derivative(rep: StarRep, points, z) -> np.ndarray:
     return out
 
 
-def delta(rep: StarRep, points, z, w, at_equal=False) -> np.ndarray:
-    """(phi(z) - phi(w)) / (w - z); with ``at_equal`` the z -> w limit
-    -phi'(w) is returned instead (z is ignored)."""
-    if at_equal:
-        return -phi_derivative(rep, points, w)
+def delta(rep: StarRep, points, z, w) -> np.ndarray:
+    """(phi(z) - phi(w)) / (w - z), for z != w (its z -> w limit is
+    -phi'(w), see ``phi_derivative``)."""
     if z == w:
-        raise ValueError("z = w needs the at_equal limit flag")
+        raise ValueError("delta needs z != w")
     return (phi_value(rep, points, z) - phi_value(rep, points, w)) / (complex(w) - complex(z))
 
 

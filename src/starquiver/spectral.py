@@ -189,7 +189,7 @@ def rank_profile(matrices, mode="float", tol=None):
         scale = o.singular_scale(a)
         ranks = []
         for j, power in enumerate(o.powers(a, o.shape(a)[0]), start=1):
-            rk = o.relative_rank(power, tol, scale**j)
+            rk = o.rank(power, tol, scale**j)
             if rk == 0:
                 break
             ranks.append(rk)

@@ -12,8 +12,12 @@ could be:
   one element index, tracks exact independence in integers and shares one
   generator of proper closures with the stability candidates.
 - ``invariant_subspace_candidates`` rebuilt the word products from the
-  certificate's words and took every nonzero seed line directly when all
-  residues were zero.
+  certificate's words, took every nonzero seed line directly when all
+  residues were zero, seeded closures with coordinate and random vectors
+  besides the flag columns, and added the flag steps that passed a
+  containment test.  Its closures cut float ranks at the absolute value
+  ``IRREDUCIBLE_RTOL``; the library's closures now work at unit scale and
+  count as the algebra's span does.
 """
 
 from fractions import Fraction
@@ -118,7 +122,8 @@ def _column(o, v):
 
 def _algebra_closure_of_vector(elements, v, o):
     stacked = o.from_columns([o.apply(m, v) for m in elements])
-    rk = o.rank(stacked, IRREDUCIBLE_RTOL)
+    # the former float cut: singular values above IRREDUCIBLE_RTOL, absolute
+    rk = o.rank(stacked) if o is arith.EXACT else int(np.sum(np.linalg.svd(stacked, compute_uv=False) > IRREDUCIBLE_RTOL))
     if rk == 0 or rk == o.shape(stacked)[0]:
         return None
     return o.basis(stacked, rk)

@@ -1,6 +1,7 @@
 """Data and helpers shared by the test modules: the fixture directory, the
-closed-form rank-2 residue tuple, a random parabolic type generator and the
-stability character paired with a subspace of a residue tuple.
+closed-form rank-2 residue tuple, a rank-3 tuple whose flags are not nested,
+a random parabolic type generator and the stability character paired with a
+subspace of a residue tuple.
 
 A plain module rather than ``conftest.py``, so that test modules can import
 it by name in a session that also collects another directory's conftest."""
@@ -8,8 +9,10 @@ it by name in a session that also collects another directory's conftest."""
 from fractions import Fraction
 from pathlib import Path
 
+from starquiver import arith
 from starquiver import linalg_exact as ex
 from starquiver.combinat import MarkedLine, ParabolicType
+from starquiver.higgs import HiggsTuple
 from starquiver.starrep import build_character
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -28,6 +31,17 @@ def closed_form_flags():
     e1 = [[F(1)], [F(0)]]
     e2 = [[F(0)], [F(1)]]
     return [[e1], [e1], [e2], [e2]]
+
+
+def unnested_tuple(mode, check=True):
+    """Zero rank-3 residues at four points with full coordinate flags, except
+    that at point 0 the second step e3 lies outside the first, span(e1, e2)."""
+    sigma = ParabolicType(line=MarkedLine((0, 1, 2, 3)), rank=3, K=72, multiplicities=((1, 1, 1),) * 4, weights=((0, 1, 2),) * 4)
+    eye = ex.meye(3)
+    e12, e1, e3 = [row[:2] for row in eye], [row[:1] for row in eye], [row[2:] for row in eye]
+    flags = [[e12, e3]] + [[e12, e1]] * 3
+    o = arith.ops(mode)
+    return HiggsTuple(sigma, [o.zeros(3, 3)] * 4, [[o.from_exact(b) for b in fl] for fl in flags], mode=mode, check=check)
 
 
 def theta(h, w):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from common import FIXTURES, closed_form_flags, closed_form_matrices
+from common import FIXTURES, closed_form_flags, closed_form_matrices, unnested_tuple
 from starquiver import cli, jsonio, starrep
 from starquiver import linalg_exact as ex
 from starquiver.cli import main
@@ -650,6 +650,44 @@ def test_coefficient_point_with_scalar_points_is_an_input_error():
         jsonio.hitchin_from_json({"rank": 2, "points": 5, "coefficients": [[], []]})
     with pytest.raises(jsonio.InputFormatError, match="exceeds the bound"):
         jsonio.hitchin_from_json({"rank": 1, "points": ["0", "1", "2", "3"], "coefficients": [["1"] * 4]})
+
+
+def test_unnested_flags_are_an_input_error(tmp_path, capsys):
+    # the conversion used to fail on this tuple's corestriction solve, with a
+    # message about strong preservation
+    data = jsonio.higgs_to_json(unnested_tuple("exact", check=False))
+    code, err = _malformed_run(tmp_path, capsys, data, ["bridge", "to-quiver", "--higgs", "BAD"])
+    assert (code, err) == (1, "error: invalid residue tuple: point 0: flag step 2 is not inside step 1\n")
+
+
+@pytest.mark.parametrize("value", [0.1, False, 1.0])
+def test_marked_points_refuse_bools_and_floats(tmp_path, capsys, value):
+    data = jsonio.load(FIXTURES / "type_rank2_full_flags.json")
+    data["points"][0] = value
+    code, err = _malformed_run(tmp_path, capsys, data, ["type-check", "--type", "BAD"])
+    assert (code, err) == (1, f"error: invalid parabolic type: not an exact rational: {value!r}\n")
+    data["points"] = [0, "1", 2, "7/2"]
+    assert jsonio.type_from_json(data).line.points == (0, 1, 2, F(7, 2))
+
+
+@pytest.mark.parametrize("value", [0.5, True])
+def test_exact_entries_refuse_bools_and_floats(tmp_path, capsys, value):
+    data = jsonio.load(FIXTURES / "higgs_rank2_heavy_top.json")
+    assert data["mode"] == "exact"
+    data["flags"][0][0][0][0] = value
+    code, err = _malformed_run(tmp_path, capsys, data, ["bridge", "to-quiver", "--higgs", "BAD"])
+    assert (code, err) == (1, f"error: invalid residue tuple: not an exact rational: {value!r}\n")
+    data["flags"][0][0][0][0] = 1
+    assert jsonio.higgs_from_json(data).flags[0][0][0][0] == 1
+
+
+@pytest.mark.parametrize("value", [0.5, True])
+def test_coefficients_refuse_bools_and_floats(value):
+    data = {"rank": 1, "points": ["0", "1", "2", "3"], "coefficients": [[value]]}
+    with pytest.raises(jsonio.InputFormatError, match="invalid coefficient point: not an exact rational"):
+        jsonio.hitchin_from_json(data)
+    data["coefficients"] = [[1]]
+    assert jsonio.hitchin_from_json(data).coeffs == [[F(1)]]
 
 
 def test_coefficient_point_trims_trailing_zeros():

@@ -3,6 +3,7 @@ the algebra closures against the former implementations in
 ``closure_oracle``, and properties of every invariant subspace the
 closures return."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -125,12 +126,22 @@ def block_triangular_tuple(seed):
     return [p @ m @ pinv for m in mats]
 
 
-def _same_subspace(a, b, o):
+def _column_space(w, o):
+    """A canonical form of the column space: the reduced row echelon form
+    of the transpose (exact) or the orthogonal projector (float)."""
+    if o is arith.EXACT:
+        rr, piv = ex.rref(ex.mtrans(w))
+        return rr[: len(piv)]
+    q, _ = np.linalg.qr(w)
+    return q @ q.conj().T
+
+
+def _same_column_space(a, b, o):
     if a is None or b is None:
         return a is None and b is None
     if o is arith.EXACT:
-        return a == b
-    return np.array_equal(a, b)
+        return _column_space(a, o) == _column_space(b, o)
+    return np.allclose(_column_space(a, o), _column_space(b, o), atol=1e-12)
 
 
 def _proper_and_invariant(w, mats, o):
@@ -139,8 +150,15 @@ def _proper_and_invariant(w, mats, o):
     return 0 < k < r and o.rank(w) == k and all(o.contains(w, o.mul(m, w), BRIDGE_TOL) for m in mats)
 
 
+# factors that rescale the float tuples: the closures work at unit scale, so
+# neither witnesses nor verdicts depend on the size of the residues
+SCALES = (1e-6, 1e-3, 1e3, 1e6)
+
+
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_irreducible_matches_oracle_on_reducible_tuples(mode):
+    # exact witnesses are the oracle's bit for bit; float closures now
+    # normalize their inputs, so float witnesses agree as column spaces
     o = arith.ops(mode)
     witnesses = 0
     for seed in range(60):
@@ -148,7 +166,13 @@ def test_irreducible_matches_oracle_on_reducible_tuples(mode):
         new, old = irreducible(mats, mode), oracle.irreducible(mats, mode)
         assert (new.irreducible, new.dimension, new.words) == (old.irreducible, old.dimension, old.words)
         assert not new.irreducible
-        assert _same_subspace(new.invariant_subspace, old.invariant_subspace, o)
+        if o is arith.EXACT:
+            assert new.invariant_subspace == old.invariant_subspace
+        else:
+            assert _same_column_space(new.invariant_subspace, old.invariant_subspace, o)
+            for c in SCALES:
+                w = irreducible([c * m for m in mats], mode).invariant_subspace
+                assert w is not None and _proper_and_invariant(w, mats, o)
         if new.invariant_subspace is not None:
             assert _proper_and_invariant(new.invariant_subspace, mats, o)
             witnesses += 1
@@ -183,11 +207,20 @@ def nilpotent_tuple(seed, mode):
     return flags_from_solution(DSSolution(entries, [ex.meye(r)] * 4, 0.0, mode=mode), sigma)
 
 
+def _former_verdict(h, monkeypatch):
+    """The verdict with the former candidate list in place of the closures."""
+    with monkeypatch.context() as m:
+        m.setattr(higgs, "_invariant_subspace_candidates", oracle.invariant_subspace_candidates)
+        return stability_verdict(h)
+
+
 @pytest.mark.parametrize("mode", ["exact", "float"])
-def test_every_candidate_and_witness_is_proper_and_invariant(mode):
+def test_every_candidate_and_witness_is_proper_and_invariant(mode, monkeypatch):
     # the former candidates multiplied each word's letters in reverse
     # order, which on some of these tuples gave a subspace that is not
-    # invariant; the closures now use the certificate's own word products
+    # invariant; the closures now use the certificate's own word products.
+    # The closures of the flags alone reach the former verdicts, and a
+    # rescaled float tuple (its tolerance scaled with it) keeps its verdict
     o = arith.ops(mode)
     former_misses = 0
     for seed in range(60):
@@ -201,25 +234,13 @@ def test_every_candidate_and_witness_is_proper_and_invariant(mode):
         if rep.witness_subspace is not None:
             assert _proper_and_invariant(rep.witness_subspace, h.matrices, o)
         assert_witness_pairing(h, rep)
+        old = _former_verdict(h, monkeypatch)
+        assert (rep.verdict, rep.full_slope) == (old.verdict, old.full_slope)
+        if o is arith.FLOAT:
+            for c in SCALES:
+                scaled = replace(h, matrices=[c * m for m in h.matrices], tol=h.tol * max(1.0, c))
+                assert stability_verdict(scaled).verdict == rep.verdict
     assert former_misses >= 1
-
-
-def _column_space(w, o):
-    """A canonical form of the column space: the reduced row echelon form
-    of the transpose (exact) or the orthogonal projector (float)."""
-    if o is arith.EXACT:
-        rr, piv = ex.rref(ex.mtrans(w))
-        return rr[: len(piv)]
-    q, _ = np.linalg.qr(w)
-    return q @ q.conj().T
-
-
-def _same_column_space(a, b, o):
-    if a is None or b is None:
-        return a is None and b is None
-    if o is arith.EXACT:
-        return _column_space(a, o) == _column_space(b, o)
-    return np.allclose(_column_space(a, o), _column_space(b, o), atol=1e-12)
 
 
 def zero_residue_tuple(rng, r, mode):
@@ -244,24 +265,19 @@ def zero_residue_tuple(rng, r, mode):
 @pytest.mark.parametrize("r", [2, 3])
 def test_zero_residues_test_the_former_subspaces(r, mode, monkeypatch):
     # with every residue zero the algebra is the scalars, so the closure of
-    # a vector is its line: the subspaces, verdicts and witnesses are those
-    # of the former branch that took each nonzero seed line directly
+    # a flag column is its line and that of a flag step the step: the
+    # verdicts are those of the former branch, which also took coordinate
+    # and random lines (a different destabilizing subspace may come first)
     o = arith.ops(mode)
     rng = np.random.default_rng([5, r, mode == "exact"])
     verdicts = set()
     for _ in range(25):
         h = zero_residue_tuple(rng, r, mode)
         cert = irreducible(h.matrices, mode)
-        new = higgs._invariant_subspace_candidates(h, cert)
-        old = oracle.invariant_subspace_candidates(h, cert)
-        assert len(new) == len(old)
-        assert all(_same_column_space(a, b, o) for a, b in zip(new, old))
+        assert all(_proper_and_invariant(w, h.matrices, o) for w in higgs._invariant_subspace_candidates(h, cert))
         rep = stability_verdict(h)
-        with monkeypatch.context() as m:
-            m.setattr(higgs, "_invariant_subspace_candidates", oracle.invariant_subspace_candidates)
-            former = stability_verdict(h)
-        assert (rep.verdict, rep.full_slope, rep.witness_slope) == (former.verdict, former.full_slope, former.witness_slope)
-        assert _same_column_space(rep.witness_subspace, former.witness_subspace, o)
+        former = _former_verdict(h, monkeypatch)
+        assert (rep.verdict, rep.full_slope) == (former.verdict, former.full_slope)
         assert_witness_pairing(h, rep)
         verdicts.add(rep.verdict)
     assert {"unstable", "inconclusive"} <= verdicts

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from common import assert_witness_pairing, closed_form_flags, closed_form_matrices, theta
+from common import assert_witness_pairing, closed_form_flags, closed_form_matrices, theta, unnested_tuple
 from starquiver import cli, higgs, jsonio
 from starquiver import linalg_exact as ex
 from starquiver.combinat import ParabolicType
@@ -61,6 +61,14 @@ def test_tuple_invariants_enforced(full_flag_type):
     flags[0], flags[2] = flags[2], flags[0]
     with pytest.raises(BridgeError):
         HiggsTuple(sigma=full_flag_type, matrices=mats, flags=flags, mode="exact")
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_flag_steps_must_be_nested(mode):
+    # such a tuple used to validate and get a stability verdict
+    with pytest.raises(BridgeError) as err:
+        unnested_tuple(mode)
+    assert str(err.value) == "point 0: flag step 2 is not inside step 1"
 
 
 def test_round_trip_exact(closed_form_tuple):
@@ -272,8 +280,9 @@ def test_irreducible_conjugation_invariant():
 
 def _scaled_closed_form(delta):
     """E12, -E12, delta E21, -delta E21 in float mode: irreducible for every
-    nonzero delta, numerically reducible once delta E21 drops below the
-    span tolerance times the identity's norm sqrt(2)."""
+    nonzero delta, numerically reducible once delta E21, over the tuple's
+    norm sqrt(2 + 2 delta^2), drops below the span tolerance times the
+    identity's norm sqrt(2): for delta below about twice the tolerance."""
     e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
     e21 = np.array([[0.0, 0.0], [1.0, 0.0]])
     return [e12, -e12, delta * e21, -delta * e21]
