@@ -10,12 +10,15 @@ then use the same operations for either format.
 The exact backend delegates to ``linalg_exact`` and ignores every
 tolerance argument, because its answers are exact.  The float backend
 uses numpy; its thresholds are documented per operation.  Vectors are
-lists of ``Fraction`` entries (exact) or 1-d ndarrays (float).
+lists of rational entries, ``Fraction`` or ``int`` (exact), or 1-d ndarrays
+(float).
 
-Two operations return different values in the two formats.  The exact
+Three operations return different values in the two formats.  The exact
 ``powers`` of A are the integer matrices (D A)^j, D the lcm of the entry
 denominators of A: rank and column space do not see the scale D^j, and
 integer products cost far less than Fraction ones.  The exact
+``nullspace`` vectors are primitive integer vectors, the float ones unit
+vectors; the spans are what count.  The exact
 ``conjugation_gap`` is ``a p - p n``, which needs no inverse; the float one
 is ``a - p n p^-1``.
 """
@@ -82,9 +85,6 @@ class _Exact:
     def to_float(self, a):
         return np.array([[float(x) for x in row] for row in a], dtype=complex)
 
-    def scalar(self, x):
-        return Fraction(x)
-
     zeros = staticmethod(ex.mzeros)
     eye = staticmethod(ex.meye)
     shape = staticmethod(ex.shape)
@@ -92,13 +92,13 @@ class _Exact:
     add = staticmethod(ex.madd)
     sub = staticmethod(ex.msub)
     mul = staticmethod(ex.mmul)
-    scale = staticmethod(ex.mscale)
     trace = staticmethod(ex.mtrace)
     inv = staticmethod(ex.inv)
-    nullspace = staticmethod(ex.nullspace)
 
-    def div(self, a, c):
-        return ex.mscale(Fraction(1) / c, a)
+    def nullspace(self, a):
+        """Right kernel basis: one primitive integer vector per non-pivot
+        column (``int_kernel`` of the cleared matrix)."""
+        return ex.int_kernel(ex.clear(a)[0])
 
     def powers(self, a, count):
         """(D a)^1 .. (D a)^count as integer matrices, D the lcm of the
@@ -174,9 +174,6 @@ class _Float:
     def from_exact(self, a):
         return _real_array(a)
 
-    def scalar(self, x):
-        return complex(x)
-
     def zeros(self, m, n):
         return np.zeros((m, n), dtype=complex)
 
@@ -196,12 +193,6 @@ class _Float:
         return a - b
 
     mul = staticmethod(np.matmul)  # a @ b, without a Python frame per product
-
-    def scale(self, c, a):
-        return c * a
-
-    def div(self, a, c):
-        return a / c
 
     def powers(self, a, count):
         """a^1 .. a^count."""

@@ -24,6 +24,7 @@ needed.  An option left unset takes the library's own default.
 """
 
 import argparse
+import dataclasses
 import sys
 from fractions import Fraction
 
@@ -90,10 +91,8 @@ def cmd_type_check(args):
     top = condition_spectral_top(sigma)
     chains_ok = simpleness_condition(sigma)
     try:
-        generic = weights_generic(sigma)
-        generic_str = "yes" if generic else "no"
+        generic_str = "yes" if weights_generic(sigma) else "no"
     except EnumerationBoundExceeded:
-        generic = None
         generic_str = "undetermined"
     lines = []
     lines.append(f"rank {sigma.rank}, {sigma.n_points} marked points, K = {sigma.K}")
@@ -153,6 +152,17 @@ def cmd_type_check(args):
 # ds solve / verify
 
 
+def _orders_payload(report):
+    """The vanishing-order entries that ``ds verify`` and the bridge
+    appendix both report (an infinite order reads ``"inf"``)."""
+    return {
+        "member": report.member,
+        "all_orders_exact": report.all_exact,
+        "orders": [[("inf" if o is None else o) for o in row] for row in report.orders],
+        "required": report.required,
+    }
+
+
 def _verify_payload(rep):
     payload = {
         "residual": rep.residual,
@@ -165,15 +175,7 @@ def _verify_payload(rep):
         "certified": rep.passed(),
     }
     if rep.hitchin is not None:
-        payload["spectral"] = {
-            "member": rep.hitchin.member,
-            "all_orders_exact": rep.hitchin.all_exact,
-            "orders": [
-                [("inf" if o is None else o) for o in row] for row in rep.hitchin.orders
-            ],
-            "required": rep.hitchin.required,
-            "degrees": rep.hitchin.degrees,
-        }
+        payload["spectral"] = {**_orders_payload(rep.hitchin), "degrees": rep.hitchin.degrees}
     return payload
 
 
@@ -187,12 +189,7 @@ def cmd_ds_solve(args):
     outcome = solve(inst, config)
     feas = outcome.feasibility
     report = {
-        "config": {
-            "tolerance": config.tolerance,
-            "max_iters": config.max_iters,
-            "restarts": config.restarts,
-            "seed": config.seed,
-        },
+        "config": dataclasses.asdict(config),
         "feasibility": {
             "inequality": feas.feasible,
             "sum_gamma1": feas.sum_gamma1,
@@ -271,14 +268,7 @@ def _spectral_appendix(h):
     print(f"orders all exact  : {_fmt_bool(report.all_exact)}")
     print(f"spectral polynomial integral: {verdict}")
     return {
-        "spectral": {
-            "point": jsonio.hitchin_to_json(hp),
-            "member": report.member,
-            "all_orders_exact": report.all_exact,
-            "orders": [[("inf" if o is None else o) for o in row] for row in report.orders],
-            "required": report.required,
-            "integral": verdict,
-        }
+        "spectral": {"point": jsonio.hitchin_to_json(hp), **_orders_payload(report), "integral": verdict}
     }
 
 

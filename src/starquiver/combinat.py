@@ -17,7 +17,7 @@ Derived data:
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -44,22 +44,17 @@ class MarkedLine:
     """Pairwise distinct exact rational coordinates on the affine chart.
 
     The point at infinity is reserved as the trivializing direction and is
-    never marked.  Fewer than four points is a degenerate situation; it is
-    permitted with ``allow_small`` and flagged by downstream reports.
+    never marked.  Fewer than four points is a degenerate situation,
+    flagged by downstream reports.
     """
 
     points: tuple
-    allow_small: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         pts = tuple(_to_fraction(p) for p in self.points)
         object.__setattr__(self, "points", pts)
         if len(set(pts)) != len(pts):
             raise ValueError("marked points must be pairwise distinct")
-        if len(pts) < 4 and not self.allow_small:
-            raise ValueError(
-                "need at least 4 marked points (pass allow_small=True to override)"
-            )
 
     @property
     def n(self):
@@ -384,7 +379,6 @@ def type_from_classes(classes, points=None):
     mults = [c.flag_multiplicities() for c in classes]
     weights = [tuple(range(len(m))) for m in mults]
     K = r * sum(w[-1] for w in weights) + 1
-    line = MarkedLine(tuple(points), allow_small=True)
     return ParabolicType(
-        line=line, rank=r, K=K, multiplicities=tuple(mults), weights=tuple(weights)
+        line=MarkedLine(tuple(points)), rank=r, K=K, multiplicities=tuple(mults), weights=tuple(weights)
     )

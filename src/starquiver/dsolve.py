@@ -513,14 +513,17 @@ def _refine_at(solution, instance, nested, den):
             continue
         q, adj, d = f
         kint, den_k = ex.clear(k)
-        if rank_profile([kint], "exact")[0] != c.rank_sequence:
-            return None
         a = ex.divide(ex.imul(ex.imul(q, kint), adj), den_k)
         if np.linalg.norm(FLOAT.from_exact(a) - np.asarray(af).real) > _MAX_DRIFT:
             return None
-        n = [[v * d for v in row] for row in k]
+        try:
+            p, ranks = ex.nilpotent_jordan_basis([[v * d for v in row] for row in k])
+        except ValueError:  # not nilpotent
+            return None
+        if ranks != c.rank_sequence:
+            return None
         mats.append(a)
-        conjugators.append(ex.mmul(q, ex.nilpotent_jordan_basis(n)))
+        conjugators.append(ex.mmul(q, p))
     return DSSolution(
         matrices=mats,
         conjugators=conjugators,

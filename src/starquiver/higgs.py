@@ -112,6 +112,9 @@ class HiggsTuple:
                     out.append(f"point {i}: flag step {j} basis is rank deficient")
             if not shapes_ok:
                 continue
+            # flag steps are column spaces: unit columns make the float
+            # containment cut relative to each column's own scale
+            fl = [o.from_columns([o.unit(v) for v in o.columns(b)]) for b in fl]
             out += [
                 f"point {i}: flag step {j + 1} is not inside step {j}"
                 for j in range(1, len(fl))
@@ -191,19 +194,6 @@ def higgs_to_quiver(h: HiggsTuple) -> StarRep:
         f.append(fj)
         g.append(gj)
     return StarRep(quiver, f, g, h.mode)
-
-
-def assemble_phi(h: HiggsTuple, z):
-    """Value sum A_i / (z - x_i); z must avoid the marked points."""
-    o = h.ops
-    zc = o.scalar(z)
-    gaps = [zc - o.scalar(x) for x in h.sigma.line.points]
-    if any(d == 0 for d in gaps):
-        raise BridgeError(f"evaluation at the pole {z}")
-    out = o.zeros(h.rank, h.rank)
-    for a, d in zip(h.matrices, gaps):
-        out = o.add(out, o.div(a, d))
-    return out
 
 
 # ---------------------------------------------------------------------------

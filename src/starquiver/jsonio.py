@@ -81,14 +81,12 @@ def matrix_to_json(m, mode):
     return [[[float(x.real), float(x.imag)] for x in row] for row in arr]
 
 
-def matrix_from_json(rows, mode, shape=None):
+def matrix_from_json(rows, mode):
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise InputFormatError("matrix must be a list of rows")
     width = len(rows[0]) if rows else 0
     if any(len(row) != width for row in rows):
         raise InputFormatError("matrix rows have different lengths")
-    if shape is not None and (len(rows), width) != tuple(shape):
-        raise InputFormatError(f"matrix has shape {(len(rows), width)}, expected {shape}")
     if mode == "exact":
         return [[parse_frac(x) for x in row] for row in rows]
     import numpy as np
@@ -118,9 +116,8 @@ def type_from_json(data) -> ParabolicType:
     flags = data["flags"]
     mults = tuple(tuple(int_from_json(x) for x in f["multiplicities"]) for f in flags)
     weights = tuple(tuple(int_from_json(x) for x in f["weights"]) for f in flags)
-    line = MarkedLine(points, allow_small=len(points) < 4)
     return ParabolicType(
-        line=line,
+        line=MarkedLine(points),
         rank=int_from_json(data["rank"]),
         K=int_from_json(data["K"]),
         multiplicities=mults,

@@ -6,9 +6,9 @@ one forward loop, ``echelon``, which keeps every entry an integer minor
 and never reduces a fraction; ``bareiss`` then reduces its rows bottom-up
 to d times the reduced row echelon form.  Rational matrices are cleared of
 denominators row by row first: ``rank`` counts the pivots of ``echelon``
-alone, and ``rref``, ``nullspace``, ``solve`` and ``inv`` read their
-answers off ``bareiss``; ``Span`` decides the independence of one vector
-at a time in integers.  Products run on integers too: ``clear``
+alone, and ``rref``, ``solve``, ``inv`` and the one kernel, ``int_kernel``,
+read their answers off ``bareiss``; ``Span`` decides the independence of
+one vector at a time in integers.  Products run on integers too: ``clear``
 writes a matrix as integer rows over one denominator, ``imul`` multiplies
 integer matrices, and ``mmul`` builds one Fraction per entry of the
 integer product.
@@ -59,10 +59,6 @@ def madd(a, b):
 def msub(a, b):
     _same_shape(a, b, "difference")
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mscale(c, a):
-    return [[c * x for x in row] for row in a]
 
 
 def clear(a):
@@ -143,19 +139,6 @@ def rref(a):
 
 def rank(a):
     return len(echelon(_integer_rows(a))[1])
-
-
-def nullspace(a):
-    """Basis of the right kernel, as a list of column vectors (lists)."""
-    n = shape(a)[1]
-    r, pivots = rref(a)
-    basis = []
-    for f in (j for j in range(n) if j not in pivots):
-        v = [Fraction(int(j == f)) for j in range(n)]
-        for row, p in zip(r, pivots):
-            v[p] = -row[f]
-        basis.append(v)
-    return basis
 
 
 def solve(a, b):
@@ -307,8 +290,9 @@ def int_kernel(a):
 
 
 def nilpotent_jordan_basis(a):
-    """Conjugator P with a = P N P^{-1}, N the Jordan form of the
-    nilpotent matrix ``a`` (blocks ordered largest first).
+    """(P, ranks): a conjugator P with a = P N P^{-1}, N the Jordan form of
+    the nilpotent matrix ``a`` (blocks ordered largest first), and the ranks
+    of the nonzero powers of ``a``, read off the kernel chain.
 
     Raises ValueError if ``a`` is not nilpotent.  The columns of P are
     Jordan chains, chain by chain, each listed from its top vector downward
@@ -341,7 +325,7 @@ def nilpotent_jordan_basis(a):
                     chain.append([sum(x * y for x, y in zip(row, chain[-1])) for row in k])
                 chains.append(chain)
     cols = [[Fraction(x, den**t) for x in v] for c in chains for t, v in enumerate(c)]
-    return mtrans(cols)
+    return mtrans(cols), tuple(n - len(b) for b in kernels[1:-1])
 
 
 def jordan_nilpotent(partition, n):

@@ -139,26 +139,19 @@ def bracket(f_obs: Observable, g_obs: Observable, rep: StarRep) -> complex:
 
 
 def phi_value(rep: StarRep, points, z) -> np.ndarray:
+    """phi(z); raises ValueError when z is a marked point."""
+    zc = complex(z)
     out = np.zeros((rep.quiver.rank, rep.quiver.rank), dtype=complex)
     for m in range(rep.quiver.n_arms):
         xm = complex(points[m])
-        if z == xm:
+        if zc == xm:
             raise ValueError(f"evaluation at the pole {z}")
-        out += np.asarray(rep.residue(m)) / (complex(z) - xm)
-    return out
-
-
-def phi_derivative(rep: StarRep, points, z) -> np.ndarray:
-    out = np.zeros((rep.quiver.rank, rep.quiver.rank), dtype=complex)
-    for m in range(rep.quiver.n_arms):
-        xm = complex(points[m])
-        out -= np.asarray(rep.residue(m)) / (complex(z) - xm) ** 2
+        out += np.asarray(rep.residue(m)) / (zc - xm)
     return out
 
 
 def delta(rep: StarRep, points, z, w) -> np.ndarray:
-    """(phi(z) - phi(w)) / (w - z), for z != w (its z -> w limit is
-    -phi'(w), see ``phi_derivative``)."""
+    """(phi(z) - phi(w)) / (w - z), for z != w."""
     if z == w:
         raise ValueError("delta needs z != w")
     return (phi_value(rep, points, z) - phi_value(rep, points, w)) / (complex(w) - complex(z))
@@ -497,17 +490,11 @@ def _hamiltonian_rows(rep: StarRep, points, ts, zs) -> np.ndarray:
     """The level-1 slots of d Tr(phi(z)^t) for every t in ``ts`` and z in
     ``zs``, t-major, one row each in ``_level1_coordinates`` order.
 
-    phi is formed at every z at once, the powers phi^0 .. phi^(max t - 1)
-    as one stacked running product, and the slots of all (t, z) by one
-    ``_trace_power_slots`` call."""
+    phi (``phi_value``) is stacked over the sample points, the powers
+    phi^0 .. phi^(max t - 1) formed as one stacked running product, and the
+    slots of all (t, z) by one ``_trace_power_slots`` call."""
     r, zc = rep.quiver.rank, np.array([complex(z) for z in zs])
-    phi = np.zeros((zc.size, r, r), dtype=complex)
-    for m in range(rep.quiver.n_arms):
-        xm = complex(points[m])
-        if xm in zc:
-            raise ValueError(f"evaluation at the pole {points[m]}")
-        if rep.f[m]:
-            phi += rep.residue(m) / (zc - xm)[:, None, None]
+    phi = np.stack([phi_value(rep, points, z) for z in zs])
     powers = np.empty((max(ts),) + phi.shape, dtype=complex)
     powers[0] = np.eye(r)
     for k in range(1, max(ts)):

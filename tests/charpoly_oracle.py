@@ -17,6 +17,7 @@ now runs the integer Faddeev-LeVerrier at integer nodes and interpolates.
 
 from fractions import Fraction
 
+from common import mscale
 from starquiver import linalg_exact as ex
 from starquiver.spectral import ExactnessRequired
 
@@ -42,16 +43,15 @@ def _sample_pool(points, count, seed=0):
 
 
 def pole_cleared_matrix(h, z):
-    """M(z) = sum_i A_i prod_{k != i} (z - x_k), in the tuple's entry format."""
-    o = h.ops
-    gaps = [o.scalar(z) - o.scalar(x) for x in h.sigma.line.points]
-    out = o.zeros(h.rank, h.rank)
+    """M(z) = sum_i A_i prod_{k != i} (z - x_k) of an exact tuple."""
+    gaps = [Fraction(z) - x for x in h.sigma.line.points]
+    out = ex.mzeros(h.rank, h.rank)
     for i, a in enumerate(h.matrices):
-        c = o.scalar(1)
+        c = Fraction(1)
         for k, d in enumerate(gaps):
             if k != i:
                 c *= d
-        out = o.add(out, o.scale(c, a))
+        out = ex.madd(out, mscale(c, a))
     return out
 
 

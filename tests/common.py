@@ -1,5 +1,5 @@
 """Data and helpers shared by the test modules: the fixture directory, the
-closed-form rank-2 residue tuple, a rank-3 tuple whose flags are not nested,
+exact scalar multiple of a matrix, the closed-form rank-2 residue tuple, a rank-3 tuple whose flags are not nested,
 a random parabolic type generator and the stability character paired with a
 subspace of a residue tuple.
 
@@ -20,11 +20,16 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 F = Fraction
 
 
+def mscale(c, a):
+    """The exact matrix c a."""
+    return [[c * x for x in row] for row in a]
+
+
 def closed_form_matrices():
     """E12, -E12, E21, -E21: nilpotent rank-1 matrices summing to zero."""
     e12 = [[F(0), F(1)], [F(0), F(0)]]
     e21 = [[F(0), F(0)], [F(1), F(0)]]
-    return [e12, ex.mscale(F(-1), e12), e21, ex.mscale(F(-1), e21)]
+    return [e12, mscale(F(-1), e12), e21, mscale(F(-1), e21)]
 
 
 def closed_form_flags():

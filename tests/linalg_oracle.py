@@ -5,8 +5,13 @@ Fraction with magnitude pivoting.  It shares no arithmetic with the
 fraction-free ``bareiss`` that ``starquiver.linalg_exact`` now eliminates
 with, and the reduced row echelon form is unique, so the two must agree
 exactly.  ``reference`` runs a ``linalg_exact`` function on this
-elimination instead, which is how the former ``nullspace``, ``solve`` and
-``inv`` worked; the former ``rank`` was the pivot count of this ``rref``.
+elimination instead, which is how the former ``solve`` and ``inv``
+worked; the former ``rank`` was the pivot count of this ``rref``.
+
+``nullspace`` is the library's former Fraction kernel, read off this
+``rref`` with a 1 in each free column.  ``starquiver.arith.EXACT.nullspace``
+now returns ``linalg_exact.int_kernel`` of the cleared matrix: a nonzero
+multiple of each of its vectors, primitive in the integers.
 
 ``mmul`` is the library's former matrix product: one Fraction sum of
 Fraction products per entry.  ``starquiver.linalg_exact.mmul`` now clears
@@ -111,6 +116,19 @@ def bareiss(a):
         prev = p
         pivots.append(col)
     return r, pivots, prev
+
+
+def nullspace(a):
+    """Basis of the right kernel, one vector per non-pivot column."""
+    n = shape(a)[1]
+    r, pivots = rref(a)
+    basis = []
+    for f in (j for j in range(n) if j not in pivots):
+        v = [Fraction(int(j == f)) for j in range(n)]
+        for row, p in zip(r, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return basis
 
 
 def reference(fn, *args):

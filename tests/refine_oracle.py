@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from linalg_oracle import nullspace
 from starquiver import linalg_exact as ex
 from starquiver.arith import FLOAT
 from starquiver.dsolve import DSSolution, RefinementError, _nested_columns, flags_from_solution
@@ -42,7 +43,7 @@ def preservation_basis(flag_bases, r):
                     constraints.append(eq)
             continue
         # rows spanning the left kernel of dst kill A * src
-        left = ex.nullspace(ex.mtrans(dst))
+        left = nullspace(ex.mtrans(dst))
         for lv in left:
             for col in range(ex.shape(src)[1]):
                 eq = [Fraction(0)] * (r * r)
@@ -52,7 +53,7 @@ def preservation_basis(flag_bases, r):
                 constraints.append(eq)
     if not constraints:
         return [[Fraction(int(k == t)) for k in range(r * r)] for t in range(r * r)]
-    return ex.nullspace(constraints)
+    return nullspace(constraints)
 
 
 def solve_anchored(a, anchor):
@@ -139,7 +140,7 @@ def exact_refine(solution, instance, denominator=2**16, max_attempts=4):
         if drift > 1e-2:
             continue
         conjugators = [
-            ex.nilpotent_jordan_basis(m) if c.rank_sequence else ex.meye(r)
+            ex.nilpotent_jordan_basis(m)[0] if c.rank_sequence else ex.meye(r)
             for m, c in zip(mats, instance.classes)
         ]
         return DSSolution(

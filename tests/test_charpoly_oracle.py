@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import charpoly_oracle as oracle
-from common import FIXTURES
+from common import FIXTURES, mscale
 from starquiver import jsonio
 from starquiver import linalg_exact as ex
 from starquiver.combinat import MarkedLine, ParabolicType
@@ -27,7 +27,7 @@ def _flagless_tuple(points, mats):
     """An exact residue tuple on flagless points, unchecked: only the
     matrices and the points reach ``char_poly``."""
     r, n = len(mats[0]), len(points)
-    sigma = ParabolicType(MarkedLine(tuple(points), allow_small=n < 4), r, 1, ((r,),) * n, ((0,),) * n)
+    sigma = ParabolicType(MarkedLine(tuple(points)), r, 1, ((r,),) * n, ((0,),) * n)
     return HiggsTuple(sigma, mats, [[]] * n, mode="exact", check=False)
 
 
@@ -76,7 +76,7 @@ def residue_tuples(draw):
         total = ex.mzeros(r, r)
         for m in mats:
             total = ex.madd(total, m)
-        mats.append(ex.mscale(Fraction(-1), total))
+        mats.append(mscale(Fraction(-1), total))
     return points, mats, zero_sum
 
 

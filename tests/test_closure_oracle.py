@@ -81,7 +81,8 @@ def test_span_of_the_zero_vector_stays_empty():
 
 def test_jordan_conjugators_match_oracle_on_certified_batch(certified_batch, monkeypatch):
     # every nilpotent the refinement puts in Jordan form, through both
-    # implementations
+    # implementations; the power ranks read off the kernel chain are the
+    # exact rank profile
     seen = []
     jordan = ex.nilpotent_jordan_basis
     monkeypatch.setattr(ex, "nilpotent_jordan_basis", lambda n: seen.append(n) or jordan(n))
@@ -90,7 +91,9 @@ def test_jordan_conjugators_match_oracle_on_certified_batch(certified_batch, mon
             exact_refine(out.solution, inst)
     assert len(seen) >= 80
     for n in seen:
-        assert jordan(n) == oracle.nilpotent_jordan_basis(n)
+        p, ranks = jordan(n)
+        assert p == oracle.nilpotent_jordan_basis(n)
+        assert ranks == rank_profile([n], "exact")[0]
 
 
 # ---------------------------------------------------------------------------

@@ -338,9 +338,7 @@ def test_invalid_rank_sequence_rejected():
 def test_marked_line_invariants():
     with pytest.raises(ValueError):
         MarkedLine((0, 1, 1, 2))
-    with pytest.raises(ValueError):
-        MarkedLine((0, 1, 2))
-    assert MarkedLine((0, 1, 2), allow_small=True).n == 3
+    assert MarkedLine((0, 1, 2)).n == 3
     line = MarkedLine(("1/2", 1, 2, 3))
     assert line.points[0] == F(1, 2)
 

@@ -6,17 +6,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from common import assert_witness_pairing, closed_form_flags, closed_form_matrices, theta, unnested_tuple
+from common import assert_witness_pairing, closed_form_flags, closed_form_matrices, mscale, theta, unnested_tuple
 from starquiver import cli, higgs, jsonio
 from starquiver import linalg_exact as ex
-from starquiver.combinat import ParabolicType
+from starquiver.combinat import MarkedLine, ParabolicType
 from starquiver.dsolve import DSInstance, SolverConfig, exact_refine, flags_from_solution, solve
 from starquiver.higgs import (
     IRREDUCIBLE_RTOL,
     BridgeError,
     HiggsTuple,
     WeightsNotSmallError,
-    assemble_phi,
     higgs_to_quiver,
     irreducible,
     parabolic_slope,
@@ -53,7 +52,7 @@ def closed_form_tuple(full_flag_type):
 def test_tuple_invariants_enforced(full_flag_type):
     mats = closed_form_matrices()
     bad = [m for m in mats]
-    bad[3] = ex.mscale(F(2), bad[3])  # sum no longer zero
+    bad[3] = mscale(F(2), bad[3])  # sum no longer zero
     with pytest.raises(BridgeError):
         HiggsTuple(sigma=full_flag_type, matrices=bad, flags=closed_form_flags(), mode="exact")
     # flag not preserved: swap the image lines
@@ -69,6 +68,31 @@ def test_flag_steps_must_be_nested(mode):
     with pytest.raises(BridgeError) as err:
         unnested_tuple(mode)
     assert str(err.value) == "point 0: flag step 2 is not inside step 1"
+
+
+def _unpushed_tuple():
+    """A = E12 + E23 at point 0 and -A at point 1 with full flags, except
+    that step 2 at point 0 is span(e2), which A does not map span(e1, e2) into."""
+    sigma = ParabolicType(line=MarkedLine((0, 1)), rank=3, K=72, multiplicities=((1, 1, 1),) * 2, weights=((0, 1, 2),) * 2)
+    a = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
+    e = np.eye(3, dtype=complex)
+    return HiggsTuple(sigma, [a, -a], [[e[:, :2], e[:, 1:2]], [e[:, :2], e[:, :1]]], mode="float", check=False)
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1.0])
+@pytest.mark.parametrize(
+    "build,problem",
+    [
+        (lambda: unnested_tuple("float", check=False), "point 0: flag step 2 is not inside step 1"),
+        (_unpushed_tuple, "point 0: residue does not push step 1 deeper"),
+    ],
+)
+def test_scaled_flag_bases_are_refused(build, problem, scale):
+    # flag steps are column spaces, so scaling every basis keeps the
+    # violation; the float containment cut used to miss it below unit norm
+    h = build()
+    h.flags = [[scale * b for b in fl] for fl in h.flags]
+    assert h.validate() == [problem]
 
 
 def test_round_trip_exact(closed_form_tuple):
@@ -115,7 +139,7 @@ def test_round_trip_exact_on_conjugated_tuples(exact_tuples, data):
     p = _invertible(data, r)
     p_inv = ex.inv(p)
     c = data.draw(st.sampled_from([F(1), F(-1), F(2), F(-3, 2), F(1, 5)]))
-    mats = [ex.mscale(c, ex.mmul(ex.mmul(p, a), p_inv)) for a in h0.matrices]
+    mats = [mscale(c, ex.mmul(ex.mmul(p, a), p_inv)) for a in h0.matrices]
     flags = [[ex.mmul(ex.mmul(p, b), _invertible(data, len(b[0]))) for b in fl] for fl in h0.flags]
     h = HiggsTuple(h0.sigma, mats, flags, mode="exact")
     rep = higgs_to_quiver(h)
@@ -170,47 +194,6 @@ def test_quiver_to_higgs_requires_full_rank_arms(full_flag_type):
         quiver_to_higgs(rep, full_flag_type)
 
 
-def test_assemble_phi_values(closed_form_tuple):
-    z = F(1, 2)
-    val = assemble_phi(closed_form_tuple, z)
-    expected = ex.mzeros(2, 2)
-    pts = closed_form_tuple.sigma.line.points
-    for a, x in zip(closed_form_tuple.matrices, pts):
-        expected = ex.madd(expected, ex.mscale(F(1) / (z - x), a))
-    assert val == expected
-    with pytest.raises(BridgeError):
-        assemble_phi(closed_form_tuple, 1)
-
-
-def test_assemble_phi_zero(full_flag_type):
-    e1 = [[F(1)], [F(0)]]
-    h = HiggsTuple(full_flag_type, [ex.mzeros(2, 2)] * 4, [[e1]] * 4, mode="exact")
-    assert assemble_phi(h, F(7, 3)) == ex.mzeros(2, 2)
-
-
-def test_assemble_phi_residue_recovery(closed_form_tuple):
-    hf = HiggsTuple(
-        sigma=closed_form_tuple.sigma,
-        matrices=[np.array([[float(x) for x in row] for row in m]) for m in closed_form_tuple.matrices],
-        flags=[[np.array([[float(x) for x in row] for row in b]) for b in fl] for fl in closed_form_tuple.flags],
-        mode="float",
-    )
-    z = 0.0 + 1e-6
-    rec = z * assemble_phi(hf, z)
-    assert np.linalg.norm(rec - np.array([[0.0, 1.0], [0.0, 0.0]])) < 1e-4
-
-
-def test_assemble_phi_no_pole_at_infinity(closed_form_tuple):
-    hf = HiggsTuple(
-        sigma=closed_form_tuple.sigma,
-        matrices=[np.array([[float(x) for x in row] for row in m]) for m in closed_form_tuple.matrices],
-        flags=[[np.array([[float(x) for x in row] for row in b]) for b in fl] for fl in closed_form_tuple.flags],
-        mode="float",
-    )
-    z = 1e6
-    assert np.linalg.norm(assemble_phi(hf, z)) * abs(z) < 1e-4
-
-
 # ---------------------------------------------------------------------------
 # slopes
 
@@ -254,7 +237,7 @@ def test_irreducible_closed_form():
 
 def test_reducible_upper_triangular():
     e12 = [[F(0), F(1)], [F(0), F(0)]]
-    cert = irreducible([e12, ex.mscale(F(-1), e12)], "exact")
+    cert = irreducible([e12, mscale(F(-1), e12)], "exact")
     assert not cert.irreducible
     w = cert.invariant_subspace
     assert w is not None
@@ -364,7 +347,7 @@ def test_reducible_verdict_builds_the_algebra_once(full_flag_type, monkeypatch):
     # one the verdict gave while it closed the algebra twice
     e1, e2 = [[F(1)], [F(0)]], [[F(0)], [F(1)]]
     e12 = [[F(0), F(1)], [F(0), F(0)]]
-    mats = [e12, ex.mscale(F(-1), e12), ex.mzeros(2, 2), ex.mzeros(2, 2)]
+    mats = [e12, mscale(F(-1), e12), ex.mzeros(2, 2), ex.mzeros(2, 2)]
     h = HiggsTuple(full_flag_type, mats, [[e1], [e1], [e2], [e2]], mode="exact")
     calls = []
     closure = higgs.irreducible

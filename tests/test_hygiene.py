@@ -1,8 +1,9 @@
 """Source hygiene: no unused imports, no unread private module-level
-names, public methods or function parameters in the package, no option
-that every caller leaves at its default, no new mode comparison outside
-`arith`, no seeded random vectors in the stability verdict, one Kronecker product and no `np.kron`, one fraction-free
-elimination loop, and subcommands that load only the layers they run: a
+names, public methods or function parameters in the package, no `arith`
+backend op that only tests call, no option that every caller leaves at
+its default, no new mode comparison outside `arith`, no seeded random
+vectors in the stability verdict, one Kronecker product and no `np.kron`,
+one fraction-free elimination loop, and subcommands that load only the layers they run: a
 CLI import and `type-check` without numpy, and an exact `ds verify
 --hitchin` and the `bridge --hitchin` conversions without sympy."""
 
@@ -191,6 +192,26 @@ def test_every_linalg_exact_function_has_a_package_caller():
         and not any(f.name in names_read(g) for g in functions if g is not f)
     ]
     assert hits == []
+
+
+def test_every_arith_op_has_a_package_caller():
+    # each public op of the two backends is read by a package module other
+    # than arith; an op that only a test oracle calls belongs in the oracle
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted((SRC / "starquiver").glob("*.py"))}
+    backends = [c for c in trees.pop("arith.py").body if isinstance(c, ast.ClassDef) and c.name in ("_Exact", "_Float")]
+    assert len(backends) == 2
+    # methods and aliases of methods; the constant ``name`` is the mode string
+    ops = {
+        f"{cls.name}.{name}"
+        for cls in backends
+        for node in cls.body
+        if not isinstance(getattr(node, "value", None), ast.Constant)
+        for name in ([node.name] if isinstance(node, ast.FunctionDef) else [t.id for t in getattr(node, "targets", [])])
+        if not name.startswith("_")
+    }
+    # ops are reached as attributes of a backend, so only attribute reads count
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert sorted(op for op in ops if op.split(".")[1] not in read) == []
 
 
 def test_every_public_method_is_read():

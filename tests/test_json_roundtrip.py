@@ -64,7 +64,7 @@ def parabolic_types(draw, rank=None):
     mults = [draw(_compositions(rank)) for _ in points]
     k = draw(st.integers(max(map(len, mults)), 12))
     weights = [sorted(draw(st.lists(st.integers(0, k - 1), min_size=len(m), max_size=len(m), unique=True))) for m in mults]
-    return ParabolicType(MarkedLine(tuple(points), allow_small=len(points) < 4), rank, k, mults, weights)
+    return ParabolicType(MarkedLine(tuple(points)), rank, k, mults, weights)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

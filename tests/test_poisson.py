@@ -29,7 +29,6 @@ from starquiver.poisson import (
     independent_hamiltonian_count,
     moment_entry_gradients,
     pack_rep,
-    phi_derivative,
     phi_value,
     poisson_tensor,
     singular_rank,
@@ -186,12 +185,24 @@ def test_delta_identities(quiver4):
     )
     assert np.linalg.norm(dm - pf) < 1e-10
     # the coincident limit -phi'(w) is not delta's value: delta refuses z = w
-    lim = -phi_derivative(rep, PTS4, w)
-    h = 1e-6
-    fd = (phi_value(rep, PTS4, w + h) - phi_value(rep, PTS4, w - h)) / (2 * h)
-    assert np.linalg.norm(lim + fd) < 1e-5
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="delta needs z != w"):
         delta(rep, PTS4, w, w)
+
+
+@pytest.mark.parametrize("pole", PTS4)
+def test_sample_point_on_a_marked_point_is_refused(quiver4, pole):
+    # phi has a pole at every marked point: each evaluator names it
+    rep = random_rep(quiver4, np.random.default_rng(4))
+    calls = [
+        lambda: phi_value(rep, PTS4, pole),
+        lambda: delta(rep, PTS4, pole, 0.5),
+        lambda: delta(rep, PTS4, 0.5, pole),
+        lambda: independent_hamiltonian_count(rep, PTS4, [1, 2], [0.5, pole]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"evaluation at the pole {pole}"
 
 
 def test_entry_bracket_all_indices(quiver4):

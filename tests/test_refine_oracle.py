@@ -222,8 +222,10 @@ def test_jordan_basis_of_a_conjugated_jordan_form(partition, entries, den):
     assume(ex.rank(p) == r)
     j = ex.jordan_nilpotent(partition, r)
     a = ex.mmul(ex.mmul(p, j), ex.inv(p))
-    q = ex.nilpotent_jordan_basis(a)
+    q, ranks = ex.nilpotent_jordan_basis(a)
     assert ex.mmul(ex.mmul(q, j), ex.inv(q)) == a
+    # rank of J^k: each block of size b contributes max(b - k, 0)
+    assert ranks == tuple(sum(max(b - k, 0) for b in partition) for k in range(1, max(partition)))
 
 
 def test_jordan_basis_rejects_a_non_nilpotent_matrix():

@@ -105,7 +105,7 @@ def test_char_poly_rejects_float_tuple(closed_form_tuple):
 
 def test_char_poly_single_zero_residue():
     # one marked point: the bound j(n-2) = -j is met only by zero levels
-    sigma = ParabolicType(MarkedLine((F(1, 2),), allow_small=True), 2, 1, ((2,),), ((0,),))
+    sigma = ParabolicType(MarkedLine((F(1, 2),)), 2, 1, ((2,),), ((0,),))
     h = HiggsTuple(sigma, [ex.mzeros(2, 2)], [[]], mode="exact")
     assert char_poly(h).coeffs == [[], []]
 
