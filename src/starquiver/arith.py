@@ -121,13 +121,11 @@ class _Exact:
         return 0.0  # exact ranks need no anchor
 
     def basis(self, a, *_):
-        """Column space basis: the pivot rows of rref(a^T), as columns; the
-        exact rank sets the width, whatever width is asked for."""
-        rr, piv = ex.rref(ex.mtrans(a))
-        rows = rr[: len(piv)]
-        if not rows:
-            return [[] for _ in a]
-        return ex.mtrans(rows)
+        """Column space basis: the columns of a at the pivots of one forward
+        elimination (``echelon``) of the cleared matrix; the exact rank sets
+        the width, whatever width is asked for."""
+        piv = ex.echelon(ex.clear(a)[0])[1]
+        return [[row[p] for p in piv] for row in a]
 
     def conjugation_gap(self, a, p, n):
         """a p - p n, which vanishes exactly when p n p^-1 = a for an
@@ -138,7 +136,7 @@ class _Exact:
         return [list(col) for col in zip(*a)]
 
     def from_columns(self, cols):
-        return ex.mtrans(cols)
+        return [[Fraction(x) for x in row] for row in zip(*cols)]
 
     def apply(self, m, v):
         """m v, one entry per row of m; a row whose length is not len(v)

@@ -31,6 +31,7 @@ from fractions import Fraction
 from . import jsonio
 from .combinat import (
     EnumerationBoundExceeded,
+    MarkedLine,
     check_small_weights,
     condition_spectral_top,
     mu_eps,
@@ -344,7 +345,7 @@ def cmd_poisson_check(args):
 
     n = rep.quiver.n_arms
     if args.points:
-        points = [float(jsonio.parse_frac(p)) for p in args.points.split(",")]
+        points = [float(x) for x in MarkedLine(tuple(jsonio.parse_frac(p) for p in args.points.split(","))).points]
         if len(points) != n:
             raise InputFormatError("need one point per arm")
     else:

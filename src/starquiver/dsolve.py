@@ -13,12 +13,12 @@ zero-sum fibre wins, so the solver prefers tuples whose commutant is the
 scalars; reducible limits are only returned when no restart does better.
 
 ``exact_refine`` turns a certified floating solution into a nearby exact
-rational one: each point's image flag is snapped to an integer basis, in
-which strong preservation is a pattern of free entries, and the zero-sum
-condition couples the points in one fraction-free elimination over the
-integers, anchored at the floating solution.  The result sums to zero
-exactly and is exactly nilpotent; the rank profile is then re-verified
-exactly.
+rational one: each point's image flag, one basis filled deepest step first,
+is snapped to an integer basis, in which strong preservation is a pattern
+of free entries, and the zero-sum condition couples the points in one
+fraction-free elimination over the integers, anchored at the floating
+solution.  The result sums to zero exactly and is exactly nilpotent; the
+rank profile is then re-verified exactly.
 """
 
 import math
@@ -342,30 +342,40 @@ def verify(solution: DSSolution, instance: DSInstance, hitchin=False) -> VerifyR
 # flags from a solution
 
 
+# a unit flag vector whose Gram-Schmidt residual is at most this lies in the span so far
+_NESTED_TOL = 1e-6
+
+
+def _flag_rows(o, a, gammas, i):
+    """One basis of the image flag of ``a`` (point i) whose first gamma_j
+    vectors span step j, Im a^j: the bases of Im a^(s-1), ..., Im a fill one
+    span tracker, deepest first.  A step of another dimension raises ValueError."""
+    powers = list(o.powers(o.coerce(a), len(gammas)))
+    tracker = o.span_tracker(_NESTED_TOL)
+    for j in range(len(gammas), 0, -1):
+        for v in o.columns(o.basis(powers[j - 1], gammas[j - 1])):
+            tracker.add(v)
+        if len(tracker) != gammas[j - 1]:
+            raise ValueError(f"point {i}: flag step {j} has dimension {len(tracker)}, the type needs {gammas[j - 1]}")
+    return tracker.rows
+
+
 def flags_from_solution(solution: DSSolution, sigma: ParabolicType) -> HiggsTuple:
     """Image flags of the powers: the step of dimension gamma_j at point i
     is the column space of the j-th power of A_i.
 
-    The widths come from the type: a float step is spanned by the leading
-    gamma_j left singular vectors of A_i^j, and an exact step whose column
-    space has another dimension raises ``ValueError``.  A float solution
-    off its classes therefore gets flags it does not preserve, and the
-    tuple's validation, at a tolerance inflated by the sum residual (see
-    ``higgs_tolerance``), rejects it with ``BridgeError``.
+    The steps are the prefixes of one basis (``_flag_rows``), so they nest.
+    The widths come from the type: a float step adds the leading gamma_j
+    left singular vectors of A_i^j, an exact one the pivot columns of the
+    integer power, and a step of another dimension raises ``ValueError``.
+    A float solution off its classes therefore gets flags it does not
+    preserve, and the tuple's validation, at a tolerance inflated by the
+    sum residual (see ``higgs_tolerance``), rejects it with ``BridgeError``.
     """
     o = ops(solution.mode)
-    flags = []
-    for i in range(sigma.n_points):
-        gammas = sigma.gamma(i)[:-1]
-        powers = o.powers(o.coerce(solution.matrices[i]), len(gammas))
-        fl = []
-        for j, (gj, power) in enumerate(zip(gammas, powers), start=1):
-            basis = o.basis(power, gj)
-            width = o.shape(basis)[1]
-            if width != gj:
-                raise ValueError(f"point {i}: flag step {j} has dimension {width}, the type needs {gj}")
-            fl.append(basis)
-        flags.append(fl)
+    gammas = [sigma.gamma(i)[:-1] for i in range(sigma.n_points)]
+    rows = [_flag_rows(o, solution.matrices[i], g, i) for i, g in enumerate(gammas)]
+    flags = [[o.from_columns(basis[:g]) for g in gs] for basis, gs in zip(rows, gammas)]
     return HiggsTuple(
         sigma=sigma,
         matrices=list(solution.matrices),
@@ -388,45 +398,18 @@ _SNAP_ATTEMPTS = 4
 # per point, in Frobenius norm: the exact tuple must round the certified
 # floating one, not replace it by a different solution
 _MAX_DRIFT = 1e-2
-# a flag column whose Gram-Schmidt residual is at most this lies in the span so far
-_NESTED_TOL = 1e-6
 
 
 class RefinementError(RuntimeError):
     pass
 
 
-def _nested_columns(float_flags, r):
-    """One real column basis per point whose prefixes span the flag steps.
-
-    The deepest step comes first; shallower steps are extended by the
-    residuals of their own columns against what is already chosen, so the
-    prefix of width gamma_j spans the j-th step up to float error.
-    """
-    if not float_flags:
-        return np.zeros((r, 0))
-    cols = []
-    for b in reversed(float_flags):  # deepest first
-        b = np.asarray(b).real
-        for k in range(b.shape[1]):
-            v = b[:, k].copy()
-            for c in cols:
-                v = v - c * float(np.dot(c, v))
-            nv = float(np.linalg.norm(v))
-            if nv > _NESTED_TOL:
-                cols.append(v / nv)
-    widths = [np.asarray(b).shape[1] for b in float_flags]
-    if len(cols) != widths[0]:
-        raise RefinementError("flag steps are not numerically nested")
-    return np.stack(cols, axis=1)
-
-
-def _flag_basis(cols, den):
-    """Integer basis whose leading columns ``round(den * cols)`` span the
+def _flag_basis(rows, den):
+    """Integer basis whose leading columns ``round(den * rows)`` span the
     snapped flag steps prefix by prefix, completed one at a time by the
     standard vector farthest from the span so far."""
-    r, g = cols.shape
-    c = np.rint(den * cols)
+    c = np.rint(den * np.array(rows).real.T)
+    r, g = c.shape
     u = np.linalg.qr(c)[0]
     picks = []
     for _ in range(r - g):
@@ -480,11 +463,11 @@ def _refine_at(solution, instance, nested, den):
     snap is rejected (singular flag basis, wrong profile, or drift)."""
     r = instance.rank
     frames, unknowns, columns, anchor = [], [], [], []
-    for i, (cols, c) in enumerate(zip(nested, instance.classes)):
+    for i, (rows, c) in enumerate(zip(nested, instance.classes)):
         if not c.rank_sequence:
             frames.append(None)
             continue
-        q = _flag_basis(cols, den)
+        q = _flag_basis(rows, den)
         red, piv, d = ex.bareiss([row + [int(p == t) for t in range(r)] for p, row in enumerate(q)])
         if piv != list(range(r)):
             return None  # the snapped flag steps lost rank
@@ -537,28 +520,29 @@ def _refine_at(solution, instance, nested, den):
 def exact_refine(solution: DSSolution, instance: DSInstance) -> DSSolution:
     """Exact rational solution near a certified floating one.
 
-    Each point is parametrized in its own snapped flag basis: the nested
-    image-flag columns, scaled by the snapping denominator and rounded, are
-    completed to an integer basis ``Q_i``, in which strong preservation is a
-    pattern of free entries of ``N_i = Q_i^-1 A_i Q_i``.  The zero sum is
-    then r^2 integer equations in those entries, eliminated once without
-    fractions; free entries keep the snapped floating values and pivot
-    entries are solved exactly.  Exact nilpotency and strong preservation
-    hold by construction; the rank profile and closeness are re-verified,
-    with a finer snap on failure.  Conjugators are ``Q_i P_i`` with
-    ``P_i`` a Jordan basis of ``N_i``.
+    Each point is parametrized in its own snapped flag basis: the basis of
+    its float image flag (``_flag_rows``, with no tuple built), scaled by the
+    snapping denominator and rounded, is completed to an integer basis
+    ``Q_i``, in which strong preservation is a pattern of free entries of
+    ``N_i = Q_i^-1 A_i Q_i``.  The zero sum is then r^2 integer equations
+    in those entries, eliminated once without fractions; free entries keep
+    the snapped floating values and pivot entries are solved exactly.  Exact
+    nilpotency and strong preservation hold by construction; the rank
+    profile and closeness are re-verified, with a finer snap on failure.
+    Conjugators are ``Q_i P_i`` with ``P_i`` a Jordan basis of ``N_i``.
     """
     if solution.mode == "exact":
         return solution
-    h = flags_from_solution(solution, instance.parabolic_type())
-    nested = [_nested_columns(fl, instance.rank) for fl in h.flags]
+    sigma = instance.parabolic_type()
+    try:
+        nested = [_flag_rows(FLOAT, a, sigma.gamma(i)[:-1], i) for i, a in enumerate(solution.matrices)]
+    except ValueError as e:
+        raise RefinementError(f"flag steps are not numerically nested: {e}") from None
     for attempt in range(_SNAP_ATTEMPTS):
         exact = _refine_at(solution, instance, nested, _SNAP_DENOMINATOR * 16**attempt)
         if exact is not None:
             return exact
-    raise RefinementError(
-        "rational refinement failed: snapped flags kept degenerating"
-    )
+    raise RefinementError("rational refinement failed: snapped flags kept degenerating")
 
 
 # ---------------------------------------------------------------------------

@@ -273,10 +273,13 @@ def solution_from_json(data):
     from .dsolve import DSSolution
 
     mode = data.get("mode", "float")
+    residual = data.get("residual", 0.0)  # it sets the verification tolerances: read JSON numbers only
+    if isinstance(residual, bool) or not isinstance(residual, (int, float)):
+        raise InputFormatError(f"not a number: {residual!r}")
     return DSSolution(
         matrices=[matrix_from_json(m, mode) for m in data["matrices"]],
         conjugators=[matrix_from_json(p, mode) for p in data["conjugators"]],
-        residual=float(data.get("residual", 0.0)),
+        residual=float(residual),
         mode=mode,
         restart_index=int_from_json(data.get("restart_index", -1)),
         iterations=int_from_json(data.get("iterations", 0)),

@@ -138,16 +138,26 @@ def bracket(f_obs: Observable, g_obs: Observable, rep: StarRep) -> complex:
 # the pole-wise endomorphism and its observables
 
 
-def phi_value(rep: StarRep, points, z) -> np.ndarray:
-    """phi(z); raises ValueError when z is a marked point."""
+def _residues(rep: StarRep):
+    """The residue g_1 f_1 of every arm, in arm order."""
+    return [np.asarray(rep.residue(m)) for m in range(rep.quiver.n_arms)]
+
+
+def _phi_at(residues, points, z, r):
+    """phi(z) (r x r) from the residues of ``_residues``; raises ValueError at a marked point."""
     zc = complex(z)
-    out = np.zeros((rep.quiver.rank, rep.quiver.rank), dtype=complex)
-    for m in range(rep.quiver.n_arms):
+    out = np.zeros((r, r), dtype=complex)
+    for m, res in enumerate(residues):
         xm = complex(points[m])
         if zc == xm:
             raise ValueError(f"evaluation at the pole {z}")
-        out += np.asarray(rep.residue(m)) / (zc - xm)
+        out += res / (zc - xm)
     return out
+
+
+def phi_value(rep: StarRep, points, z) -> np.ndarray:
+    """phi(z); raises ValueError when z is a marked point."""
+    return _phi_at(_residues(rep), points, z, rep.quiver.rank)
 
 
 def delta(rep: StarRep, points, z, w) -> np.ndarray:
@@ -490,11 +500,12 @@ def _hamiltonian_rows(rep: StarRep, points, ts, zs) -> np.ndarray:
     """The level-1 slots of d Tr(phi(z)^t) for every t in ``ts`` and z in
     ``zs``, t-major, one row each in ``_level1_coordinates`` order.
 
-    phi (``phi_value``) is stacked over the sample points, the powers
-    phi^0 .. phi^(max t - 1) formed as one stacked running product, and the
-    slots of all (t, z) by one ``_trace_power_slots`` call."""
+    phi (``_phi_at``, from residues formed once) is stacked over the sample
+    points, the powers phi^0 .. phi^(max t - 1) formed as one stacked running
+    product, and the slots of all (t, z) by one ``_trace_power_slots`` call."""
     r, zc = rep.quiver.rank, np.array([complex(z) for z in zs])
-    phi = np.stack([phi_value(rep, points, z) for z in zs])
+    residues = _residues(rep)
+    phi = np.stack([_phi_at(residues, points, z, r) for z in zs])
     powers = np.empty((max(ts),) + phi.shape, dtype=complex)
     powers[0] = np.eye(r)
     for k in range(1, max(ts)):

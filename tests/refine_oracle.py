@@ -18,8 +18,34 @@ import numpy as np
 from linalg_oracle import nullspace
 from starquiver import linalg_exact as ex
 from starquiver.arith import FLOAT
-from starquiver.dsolve import DSSolution, RefinementError, _nested_columns, flags_from_solution
+from starquiver.dsolve import _NESTED_TOL, DSSolution, RefinementError, flags_from_solution
 from starquiver.spectral import rank_profile
+
+
+def nested_columns(float_flags, r):
+    """One real column basis per point whose prefixes span the flag steps:
+    the library's former private Gram-Schmidt over the float flags.
+
+    The deepest step comes first; shallower steps are extended by the
+    residuals of their own columns against what is already chosen, so the
+    prefix of width gamma_j spans the j-th step up to float error.
+    """
+    if not float_flags:
+        return np.zeros((r, 0))
+    cols = []
+    for b in reversed(float_flags):  # deepest first
+        b = np.asarray(b).real
+        for k in range(b.shape[1]):
+            v = b[:, k].copy()
+            for c in cols:
+                v = v - c * float(np.dot(c, v))
+            nv = float(np.linalg.norm(v))
+            if nv > _NESTED_TOL:
+                cols.append(v / nv)
+    widths = [np.asarray(b).shape[1] for b in float_flags]
+    if len(cols) != widths[0]:
+        raise RefinementError("flag steps are not numerically nested")
+    return np.stack(cols, axis=1)
 
 
 def snap(x, denominator):
@@ -78,7 +104,7 @@ def exact_refine(solution, instance, denominator=2**16, max_attempts=4):
     r = instance.rank
     sigma = instance.parabolic_type()
     h = flags_from_solution(solution, sigma)
-    nested = [_nested_columns(h.flags[i], r) for i in range(sigma.n_points)]
+    nested = [nested_columns(h.flags[i], r) for i in range(sigma.n_points)]
     for attempt in range(max_attempts):
         den = denominator * (2 ** (4 * attempt))
         snapped_flags = []

@@ -555,6 +555,16 @@ def test_poisson_points_are_parsed_as_rationals(tmp_path, capsys):
     assert capsys.readouterr().err == "error: not an exact rational: '1/0'\n"
 
 
+def test_poisson_points_must_be_distinct(tmp_path, capsys):
+    # phi(z) has a pole at each marked point, so a repeated point is bad input
+    rep = tmp_path / "rep.json"
+    jsonio.dump(rep, jsonio.rep_to_json(random_rep(StarQuiver(rank=2, arms=((1,),) * 4), np.random.default_rng(0))))
+    assert main(["poisson", "check", "--rep", str(rep), "--points", "0,1,1,2"]) == 1
+    assert capsys.readouterr().err == "error: marked points must be pairwise distinct\n"
+    assert main(["poisson", "check", "--rep", str(rep), "--points", "0,1,2/2,2"]) == 1
+    assert capsys.readouterr().err == "error: marked points must be pairwise distinct\n"
+
+
 def test_arm_dimensions_are_decoded_as_integers(tmp_path, capsys):
     # a JSON true in an arm chain is not the dimension 1: integer fields take
     # JSON integers and integral strings only
@@ -610,6 +620,24 @@ def test_solution_counters_are_integers(field, value):
     data[field] = value
     with pytest.raises(jsonio.InputFormatError, match="invalid solution: not an integer"):
         jsonio.solution_from_json(data)
+
+
+@pytest.mark.parametrize("value", [True, False, "1e3", None, [0.0]])
+def test_solution_residual_is_a_json_number(value):
+    # float() would read true as 1.0 and "1e3" as 1000.0, and the residual
+    # sets the solution's rank and flag tolerances
+    data = jsonio.solution_to_json(DSSolution(matrices=[np.zeros((2, 2))], conjugators=[np.eye(2)], residual=0.0))
+    data["residual"] = value
+    with pytest.raises(jsonio.InputFormatError, match="invalid solution: not a number"):
+        jsonio.solution_from_json(data)
+    data["residual"] = 3
+    assert jsonio.solution_from_json(data).residual == 3.0
+
+
+def test_ds_verify_refuses_a_residual_that_is_not_a_number(tmp_path, capsys, rank2_solution_data):
+    data = dict(rank2_solution_data, residual=True)
+    code, err = _malformed_run(tmp_path, capsys, data, ["ds", "verify", "--solution", "BAD", "--instance", RANK2_INSTANCE])
+    assert (code, err) == (1, "error: invalid solution: not a number: True\n")
 
 
 def _closed_form_json(full_flag_type, mode):

@@ -7,6 +7,7 @@ import pytest
 from common import closed_form_matrices
 from starquiver import dsolve
 from starquiver import linalg_exact as ex
+from starquiver.arith import FLOAT
 from starquiver.combinat import NilpotentClass
 from starquiver.dsolve import (
     CONJUGATOR_TOL,
@@ -24,7 +25,7 @@ from starquiver.dsolve import (
     solve,
     verify,
 )
-from starquiver.higgs import BridgeError, higgs_to_quiver
+from starquiver.higgs import BridgeError, HiggsTuple, higgs_to_quiver
 from starquiver.starrep import moment_residual
 
 F = Fraction
@@ -55,17 +56,27 @@ def test_conjugator_tolerance_edge(rank2_instance, factor, ok):
 
 @pytest.mark.parametrize("factor,kept", [(1.01, True), (0.99, False)])
 def test_nested_columns_tolerance_edge(factor, kept):
-    # the step e1 lies inside a step whose second column leaves a Gram-Schmidt
-    # residual of exactly factor * _NESTED_TOL against e1
+    # the tracker that builds a float flag holds the deeper step e1; the
+    # shallower step's columns e1 and (1, eps, 0) leave Gram-Schmidt
+    # residuals 0 and factor * _NESTED_TOL relative to their norms
     assert dsolve._NESTED_TOL == 1e-6
     eps = factor * dsolve._NESTED_TOL
-    outer = np.array([[1.0, 1.0], [0.0, eps], [0.0, 0.0]])
-    flags = [outer, np.array([[1.0], [0.0], [0.0]])]
-    if kept:
-        assert np.array_equal(dsolve._nested_columns(flags, 3), np.eye(3)[:, :2])
-    else:
-        with pytest.raises(RefinementError, match="not numerically nested"):
-            dsolve._nested_columns(flags, 3)
+    tracker = FLOAT.span_tracker(dsolve._NESTED_TOL)
+    kept_now = [tracker.add(v) for v in ([1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, eps, 0.0])]
+    assert kept_now == [True, False, kept]
+
+
+def test_flag_steps_that_do_not_nest_stop_the_refinement():
+    # the leading singular line of A^2 leaves the leading plane of A: the
+    # float flag of type (2, 1) would have a step of dimension 3
+    a = np.array([[1.0, 2.0, 0.0], [3.0, -1.0, 1.0], [2.0, 0.0, -1.0]])
+    c21 = NilpotentClass(rank=3, rank_sequence=(2, 1))
+    inst = DSInstance(rank=3, classes=(c21,) * 4)
+    sol = DSSolution(matrices=[a, -a, a, -a], conjugators=[np.eye(3)] * 4, residual=0.0)
+    with pytest.raises(ValueError, match="point 0: flag step 1 has dimension 3, the type needs 2"):
+        flags_from_solution(sol, inst.parabolic_type())
+    with pytest.raises(RefinementError, match="not numerically nested: point 0: flag step 1 has dimension 3"):
+        exact_refine(sol, inst)
 
 
 def test_closed_form_certificate(rank2_instance):
@@ -267,6 +278,35 @@ def test_solver_falls_back_to_a_converged_reducible_tuple():
     assert out.solution.residual == out.best_residuals[out.solution.restart_index]
     assert not is_smooth_point(out.solution.matrices)
     assert not verify(out.solution, inst).irreducible
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_flag_steps_are_prefixes_of_one_basis(certified_batch, mode):
+    # each point's flag is one basis filled deepest step first: every step
+    # is the leading columns of the next shallower one, and exact steps
+    # stay Fraction matrices
+    checked = 0
+    for inst, out in certified_batch:
+        sol = out.solution if mode == "float" else exact_refine(out.solution, inst)
+        h = flags_from_solution(sol, inst.parabolic_type())
+        for fl in h.flags:
+            for outer, inner in zip(fl, fl[1:]):
+                if mode == "float":
+                    assert np.array_equal(outer[:, : inner.shape[1]], inner)
+                else:
+                    assert [row[: len(inner[0])] for row in outer] == inner
+                    assert all(type(x) is Fraction for row in outer + inner for x in row)
+                checked += 1
+    assert checked >= 20
+
+
+def test_exact_refine_builds_no_tuple(certified_batch, monkeypatch):
+    # the refinement reads only the flag bases, so it validates no HiggsTuple
+    calls = []
+    monkeypatch.setattr(HiggsTuple, "validate", lambda self: calls.append(self) or [])
+    for inst, out in [certified_batch[0], certified_batch[20]]:
+        assert exact_refine(out.solution, inst).mode == "exact"
+    assert calls == []
 
 
 def test_exact_refine_properties(rank2_instance):

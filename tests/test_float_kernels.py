@@ -22,6 +22,7 @@ from starquiver.poisson import (
     independent_hamiltonian_count,
     moment_zero_tangent,
     pack_rep,
+    phi_value,
     singular_rank,
     trace_power_observable,
 )
@@ -246,6 +247,40 @@ def test_hamiltonian_rows_match_the_trace_power_gradients(r):
         expected = pack_rep(trace_power_observable(quiver, points, t, z, selfcheck=False).grad(rep))
         assert np.linalg.norm(packed - expected) <= 1e-12 * np.linalg.norm(expected)
     assert independent_hamiltonian_count(rep, points, ts, zs) == per_observable_count(rep, points, ts, zs)
+
+
+def _rows_from_phi_value(rep, points, ts, zs):
+    """``poisson._hamiltonian_rows`` with phi stacked from ``phi_value`` at
+    each sample point, which forms every arm's residue once per point."""
+    r, zc = rep.quiver.rank, np.array([complex(z) for z in zs])
+    phi = np.stack([phi_value(rep, points, z) for z in zs])
+    powers = np.empty((max(ts),) + phi.shape, dtype=complex)
+    powers[0] = np.eye(r)
+    for k in range(1, max(ts)):
+        powers[k] = powers[k - 1] @ phi
+    t = np.array(ts)
+    fs, gs = poisson._trace_power_slots(rep, points, t[:, None], zc, powers[t - 1])
+    n_rows = t.size * zc.size
+    return np.concatenate([np.zeros((n_rows, 0), dtype=complex), *(x.reshape(n_rows, -1) for x in fs + gs)], axis=1)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_hamiltonian_rows_form_each_residue_once(r, monkeypatch):
+    # six arms, one of them empty, and the bridge workload's r(n - 2) + 2
+    # midpoints: the rows are bit for bit those of the per-point phi_value
+    # stack, from one residue product per arm
+    arms = tuple(tuple(range(r - 1, 0, -k)) for k in (1, 2, 1, 3, 1)) + ((),)
+    quiver = StarQuiver(rank=r, arms=arms)
+    rep = random_rep(quiver, np.random.default_rng(30 + r), scale=0.5)
+    points = [float(m) for m in range(6)]
+    ts, zs = list(range(1, r + 3)), [i - 0.5 for i in range(r * 4 + 2)]
+    expected = _rows_from_phi_value(rep, points, ts, zs)
+    calls = []
+    residue = StarRep.residue
+    monkeypatch.setattr(StarRep, "residue", lambda self, j: calls.append(j) or residue(self, j))
+    rows = poisson._hamiltonian_rows(rep, points, ts, zs)
+    assert rows.tobytes() == expected.tobytes() and rows.shape == expected.shape
+    assert calls == list(range(6))
 
 
 @st.composite

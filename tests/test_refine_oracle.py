@@ -63,7 +63,7 @@ def _preserves_snapped_flags(exact, solution, instance):
     exactly into the next one, the last into zero."""
     r = instance.rank
     h = flags_from_solution(solution, instance.parabolic_type())
-    nested = [dsolve._nested_columns(fl, r) for fl in h.flags]
+    nested = [oracle.nested_columns(fl, r) for fl in h.flags]
     for attempt in range(dsolve._SNAP_ATTEMPTS):
         den = dsolve._SNAP_DENOMINATOR * 16**attempt
         ok = True
