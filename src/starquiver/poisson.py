@@ -60,11 +60,20 @@ def _offsets(mats):
 
 @dataclass
 class Observable:
+    """``value`` broadcasts over a leading stack axis on any one slot: with
+    that slot a stack (N, m, n) it returns the N values its rows make, or one
+    complex when it does not read that slot; with no stack, one complex."""
+
     quiver: StarQuiver
-    value: object  # rep -> complex
+    value: object  # rep -> complex, or (N,) values over a stacked slot
     grad: object  # rep -> Gradient
     label: str = ""
     levels: float = float("inf")  # the gradient is zero past this many levels of each arm
+
+
+def _per_row(v):
+    """A stacked value as is, an unstacked one as a Python complex."""
+    return v if np.ndim(v) else complex(v)
 
 
 class GradientOracleError(RuntimeError):
@@ -78,20 +87,25 @@ FD_STEP = 1e-6
 def fd_gradient(obs: Observable, rep: StarRep) -> Gradient:
     """Central finite differences entry by entry (real step ``FD_STEP``;
     exact for the holomorphic polynomials used here, up to truncation
-    error).  Each entry x of ``rep`` is set to x + FD_STEP and x - FD_STEP
-    in place and restored, also when ``obs.value`` raises."""
+    error), one ``obs.value`` call per slot: a slot of k entries becomes a
+    stack whose row e has entry e at x + FD_STEP and row k + e at x - FD_STEP,
+    and is put back, also when ``obs.value`` raises.  Every entry of every
+    level is evaluated, whatever ``obs.levels`` claims.  Real and imaginary
+    parts are divided apart, which rounds as Python's complex / float."""
     out = zero_gradient(rep.quiver)
-    for mat, grad in zip(_matrices(rep), _matrices(out)):
-        for idx in np.ndindex(mat.shape):
-            x = mat[idx]
+    for arm, grads in zip((*rep.f, *rep.g), (*out.f, *out.g)):
+        for i, (mat, grad) in enumerate(zip(arm, grads)):
+            k, at = mat.size, np.arange(mat.size)
+            stack = np.repeat(mat[None], 2 * k, axis=0)
+            flat = stack.reshape(2 * k, k)
+            flat[at, at] += FD_STEP
+            flat[k + at, at] -= FD_STEP
             try:
-                mat[idx] = x + FD_STEP
-                plus = obs.value(rep)
-                mat[idx] = x - FD_STEP
-                minus = obs.value(rep)
+                arm[i] = stack
+                vals = np.broadcast_to(np.asarray(obs.value(rep), dtype=complex), (2 * k,))
             finally:
-                mat[idx] = x
-            grad[idx] = (plus - minus) / (2 * FD_STEP)
+                arm[i] = mat
+            grad[...] = ((vals[:k] - vals[k:]).view(float) / (2 * FD_STEP)).view(complex).reshape(grad.shape)
     return out
 
 
@@ -151,7 +165,7 @@ def _phi_at(residues, points, z, r):
         xm = complex(points[m])
         if zc == xm:
             raise ValueError(f"evaluation at the pole {z}")
-        out += res / (zc - xm)
+        out = out + res / (zc - xm)  # broadcasts over a stacked residue
     return out
 
 
@@ -198,7 +212,7 @@ def trace_power_observable(
     zc = complex(z)
 
     def value(rep):
-        return complex(np.trace(np.linalg.matrix_power(phi_value(rep, points, zc), t)))
+        return _per_row(np.trace(np.linalg.matrix_power(phi_value(rep, points, zc), t), axis1=-2, axis2=-1))
 
     def grad(rep):
         out = zero_gradient(quiver)
@@ -224,7 +238,7 @@ def entry_observable(
     zc = complex(z)
 
     def value(rep):
-        return complex(phi_value(rep, points, zc)[row, col])
+        return _per_row(phi_value(rep, points, zc)[..., row, col])
 
     def grad(rep):
         out = zero_gradient(quiver)
@@ -338,7 +352,7 @@ def poisson_tensor(quiver: StarQuiver) -> np.ndarray:
     [a, b] of each f matrix against entry [b, a] of its g matrix."""
     mats = _matrices(zero_gradient(quiver))
     at, half = _offsets(mats), len(mats) // 2
-    jmat = np.zeros((at[-1], at[-1]))
+    jmat = np.zeros((at[-1], at[-1]), dtype=complex)  # J @ u casts no float J
     for k, m in enumerate(mats[:half]):
         f_at = at[k] + np.arange(m.size).reshape(m.shape)
         g_at = at[half + k] + np.arange(m.size).reshape(m.shape[::-1]).T
@@ -349,9 +363,11 @@ def poisson_tensor(quiver: StarQuiver) -> np.ndarray:
 
 def pack_rep(rep) -> np.ndarray:
     """A representation's or a Gradient's entries in ``_matrices`` order,
-    each matrix row-major."""
-    parts = [m.reshape(-1) for m in _matrices(rep)]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
+    each matrix row-major; leading stack axes broadcast, to (..., d)."""
+    mats = _matrices(rep)
+    lead = np.broadcast_shapes(*(m.shape[:-2] for m in mats))
+    parts = [np.broadcast_to(m, lead + m.shape[-2:]).reshape(*lead, -1) for m in mats]
+    return np.concatenate(parts, axis=-1) if parts else np.zeros(0, dtype=complex)
 
 
 def gradient_from_vector(quiver: StarQuiver, vec) -> Gradient:
@@ -383,8 +399,10 @@ class QuadraticObservable:
     @classmethod
     def random(cls, quiver, rng, scale=1.0):
         d = quiver.phase_dim()
-        s = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        s = scale * (s + s.T) / 2
+        s = np.empty((d, d), dtype=complex)
+        s.real, s.imag = rng.standard_normal((d, d)), rng.standard_normal((d, d))
+        s += s.T
+        s *= scale / 2
         b = scale * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
         return cls(quiver, s, b, complex(rng.standard_normal()))
 
@@ -398,8 +416,9 @@ class QuadraticObservable:
         return self.hessian_product(vec) + self.b
 
     def to_observable(self) -> Observable:
-        def value(rep):
-            return self.value_at(pack_rep(rep))
+        def value(rep):  # value_at row by row, so each row rounds as alone
+            v = pack_rep(rep)
+            return self.value_at(v) if v.ndim == 1 else np.array([self.value_at(row) for row in v])
 
         def grad(rep):
             return gradient_from_vector(self.quiver, self.gradient_at(pack_rep(rep)))

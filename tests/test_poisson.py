@@ -52,7 +52,7 @@ PTS4 = [0.0, 1.0, 2.0, 3.0]
 def _coordinate_observable(q, kind, j, i, a, b):
     def value(rep):
         slot = rep.f if kind == "f" else rep.g
-        return complex(slot[j][i][a, b])
+        return slot[j][i][..., a, b]
 
     def grad(rep):
         out = zero_gradient(q)
@@ -129,7 +129,7 @@ def test_entry_gradient_full_fd(quiver4):
 
 def test_selfcheck_flags_bad_oracle(quiver4):
     def value(rep):
-        return complex(np.trace(phi_value(rep, PTS4, 0.4)))
+        return np.trace(phi_value(rep, PTS4, 0.4), axis1=-2, axis2=-1)
 
     def grad(rep):
         return zero_gradient(quiver4)  # wrong on purpose
@@ -150,7 +150,7 @@ def test_selfcheck_bound_is_relative(quiver4, error, flagged):
     quad = QuadraticObservable.random(quiver4, np.random.default_rng(14), 1.0)
     obs = Observable(
         quiver4,
-        lambda rep: quad.value_at(pack_rep(rep)),
+        quad.to_observable().value,
         lambda rep: gradient_from_vector(quiver4, (1 + error) * quad.gradient_at(pack_rep(rep))),
         "scaled",
     )

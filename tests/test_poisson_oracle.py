@@ -1,4 +1,4 @@
-"""Differential tests of the matrix-free quadratic brackets, the in-place
+"""Differential tests of the matrix-free quadratic brackets, the slot-stacked
 finite differences and the level-skipping bracket against the dense and
 copy-based references in ``poisson_oracle``."""
 
@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 import poisson_oracle as oracle
 from starquiver.poisson import (
+    FD_STEP,
     Observable,
     QuadraticObservable,
+    _matrices,
     bracket,
     entry_observable,
     fd_gradient,
@@ -73,7 +75,7 @@ def _observables(q, rng):
 
 
 @settings(derandomize=True, max_examples=15, deadline=None)
-@given(q=quivers(ranks=(2, 3)), seed=st.integers(0, 2**32 - 1))
+@given(q=quivers(), seed=st.integers(0, 2**32 - 1))
 def test_fd_gradient_bit_identical_to_copying_oracle(q, seed):
     rng = np.random.default_rng(seed)
     rep = random_rep(q, rng, scale=0.6)
@@ -81,22 +83,40 @@ def test_fd_gradient_bit_identical_to_copying_oracle(q, seed):
         assert np.array_equal(pack_rep(fd_gradient(obs, rep)), pack_rep(oracle.fd_gradient(obs, rep)))
 
 
+def test_fd_gradient_quotient_rounds_as_python_complex_division():
+    # a linear observable on a representation of entries near FD_STEP: each
+    # difference carries full-width mantissas, where numpy's complex division
+    # (a multiplication by 1 / (2 FD_STEP)) and Python's differ in the last bit
+    q = StarQuiver(rank=3, arms=((2, 1), (1,), (2,)))
+    rng = np.random.default_rng(8)
+    rep = random_rep(q, rng, scale=FD_STEP)
+    w = rng.standard_normal(q.phase_dim()) + 1j * rng.standard_normal(q.phase_dim())
+
+    def value(r):
+        v = np.sum(pack_rep(r) * w, axis=-1)  # row by row, as unstacked
+        return v if v.ndim else complex(v)
+
+    obs = Observable(q, value, None, "linear")
+    assert np.array_equal(pack_rep(fd_gradient(obs, rep)), pack_rep(oracle.fd_gradient(obs, rep)))
+
+
 def test_fd_gradient_restores_the_representation():
     q = StarQuiver(rank=3, arms=((2, 1), (1,), (2,), ()))
     rng = np.random.default_rng(1)
     rep = random_rep(q, rng)
-    before = pack_rep(rep)
+    before, slots = pack_rep(rep), [id(m) for m in _matrices(rep)]
     for obs in _observables(q, rng):
         fd_gradient(obs, rep)
         assert np.array_equal(pack_rep(rep), before)
+        assert [id(m) for m in _matrices(rep)] == slots
 
 
-@pytest.mark.parametrize("fail_at", [1, 2, 7, 30])
+# the quiver has 8 slot matrices: a raise at the first, second, a middle and the last slot call
+@pytest.mark.parametrize("fail_at", [1, 2, 5, 8])
 def test_fd_gradient_restores_the_representation_when_value_raises(fail_at):
-    # the first call evaluates at x + h, the second at x - h; an odd or even
-    # call count stops the sweep at either perturbation
     q = StarQuiver(rank=3, arms=((2, 1), (1,), (2,)))
     rep = random_rep(q, np.random.default_rng(2))
+    assert len(_matrices(rep)) == 8
     before = pack_rep(rep)
     calls = []
 
@@ -104,13 +124,46 @@ def test_fd_gradient_restores_the_representation_when_value_raises(fail_at):
         calls.append(None)
         if len(calls) == fail_at:
             raise ZeroDivisionError("value failed")
-        return complex(np.sum(pack_rep(r)))
+        return np.sum(pack_rep(r), axis=-1)
 
     obs = Observable(q, value, None, "raises")
     with pytest.raises(ZeroDivisionError):
         fd_gradient(obs, rep)
     assert len(calls) == fail_at
     assert np.array_equal(pack_rep(rep), before)
+
+
+def test_fd_gradient_calls_value_once_per_slot_with_one_entry_moved_per_row():
+    q = StarQuiver(rank=3, arms=((2, 1), (1,), (2,), ()))
+    rep = random_rep(q, np.random.default_rng(5))
+    mats = _matrices(rep)
+    seen = []
+
+    def value(r):
+        (slot,) = [k for k, m in enumerate(_matrices(r)) if m.ndim == 3]
+        seen.append((slot, _matrices(r)[slot].copy()))
+        return np.sum(pack_rep(r), axis=-1)
+
+    fd_gradient(Observable(q, value, None, "recording"), rep)
+    assert [slot for slot, _ in seen] == list(range(len(mats)))
+    for slot, stack in seen:
+        x, k = mats[slot].reshape(-1), mats[slot].size
+        assert stack.shape == (2 * k, *mats[slot].shape)
+        rows = stack.reshape(2 * k, k)
+        for e in range(k):
+            for row, moved in ((rows[e], x[e] + FD_STEP), (rows[k + e], x[e] - FD_STEP)):
+                assert np.array_equal(np.delete(row, e), np.delete(x, e))
+                assert row[e] == moved != x[e]
+
+
+def test_fd_gradient_evaluates_levels_past_the_claimed_ones():
+    # an observable that claims levels=1 but reads the level-2 slot f[0][1]
+    q = StarQuiver(rank=3, arms=((2, 1), (1,)))
+    rep = random_rep(q, np.random.default_rng(6))
+    obs = Observable(q, lambda r: np.sum(r.f[0][1], axis=(-2, -1)), None, "level 2", levels=1)
+    fd = fd_gradient(obs, rep)
+    assert np.allclose(fd.f[0][1], 1.0)
+    assert not any(np.any(m) for k, m in enumerate(_matrices(fd)) if k != 1)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
