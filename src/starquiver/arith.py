@@ -269,8 +269,6 @@ class _Float:
     def contains(self, span, vecs, tol):
         """Column space of vecs inside that of span: the residual of the
         projection onto span is at most ``tol`` times max(1, |vecs|)."""
-        if vecs.shape[1] == 0:
-            return True
         if span.shape[1] == 0:
             return bool(np.linalg.norm(vecs) <= tol)
         q, _ = np.linalg.qr(span)
@@ -281,8 +279,6 @@ class _Float:
     def intersection_dim(self, a, b):
         """dim(col a  meet  col b) = rk a + rk b - rk [a b], at the default
         ``rank`` cut."""
-        if a.shape[1] == 0 or b.shape[1] == 0:
-            return 0
         return self.rank(a) + self.rank(b) - self.rank(np.hstack([a, b]))
 
     def span_tracker(self, tol):

@@ -87,7 +87,7 @@ def cmd_type_check(args):
     me = mu_eps(sigma)
     degrees, dim = spectral_degrees(sigma)
     small = check_small_weights(sigma)
-    gamma1_sum = sum(sigma.gamma(i)[0] for i in range(sigma.n_points))
+    gamma1_sum = sum(sigma.rank - m[0] for m in sigma.multiplicities)
     feasible = 2 * sigma.rank <= gamma1_sum
     top = condition_spectral_top(sigma)
     chains_ok = simpleness_condition(sigma)
@@ -109,7 +109,7 @@ def cmd_type_check(args):
     lines.append("point      multiplicities   weights          gamma            mu               eps")
     for i, x in enumerate(sigma.line.points):
         mu, eps = me[i]
-        gam = sigma.gamma(i)[:-1]
+        gam = sigma.gamma(i)
         lines.append(
             f"{str(x):<10} {str(list(sigma.multiplicities[i])):<16} "
             f"{str(list(sigma.weights[i])):<16} {str(list(gam)):<16} "
@@ -137,7 +137,7 @@ def cmd_type_check(args):
                     "point": str(x),
                     "multiplicities": list(sigma.multiplicities[i]),
                     "weights": list(sigma.weights[i]),
-                    "gamma": list(sigma.gamma(i)[:-1]),
+                    "gamma": list(sigma.gamma(i)),
                     "mu": list(me[i][0]),
                     "eps": list(me[i][1]),
                 }
@@ -355,7 +355,7 @@ def cmd_poisson_check(args):
     pool = [
         float(Fraction(k, 4))
         for k in range(-20, 8 * n + 20)
-        if min(abs(k / 4 - x) for x in points) >= 0.25
+        if all(abs(k / 4 - x) >= 0.25 for x in points)
     ]
 
     def draw_zw():

@@ -8,8 +8,9 @@ because the predicates in this module are sharp inequalities.
 
 Derived data:
 
-- ``gamma_i(x) = n_{i+1}(x) + ... + n_{sigma_x}(x)`` are the flag step
-  dimensions (strictly decreasing, ending at 0).
+- ``gamma_i(x) = n_{i+1}(x) + ... + n_{sigma_x}(x)`` for i < sigma_x are
+  the dimensions of the proper flag steps (strictly decreasing and
+  positive); they are the arm of x in the star-shaped quiver.
 - ``mu_j(x)`` counts multiplicities >= j; ``eps_j(x)`` is the index of the
   cumulative-mu window containing j.  ``eps_r(x) = max_i n_i(x)`` always.
 - the spectral degree of level j is ``-2j + sum_x (j - eps_j(x))``; level
@@ -23,10 +24,6 @@ from fractions import Fraction
 
 class EnumerationBoundExceeded(RuntimeError):
     """Raised when an exhaustive search would exceed its fixed cap."""
-
-
-class UnknownPointError(KeyError):
-    """Raised when a coordinate is not one of the marked points."""
 
 
 def _to_fraction(x):
@@ -59,13 +56,6 @@ class MarkedLine:
     @property
     def n(self):
         return len(self.points)
-
-    def index(self, x):
-        x = _to_fraction(x)
-        try:
-            return self.points.index(x)
-        except ValueError:
-            raise UnknownPointError(f"{x} is not a marked point") from None
 
 
 @dataclass(frozen=True)
@@ -114,15 +104,10 @@ class ParabolicType:
         return self.line.n
 
     def gamma(self, i):
-        """(gamma_1, ..., gamma_sigma) at point index i; gamma_sigma = 0."""
+        """(gamma_1, ..., gamma_{sigma-1}) at point index i: the dimensions
+        of the proper flag steps, empty for a one-step flag."""
         mult = self.multiplicities[i]
-        out = []
-        total = 0
-        for m in reversed(mult[1:]):
-            total += m
-            out.append(total)
-        out.reverse()
-        return tuple(out) + (0,)
+        return tuple(sum(mult[j:]) for j in range(1, len(mult)))
 
     def full_slope(self):
         """Weighted slope of the full degree-zero object."""
@@ -157,8 +142,7 @@ class NilpotentClass:
                 raise ValueError("a nilpotent class has first power rank below the rank")
             if any(a <= b for a, b in zip(seq, seq[1:])) or seq[-1] <= 0:
                 raise ValueError("power ranks must be strictly decreasing and positive")
-            diffs = [self.rank - seq[0]] + [a - b for a, b in zip(seq, seq[1:])] + [seq[-1]]
-            if any(a < b for a, b in zip(diffs, diffs[1:])):
+            if not chain_simple(self.rank, seq):
                 raise ValueError(
                     "rank differences must be nonincreasing (not a valid Jordan type)"
                 )
@@ -168,7 +152,8 @@ class NilpotentClass:
         return self.rank_sequence[0] if self.rank_sequence else 0
 
     def to_partition(self):
-        """Jordan block sizes, largest first, summing to the rank.
+        """Jordan block sizes, largest first, summing to the rank (rank
+        ones for the zero class).
 
         blocks_ge[j-1] counts blocks of size >= j; the partition is its
         conjugate.
@@ -216,12 +201,6 @@ def check_small_weights(sigma: ParabolicType) -> bool:
     """Exact test of (1/K) * sum over points of the top weight < 1/rank."""
     top = sum(wts[-1] for wts in sigma.weights)
     return Fraction(top, sigma.K) < Fraction(1, sigma.rank)
-
-
-def flag_dimension_vector(sigma: ParabolicType, x):
-    """(gamma_1, ..., gamma_{sigma_x - 1}) at the marked point x."""
-    i = sigma.line.index(x)
-    return sigma.gamma(i)[:-1]
 
 
 def mu_eps(sigma: ParabolicType):
@@ -310,10 +289,7 @@ def chain_simple(r: int, chain) -> bool:
 
 def simpleness_condition(sigma: ParabolicType) -> bool:
     """Arm chain condition guaranteeing simple moment-zero representations."""
-    return all(
-        chain_simple(sigma.rank, flag_dimension_vector(sigma, x))
-        for x in sigma.line.points
-    )
+    return all(chain_simple(sigma.rank, sigma.gamma(i)) for i in range(sigma.n_points))
 
 
 # weights_generic gives up past this many profiles at a point or weight sums
@@ -330,8 +306,6 @@ def weights_generic(sigma: ParabolicType) -> bool:
     product of profiles.
     """
     r = sigma.rank
-    if r == 1:
-        return True
     full = sigma.full_slope()
     for s in range(1, r):
         # per point: achievable values of sum_i a_i * m_i with 0<=m_i<=n_i, sum m_i = s

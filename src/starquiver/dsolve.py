@@ -24,6 +24,7 @@ rank profile is then re-verified exactly.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -135,7 +136,7 @@ class SolveOutcome:
 
 
 def _jordan(cls: NilpotentClass):
-    return ex.jordan_nilpotent(cls.to_partition() if cls.rank_sequence else (), cls.rank)
+    return ex.jordan_nilpotent(cls.to_partition(), cls.rank)
 
 
 def _jordan_float(cls: NilpotentClass):
@@ -216,16 +217,6 @@ def solve(instance: DSInstance, config: SolverConfig = None) -> SolveOutcome:
     """
     config = config or SolverConfig()
     feas = instance.feasibility()
-    if all(not c.rank_sequence for c in instance.classes):
-        r = instance.rank
-        sol = DSSolution(
-            matrices=[np.zeros((r, r)) for _ in instance.classes],
-            conjugators=[np.eye(r) for _ in instance.classes],
-            residual=0.0,
-            restart_index=0,
-            iterations=0,
-        )
-        return SolveOutcome(True, sol, feas, [0.0])
     best_residuals = []
     fallback = None
     for restart in range(config.restarts):
@@ -302,10 +293,9 @@ def verify(solution: DSSolution, instance: DSInstance, hitchin=False) -> VerifyR
                 f"point {i}: the solution needs one {r}x{r} matrix and one {r}x{r} "
                 f"conjugator at each of the instance's {instance.n} points"
             )
-    total = solution.matrices[0]
-    for m in solution.matrices[1:]:
-        total = o.add(total, m)
-    residual = o.norm(total)
+    # summed from the first matrix, not from o.zeros: a complex zero would
+    # make a real float sum complex, and its norm rounds differently
+    residual = o.norm(reduce(o.add, solution.matrices))
     profiles = solution.profile(rank_tolerance(residual))
     expected = [c.rank_sequence for c in instance.classes]
     profile_ok = all(p == e for p, e in zip(profiles, expected))
@@ -373,7 +363,7 @@ def flags_from_solution(solution: DSSolution, sigma: ParabolicType) -> HiggsTupl
     sum residual (see ``higgs_tolerance``), rejects it with ``BridgeError``.
     """
     o = ops(solution.mode)
-    gammas = [sigma.gamma(i)[:-1] for i in range(sigma.n_points)]
+    gammas = [sigma.gamma(i) for i in range(sigma.n_points)]
     rows = [_flag_rows(o, solution.matrices[i], g, i) for i, g in enumerate(gammas)]
     flags = [[o.from_columns(basis[:g]) for g in gs] for basis, gs in zip(rows, gammas)]
     return HiggsTuple(
@@ -440,8 +430,6 @@ def _solve_anchored(columns, anchor):
     exact division.
     """
     x = list(anchor)
-    if not columns:
-        return x
     red, piv, d = ex.echelon(ex.mtrans(columns))
     pivot_set = set(piv)
     free = [j for j in range(len(columns)) if j not in pivot_set]
@@ -535,7 +523,7 @@ def exact_refine(solution: DSSolution, instance: DSInstance) -> DSSolution:
         return solution
     sigma = instance.parabolic_type()
     try:
-        nested = [_flag_rows(FLOAT, a, sigma.gamma(i)[:-1], i) for i, a in enumerate(solution.matrices)]
+        nested = [_flag_rows(FLOAT, a, sigma.gamma(i), i) for i, a in enumerate(solution.matrices)]
     except ValueError as e:
         raise RefinementError(f"flag steps are not numerically nested: {e}") from None
     for attempt in range(_SNAP_ATTEMPTS):

@@ -20,6 +20,7 @@ rationals.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -92,13 +93,11 @@ class HiggsTuple:
         ]
         if out:
             return out
-        total = self.matrices[0]
-        for m in self.matrices[1:]:
-            total = o.add(total, m)
+        total = reduce(o.add, self.matrices, o.zeros(r, r))
         if not o.is_zero(total, self.tol):
             out.append(f"residues do not sum to zero (norm {o.norm(total):.2e})")
         for i in range(self.n):
-            gam = self.sigma.gamma(i)[:-1]
+            gam = self.sigma.gamma(i)
             fl = self.flags[i]
             if len(fl) != len(gam):
                 out.append(f"point {i}: expected {len(gam)} flag steps")
@@ -223,15 +222,8 @@ def parabolic_slope(h: HiggsTuple, w=None, degree=0, point_fibers=None):
             raise BridgeError("subobject basis is rank deficient")
     total = Fraction(0)
     for i in range(sig.n_points):
-        fl = [None] + list(h.flags[i]) + [None]  # full space ... zero space
-        inter = []
-        for j, step in enumerate(fl):
-            if j == 0:
-                inter.append(k)
-            elif j == len(fl) - 1:
-                inter.append(0)
-            else:
-                inter.append(o.intersection_dim(step, fibers[i]))
+        # the full space, the proper flag steps, the zero space
+        inter = [k] + [o.intersection_dim(step, fibers[i]) for step in h.flags[i]] + [0]
         for j, a in enumerate(sig.weights[i], start=1):
             total += a * (inter[j - 1] - inter[j])
     return (Fraction(degree) + total / sig.K) / k
@@ -367,7 +359,6 @@ def stability_verdict(h: HiggsTuple) -> StabilityReport:
     # reducible: every subobject test happens on invariant subspaces
     candidates = _invariant_subspace_candidates(h, cert)
     best = None
-    saw_equal = False
     for basis in candidates:
         slope = parabolic_slope(h, basis)
         if slope > full:
@@ -378,9 +369,8 @@ def stability_verdict(h: HiggsTuple) -> StabilityReport:
                 witness_slope=slope,
             )
         if slope == full:
-            saw_equal = True
             best = basis
-    if saw_equal:
+    if best is not None:
         return StabilityReport(
             verdict="semistable_only",
             full_slope=full,

@@ -129,7 +129,7 @@ def class_to_json(c: NilpotentClass) -> dict:
     return {
         "rank": c.rank,
         "rank_sequence": list(c.rank_sequence),
-        "partition": list(c.to_partition()) if c.rank_sequence else [1] * c.rank,
+        "partition": list(c.to_partition()),
     }
 
 

@@ -93,8 +93,6 @@ def mmul(a, b):
 
 
 def mtrans(a):
-    if not a:
-        return []
     return [list(col) for col in zip(*a)]
 
 

@@ -323,20 +323,16 @@ def check_commutativity(rep: StarRep, points, t, t_prime, z, w) -> float:
 # Hamiltonian vector fields and flows
 
 
-@dataclass
-class VectorField:
-    f: list
-    g: list
-
-
-def hamiltonian_vector_field(f_obs: Observable, rep: StarRep) -> VectorField:
-    """Components dF/dp on position slots and -dF/dq on momentum slots."""
+def hamiltonian_vector_field(f_obs: Observable, rep: StarRep) -> Gradient:
+    """The flow of F as a ``Gradient`` shaped like the representation's
+    slots: dF/dp on the position (f) slots and -dF/dq on the momentum (g)
+    slots."""
     gr = f_obs.grad(rep)
     xf = [[m.T.copy() for m in arm] for arm in gr.g]
-    return VectorField(f=xf, g=[[-m.T.copy() for m in arm] for arm in gr.f])
+    return Gradient(f=xf, g=[[-m.T.copy() for m in arm] for arm in gr.f])
 
 
-def euler_step(rep: StarRep, field: VectorField, h: float) -> StarRep:
+def euler_step(rep: StarRep, field: Gradient, h: float) -> StarRep:
     out = rep.copy()
     for m, x in zip(_matrices(out), _matrices(field)):
         m += h * x

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import FLOAT, ops
-from .combinat import ParabolicType, flag_dimension_vector
+from .combinat import ParabolicType
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,8 @@ class StarQuiver:
 
 
 def build_star_quiver(sigma: ParabolicType) -> StarQuiver:
-    """Arm j carries the flag dimension vector of the j-th marked point."""
-    return StarQuiver(
-        rank=sigma.rank,
-        arms=tuple(flag_dimension_vector(sigma, x) for x in sigma.line.points),
-    )
+    """Arm j carries the flag dimensions gamma of the j-th marked point."""
+    return StarQuiver(rank=sigma.rank, arms=tuple(sigma.gamma(i) for i in range(sigma.n_points)))
 
 
 @dataclass(frozen=True)
@@ -118,8 +115,6 @@ def build_character(sigma: ParabolicType) -> StabilityCharacter:
         dv * dim for ds, chain in zip(d, quiver.arms) for dv, dim in zip(ds, chain)
     )
     r = sigma.rank
-    if total == 0:
-        return StabilityCharacter(central_exponent=0, arm_exponents=tuple(d))
     mult = r // math.gcd(int(total), r)
     n_big = int(total) * mult // r
     d_scaled = tuple(tuple(int(dv) * mult for dv in ds) for ds in d)
@@ -225,8 +220,7 @@ def moment_map(rep: StarRep) -> MomentValue:
     q, o = rep.quiver, rep.ops
     center = o.zeros(q.rank, q.rank)
     for j in range(q.n_arms):
-        if rep.f[j]:
-            center = o.add(center, rep.residue(j))
+        center = o.add(center, rep.residue(j))
     arms = []
     for j in range(q.n_arms):
         comps = []

@@ -114,7 +114,7 @@ def exact_refine(solution, instance, denominator=2**16, max_attempts=4):
             snapped_cols = [[snap(cols[row, k], den) for k in range(cols.shape[1])] for row in range(r)]
             # prefixes of one snapped nested basis stay nested exactly
             fl = []
-            for gj in sigma.gamma(i)[:-1]:
+            for gj in sigma.gamma(i):
                 sb = [row[:gj] for row in snapped_cols]
                 if ex.rank(sb) != gj:
                     okay = False

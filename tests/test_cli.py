@@ -391,6 +391,34 @@ def test_bridge_rejects_nontrivial_splitting(capsys):
     assert "not a sum of trivial line bundles" in err
 
 
+def test_bridge_residue_tuple_without_marked_points(tmp_path, capsys):
+    # the empty residue sum is the zero matrix, so the tuple is valid and
+    # converts to a quiver without arms; the stability verdict then refuses
+    # a tuple without residues as bad input
+    sigma = {"points": [], "rank": 2, "K": 5, "flags": []}
+    higgs = _dump(tmp_path, {"type": sigma, "mode": "exact", "matrices": [], "flags": []})
+    rep, report, type_path = tmp_path / "rep.json", tmp_path / "report.json", tmp_path / "type.json"
+    jsonio.dump(type_path, sigma)
+    code = main(["bridge", "to-quiver", "--higgs", str(higgs), "--hitchin", "--out", str(rep), "--report", str(report)])
+    assert code == 0
+    assert json.loads(report.read_text())["moment_residual"] == 0.0
+    assert json.loads(rep.read_text())["arms"] == []
+    capsys.readouterr()
+    code = main(["bridge", "to-higgs", "--rep", str(rep), "--type", str(type_path)])
+    assert (code, capsys.readouterr().err) == (1, "error: need at least one matrix\n")
+
+
+def test_poisson_check_on_a_representation_without_arms(tmp_path, capsys):
+    rep = _dump(tmp_path, {"rank": 2, "arms": [], "mode": "float", "matrices": {}})
+    report = tmp_path / "report.json"
+    assert main(["poisson", "check", "--rep", str(rep), "--report", str(report)]) == 0
+    assert capsys.readouterr().err == ""
+    payload = json.loads(report.read_text())
+    assert payload["gradient_oracles_ok"] is True
+    for key in ("entry_bracket_max_residual", "commutativity_max_residual", "jacobi_max_residual", "moment_residual"):
+        assert payload[key] == 0.0
+
+
 def test_poisson_check_cli(tmp_path):
     rng = np.random.default_rng(5)
     q = StarQuiver(rank=2, arms=((1,),) * 4)

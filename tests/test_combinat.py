@@ -10,12 +10,10 @@ from starquiver.combinat import (
     MarkedLine,
     NilpotentClass,
     ParabolicType,
-    UnknownPointError,
     chain_simple,
     check_small_weights,
     condition_spectral_top,
     ds_feasible,
-    flag_dimension_vector,
     mu_eps,
     simpleness_condition,
     spectral_degrees,
@@ -73,15 +71,13 @@ def test_flag_dimension_vectors(line4):
         multiplicities=((2, 1), (3,), (1, 1, 1), (2, 1)),
         weights=((0, 1), (0,), (0, 1, 2), (0, 1)),
     )
-    assert flag_dimension_vector(t, 0) == (1,)
-    assert flag_dimension_vector(t, 1) == ()
-    assert flag_dimension_vector(t, 2) == (2, 1)
-    with pytest.raises(UnknownPointError):
-        flag_dimension_vector(t, 17)
+    assert t.gamma(0) == (1,)
+    assert t.gamma(1) == ()
+    assert t.gamma(2) == (2, 1)
 
 
 def test_full_flag_rank2_step(full_flag_type):
-    assert flag_dimension_vector(full_flag_type, 0) == (1,)
+    assert full_flag_type.gamma(0) == (1,)
 
 
 def test_mu_eps_two_one(line4):
@@ -236,12 +232,15 @@ def test_weights_generic_perturbed_pass(line4):
 
 
 def test_weights_generic_rank_one_vacuous(line4):
-    t = ParabolicType(line=line4, rank=1, K=4, multiplicities=((1,),) * 4, weights=((1,),) * 4)
-    assert weights_generic(t) is True
+    # rank 1 has no proper sub-rank, so nothing can tie the full slope
+    for K, weights in [(4, ((1,),) * 4), (7, ((0,), (3,), (5,), (6,)))]:
+        t = ParabolicType(line=line4, rank=1, K=K, multiplicities=((1,),) * 4, weights=weights)
+        assert weights_generic(t) is True
 
 
 def test_partition_rank_sequence_round_trip():
     assert NilpotentClass(rank=2, rank_sequence=(1,)).to_partition() == (2,)
+    assert NilpotentClass(rank=3, rank_sequence=()).to_partition() == (1, 1, 1)
     assert NilpotentClass.from_partition((2,)).rank_sequence == (1,)
     c = NilpotentClass.from_partition((3, 3, 1))
     assert c.rank == 7 and c.rank_sequence == (4, 2)
@@ -258,9 +257,8 @@ def test_partition_rank_sequence_round_trip():
         parts = tuple(sorted(parts, reverse=True))
         c = NilpotentClass.from_partition(parts)
         assert c.to_partition() == parts
-        if c.rank_sequence:
-            c2 = NilpotentClass(rank=r, rank_sequence=c.rank_sequence)
-            assert c2.to_partition() == parts
+        c2 = NilpotentClass(rank=r, rank_sequence=c.rank_sequence)
+        assert c2.to_partition() == parts
 
 
 def partitions_of(r, largest=None):

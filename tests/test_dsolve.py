@@ -95,12 +95,18 @@ def test_closed_form_certificate(rank2_instance):
 
 
 def test_zero_classes_immediate():
-    c = NilpotentClass(rank=3, rank_sequence=())
-    inst = DSInstance(rank=3, classes=(c, c, c, c))
-    out = solve(inst, SolverConfig(seed=0))
-    assert out.success
-    assert out.solution.iterations == 0
-    assert all(np.linalg.norm(m) == 0.0 for m in out.solution.matrices)
+    # restart 0 of the general loop starts at the answer: every conjugator
+    # of a zero class is the identity, and the sum is already zero
+    for r in range(1, 6):
+        c = NilpotentClass(rank=r, rank_sequence=())
+        for n in (1, 4):
+            out = solve(DSInstance(rank=r, classes=(c,) * n), SolverConfig(seed=0))
+            assert out.success and out.best_residuals == [0.0]
+            sol = out.solution
+            assert (sol.residual, sol.restart_index, sol.iterations) == (0.0, 0, 0)
+            assert len(sol.matrices) == len(sol.conjugators) == n
+            assert all(np.array_equal(m, np.zeros((r, r))) and not np.signbit(m).any() for m in sol.matrices)
+            assert all(np.array_equal(p, np.eye(r)) and not np.signbit(p).any() for p in sol.conjugators)
 
 
 def test_infeasible_instance_never_certifies():

@@ -135,7 +135,7 @@ def residue_tuples(draw):
     sigma = draw(st.integers(1, 4).flatmap(parabolic_types))
     r = sigma.rank
     mats = [draw(_matrices(mode, r, r)) for _ in range(sigma.n_points)]
-    flags = [[draw(_matrices(mode, r, g)) for g in sigma.gamma(i)[:-1]] for i in range(sigma.n_points)]
+    flags = [[draw(_matrices(mode, r, g)) for g in sigma.gamma(i)] for i in range(sigma.n_points)]
     return HiggsTuple(sigma, mats, flags, mode=mode, check=False)
 
 

@@ -383,3 +383,21 @@ def test_exact_apply_refuses_a_vector_of_the_wrong_length():
             EXACT.apply(a, v)
         with pytest.raises(ValueError):
             FLOAT.apply(np.ones((3, 2)), np.ones(len(v)))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_float_span_ops_take_zero_column_operands(k):
+    # an operand without columns spans the zero subspace: it meets every
+    # column space in dimension 0 and lies inside every one
+    rng = np.random.default_rng(k)
+    a = rng.standard_normal((3, k)) + 1j * rng.standard_normal((3, k))
+    none = np.zeros((3, 0), dtype=complex)
+    exact_none = [[] for _ in range(3)]
+    exact_a = [[Fraction(int(x)) for x in row] for row in np.rint(8 * a.real)]
+    assert FLOAT.intersection_dim(a, none) == FLOAT.intersection_dim(none, a) == 0
+    assert EXACT.intersection_dim(exact_a, exact_none) == EXACT.intersection_dim(exact_none, exact_a) == 0
+    assert FLOAT.contains(a, none, 1e-12) is True
+    assert EXACT.contains(exact_a, exact_none) is True
+    # an empty span contains only zero columns
+    assert FLOAT.contains(none, a, 1e-12) is (k == 0)
+    assert FLOAT.contains(none, np.zeros((3, k), dtype=complex), 0.0) is True

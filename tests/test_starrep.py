@@ -92,6 +92,8 @@ def test_character_trivial_for_equal_gaps_zero(line4):
     t = ParabolicType(line=line4, rank=2, K=4, multiplicities=((2,),) * 4, weights=((1,),) * 4)
     ch = build_character(t)
     assert ch.N == 0 and all(d == () for d in ch.arm_exponents)
+    assert ch.central_exponent == 0 and ch.arm_exponents == ((),) * 4
+    assert ch.pairing(1, ((),) * 4) == 0
 
 
 def test_character_minimal_scaling():
