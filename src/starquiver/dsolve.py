@@ -294,7 +294,8 @@ def verify(solution: DSSolution, instance: DSInstance, hitchin=False) -> VerifyR
                 f"conjugator at each of the instance's {instance.n} points"
             )
     # summed from the first matrix, not from o.zeros: a complex zero would
-    # make a real float sum complex, and its norm rounds differently
+    # make the sum of a real float solution complex, whose norm can round
+    # differently
     residual = o.norm(reduce(o.add, solution.matrices))
     profiles = solution.profile(rank_tolerance(residual))
     expected = [c.rank_sequence for c in instance.classes]
