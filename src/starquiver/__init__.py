@@ -14,7 +14,7 @@ The package is organized around these computational layers:
 - ``higgs``: the dictionary between moment-zero quiver representations and
   tuples of residue matrices with flags; slopes and irreducibility.
 - ``spectral``: characteristic polynomials, vanishing orders, spectral
-  polynomials and their integrality, plus a rejection sampler.
+  polynomials and their integrality.
 - ``dsolve``: a numerical solver for nilpotent residue matrices with zero
   sum, with certification and an exact rational refinement.
 - ``poisson``: the canonical bracket on the doubled-quiver phase space and

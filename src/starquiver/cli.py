@@ -341,7 +341,7 @@ def cmd_poisson_check(args):
         poisson_tensor,
         trace_power_observable,
     )
-    from .starrep import moment_residual
+    from .starrep import moment_residual, worst
 
     n = rep.quiver.n_arms
     if args.points:
@@ -369,22 +369,25 @@ def cmd_poisson_check(args):
         entry_observable(rep.quiver, points, draw_zw()[0], 0, r - 1, selfcheck=True)
     except GradientOracleError:
         oracle_ok = False
-    # entry bracket sweep
-    entry_worst = 0.0
+    # entry bracket sweep; an overflowed residual is NaN, and ``worst``
+    # keeps it, so it fails its gate
+    entry = []
     for _ in range(max(1, args.grid // 20)):
         z, w = draw_zw()
-        entry_worst = max(entry_worst, entry_bracket_residuals(rep, points, z, w).max())
+        entry.append(entry_bracket_residuals(rep, points, z, w).max())
+    entry_worst = worst(entry)
     # commutativity grid
-    comm_worst = 0.0
+    comm = []
     for _ in range(args.grid):
         z, w = draw_zw()
         t = int(rng.integers(1, 5))
         t2 = int(rng.integers(1, 5))
-        comm_worst = max(comm_worst, check_commutativity(rep, points, t, t2, z, w))
+        comm.append(check_commutativity(rep, points, t, t2, z, w))
+    comm_worst = worst(comm)
     # Jacobi residuals on random quadratics
     jmat = poisson_tensor(rep.quiver)
     v = pack_rep(rep)
-    jacobi_worst = 0.0
+    jacobi = []
     for _ in range(max(1, args.grid // 10)):
         a = QuadraticObservable.random(rep.quiver, rng, 0.5)
         b = QuadraticObservable.random(rep.quiver, rng, 0.5)
@@ -394,7 +397,8 @@ def cmd_poisson_check(args):
             a.bracket_with(b, jmat).bracket_with(c, jmat).value_at(v)
             + b.bracket_with(a.bracket_with(c, jmat), jmat).value_at(v)
         )
-        jacobi_worst = max(jacobi_worst, abs(lhs - rhs))
+        jacobi.append(abs(lhs - rhs))
+    jacobi_worst = worst(jacobi)
     payload = {
         "config": {"grid": args.grid, "seed": args.seed, "points": [str(p) for p in points]},
         "gradient_oracles_ok": oracle_ok,

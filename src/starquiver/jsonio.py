@@ -125,14 +125,6 @@ def type_from_json(data) -> ParabolicType:
     )
 
 
-def class_to_json(c: NilpotentClass) -> dict:
-    return {
-        "rank": c.rank,
-        "rank_sequence": list(c.rank_sequence),
-        "partition": list(c.to_partition()),
-    }
-
-
 @_decoder("nilpotent class")
 def class_from_json(data) -> NilpotentClass:
     if "rank_sequence" in data:
@@ -142,14 +134,6 @@ def class_from_json(data) -> NilpotentClass:
         )
     partition = [int_from_json(x) for x in data["partition"]]
     return NilpotentClass.from_partition(partition, rank=int_from_json(data["rank"]))
-
-
-def instance_to_json(inst) -> dict:
-    return {
-        "rank": inst.rank,
-        "classes": [class_to_json(c) for c in inst.classes],
-        "points": [str(p) for p in inst.points],
-    }
 
 
 @_decoder("instance")
@@ -237,17 +221,6 @@ def hitchin_to_json(hp) -> dict:
         "points": [str(p) for p in hp.points],
         "coefficients": [[str(c) for c in p] for p in hp.coeffs],
     }
-
-
-@_decoder("coefficient point")
-def hitchin_from_json(data):
-    from .spectral import HitchinPoint
-
-    return HitchinPoint(
-        rank=int_from_json(data["rank"]),
-        points=tuple(parse_frac(p) for p in data["points"]),
-        coeffs=[[parse_frac(c) for c in p] for p in data["coefficients"]],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -358,21 +358,9 @@ def paddmul(acc, p, q):
     return acc
 
 
-def pmul(p, q):
-    return ptrim(paddmul([Fraction(0)] * (len(p) + len(q) - 1), p, q))
-
-
 def peval(p, x):
     """p(x); integer coefficients at an integer x give an int."""
     acc = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def poly_from_roots(roots_with_mult):
-    p = [Fraction(1)]
-    for root, mult in roots_with_mult:
-        for _ in range(mult):
-            p = pmul(p, [-root, Fraction(1)])
-    return p

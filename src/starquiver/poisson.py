@@ -320,26 +320,6 @@ def check_commutativity(rep: StarRep, points, t, t_prime, z, w) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian vector fields and flows
-
-
-def hamiltonian_vector_field(f_obs: Observable, rep: StarRep) -> Gradient:
-    """The flow of F as a ``Gradient`` shaped like the representation's
-    slots: dF/dp on the position (f) slots and -dF/dq on the momentum (g)
-    slots."""
-    gr = f_obs.grad(rep)
-    xf = [[m.T.copy() for m in arm] for arm in gr.g]
-    return Gradient(f=xf, g=[[-m.T.copy() for m in arm] for arm in gr.f])
-
-
-def euler_step(rep: StarRep, field: Gradient, h: float) -> StarRep:
-    out = rep.copy()
-    for m, x in zip(_matrices(out), _matrices(field)):
-        m += h * x
-    return out
-
-
-# ---------------------------------------------------------------------------
 # quadratic observables (closed under the bracket; used for Jacobi tests)
 
 
@@ -364,15 +344,6 @@ def pack_rep(rep) -> np.ndarray:
     lead = np.broadcast_shapes(*(m.shape[:-2] for m in mats))
     parts = [np.broadcast_to(m, lead + m.shape[-2:]).reshape(*lead, -1) for m in mats]
     return np.concatenate(parts, axis=-1) if parts else np.zeros(0, dtype=complex)
-
-
-def gradient_from_vector(quiver: StarQuiver, vec) -> Gradient:
-    out = zero_gradient(quiver)
-    mats = _matrices(out)
-    at = _offsets(mats)
-    for m, start, end in zip(mats, at, at[1:]):
-        m[...] = vec[start:end].reshape(m.shape)
-    return out
 
 
 class QuadraticObservable:
@@ -410,16 +381,6 @@ class QuadraticObservable:
 
     def gradient_at(self, vec):
         return self.hessian_product(vec) + self.b
-
-    def to_observable(self) -> Observable:
-        def value(rep):  # value_at row by row, so each row rounds as alone
-            v = pack_rep(rep)
-            return self.value_at(v) if v.ndim == 1 else np.array([self.value_at(row) for row in v])
-
-        def grad(rep):
-            return gradient_from_vector(self.quiver, self.gradient_at(pack_rep(rep)))
-
-        return Observable(self.quiver, value, grad, label="quadratic")
 
     def bracket_with(self, other, jmat):
         """The bracket {self, other} as a new, matrix-free quadratic."""

@@ -33,19 +33,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
-import numpy as np
-
 from . import linalg_exact as ex
 from .arith import ops
-from .combinat import ParabolicType, condition_spectral_top, mu_eps, spectral_degrees
+from .combinat import ParabolicType, mu_eps, spectral_degrees
 from .higgs import HiggsTuple
 
 
 class ExactnessRequired(ValueError):
-    pass
-
-
-class SpectralPreconditionError(ValueError):
     pass
 
 
@@ -63,16 +57,7 @@ class HitchinPoint:
 
     def __post_init__(self):
         self.points = tuple(self.points)
-        n = len(self.points)
-        if len(self.coeffs) != self.rank:
-            raise ValueError("need one coefficient polynomial per level")
         self.coeffs = [ex.ptrim(list(p)) for p in self.coeffs]
-        for j, p in enumerate(self.coeffs, start=1):
-            bound = j * (n - 2)
-            if p and len(p) - 1 > bound:
-                raise ValueError(
-                    f"level {j}: degree {len(p) - 1} exceeds the bound {bound}"
-                )
 
 
 def _zx_charpoly(a):
@@ -305,10 +290,6 @@ class SpectralPolynomial:
 
     coeffs: tuple
 
-    def as_expr(self):
-        """The polynomial as a sympy expression in (lam, z)."""
-        return self._poly().as_expr()
-
     def _poly(self):
         import sympy
 
@@ -324,7 +305,7 @@ class SpectralPolynomial:
 def spectral_poly(hp: HitchinPoint) -> SpectralPolynomial:
     """The plane model lambda^r + sum_j p_j(z) lambda^{r-j}, exactly the
     characteristic polynomial of the pole-cleared matrix, as exact
-    coefficient lists; ``.as_expr()`` hands it to sympy."""
+    coefficient lists."""
     return SpectralPolynomial(tuple(map(tuple, hp.coeffs)))
 
 
@@ -486,55 +467,3 @@ def _fp_powmod(a, e, f, q):
 def _fp_mulmod(a, b, f, q):
     """a b mod f over F_q."""
     return _fp_divmod([c % q for c in ex.paddmul([], a, b)], f, q)[1]
-
-
-def sample_hitchin_point(sigma: ParabolicType, seed=0, max_retries=50):
-    """Random admissible coefficient point with exact orders and an
-    integral spectral polynomial, by rejection.
-
-    Levels with negative coefficient-space degree are identically zero;
-    each other level draws p_j as the forced vanishing factor times a
-    random integer polynomial of the residual degree, rejected until no
-    extra vanishing occurs at the marked points and the spectral
-    polynomial is integral.  Returns (point, retries).
-    """
-    if not condition_spectral_top(sigma):
-        raise SpectralPreconditionError(
-            "top spectral degree is negative: the admissible space has no "
-            "sections at the top level"
-        )
-    me = mu_eps(sigma)
-    degrees, _ = spectral_degrees(sigma)
-    pts = sigma.line.points
-    rng = np.random.default_rng(seed)
-    for attempt in range(max_retries):
-        coeffs = []
-        ok = True
-        for j in range(1, sigma.rank + 1):
-            dj = degrees[j - 1]
-            if dj < 0:
-                coeffs.append([])
-                continue
-            forced = ex.poly_from_roots(
-                [(x, me[i][1][j - 1]) for i, x in enumerate(pts)]
-            )
-            for _ in range(20):
-                q = [Fraction(int(rng.integers(-9, 10))) for _ in range(dj + 1)]
-                q = ex.ptrim(q)
-                if q and all(ex.peval(q, x) != 0 for x in pts):
-                    break
-            else:
-                ok = False
-                break
-            coeffs.append(ex.pmul(forced, q))
-        if not ok:
-            continue
-        hp = HitchinPoint(rank=sigma.rank, points=pts, coeffs=coeffs)
-        verdict, _ = is_integral(spectral_poly(hp))
-        if verdict == "integral":
-            report = vanishing_orders(hp, sigma)
-            if report.all_exact and report.member:
-                return hp, attempt
-    raise SpectralPreconditionError(
-        f"no integral point with exact orders found in {max_retries} attempts"
-    )

@@ -20,9 +20,7 @@ through the value's ``arith`` backend.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .arith import FLOAT, ops
+from .arith import ops
 from .combinat import ParabolicType
 
 
@@ -176,16 +174,6 @@ class StarRep:
         return self._map(self.ops.to_float, "float")
 
 
-def zero_rep(quiver: StarQuiver) -> StarRep:
-    """The zero representation (float mode)."""
-    f, g = [], []
-    for j in range(quiver.n_arms):
-        dims = quiver.dims(j)
-        f.append([FLOAT.zeros(dims[i + 1], dims[i]) for i in range(len(dims) - 1)])
-        g.append([FLOAT.zeros(dims[i], dims[i + 1]) for i in range(len(dims) - 1)])
-    return StarRep(quiver, f, g)
-
-
 def random_rep(quiver: StarQuiver, rng, scale=1.0) -> StarRep:
     """Independent complex Gaussian entries on every slot (float mode)."""
 
@@ -236,10 +224,17 @@ def moment_map(rep: StarRep) -> MomentValue:
     return MomentValue(center=center, arms=arms)
 
 
+def worst(residuals):
+    """The largest of ``residuals``, or NaN when one is NaN: ``max`` keeps
+    whichever of a NaN and a number it meets first."""
+    residuals = list(residuals)
+    return math.nan if any(x != x for x in residuals) else max(residuals)
+
+
 def moment_residual(rep: StarRep) -> float:
-    """Largest Frobenius norm over all moment components."""
-    mv = moment_map(rep)
-    return max(rep.ops.norm(m) for _, m in mv.components())
+    """Largest Frobenius norm over all moment components; NaN when one
+    overflowed to NaN."""
+    return worst(rep.ops.norm(m) for _, m in moment_map(rep).components())
 
 
 # default tolerance of the bridge between quiver data and residue tuples:
@@ -268,41 +263,7 @@ def arm_semistable(rep: StarRep, j: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# group action and trace invariants
-
-
-@dataclass
-class GroupElement:
-    center: object
-    arms: list  # arms[j][i]: block at arm j, vertex i+1
-
-
-def random_group_element(quiver: StarQuiver, rng) -> GroupElement:
-    def draw(n):
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        return a + 2.0 * n * np.eye(n)  # comfortably invertible
-
-    return GroupElement(
-        center=draw(quiver.rank),
-        arms=[[draw(d) for d in quiver.arms[j]] for j in range(quiver.n_arms)],
-    )
-
-
-def group_act(rep: StarRep, h: GroupElement) -> StarRep:
-    """Base change at every vertex: each map is conjugated by the blocks
-    at its head and tail."""
-    o = rep.ops
-    f, g = [], []
-    for j in range(rep.quiver.n_arms):
-        fj, gj = [], []
-        blocks = [h.center] + list(h.arms[j])
-        inv_blocks = [o.inv(b) for b in blocks]
-        for i in range(len(rep.f[j])):
-            fj.append(o.mul(o.mul(blocks[i + 1], rep.f[j][i]), inv_blocks[i]))
-            gj.append(o.mul(o.mul(blocks[i], rep.g[j][i]), inv_blocks[i + 1]))
-        f.append(fj)
-        g.append(gj)
-    return StarRep(rep.quiver, f, g, rep.mode)
+# trace invariants
 
 
 class InvalidCycle(ValueError):

@@ -17,7 +17,7 @@ now runs the integer Faddeev-LeVerrier at integer nodes and interpolates.
 
 from fractions import Fraction
 
-from common import mscale
+from common import mscale, pmul
 from starquiver import linalg_exact as ex
 from starquiver.spectral import ExactnessRequired
 
@@ -102,7 +102,7 @@ def lagrange_interpolate(xs, ys):
         denom = Fraction(1)
         for j, xj in enumerate(xs):
             if j != i:
-                li = ex.pmul(li, [-xj, Fraction(1)])
+                li = pmul(li, [-xj, Fraction(1)])
                 denom *= xi - xj
         weight = ys[i] / denom
         result = [a + weight * c for a, c in zip(result, li)]

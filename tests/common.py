@@ -1,19 +1,27 @@
 """Data and helpers shared by the test modules: the fixture directory, the
 exact scalar multiple of a matrix, the closed-form rank-2 residue tuple, a rank-3 tuple whose flags are not nested,
-a random parabolic type generator and the stability character paired with a
-subspace of a residue tuple.
+a random parabolic type generator, the stability character paired with a
+subspace of a residue tuple, the base change of a representation by a
+group element, JSON encoders of nilpotent classes and solver instances
+(the CLI only decodes them), and a rejection sampler of integral
+coefficient points with the Fraction polynomial products it builds them
+from.
 
 A plain module rather than ``conftest.py``, so that test modules can import
 it by name in a session that also collects another directory's conftest."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from starquiver import arith
 from starquiver import linalg_exact as ex
-from starquiver.combinat import MarkedLine, ParabolicType
+from starquiver.combinat import MarkedLine, ParabolicType, mu_eps, spectral_degrees
 from starquiver.higgs import HiggsTuple
-from starquiver.starrep import build_character
+from starquiver.spectral import HitchinPoint, is_integral, spectral_poly, vanishing_orders
+from starquiver.starrep import StarRep, build_character
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -93,3 +101,108 @@ def random_parabolic_type(rng, max_rank=6, max_points=8):
         multiplicities=tuple(mults),
         weights=tuple(weights),
     )
+
+
+@dataclass
+class GroupElement:
+    center: object
+    arms: list  # arms[j][i]: block at arm j, vertex i+1
+
+
+def random_group_element(quiver, rng):
+    def draw(n):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return a + 2.0 * n * np.eye(n)  # comfortably invertible
+
+    return GroupElement(
+        center=draw(quiver.rank),
+        arms=[[draw(d) for d in quiver.arms[j]] for j in range(quiver.n_arms)],
+    )
+
+
+def group_act(rep, h):
+    """Base change at every vertex: each map is conjugated by the blocks
+    at its head and tail."""
+    o = rep.ops
+    f, g = [], []
+    for j in range(rep.quiver.n_arms):
+        fj, gj = [], []
+        blocks = [h.center] + list(h.arms[j])
+        inv_blocks = [o.inv(b) for b in blocks]
+        for i in range(len(rep.f[j])):
+            fj.append(o.mul(o.mul(blocks[i + 1], rep.f[j][i]), inv_blocks[i]))
+            gj.append(o.mul(o.mul(blocks[i], rep.g[j][i]), inv_blocks[i + 1]))
+        f.append(fj)
+        g.append(gj)
+    return StarRep(rep.quiver, f, g, rep.mode)
+
+
+def class_to_json(c):
+    return {
+        "rank": c.rank,
+        "rank_sequence": list(c.rank_sequence),
+        "partition": list(c.to_partition()),
+    }
+
+
+def instance_to_json(inst):
+    return {
+        "rank": inst.rank,
+        "classes": [class_to_json(c) for c in inst.classes],
+        "points": [str(p) for p in inst.points],
+    }
+
+
+def pmul(p, q):
+    return ex.ptrim(ex.paddmul([Fraction(0)] * (len(p) + len(q) - 1), p, q))
+
+
+def poly_from_roots(roots_with_mult):
+    p = [Fraction(1)]
+    for root, mult in roots_with_mult:
+        for _ in range(mult):
+            p = pmul(p, [-root, Fraction(1)])
+    return p
+
+
+def sample_hitchin_point(sigma, seed, max_retries=50):
+    """Random admissible coefficient point with exact orders and an
+    integral spectral polynomial, by rejection.
+
+    Levels with negative coefficient-space degree are identically zero;
+    each other level draws p_j as the forced vanishing factor times a
+    random integer polynomial of the residual degree, rejected until no
+    extra vanishing occurs at the marked points and the spectral
+    polynomial is integral.  Returns (point, retries).
+    """
+    me = mu_eps(sigma)
+    degrees, _ = spectral_degrees(sigma)
+    pts = sigma.line.points
+    rng = np.random.default_rng(seed)
+    for attempt in range(max_retries):
+        coeffs = []
+        ok = True
+        for j in range(1, sigma.rank + 1):
+            dj = degrees[j - 1]
+            if dj < 0:
+                coeffs.append([])
+                continue
+            forced = poly_from_roots([(x, me[i][1][j - 1]) for i, x in enumerate(pts)])
+            for _ in range(20):
+                q = [Fraction(int(rng.integers(-9, 10))) for _ in range(dj + 1)]
+                q = ex.ptrim(q)
+                if q and all(ex.peval(q, x) != 0 for x in pts):
+                    break
+            else:
+                ok = False
+                break
+            coeffs.append(pmul(forced, q))
+        if not ok:
+            continue
+        hp = HitchinPoint(rank=sigma.rank, points=pts, coeffs=coeffs)
+        verdict, _ = is_integral(spectral_poly(hp))
+        if verdict == "integral":
+            report = vanishing_orders(hp, sigma)
+            if report.all_exact and report.member:
+                return hp, attempt
+    raise AssertionError(f"no integral point with exact orders found in {max_retries} attempts")

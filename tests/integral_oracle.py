@@ -9,7 +9,9 @@ p monic in lambda (a factor in z alone escapes it), so the differential
 tests feed it monic polynomials.  It returns the verdict alone.
 
 ``spectral_of`` turns a monic expression into the ``SpectralPolynomial``
-that the library's ``is_integral`` takes.
+that the library's ``is_integral`` takes, and ``as_expr`` turns one back
+into an expression, through the sympy polynomial that the library's
+fallback factors.
 """
 
 from fractions import Fraction
@@ -35,6 +37,11 @@ def spectral_of(expr):
         if a < r:
             coeffs[r - a - 1][b] = Fraction(int(c.p), int(c.q))
     return SpectralPolynomial(tuple(tuple(ex.ptrim(q)) for q in coeffs))
+
+
+def as_expr(p):
+    """The ``SpectralPolynomial`` p as a sympy expression in (lam, z)."""
+    return p._poly().as_expr()
 
 
 def is_integral(p):

@@ -6,9 +6,17 @@ d x d matrix and returns a leaf ``QuadraticObservable`` holding it, so a
 nested call brackets two dense leaves.  ``fd_gradient`` is the former
 central-difference gradient, which perturbs two fresh copies of the
 representation per entry instead of the representation itself.
+
+``to_observable`` is the former ``QuadraticObservable.to_observable``: a
+quadratic as a generic ``Observable``, whose gradient
+``gradient_from_vector`` unpacks in the order ``pack_rep`` packs.  Only
+tests bracket a quadratic as a generic observable; the library's Jacobi
+check applies the quadratics' own brackets.
 """
 
-from starquiver.poisson import QuadraticObservable, zero_gradient
+import numpy as np
+
+from starquiver.poisson import Observable, QuadraticObservable, pack_rep, zero_gradient
 
 
 def bracket_with(self, other, jmat):
@@ -38,3 +46,26 @@ def fd_gradient(obs, rep, h=1e-6):
                         (minus.f if kind == "f" else minus.g)[j][i][a, b] -= h
                         grads[j][i][a, b] = (obs.value(plus) - obs.value(minus)) / (2 * h)
     return out
+
+
+def gradient_from_vector(quiver, vec):
+    """The gradient whose entries, packed as ``pack_rep`` packs them, are ``vec``."""
+    out = zero_gradient(quiver)
+    at = 0
+    for m in (m for arms in (out.f, out.g) for arm in arms for m in arm):
+        m[...] = vec[at:at + m.size].reshape(m.shape)
+        at += m.size
+    return out
+
+
+def to_observable(quad):
+    """The quadratic ``quad`` as an ``Observable``."""
+
+    def value(rep):  # value_at row by row, so each row rounds as alone
+        v = pack_rep(rep)
+        return quad.value_at(v) if v.ndim == 1 else np.array([quad.value_at(row) for row in v])
+
+    def grad(rep):
+        return gradient_from_vector(quad.quiver, quad.gradient_at(pack_rep(rep)))
+
+    return Observable(quad.quiver, value, grad, label="quadratic")

@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from common import FIXTURES, random_parabolic_type
+from common import FIXTURES, random_parabolic_type, sample_hitchin_point
+from poisson_oracle import to_observable
 from starquiver import jsonio, linalg_exact as ex
 from starquiver.cli import main
 from starquiver.combinat import NilpotentClass, mu_eps, spectral_degrees
@@ -37,7 +38,7 @@ from starquiver.poisson import (
     poisson_tensor,
     trace_power_observable,
 )
-from starquiver.spectral import char_poly, sample_hitchin_point, vanishing_orders
+from starquiver.spectral import char_poly, vanishing_orders
 from starquiver.starrep import (
     StarQuiver,
     center_cycles,
@@ -285,7 +286,7 @@ def test_gradient_oracles():
     worst_q = 0.0
     for _ in range(100):
         rep = random_rep(q, rng, scale=0.6)
-        quad = QuadraticObservable.random(q, rng, 0.5).to_observable()
+        quad = to_observable(QuadraticObservable.random(q, rng, 0.5))
         worst_q = max(worst_q, rel_err(quad.grad(rep), fd_gradient(quad, rep)))
     assert worst_q < 1e-6, f"quadratic gradient error {worst_q:.2e}"
     _report(

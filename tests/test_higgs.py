@@ -33,7 +33,6 @@ from starquiver.starrep import (
     moment_residual,
     random_rep,
     trace_along_cycle,
-    zero_rep,
 )
 
 F = Fraction
@@ -189,7 +188,7 @@ def test_quiver_to_higgs_requires_moment_zero(full_flag_type):
 
 def test_quiver_to_higgs_requires_full_rank_arms(full_flag_type):
     q = build_star_quiver(full_flag_type)
-    rep = zero_rep(q)
+    rep = random_rep(q, np.random.default_rng(0), 0.0)
     with pytest.raises(BridgeError):
         quiver_to_higgs(rep, full_flag_type)
 

@@ -1,5 +1,6 @@
 """Source hygiene: no unused imports, no unread private module-level
-names, public methods or function parameters in the package, no `arith`
+names or function parameters in the package, no public function, class or
+method that only tests read unless README.md names it, no `arith`
 backend op that only tests call, no option that every caller leaves at
 its default, no new mode comparison outside `arith`, no seeded random
 vectors in the stability verdict, one Kronecker product and no `np.kron`,
@@ -8,8 +9,10 @@ CLI import and `type-check` without numpy, and an exact `ds verify
 --hitchin` and the `bridge --hitchin` conversions without sympy."""
 
 import ast
+import functools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -214,23 +217,74 @@ def test_every_arith_op_has_a_package_caller():
     assert sorted(op for op in ops if op.split(".")[1] not in read) == []
 
 
+def readme_names():
+    """Identifiers inside README.md's backticked spans."""
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    return {name for span in re.findall(r"`([^`]+)`", text) for name in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def definition_units(tree):
+    """(key, class, line, names read) for each piece of a module: a
+    module-level function, a class apart from its methods, a method (key
+    ``Class.name``), and the remaining module-level statements (key None)."""
+    units, rest = [], []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            units.append((node.name, None, node.lineno, names_read(node)))
+        elif isinstance(node, ast.ClassDef):
+            methods = [f for f in node.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            head = node.decorator_list + node.bases + node.keywords + [n for n in node.body if n not in methods]
+            units.append((node.name, None, node.lineno, set().union(*map(names_read, head))))
+            units += [(f"{node.name}.{f.name}", node.name, f.lineno, names_read(f)) for f in methods]
+        else:
+            rest.append(node)
+    return units + [(None, None, None, set().union(*map(names_read, rest)))]
+
+
+@functools.cache
+def unread_public_definitions():
+    """Public module-level functions and classes and public methods of the
+    package that no module of the package or of ``perfbench`` reads outside
+    their own body, tests left out, and that README.md does not name in
+    backticks.  What only unread definitions read is unread too, so the
+    scan repeats until nothing more falls; a method of an unread class
+    falls with it."""
+    package = sorted((SRC / "starquiver").glob("*.py"))
+    bench = [p for p in sorted((SRC.parent / "perfbench").glob("*.py")) if not p.name.startswith("test_") and p.name != "conftest.py"]
+    units, candidates = [], []
+    for path in package + bench:
+        for key, cls, line, names in definition_units(ast.parse(path.read_text(encoding="utf-8"))):
+            units.append(((path, key), cls and (path, cls), names))
+            name = key and key.split(".")[-1]
+            if path in package and name and not name.startswith("_"):
+                candidates.append(((path, key), name, line))
+    mentioned = readme_names()
+    dead = set()
+    while True:
+        live = [(key, owner, names) for key, owner, names in units if key not in dead and owner not in dead]
+        fallen = {
+            key
+            for key, name, _ in candidates
+            if key not in dead
+            and name not in mentioned
+            and not any(name in names for reader, owner, names in live if key not in (reader, owner))
+        }
+        if not fallen:
+            return [f"{path.name}:{line}: {key}" for (path, key), _, line in candidates if (path, key) in dead]
+        dead |= fallen
+
+
+def test_every_public_function_and_class_is_read():
+    # a public function or class that only tests read is test scaffolding
+    # and lives under tests/; library API that the pipeline does not run is
+    # named in README.md
+    assert [hit for hit in unread_public_definitions() if "." not in hit.split(": ")[1]] == []
+
+
 def test_every_public_method_is_read():
-    # a method that no module of the package, its tests or its benchmark
-    # reads by name is dead code
-    root = SRC.parent
-    paths = [path for d in ("src", "tests", "perfbench") for path in sorted((root / d).rglob("*.py"))]
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
-    read = set().union(*(names_read(tree) for tree in trees.values()))
-    hits = [
-        f"{path.name}:{f.lineno}: {cls.name}.{f.name}"
-        for path, tree in trees.items()
-        if path.is_relative_to(SRC)
-        for cls in tree.body
-        if isinstance(cls, ast.ClassDef)
-        for f in cls.body
-        if isinstance(f, ast.FunctionDef) and not f.name.startswith("_") and f.name not in read
-    ]
-    assert hits == []
+    # the same rule for methods: a method that no module of the package or
+    # its benchmark reads by name is dead code or test scaffolding
+    assert [hit for hit in unread_public_definitions() if "." in hit.split(": ")[1]] == []
 
 
 def unread_parameters(tree):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import integral_oracle as oracle
+from common import pmul, poly_from_roots
 from linalg_oracle import root_order
 from starquiver import jsonio
 from starquiver import linalg_exact as ex
@@ -28,7 +29,7 @@ def test_certificates_match_oracle_on_certified_batch(certified_batch):
         hp = char_poly(flags_from_solution(exact_refine(out.solution, inst), sigma))
         sp = spectral_poly(hp)
         verdict, certificate = is_integral(sp)
-        assert verdict == oracle.is_integral(sp.as_expr()) == "integral"
+        assert verdict == oracle.is_integral(oracle.as_expr(sp)) == "integral"
         assert isinstance(certificate, tuple)  # no batch instance needs sympy
         rep = vanishing_orders(hp, sigma)
         assert rep.orders == [[root_order(p, x) for x in sigma.line.points] for p in hp.coeffs]
@@ -39,7 +40,7 @@ def test_certificates_match_oracle_on_golden_tuples(name, verdict):
     h = jsonio.higgs_from_json(jsonio.load(GOLDEN / name))
     hp = char_poly(h)
     sp = spectral_poly(hp)
-    assert is_integral(sp)[0] == oracle.is_integral(sp.as_expr()) == verdict
+    assert is_integral(sp)[0] == oracle.is_integral(oracle.as_expr(sp)) == verdict
     rep = vanishing_orders(hp, h.sigma)
     assert rep.orders == [[root_order(p, x) for x in h.sigma.line.points] for p in hp.coeffs]
 
@@ -86,6 +87,6 @@ _POINTS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 def test_orders_match_oracle(cofactor, roots, extra):
     # forced roots of known multiplicity times a random cofactor, which may
     # add to them; the orders are read at the roots and at further points
-    p = ex.pmul(ex.poly_from_roots(roots), ex.ptrim(cofactor))
+    p = pmul(poly_from_roots(roots), ex.ptrim(cofactor))
     points = list(dict.fromkeys([x for x, _ in roots] + extra))
     assert spectral._orders(p, points) == [root_order(p, x) for x in points]

@@ -70,7 +70,7 @@ def _observables(q, rng):
     return [
         trace_power_observable(q, pts, int(rng.integers(1, 4)), z, selfcheck=False),
         entry_observable(q, pts, z, i, j, selfcheck=False),
-        QuadraticObservable.random(q, rng, 0.5).to_observable(),
+        oracle.to_observable(QuadraticObservable.random(q, rng, 0.5)),
     ]
 
 

@@ -3,12 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from common import GroupElement, group_act, random_group_element
 from starquiver import linalg_exact as ex
 from starquiver.combinat import NilpotentClass, ParabolicType
 from starquiver.dsolve import DSInstance, SolverConfig, flags_from_solution, solve
 from starquiver.higgs import higgs_to_quiver
 from starquiver.starrep import (
-    GroupElement,
     InvalidCycle,
     StarQuiver,
     StarRep,
@@ -16,14 +16,11 @@ from starquiver.starrep import (
     build_character,
     build_star_quiver,
     center_cycles,
-    group_act,
     moment_is_zero,
     moment_map,
     moment_residual,
-    random_group_element,
     random_rep,
     trace_along_cycle,
-    zero_rep,
 )
 
 F = Fraction
@@ -113,7 +110,7 @@ def test_character_minimal_scaling():
 
 def test_moment_map_zero_rep():
     q = StarQuiver(rank=3, arms=((2, 1), (1,), (1,)))
-    mv = moment_map(zero_rep(q))
+    mv = moment_map(random_rep(q, np.random.default_rng(0), 0.0))
     assert all(np.linalg.norm(m) == 0.0 for _, m in mv.components())
 
 
@@ -133,9 +130,21 @@ def test_moment_map_perturbation_scales_linearly():
     assert norms[0] / norms[1] == pytest.approx(1e3, rel=1e-3)
 
 
+def test_moment_residual_keeps_a_nan_component():
+    # the central component is 0 and the arm component overflows to NaN;
+    # max over the component norms kept the 0
+    q = StarQuiver(rank=2, arms=((2,),))
+    f = [[np.array([[1e200, 1e200], [0, 0]], dtype=complex)]]
+    g = [[np.array([[0, -1e200], [0, 1e200]], dtype=complex)]]
+    rep = StarRep(q, f, g)
+    with np.errstate(all="ignore"):
+        assert np.isnan(moment_residual(rep))
+        assert not moment_is_zero(rep)
+
+
 def test_arm_semistable_inclusions_and_zero():
     q = StarQuiver(rank=3, arms=((2, 1),))
-    rep = zero_rep(q)
+    rep = random_rep(q, np.random.default_rng(0), 0.0)
     assert not arm_semistable(rep, 0)
     rep.g[0][0] = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     rep.g[0][1] = np.array([[1.0], [0.0]])
