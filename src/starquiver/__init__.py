@@ -7,8 +7,9 @@ The package is organized around these computational layers:
   feasibility, spectral degrees, arm chain positivity).
 - ``arith``: the seam between the two entry formats, exact ``Fraction``
   row lists and complex ndarrays: ``ops(mode)`` returns the backend
-  (``EXACT`` or ``FLOAT``) whose operations every layer below calls, so no
-  layer tests the mode string itself.
+  (``EXACT``, or ``floatarith.FLOAT``, which it imports with numpy on first
+  use) whose operations every layer below calls, so no layer tests the
+  mode string itself.
 - ``starrep``: representations of the doubled star quiver, the moment map,
   stability characters, arm rank tests and trace invariants.
 - ``higgs``: the dictionary between moment-zero quiver representations and

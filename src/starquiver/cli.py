@@ -18,9 +18,9 @@ or 3.  Identical configuration and seed produce byte-identical reports (no
 timestamps, sorted keys).
 
 Each handler decodes its input and then imports the layers it runs, so
-``type-check`` loads no numpy, no subcommand loads a layer it does not
-call, and input that fails to decode loads none beyond what its decoder
-needed.  An option left unset takes the library's own default.
+``type-check`` and exact ``bridge`` load no numpy, no subcommand loads a
+layer it does not call, and input that fails to decode loads none beyond
+what its decoder needed.  An option left unset takes the library's default.
 """
 
 import argparse

@@ -29,7 +29,7 @@ from functools import reduce
 import numpy as np
 
 from . import linalg_exact as ex
-from .arith import FLOAT, kron, ops
+from .arith import ops
 from .combinat import (
     FeasibilityReport,
     NilpotentClass,
@@ -37,6 +37,7 @@ from .combinat import (
     ds_feasible,
     type_from_classes,
 )
+from .floatarith import FLOAT, kron
 from .higgs import HiggsTuple, irreducible
 from .spectral import char_poly, rank_profile, vanishing_orders
 from .starrep import BRIDGE_TOL

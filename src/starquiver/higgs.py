@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 
-import numpy as np
-
 from . import arith
 from .combinat import ParabolicType, check_small_weights
 from .starrep import (
@@ -316,11 +314,10 @@ def _witness_candidates(mats, mode):
             if any(x != 0 for x in v):
                 candidates.append(v)
     else:
+        import numpy as np
         rng = np.random.default_rng(20240 + r)
         combo = sum(rng.standard_normal() * np.asarray(m, dtype=complex) for m in mats)
-        vals, vecs = np.linalg.eig(combo)
-        for col in range(vecs.shape[1]):
-            candidates.append(vecs[:, col])
+        candidates.extend(np.linalg.eig(combo)[1].T)  # the eigenvectors
     return candidates
 
 

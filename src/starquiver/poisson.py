@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import kron
+from .floatarith import kron
 from .starrep import StarQuiver, StarRep, random_rep
 
 

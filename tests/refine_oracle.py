@@ -17,8 +17,8 @@ import numpy as np
 
 from linalg_oracle import nullspace
 from starquiver import linalg_exact as ex
-from starquiver.arith import FLOAT
 from starquiver.dsolve import _NESTED_TOL, DSSolution, RefinementError, flags_from_solution
+from starquiver.floatarith import FLOAT
 from starquiver.spectral import rank_profile
 
 

@@ -13,11 +13,10 @@ import numpy as np
 
 from common import FIXTURES, random_parabolic_type, sample_hitchin_point
 from poisson_oracle import to_observable
-from starquiver import jsonio, linalg_exact as ex
+from starquiver import linalg_exact as ex
 from starquiver.cli import main
-from starquiver.combinat import NilpotentClass, mu_eps, spectral_degrees
+from starquiver.combinat import mu_eps, spectral_degrees
 from starquiver.dsolve import (
-    DSInstance,
     SolverConfig,
     exact_refine,
     flags_from_solution,

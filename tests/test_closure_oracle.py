@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import closure_oracle as oracle
 from common import assert_witness_pairing
 import linalg_oracle
-from starquiver import arith, higgs
+from starquiver import arith, floatarith, higgs
 from starquiver import linalg_exact as ex
 from starquiver.combinat import MarkedLine, NilpotentClass, ParabolicType
 from starquiver.dsolve import DSInstance, DSSolution, exact_refine, flags_from_solution
@@ -239,7 +239,7 @@ def test_every_candidate_and_witness_is_proper_and_invariant(mode, monkeypatch):
         assert_witness_pairing(h, rep)
         old = _former_verdict(h, monkeypatch)
         assert (rep.verdict, rep.full_slope) == (old.verdict, old.full_slope)
-        if o is arith.FLOAT:
+        if o is floatarith.FLOAT:
             for c in SCALES:
                 scaled = replace(h, matrices=[c * m for m in h.matrices], tol=h.tol * max(1.0, c))
                 assert stability_verdict(scaled).verdict == rep.verdict

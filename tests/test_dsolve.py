@@ -7,7 +7,6 @@ import pytest
 from common import closed_form_matrices
 from starquiver import dsolve
 from starquiver import linalg_exact as ex
-from starquiver.arith import FLOAT
 from starquiver.combinat import NilpotentClass
 from starquiver.dsolve import (
     CONJUGATOR_TOL,
@@ -25,6 +24,7 @@ from starquiver.dsolve import (
     solve,
     verify,
 )
+from starquiver.floatarith import FLOAT
 from starquiver.higgs import BridgeError, HiggsTuple, higgs_to_quiver
 from starquiver.starrep import moment_residual
 

@@ -1,5 +1,5 @@
 """Differential and property tests of the float kernels behind the bridge
-round trip: the broadcast Kronecker product ``arith.kron`` against
+round trip: the broadcast Kronecker product ``floatarith.kron`` against
 ``np.kron``, ``orbit_jacobian`` against its per-block ``np.kron`` formula,
 cycle traces against an identity-started product, center cycles against
 a step-by-step enumeration, and the batched level-1 Hamiltonian rows and
@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starquiver import poisson
-from starquiver.arith import kron
 from starquiver.combinat import spectral_degrees
 from starquiver.dsolve import SolverConfig, flags_from_solution, orbit_jacobian, random_feasible_instance, solve
+from starquiver.floatarith import kron
 from starquiver.higgs import higgs_to_quiver
 from starquiver.poisson import (
     HAMILTONIAN_RANK_RTOL,

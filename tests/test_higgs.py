@@ -10,7 +10,7 @@ from common import assert_witness_pairing, closed_form_flags, closed_form_matric
 from starquiver import cli, higgs, jsonio
 from starquiver import linalg_exact as ex
 from starquiver.combinat import MarkedLine, ParabolicType
-from starquiver.dsolve import DSInstance, SolverConfig, exact_refine, flags_from_solution, solve
+from starquiver.dsolve import SolverConfig, exact_refine, flags_from_solution, solve
 from starquiver.higgs import (
     IRREDUCIBLE_RTOL,
     BridgeError,

@@ -1,12 +1,15 @@
-"""Source hygiene: no unused imports, no unread private module-level
-names or function parameters in the package, no public function, class or
-method that only tests read unless README.md names it, no `arith`
-backend op that only tests call, no option that every caller leaves at
-its default, no new mode comparison outside `arith`, no seeded random
-vectors in the stability verdict, one Kronecker product and no `np.kron`,
-one fraction-free elimination loop, and subcommands that load only the layers they run: a
-CLI import and `type-check` without numpy, and an exact `ds verify
---hitchin` and the `bridge --hitchin` conversions without sympy."""
+"""Source hygiene: no unused imports in the package or the tests (a
+function-local one is read in its own function), no unread private
+module-level names or function parameters in the package, no public
+function, class or method that only tests read unless README.md names it,
+no `arith` backend op that only tests call, no option that every caller
+leaves at its default, no new mode comparison outside `arith`, no seeded
+random vectors in the stability verdict, one Kronecker product and no
+`np.kron`, one fraction-free elimination loop, and subcommands that load
+only the layers they run: a CLI import, `type-check`, the exact layers
+and the exact `bridge --hitchin` conversions without numpy, and an exact
+`ds verify --hitchin` and the `bridge --hitchin` conversions without
+sympy."""
 
 import ast
 import functools
@@ -24,21 +27,56 @@ FIXTURES = SRC.parent / "fixtures"
 GOLDEN = SRC.parent / "tests" / "golden"
 
 
+def scoped_imports(node, scope=None, found=None):
+    """Map each scope (the module, or the innermost enclosing function) to
+    the imports written directly in it."""
+    scope, found = scope or node, {} if found is None else found
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            found.setdefault(scope, []).append(child)
+        scoped_imports(child, child if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope, found)
+    return found
+
+
 def unused_imports(path):
-    """Names bound by an import anywhere in the module and never read."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    imported = {}
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+    """Names bound by an import and never read in its scope: anywhere in the
+    module for a module-level import, inside its own function (nested
+    functions included) for a function-local one."""
+    hits = []
+    for scope, imports in scoped_imports(ast.parse(path.read_text(encoding="utf-8"))).items():
+        used = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+        for node in imports:
+            names = {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+            hits += [f"{path.name}:{node.lineno}: {name}" for name in sorted(names - used)]
+    return hits
 
 
 def test_no_unused_imports():
     hits = [hit for path in sorted((SRC / "starquiver").glob("*.py")) for hit in unused_imports(path)]
     assert hits == []
+
+
+def test_no_unused_test_imports():
+    hits = [hit for path in sorted((SRC.parent / "tests").glob("*.py")) for hit in unused_imports(path)]
+    assert hits == []
+
+
+def test_local_import_must_be_read_in_its_own_function(tmp_path):
+    # one function imports worst and never reads it, another reads its own
+    # worst: the first import is unused however the module reads the name
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "def to_quiver(rep):\n"
+        "    from .starrep import moment_residual, worst\n"
+        "    return moment_residual(rep)\n"
+        "\n"
+        "\n"
+        "def check(values):\n"
+        "    from .starrep import worst\n"
+        "    return worst(values)\n",
+        encoding="utf-8",
+    )
+    assert unused_imports(module) == ["mod.py:2: worst"]
 
 
 def private_definitions(tree):
@@ -116,7 +154,7 @@ def test_verify_hitchin_leaves_sympy_unloaded(tmp_path):
         f"{LOADED}"
     )
     loaded = run_fresh(code)[-1].split()
-    assert "dsolve" in loaded and "spectral" in loaded
+    assert "dsolve" in loaded and "spectral" in loaded and "numpy" in loaded
     assert "poisson" not in loaded and "sympy" not in loaded
 
 
@@ -124,8 +162,9 @@ def test_verify_hitchin_leaves_sympy_unloaded(tmp_path):
 def test_bridge_hitchin_leaves_sympy_unloaded(tmp_path, higgs):
     # the spectral appendix certifies integrality in integers: the heavy top
     # (p = lam^2) by its discriminant, the closed form by a specialization.
-    # bridge loads no dsolve or poisson, and poisson check on the converted
-    # representation no dsolve, higgs or spectral
+    # bridge on these exact tuples loads no dsolve, poisson or numpy, and
+    # poisson check on the converted representation no dsolve, higgs or
+    # spectral, but the float backend and numpy
     higgs = GOLDEN / higgs
     typ, rep = tmp_path / "type.json", str(tmp_path / "rep.json")
     typ.write_text(json.dumps(json.loads(higgs.read_text(encoding="utf-8"))["type"]), encoding="utf-8")
@@ -137,11 +176,22 @@ def test_bridge_hitchin_leaves_sympy_unloaded(tmp_path, higgs):
         f"{LOADED}"
     )
     lines = run_fresh(code)
-    bridge = "arith cli combinat higgs jsonio linalg_exact numpy spectral starrep"
+    bridge = "arith cli combinat higgs jsonio linalg_exact spectral starrep"
     assert [line for line in lines if line.startswith("arith ")] == [bridge, bridge]
     assert sum(line.startswith("spectral polynomial integral: ") for line in lines) == 2
     code = f"import sys; from starquiver.cli import main; main(['poisson', 'check', '--rep', {rep!r}, '--grid', '1']); {LOADED}"
-    assert run_fresh(code)[-1] == "arith cli combinat jsonio linalg_exact numpy poisson starrep"
+    assert run_fresh(code)[-1] == "arith cli combinat floatarith jsonio linalg_exact numpy poisson starrep"
+
+
+def test_exact_layers_import_without_numpy():
+    # numpy comes with the float backend, which arith.ops imports on first use
+    for layer in ("arith", "higgs", "starrep", "spectral"):
+        loaded = run_fresh(f"import sys, starquiver.{layer}; {LOADED}")[-1].split()
+        assert layer in loaded and "floatarith" not in loaded and "numpy" not in loaded
+    loaded = run_fresh(f"import sys; from starquiver import arith; arith.ops('exact'); {LOADED}")[-1]
+    assert loaded == "arith linalg_exact"
+    loaded = run_fresh(f"import sys; from starquiver import arith; arith.ops('float'); {LOADED}")[-1]
+    assert loaded == "arith floatarith linalg_exact numpy"
 
 
 @pytest.mark.parametrize("factorable,integral", [(True, "integral"), (False, "undetermined")])
@@ -198,11 +248,13 @@ def test_every_linalg_exact_function_has_a_package_caller():
 
 
 def test_every_arith_op_has_a_package_caller():
-    # each public op of the two backends is read by a package module other
-    # than arith; an op that only a test oracle calls belongs in the oracle
+    # each public op of the two backends, arith's exact one and floatarith's
+    # float one, is read by another package module; an op that only a test
+    # oracle calls belongs in the oracle
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted((SRC / "starquiver").glob("*.py"))}
-    backends = [c for c in trees.pop("arith.py").body if isinstance(c, ast.ClassDef) and c.name in ("_Exact", "_Float")]
-    assert len(backends) == 2
+    body = trees.pop("arith.py").body + trees.pop("floatarith.py").body
+    backends = [c for c in body if isinstance(c, ast.ClassDef) and c.name in ("_Exact", "_Float")]
+    assert [c.name for c in backends] == ["_Exact", "_Float"]
     # methods and aliases of methods; the constant ``name`` is the mode string
     ops = {
         f"{cls.name}.{name}"
@@ -406,7 +458,7 @@ def test_stability_verdict_draws_no_random_vectors():
 
 def test_one_kronecker_product_and_no_numpy_kron():
     # np.kron costs tens of microseconds a call on the solver's small
-    # matrices; arith.kron is the package's one Kronecker product
+    # matrices; floatarith.kron is the package's one Kronecker product
     defined, numpy_kron = [], []
     for path in sorted((SRC / "starquiver").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -416,7 +468,7 @@ def test_one_kronecker_product_and_no_numpy_kron():
                 numpy_kron.append(f"{path.name}:{node.lineno}")
             elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
                 numpy_kron += [f"{path.name}:{node.lineno}" for a in node.names if a.name == "kron"]
-    assert defined == ["arith.kron"]
+    assert defined == ["floatarith.kron"]
     assert numpy_kron == []
 
 

@@ -1,10 +1,12 @@
 """Differential tests of the fraction-free exact elimination and the
 integer products against the Fraction oracle in ``linalg_oracle``, of the
 two-phase ``bareiss`` against the former interleaved one kept there,
-properties of the integer powers, and exact/float agreement of rank
-profiles on integer nilpotents."""
+properties of the integer powers, exact/float agreement of rank
+profiles on integer nilpotents, and the exact Frobenius norm against
+numpy's and at the edges of the float range."""
 
 import math
+import sys
 from fractions import Fraction
 from functools import partial
 
@@ -15,7 +17,8 @@ from hypothesis import strategies as st
 
 import linalg_oracle as oracle
 from starquiver import linalg_exact as ex
-from starquiver.arith import EXACT, FLOAT
+from starquiver.arith import EXACT
+from starquiver.floatarith import FLOAT
 from starquiver.combinat import NilpotentClass
 from starquiver.dsolve import exact_refine, flags_from_solution
 from starquiver.spectral import rank_profile
@@ -373,6 +376,46 @@ def test_exact_apply_matches_float_apply(case):
     assert len(exact) == m and floated.shape == (m,)
     assert all(isinstance(x, Fraction) for x in exact)
     assert np.allclose(np.array([float(x) for x in exact]), floated, rtol=1e-12, atol=1e-12)
+
+
+_WIDE = st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**30))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda m: st.integers(0, 5).flatmap(lambda n: _grid(m, n, _WIDE))))
+def test_exact_norm_matches_numpy_on_the_float_image(a):
+    # the float image of each entry is within half an ulp and numpy sums at
+    # most 25 squares in floats; the exact sum leaves one rounding of its root
+    want = float(np.linalg.norm(np.array([[float(x) for x in row] for row in a], dtype=float)))
+    assert math.isclose(EXACT.norm(a), want, rel_tol=4 * sys.float_info.epsilon)
+
+
+@pytest.mark.parametrize("a", [[], [[], []], [[Fraction(0)]], [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]])
+def test_exact_norm_of_a_zero_matrix_is_exactly_zero(a):
+    norm = EXACT.norm(a)
+    assert norm == 0.0 and isinstance(norm, float)
+
+
+@pytest.mark.parametrize(
+    "a, finite",
+    [
+        ([[Fraction(6 * 10**188), Fraction(-4 * 10**188)], [Fraction(0), Fraction(10**188, 3)]], True),  # squares overflow
+        ([[Fraction(1, 10**200), Fraction(-3, 10**200)]], True),  # squares underflow
+        ([[Fraction(10**400 + 1, 10**400), Fraction(2)]], True),  # terms beyond float range, norm near 2
+        ([[Fraction(35 * 10**306)] * 5] * 5, True),  # norm 1.75e308, below the largest float
+        ([[Fraction(36 * 10**306)] * 5] * 5, False),  # norm 1.8e308, above it
+        ([[Fraction(10**400)], [Fraction(1)]], False),  # an entry beyond float range
+    ],
+)
+def test_exact_norm_beyond_float_squares(a, finite):
+    # the true norm when a float holds it, inf when none does, never NaN or
+    # OverflowError; math.hypot scales its arguments and stays within an ulp
+    norm = EXACT.norm(a)
+    if finite:
+        floats = [float(x) for row in a for x in row]
+        assert math.isfinite(norm) and math.isclose(norm, math.hypot(*floats), rel_tol=2 * sys.float_info.epsilon)
+    else:
+        assert norm == math.inf
 
 
 def test_exact_apply_refuses_a_vector_of_the_wrong_length():

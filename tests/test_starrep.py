@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from common import GroupElement, group_act, random_group_element
-from starquiver import linalg_exact as ex
 from starquiver.combinat import NilpotentClass, ParabolicType
 from starquiver.dsolve import DSInstance, SolverConfig, flags_from_solution, solve
 from starquiver.higgs import higgs_to_quiver
