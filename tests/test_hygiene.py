@@ -27,14 +27,18 @@ FIXTURES = SRC.parent / "fixtures"
 GOLDEN = SRC.parent / "tests" / "golden"
 
 
-def scoped_imports(node, scope=None, found=None):
+def scoped_imports(tree):
     """Map each scope (the module, or the innermost enclosing function) to
     the imports written directly in it."""
-    scope, found = scope or node, {} if found is None else found
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.Import, ast.ImportFrom)):
-            found.setdefault(scope, []).append(child)
-        scoped_imports(child, child if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope, found)
+    found = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                found.setdefault(scope, []).append(child)
+            visit(child, child if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    visit(tree, tree)
     return found
 
 
