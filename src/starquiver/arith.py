@@ -43,12 +43,10 @@ class _Exact:
     zeros = staticmethod(ex.mzeros)
     eye = staticmethod(ex.meye)
     shape = staticmethod(ex.shape)
-    copy = staticmethod(ex.mcopy)
     add = staticmethod(ex.madd)
     sub = staticmethod(ex.msub)
     mul = staticmethod(ex.mmul)
     trace = staticmethod(ex.mtrace)
-    inv = staticmethod(ex.inv)
 
     def nullspace(self, a):
         """Right kernel basis: one primitive integer vector per non-pivot

@@ -362,7 +362,7 @@ def cmd_poisson_check(args):
         z, w = rng.choice(pool, size=2, replace=False)
         return float(z), float(w)
 
-    # gradient oracles against finite differences along random directions
+    # gradient oracles against finite differences, slot by slot
     oracle_ok = True
     try:
         trace_power_observable(rep.quiver, points, 3, draw_zw()[0], selfcheck=True)

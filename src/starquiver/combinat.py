@@ -27,13 +27,11 @@ class EnumerationBoundExceeded(RuntimeError):
 
 
 def _to_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
+    """A Fraction, an int or a rational string as a Fraction; TypeError for
+    anything else, a float or a bool included."""
+    if isinstance(x, bool) or not isinstance(x, (Fraction, int, str)):
+        raise TypeError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
+    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -292,7 +290,7 @@ def simpleness_condition(sigma: ParabolicType) -> bool:
     return all(chain_simple(sigma.rank, sigma.gamma(i)) for i in range(sigma.n_points))
 
 
-# weights_generic gives up past this many profiles at a point or weight sums
+# weights_generic gives up past this many weight sums
 _MAX_CASES = 5_000_000
 
 
@@ -301,28 +299,22 @@ def weights_generic(sigma: ParabolicType) -> bool:
     multiplicities, and integer degree d in [-r, 0] gives a sub-object
     slope exactly equal to the full slope.
 
-    The per-point achievable weight sums are combined by a sumset dynamic
-    program, so the search is exhaustive without enumerating the full
-    product of profiles.
+    Each point's achievable weight sums come from the reachable (dimension,
+    weight sum) pairs of its flag steps, and the points' sums are combined
+    by a sumset dynamic program, so the search is exhaustive without
+    enumerating any product of profiles.  Raises EnumerationBoundExceeded
+    when the sumset outgrows ``_MAX_CASES``.
     """
     r = sigma.rank
     full = sigma.full_slope()
     for s in range(1, r):
-        # per point: achievable values of sum_i a_i * m_i with 0<=m_i<=n_i, sum m_i = s
         sums = {0}
         for mult, wts in zip(sigma.multiplicities, sigma.weights):
-            point_vals = set()
-            ranges = [range(0, min(m, s) + 1) for m in mult]
-            count = 1
-            for rg in ranges:
-                count *= len(rg)
-            if count > _MAX_CASES:
-                raise EnumerationBoundExceeded(
-                    f"profile enumeration at a point exceeds {_MAX_CASES} cases"
-                )
-            for combo in itertools.product(*ranges):
-                if sum(combo) == s:
-                    point_vals.add(sum(a * m for a, m in zip(wts, combo)))
+            # (sum m_i, sum a_i m_i) over 0 <= m_i <= n_i with sum m_i <= s
+            pairs = {(0, 0)}
+            for n, a in zip(mult, wts):
+                pairs = {(k + m, t + a * m) for k, t in pairs for m in range(min(n, s - k) + 1)}
+            point_vals = {t for k, t in pairs if k == s}
             new_sums = {t + v for t in sums for v in point_vals}
             if len(new_sums) > _MAX_CASES:
                 raise EnumerationBoundExceeded("weight sumset grew past the cap")

@@ -34,6 +34,7 @@ from .combinat import (
     FeasibilityReport,
     NilpotentClass,
     ParabolicType,
+    _to_fraction,
     ds_feasible,
     type_from_classes,
 )
@@ -88,9 +89,7 @@ class DSInstance:
         if self.points is None:
             pts = tuple(Fraction(i) for i in range(len(self.classes)))
         else:
-            pts = tuple(
-                p if isinstance(p, Fraction) else Fraction(p) for p in self.points
-            )
+            pts = tuple(_to_fraction(p) for p in self.points)
         if len(pts) != len(self.classes):
             raise ValueError("need one marked point per class")
         object.__setattr__(self, "points", pts)

@@ -68,9 +68,6 @@ class _Float:
     def shape(self, a):
         return a.shape
 
-    def copy(self, a):
-        return a.copy()
-
     def add(self, a, b):
         return a + b
 
@@ -84,9 +81,6 @@ class _Float:
         return accumulate(repeat(a, count), np.matmul)
 
     trace = staticmethod(np.trace)
-
-    def inv(self, a):
-        return np.linalg.inv(a)
 
     def norm(self, a):
         return float(np.linalg.norm(a))

@@ -197,34 +197,27 @@ def higgs_to_quiver(h: HiggsTuple) -> StarRep:
 # slopes
 
 
-def parabolic_slope(h: HiggsTuple, w=None, degree=0, point_fibers=None):
-    """Weighted slope of the subobject spanned by ``w`` (the full object
-    when ``w`` is None), as an exact rational.
-
-    ``degree`` is the underlying degree of the subobject (0 for constant
-    subspaces of the trivialized bundle).  ``point_fibers`` optionally
-    gives a separate fiber basis at every marked point for subbundles that
-    are not constant; the column count must agree across points and
-    ``degree`` should then carry the subbundle's actual degree.
-    """
+def parabolic_slope(h: HiggsTuple, w=None):
+    """Weighted slope of the constant subobject spanned by the columns of
+    ``w`` (the full object when ``w`` is None), as an exact rational: a
+    subspace of the trivialized bundle, of degree 0, with the same fiber at
+    every marked point."""
     sig = h.sigma
-    if w is None and point_fibers is None:
-        return Fraction(degree, sig.rank) + sig.full_slope()
+    if w is None:
+        return sig.full_slope()
     o = h.ops
-    fibers = point_fibers if point_fibers is not None else [w] * sig.n_points
-    k = o.shape(fibers[0])[1]
+    k = o.shape(w)[1]
     if k == 0:
         raise BridgeError("subobject must be nonzero")
-    for fib in fibers:
-        if o.rank(fib) != k:
-            raise BridgeError("subobject basis is rank deficient")
+    if o.rank(w) != k:
+        raise BridgeError("subobject basis is rank deficient")
     total = Fraction(0)
     for i in range(sig.n_points):
         # the full space, the proper flag steps, the zero space
-        inter = [k] + [o.intersection_dim(step, fibers[i]) for step in h.flags[i]] + [0]
+        inter = [k] + [o.intersection_dim(step, w) for step in h.flags[i]] + [0]
         for j, a in enumerate(sig.weights[i], start=1):
             total += a * (inter[j - 1] - inter[j])
-    return (Fraction(degree) + total / sig.K) / k
+    return total / sig.K / k
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ one forward loop, ``echelon``, which keeps every entry an integer minor
 and never reduces a fraction; ``bareiss`` then reduces its rows bottom-up
 to d times the reduced row echelon form.  Rational matrices are cleared of
 denominators row by row first: ``rank`` counts the pivots of ``echelon``
-alone, and ``rref``, ``solve``, ``inv`` and the one kernel, ``int_kernel``,
+alone, and ``rref``, ``solve`` and the one kernel, ``int_kernel``,
 read their answers off ``bareiss``; ``Span`` decides the independence of
 one vector at a time in integers.  Products run on integers too: ``clear``
 writes a matrix as integer rows over one denominator, ``imul`` multiplies
@@ -36,10 +36,6 @@ def meye(n):
     for i in range(n):
         a[i][i] = Fraction(1)
     return a
-
-
-def mcopy(a):
-    return [row[:] for row in a]
 
 
 def shape(a):
@@ -157,14 +153,6 @@ def solve(a, b):
         for j in range(k):
             x[p][j] = r[i][n + j]
     return x
-
-
-def inv(a):
-    # a x = I is consistent only for a of full row rank
-    try:
-        return solve(a, meye(len(a)))
-    except ValueError:
-        raise ValueError("matrix is singular")
 
 
 def echelon(a):

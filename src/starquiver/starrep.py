@@ -162,16 +162,10 @@ class StarRep:
             return self.ops.zeros(self.quiver.rank, self.quiver.rank)
         return self.ops.mul(self.g[j][0], self.f[j][0])
 
-    def _map(self, fn, mode):
-        f = [[fn(m) for m in arm] for arm in self.f]
-        g = [[fn(m) for m in arm] for arm in self.g]
-        return StarRep(self.quiver, f, g, mode)
-
-    def copy(self):
-        return self._map(self.ops.copy, self.mode)
-
     def to_float(self):
-        return self._map(self.ops.to_float, "float")
+        f = [[self.ops.to_float(m) for m in arm] for arm in self.f]
+        g = [[self.ops.to_float(m) for m in arm] for arm in self.g]
+        return StarRep(self.quiver, f, g, "float")
 
 
 def random_rep(quiver: StarQuiver, rng, scale=1.0) -> StarRep:

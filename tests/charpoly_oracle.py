@@ -59,7 +59,7 @@ def charpoly(a):
     """Coefficients (c_1..c_n) with det(tI - a) = t^n + c_1 t^{n-1} + ... + c_n."""
     n = len(a)
     coeffs = []
-    mk = ex.mcopy(a)
+    mk = [row[:] for row in a]
     for k in range(1, n + 1):
         ck = -ex.mtrace(mk) / k
         coeffs.append(ck)

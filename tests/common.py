@@ -1,7 +1,8 @@
 """Data and helpers shared by the test modules: the fixture directory, the
-exact scalar multiple of a matrix, the closed-form rank-2 residue tuple, a rank-3 tuple whose flags are not nested,
+exact scalar multiple and inverse of a matrix, the closed-form rank-2 residue tuple, a rank-3 tuple whose flags are not nested,
 a random parabolic type generator, the stability character paired with a
-subspace of a residue tuple, the base change of a representation by a
+subspace of a residue tuple, the slope of a subbundle whose fibers vary, a
+copy of a float representation, the base change of a representation by a
 group element, JSON encoders of nilpotent classes and solver instances
 (the CLI only decodes them), and a rejection sampler of integral
 coefficient points with the Fraction polynomial products it builds them
@@ -31,6 +32,12 @@ F = Fraction
 def mscale(c, a):
     """The exact matrix c a."""
     return [[c * x for x in row] for row in a]
+
+
+def inverse(a):
+    """a^-1 of an exact square matrix, as ``linalg_exact.solve`` of a x = I;
+    ValueError when a is singular."""
+    return ex.solve(a, ex.meye(len(a)))
 
 
 def closed_form_matrices():
@@ -64,6 +71,19 @@ def theta(h, w):
     o = h.ops
     arms = [[o.intersection_dim(step, w) for step in fl] for fl in h.flags]
     return build_character(h.sigma).pairing(o.shape(w)[1], arms)
+
+
+def twisted_slope(h, degree, fibers):
+    """Weighted slope of a subbundle of degree ``degree`` whose fiber at
+    marked point i is spanned by the columns of ``fibers[i]``: a subobject
+    that is not constant, which ``parabolic_slope`` does not take."""
+    o, sig = h.ops, h.sigma
+    k = o.shape(fibers[0])[1]
+    total = Fraction(0)
+    for flags, fiber, weights in zip(h.flags, fibers, sig.weights, strict=True):
+        inter = [k] + [o.intersection_dim(step, fiber) for step in flags] + [0]
+        total += sum(a * (inter[j] - inter[j + 1]) for j, a in enumerate(weights))
+    return (degree + total / sig.K) / k
 
 
 def assert_witness_pairing(h, report):
@@ -103,6 +123,11 @@ def random_parabolic_type(rng, max_rank=6, max_points=8):
     )
 
 
+def copy_rep(rep):
+    """A float representation with its own copy of every matrix."""
+    return StarRep(rep.quiver, [[m.copy() for m in arm] for arm in rep.f], [[m.copy() for m in arm] for arm in rep.g])
+
+
 @dataclass
 class GroupElement:
     center: object
@@ -128,7 +153,7 @@ def group_act(rep, h):
     for j in range(rep.quiver.n_arms):
         fj, gj = [], []
         blocks = [h.center] + list(h.arms[j])
-        inv_blocks = [o.inv(b) for b in blocks]
+        inv_blocks = [np.linalg.inv(b) for b in blocks]
         for i in range(len(rep.f[j])):
             fj.append(o.mul(o.mul(blocks[i + 1], rep.f[j][i]), inv_blocks[i]))
             gj.append(o.mul(o.mul(blocks[i], rep.g[j][i]), inv_blocks[i + 1]))

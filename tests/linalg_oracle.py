@@ -33,12 +33,12 @@ from fractions import Fraction
 from unittest import mock
 
 from starquiver import linalg_exact as ex
-from starquiver.linalg_exact import mcopy, mzeros, peval, ptrim, shape
+from starquiver.linalg_exact import mzeros, peval, ptrim, shape
 
 
 def rref(a):
     """Reduced row echelon form.  Returns (R, pivot_columns)."""
-    r = mcopy(a)
+    r = [row[:] for row in a]
     m, n = shape(r)
     pivots = []
     row = 0

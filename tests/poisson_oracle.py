@@ -16,6 +16,7 @@ check applies the quadratics' own brackets.
 
 import numpy as np
 
+from common import copy_rep
 from starquiver.poisson import Observable, QuadraticObservable, pack_rep, zero_gradient
 
 
@@ -40,8 +41,7 @@ def fd_gradient(obs, rep, h=1e-6):
                 m, n = slots[j][i].shape
                 for a in range(m):
                     for b in range(n):
-                        plus = rep.copy()
-                        minus = rep.copy()
+                        plus, minus = copy_rep(rep), copy_rep(rep)
                         (plus.f if kind == "f" else plus.g)[j][i][a, b] += h
                         (minus.f if kind == "f" else minus.g)[j][i][a, b] -= h
                         grads[j][i][a, b] = (obs.value(plus) - obs.value(minus)) / (2 * h)

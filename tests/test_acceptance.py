@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from common import FIXTURES, random_parabolic_type, sample_hitchin_point
+from common import FIXTURES, random_parabolic_type, sample_hitchin_point, twisted_slope
 from poisson_oracle import to_observable
 from starquiver import linalg_exact as ex
 from starquiver.cli import main
@@ -72,7 +72,7 @@ def test_fixture_slopes(tight_weight_type, heavy_top_type):
         heavy_top_type, [ex.mzeros(2, 2)] * 4, [[l] for l in lines], mode="exact"
     )
     assert parabolic_slope(h_heavy) == F(3, 2)
-    assert parabolic_slope(h_heavy, degree=-1, point_fibers=lines) == F(2)
+    assert twisted_slope(h_heavy, -1, lines) == F(2)
     _report("fixture slopes are exact rationals", t0, 1.0)
 
 

@@ -16,7 +16,7 @@ from common import (
     mscale,
     unnested_tuple,
 )
-from starquiver import cli, jsonio, starrep
+from starquiver import cli, combinat, jsonio, starrep
 from starquiver import linalg_exact as ex
 from starquiver.cli import main
 from starquiver.combinat import NilpotentClass
@@ -134,6 +134,17 @@ def test_type_check_fixture(capsys):
     assert code == 0
     assert "small-weights bound      : FAIL" in out
     assert "coefficient space dim    : 1" in out
+
+
+def test_type_check_reports_an_undetermined_genericity(tmp_path, capsys, monkeypatch):
+    # past the sumset cap weights_generic gives up; type-check says so and
+    # still exits 0
+    monkeypatch.setattr(combinat, "_MAX_CASES", 4)
+    report = tmp_path / "report.json"
+    code = main(["type-check", "--type", str(FIXTURES / "type_rank2_full_flags.json"), "--report", str(report)])
+    assert code == 0
+    assert "weights generic          : undetermined" in capsys.readouterr().out
+    assert json.loads(report.read_text(encoding="utf-8"))["conditions"]["weights_generic"] == "undetermined"
 
 
 def test_type_check_missing_file(capsys):

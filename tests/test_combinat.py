@@ -1,12 +1,15 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from common import random_parabolic_type
+from starquiver import combinat
 from starquiver.combinat import (
+    EnumerationBoundExceeded,
     MarkedLine,
     NilpotentClass,
     ParabolicType,
@@ -20,6 +23,7 @@ from starquiver.combinat import (
     type_from_classes,
     weights_generic,
 )
+from starquiver.starrep import build_star_quiver
 
 F = Fraction
 
@@ -238,6 +242,16 @@ def test_weights_generic_rank_one_vacuous(line4):
         assert weights_generic(t) is True
 
 
+def test_weights_generic_gives_up_past_the_sumset_cap(full_flag_type, monkeypatch):
+    # at s = 1 each of the four points adds a weight sum of 0 or 1, so the
+    # sumset ends as {0, ..., 4}: five sums
+    monkeypatch.setattr(combinat, "_MAX_CASES", 4)
+    with pytest.raises(EnumerationBoundExceeded):
+        weights_generic(full_flag_type)
+    monkeypatch.setattr(combinat, "_MAX_CASES", 5)
+    assert weights_generic(full_flag_type) is False
+
+
 def test_partition_rank_sequence_round_trip():
     assert NilpotentClass(rank=2, rank_sequence=(1,)).to_partition() == (2,)
     assert NilpotentClass(rank=3, rank_sequence=()).to_partition() == (1, 1, 1)
@@ -279,6 +293,40 @@ def partitions(draw, max_rank=8):
         parts.append(draw(st.integers(1, left)))
         left -= parts[-1]
     return tuple(sorted(parts, reverse=True))
+
+
+def tits_form(quiver):
+    """q(alpha) = sum of alpha_v^2 over vertices - sum of alpha_s alpha_t
+    over edges, alpha the dimension vector of a star quiver."""
+    total = quiver.rank**2
+    for chain in quiver.arms:
+        dims = (quiver.rank,) + chain
+        total += sum(d * d for d in chain) - sum(a * b for a, b in zip(dims, dims[1:]))
+    return total
+
+
+@st.composite
+def nonzero_classes(draw):
+    """Two to seven nonzero nilpotent classes of one rank from 2 to 5."""
+    r = draw(st.integers(2, 5))
+    nonzero = [p for p in partitions_of(r) if p[0] >= 2]
+    return draw(st.lists(st.sampled_from(nonzero).map(NilpotentClass.from_partition), min_size=2, max_size=7))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(nonzero_classes())
+@example([NilpotentClass.from_partition((2, 2))] * 4)
+def test_coefficient_space_is_half_the_quiver_variety(classes):
+    # on a feasible type the coefficient space has dimension 1 - q(alpha),
+    # half that of the quiver variety, alpha the dimension vector of the
+    # type's star quiver.  Where q(alpha) = 0, alpha is m times the
+    # indivisible isotropic root and the dimension is m: four (2, 2)
+    # classes give twice the D4~ root, dimension 2 where 1 - q(alpha) = 1
+    assume(ds_feasible(classes, classes[0].rank).feasible)
+    sigma = type_from_classes(classes)
+    quiver = build_star_quiver(sigma)
+    q = tits_form(quiver)
+    assert spectral_degrees(sigma)[1] == (1 - q if q else math.gcd(quiver.rank, *sum(quiver.arms, ())))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -339,6 +387,13 @@ def test_marked_line_invariants():
     assert MarkedLine((0, 1, 2)).n == 3
     line = MarkedLine(("1/2", 1, 2, 3))
     assert line.points[0] == F(1, 2)
+
+
+@pytest.mark.parametrize("point", [True, 0.5])
+def test_marked_line_refuses_bools_and_floats(point):
+    # True is an int to Python, but no exact coordinate
+    with pytest.raises(TypeError):
+        MarkedLine((point, 2))
 
 
 def test_type_validation(line4):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from common import closed_form_matrices
+from common import closed_form_matrices, inverse
 from starquiver import dsolve
 from starquiver import linalg_exact as ex
 from starquiver.combinat import NilpotentClass
@@ -29,6 +29,16 @@ from starquiver.higgs import BridgeError, HiggsTuple, higgs_to_quiver
 from starquiver.starrep import moment_residual
 
 F = Fraction
+
+
+@pytest.mark.parametrize("point", [0.1, True])
+def test_instance_points_are_exact_rationals(point):
+    # Fraction(0.1) would be 3602879701896397/36028797018963968, and True
+    # the point 1; both are refused as MarkedLine refuses them
+    c = NilpotentClass(rank=2, rank_sequence=(1,))
+    with pytest.raises(TypeError):
+        DSInstance(rank=2, classes=(c,) * 4, points=(point, 2, 3, 4))
+    assert DSInstance(rank=2, classes=(c,) * 4, points=("1/10", 2, 3, Fraction(4))).points[0] == Fraction(1, 10)
 
 
 def test_solve_rank2_boundary_instance(rank2_instance):
@@ -327,7 +337,7 @@ def test_exact_refine_properties(rank2_instance):
     # conjugators reproduce the matrices from the normal forms exactly
     for m, p, c in zip(exact.matrices, exact.conjugators, rank2_instance.classes):
         n = ex.jordan_nilpotent(c.to_partition(), 2)
-        assert ex.mmul(ex.mmul(p, n), ex.inv(p)) == m
+        assert ex.mmul(ex.mmul(p, n), inverse(p)) == m
     # the refinement stays near the floating solution
     for m, a in zip(exact.matrices, out.solution.matrices):
         drift = np.linalg.norm(

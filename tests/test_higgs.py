@@ -6,7 +6,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from common import assert_witness_pairing, closed_form_flags, closed_form_matrices, mscale, theta, unnested_tuple
+from common import (
+    assert_witness_pairing,
+    closed_form_flags,
+    closed_form_matrices,
+    inverse,
+    mscale,
+    theta,
+    twisted_slope,
+    unnested_tuple,
+)
 from starquiver import cli, higgs, jsonio
 from starquiver import linalg_exact as ex
 from starquiver.combinat import MarkedLine, ParabolicType
@@ -136,7 +145,7 @@ def test_round_trip_exact_on_conjugated_tuples(exact_tuples, data):
     h0 = data.draw(st.sampled_from(exact_tuples))
     r = h0.rank
     p = _invertible(data, r)
-    p_inv = ex.inv(p)
+    p_inv = inverse(p)
     c = data.draw(st.sampled_from([F(1), F(-1), F(2), F(-3, 2), F(1, 5)]))
     mats = [mscale(c, ex.mmul(ex.mmul(p, a), p_inv)) for a in h0.matrices]
     flags = [[ex.mmul(ex.mmul(p, b), _invertible(data, len(b[0]))) for b in fl] for fl in h0.flags]
@@ -215,7 +224,7 @@ def test_slopes_heavy_top_type(heavy_top_type):
     assert parabolic_slope(h, w=lines[0]) == F(3, 4)
     # the tautological sub-line-bundle: fiber at point i is the i-th line,
     # underlying degree -1
-    assert parabolic_slope(h, degree=-1, point_fibers=lines) == F(2)
+    assert twisted_slope(h, -1, lines) == F(2)
     # full-space subobject recovers the full slope
     eye = ex.meye(2)
     assert parabolic_slope(h, w=eye) == F(3, 2)

@@ -1,9 +1,11 @@
 """Source hygiene: no unused imports in the package or the tests (a
 function-local one is read in its own function), no unread private
 module-level names or function parameters in the package, no public
-function, class or method that only tests read unless README.md names it,
-no `arith` backend op that only tests call, no option that every caller
-leaves at its default, no new mode comparison outside `arith`, no seeded
+function, class, method or `arith` backend op that the pipeline does not
+reach from its roots (module-level statements, the console entry point,
+the benchmark harness and the names README.md gives), no option that
+every caller in the package and the benchmark leaves at its default, no
+new mode comparison outside `arith`, no seeded
 random vectors in the stability verdict, one Kronecker product and no
 `np.kron`, one fraction-free elimination loop, and subcommands that load
 only the layers they run: a CLI import, `type-check`, the exact layers
@@ -18,6 +20,7 @@ import os
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -25,6 +28,9 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 FIXTURES = SRC.parent / "fixtures"
 GOLDEN = SRC.parent / "tests" / "golden"
+PACKAGE = sorted((SRC / "starquiver").glob("*.py"))
+# the benchmark harness, its tests left out
+BENCH = [p for p in sorted((SRC.parent / "perfbench").glob("*.py")) if not p.name.startswith("test_") and p.name != "conftest.py"]
 
 
 def scoped_imports(tree):
@@ -227,50 +233,64 @@ def test_bridge_hitchin_fallback_loads_sympy(tmp_path, factorable, integral):
     assert json.loads(report.read_text(encoding="utf-8"))["spectral"]["integral"] == integral
 
 
-def names_read(node):
-    """Names loaded and attributes read anywhere under an AST node."""
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} | {
-        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
-    }
+def module_aliases(tree):
+    """The names a module's imports bind to modules: each maps to the stem of
+    a scanned module (one of the package or of ``perfbench``), or to None
+    for any other module."""
+    package, bench = {p.stem for p in PACKAGE}, {p.stem for p in BENCH}
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                target = a.name if a.asname else a.name.split(".")[0]
+                stem = target.rsplit(".", 1)[-1]
+                scanned = target == f"starquiver.{stem}" and stem in package or target == stem and stem in bench
+                out[a.asname or target] = stem if scanned else None
+        elif isinstance(node, ast.ImportFrom) and (node.module == "starquiver" or node.level and not node.module):
+            out.update((a.asname or a.name, a.name) for a in node.names if a.name in package)
+    return out
 
 
-def test_every_linalg_exact_function_has_a_package_caller():
-    # test-only kernels, such as the reference oracles, belong under tests/;
-    # classes count as functions
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted((SRC / "starquiver").glob("*.py"))}
-    functions = [node for node in trees.pop("linalg_exact.py").body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-    called = set().union(*(names_read(tree) for tree in trees.values()))
-    # callers inside linalg_exact count, a function's own body does not
-    hits = [
-        f"linalg_exact.py:{f.lineno}: {f.name}"
-        for f in functions
-        if not f.name.startswith("_")
-        and f.name not in called
-        and not any(f.name in names_read(g) for g in functions if g is not f)
-    ]
-    assert hits == []
+def local_names(f):
+    """The names a function binds itself: parameters, assignment and loop
+    targets and nested definitions, its nested functions' included; not its
+    imports, nor what it declares global or nonlocal."""
+    bound, free = set(), set()
+    for n in ast.walk(f):
+        if isinstance(n, ast.arg):
+            bound.add(n.arg)
+        elif isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load):
+            bound.add(n.id)
+        elif isinstance(n, ast.ExceptHandler) and n.name:
+            bound.add(n.name)
+        elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and n is not f:
+            bound.add(n.name)
+        elif isinstance(n, (ast.Global, ast.Nonlocal)):
+            free.update(n.names)
+    return bound - free
 
 
-def test_every_arith_op_has_a_package_caller():
-    # each public op of the two backends, arith's exact one and floatarith's
-    # float one, is read by another package module; an op that only a test
-    # oracle calls belongs in the oracle
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted((SRC / "starquiver").glob("*.py"))}
-    body = trees.pop("arith.py").body + trees.pop("floatarith.py").body
-    backends = [c for c in body if isinstance(c, ast.ClassDef) and c.name in ("_Exact", "_Float")]
-    assert [c.name for c in backends] == ["_Exact", "_Float"]
-    # methods and aliases of methods; the constant ``name`` is the mode string
-    ops = {
-        f"{cls.name}.{name}"
-        for cls in backends
-        for node in cls.body
-        if not isinstance(getattr(node, "value", None), ast.Constant)
-        for name in ([node.name] if isinstance(node, ast.FunctionDef) else [t.id for t in getattr(node, "targets", [])])
-        if not name.startswith("_")
-    }
-    # ops are reached as attributes of a backend, so only attribute reads count
-    read = {n.attr for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-    assert sorted(op for op in ops if op.split(".")[1] not in read) == []
+def names_read(node, modules=None):
+    """What ``node`` reads: a loaded name as ``name``, unless ``node`` is a
+    function that binds it itself; an attribute as ``.attr``, unless it is
+    read off a module that ``modules`` (``module_aliases``) names: then as
+    ``stem.attr`` for a scanned module and not at all for another one, so
+    ``ex.inv`` reads ``linalg_exact.inv`` and ``np.linalg.inv`` nothing."""
+    modules = modules or {}
+    local = local_names(node) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else set()
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id not in local:
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            root = n.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not isinstance(root, ast.Name) or root.id not in modules or root.id in local:
+                out.add(f".{n.attr}")
+            elif n.value is root and modules[root.id]:
+                out.add(f"{modules[root.id]}.{n.attr}")
+    return out
 
 
 def readme_names():
@@ -279,68 +299,166 @@ def readme_names():
     return {name for span in re.findall(r"`([^`]+)`", text) for name in re.findall(r"[A-Za-z_]\w*", span)}
 
 
-def definition_units(tree):
+def definition_units(path):
     """(key, class, line, names read) for each piece of a module: a
-    module-level function, a class apart from its methods, a method (key
-    ``Class.name``), and the remaining module-level statements (key None)."""
+    module-level function, a class apart from its members, a method or a
+    method alias such as ``copy = staticmethod(...)`` (key ``Class.name``),
+    and the remaining module-level statements (key None)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = module_aliases(tree)
     units, rest = [], []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            units.append((node.name, None, node.lineno, names_read(node)))
+            units.append((node.name, None, node.lineno, names_read(node, modules)))
         elif isinstance(node, ast.ClassDef):
-            methods = [f for f in node.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
-            head = node.decorator_list + node.bases + node.keywords + [n for n in node.body if n not in methods]
-            units.append((node.name, None, node.lineno, set().union(*map(names_read, head))))
-            units += [(f"{node.name}.{f.name}", node.name, f.lineno, names_read(f)) for f in methods]
+            members = {}  # statement -> member name; a constant such as ``name = "exact"`` stays in the head
+            for m in node.body:
+                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    members[m] = m.name
+                elif isinstance(m, ast.Assign) and isinstance(m.targets[0], ast.Name) and not isinstance(m.value, ast.Constant):
+                    members[m] = m.targets[0].id
+            head = node.decorator_list + node.bases + node.keywords + [n for n in node.body if n not in members]
+            units.append((node.name, None, node.lineno, set().union(*(names_read(n, modules) for n in head))))
+            units += [(f"{node.name}.{name}", node.name, m.lineno, names_read(m, modules)) for m, name in members.items()]
         else:
             rest.append(node)
-    return units + [(None, None, None, set().union(*map(names_read, rest)))]
+    return units + [(None, None, None, set().union(*(names_read(n, modules) for n in rest)))]
+
+
+def entry_points():
+    """(path, function name) of each console script that pyproject.toml declares."""
+    scripts = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))["project"]["scripts"]
+    out = set()
+    for target in scripts.values():
+        module, function = target.split(":")
+        out.add(((SRC / Path(*module.split("."))).with_suffix(".py"), function))
+    return out
+
+
+def unit_table(paths):
+    """{(path, key): (owning class as (path, name) or None, line, names read)} over ``definition_units``."""
+    return {
+        (path, key): (cls and (path, cls), line, reads)
+        for path in paths
+        for key, cls, line, reads in definition_units(path)
+    }
+
+
+def reached(units, roots):
+    """The units of ``unit_table`` that ``roots`` reach.  A reached unit
+    reaches the module-level definitions whose names it loads or reads off
+    their module, and the members of reached classes whose names it reads
+    as attributes (or, inside the class, as names); a reached class reaches
+    its dunders.  A cycle that no root reaches stays unreached."""
+
+    def name(unit):
+        return unit[1].split(".")[-1]
+
+    live = set(roots)
+    while True:
+        reads = set().union(*(units[u][2] for u in live))
+        inside = {}  # a live class's own bare reads, which reach its members
+        for u in live:
+            if units[u][0]:
+                inside.setdefault(units[u][0], set()).update(units[u][2])
+        grown = {
+            u
+            for u, (owner, _, _) in units.items()
+            if u not in live
+            and (
+                name(u) in reads or f"{u[0].stem}.{name(u)}" in reads
+                if owner is None
+                else owner in live and (f".{name(u)}" in reads or name(u) in inside.get(owner, ()) or name(u).startswith("__"))
+            )
+        }
+        if not grown:
+            return live
+        live |= grown
 
 
 @functools.cache
-def unread_public_definitions():
-    """Public module-level functions and classes and public methods of the
-    package that no module of the package or of ``perfbench`` reads outside
-    their own body, tests left out, and that README.md does not name in
-    backticks.  What only unread definitions read is unread too, so the
-    scan repeats until nothing more falls; a method of an unread class
-    falls with it."""
-    package = sorted((SRC / "starquiver").glob("*.py"))
-    bench = [p for p in sorted((SRC.parent / "perfbench").glob("*.py")) if not p.name.startswith("test_") and p.name != "conftest.py"]
-    units, candidates = [], []
-    for path in package + bench:
-        for key, cls, line, names in definition_units(ast.parse(path.read_text(encoding="utf-8"))):
-            units.append(((path, key), cls and (path, cls), names))
-            name = key and key.split(".")[-1]
-            if path in package and name and not name.startswith("_"):
-                candidates.append(((path, key), name, line))
-    mentioned = readme_names()
-    dead = set()
-    while True:
-        live = [(key, owner, names) for key, owner, names in units if key not in dead and owner not in dead]
-        fallen = {
-            key
-            for key, name, _ in candidates
-            if key not in dead
-            and name not in mentioned
-            and not any(name in names for reader, owner, names in live if key not in (reader, owner))
-        }
-        if not fallen:
-            return [f"{path.name}:{line}: {key}" for (path, key), _, line in candidates if (path, key) in dead]
-        dead |= fallen
+def unreachable():
+    """(path, key, line) of every definition of the package or of
+    ``perfbench`` that the pipeline never reaches.  The roots are the
+    module-level statements, the console entry points, every definition
+    of ``perfbench`` outside its tests and whatever README.md names in
+    backticks; tests reach nothing."""
+    units = unit_table(PACKAGE + BENCH)
+    mentioned, entries = readme_names(), entry_points()
+    roots = {u for u in units if u[1] is None or u[0] in BENCH or u in entries or u[1].split(".")[-1] in mentioned}
+    live = reached(units, roots)
+    return [(path, key, units[path, key][1]) for path, key in units if (path, key) not in live]
+
+
+def unreached_public(filter):
+    """``file:line: key`` of each unreached public definition of the package that ``filter(path, key)`` keeps."""
+    return [
+        f"{path.name}:{line}: {key}"
+        for path, key, line in unreachable()
+        if path in PACKAGE and not key.split(".")[-1].startswith("_") and filter(path, key)
+    ]
+
+
+def test_every_linalg_exact_function_has_a_package_caller():
+    # test-only kernels, such as the reference oracles, belong under tests/;
+    # classes count as functions
+    assert unreached_public(lambda path, key: path.name == "linalg_exact.py" and "." not in key) == []
+
+
+def test_every_arith_op_has_a_package_caller():
+    # each public op of the two backends, arith's exact one and floatarith's
+    # float one, is reached from the pipeline; an op that only a test
+    # oracle calls belongs in the oracle
+    backends = {("arith.py", "_Exact"), ("floatarith.py", "_Float")}
+    assert unreached_public(lambda path, key: (path.name, key.split(".")[0]) in backends and "." in key) == []
 
 
 def test_every_public_function_and_class_is_read():
     # a public function or class that only tests read is test scaffolding
     # and lives under tests/; library API that the pipeline does not run is
     # named in README.md
-    assert [hit for hit in unread_public_definitions() if "." not in hit.split(": ")[1]] == []
+    assert unreached_public(lambda path, key: "." not in key) == []
 
 
 def test_every_public_method_is_read():
-    # the same rule for methods: a method that no module of the package or
-    # its benchmark reads by name is dead code or test scaffolding
-    assert [hit for hit in unread_public_definitions() if "." in hit.split(": ")[1]] == []
+    # the same rule for methods and method aliases: one that the pipeline
+    # never reaches by name is dead code or test scaffolding
+    assert unreached_public(lambda path, key: "." in key) == []
+
+
+def test_reachability_ignores_module_attributes_locals_and_dead_cycles(tmp_path):
+    # np.linalg.inv and a local named inv read no inv, and ex.mmul reads
+    # linalg_exact's mmul; a method that only reads itself, such as a copy
+    # that calls .copy(), stays unreached, as does an alias nothing reads
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "import numpy as np\n"
+        "from . import linalg_exact as ex\n"
+        "\n"
+        "\n"
+        "def f(a, b):\n"
+        "    inv = 2\n"
+        "    return np.linalg.inv(a) * inv + ex.mmul(a, b)\n"
+        "\n"
+        "\n"
+        "class C:\n"
+        "    def copy(self):\n"
+        "        return self.ops.copy()\n"
+        "\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "\n"
+        "    alias = staticmethod(ex.mcopy)\n"
+        "\n"
+        "\n"
+        "C()\n",
+        encoding="utf-8",
+    )
+    units = unit_table([module])
+    assert units[module, "f"][2] == {"np", "ex", "linalg_exact.mmul"}
+    assert units[module, "C.alias"][2] == {"staticmethod", "ex", "linalg_exact.mcopy"}
+    live = reached(units, {(module, None)})
+    assert sorted(key for _, key in units.keys() - live) == ["C.alias", "C.copy", "f"]
 
 
 def unread_parameters(tree):
@@ -411,13 +529,21 @@ def unset_options(trees, package):
     return hits
 
 
+# options that only tests set, and why each stays
+UNSET_OPTIONS_KEPT = {
+    "cli.py: main(argv)": "tests drive the CLI in process; the console script passes none",
+    "jsonio.py: higgs_from_json(check)": "the round-trip property decodes tuples that fail validation",
+}
+
+
 def test_every_option_is_set():
-    # an option that every caller leaves at its default is a constant: each
-    # one doubles the configurations the tests must cover
-    root = SRC.parent
-    paths = [path for d in ("src", "tests", "perfbench") for path in sorted((root / d).rglob("*.py"))]
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
-    assert unset_options(trees, SRC) == []
+    # an option that every caller of the package or its benchmark leaves at
+    # its default is a constant: each one doubles the configurations the
+    # tests must cover, and a test setting it does not make it an option
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE + BENCH}
+    hits = {"{}:{}".format(*hit.split(":")[::2]): hit for hit in unset_options(trees, SRC)}
+    assert sorted(hit for key, hit in hits.items() if key not in UNSET_OPTIONS_KEPT) == []
+    assert sorted(hits.keys() & UNSET_OPTIONS_KEPT.keys()) == sorted(UNSET_OPTIONS_KEPT)
 
 
 def mode_comparisons(tree):

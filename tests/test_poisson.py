@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from common import group_act, random_group_element
+from common import copy_rep, group_act, random_group_element
 from poisson_oracle import gradient_from_vector, to_observable
 from starquiver import poisson
 from starquiver.combinat import NilpotentClass
@@ -131,8 +131,9 @@ def test_selfcheck_flags_bad_oracle(quiver4):
 
 @pytest.mark.parametrize("error, flagged", [(2e-4, True), (5e-5, False)])
 def test_selfcheck_bound_is_relative(quiver4, error, flagged):
-    # an oracle off by a fixed factor 1 + error; the probed directional
-    # derivatives of this quadratic exceed 10, so the gap is relative
+    # an oracle off by a fixed factor 1 + error; at the self-check's
+    # representation every slot of this quadratic's gradient has an entry
+    # above 1, so the bound is relative to the slot
     from starquiver.poisson import _selfcheck
 
     assert SELFCHECK_RTOL == 1e-4
@@ -148,6 +149,46 @@ def test_selfcheck_bound_is_relative(quiver4, error, flagged):
             _selfcheck(obs)
     else:
         _selfcheck(obs)
+
+
+def _first_entries_observable(quiver, coeffs, offsets):
+    """The sum of c f_1^j[0, 0] over ``coeffs`` {j: c}, with an oracle
+    whose entry (0, 0) of slot f_1^j is off by ``offsets[j]``."""
+
+    def value(rep):
+        return sum(c * rep.f[j][0][..., 0, 0] for j, c in coeffs.items())
+
+    def grad(rep):
+        out = zero_gradient(quiver)
+        for j, c in coeffs.items():
+            out.f[j][0][0, 0] = c + offsets.get(j, 0.0)
+        return out
+
+    return Observable(quiver, value, grad, "first entries")
+
+
+@pytest.mark.parametrize("offset, flagged", [(2e-4, True), (5e-5, False)])
+def test_selfcheck_floors_a_small_slot_at_one(quiver4, offset, flagged):
+    # the slot's largest entry is 0.01, so its bound is SELFCHECK_RTOL
+    # itself: 5e-5 passes, though it is 0.5% of every entry of the slot
+    from starquiver.poisson import _selfcheck
+
+    obs = _first_entries_observable(quiver4, {0: 0.01}, {0: offset})
+    if flagged:
+        with pytest.raises(GradientOracleError):
+            _selfcheck(obs)
+    else:
+        _selfcheck(obs)
+
+
+def test_selfcheck_bounds_each_slot_by_its_own_scale(quiver4):
+    # 0.05 off passes in a slot of scale 1000; 5e-3 off fails in a slot of
+    # scale 0.5, though it is within SELFCHECK_RTOL of the other slot's scale
+    from starquiver.poisson import _selfcheck
+
+    _selfcheck(_first_entries_observable(quiver4, {0: 1000.0, 1: 0.5}, {0: 0.05}))
+    with pytest.raises(GradientOracleError):
+        _selfcheck(_first_entries_observable(quiver4, {0: 1000.0, 1: 0.5}, {1: 5e-3}))
 
 
 @pytest.mark.parametrize("rtol", [MOMENT_RANK_RTOL, HAMILTONIAN_RANK_RTOL])
@@ -334,7 +375,7 @@ def test_sweep_memo_recomputes_on_every_content_change(counted_sweeps):
         return np.max(np.abs(got - _entry_oracle_array(rep, points, z, w))) <= _sweep_tolerance(rep, points, z, w)
 
     assert agrees(PTS4, z, w) and len(counted_sweeps) == 1  # r^4 calls, one sweep
-    _check_all(rep.copy(), list(PTS4), z, w)  # same content, another object
+    _check_all(copy_rep(rep), list(PTS4), z, w)  # same content, another object
     assert len(counted_sweeps) == 1
     rep.f[1][0][0, 1] += 0.25  # an in-place edit, as fd_gradient makes
     assert agrees(PTS4, z, w) and len(counted_sweeps) == 2
@@ -439,7 +480,7 @@ def hamiltonian_vector_field(f_obs, rep):
 
 
 def euler_step(rep, field, h):
-    out = rep.copy()
+    out = copy_rep(rep)
     for arms, steps in ((out.f, field.f), (out.g, field.g)):
         for arm, step in zip(arms, steps):
             for m, x in zip(arm, step):
@@ -462,7 +503,7 @@ def test_hamiltonian_field_of_coordinate(quiver4):
 
 def test_flow_preserves_commuting_hamiltonian(moment_zero_rep):
     # normalize the scale so the second-order term is small
-    rep = moment_zero_rep.copy()
+    rep = copy_rep(moment_zero_rep)
     for j in range(rep.quiver.n_arms):
         rep.f[j][0] *= 0.4
         rep.g[j][0] *= 0.4

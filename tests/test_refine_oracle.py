@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import linalg_oracle
 import refine_oracle as oracle
-from common import FIXTURES
+from common import FIXTURES, inverse
 from starquiver import dsolve, jsonio
 from starquiver import linalg_exact as ex
 from starquiver.cli import main
@@ -36,7 +36,7 @@ def _assert_valid(exact, solution, instance):
     assert exact.profile() == [c.rank_sequence for c in instance.classes]
     for a, p, c in zip(exact.matrices, exact.conjugators, instance.classes):
         j = ex.jordan_nilpotent(c.to_partition(), r)
-        assert ex.mmul(ex.mmul(p, j), ex.inv(p)) == a
+        assert ex.mmul(ex.mmul(p, j), inverse(p)) == a
     for a, af in zip(exact.matrices, solution.matrices):
         drift = np.linalg.norm(np.array([[float(x) for x in row] for row in a]) - np.asarray(af).real)
         assert drift < 1e-2
@@ -221,9 +221,9 @@ def test_jordan_basis_of_a_conjugated_jordan_form(partition, entries, den):
     p = [[F(entries[i * r + j] + 7 * (i == j), den) for j in range(r)] for i in range(r)]
     assume(ex.rank(p) == r)
     j = ex.jordan_nilpotent(partition, r)
-    a = ex.mmul(ex.mmul(p, j), ex.inv(p))
+    a = ex.mmul(ex.mmul(p, j), inverse(p))
     q, ranks = ex.nilpotent_jordan_basis(a)
-    assert ex.mmul(ex.mmul(q, j), ex.inv(q)) == a
+    assert ex.mmul(ex.mmul(q, j), inverse(q)) == a
     # rank of J^k: each block of size b contributes max(b - k, 0)
     assert ranks == tuple(sum(max(b - k, 0) for b in partition) for k in range(1, max(partition)))
 

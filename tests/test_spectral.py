@@ -6,7 +6,7 @@ import sympy
 from sympy.polys.polyerrors import ExtraneousFactors, PolynomialError
 
 from charpoly_oracle import pole_cleared_matrix
-from common import closed_form_flags, closed_form_matrices, poly_from_roots, sample_hitchin_point
+from common import closed_form_flags, closed_form_matrices, inverse, poly_from_roots, sample_hitchin_point
 from integral_oracle import as_expr, spectral_of
 from starquiver import linalg_exact as ex
 from starquiver import spectral
@@ -66,7 +66,7 @@ def test_char_poly_against_symbolic_determinant(closed_form_tuple):
 
 def test_char_poly_conjugation_invariant(closed_form_tuple):
     p = [[F(1), F(2)], [F(1), F(3)]]
-    pinv = ex.inv(p)
+    pinv = inverse(p)
     mats = [ex.mmul(ex.mmul(p, a), pinv) for a in closed_form_tuple.matrices]
     flags = [[ex.mmul(p, b) for b in fl] for fl in closed_form_tuple.flags]
     conj = HiggsTuple(closed_form_tuple.sigma, mats, flags, mode="exact")

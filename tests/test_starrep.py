@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from common import GroupElement, group_act, random_group_element
+from common import GroupElement, copy_rep, group_act, random_group_element
 from starquiver.combinat import NilpotentClass, ParabolicType
 from starquiver.dsolve import DSInstance, SolverConfig, flags_from_solution, solve
 from starquiver.higgs import higgs_to_quiver
@@ -123,7 +123,7 @@ def test_moment_map_perturbation_scales_linearly():
     rep = closed_form_rep()
     norms = []
     for delta in (1e-3, 1e-6):
-        pert = rep.copy()
+        pert = copy_rep(rep)
         pert.g[0][0][0, 0] += delta
         norms.append(moment_residual(pert))
     assert norms[0] / norms[1] == pytest.approx(1e3, rel=1e-3)
