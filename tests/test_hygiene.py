@@ -20,7 +20,6 @@ import os
 import re
 import subprocess
 import sys
-import tomllib
 from pathlib import Path
 
 import pytest
@@ -244,7 +243,7 @@ def module_aliases(tree):
             for a in node.names:
                 target = a.name if a.asname else a.name.split(".")[0]
                 stem = target.rsplit(".", 1)[-1]
-                scanned = target == f"starquiver.{stem}" and stem in package or target == stem and stem in bench
+                scanned = (target == f"starquiver.{stem}" and stem in package) or (target == stem and stem in bench)
                 out[a.asname or target] = stem if scanned else None
         elif isinstance(node, ast.ImportFrom) and (node.module == "starquiver" or node.level and not node.module):
             out.update((a.asname or a.name, a.name) for a in node.names if a.name in package)
@@ -326,13 +325,13 @@ def definition_units(path):
 
 
 def entry_points():
-    """(path, function name) of each console script that pyproject.toml declares."""
-    scripts = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))["project"]["scripts"]
-    out = set()
-    for target in scripts.values():
-        module, function = target.split(":")
-        out.add(((SRC / Path(*module.split("."))).with_suffix(".py"), function))
-    return out
+    """(path, function name) of each console script in pyproject.toml's ``[project.scripts]``."""
+    text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return {
+        ((SRC / Path(*module.split("."))).with_suffix(".py"), function)
+        for module, function in re.findall(r'"([\w.]+):(\w+)"', section)
+    }
 
 
 def unit_table(paths):
