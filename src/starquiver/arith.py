@@ -112,10 +112,6 @@ class _Exact:
         """Column space of vecs contained in column space of span?"""
         return ex.rank(ex.hstack([span, vecs])) == ex.rank(span)
 
-    def intersection_dim(self, a, b):
-        """dim(col a  meet  col b) = rk a + rk b - rk [a b]."""
-        return ex.rank(a) + ex.rank(b) - ex.rank(ex.hstack([a, b]))
-
     def span_tracker(self, *_):
         return ex.Span()
 

@@ -254,13 +254,16 @@ class FeasibilityReport:
 
 
 def ds_feasible(classes, r: int) -> FeasibilityReport:
-    """Residue-sum feasibility: 2r <= sum of first power ranks.
+    """Residue-sum inequality: 2r <= sum of first power ranks.
 
-    Whether n >= 4 and r >= 4 hold is reported as separate flags rather
-    than folded into the verdict: low point counts and ranks are boundary
-    regimes where the inequality alone is not known to guarantee
-    irreducible solutions, while the inequality itself is the open
-    feasibility gate.
+    A necessary condition for an irreducible tuple, not a sufficient one, at
+    any n and r.  It is (alpha, e_0) <= 0 at the central vertex of the star
+    quiver, which every non-simple alpha in Crawley-Boevey's set Sigma_0
+    satisfies; the criterion itself asks p(alpha) > p(beta_1) + ... +
+    p(beta_k) for every decomposition into positive roots.  Four (2, 2)
+    classes at rank 4 pass with n = r = 4, yet alpha = 2 delta of affine D4
+    has p(2 delta) = 1 < 2 p(delta) = 2, and no irreducible tuple exists.
+    Whether n >= 4 and r >= 4 hold is reported as separate flags.
     """
     for c in classes:
         if c.rank != r:
@@ -286,7 +289,12 @@ def chain_simple(r: int, chain) -> bool:
 
 
 def simpleness_condition(sigma: ParabolicType) -> bool:
-    """Arm chain condition guaranteeing simple moment-zero representations."""
+    """Arm chain condition: (alpha, e_i) <= 0 at every arm vertex.
+
+    Necessary for a simple moment-zero representation, not sufficient: a
+    non-simple alpha in Crawley-Boevey's Sigma_0 lies in the fundamental
+    region, but the four (2, 2) classes of ``ds_feasible`` pass this too and
+    have no simple one."""
     return all(chain_simple(sigma.rank, sigma.gamma(i)) for i in range(sigma.n_points))
 
 

@@ -16,6 +16,13 @@ def kron(a, b):
     return out.reshape(out.shape[:-4] + (out.shape[-4] * out.shape[-3], out.shape[-2] * out.shape[-1]))
 
 
+def singular_rank(s, rtol, floor=0.0):
+    """How many of the descending singular values ``s`` exceed ``rtol *
+    max(s[0], floor)``; 0 for an empty spectrum.  The package's one count of
+    singular values."""
+    return int(np.sum(s > rtol * max(float(s[0]), floor))) if s.size else 0
+
+
 class _FloatSpan:
     """Incremental linear independence of float vectors: an orthonormal
     basis built by twice-repeated Gram-Schmidt.  A vector counts as new when
@@ -95,12 +102,9 @@ class _Float:
         ``floor`` anchors the cut of a near-zero power of a matrix at the
         scale of the matrix itself."""
         a = np.asarray(a, dtype=complex)
-        if a.size == 0:
-            return 0
-        s = np.linalg.svd(a, compute_uv=False)
         if rtol is None:
             rtol = max(a.shape) * np.finfo(float).eps
-        return int(np.sum(s > rtol * max(float(s[0]), floor)))
+        return singular_rank(np.linalg.svd(a, compute_uv=False), rtol, floor)
 
     def singular_scale(self, a):
         s = np.linalg.svd(a, compute_uv=False)
@@ -150,17 +154,10 @@ class _Float:
     def contains(self, span, vecs, tol):
         """Column space of vecs inside that of span: the residual of the
         projection onto span is at most ``tol`` times max(1, |vecs|)."""
-        if span.shape[1] == 0:
-            return bool(np.linalg.norm(vecs) <= tol)
         q, _ = np.linalg.qr(span)
         resid = vecs - q @ (q.conj().T @ vecs)
         scale = max(1.0, float(np.linalg.norm(vecs)))
         return bool(np.linalg.norm(resid) <= tol * scale)
-
-    def intersection_dim(self, a, b):
-        """dim(col a  meet  col b) = rk a + rk b - rk [a b], at the default
-        ``rank`` cut."""
-        return self.rank(a) + self.rank(b) - self.rank(np.hstack([a, b]))
 
     def span_tracker(self, tol):
         return _FloatSpan(tol)

@@ -201,7 +201,9 @@ def parabolic_slope(h: HiggsTuple, w=None):
     """Weighted slope of the constant subobject spanned by the columns of
     ``w`` (the full object when ``w`` is None), as an exact rational: a
     subspace of the trivialized bundle, of degree 0, with the same fiber at
-    every marked point."""
+    every marked point.  The fiber meets each flag step F in dimension
+    rk F + k - rk [F w], k the number of columns of ``w``, which must be
+    independent."""
     sig = h.sigma
     if w is None:
         return sig.full_slope()
@@ -214,7 +216,7 @@ def parabolic_slope(h: HiggsTuple, w=None):
     total = Fraction(0)
     for i in range(sig.n_points):
         # the full space, the proper flag steps, the zero space
-        inter = [k] + [o.intersection_dim(step, w) for step in h.flags[i]] + [0]
+        inter = [k] + [o.rank(step) + k - o.rank(o.from_columns(o.columns(step) + o.columns(w))) for step in h.flags[i]] + [0]
         for j, a in enumerate(sig.weights[i], start=1):
             total += a * (inter[j - 1] - inter[j])
     return total / sig.K / k
@@ -226,8 +228,9 @@ def parabolic_slope(h: HiggsTuple, w=None):
 
 @dataclass
 class IrreducibilityCertificate:
+    """The closed word basis of the residues' algebra, of dimension ``len(words)``."""
+
     irreducible: bool
-    dimension: int
     words: list  # index words spanning the algebra (0-based, () = identity)
     invariant_subspace: object = None  # basis of a common invariant subspace
     # the product of each word of the matrices scaled together to unit norm,
@@ -273,11 +276,10 @@ def irreducible(mats, mode="float"):
                 if len(tracker) == r * r:
                     break
         idx += 1
-    dim = len(tracker)
-    if dim == r * r:
-        return IrreducibilityCertificate(True, dim, words, elements=elements)
+    if len(tracker) == r * r:
+        return IrreducibilityCertificate(True, words, elements=elements)
     witness = next(_proper_closures(elements, ([v] for v in _witness_candidates(mats, mode)), o), None)
-    return IrreducibilityCertificate(False, dim, words, invariant_subspace=witness, elements=elements)
+    return IrreducibilityCertificate(False, words, invariant_subspace=witness, elements=elements)
 
 
 def _proper_closures(elements, seeds, o):
@@ -285,13 +287,15 @@ def _proper_closures(elements, seeds, o):
     {m v : m in the span of ``elements``, v in the seed} when it is proper
     and nonzero; invariant by closure.  Unit-norm vectors meet the words of
     the residues scaled to unit norm, and the dimension counts as the
-    algebra's does, so the closure does not depend on the residues' scale."""
+    algebra's does, so the closure does not depend on the residues' scale.
+    The basis is the rows the span tracker keeps: primitive integer vectors
+    (exact) or orthonormal Gram-Schmidt vectors (float)."""
     for seed in seeds:
         images = [o.apply(m, o.unit(v)) for v in seed for m in elements]
         tracker = o.span_tracker(IRREDUCIBLE_RTOL)
         rk = sum(tracker.add(x) for x in images)
         if 0 < rk < len(images[0]):
-            yield o.basis(o.from_columns(images), rk)
+            yield o.from_columns(tracker.rows)
 
 
 def _witness_candidates(mats, mode):

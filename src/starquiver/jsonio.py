@@ -264,9 +264,14 @@ def solution_from_json(data):
 
 
 def dump(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write ``payload`` as JSON; a path that cannot be written raises
+    InputFormatError, as one that cannot be read does in ``load``."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as e:
+        raise InputFormatError(f"{path}: {e.strerror}") from e
 
 
 def dumps(payload) -> str:

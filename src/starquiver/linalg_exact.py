@@ -6,8 +6,8 @@ one forward loop, ``echelon``, which keeps every entry an integer minor
 and never reduces a fraction; ``bareiss`` then reduces its rows bottom-up
 to d times the reduced row echelon form.  Rational matrices are cleared of
 denominators row by row first: ``rank`` counts the pivots of ``echelon``
-alone, and ``rref``, ``solve`` and the one kernel, ``int_kernel``,
-read their answers off ``bareiss``; ``Span`` decides the independence of
+alone, and ``solve`` and the one kernel, ``int_kernel``, read their
+answers off ``bareiss``; ``Span`` decides the independence of
 one vector at a time in integers.  Products run on integers too: ``clear``
 writes a matrix as integer rows over one denominator, ``imul`` multiplies
 integer matrices, and ``mmul`` builds one Fraction per entry of the
@@ -121,16 +121,6 @@ def _integer_rows(a):
     return out
 
 
-def rref(a):
-    """Reduced row echelon form.  Returns (R, pivot_columns).
-
-    Scaling a row does not change the reduced form, so the rows are cleared
-    of denominators, eliminated once by ``bareiss`` and divided by its d.
-    """
-    red, pivots, d = bareiss(_integer_rows(a))
-    return divide(red, d), pivots
-
-
 def rank(a):
     return len(echelon(_integer_rows(a))[1])
 
@@ -138,20 +128,21 @@ def rank(a):
 def solve(a, b):
     """Solve a @ x = b exactly (b a matrix); raises if inconsistent.
 
-    Returns one particular solution (free variables set to zero).
+    Returns one particular solution (free variables set to zero).  Scaling
+    a row does not change the reduced form, so the rows of ``[a | b]`` are
+    cleared of denominators and eliminated once by ``bareiss``: row p_k of
+    x is the right-hand part of row k of d·rref, over d.
     """
     m, n = shape(a)
     mb, k = shape(b)
     if m != mb:
         raise ValueError("incompatible right-hand side")
-    aug = [a[i] + b[i] for i in range(m)]
-    r, pivots = rref(aug)
+    red, pivots, d = bareiss(_integer_rows([a[i] + b[i] for i in range(m)]))
     if any(p >= n for p in pivots):
         raise ValueError("inconsistent linear system")
     x = mzeros(n, k)
-    for i, p in enumerate(pivots):
-        for j in range(k):
-            x[p][j] = r[i][n + j]
+    for row, p in zip(red, pivots):
+        x[p] = [Fraction(v, d) for v in row[n:]]
     return x
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .floatarith import kron
+from .floatarith import kron, singular_rank
 from .starrep import StarQuiver, StarRep, random_rep
 
 
@@ -439,11 +439,6 @@ def moment_entry_gradients(rep: StarRep):
 MOMENT_RANK_RTOL = 1e-8
 # the Hamiltonian rows (powers up to phi^(r+2), on that tangent basis) round coarser
 HAMILTONIAN_RANK_RTOL = 1e-6
-
-
-def singular_rank(s, rel_tol) -> int:
-    """How many descending singular values exceed rel_tol times the largest."""
-    return int(np.sum(s > rel_tol * s[0])) if s.size else 0
 
 
 def moment_zero_tangent(rep: StarRep) -> np.ndarray:

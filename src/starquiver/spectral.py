@@ -184,12 +184,13 @@ def rank_profile(matrices, mode="float", tol=None):
 
 @dataclass
 class VanishingOrderReport:
+    """Root orders against their minima; compare ``orders`` with ``required`` for where they meet."""
+
     orders: list  # orders[j-1][i]: int, or None for an identically zero p_j
     required: list  # required[j-1][i] = eps_j(x_i)
     degrees: list  # coefficient space degree per level
     member: bool
-    exact: list  # exact[j-1][i]: order == eps (False when p_j = 0)
-    all_exact: bool  # exact everywhere it is achievable, zero where forced
+    all_exact: bool  # order == eps everywhere it is achievable, p_j = 0 where forced
 
     def order_table(self):
         lines = []
@@ -204,36 +205,31 @@ class VanishingOrderReport:
 
 def vanishing_orders(hp: HitchinPoint, sigma: ParabolicType) -> VanishingOrderReport:
     """Exact root orders of every p_j at every marked point, the
-    membership verdict (order >= eps everywhere), and where the order is
-    exactly eps (the full-rank locus)."""
+    membership verdict (order >= eps everywhere), and whether the order is
+    exactly eps (the full-rank locus) wherever a level has sections."""
     me = mu_eps(sigma)
     degrees, _ = spectral_degrees(sigma)
-    orders, required, exact = [], [], []
+    orders, required = [], []
     member = True
     all_exact = True
     for j in range(1, hp.rank + 1):
         row = _orders(hp.coeffs[j - 1], sigma.line.points)
-        req_row, ex_row = [], []
+        req_row = []
         for i, order in enumerate(row):
             eps = me[i][1][j - 1]
             req_row.append(eps)
-            ok = order is None or order >= eps
-            member = member and ok
-            is_exact = order is not None and order == eps
-            ex_row.append(is_exact)
+            member = member and (order is None or order >= eps)
             if degrees[j - 1] >= 0:
-                all_exact = all_exact and is_exact
+                all_exact = all_exact and order == eps
             else:
                 all_exact = all_exact and order is None
         orders.append(row)
         required.append(req_row)
-        exact.append(ex_row)
     return VanishingOrderReport(
         orders=orders,
         required=required,
         degrees=degrees,
         member=member,
-        exact=exact,
         all_exact=all_exact,
     )
 

@@ -109,11 +109,10 @@ def irreducible(mats, mode="float"):
             if len(tracker) == r * r:
                 break
         frontier = next_frontier
-    dim = len(tracker)
-    if dim == r * r:
-        return IrreducibilityCertificate(True, dim, words)
+    if len(tracker) == r * r:
+        return IrreducibilityCertificate(True, words)
     witness = _find_invariant_subspace(mats, elements, mode)
-    return IrreducibilityCertificate(False, dim, words, invariant_subspace=witness)
+    return IrreducibilityCertificate(False, words, invariant_subspace=witness)
 
 
 def _column(o, v):

@@ -1,7 +1,8 @@
 """Data and helpers shared by the test modules: the fixture directory, the
 exact scalar multiple and inverse of a matrix, the closed-form rank-2 residue tuple, a rank-3 tuple whose flags are not nested,
-a random parabolic type generator, the stability character paired with a
-subspace of a residue tuple, the slope of a subbundle whose fibers vary, a
+a random parabolic type generator, the dimension in which two column
+spaces meet, the stability character paired with a subspace of a residue
+tuple, the slope of a subbundle whose fibers vary, a
 copy of a float representation, the base change of a representation by a
 group element, JSON encoders of nilpotent classes and solver instances
 (the CLI only decodes them), and a rejection sampler of integral
@@ -64,12 +65,17 @@ def unnested_tuple(mode, check=True):
     return HiggsTuple(sigma, [o.zeros(3, 3)] * 4, [[o.from_exact(b) for b in fl] for fl in flags], mode=mode, check=check)
 
 
+def meet_dim(o, a, b):
+    """dim(col a meet col b) = rk a + rk b - rk [a b] in the backend ``o``."""
+    return o.rank(a) + o.rank(b) - o.rank(o.from_columns(o.columns(a) + o.columns(b)))
+
+
 def theta(h, w):
     """``build_character``'s theta paired with the sub-dimension vector
     (dim W; dim W meet F_ij) of the subspace W spanned by the columns of
     ``w`` in the residue tuple ``h``, read against every flag step."""
     o = h.ops
-    arms = [[o.intersection_dim(step, w) for step in fl] for fl in h.flags]
+    arms = [[meet_dim(o, step, w) for step in fl] for fl in h.flags]
     return build_character(h.sigma).pairing(o.shape(w)[1], arms)
 
 
@@ -81,7 +87,7 @@ def twisted_slope(h, degree, fibers):
     k = o.shape(fibers[0])[1]
     total = Fraction(0)
     for flags, fiber, weights in zip(h.flags, fibers, sig.weights, strict=True):
-        inter = [k] + [o.intersection_dim(step, fiber) for step in flags] + [0]
+        inter = [k] + [meet_dim(o, step, fiber) for step in flags] + [0]
         total += sum(a * (inter[j] - inter[j + 1]) for j, a in enumerate(weights))
     return (degree + total / sig.K) / k
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from starquiver.combinat import MarkedLine, NilpotentClass, ParabolicType
-from starquiver.dsolve import DSInstance, SolverConfig, random_feasible_instance, solve
+from starquiver.dsolve import DSInstance, SolverConfig, exact_refine, flags_from_solution, random_feasible_instance, solve
 
 
 @pytest.fixture(scope="session")
@@ -53,3 +53,16 @@ def certified_batch(rank2_instance):
         inst = random_feasible_instance(rng, max_rank=5, max_points=6)
         batch.append((inst, solve(inst, SolverConfig(seed=100 + k))))
     return batch
+
+
+@pytest.fixture(scope="session")
+def refined_batch(certified_batch):
+    """(instance, outcome, exact refinement, its ``flags_from_solution``
+    tuple) for every solved instance of the certified batch, refined once
+    for the session; tests read them and change nothing."""
+    out = []
+    for inst, o in certified_batch:
+        if o.success:
+            exact = exact_refine(o.solution, inst)
+            out.append((inst, o, exact, flags_from_solution(exact, inst.parabolic_type())))
+    return out

@@ -5,8 +5,8 @@ Fraction with magnitude pivoting.  It shares no arithmetic with the
 fraction-free ``bareiss`` that ``starquiver.linalg_exact`` now eliminates
 with, and the reduced row echelon form is unique, so the two must agree
 exactly.  ``reference`` runs a ``linalg_exact`` function on this
-elimination instead, which is how the former ``solve`` and ``inv``
-worked; the former ``rank`` was the pivot count of this ``rref``.
+elimination in place of ``bareiss``, which is how the former ``solve`` and
+``inv`` worked; the former ``rank`` was the pivot count of this ``rref``.
 
 ``nullspace`` is the library's former Fraction kernel, read off this
 ``rref`` with a 1 in each free column.  ``starquiver.arith.EXACT.nullspace``
@@ -29,6 +29,7 @@ nonzero.  ``starquiver.spectral`` now divides integer numerators by
 (b z - a) instead.
 """
 
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -131,10 +132,20 @@ def nullspace(a):
     return basis
 
 
+def _scaled_rref(a):
+    """``bareiss``'s triple read off ``rref``: (D R, pivots, D) for the
+    reduced row echelon form R of the integer matrix ``a`` and the lcm D of
+    its denominators.  D need not be ``bareiss``'s d, but ``solve`` reads
+    only the quotients of the rows by it."""
+    r, pivots = rref([[Fraction(x) for x in row] for row in a])
+    d = math.lcm(*(x.denominator for row in r for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in r], pivots, d
+
+
 def reference(fn, *args):
     """``fn(*args)`` for a ``linalg_exact`` function, eliminating with this
-    module's ``rref``."""
-    with mock.patch.object(ex, "rref", rref):
+    module's ``rref`` in place of ``bareiss``."""
+    with mock.patch.object(ex, "bareiss", _scaled_rref):
         return fn(*args)
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from linalg_oracle import nullspace
+from linalg_oracle import nullspace, rref
 from starquiver import linalg_exact as ex
 from starquiver.dsolve import _NESTED_TOL, DSSolution, RefinementError, flags_from_solution
 from starquiver.floatarith import FLOAT
@@ -86,7 +86,7 @@ def solve_anchored(a, anchor):
     """A point of ker(a) close to ``anchor``: free variables keep their
     anchor values, pivot variables are solved for exactly."""
     n = ex.shape(a)[1]
-    r, pivots = ex.rref(a)
+    r, pivots = rref(a)
     free = [j for j in range(n) if j not in pivots]
     x = [Fraction(0)] * n
     for j in free:

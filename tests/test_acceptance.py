@@ -18,7 +18,6 @@ from starquiver.cli import main
 from starquiver.combinat import mu_eps, spectral_degrees
 from starquiver.dsolve import (
     SolverConfig,
-    exact_refine,
     flags_from_solution,
     orbit_jacobian,
     random_feasible_instance,
@@ -110,7 +109,7 @@ def test_bridge_round_trip():
     _report("bridge round trip on 50 moment-zero representations", t0, 60.0)
 
 
-def test_residue_sum_solver(certified_batch):
+def test_residue_sum_solver(certified_batch, refined_batch):
     t0 = time.time()
     inst0, out0 = certified_batch[0]
     assert out0.success and out0.solution.restart_index < 20
@@ -118,7 +117,7 @@ def test_residue_sum_solver(certified_batch):
     rep0 = verify(out0.solution, inst0)
     assert rep0.profile_ok, "rank profile must match the prescribed classes"
     assert rep0.irreducible, "a valid full-algebra certificate is required"
-    exact0 = exact_refine(out0.solution, inst0)
+    exact0 = refined_batch[0][2]
     assert exact0.profile() == [c.rank_sequence for c in inst0.classes]
     certified = 0
     for inst, out in certified_batch[1:]:
@@ -133,22 +132,18 @@ def test_residue_sum_solver(certified_batch):
     )
 
 
-def test_spectral_membership_exact_orders(certified_batch):
+def test_spectral_membership_exact_orders(refined_batch):
     t0 = time.time()
     checked = 0
-    for inst, out in certified_batch:
-        if not out.success:
-            continue
+    for inst, out, exact, h in refined_batch:
         rep = verify(out.solution, inst)
         if not (rep.profile_ok and rep.irreducible):
             continue
-        exact = exact_refine(out.solution, inst)
         total = exact.matrices[0]
         for m in exact.matrices[1:]:
             total = ex.madd(total, m)
         assert ex.is_zero(total)
         sigma = inst.parabolic_type()
-        h = flags_from_solution(exact, sigma)
         report = vanishing_orders(char_poly(h), sigma)
         assert report.member, "certified solutions map into the admissible space"
         assert report.all_exact, (

@@ -805,6 +805,49 @@ def test_exit_code_table(monkeypatch, capsys, error, code):
     assert capsys.readouterr().err == f"error: {error}\n"
 
 
+_GOLDEN = Path(__file__).resolve().parent / "golden"
+_TYPE = str(FIXTURES / "type_rank2_full_flags.json")
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["type-check", "--type", _TYPE], "--report"),
+    (["ds", "solve", "--instance", RANK2_INSTANCE, "--seed", "7"], "--out"),
+    (["ds", "solve", "--instance", RANK2_INSTANCE, "--seed", "7"], "--report"),
+    (["ds", "verify", "--instance", RANK2_INSTANCE, "--solution"], "--report"),
+    (["bridge", "to-quiver", "--higgs", str(_GOLDEN / "closed_form_higgs.json")], "--out"),
+    (["bridge", "to-quiver", "--higgs", str(_GOLDEN / "closed_form_higgs.json")], "--report"),
+    (["bridge", "to-higgs", "--rep", str(_GOLDEN / "closed_form_rep.json"), "--type", _TYPE], "--out"),
+    (["bridge", "to-higgs", "--rep", str(_GOLDEN / "closed_form_rep.json"), "--type", _TYPE], "--report"),
+    (["poisson", "check", "--rep", str(_GOLDEN / "closed_form_rep.json"), "--grid", "1"], "--report"),
+], ids=lambda v: v if isinstance(v, str) else "-".join(v[:2]))
+def test_an_unwritable_output_path_is_an_input_error(tmp_path, capsys, rank2_solution_data, argv, option):
+    # a file in a missing directory ends the command with one error line
+    if argv[-1] == "--solution":
+        argv = argv + [str(tmp_path / "sol.json")]
+        jsonio.dump(argv[-1], rank2_solution_data)
+    target = tmp_path / "missing" / "out.json"
+    assert main(argv + [option, str(target)]) == 1
+    assert capsys.readouterr().err == f"error: {target}: No such file or directory\n"
+
+
+def test_two_delta_passes_the_necessary_conditions_without_an_irreducible_tuple(tmp_path, capsys):
+    # four (2, 2) classes at rank 4: alpha = 2 delta of affine D4, where
+    # Crawley-Boevey's criterion fails (p(2 delta) = 1 < 2 p(delta) = 2),
+    # so no irreducible tuple exists, though the residue-sum inequality and
+    # the arm chain condition, both necessary, pass
+    inst = DSInstance(rank=4, classes=(NilpotentClass.from_partition((2, 2)),) * 4)
+    typ, instance, report = tmp_path / "type.json", tmp_path / "instance.json", tmp_path / "report.json"
+    jsonio.dump(typ, jsonio.type_to_json(inst.parabolic_type()))
+    jsonio.dump(instance, instance_to_json(inst))
+    assert main(["type-check", "--type", str(typ)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("residue-sum inequality   : PASS") for line in lines)
+    assert "arm chain condition      : PASS" in lines
+    argv = ["ds", "solve", "--instance", str(instance), "--seed", "0", "--restarts", "5", "--report", str(report)]
+    assert main(argv) == 0
+    assert jsonio.load(report)["verification"]["irreducible"] is False
+
+
 @pytest.mark.parametrize("factor,counted", [(0.99, True), (1.01, False)])
 def test_hamiltonian_count_needs_a_vanishing_moment(tmp_path, capsys, monkeypatch, factor, counted):
     # the count runs only below HAMILTONIAN_MOMENT_TOL; the residual is

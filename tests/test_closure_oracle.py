@@ -12,13 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import closure_oracle as oracle
-from common import assert_witness_pairing
+from common import assert_witness_pairing, twisted_slope
 import linalg_oracle
 from starquiver import arith, floatarith, higgs
 from starquiver import linalg_exact as ex
 from starquiver.combinat import MarkedLine, NilpotentClass, ParabolicType
 from starquiver.dsolve import DSInstance, DSSolution, exact_refine, flags_from_solution
-from starquiver.higgs import HiggsTuple, irreducible, stability_verdict
+from starquiver.higgs import HiggsTuple, irreducible, parabolic_slope, stability_verdict
 from starquiver.spectral import rank_profile
 from starquiver.starrep import BRIDGE_TOL
 
@@ -133,7 +133,7 @@ def _column_space(w, o):
     """A canonical form of the column space: the reduced row echelon form
     of the transpose (exact) or the orthogonal projector (float)."""
     if o is arith.EXACT:
-        rr, piv = ex.rref(ex.mtrans(w))
+        rr, piv = linalg_oracle.rref(ex.mtrans(w))
         return rr[: len(piv)]
     q, _ = np.linalg.qr(w)
     return q @ q.conj().T
@@ -160,19 +160,18 @@ SCALES = (1e-6, 1e-3, 1e3, 1e6)
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_irreducible_matches_oracle_on_reducible_tuples(mode):
-    # exact witnesses are the oracle's bit for bit; float closures now
-    # normalize their inputs, so float witnesses agree as column spaces
+    # witnesses agree with the oracle's as column spaces: the closures keep
+    # their span trackers' rows (primitive integer rows, or Gram-Schmidt
+    # rows of unit-scale inputs), not the oracle's columns
     o = arith.ops(mode)
     witnesses = 0
     for seed in range(60):
         mats = _as_mode(block_triangular_tuple(seed), mode)
         new, old = irreducible(mats, mode), oracle.irreducible(mats, mode)
-        assert (new.irreducible, new.dimension, new.words) == (old.irreducible, old.dimension, old.words)
+        assert (new.irreducible, new.words) == (old.irreducible, old.words)
         assert not new.irreducible
-        if o is arith.EXACT:
-            assert new.invariant_subspace == old.invariant_subspace
-        else:
-            assert _same_column_space(new.invariant_subspace, old.invariant_subspace, o)
+        assert _same_column_space(new.invariant_subspace, old.invariant_subspace, o)
+        if o is floatarith.FLOAT:
             for c in SCALES:
                 w = irreducible([c * m for m in mats], mode).invariant_subspace
                 assert w is not None and _proper_and_invariant(w, mats, o)
@@ -284,3 +283,24 @@ def test_zero_residues_test_the_former_subspaces(r, mode, monkeypatch):
         assert_witness_pairing(h, rep)
         verdicts.add(rep.verdict)
     assert {"unstable", "inconclusive"} <= verdicts
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_closure_bases_have_full_rank_and_slopes_keep_the_three_rank_rule(mode):
+    # every closure basis is its span tracker's rows, so of full column
+    # rank; parabolic_slope meets a flag step F as rk F + k - rk [F W],
+    # which on every candidate is the former rule rk F + rk W - rk [F W]
+    o = arith.ops(mode)
+    for seed in range(60):
+        mats = _as_mode(block_triangular_tuple(seed), mode)
+        seeds = ([v] for v in higgs._witness_candidates(mats, mode))
+        for w in higgs._proper_closures(irreducible(mats, mode).elements, seeds, o):
+            assert _proper_and_invariant(w, mats, o)
+    tuples = [nilpotent_tuple(seed, mode) for seed in range(60)]
+    for r in (2, 3):
+        rng = np.random.default_rng([5, r, mode == "exact"])
+        tuples += [zero_residue_tuple(rng, r, mode) for _ in range(25)]
+    for h in tuples:
+        for w in higgs._invariant_subspace_candidates(h, irreducible(h.matrices, mode)):
+            assert o.rank(w) == o.shape(w)[1]
+            assert parabolic_slope(h, w) == twisted_slope(h, 0, [w] * h.n)

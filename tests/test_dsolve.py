@@ -297,14 +297,13 @@ def test_solver_falls_back_to_a_converged_reducible_tuple():
 
 
 @pytest.mark.parametrize("mode", ["float", "exact"])
-def test_flag_steps_are_prefixes_of_one_basis(certified_batch, mode):
+def test_flag_steps_are_prefixes_of_one_basis(refined_batch, mode):
     # each point's flag is one basis filled deepest step first: every step
     # is the leading columns of the next shallower one, and exact steps
     # stay Fraction matrices
     checked = 0
-    for inst, out in certified_batch:
-        sol = out.solution if mode == "float" else exact_refine(out.solution, inst)
-        h = flags_from_solution(sol, inst.parabolic_type())
+    for inst, out, _, exact_h in refined_batch:
+        h = flags_from_solution(out.solution, inst.parabolic_type()) if mode == "float" else exact_h
         for fl in h.flags:
             for outer, inner in zip(fl, fl[1:]):
                 if mode == "float":

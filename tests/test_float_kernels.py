@@ -2,8 +2,9 @@
 round trip: the broadcast Kronecker product ``floatarith.kron`` against
 ``np.kron``, ``orbit_jacobian`` against its per-block ``np.kron`` formula,
 cycle traces against an identity-started product, center cycles against
-a step-by-step enumeration, and the batched level-1 Hamiltonian rows and
-count against the per-(t, z) trace-power gradients."""
+a step-by-step enumeration, the cut of ``floatarith.singular_rank``, and
+the batched level-1 Hamiltonian rows and count against the per-(t, z)
+trace-power gradients."""
 
 from fractions import Fraction
 
@@ -15,15 +16,15 @@ from hypothesis import strategies as st
 from starquiver import poisson
 from starquiver.combinat import spectral_degrees
 from starquiver.dsolve import SolverConfig, flags_from_solution, orbit_jacobian, random_feasible_instance, solve
-from starquiver.floatarith import kron
+from starquiver.floatarith import kron, singular_rank
 from starquiver.higgs import higgs_to_quiver
 from starquiver.poisson import (
     HAMILTONIAN_RANK_RTOL,
+    MOMENT_RANK_RTOL,
     independent_hamiltonian_count,
     moment_zero_tangent,
     pack_rep,
     phi_value,
-    singular_rank,
     trace_power_observable,
 )
 from starquiver.starrep import InvalidCycle, StarQuiver, StarRep, center_cycles, random_rep, trace_along_cycle
@@ -194,6 +195,27 @@ def test_center_cycles_equal_the_step_by_step_enumeration(quiver, max_len):
 def test_trace_along_cycle_rejects_each_invalid_walk(cycle_rep, cycle, message):
     with pytest.raises(InvalidCycle, match=message):
         trace_along_cycle(cycle_rep, cycle)
+
+
+# ---------------------------------------------------------------------------
+# the singular-value count
+
+
+@pytest.mark.parametrize("rtol", [MOMENT_RANK_RTOL, HAMILTONIAN_RANK_RTOL])
+def test_singular_rank_cut(rtol):
+    assert (MOMENT_RANK_RTOL, HAMILTONIAN_RANK_RTOL) == (1e-8, 1e-6)
+    for top in (1.0, 3e5):
+        assert singular_rank(np.array([top, 1.01 * rtol * top, 0.0]), rtol) == 2
+        assert singular_rank(np.array([top, 0.99 * rtol * top, 0.0]), rtol) == 1
+    assert singular_rank(np.zeros(3), rtol) == 0
+    assert singular_rank(np.zeros(0), rtol) == 0
+    # a floor above the largest value anchors the cut there, one below it
+    # changes nothing; an empty spectrum still counts 0
+    s = np.array([2 * rtol, 1.01 * rtol, 0.99 * rtol])
+    assert singular_rank(s, rtol) == 3
+    assert singular_rank(s, rtol, floor=1.0) == 2
+    assert singular_rank(s, rtol, floor=rtol) == 3
+    assert singular_rank(np.zeros(0), rtol, floor=1.0) == 0
 
 
 # ---------------------------------------------------------------------------

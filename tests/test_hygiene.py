@@ -3,7 +3,8 @@ function-local one is read in its own function), no unread private
 module-level names or function parameters in the package, no public
 function, class, method or `arith` backend op that the pipeline does not
 reach from its roots (module-level statements, the console entry point,
-the benchmark harness and the names README.md gives), no option that
+the benchmark harness and the names README.md gives), no dataclass field
+that none of those reads, no option that
 every caller in the package and the benchmark leaves at its default, no
 new mode comparison outside `arith`, no seeded
 random vectors in the stability verdict, one Kronecker product and no
@@ -376,16 +377,21 @@ def reached(units, roots):
 
 
 @functools.cache
-def unreachable():
-    """(path, key, line) of every definition of the package or of
-    ``perfbench`` that the pipeline never reaches.  The roots are the
-    module-level statements, the console entry points, every definition
-    of ``perfbench`` outside its tests and whatever README.md names in
-    backticks; tests reach nothing."""
+def pipeline():
+    """(``unit_table`` of the package and ``perfbench``, the units the
+    pipeline reaches).  The roots are the module-level statements, the
+    console entry points, every definition of ``perfbench`` outside its
+    tests and whatever README.md names in backticks; tests reach nothing."""
     units = unit_table(PACKAGE + BENCH)
     mentioned, entries = readme_names(), entry_points()
     roots = {u for u in units if u[1] is None or u[0] in BENCH or u in entries or u[1].split(".")[-1] in mentioned}
-    live = reached(units, roots)
+    return units, reached(units, roots)
+
+
+def unreachable():
+    """(path, key, line) of every definition of the package or of
+    ``perfbench`` that the pipeline never reaches."""
+    units, live = pipeline()
     return [(path, key, units[path, key][1]) for path, key in units if (path, key) not in live]
 
 
@@ -458,6 +464,43 @@ def test_reachability_ignores_module_attributes_locals_and_dead_cycles(tmp_path)
     assert units[module, "C.alias"][2] == {"staticmethod", "ex", "linalg_exact.mcopy"}
     live = reached(units, {(module, None)})
     assert sorted(key for _, key in units.keys() - live) == ["C.alias", "C.copy", "f"]
+
+
+def dataclass_fields(path):
+    """``module.Class.field`` of each field of the module's dataclasses."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        f"{path.stem}.{node.name}.{m.target.id}"
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and any("dataclass" in (getattr(d, "id", None), getattr(getattr(d, "func", None), "id", None)) for d in node.decorator_list)
+        for m in node.body
+        if isinstance(m, ast.AnnAssign) and isinstance(m.target, ast.Name)
+    ]
+
+
+def unread_fields():
+    """Each dataclass field of the package that no unit the pipeline reaches
+    reads as an attribute; README.md's words are roots here, not reads."""
+    units, live = pipeline()
+    reads = set().union(*(units[u][2] for u in live))
+    return [name for path in PACKAGE for name in dataclass_fields(path) if "." + name.rsplit(".", 1)[1] not in reads]
+
+
+# dataclass fields that only tests read, and why each stays
+UNREAD_FIELDS_KEPT = {
+    "higgs.StabilityReport.witness_subspace": "the verdict's evidence, which tests pair with theta (assert_witness_pairing)",
+    "higgs.StabilityReport.witness_slope": "the slope of that evidence, checked beside it",
+    "higgs.StabilityReport.exhaustive": "marks a verdict of an exhaustive search, the aim of ROADMAP item 3",
+}
+
+
+def test_every_dataclass_field_is_read():
+    # a field that the pipeline stores and never reads is a duplicate or
+    # dead data; the kept ones must stay unread, or they leave the table
+    hits = set(unread_fields())
+    assert sorted(hits - UNREAD_FIELDS_KEPT.keys()) == []
+    assert sorted(hits & UNREAD_FIELDS_KEPT.keys()) == sorted(UNREAD_FIELDS_KEPT)
 
 
 def unread_parameters(tree):

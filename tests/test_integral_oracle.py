@@ -16,17 +16,16 @@ from linalg_oracle import root_order
 from starquiver import jsonio
 from starquiver import linalg_exact as ex
 from starquiver import spectral
-from starquiver.dsolve import exact_refine, flags_from_solution
 from starquiver.spectral import char_poly, is_integral, spectral_poly, vanishing_orders
 
 LAM, Z = oracle.LAM, oracle.Z
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def test_certificates_match_oracle_on_certified_batch(certified_batch):
-    for inst, out in certified_batch:
+def test_certificates_match_oracle_on_certified_batch(refined_batch):
+    for inst, _, _, h in refined_batch:
         sigma = inst.parabolic_type()
-        hp = char_poly(flags_from_solution(exact_refine(out.solution, inst), sigma))
+        hp = char_poly(h)
         sp = spectral_poly(hp)
         verdict, certificate = is_integral(sp)
         assert verdict == oracle.is_integral(oracle.as_expr(sp)) == "integral"

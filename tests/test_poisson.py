@@ -10,8 +10,6 @@ from starquiver.combinat import NilpotentClass
 from starquiver.dsolve import DSInstance, SolverConfig, flags_from_solution, solve
 from starquiver.higgs import higgs_to_quiver
 from starquiver.poisson import (
-    HAMILTONIAN_RANK_RTOL,
-    MOMENT_RANK_RTOL,
     SELFCHECK_RTOL,
     Gradient,
     GradientOracleError,
@@ -29,7 +27,6 @@ from starquiver.poisson import (
     pack_rep,
     phi_value,
     poisson_tensor,
-    singular_rank,
     trace_power_observable,
     zero_gradient,
 )
@@ -189,16 +186,6 @@ def test_selfcheck_bounds_each_slot_by_its_own_scale(quiver4):
     _selfcheck(_first_entries_observable(quiver4, {0: 1000.0, 1: 0.5}, {0: 0.05}))
     with pytest.raises(GradientOracleError):
         _selfcheck(_first_entries_observable(quiver4, {0: 1000.0, 1: 0.5}, {1: 5e-3}))
-
-
-@pytest.mark.parametrize("rtol", [MOMENT_RANK_RTOL, HAMILTONIAN_RANK_RTOL])
-def test_singular_rank_cut(rtol):
-    assert (MOMENT_RANK_RTOL, HAMILTONIAN_RANK_RTOL) == (1e-8, 1e-6)
-    for top in (1.0, 3e5):
-        assert singular_rank(np.array([top, 1.01 * rtol * top, 0.0]), rtol) == 2
-        assert singular_rank(np.array([top, 0.99 * rtol * top, 0.0]), rtol) == 1
-    assert singular_rank(np.zeros(3), rtol) == 0
-    assert singular_rank(np.zeros(0), rtol) == 0
 
 
 def test_delta_identities(quiver4):
