@@ -8,7 +8,9 @@ ndarrays.  ``ops(mode)`` validates that string and returns the backend,
 it, on first use; callers resolve it once per object or function and then
 use the same operations for either format.  The exact backend delegates
 to ``linalg_exact`` and ignores every tolerance argument, because its
-answers are exact.  Vectors are lists of rational entries, ``Fraction`` or
+answers are exact; each of its kernels clears its rational input once with
+``linalg_exact.clear``, the package's one clearing rule.  ``exact_float``
+turns a rational into a float, and names a value too large for one.  Vectors are lists of rational entries, ``Fraction`` or
 ``int`` (exact), or 1-d ndarrays (float).
 
 Three operations return different values in the two formats.  The exact
@@ -28,6 +30,15 @@ from itertools import accumulate, repeat
 from . import linalg_exact as ex
 
 
+def exact_float(x):
+    """``float(x)`` of a rational; a ValueError naming ``x`` when it is too
+    large for a float, where ``float`` raises OverflowError."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{x} is too large for a float") from None
+
+
 class _Exact:
     name = "exact"
 
@@ -38,7 +49,7 @@ class _Exact:
         return a
 
     def to_float(self, a):
-        return ops("float").coerce([[float(x) for x in row] for row in a])
+        return ops("float").coerce([[exact_float(x) for x in row] for row in a])
 
     zeros = staticmethod(ex.mzeros)
     eye = staticmethod(ex.meye)

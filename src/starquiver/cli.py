@@ -330,6 +330,7 @@ def cmd_poisson_check(args):
 
     import numpy as np
 
+    from .arith import exact_float
     from .poisson import (
         GradientOracleError,
         QuadraticObservable,
@@ -345,7 +346,7 @@ def cmd_poisson_check(args):
 
     n = rep.quiver.n_arms
     if args.points:
-        points = [float(x) for x in MarkedLine(tuple(jsonio.parse_frac(p) for p in args.points.split(","))).points]
+        points = [exact_float(x) for x in MarkedLine(tuple(jsonio.parse_frac(p) for p in args.points.split(","))).points]
         if len(points) != n:
             raise InputFormatError("need one point per arm")
     else:

@@ -21,7 +21,6 @@ solution.  The result sums to zero exactly and is exactly nilpotent; the
 rank profile is then re-verified exactly.
 """
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -209,10 +208,11 @@ def _gauss_newton_run(instance, config, rng):
 def solve(instance: DSInstance, config: SolverConfig = None) -> SolveOutcome:
     """Search for matrices in the prescribed classes with zero sum.
 
-    Infeasible instances are still attempted (the feasibility inequality
-    is a sufficient condition for existence, not a proven necessary one);
-    the report always carries the feasibility flags.  The first restart
-    (by index) that converges at a smooth point of the fibre wins; when no
+    Infeasible instances are still attempted: the feasibility inequality is
+    necessary for an irreducible tuple (``ds_feasible``), but a reducible
+    one can exist (``ds_rank5_infeasible.json`` converges to one).  The
+    report always carries the feasibility flags.  The first restart (by
+    index) that converges at a smooth point of the fibre wins; when no
     converged restart is smooth, the first converged one is returned.
     """
     config = config or SolverConfig()
@@ -424,32 +424,26 @@ def _solve_anchored(columns, anchor):
     unknowns are solved for exactly.
 
     One forward elimination ``R`` (pivots p_k, last pivot d) of the system;
-    with the free anchors as integers y over their common denominator s,
-    ``xs_k = d s x[p_k]`` is minus row k of d·rref applied to y, which
-    back substitution gives bottom-up from the combination of free columns
-    alone: ``xs_k = -(d R_k·y + sum_{l>k} R_k[p_l] xs_l) / R_k[p_k]``, an
-    exact division.
+    with the free anchors cleared to integers y over their denominator s,
+    ``back_substitute`` of the one right-hand column ``R_k·y`` at the free
+    columns gives ``d s x[p_k]``.
     """
     x = list(anchor)
     red, piv, d = ex.echelon(ex.mtrans(columns))
     pivot_set = set(piv)
     free = [j for j in range(len(columns)) if j not in pivot_set]
-    scale = math.lcm(*(anchor[j].denominator for j in free))
-    y = [anchor[j].numerator * (scale // anchor[j].denominator) for j in free]
-    xs = [0] * len(piv)
-    for k in range(len(piv) - 1, -1, -1):
-        row = red[k]
-        acc = d * sum(row[j] * yj for j, yj in zip(free, y))
-        acc += sum(row[piv[l]] * xs[l] for l in range(k + 1, len(piv)))
-        xs[k] = -(acc // row[piv[k]])
-    for p, v in zip(piv, xs):
+    (y,), scale = ex.clear([[anchor[j] for j in free]])
+    rhs = [[sum(row[j] * yj for j, yj in zip(free, y))] for row in red[: len(piv)]]
+    for p, (v,) in zip(piv, ex.back_substitute(red, piv, d, rhs)):
         x[p] = Fraction(v, d * scale)
     return x
 
 
 def _refine_at(solution, instance, nested, den):
     """The exact tuple for one snap at denominator ``den``, or None when the
-    snap is rejected (singular flag basis, wrong profile, or drift)."""
+    snap is rejected (singular flag basis, wrong profile, or drift).  Each
+    flag basis Q is inverted in integers: ``back_substitute`` on the
+    ``echelon`` of [Q | I] gives d·Q^-1, d its last pivot."""
     r = instance.rank
     frames, unknowns, columns, anchor = [], [], [], []
     for i, (rows, c) in enumerate(zip(nested, instance.classes)):
@@ -457,10 +451,10 @@ def _refine_at(solution, instance, nested, den):
             frames.append(None)
             continue
         q = _flag_basis(rows, den)
-        red, piv, d = ex.bareiss([row + [int(p == t) for t in range(r)] for p, row in enumerate(q)])
+        red, piv, d = ex.echelon([row + [int(p == t) for t in range(r)] for p, row in enumerate(q)])
         if piv != list(range(r)):
             return None  # the snapped flag steps lost rank
-        adj = [row[r:] for row in red]  # d Q^-1
+        adj = ex.back_substitute(red, piv, d, [[-v for v in row[r:]] for row in red])  # d Q^-1
         frames.append((q, adj, d))
         qf = np.array(q, dtype=float)
         nf = np.linalg.solve(qf, np.asarray(solution.matrices[i]).real @ qf)

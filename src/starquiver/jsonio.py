@@ -46,7 +46,8 @@ def int_from_json(v):
 def _decoder(what):
     """Decorate the decoder of the value ``what`` so that malformed data ends
     in one ``InputFormatError``: a missing field, or an invalid value with
-    the message of the error that decoding it raised."""
+    the message of the error that decoding it raised (a zero denominator,
+    or a number too large for a float, among them)."""
 
     def wrap(decode):
         @functools.wraps(decode)
@@ -55,7 +56,7 @@ def _decoder(what):
                 return decode(data, *args, **kwargs)
             except KeyError as e:
                 raise InputFormatError(f"{what} is missing the field {e}") from e
-            except (AttributeError, TypeError, ValueError, ZeroDivisionError) as e:
+            except (AttributeError, TypeError, ValueError, ArithmeticError) as e:
                 raise InputFormatError(f"invalid {what}: {e}") from e
 
         return run

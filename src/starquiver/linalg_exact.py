@@ -1,17 +1,18 @@
 """Exact linear algebra and dense univariate polynomials over Fraction.
 
 Matrices are lists of row lists with ``fractions.Fraction`` entries.  All
-elimination is fraction-free (Bareiss 1968) on integer matrices and runs
-one forward loop, ``echelon``, which keeps every entry an integer minor
-and never reduces a fraction; ``bareiss`` then reduces its rows bottom-up
-to d times the reduced row echelon form.  Rational matrices are cleared of
-denominators row by row first: ``rank`` counts the pivots of ``echelon``
-alone, and ``solve`` and the one kernel, ``int_kernel``, read their
-answers off ``bareiss``; ``Span`` decides the independence of
-one vector at a time in integers.  Products run on integers too: ``clear``
-writes a matrix as integer rows over one denominator, ``imul`` multiplies
-integer matrices, and ``mmul`` builds one Fraction per entry of the
-integer product.
+elimination is fraction-free (Bareiss 1968) on integer matrices: one
+forward loop, ``echelon``, keeps every entry an integer minor and never
+reduces a fraction, and one back substitution, ``back_substitute``, solves
+its rows bottom-up for d times the pivot unknowns, for any number of
+right-hand columns at once.  ``clear`` is the one clearing rule: it writes
+a rational matrix as integer rows over one denominator, and every exact
+kernel that takes rational input calls it.  ``rank`` counts the pivots of
+``echelon`` alone; ``solve`` and the one kernel, ``int_kernel``, read their
+answers off ``back_substitute``; ``Span`` decides the independence of one
+vector at a time in integers.  Products run on integers too: ``imul``
+multiplies integer matrices, and ``mmul`` builds one Fraction per entry of
+the integer product.
 
 Polynomials are dense coefficient lists in ascending order; trailing
 zeros are trimmed so that ``[]`` is the zero polynomial.  ``paddmul`` is
@@ -59,7 +60,8 @@ def msub(a, b):
 
 def clear(a):
     """(rows, d): the integer rows of ``d a`` and the positive lcm d of the
-    entry denominators (1 for an integer or empty matrix)."""
+    entry denominators (1 for an integer or empty matrix); the one
+    clearing rule, since no rank or solution depends on the row scale."""
     d = math.lcm(*(x.denominator for row in a for x in row))
     return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
 
@@ -112,37 +114,29 @@ def is_zero(a):
 # elimination
 
 
-def _integer_rows(a):
-    """Each row of ``a`` times the lcm of its denominators, as integers."""
-    out = []
-    for row in a:
-        den = math.lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (den // x.denominator) for x in row])
-    return out
-
-
 def rank(a):
-    return len(echelon(_integer_rows(a))[1])
+    return len(echelon(clear(a)[0])[1])
 
 
 def solve(a, b):
     """Solve a @ x = b exactly (b a matrix); raises if inconsistent.
 
     Returns one particular solution (free variables set to zero).  Scaling
-    a row does not change the reduced form, so the rows of ``[a | b]`` are
-    cleared of denominators and eliminated once by ``bareiss``: row p_k of
-    x is the right-hand part of row k of d·rref, over d.
+    a row does not change the solutions, so ``[a | b]`` is cleared of
+    denominators and eliminated once by ``echelon``; ``back_substitute``
+    with the rows' -b parts on the right gives d·x at the pivots.
     """
     m, n = shape(a)
     mb, k = shape(b)
     if m != mb:
         raise ValueError("incompatible right-hand side")
-    red, pivots, d = bareiss(_integer_rows([a[i] + b[i] for i in range(m)]))
+    r, pivots, d = echelon(clear([a[i] + b[i] for i in range(m)])[0])
     if any(p >= n for p in pivots):
         raise ValueError("inconsistent linear system")
+    xs = back_substitute(r, pivots, d, [[-v for v in row[n:]] for row in r[: len(pivots)]])
     x = mzeros(n, k)
-    for row, p in zip(red, pivots):
-        x[p] = [Fraction(v, d) for v in row[n:]]
+    for p, row in zip(pivots, xs):
+        x[p] = [Fraction(v, d) for v in row]
     return x
 
 
@@ -180,37 +174,28 @@ def echelon(a):
     return r, pivots, prev
 
 
-def bareiss(a):
-    """Fraction-free Gauss-Jordan elimination of an integer matrix: d times
-    its reduced row echelon form.  Returns (R, pivot_columns, d).
+def back_substitute(r, pivots, d, rhs):
+    """d times the pivot unknowns x of ``R x + c = 0``, for the rows R and
+    pivots of ``echelon`` (last pivot d) and ``rhs[k]`` the values of c at
+    row k, one per right-hand column; unknowns off the pivots are zero.
 
-    ``echelon`` eliminates forward; then, bottom-up, each echelon row R_k
-    becomes row k of d·rref as ``(d R_k - sum_{l>k} R_k[p_l] D_l) / R_k[p_k]``
-    over the rows D_l already reduced, computed at the non-pivot columns
-    only.  d·rref is unique and has integer entries (minors of ``a``), so
-    each division is exact.  Row k (k < rank) holds d in its own pivot
-    column and 0 in the other pivot columns; the remaining rows are zero.
-    For an invertible square ``a``, elimination of ``[a | I]`` leaves
-    ``d a^{-1}`` on the right.
+    Bottom-up, ``xs_k = -(d c_k + sum_{l>k} R_k[p_l] xs_l) / R_k[p_k]`` on
+    all right-hand columns at once.  Every caller's c is an integer
+    combination of columns of R: xs is then the same combination of
+    columns of -d·rref, whose entries are minors of the eliminated matrix,
+    so each division is exact.  For an invertible square ``a``, the rows of
+    ``echelon([a | I])`` with their -I parts on the right give ``d a^-1``.
     """
-    r, pivots, d = echelon(a)
-    pivot_set = set(pivots)
-    free = [j for j in range(shape(r)[1]) if j not in pivot_set]
-    tails = [None] * len(pivots)  # tails[l]: row l of d·rref at the free columns
+    xs = [None] * len(pivots)
     for k in range(len(pivots) - 1, -1, -1):
         row = r[k]
-        acc = [d * row[j] for j in free]
+        acc = [d * c for c in rhs[k]]
         for l in range(k + 1, len(pivots)):
             c = row[pivots[l]]
             if c:
-                acc = [x - c * y for x, y in zip(acc, tails[l])]
-        p = row[pivots[k]]
-        tails[k] = [x // p for x in acc]
-        r[k] = [0] * len(row)
-        r[k][pivots[k]] = d
-        for j, x in zip(free, tails[k]):
-            r[k][j] = x
-    return r, pivots, d
+                acc = [x + c * y for x, y in zip(acc, xs[l])]
+        xs[k] = [-(x // row[pivots[k]]) for x in acc]
+    return xs
 
 
 class Span:
@@ -228,7 +213,7 @@ class Span:
 
     def add(self, vec):
         """Keep ``vec`` if it is independent of the kept rows; True if kept."""
-        v = _integer_rows([vec])[0]
+        v = clear([vec])[0][0]
         for row, piv in zip(self.rows, self.pivots):
             c = v[piv]
             if c:
@@ -253,14 +238,16 @@ class Span:
 def int_kernel(a):
     """Integer basis of the right kernel of an integer matrix: one
     primitive vector per non-pivot column."""
-    red, pivots, d = bareiss(a)
+    r, pivots, d = echelon(a)
     n = shape(a)[1]
+    free = [j for j in range(n) if j not in pivots]
+    xs = back_substitute(r, pivots, d, [[row[f] for f in free] for row in r[: len(pivots)]])
     basis = []
-    for f in (j for j in range(n) if j not in pivots):
+    for t, f in enumerate(free):
         v = [0] * n
         v[f] = d
-        for row, p in zip(red, pivots):
-            v[p] = -row[f]
+        for p, x in zip(pivots, xs):
+            v[p] = x[t]
         g = math.gcd(*v)
         basis.append([x // g for x in v])
     return basis

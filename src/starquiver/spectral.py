@@ -132,19 +132,19 @@ def char_poly(h: HiggsTuple) -> HitchinPoint:
     r = h.rank
     n = h.sigma.n_points
     points = h.sigma.line.points
-    e = lcm(*(x.denominator for x in points))
-    d = lcm(*(x.denominator for m in h.matrices for row in m for x in row))
-    factors = [[-x.numerator * (e // x.denominator), e] for x in points]
+    (ints,), e = ex.clear([points])
+    rows, d = ex.clear([row for a in h.matrices for row in a])
+    factors = [[-x, e] for x in ints]
     zm = [[[] for _ in range(r)] for _ in range(r)]
-    for i, a in enumerate(h.matrices):
+    for i in range(n):
         weight = [1]
         for k, f in enumerate(factors):
             if k != i:
                 weight = ex.paddmul([], weight, f)
-        for row, zrow in zip(a, zm):
+        for row, zrow in zip(rows[i * r : (i + 1) * r], zm):
             for x, entry in zip(row, zrow):
                 if x:
-                    ex.paddmul(entry, [x.numerator * (d // x.denominator)], weight)
+                    ex.paddmul(entry, [x], weight)
     scale = d * e ** (n - 1)
     coeffs = []
     for j, c in enumerate(_zx_charpoly(zm), start=1):
@@ -237,8 +237,7 @@ def vanishing_orders(hp: HitchinPoint, sigma: ParabolicType) -> VanishingOrderRe
 def _orders(p, points):
     """Root order of the Fraction polynomial p at each point; None for
     every point when p is zero.  The denominators are cleared once."""
-    den = lcm(*(c.denominator for c in p))
-    q = ex.ptrim([c.numerator * (den // c.denominator) for c in p])
+    q = ex.ptrim(ex.clear([p])[0][0])
     return [_root_order(q, x.numerator, x.denominator) if q else None for x in points]
 
 

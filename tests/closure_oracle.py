@@ -4,7 +4,7 @@ These are the library's former implementations, kept verbatim where they
 could be:
 
 - ``nilpotent_jordan_basis`` decided each candidate top vector by
-  eliminating the whole span again (``bareiss(span + [v])``);
+  eliminating the whole span again (``rank(span + [v])``);
   ``starquiver.linalg_exact`` now keeps one incremental ``Span`` per level.
 - ``irreducible`` closed the word basis frontier by frontier, tracked
   independence over Fraction in exact mode (``FractionSpan``), and searched
@@ -43,9 +43,9 @@ def nilpotent_jordan_basis(a):
     chains = []
     for s in range(len(kernels) - 1, 0, -1):
         span = kernels[s - 1] + [c[len(c) - s] for c in chains]
-        found = len(ex.bareiss(span)[1]) if span else 0
+        found = ex.rank(span)
         for v in kernels[s]:
-            if len(ex.bareiss(span + [v])[1]) > found:
+            if ex.rank(span + [v]) > found:
                 span.append(v)
                 found += 1
                 chain = [v]

@@ -2,11 +2,12 @@
 
 This is the library's former exact ``rref``: Gauss-Jordan elimination over
 Fraction with magnitude pivoting.  It shares no arithmetic with the
-fraction-free ``bareiss`` that ``starquiver.linalg_exact`` now eliminates
-with, and the reduced row echelon form is unique, so the two must agree
-exactly.  ``reference`` runs a ``linalg_exact`` function on this
-elimination in place of ``bareiss``, which is how the former ``solve`` and
-``inv`` worked; the former ``rank`` was the pivot count of this ``rref``.
+fraction-free ``echelon`` and ``back_substitute`` that
+``starquiver.linalg_exact`` now eliminates with, and the reduced row
+echelon form is unique, so the two must agree exactly.  ``reference`` runs
+a ``linalg_exact`` function on this elimination in place of ``echelon``,
+which is how the former ``solve`` and ``inv`` worked; the former ``rank``
+was the pivot count of this ``rref``.
 
 ``nullspace`` is the library's former Fraction kernel, read off this
 ``rref`` with a 1 in each free column.  ``starquiver.arith.EXACT.nullspace``
@@ -19,9 +20,11 @@ each factor of denominators once and multiplies integers.
 
 ``bareiss`` is the library's former fraction-free Gauss-Jordan
 elimination, which updated the rows above each pivot inside the forward
-loop.  ``starquiver.linalg_exact.bareiss`` now eliminates forward only
-(``echelon``) and reduces the echelon rows bottom-up afterwards; d times
-the reduced row echelon form is unique, so the two must agree exactly.
+loop.  ``starquiver.linalg_exact`` now eliminates forward only
+(``echelon``) and solves the echelon rows bottom-up afterwards
+(``back_substitute``), for the right-hand columns a caller reads; d times
+the reduced row echelon form is unique, so the two must agree exactly at
+every column.
 
 ``root_order`` is the library's former Fraction root multiplicity:
 evaluate at x, then divide synthetically by (z - x), until the value is
@@ -133,10 +136,11 @@ def nullspace(a):
 
 
 def _scaled_rref(a):
-    """``bareiss``'s triple read off ``rref``: (D R, pivots, D) for the
+    """An ``echelon`` triple read off ``rref``: (D R, pivots, D) for the
     reduced row echelon form R of the integer matrix ``a`` and the lcm D of
-    its denominators.  D need not be ``bareiss``'s d, but ``solve`` reads
-    only the quotients of the rows by it."""
+    its denominators.  D R is an echelon form whose pivot rows are zero at
+    the other pivots, so ``back_substitute`` reads it correctly; D need not
+    be ``echelon``'s d, but ``solve`` reads only quotients by it."""
     r, pivots = rref([[Fraction(x) for x in row] for row in a])
     d = math.lcm(*(x.denominator for row in r for x in row))
     return [[x.numerator * (d // x.denominator) for x in row] for row in r], pivots, d
@@ -144,8 +148,8 @@ def _scaled_rref(a):
 
 def reference(fn, *args):
     """``fn(*args)`` for a ``linalg_exact`` function, eliminating with this
-    module's ``rref`` in place of ``bareiss``."""
-    with mock.patch.object(ex, "bareiss", _scaled_rref):
+    module's ``rref`` in place of ``echelon``."""
+    with mock.patch.object(ex, "echelon", _scaled_rref):
         return fn(*args)
 
 

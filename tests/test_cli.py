@@ -627,6 +627,50 @@ def test_float_entries_refuse_booleans(tmp_path, capsys, entry):
     assert (code, err) == (1, f"error: invalid representation: not a floating scalar: {entry!r}\n")
 
 
+_HUGE = 10**400  # a JSON integer, and a rational, beyond the largest float
+
+
+def _one_error_line(code, err, message):
+    assert (code, err.count("\n")) == (1, 1)
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["poisson", "check", "--rep", "BAD", "--grid", "1"],
+    ["bridge", "to-higgs", "--rep", "BAD", "--type", str(FIXTURES / "type_rank2_full_flags.json")],
+])
+def test_a_float_rep_entry_too_large_for_a_float_is_one_error_line(tmp_path, capsys, argv):
+    data = jsonio.rep_to_json(random_rep(StarQuiver(rank=2, arms=((1,),) * 4), np.random.default_rng(5), scale=0.5))
+    data["matrices"]["f/1/1"][0][0] = _HUGE
+    _one_error_line(*_malformed_run(tmp_path, capsys, data, argv), "invalid representation: int too large to convert to float")
+
+
+@pytest.mark.parametrize("where", ["entry", "residual"])
+def test_a_solution_number_too_large_for_a_float_is_one_error_line(tmp_path, capsys, rank2_solution_data, where):
+    data = json.loads(json.dumps(rank2_solution_data))
+    if where == "entry":
+        data["matrices"][0][0][0] = _HUGE
+    else:
+        data["residual"] = _HUGE
+    argv = ["ds", "verify", "--solution", "BAD", "--instance", RANK2_INSTANCE]
+    _one_error_line(*_malformed_run(tmp_path, capsys, data, argv), "invalid solution: int too large to convert to float")
+
+
+def test_an_exact_rep_entry_too_large_for_a_float_is_one_error_line(tmp_path, capsys):
+    # poisson check runs in floats: the exact entry converts, or names itself
+    ones = {f"{s}/{j}/1": m for j in range(1, 5) for s, m in (("f", [["1", "0"]]), ("g", [["0"], ["1"]]))}
+    data = {"rank": 2, "arms": [[1]] * 4, "mode": "exact", "matrices": dict(ones, **{"f/1/1": [[str(_HUGE), "0"]]})}
+    _one_error_line(*_malformed_run(tmp_path, capsys, data, ["poisson", "check", "--rep", "BAD", "--grid", "1"]),
+                    f"{_HUGE} is too large for a float")
+
+
+def test_a_marked_point_too_large_for_a_float_is_one_error_line(tmp_path, capsys):
+    rep = tmp_path / "rep.json"
+    jsonio.dump(rep, jsonio.rep_to_json(random_rep(StarQuiver(rank=2, arms=((1,),) * 4), np.random.default_rng(0))))
+    code = main(["poisson", "check", "--rep", str(rep), "--points", f"0,1,2,{_HUGE}"])
+    _one_error_line(code, capsys.readouterr().err, f"{_HUGE} is too large for a float")
+
+
 def test_poisson_points_are_parsed_as_rationals(tmp_path, capsys):
     rep = tmp_path / "rep.json"
     jsonio.dump(rep, jsonio.rep_to_json(random_rep(StarQuiver(rank=2, arms=((1,),) * 4), np.random.default_rng(0))))

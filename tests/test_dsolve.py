@@ -264,6 +264,42 @@ def test_smooth_point_threshold():
     assert not is_smooth_point([e12, -e12, 8e-4 * e21, -8e-4 * e21])
 
 
+@pytest.mark.parametrize("factor,smooth", [(0.99, True), (1.01, False)])
+def test_smooth_ratio_edge(certified_batch, monkeypatch, factor, smooth):
+    # the first random batch instance (solver seed 100): its winning point's
+    # sigma_{r^2-1}/sigma_1 against _SMOOTH_RATIO moved just below and above it
+    inst, out = certified_batch[1]
+    mats = np.asarray(out.solution.matrices)
+    sv = np.linalg.svd(orbit_jacobian(mats), compute_uv=False)
+    ratio = sv[mats[0].size - 2] / sv[0]
+    assert dsolve._SMOOTH_RATIO < ratio
+    monkeypatch.setattr(dsolve, "_SMOOTH_RATIO", factor * ratio)
+    assert bool(is_smooth_point(mats)) is smooth
+    if smooth:
+        again = solve(inst, SolverConfig(seed=100)).solution
+        assert again.restart_index == out.solution.restart_index
+        assert all(np.array_equal(a, b) for a, b in zip(again.matrices, out.solution.matrices, strict=True))
+
+
+@pytest.mark.parametrize("factor,accepted", [(1.01, True), (0.99, False)])
+def test_drift_bound_edge(refined_batch, monkeypatch, factor, accepted):
+    # one snap only: the first random batch instance refines at the first
+    # denominator, and its largest per-point drift, moved just above and
+    # below _MAX_DRIFT, decides that snap
+    inst, out, exact, _ = refined_batch[1]
+    monkeypatch.setattr(dsolve, "_SNAP_ATTEMPTS", 1)
+    drift = max(np.linalg.norm(FLOAT.from_exact(a) - np.asarray(f).real)
+                for a, f in zip(exact.matrices, out.solution.matrices, strict=True))
+    assert 0 < drift < dsolve._MAX_DRIFT
+    monkeypatch.setattr(dsolve, "_MAX_DRIFT", factor * drift)
+    if accepted:
+        again = exact_refine(out.solution, inst)
+        assert (again.matrices, again.conjugators) == (exact.matrices, exact.conjugators)
+    else:
+        with pytest.raises(RefinementError, match="snapped flags kept degenerating"):
+            exact_refine(out.solution, inst)
+
+
 def test_rank_tolerance_floor():
     # below a residual of 1e-10 the 1e-7 floor holds; above it the cut
     # follows 1e3 times the residual

@@ -664,12 +664,81 @@ def fraction_free_steps(tree):
 
 
 def test_one_elimination_loop():
-    # linalg_exact.echelon is the package's one forward elimination; bareiss,
-    # rank and the anchored zero-sum solve all run it, and none keeps a
-    # second copy of the loop beside it
+    # linalg_exact.echelon is the package's one forward elimination; rank,
+    # solve, int_kernel, the refinement's flag inverses and the anchored
+    # zero-sum solve all run it, and none keeps a second copy of the loop
+    # beside it
+    assert owners_of(fraction_free_steps) == ["linalg_exact.echelon"]
+
+
+def pivot_divisions(f):
+    """Floor divisions in function ``f`` by a pivot entry: by a subscript
+    ``row[pivots[k]]`` indexed by another subscript, or by a name bound to
+    one in ``f``."""
+
+    def is_pivot_entry(node):
+        return isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Subscript)
+
+    bound = {
+        t.id
+        for node in ast.walk(f)
+        if isinstance(node, ast.Assign) and is_pivot_entry(node.value)
+        for t in node.targets
+        if isinstance(t, ast.Name)
+    }
+    return [
+        node
+        for node in ast.walk(f)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.FloorDiv)
+        and (is_pivot_entry(node.right) or (isinstance(node.right, ast.Name) and node.right.id in bound))
+    ]
+
+
+def clearing_steps(tree):
+    """``x.numerator * (d // x.denominator)``: a rational written as an
+    integer over the denominator d."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and getattr(node.left, "attr", None) == "numerator"
+        and isinstance(node.right, ast.BinOp)
+        and isinstance(node.right.op, ast.FloorDiv)
+        and getattr(node.right.right, "attr", None) == "denominator"
+    ]
+
+
+def owners_of(find):
+    """``module.function`` once for each node ``find`` returns in the body
+    of a package function."""
     owners = []
     for path in sorted((SRC / "starquiver").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.FunctionDef):
-                owners += [f"{path.stem}.{node.name}"] * len(fraction_free_steps(node))
-    assert owners == ["linalg_exact.echelon"]
+                owners += [f"{path.stem}.{node.name}"] * len(find(node))
+    return owners
+
+
+def test_one_back_substitution():
+    # linalg_exact.back_substitute is the package's one division by the
+    # echelon pivots: int_kernel, solve, the refinement's d·Q^-1 and the
+    # anchored zero-sum solve all read their answers off it
+    assert owners_of(pivot_divisions) == ["linalg_exact.back_substitute"]
+
+
+def test_one_clearing_rule():
+    # linalg_exact.clear writes rationals as integers over one denominator;
+    # spectral._integer_form keeps its own step because it scales level j
+    # by s^j, which no single denominator does
+    assert owners_of(clearing_steps) == ["linalg_exact.clear", "spectral._integer_form"]
+
+
+def test_the_guards_see_the_former_copies():
+    # the shapes the two guards look for, as the former bareiss and
+    # _integer_rows wrote them
+    bareiss = ast.parse("def f(row, pivots, k, acc):\n    p = row[pivots[k]]\n    return [x // p for x in acc]\n")
+    integer_rows = ast.parse("def g(row, den):\n    return [x.numerator * (den // x.denominator) for x in row]\n")
+    assert len(pivot_divisions(bareiss.body[0])) == 1
+    assert len(clearing_steps(integer_rows)) == 1

@@ -1,9 +1,9 @@
 """Differential tests of the fraction-free exact elimination and the
-integer products against the Fraction oracle in ``linalg_oracle``, of the
-two-phase ``bareiss`` against the former interleaved one kept there,
-properties of the integer powers, exact/float agreement of rank
-profiles on integer nilpotents, and the exact Frobenius norm against
-numpy's and at the edges of the float range."""
+integer products against the Fraction oracle in ``linalg_oracle``, of
+``echelon`` with ``back_substitute`` against the former interleaved
+``bareiss`` kept there, properties of the integer powers, exact/float
+agreement of rank profiles on integer nilpotents, and the exact Frobenius
+norm against numpy's and at the edges of the float range."""
 
 import math
 import sys
@@ -81,10 +81,20 @@ def _rank_ref(a):
     return len(oracle.rref(a)[1])
 
 
-def _rref_by_bareiss(a):
-    """The reduced row echelon form as ``bareiss`` gives it: d times the
-    form of the cleared matrix, over d."""
-    red, pivots, d = ex.bareiss(ex.clear(a)[0])
+def _bareiss_triple(a):
+    """(d·rref, pivots, d) of an integer matrix from ``echelon`` and
+    ``back_substitute``: with minus every column of the echelon rows on the
+    right, row k of the solution is row k of d·rref, free columns and
+    pivot columns alike."""
+    red, pivots, d = ex.echelon(a)
+    xs = ex.back_substitute(red, pivots, d, [[-x for x in row] for row in red[: len(pivots)]])
+    return xs + red[len(pivots):], pivots, d
+
+
+def _rref_by_back_substitution(a):
+    """The reduced row echelon form of the cleared matrix, read off
+    ``_bareiss_triple`` and divided by d."""
+    red, pivots, d = _bareiss_triple(ex.clear(a)[0])
     return ex.divide(red, d), pivots
 
 
@@ -95,7 +105,7 @@ _solve_ref = partial(oracle.reference, ex.solve)
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(matrices())
 def test_rref_rank_nullspace_match_oracle(a):
-    assert _rref_by_bareiss(a) == oracle.rref(a)
+    assert _rref_by_back_substitution(a) == oracle.rref(a)
     assert ex.rank(a) == _rank_ref(a)
     _assert_kernel_matches_oracle(a)
 
@@ -128,7 +138,7 @@ def integer_matrices(draw):
 
 def _check_elimination(a):
     expected = oracle.bareiss(a)
-    assert ex.bareiss(a) == expected
+    assert _bareiss_triple(a) == expected  # every column, back substituted
     red, pivots, d = ex.echelon(a)
     assert (pivots, d) == expected[1:]
     assert all(type(x) is int for row in red for x in row)
@@ -177,6 +187,44 @@ def test_solve_matches_oracle(case):
     a, b, consistent = case
     solved = _same_outcome(ex.solve, _solve_ref, a, b)
     assert solved or not consistent
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(matrices(), st.sampled_from([0, 1, 3]), st.data())
+def test_solve_with_zero_one_and_three_right_hand_columns(a, k, data):
+    # back_substitute works on all right-hand columns at once
+    m, n = ex.shape(a)
+    b = ex.mmul(a, data.draw(_grid(n, k))) if n else [[Fraction(0)] * k for _ in range(m)]
+    x = ex.solve(a, b)
+    assert x == _solve_ref(a, b)
+    if n:
+        assert ex.shape(x) == (n, k) and ex.mmul(a, x) == b
+
+
+@st.composite
+def inconsistent_systems(draw):
+    """(a, b): row i of a is a combination of the other rows (zero when
+    m = 1), and b = a x but for one entry of row i moved by a nonzero
+    amount, so that the elimination of [a | b] finds a pivot in b."""
+    m, n, k = draw(st.integers(1, 5)), draw(st.integers(0, 5)), draw(st.sampled_from([1, 3]))
+    a = draw(matrices(m, n))
+    i = draw(st.integers(0, m - 1))
+    c = draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
+    a[i] = [sum((c[t] * a[t][j] for t in range(m) if t != i), Fraction(0)) for j in range(n)]
+    b = ex.mmul(a, draw(_grid(n, k))) if n else [[Fraction(0)] * k for _ in range(m)]
+    b[i][draw(st.integers(0, k - 1))] += draw(_ENTRIES.filter(bool))
+    return a, b
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(inconsistent_systems())
+def test_solve_refuses_a_pivot_in_the_right_hand_side(case):
+    a, b = case
+    n = ex.shape(a)[1]
+    assert ex.echelon(ex.clear([ra + rb for ra, rb in zip(a, b)])[0])[1][-1] >= n
+    for fn in (ex.solve, _solve_ref):
+        with pytest.raises(ValueError, match="^inconsistent linear system$"):
+            fn(a, b)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -281,7 +329,7 @@ def test_scaled_powers_keep_rank_and_column_space(a):
     for p, q in zip(EXACT.powers(a, len(a)), _powers_ref(a, len(a))):
         assert EXACT.rank(p) == EXACT.rank(q)
         assert _same_column_space(EXACT.basis(p), EXACT.basis(q))
-        assert _rref_by_bareiss(ex.mtrans(p)) == _rref_by_bareiss(ex.mtrans(q))
+        assert _rref_by_back_substitution(ex.mtrans(p)) == _rref_by_back_substitution(ex.mtrans(q))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -308,7 +356,7 @@ def test_elimination_matches_oracle_on_certified_batch(refined_batch):
             chain = [ex.meye(inst.rank)] + flags
             for b in [a] + chain:
                 bt = ex.mtrans(b)
-                assert _rref_by_bareiss(bt) == oracle.rref(bt)
+                assert _rref_by_back_substitution(bt) == oracle.rref(bt)
                 assert ex.rank(b) == _rank_ref(b)
                 _assert_kernel_matches_oracle(b)
             for prev, cur in zip(chain, chain[1:]):
