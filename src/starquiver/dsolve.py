@@ -21,6 +21,7 @@ solution.  The result sums to zero exactly and is exactly nilpotent; the
 rank profile is then re-verified exactly.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -31,9 +32,9 @@ from . import linalg_exact as ex
 from .arith import ops
 from .combinat import (
     FeasibilityReport,
+    MarkedLine,
     NilpotentClass,
     ParabolicType,
-    _to_fraction,
     ds_feasible,
     type_from_classes,
 )
@@ -85,10 +86,7 @@ class DSInstance:
                 raise ValueError("all classes must share the instance rank")
         if not self.classes:
             raise ValueError("need at least one class")
-        if self.points is None:
-            pts = tuple(Fraction(i) for i in range(len(self.classes)))
-        else:
-            pts = tuple(_to_fraction(p) for p in self.points)
+        pts = MarkedLine(range(len(self.classes)) if self.points is None else self.points).points
         if len(pts) != len(self.classes):
             raise ValueError("need one marked point per class")
         object.__setattr__(self, "points", pts)
@@ -110,6 +108,15 @@ class SolverConfig:
     max_iters: int = 5000
     restarts: int = 20
     seed: int = 0
+
+    def __post_init__(self):
+        # a budget that cannot run is bad input, not an exhausted budget
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be at least 0, got {self.max_iters}")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be a positive finite number, got {self.tolerance}")
 
 
 @dataclass

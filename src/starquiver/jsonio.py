@@ -14,6 +14,7 @@ reached.
 
 import functools
 import json
+import math
 from fractions import Fraction
 
 from .combinat import MarkedLine, NilpotentClass, ParabolicType
@@ -65,10 +66,11 @@ def _decoder(what):
 
 
 def scalar_from_json(v):
-    """A float entry: a JSON number or an [re, im] pair of them; a bool is
-    not a number here, as in ``int_from_json``."""
+    """A float entry: a finite JSON number or an [re, im] pair of them; a
+    bool is not a number here, as in ``int_from_json``, and neither are the
+    NaN and Infinity tokens that Python's json reads."""
     parts = v if isinstance(v, list) and len(v) == 2 else [v]
-    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
+    if all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) for x in parts):
         return complex(*parts)
     raise InputFormatError(f"not a floating scalar: {v!r}")
 
@@ -250,6 +252,8 @@ def solution_from_json(data):
     residual = data.get("residual", 0.0)  # it sets the verification tolerances: read JSON numbers only
     if isinstance(residual, bool) or not isinstance(residual, (int, float)):
         raise InputFormatError(f"not a number: {residual!r}")
+    if not math.isfinite(residual):
+        raise InputFormatError(f"not a finite number: {residual!r}")
     return DSSolution(
         matrices=[matrix_from_json(m, mode) for m in data["matrices"]],
         conjugators=[matrix_from_json(p, mode) for p in data["conjugators"]],

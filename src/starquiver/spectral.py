@@ -16,12 +16,13 @@ exact integer division of the denominator-cleared p_j by (b z - a).
 
 The spectral polynomial lambda^r + sum_j p_j lambda^{r-j} is a small exact
 value (``SpectralPolynomial``), the only input ``is_integral`` takes.  Its
-integrality is certified in integers at a few specializations z = z0: an
-irreducible p(lambda, z0), shown by the factor degrees modulo small
-primes, or a discriminant in lambda that vanishes more often than its
-degree allows.  sympy's bivariate factorization runs only when neither
-decides, and sympy is imported only then, so the exact spectral checks of
-the CLI do not load it.
+integrality is decided in plain integers, with a certificate each time.
+A few specializations z = z0 decide first: an irreducible p(lambda, z0),
+shown by the factor degrees modulo small primes, or a discriminant in
+lambda that vanishes more often than its degree allows.  When neither
+does, p is factored over Z: p(lambda, z0) at a squarefree point by
+Cantor-Zassenhaus and Hensel lifting, and each of its splittings lifted
+(z - z0)-adically, which yields a factor of p or shows there is none.
 
 Levels whose coefficient space has negative degree carry the zero
 polynomial identically (the level-1 trace is the universal example); the
@@ -31,7 +32,9 @@ witnesses.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from itertools import chain, combinations, count
+from math import factorial, isqrt, lcm
+from random import Random
 
 from . import linalg_exact as ex
 from .arith import ops
@@ -274,7 +277,13 @@ SPECIALIZATION_POOL = (-1, -2, -3, -4, -5, -6, -7)
 # usually decide (Musser 1978), and every instance of the acceptance batch
 # is certified below 60
 PRIME_CAP = 100
-_PRIMES = tuple(q for q in range(2, PRIME_CAP) if all(q % d for d in range(2, int(q**0.5) + 1)))
+
+
+def _is_prime(q):
+    return q > 1 and all(q % d for d in range(2, isqrt(q) + 1))
+
+
+_PRIMES = tuple(filter(_is_prime, range(PRIME_CAP)))
 
 
 @dataclass(frozen=True)
@@ -284,17 +293,6 @@ class SpectralPolynomial:
     r = len(coeffs)."""
 
     coeffs: tuple
-
-    def _poly(self):
-        import sympy
-
-        r = len(self.coeffs)
-        terms = {(r, 0): sympy.Integer(1)}
-        for j, p in enumerate(self.coeffs, start=1):
-            for k, c in enumerate(p):
-                if c:
-                    terms[(r - j, k)] = sympy.Rational(c.numerator, c.denominator)
-        return sympy.Poly.from_dict(terms, *sympy.symbols("lam z"), domain="QQ")
 
 
 def spectral_poly(hp: HitchinPoint) -> SpectralPolynomial:
@@ -306,10 +304,8 @@ def spectral_poly(hp: HitchinPoint) -> SpectralPolynomial:
 
 def is_integral(p: SpectralPolynomial):
     """Whether the plane spectral polynomial is squarefree and irreducible
-    over the rationals: (verdict, certificate).
-
-    The verdict is 'integral', 'not_integral', or 'undetermined' when the
-    fallback factorization fails.  The certificate names what decided:
+    over the rationals: (verdict, certificate), the verdict 'integral' or
+    'not_integral'.  The certificate names what decided:
 
     - ``(z0, l)``: p(lambda, z0) is irreducible over Q, because its
       factor-degree patterns modulo the primes up to l leave only the
@@ -317,55 +313,72 @@ def is_integral(p: SpectralPolynomial):
       distinct-degree factorization over F_l).  A factorization of p into
       factors monic in lambda would specialize, so p is irreducible in
       Q[lambda, z], and squarefree.
-    - ``'discriminant'``: disc_lambda(p) vanishes at more pool points than
-      its z-degree bound, so it is zero and p is not squarefree.
-    - ``'fallback'``: sympy's bivariate ``factor_list`` decided.
+    - ``'discriminant'``: disc_lambda(p) vanishes at more of the points
+      z0 = -1, -2, ... than its z-degree bound, so it is zero and p is not
+      squarefree.
+    - ``('factor', g)``: the ``SpectralPolynomial`` g, of positive degree
+      below r, divides p exactly.
+    - ``('hensel', z0, k)``: p(lambda, z0) is squarefree and none of its k
+      splittings into two factors over Q lifts (z - z0)-adically to a
+      factorization of p, so p is irreducible (k = 0: p(lambda, z0) is).
     - ``'degree'``: p has no positive degree in lambda.
-    - ``None`` with 'undetermined'.
 
-    The certificates read the coefficients of ``p`` and run on
-    s^r p(lambda/s, z) = lambda^r + sum_j c_j(z) lambda^{r-j}, monic over
-    Z[z] for s the lcm of the denominators, in plain integers; sympy is
-    imported only by the fallback.  Rational irreducibility is the
-    desk-scale proxy here: absolute irreducibility is not certified.
+    Everything runs on s^r p(lambda/s, z) = lambda^r + sum_j c_j(z)
+    lambda^{r-j}, monic over Z[z] for s the lcm of the denominators, in
+    plain integers.  The specializations at the pool points decide first;
+    the factorization of ``_factor`` runs only when none does.  Rational
+    irreducibility is the desk-scale proxy here: absolute irreducibility is
+    not certified.
     """
     if not p.coeffs:
         return "not_integral", "degree"
-    return _certify(_integer_form(p.coeffs)) or _factor_verdict(p._poly())
+    s, c = _integer_form(p.coeffs)
+    return _certify(c) or _factor(c, s)
 
 
 def _integer_form(coeffs):
-    """c_1..c_r of s^r p(lambda/s, z) = lambda^r + sum_j c_j(z) lambda^{r-j}
-    for s the lcm of the denominators: integer lists, since s^j clears p_j."""
+    """(s, [c_1..c_r]) with s^r p(lambda/s, z) = lambda^r + sum_j c_j(z)
+    lambda^{r-j} for s the lcm of the denominators: integer lists, since
+    s^j clears p_j."""
     s = lcm(*(c.denominator for q in coeffs for c in q))
     out = []
     for j, q in enumerate(coeffs, start=1):
         sj = s**j
         out.append([c.numerator * (sj // c.denominator) for c in q])
-    return out
+    return s, out
+
+
+def _discriminant_bound(c):
+    """A bound on the z-degree of disc_lambda: it is isobaric of weight
+    r(r-1) in the c_j (c_j of weight j), so at most r(r-1) max_j deg(c_j)/j."""
+    r = len(c)
+    return max((r * (r - 1) * (len(q) - 1) // j for j, q in enumerate(c, start=1) if q), default=0)
+
+
+def _specialize(c, z0):
+    """lambda^r + sum_j c_j(z0) lambda^{r-j}, ascending."""
+    return [ex.peval(q, z0) for q in reversed(c)] + [1]
 
 
 def _certify(c):
     """(verdict, certificate) for lambda^r + sum_j c_j(z) lambda^{r-j}, r >= 1,
     from its specializations at the pool points; None when none decides."""
-    r = len(c)
-    # disc_lambda is isobaric of weight r(r-1) in the c_j (c_j of weight j),
-    # so its z-degree is at most r(r-1) max_j deg(c_j)/j
-    bound = max((r * (r - 1) * (len(q) - 1) // j for j, q in enumerate(c, start=1) if q), default=0)
-    trivial = 1 | 1 << r
+    bound = _discriminant_bound(c)
+    trivial = 1 | 1 << len(c)
     vanishing = 0
     for z0 in SPECIALIZATION_POOL:
-        f = [ex.peval(q, z0) for q in reversed(c)] + [1]
+        f = _specialize(c, z0)
         common = -1  # bit k: some factor of f over Q may have degree k
         squarefree = False
         for q in _PRIMES:
-            degrees = _factor_degrees(f, q)
-            if degrees is None:
+            parts = _distinct_degree(f, q)
+            if parts is None:
                 continue
             squarefree = True  # f mod q is, so disc(f) != 0
             sums = 1
-            for d in degrees:
-                sums |= sums << d
+            for d, g in parts:
+                for _ in range((len(g) - 1) // d):
+                    sums |= sums << d
             common &= sums
             if common == trivial:
                 return "integral", (z0, q)
@@ -376,37 +389,62 @@ def _certify(c):
     return None
 
 
-def _factor_verdict(poly):
-    """sympy's bivariate factorization decides: integral exactly when p is
-    one irreducible factor to the first power."""
-    from sympy.polys.polyerrors import BasePolynomialError
+def _factor(c, s):
+    """(verdict, certificate) for F = lambda^r + sum_j c_j(z) lambda^{r-j}
+    by its factorization over Z (von zur Gathen and Gerhard, *Modern
+    Computer Algebra*, ch. 14-15); s scales a factor of F back to one of
+    s^-r F(s lambda, z).
 
-    try:
-        _, factors = poly.factor_list()
-    except (BasePolynomialError, NotImplementedError):  # factorization unsupported or failed
-        return "undetermined", None
-    nontrivial = [m for f, m in factors if f.total_degree() > 0]
-    return ("integral" if nontrivial == [1] else "not_integral"), "fallback"
+    At the first point z0 of -1, -2, ... where f = F(lambda, z0) is
+    squarefree, f is factored modulo an odd prime q where it stays
+    squarefree, and the factors are lifted q-adically.  Every subset of
+    them whose product divides f exactly is a splitting f = g h over Z,
+    which is lifted (z - z0)-adically to F's z-degree.  A factor of F monic
+    in lambda has z-degree at most F's (the Gauss norm is multiplicative),
+    so a lift that is not a factor by then never becomes one, and by the
+    uniqueness of Hensel lifts, F is irreducible when no splitting lifts."""
+    bound = _discriminant_bound(c)
+    for k, z0 in enumerate(chain(SPECIALIZATION_POOL, count(SPECIALIZATION_POOL[-1] - 1, -1))):
+        f = _specialize(c, z0)
+        if not _discriminant_vanishes(f):
+            break
+        if k >= bound:
+            return "not_integral", "discriminant"
+    q, parts = next((q, parts) for q in count(3, 2) if _is_prime(q) and (parts := _distinct_degree(f, q)))
+    rng = Random(q)
+    factors, m = _hensel(f, [u for d, g in parts for u in _equal_degree(g, d, q, rng)], q)
+    fz = [_shift(p, z0) for p in reversed(c)] + [[1]]  # F(lambda, z0 + y)
+    splits = 0
+    for size in range(len(factors) - 1):
+        for rest in combinations(range(1, len(factors)), size):  # each splitting once: factor 0 goes to g
+            chosen = (0, *rest)
+            g = _product([factors[i] for i in chosen], m)
+            h = _product([u for i, u in enumerate(factors) if i not in chosen], m)
+            if ex.paddmul([], g, h) != f:
+                continue
+            splits += 1
+            lift = _lift(fz, g, h)
+            if lift is not None:
+                d = len(g) - 1
+                coeffs = tuple(tuple(Fraction(x, s**j) for x in _shift(lift[d - j], -z0)) for j in range(1, d + 1))
+                return "not_integral", ("factor", SpectralPolynomial(coeffs))
+    return "integral", ("hensel", z0, splits)
 
 
 def _discriminant_vanishes(f):
     """Whether the monic integer polynomial f (ascending) has a repeated
     root: exactly when its Sylvester matrix with f' is singular."""
-    r = len(f) - 1
-    down, ddown = f[::-1], [k * c for k, c in enumerate(f)][:0:-1]
-    rows = [[0] * k + down + [0] * (r - 2 - k) for k in range(r - 1)]
-    rows += [[0] * k + ddown + [0] * (r - 1 - k) for k in range(r)]
-    return len(ex.echelon(rows)[1]) < 2 * r - 1
+    return len(ex.echelon(_sylvester(f, [k * c for k, c in enumerate(f)][1:]))[1]) < 2 * len(f) - 3
 
 
-def _factor_degrees(f, q):
-    """Degrees of the irreducible factors of the monic integer polynomial f
-    modulo the prime q, by distinct-degree factorization; None when f mod q
-    is not squarefree."""
+def _distinct_degree(f, q):
+    """[(d, g), ...]: g the product of the irreducible factors of degree d
+    of the monic integer polynomial f modulo the prime q, monic, by
+    distinct-degree factorization; None when f mod q is not squarefree."""
     f = [c % q for c in f]
     if len(_fp_gcd(f, ex.ptrim([k * c % q for k, c in enumerate(f)][1:]), q)) > 1:
         return None
-    degrees = []
+    parts = []
     h = [0, 1]  # lambda^(q^d) mod f
     d = 0
     while 2 * (d + 1) < len(f):
@@ -416,13 +454,115 @@ def _factor_degrees(f, q):
         moved[1] -= 1
         g = _fp_gcd(f, ex.ptrim([c % q for c in moved]), q)
         if len(g) > 1:
-            # g is the product of the factors of degree d
-            degrees += [d] * ((len(g) - 1) // d)
+            parts.append((d, g))
             f = _fp_divmod(f, g, q)[0]
             h = _fp_divmod(h, f, q)[1]
     if len(f) > 1:
-        degrees.append(len(f) - 1)
-    return degrees
+        parts.append((len(f) - 1, f))
+    return parts
+
+
+def _equal_degree(g, d, q, rng):
+    """The irreducible factors of g modulo the odd prime q, for g a monic
+    product of distinct irreducibles of degree d (Cantor-Zassenhaus): for a
+    random a, gcd(g, a^((q^d - 1)/2) - 1) is a proper factor about half of
+    the time."""
+    if len(g) - 1 == d:
+        return [g]
+    while True:
+        b = _fp_powmod(ex.ptrim([rng.randrange(q) for _ in range(len(g) - 1)]), (q**d - 1) // 2, g, q) or [0]
+        b[0] = (b[0] - 1) % q
+        u = _fp_gcd(g, ex.ptrim(b), q)
+        if 1 < len(u) < len(g):
+            return _equal_degree(u, d, q, rng) + _equal_degree(_fp_divmod(g, u, q)[0], d, q, rng)
+
+
+def _hensel(f, factors, q):
+    """(lifted, m): the monic factors of f modulo the prime q, lifted to
+    monic factors of f modulo m, the first power of q above
+    2^(deg f + 1) ||f||_2, so that symmetric residues mod m recover every
+    factor of f in Z[lambda] (Mignotte's bound).  Linear Hensel lifting
+    splits off one factor at a time."""
+    m = q
+    while m * m <= 4 ** len(f) * sum(c * c for c in f):
+        m *= q
+    lifted = []
+    for k, g in enumerate(factors[:-1]):
+        h = _product(factors[k + 1 :], q)
+        x, d = _sylvester_inverse(g, h)
+        inv, dg, p = pow(d, -1, q), len(g) - 1, q
+        while p < m:  # f = g h mod p, and the step makes it so mod p q
+            e = [(u - v) // p * inv for u, v in zip(f, ex.paddmul([], g, h))]
+            ab = [sum(a * b for a, b in zip(row, e)) % q for row in x]
+            g = [u + p * v for u, v in zip(g, ab[:dg] + [0])]
+            h = [u + p * v for u, v in zip(h, ab[dg:] + [0])]
+            p *= q
+        lifted.append(g)
+        f = h
+    return lifted + [f], m
+
+
+def _lift(fz, g, h):
+    """G with G H = F, both monic in lambda, and G = g, H = h at y = 0,
+    where fz is F(lambda, z0 + y): ascending in lambda, with ascending
+    coefficient lists in y.  G and H are lifted one power of y at a time
+    up to F's degree in y; None when a coefficient is not an integer or
+    G H != F."""
+    x, d = _sylvester_inverse(g, h)
+    dg = len(g) - 1
+    big_g, big_h = [[c] for c in g], [[c] for c in h]
+    for k in range(1, max(map(len, fz))):
+        e = [(u[k] if k < len(u) else 0) - (v[k] if k < len(v) else 0) for u, v in zip(fz, _bmul(big_g, big_h))]
+        ab = [sum(a * b for a, b in zip(row, e)) for row in x]
+        if any(t % d for t in ab):
+            return None
+        for p, t in zip(big_g[:dg] + big_h[:-1], ab):
+            p.append(t // d)
+    return big_g if [ex.ptrim(p) for p in _bmul(big_g, big_h)] == fz else None
+
+
+def _sylvester(g, h):
+    """The Sylvester matrix of g and h (ascending integer lists, nonzero
+    leading coefficients): the map (a, b) -> a h + b g on ascending
+    coefficients, deg a < deg g and deg b < deg h, those of a first."""
+    dg, dh = len(g) - 1, len(h) - 1
+    cols = [[0] * j + h + [0] * (dg - 1 - j) for j in range(dg)]
+    cols += [[0] * j + g + [0] * (dh - 1 - j) for j in range(dh)]
+    return ex.mtrans(cols)
+
+
+def _sylvester_inverse(g, h):
+    """(x, d): x / d inverts the Sylvester matrix of coprime monic integer
+    polynomials g and h, so x e / d lists the coefficients of a, then of
+    b, with a h + b g = e."""
+    return ex.clear(ex.solve(_sylvester(g, h), ex.meye(len(g) + len(h) - 2)))
+
+
+def _bmul(a, b):
+    """The product of two polynomials in lambda whose coefficients are
+    ascending lists in y."""
+    out = [[] for _ in range(len(a) + len(b) - 1)]
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            ex.paddmul(out[i + j], u, v)
+    return out
+
+
+def _shift(p, a):
+    """p(y + a) of the ascending list p, trimmed."""
+    out = []
+    for c in reversed(p):
+        out = ex.paddmul([c], out, [a, 1])
+    return ex.ptrim(out)
+
+
+def _product(polys, m):
+    """The product of integer polynomials in symmetric residues modulo the
+    odd m."""
+    out = [1]
+    for p in polys:
+        out = [(c + m // 2) % m - m // 2 for c in ex.paddmul([], out, p)]
+    return out
 
 
 def _fp_divmod(a, b, q):

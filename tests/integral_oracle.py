@@ -1,17 +1,18 @@
 """Reference integrality test for differential tests.
 
-This is the library's former ``is_integral``, which ran every check in
-sympy: a squarefree ``gcd`` with the lambda-derivative, irreducibility of
-p(lambda, z0) at seven rational z0, then the bivariate ``factor_list``.
-``starquiver.spectral`` now certifies in integers and calls sympy only
-when no certificate decides.  The oracle's specialization check assumes
-p monic in lambda (a factor in z alone escapes it), so the differential
-tests feed it monic polynomials.  It returns the verdict alone.
+``is_integral`` is the library's former ``is_integral``, which ran every
+check in sympy: a squarefree ``gcd`` with the lambda-derivative,
+irreducibility of p(lambda, z0) at seven rational z0, then the bivariate
+``factor_list``.  ``starquiver.spectral`` now decides in integers alone.
+The oracle's specialization check assumes p monic in lambda (a factor in z
+alone escapes it), so the differential tests feed it monic polynomials.
+It returns the verdict alone.  ``factor_verdict`` is the bare
+``factor_list`` rule, and ``check_certificate`` checks that a factor
+certificate of the library divides its polynomial exactly.
 
 ``spectral_of`` turns a monic expression into the ``SpectralPolynomial``
 that the library's ``is_integral`` takes, and ``as_expr`` turns one back
-into an expression, through the sympy polynomial that the library's
-fallback factors.
+into an expression.
 """
 
 from fractions import Fraction
@@ -41,7 +42,28 @@ def spectral_of(expr):
 
 def as_expr(p):
     """The ``SpectralPolynomial`` p as a sympy expression in (lam, z)."""
-    return p._poly().as_expr()
+    r = len(p.coeffs)
+    levels = [sum(sympy.Rational(c.numerator, c.denominator) * Z**k for k, c in enumerate(q)) for q in p.coeffs]
+    return LAM**r + sum(c * LAM ** (r - j) for j, c in enumerate(levels, start=1))
+
+
+def factor_verdict(expr):
+    """'integral' exactly when sympy's ``factor_list`` of the expression in
+    (lam, z) has one nonconstant factor, of multiplicity 1."""
+    _, factors = sympy.Poly(expr, LAM, Z, domain="QQ").factor_list()
+    return "integral" if [m for f, m in factors if f.total_degree() > 0] == [1] else "not_integral"
+
+
+def check_certificate(expr, verdict, certificate):
+    """A ``('factor', g)`` certificate comes with 'not_integral', and g
+    divides the expression exactly, with a degree in lam strictly between
+    0 and the expression's."""
+    if not (isinstance(certificate, tuple) and certificate[0] == "factor"):
+        return
+    assert verdict == "not_integral"
+    poly, g = sympy.Poly(expr, LAM, Z, domain="QQ"), sympy.Poly(as_expr(certificate[1]), LAM, Z, domain="QQ")
+    assert 0 < g.degree(LAM) < poly.degree(LAM)
+    assert poly.rem(g).is_zero
 
 
 def is_integral(p):

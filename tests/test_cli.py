@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -762,6 +763,59 @@ def test_ds_verify_refuses_a_residual_that_is_not_a_number(tmp_path, capsys, ran
     data = dict(rank2_solution_data, residual=True)
     code, err = _malformed_run(tmp_path, capsys, data, ["ds", "verify", "--solution", "BAD", "--instance", RANK2_INSTANCE])
     assert (code, err) == (1, "error: invalid solution: not a number: True\n")
+
+
+def test_ds_solve_refuses_repeated_marked_points(tmp_path, capsys):
+    # a solution of such an instance was written, and then failed
+    # ds verify --hitchin; the instance's points follow MarkedLine's rule
+    data = dict(jsonio.load(RANK2_INSTANCE), points=["0", "1", "1", "2"])
+    sol = tmp_path / "sol.json"
+    code, err = _malformed_run(tmp_path, capsys, data, ["ds", "solve", "--instance", "BAD", "--out", str(sol)])
+    assert (code, err) == (1, "error: invalid instance: marked points must be pairwise distinct\n")
+    assert not sol.exists()
+
+
+@pytest.mark.parametrize("options,message", [
+    (["--restarts", "0"], "restarts must be at least 1, got 0"),
+    (["--restarts", "-2"], "restarts must be at least 1, got -2"),
+    (["--max-iters", "-1"], "max_iters must be at least 0, got -1"),
+    (["--tol", "nan"], "tolerance must be a positive finite number, got nan"),
+    (["--tol", "-1", "--restarts", "1", "--max-iters", "50"], "tolerance must be a positive finite number, got -1.0"),
+])
+def test_ds_solve_refuses_a_budget_that_cannot_run(capsys, options, message):
+    # each of these ran no restart or could never converge, and was
+    # reported as an exhausted budget (exit 2)
+    assert main(["ds", "solve", "--instance", RANK2_INSTANCE, *options]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_poisson_check_refuses_a_non_finite_entry(tmp_path, capsys, value):
+    # Python's json reads the NaN and Infinity tokens; such an entry failed
+    # the bracket checks (exit 3), and Infinity spilled numpy warnings
+    data = jsonio.rep_to_json(random_rep(StarQuiver(rank=2, arms=((1,),) * 4), np.random.default_rng(5), scale=0.5))
+    data["matrices"]["f/1/1"][0][0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = _malformed_run(tmp_path, capsys, data, ["poisson", "check", "--rep", "BAD", "--grid", "1"])
+    assert (code, err) == (1, f"error: invalid representation: not a floating scalar: {value!r}\n")
+
+
+@pytest.mark.parametrize("where,message", [
+    ("entry", "not a floating scalar: [nan, 0.0]"),
+    ("residual", "not a finite number: inf"),
+])
+def test_ds_verify_refuses_a_non_finite_number(tmp_path, capsys, rank2_solution_data, where, message):
+    # a NaN entry ended in "SVD did not converge", and an infinite residual
+    # was accepted
+    data = json.loads(json.dumps(rank2_solution_data))
+    if where == "entry":
+        data["matrices"][0][0][0] = [math.nan, 0.0]
+    else:
+        data["residual"] = math.inf
+    argv = ["ds", "verify", "--solution", "BAD", "--instance", RANK2_INSTANCE]
+    assert _malformed_run(tmp_path, capsys, data, argv) == (1, f"error: invalid solution: {message}\n")
 
 
 def _closed_form_json(full_flag_type, mode):

@@ -1,3 +1,5 @@
+import inspect
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -279,6 +281,62 @@ def test_smooth_ratio_edge(certified_batch, monkeypatch, factor, smooth):
         again = solve(inst, SolverConfig(seed=100)).solution
         assert again.restart_index == out.solution.restart_index
         assert all(np.array_equal(a, b) for a, b in zip(again.matrices, out.solution.matrices, strict=True))
+
+
+def _accepted_steps(inst, config):
+    """``solve(inst, config)`` and the (step, largest trial condition number)
+    of every Gauss-Newton step it took, read off the solver's frame at the
+    line that takes the step."""
+    code = dsolve._gauss_newton_run.__code__
+    lines, first = inspect.getsourcelines(code)
+    take = first + next(i for i, line in enumerate(lines) if "ps, mats, s = trial, trial_mats, trial_s" in line)
+    seen = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == take:
+            seen.append((frame.f_locals["step"], np.linalg.cond(frame.f_locals["trial"]).max()))
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        out = solve(inst, config)
+    finally:
+        sys.settrace(previous)
+    return out, seen
+
+
+# five rank-1 nilpotents of rank 2 at 0..4, solver seed 215: the first
+# restart takes half steps, 58 of its 102.  No certified-batch instance
+# halves a step: every step they take is the full one
+_HALVING = (DSInstance(rank=2, classes=(NilpotentClass(rank=2, rank_sequence=(1,)),) * 5), SolverConfig(seed=215))
+
+
+@pytest.fixture(scope="module")
+def halving_run():
+    return _accepted_steps(*_HALVING)
+
+
+@pytest.mark.parametrize("name,factor,same", [
+    ("_MIN_STEP", 0.99, True),
+    ("_MIN_STEP", 1.01, False),
+    ("_CONDITION_CAP", 1.01, True),
+    ("_CONDITION_CAP", 0.99, False),
+])
+def test_step_thresholds_edge(halving_run, monkeypatch, name, factor, same):
+    # _MIN_STEP moved just below and above the smallest step taken, and
+    # _CONDITION_CAP just above and below the largest condition number of a
+    # step taken: the run is bit-identical on the side that keeps every
+    # step, and differs on the other
+    out, seen = halving_run
+    smallest, largest = min(step for step, _ in seen), max(cond for _, cond in seen)
+    assert out.success and dsolve._MIN_STEP < smallest < 1 and largest < dsolve._CONDITION_CAP
+    monkeypatch.setattr(dsolve, name, factor * (smallest if name == "_MIN_STEP" else largest))
+    again = solve(*_HALVING)
+    identical = again.best_residuals == out.best_residuals and all(
+        np.array_equal(a, b) for a, b in zip(again.solution.matrices, out.solution.matrices, strict=True)
+    )
+    assert identical is same
 
 
 @pytest.mark.parametrize("factor,accepted", [(1.01, True), (0.99, False)])

@@ -10,9 +10,10 @@ new mode comparison outside `arith`, no seeded
 random vectors in the stability verdict, one Kronecker product and no
 `np.kron`, one fraction-free elimination loop, and subcommands that load
 only the layers they run: a CLI import, `type-check`, the exact layers
-and the exact `bridge --hitchin` conversions without numpy, and an exact
-`ds verify --hitchin` and the `bridge --hitchin` conversions without
-sympy."""
+and the exact `bridge --hitchin` conversions without numpy.  No package
+module imports sympy, numpy is the one runtime dependency, and an exact
+`ds verify --hitchin` and the `bridge --hitchin` conversions, the integer
+factorization included, load no sympy."""
 
 import ast
 import functools
@@ -204,33 +205,54 @@ def test_exact_layers_import_without_numpy():
     assert loaded == "arith floatarith linalg_exact numpy"
 
 
-@pytest.mark.parametrize("factorable,integral", [(True, "integral"), (False, "undetermined")])
-def test_bridge_hitchin_fallback_loads_sympy(tmp_path, factorable, integral):
+def test_bridge_hitchin_factorization_leaves_sympy_unloaded(tmp_path):
     # with a _certify that decides nothing, the closed form's integrality
-    # falls to sympy's factorization, the one path that loads sympy; when
-    # the factorization fails too, the verdict is undetermined and the
-    # conversion still exits 0
+    # falls to the integer factorization, which decides it without sympy,
+    # and the conversion exits 0
     higgs, report = str(GOLDEN / "closed_form_higgs.json"), tmp_path / "report.json"
-    unfactorable = [
-        "class Unfactorable:",
-        "    def factor_list(self):",
-        "        raise NotImplementedError('no bivariate factorization here')",
-        "spectral.SpectralPolynomial._poly = lambda self: Unfactorable()",
-    ]
     code = "\n".join(
         [
             "import sys",
             "from starquiver import cli, spectral",
             "spectral._certify = lambda c: None",
-            *([] if factorable else unfactorable),
             f"print(cli.main(['bridge', 'to-quiver', '--higgs', {higgs!r}, '--hitchin', '--report', {str(report)!r}]))",
             LOADED,
         ]
     )
     lines = run_fresh(code)
     assert lines[-2] == "0"
-    assert "sympy" in lines[-1].split()
-    assert json.loads(report.read_text(encoding="utf-8"))["spectral"]["integral"] == integral
+    assert "spectral" in lines[-1].split() and "sympy" not in lines[-1].split()
+    assert json.loads(report.read_text(encoding="utf-8"))["spectral"]["integral"] == "integral"
+
+
+def sympy_imports(tree):
+    """Line numbers of the imports of sympy in a module, function-local ones
+    included."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        lines += [node.lineno for module in modules if module.split(".")[0] == "sympy"]
+    return lines
+
+
+def test_no_package_module_imports_sympy():
+    # integrality runs in plain integers; sympy is the tests' oracle only
+    hits = {path.name: sympy_imports(ast.parse(path.read_text(encoding="utf-8"))) for path in PACKAGE}
+    assert {name: lines for name, lines in hits.items() if lines} == {}
+    # the guard sees the imports of the former fallback, function-local both
+    former = "def f(poly):\n    import sympy\n    from sympy.polys.polyerrors import BasePolynomialError\n"
+    assert sympy_imports(ast.parse(former)) == [2, 3]
+
+
+def test_numpy_is_the_one_runtime_dependency():
+    text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    block = re.search(r"^dependencies = \[(.*?)\]", text, re.S | re.M).group(1)
+    assert re.findall(r'"([\w.-]+)', block) == ["numpy"]
 
 
 def module_aliases(tree):

@@ -3,11 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from sympy.polys.polyerrors import ExtraneousFactors, PolynomialError
 
 from charpoly_oracle import pole_cleared_matrix
 from common import closed_form_flags, closed_form_matrices, inverse, poly_from_roots, sample_hitchin_point
-from integral_oracle import as_expr, spectral_of
+from integral_oracle import as_expr, check_certificate, spectral_of
 from starquiver import linalg_exact as ex
 from starquiver import spectral
 from starquiver.combinat import MarkedLine, NilpotentClass, ParabolicType
@@ -183,16 +182,23 @@ def test_is_integral_verdicts():
 _SPECIALIZATION_ROOTS = sympy.prod([Z - z0 for z0 in SPECIALIZATION_POOL])
 
 
-def _forbid(monkeypatch, name):
-    def boom(*args, **kwargs):
-        raise AssertionError(f"Poly.{name} should not be reached")
+def _forbid_factorization(monkeypatch):
+    def boom(c, s):
+        raise AssertionError("spectral._factor should not be reached")
 
-    monkeypatch.setattr(sympy.Poly, name, boom)
+    monkeypatch.setattr(spectral, "_factor", boom)
+
+
+def _decided(expr):
+    """is_integral of a monic expression, its factor certificate checked."""
+    verdict, certificate = is_integral(spectral_of(expr))
+    check_certificate(expr, verdict, certificate)
+    return verdict, certificate
 
 
 def test_is_integral_decided_by_specialization(monkeypatch):
     # at z0 = -1: lam^2 + 1 is not squarefree mod 2 and irreducible mod 3
-    _forbid(monkeypatch, "factor_list")
+    _forbid_factorization(monkeypatch)
     assert is_integral(spectral_of(LAM**2 - Z)) == ("integral", (-1, 3))
 
 
@@ -200,67 +206,43 @@ def test_is_integral_decided_by_bivariate_factorization(monkeypatch):
     # lam^2 - z^2 - g(z) with g vanishing at every specialization point:
     # each specialization is lam^2 - z0^2, reducible, but z^2 + g(z) has odd
     # degree, so it is no square and the plane curve is irreducible; the
-    # discriminant 4(z^2 + g) vanishes at no pool point
+    # discriminant 4(z^2 + g) vanishes at no pool point.  At z0 = -1 the one
+    # splitting (lam - 1)(lam + 1) does not lift (z + 1)-adically
     irreducible = LAM**2 - Z**2 - _SPECIALIZATION_ROOTS
     for z0 in SPECIALIZATION_POOL:
         spec = sympy.Poly(irreducible.subs(Z, z0), LAM)
         assert not spec.is_irreducible and spec.discriminant() != 0
     calls = []
-    factor_list = sympy.Poly.factor_list
-    monkeypatch.setattr(sympy.Poly, "factor_list", lambda self: calls.append(self) or factor_list(self))
-    assert is_integral(spectral_of(irreducible)) == ("integral", "fallback")
+    factor = spectral._factor
+    monkeypatch.setattr(spectral, "_factor", lambda c, s: calls.append(c) or factor(c, s))
+    assert _decided(irreducible) == ("integral", ("hensel", -1, 1))
     assert len(calls) == 1
-    assert is_integral(spectral_of(LAM**2 - Z**2)) == ("not_integral", "fallback")
-
-
-@pytest.mark.parametrize("error", [NotImplementedError, PolynomialError, ExtraneousFactors])
-def test_is_integral_factorization_failure_is_undetermined(monkeypatch, error):
-    irreducible = LAM**2 - Z**2 - _SPECIALIZATION_ROOTS
-
-    def unsupported(self):
-        raise error("no bivariate factorization here")
-
-    monkeypatch.setattr(sympy.Poly, "factor_list", unsupported)
-    assert is_integral(spectral_of(irreducible)) == ("undetermined", None)
-
-    def broken(self):
-        raise RuntimeError("a defect, not an inconclusive check")
-
-    monkeypatch.setattr(sympy.Poly, "factor_list", broken)
-    with pytest.raises(RuntimeError):
-        is_integral(spectral_of(irreducible))
-
-
-@pytest.mark.parametrize("factorable,verdict", [(True, ("integral", "fallback")), (False, ("undetermined", None))])
-def test_closed_form_integrality_by_the_sympy_fallback(monkeypatch, closed_form_tuple, factorable, verdict):
-    # a _certify that decides nothing hands the closed form to sympy's
-    # bivariate factorization; when that fails too, nothing decides
-    monkeypatch.setattr(spectral, "_certify", lambda c: None)
-    if not factorable:
-
-        def unsupported(self):
-            raise NotImplementedError("no bivariate factorization here")
-
-        monkeypatch.setattr(sympy.Poly, "factor_list", unsupported)
-    assert is_integral(spectral_poly(char_poly(closed_form_tuple))) == verdict
+    verdict, (kind, g) = _decided(LAM**2 - Z**2)
+    assert (verdict, kind, as_expr(g)) == ("not_integral", "factor", LAM - Z)
 
 
 def test_is_integral_rejects_non_squarefree(monkeypatch):
     # the discriminant has z-degree at most 6 and vanishes at all 7 pool points
-    _forbid(monkeypatch, "factor_list")
+    _forbid_factorization(monkeypatch)
     expr = sympy.expand((LAM - Z) ** 2 * (LAM + 1))
     assert is_integral(spectral_of(expr)) == ("not_integral", "discriminant")
 
 
 def test_is_integral_closed_form(closed_form_tuple, monkeypatch):
-    # lam^2 - z(z-1)(z-2)(z-3) is lam^2 - 24 at z0 = -1, irreducible mod 7
-    _forbid(monkeypatch, "factor_list")
-    assert is_integral(spectral_poly(char_poly(closed_form_tuple))) == ("integral", (-1, 7))
+    # lam^2 - z(z-1)(z-2)(z-3) is lam^2 - 24 at z0 = -1, irreducible mod 7;
+    # with no specialization certificate, the factorization finds lam^2 - 24
+    # irreducible over Q at the same point
+    sp = spectral_poly(char_poly(closed_form_tuple))
+    with monkeypatch.context() as m:
+        _forbid_factorization(m)
+        assert is_integral(sp) == ("integral", (-1, 7))
+    monkeypatch.setattr(spectral, "_certify", lambda c: None)
+    assert is_integral(sp) == ("integral", ("hensel", -1, 0))
 
 
 def test_is_integral_heavy_top_by_discriminant(monkeypatch):
     # p = lam^2: the discriminant bound is 0 and the first pool point exceeds it
-    _forbid(monkeypatch, "factor_list")
+    _forbid_factorization(monkeypatch)
     hp = HitchinPoint(rank=2, points=(0, 1, 2, 3), coeffs=[[], []])
     assert is_integral(spectral_poly(hp)) == ("not_integral", "discriminant")
 
@@ -272,33 +254,38 @@ def test_is_integral_needs_the_intersection(monkeypatch):
     expr = LAM**4 - 6 * LAM + 1
     for q, degrees in ((3, [2, 2]), (5, [1, 3])):
         assert sorted(f.degree() for f, _ in sympy.Poly(expr, LAM, modulus=q).factor_list()[1]) == degrees
-    _forbid(monkeypatch, "factor_list")
+    _forbid_factorization(monkeypatch)
     assert is_integral(spectral_of(expr)) == ("integral", (-1, 5))
 
 
 def test_is_integral_skips_primes_where_the_reduction_is_not_squarefree():
     # (lam^2 + 2)(lam^2 + 6) is lam^4 mod 2; read as a linear and a cubic
     # factor, that reduction would meet the 2 + 2 split mod 13 in {0, 4}
-    assert is_integral(spectral_of((LAM**2 + 2) * (LAM**2 + 6))) == ("not_integral", "fallback")
+    verdict, (kind, g) = _decided((LAM**2 + 2) * (LAM**2 + 6))
+    assert (verdict, kind, as_expr(g)) == ("not_integral", "factor", LAM**2 + 6)
 
 
 @pytest.mark.parametrize("expr", [LAM**4 - 10 * LAM**2 + 1, LAM**4 + 1])
 def test_is_integral_split_mod_every_prime_reaches_the_fallback(expr):
     # irreducible over Q with no 4-cycle in the Galois group: every
-    # reduction splits, so no specialization certifies
-    assert is_integral(spectral_of(expr)) == ("integral", "fallback")
+    # reduction splits, so no specialization certifies, and the
+    # factorization over Z finds no factor at z0 = -1
+    assert is_integral(spectral_of(expr)) == ("integral", ("hensel", -1, 0))
 
 
 def test_is_integral_never_certifies_a_product():
-    assert is_integral(spectral_of((LAM**2 - Z) * (LAM**2 - Z - 1))) == ("not_integral", "fallback")
+    verdict, (kind, g) = _decided((LAM**2 - Z) * (LAM**2 - Z - 1))
+    assert (verdict, kind) == ("not_integral", "factor")
+    assert as_expr(g) in (LAM**2 - Z, LAM**2 - Z - 1)
 
 
 def test_discriminant_bound_is_tight():
     # lam^2 - q(z), q vanishing once at each pool point: the discriminant 4q
     # has degree 7, exactly the bound 2 * 1 * 7/2, and vanishes at all 7
-    # pool points without being zero; p is irreducible
+    # pool points without being zero, so the factorization moves on to
+    # z0 = -8, where lam^2 - q(-8) is irreducible; p is irreducible
     assert len(SPECIALIZATION_POOL) == 7
-    assert is_integral(spectral_of(LAM**2 - _SPECIALIZATION_ROOTS)) == ("integral", "fallback")
+    assert is_integral(spectral_of(LAM**2 - _SPECIALIZATION_ROOTS)) == ("integral", ("hensel", -8, 0))
     # (lam - s)^2 with deg s = 3: the bound is 6, one below the 7 vanishing points
     s = Z**3 + Z + 1
     assert is_integral(spectral_of(sympy.expand((LAM - s) ** 2))) == ("not_integral", "discriminant")
