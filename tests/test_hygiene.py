@@ -205,16 +205,18 @@ def test_exact_layers_import_without_numpy():
     assert loaded == "arith floatarith linalg_exact numpy"
 
 
-def test_bridge_hitchin_factorization_leaves_sympy_unloaded(tmp_path):
+@pytest.mark.parametrize("fallback,integral", [(True, "integral"), (False, "integral")])
+def test_bridge_hitchin_fallback_loads_sympy(tmp_path, fallback, integral):
     # with a _certify that decides nothing, the closed form's integrality
-    # falls to the integer factorization, which decides it without sympy,
-    # and the conversion exits 0
+    # falls to the integer factorization, which decides it as the
+    # specialization certificate does, without loading sympy, and the
+    # conversion exits 0
     higgs, report = str(GOLDEN / "closed_form_higgs.json"), tmp_path / "report.json"
     code = "\n".join(
         [
             "import sys",
             "from starquiver import cli, spectral",
-            "spectral._certify = lambda c: None",
+            *(["spectral._certify = lambda c: None"] if fallback else []),
             f"print(cli.main(['bridge', 'to-quiver', '--higgs', {higgs!r}, '--hitchin', '--report', {str(report)!r}]))",
             LOADED,
         ]
@@ -222,7 +224,7 @@ def test_bridge_hitchin_factorization_leaves_sympy_unloaded(tmp_path):
     lines = run_fresh(code)
     assert lines[-2] == "0"
     assert "spectral" in lines[-1].split() and "sympy" not in lines[-1].split()
-    assert json.loads(report.read_text(encoding="utf-8"))["spectral"]["integral"] == "integral"
+    assert json.loads(report.read_text(encoding="utf-8"))["spectral"]["integral"] == integral
 
 
 def sympy_imports(tree):

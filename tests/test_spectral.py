@@ -6,7 +6,7 @@ import sympy
 
 from charpoly_oracle import pole_cleared_matrix
 from common import closed_form_flags, closed_form_matrices, inverse, poly_from_roots, sample_hitchin_point
-from integral_oracle import as_expr, check_certificate, spectral_of
+from integral_oracle import as_expr, check_certificate, factor_verdict, spectral_of
 from starquiver import linalg_exact as ex
 from starquiver import spectral
 from starquiver.combinat import MarkedLine, NilpotentClass, ParabolicType
@@ -229,15 +229,21 @@ def test_is_integral_rejects_non_squarefree(monkeypatch):
 
 
 def test_is_integral_closed_form(closed_form_tuple, monkeypatch):
-    # lam^2 - z(z-1)(z-2)(z-3) is lam^2 - 24 at z0 = -1, irreducible mod 7;
-    # with no specialization certificate, the factorization finds lam^2 - 24
-    # irreducible over Q at the same point
+    # lam^2 - z(z-1)(z-2)(z-3) is lam^2 - 24 at z0 = -1, irreducible mod 7
+    _forbid_factorization(monkeypatch)
+    assert is_integral(spectral_poly(char_poly(closed_form_tuple))) == ("integral", (-1, 7))
+
+
+@pytest.mark.parametrize("fallback,verdict", [(True, ("integral", ("hensel", -1, 0))), (False, ("integral", (-1, 7)))])
+def test_closed_form_integrality_by_the_sympy_fallback(monkeypatch, closed_form_tuple, fallback, verdict):
+    # a _certify that decides nothing hands the closed form to the
+    # factorization over Z, which finds lam^2 - 24 irreducible over Q at
+    # z0 = -1; with or without the certificate, sympy's factor_list agrees
+    if fallback:
+        monkeypatch.setattr(spectral, "_certify", lambda c: None)
     sp = spectral_poly(char_poly(closed_form_tuple))
-    with monkeypatch.context() as m:
-        _forbid_factorization(m)
-        assert is_integral(sp) == ("integral", (-1, 7))
-    monkeypatch.setattr(spectral, "_certify", lambda c: None)
-    assert is_integral(sp) == ("integral", ("hensel", -1, 0))
+    assert is_integral(sp) == verdict
+    assert factor_verdict(as_expr(sp)) == verdict[0]
 
 
 def test_is_integral_heavy_top_by_discriminant(monkeypatch):
