@@ -315,18 +315,55 @@ def check_commutativity(rep: StarRep, points, t, t_prime, z, w) -> float:
 # quadratic observables (closed under the bracket; used for Jacobi tests)
 
 
-def poisson_tensor(quiver: StarQuiver) -> np.ndarray:
+class SignedPermutation:
+    """The d x d matrix whose row a holds one entry, ``sign[a]``, in column
+    ``perm[a]``, applied without forming it.  ``J @ x`` is ``sign * x[perm]``
+    along x's row axis (its only axis for a vector, else the second to
+    last), and ``x @ J`` scatters ``sign * x`` to the positions ``perm``
+    along x's last axis; both broadcast over leading stack axes like numpy's
+    matmul.  With one entry per row and column, each product is the dense
+    one's sum of a single term, so it keeps the dense product's bits.
+    ``sign`` is complex, so a float operand gives a complex product, as a
+    complex dense matrix would."""
+
+    __array_ufunc__ = None  # ndarray @ J defers to __rmatmul__
+
+    def __init__(self, perm, sign):
+        self.perm, self.sign = np.asarray(perm, dtype=np.intp), np.asarray(sign, dtype=complex)
+
+    def _operand(self, x, axis):
+        """x as an array; ValueError unless its ``axis`` (its only axis, for
+        a vector) has length d, as numpy's matmul refuses."""
+        x = np.asarray(x)
+        if x.ndim == 0 or x.shape[axis if x.ndim > 1 else 0] != self.perm.size:
+            raise ValueError(f"matmul: an operand of shape {x.shape} against a pairing of dimension {self.perm.size}")
+        return x
+
+    def __matmul__(self, x):
+        x = self._operand(x, -2)
+        if x.ndim == 1:
+            return self.sign * x[self.perm]
+        return self.sign[:, None] * x[..., self.perm, :]
+
+    def __rmatmul__(self, x):
+        x = self._operand(x, -1)
+        out = np.empty(x.shape, dtype=complex)
+        out[..., self.perm] = self.sign * x
+        return out
+
+
+def poisson_tensor(quiver: StarQuiver) -> SignedPermutation:
     """Constant antisymmetric pairing J with {v_a, v_b} = J[a, b]: entry
-    [a, b] of each f matrix against entry [b, a] of its g matrix."""
+    [a, b] of each f matrix against entry [b, a] of its g matrix, +1 on the
+    f rows and -1 on the g rows."""
     mats = _matrices(zero_gradient(quiver))
     at, half = _offsets(mats), len(mats) // 2
-    jmat = np.zeros((at[-1], at[-1]), dtype=complex)  # J @ u casts no float J
+    perm = np.empty(at[-1], dtype=np.intp)
     for k, m in enumerate(mats[:half]):
         f_at = at[k] + np.arange(m.size).reshape(m.shape)
         g_at = at[half + k] + np.arange(m.size).reshape(m.shape[::-1]).T
-        jmat[f_at, g_at] = 1.0
-        jmat[g_at, f_at] = -1.0
-    return jmat
+        perm[f_at], perm[g_at] = g_at, f_at
+    return SignedPermutation(perm, np.where(np.arange(at[-1]) < at[half], 1.0, -1.0))
 
 
 def pack_rep(rep) -> np.ndarray:
@@ -358,9 +395,13 @@ class QuadraticObservable:
     @classmethod
     def random(cls, quiver, rng, scale=1.0):
         d = quiver.phase_dim()
-        s = np.empty((d, d), dtype=complex)
-        s.real, s.imag = rng.standard_normal((d, d)), rng.standard_normal((d, d))
-        s += s.T
+        s, n = np.empty((d, d), dtype=complex), np.empty((d, d))
+        # each part is n + n.T, with both n drawn into one buffer: s += s.T
+        # copies the overlapping s.T, and a fresh n per part faults in new
+        # pages.  The numbers and the stream are rng.standard_normal((d, d))'s.
+        for part in (s.real, s.imag):
+            rng.standard_normal(out=n)
+            np.add(n, n.T, out=part)
         s *= scale / 2
         b = scale * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
         return cls(quiver, s, b, complex(rng.standard_normal()))

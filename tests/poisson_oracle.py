@@ -12,12 +12,16 @@ quadratic as a generic ``Observable``, whose gradient
 ``gradient_from_vector`` unpacks in the order ``pack_rep`` packs.  Only
 tests bracket a quadratic as a generic observable; the library's Jacobi
 check applies the quadratics' own brackets.
+
+``dense_tensor`` is the former ``poisson_tensor``, the pairing as a dense
+d x d complex matrix, and ``quadratic_draw`` the former
+``QuadraticObservable.random``, which symmetrized with ``s += s.T``.
 """
 
 import numpy as np
 
 from common import copy_rep
-from starquiver.poisson import Observable, QuadraticObservable, pack_rep, zero_gradient
+from starquiver.poisson import Observable, QuadraticObservable, _matrices, _offsets, pack_rep, zero_gradient
 
 
 def bracket_with(self, other, jmat):
@@ -69,3 +73,28 @@ def to_observable(quad):
         return gradient_from_vector(quad.quiver, quad.gradient_at(pack_rep(rep)))
 
     return Observable(quad.quiver, value, grad, label="quadratic")
+
+
+def dense_tensor(quiver):
+    """Constant antisymmetric pairing J with {v_a, v_b} = J[a, b]: entry
+    [a, b] of each f matrix against entry [b, a] of its g matrix."""
+    mats = _matrices(zero_gradient(quiver))
+    at, half = _offsets(mats), len(mats) // 2
+    jmat = np.zeros((at[-1], at[-1]), dtype=complex)  # J @ u casts no float J
+    for k, m in enumerate(mats[:half]):
+        f_at = at[k] + np.arange(m.size).reshape(m.shape)
+        g_at = at[half + k] + np.arange(m.size).reshape(m.shape[::-1]).T
+        jmat[f_at, g_at] = 1.0
+        jmat[g_at, f_at] = -1.0
+    return jmat
+
+
+def quadratic_draw(quiver, rng, scale=1.0):
+    """The (s, b, c) of a random quadratic, drawn as the library did."""
+    d = quiver.phase_dim()
+    s = np.empty((d, d), dtype=complex)
+    s.real, s.imag = rng.standard_normal((d, d)), rng.standard_normal((d, d))
+    s += s.T
+    s *= scale / 2
+    b = scale * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    return s, b, complex(rng.standard_normal())

@@ -21,8 +21,17 @@ from starquiver import cli, combinat, jsonio, starrep
 from starquiver import linalg_exact as ex
 from starquiver.cli import main
 from starquiver.combinat import NilpotentClass
-from starquiver.dsolve import CONJUGATOR_TOL, DSInstance, DSSolution, RefinementError, exact_refine
-from starquiver.higgs import BridgeError, HiggsTuple, WeightsNotSmallError
+from starquiver.dsolve import (
+    CONJUGATOR_TOL,
+    DSInstance,
+    DSSolution,
+    RefinementError,
+    SolverConfig,
+    exact_refine,
+    flags_from_solution,
+    solve,
+)
+from starquiver.higgs import BridgeError, HiggsTuple, WeightsNotSmallError, higgs_to_quiver
 from starquiver.spectral import ExactnessRequired, HitchinPoint
 from starquiver.starrep import StarQuiver, StarRep, random_rep
 
@@ -471,6 +480,27 @@ def test_poisson_check_cli(tmp_path):
     assert report["entry_bracket_max_residual"] < 1e-9
     assert report["commutativity_max_residual"] < 1e-8
     assert report["jacobi_max_residual"] < 1e-9
+
+
+def test_poisson_check_counts_every_hamiltonian_of_eight_arms(tmp_path, capsys):
+    # each level's numerator has degree up to r(n - 2) = 12 here; the first
+    # max(4, r) quarter steps, all left of the poles, counted 3 of 5
+    inst = DSInstance(rank=2, classes=(NilpotentClass.from_partition((2,)),) * 8)
+    sigma = inst.parabolic_type()
+    rep = higgs_to_quiver(flags_from_solution(solve(inst, SolverConfig(seed=1)).solution, sigma))
+    rep_path, report_path = tmp_path / "rep.json", tmp_path / "poisson.json"
+    jsonio.dump(rep_path, jsonio.rep_to_json(rep))
+    assert main(["poisson", "check", "--rep", str(rep_path), "--grid", "1", "--report", str(report_path)]) == 0
+    capsys.readouterr()
+    assert json.loads(report_path.read_text())["independent_hamiltonians"] == combinat.spectral_degrees(sigma)[1] == 5
+
+
+def test_hamiltonian_samples_interleave_with_the_poles():
+    assert cli._hamiltonian_samples([0.0, 1.0, 2.0, 3.0], 6) == [-0.5, 0.5, 1.5, 2.5, 3.5, 4.5]
+    assert cli._hamiltonian_samples([5.0], 2) == [4.5, 5.5]
+    # mean spacing 1.5: 0.75 lies within 0.375 of the pole 0.5 and is skipped
+    points = [0.0, 0.5, 3.0]
+    assert cli._hamiltonian_samples(points, 3) == [-0.75, 2.25, 3.75]
 
 
 RESIDUALS = ("entry_bracket_max_residual", "commutativity_max_residual", "jacobi_max_residual", "moment_residual")

@@ -1,13 +1,15 @@
-"""Differential tests of the matrix-free quadratic brackets, the slot-stacked
-finite differences and the level-skipping bracket against the dense and
+"""Differential tests of the matrix-free quadratic brackets, the signed
+permutation pairing, the quadratic draw, the slot-stacked finite
+differences and the level-skipping bracket against the dense and
 copy-based references in ``poisson_oracle``."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import poisson_oracle as oracle
@@ -27,16 +29,19 @@ from starquiver.starrep import StarQuiver, random_rep
 
 
 @st.composite
-def quivers(draw, ranks=(2, 4)):
-    """Star quivers of central rank 2 to 4 with one to four arms; each arm a
-    strictly decreasing chain of dimensions up to the rank, possibly empty,
-    and at least one arm not empty."""
+def quivers(draw, ranks=(2, 4), armless=False):
+    """Star quivers of central rank in ``ranks`` with one to four arms; each
+    arm a strictly decreasing chain of dimensions up to the rank, possibly
+    empty, and at least one arm not empty.  With ``armless``, zero to four
+    arms, all of which may be empty."""
     r = draw(st.integers(*ranks))
 
     def chains(min_size=0):
         dims = st.sets(st.integers(1, r), min_size=min_size, max_size=3)
         return dims.map(lambda s: tuple(sorted(s, reverse=True)))
 
+    if armless:
+        return StarQuiver(rank=r, arms=tuple(draw(st.lists(chains(), max_size=4))))
     return StarQuiver(rank=r, arms=(draw(chains(1)), *draw(st.lists(chains(), max_size=3))))
 
 
@@ -51,7 +56,7 @@ def test_nested_brackets_match_dense_oracle(q, seed):
     jmat = poisson_tensor(q)
     v = pack_rep(random_rep(q, rng, scale=0.5))
     a, b, c = (QuadraticObservable.random(q, rng, 0.5) for _ in range(3))
-    dense = lambda x, y: oracle.bracket_with(x, y, jmat)  # noqa: E731
+    dense = lambda x, y: oracle.bracket_with(x, y, oracle.dense_tensor(q))  # noqa: E731
     pairs = [
         (a.bracket_with(b, jmat), dense(a, b)),
         (a.bracket_with(b.bracket_with(c, jmat), jmat), dense(a, dense(b, c))),
@@ -61,6 +66,103 @@ def test_nested_brackets_match_dense_oracle(q, seed):
         assert _close(fast.value_at(v), ref.value_at(v))
         assert _close(fast.gradient_at(v), ref.gradient_at(v))
         assert _close(fast.b, ref.b) and _close(fast.c, ref.c)
+
+
+RANK5 = StarQuiver(rank=5, arms=((4, 3, 2, 1),) * 4)  # phase dimension 320
+
+
+def _normal(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(q=quivers(ranks=(1, 5), armless=True), seed=st.integers(0, 2**32 - 1))
+@example(q=StarQuiver(rank=1, arms=()), seed=0)
+@example(q=StarQuiver(rank=3, arms=((), (2, 1), ())), seed=1)
+@example(q=RANK5, seed=2)
+def test_pairing_products_equal_the_dense_ones(q, seed):
+    rng = np.random.default_rng(seed)
+    j, dense, d = poisson_tensor(q), oracle.dense_tensor(q), q.phase_dim()
+    x, y, m, stack = _normal(rng, d), _normal(rng, d), _normal(rng, d, 3), _normal(rng, 2, d, d)
+    products = [
+        (j @ x, dense @ x),
+        (j @ x.real, dense @ x.real),
+        (x @ j, x @ dense),
+        (j @ m, dense @ m),
+        (m.T @ j, m.T @ dense),
+        (j @ stack, dense @ stack),
+        (stack @ j, stack @ dense),
+        (x @ j @ y, x @ dense @ y),
+    ]
+    for got, want in products:
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    eye = np.eye(d)
+    assert np.array_equal(j @ eye, dense) and np.array_equal(eye @ j, dense)
+    assert np.array_equal(j @ (j @ eye), -eye)  # J^2 = -I
+    assert np.array_equal((j @ eye).T, -(j @ eye))  # J^T = -J
+
+
+def test_pairing_refuses_a_mismatched_operand():
+    j = poisson_tensor(StarQuiver(rank=2, arms=((1,),) * 4))
+    for bad in (np.ones(15), np.ones((15, 16)), np.complex128(1.0)):
+        with pytest.raises(ValueError):
+            j @ bad
+    with pytest.raises(ValueError):
+        np.ones((16, 15)) @ j
+
+
+def _jacobi_residuals(q, rng, jmat, checks):
+    """The residuals of ``test_jacobi_identity_quadratics``' loop."""
+    v = pack_rep(random_rep(q, rng, scale=0.5))
+    out = []
+    for _ in range(checks):
+        a, b, c = (QuadraticObservable.random(q, rng, 0.5) for _ in range(3))
+        lhs = a.bracket_with(b.bracket_with(c, jmat), jmat).value_at(v)
+        rhs = (
+            a.bracket_with(b, jmat).bracket_with(c, jmat).value_at(v)
+            + b.bracket_with(a.bracket_with(c, jmat), jmat).value_at(v)
+        )
+        out.append(abs(lhs - rhs))
+    return out
+
+
+@pytest.mark.parametrize("q,seed,checks", [(StarQuiver(rank=2, arms=((1,),) * 4), 12, 10), (RANK5, 3, 2)])
+def test_jacobi_residuals_bit_identical_with_the_dense_pairing(q, seed, checks):
+    got = _jacobi_residuals(q, np.random.default_rng(seed), poisson_tensor(q), checks)
+    assert got == _jacobi_residuals(q, np.random.default_rng(seed), oracle.dense_tensor(q), checks)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        StarQuiver(rank=2, arms=((), ())),
+        StarQuiver(rank=2, arms=((1,),) * 4),
+        StarQuiver(rank=4, arms=((3, 2, 1),) * 4),
+        RANK5,
+    ],
+    ids=["d0", "d16", "d160", "d320"],
+)
+def test_quadratic_draw_keeps_its_numbers_and_stream(q):
+    fresh, former = np.random.default_rng(21), np.random.default_rng(21)
+    quad = QuadraticObservable.random(q, fresh, 0.5)
+    s, b, c = oracle.quadratic_draw(q, former, 0.5)
+    assert quad.s.shape == s.shape == (q.phase_dim(),) * 2
+    assert np.array_equal(quad.s, s) and np.array_equal(quad.b, b) and quad.c == c
+    assert fresh.standard_normal() == former.standard_normal()
+
+
+def test_pairing_is_no_dense_matrix():
+    # one d x d complex array at d = 320 is 16 d^2 bytes, 1.6 MB
+    x = np.ones(RANK5.phase_dim(), dtype=complex)
+    tracemalloc.start()
+    try:
+        jx = poisson_tensor(RANK5) @ x
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert jx.shape == x.shape
+    assert peak < 200_000, f"building and applying the pairing peaked at {peak} bytes"
 
 
 def _observables(q, rng):
