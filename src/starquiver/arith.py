@@ -120,8 +120,11 @@ class _Exact:
         return ex.solve(a, b)
 
     def contains(self, span, vecs, *_):
-        """Column space of vecs contained in column space of span?"""
-        return ex.rank(ex.hstack([span, vecs])) == ex.rank(span)
+        """Column space of vecs contained in column space of span?  One
+        ``echelon`` of the cleared [span | vecs]: exactly when no pivot
+        falls in the vecs columns, ``solve``'s consistency rule."""
+        n = ex.shape(span)[1]
+        return all(p < n for p in ex.echelon(ex.clear(ex.hstack([span, vecs]))[0])[1])
 
     def span_tracker(self, *_):
         return ex.Span()

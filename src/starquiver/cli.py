@@ -33,7 +33,7 @@ from .combinat import (
     EnumerationBoundExceeded,
     MarkedLine,
     check_small_weights,
-    condition_spectral_top,
+    ds_feasible,
     mu_eps,
     simpleness_condition,
     spectral_degrees,
@@ -87,9 +87,8 @@ def cmd_type_check(args):
     me = mu_eps(sigma)
     degrees, dim = spectral_degrees(sigma)
     small = check_small_weights(sigma)
-    gamma1_sum = sum(sigma.rank - m[0] for m in sigma.multiplicities)
-    feasible = 2 * sigma.rank <= gamma1_sum
-    top = condition_spectral_top(sigma)
+    feas = ds_feasible(sigma)
+    top = degrees[-1] >= 0
     chains_ok = simpleness_condition(sigma)
     try:
         generic_str = "yes" if weights_generic(sigma) else "no"
@@ -99,8 +98,8 @@ def cmd_type_check(args):
     lines.append(f"rank {sigma.rank}, {sigma.n_points} marked points, K = {sigma.K}")
     lines.append(f"small-weights bound      : {_fmt_bool(small)}")
     lines.append(
-        f"residue-sum inequality   : {_fmt_bool(feasible)}"
-        f"  (2r = {2 * sigma.rank} vs sum of first flag dims = {gamma1_sum})"
+        f"residue-sum inequality   : {_fmt_bool(feas.feasible)}"
+        f"  (2r = {feas.two_r} vs sum of first flag dims = {feas.sum_gamma1})"
     )
     lines.append(f"spectral top degree >= 0 : {_fmt_bool(top)}")
     lines.append(f"arm chain condition      : {_fmt_bool(chains_ok)}")
@@ -125,7 +124,7 @@ def cmd_type_check(args):
         {
             "conditions": {
                 "small_weights": small,
-                "residue_sum_inequality": feasible,
+                "residue_sum_inequality": feas.feasible,
                 "spectral_top_degree": top,
                 "arm_chains": chains_ok,
                 "weights_generic": generic_str,

@@ -145,27 +145,15 @@ class NilpotentClass:
                     "rank differences must be nonincreasing (not a valid Jordan type)"
                 )
 
-    @property
-    def gamma1(self):
-        return self.rank_sequence[0] if self.rank_sequence else 0
-
     def to_partition(self):
         """Jordan block sizes, largest first, summing to the rank (rank
         ones for the zero class).
 
-        blocks_ge[j-1] counts blocks of size >= j; the partition is its
-        conjugate.
+        The flag step n_j counts blocks of size >= j; the partition is the
+        conjugate of the flag multiplicities.
         """
-        seq = (self.rank,) + self.rank_sequence + (0,)
-        blocks_ge = [seq[j] - seq[j + 1] for j in range(len(seq) - 1)]
-        partition = sorted(
-            (
-                sum(1 for b in blocks_ge if b >= k)
-                for k in range(1, max(blocks_ge) + 1)
-            ),
-            reverse=True,
-        )
-        return tuple(partition)
+        mult = self.flag_multiplicities()
+        return tuple(sum(1 for m in mult if m >= k) for k in range(1, mult[0] + 1))
 
     @classmethod
     def from_partition(cls, partition, rank=None):
@@ -237,13 +225,6 @@ def spectral_degrees(sigma: ParabolicType):
     return degrees, dim
 
 
-def condition_spectral_top(sigma: ParabolicType) -> bool:
-    """Nonnegativity of the top spectral degree:
-    -2r + sum_x (r - eps_r(x)) >= 0."""
-    degrees, _ = spectral_degrees(sigma)
-    return degrees[-1] >= 0
-
-
 @dataclass(frozen=True)
 class FeasibilityReport:
     feasible: bool
@@ -253,8 +234,10 @@ class FeasibilityReport:
     r_at_least_4: bool
 
 
-def ds_feasible(classes, r: int) -> FeasibilityReport:
-    """Residue-sum inequality: 2r <= sum of first power ranks.
+def ds_feasible(sigma: ParabolicType) -> FeasibilityReport:
+    """Residue-sum inequality of a parabolic type: 2r <= sum over the
+    points of gamma_1 = r - n_1, the first power rank of a nilpotent class
+    with those flag steps.
 
     A necessary condition for an irreducible tuple, not a sufficient one, at
     any n and r.  It is (alpha, e_0) <= 0 at the central vertex of the star
@@ -265,15 +248,13 @@ def ds_feasible(classes, r: int) -> FeasibilityReport:
     has p(2 delta) = 1 < 2 p(delta) = 2, and no irreducible tuple exists.
     Whether n >= 4 and r >= 4 hold is reported as separate flags.
     """
-    for c in classes:
-        if c.rank != r:
-            raise ValueError("all classes must share the same rank")
-    s = sum(c.gamma1 for c in classes)
+    r = sigma.rank
+    s = sum(r - mult[0] for mult in sigma.multiplicities)
     return FeasibilityReport(
         feasible=2 * r <= s,
         sum_gamma1=s,
         two_r=2 * r,
-        n_at_least_4=len(classes) >= 4,
+        n_at_least_4=sigma.n_points >= 4,
         r_at_least_4=r >= 4,
     )
 

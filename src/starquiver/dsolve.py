@@ -99,7 +99,7 @@ class DSInstance:
         return type_from_classes(list(self.classes), points=list(self.points))
 
     def feasibility(self) -> FeasibilityReport:
-        return ds_feasible(list(self.classes), self.rank)
+        return ds_feasible(self.parabolic_type())
 
 
 @dataclass

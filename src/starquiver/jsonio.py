@@ -273,8 +273,7 @@ def dump(path, payload):
     InputFormatError, as one that cannot be read does in ``load``."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(dumps(payload))
     except OSError as e:
         raise InputFormatError(f"{path}: {e.strerror}") from e
 

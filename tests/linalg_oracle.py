@@ -26,6 +26,12 @@ loop.  ``starquiver.linalg_exact`` now eliminates forward only
 the reduced row echelon form is unique, so the two must agree exactly at
 every column.
 
+``contains`` is the library's former exact containment test, two ranks
+compared: the columns of vecs lie in the column space of span exactly
+when appending them keeps its rank.  ``starquiver.arith.EXACT.contains``
+now runs one ``echelon`` of [span | vecs] and asks that no pivot fall in
+the vecs columns.  Here each rank is a pivot count of ``rref``.
+
 ``root_order`` is the library's former Fraction root multiplicity:
 evaluate at x, then divide synthetically by (z - x), until the value is
 nonzero.  ``starquiver.spectral`` now divides integer numerators by
@@ -151,6 +157,12 @@ def reference(fn, *args):
     module's ``rref`` in place of ``echelon``."""
     with mock.patch.object(ex, "echelon", _scaled_rref):
         return fn(*args)
+
+
+def contains(span, vecs):
+    """Column space of vecs contained in column space of span: rank
+    [span | vecs] == rank span."""
+    return len(rref(ex.hstack([span, vecs]))[1]) == len(rref(span)[1])
 
 
 def root_order(p, x):

@@ -15,7 +15,6 @@ from starquiver.combinat import (
     ParabolicType,
     chain_simple,
     check_small_weights,
-    condition_spectral_top,
     ds_feasible,
     mu_eps,
     simpleness_condition,
@@ -23,6 +22,7 @@ from starquiver.combinat import (
     type_from_classes,
     weights_generic,
 )
+from starquiver.dsolve import DSInstance
 from starquiver.starrep import build_star_quiver
 
 F = Fraction
@@ -167,13 +167,12 @@ def test_top_degree_equivalent_to_residue_inequality():
                 left -= p
             classes.append(NilpotentClass.from_partition(parts))
         t = type_from_classes(classes)
-        feas = ds_feasible(classes, r)
-        assert condition_spectral_top(t) == feas.feasible
+        assert (spectral_degrees(t)[0][-1] >= 0) == ds_feasible(t).feasible
 
 
 def test_ds_feasible_boundary():
     c = NilpotentClass(rank=2, rank_sequence=(1,))
-    rep = ds_feasible([c] * 4, 2)
+    rep = ds_feasible(type_from_classes([c] * 4))
     assert rep.feasible is True
     assert rep.sum_gamma1 == 4 and rep.two_r == 4
     assert rep.n_at_least_4 is True and rep.r_at_least_4 is False
@@ -181,21 +180,23 @@ def test_ds_feasible_boundary():
 
 def test_ds_feasible_rank5_rank1_classes():
     c = NilpotentClass(rank=5, rank_sequence=(1,))
-    rep = ds_feasible([c] * 4, 5)
+    rep = ds_feasible(type_from_classes([c] * 4))
     assert rep.feasible is False
 
 
 def test_ds_feasible_zero_classes():
     c = NilpotentClass(rank=3, rank_sequence=())
-    assert ds_feasible([c] * 5, 3).feasible is False
+    assert ds_feasible(type_from_classes([c] * 5)).feasible is False
 
 
 def test_ds_feasible_rank_mismatch():
-    with pytest.raises(ValueError):
-        ds_feasible(
-            [NilpotentClass(rank=2, rank_sequence=(1,)), NilpotentClass(rank=3, rank_sequence=(1,))],
-            2,
-        )
+    # classes of two ranks make no type: the instance refuses them, and so
+    # does the type's multiplicity check
+    classes = [NilpotentClass(rank=2, rank_sequence=(1,)), NilpotentClass(rank=3, rank_sequence=(1,))]
+    with pytest.raises(ValueError, match="share the instance rank"):
+        DSInstance(rank=2, classes=classes)
+    with pytest.raises(ValueError, match="sum to the rank"):
+        type_from_classes(classes)
 
 
 def test_chain_simpleness():
@@ -322,8 +323,8 @@ def test_coefficient_space_is_half_the_quiver_variety(classes):
     # type's star quiver.  Where q(alpha) = 0, alpha is m times the
     # indivisible isotropic root and the dimension is m: four (2, 2)
     # classes give twice the D4~ root, dimension 2 where 1 - q(alpha) = 1
-    assume(ds_feasible(classes, classes[0].rank).feasible)
     sigma = type_from_classes(classes)
+    assume(ds_feasible(sigma).feasible)
     quiver = build_star_quiver(sigma)
     q = tits_form(quiver)
     assert spectral_degrees(sigma)[1] == (1 - q if q else math.gcd(quiver.rank, *sum(quiver.arms, ())))

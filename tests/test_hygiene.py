@@ -759,6 +759,49 @@ def test_one_clearing_rule():
     assert owners_of(clearing_steps) == ["linalg_exact.clear", "spectral._integer_form"]
 
 
+def squarefree_tests(f):
+    """Calls of ``_discriminant_vanishes``, a squarefree test, in ``f``."""
+    return [
+        node
+        for node in ast.walk(f)
+        if isinstance(node, ast.Call) and "_discriminant_vanishes" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def doubled_comparisons(f):
+    """Comparisons with ``2 * x`` on one side, as the residue-sum inequality
+    2r <= sum of gamma_1 is written."""
+
+    def doubled(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and getattr(node.left, "value", None) == 2
+
+    return [node for node in ast.walk(f) if isinstance(node, ast.Compare) and any(map(doubled, [node.left, *node.comparators]))]
+
+
+def first_flag_dimensions(f):
+    """``x.rank - ...``: a rank minus a flag step, gamma_1 = r - n_1."""
+    return [
+        node
+        for node in ast.walk(f)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) and getattr(node.left, "attr", None) == "rank"
+    ]
+
+
+def test_one_squarefree_walk():
+    # the walk of spectral._factor over z0 = -1, -2, ... is the one place
+    # that evaluates the discriminant; the pool certificates of _certify
+    # only read factor degrees
+    assert owners_of(squarefree_tests) == ["spectral._factor"]
+
+
+def test_one_residue_sum_inequality():
+    # combinat.ds_feasible owns 2r <= sum of gamma_1; type-check prints and
+    # reports its FeasibilityReport.  The degree loop of
+    # spectral._distinct_degree compares a doubled degree with len(f)
+    assert owners_of(doubled_comparisons) == ["combinat.ds_feasible", "spectral._distinct_degree"]
+    assert first_flag_dimensions(ast.parse((SRC / "starquiver" / "cli.py").read_text(encoding="utf-8"))) == []
+
+
 def test_the_guards_see_the_former_copies():
     # the shapes the two guards look for, as the former bareiss and
     # _integer_rows wrote them
@@ -766,3 +809,9 @@ def test_the_guards_see_the_former_copies():
     integer_rows = ast.parse("def g(row, den):\n    return [x.numerator * (den // x.denominator) for x in row]\n")
     assert len(pivot_divisions(bareiss.body[0])) == 1
     assert len(clearing_steps(integer_rows)) == 1
+    # the pool walk of the former _certify, and the inequality as the former
+    # type-check computed it
+    certify = ast.parse("def c(f, vanishing):\n    if _discriminant_vanishes(f):\n        vanishing += 1\n")
+    type_check = ast.parse("gamma1_sum = sum(sigma.rank - m[0] for m in sigma.multiplicities)\nfeasible = 2 * sigma.rank <= gamma1_sum\n")
+    assert len(squarefree_tests(certify.body[0])) == 1
+    assert len(doubled_comparisons(type_check)) == len(first_flag_dimensions(type_check)) == 1

@@ -9,10 +9,11 @@ import math
 import sys
 from fractions import Fraction
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import linalg_oracle as oracle
@@ -225,6 +226,33 @@ def test_solve_refuses_a_pivot_in_the_right_hand_side(case):
     for fn in (ex.solve, _solve_ref):
         with pytest.raises(ValueError, match="^inconsistent linear system$"):
             fn(a, b)
+
+
+@st.composite
+def containment_cases(draw):
+    """(span, vecs): span drawn by ``matrices``, no columns included, and
+    vecs of 0 to 3 columns on its rows: half of the time combinations of
+    span's columns, so contained, else drawn freely, so usually not."""
+    span = draw(matrices())
+    m, n = ex.shape(span)
+    k = draw(st.integers(0, 3))
+    if n and draw(st.booleans()):
+        return span, ex.mmul(span, draw(_grid(n, k)))
+    return span, draw(_grid(m, k))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(containment_cases())
+@example(([[], [], []], [[Fraction(1)], [Fraction(0)], [Fraction(0)]]))  # empty span, nonzero vector
+@example(([[], []], [[Fraction(0)], [Fraction(0)]]))  # empty span, zero vector
+@example(([[Fraction(1)], [Fraction(2)]], [[], []]))  # empty vecs
+@example(([], []))  # no rows
+def test_exact_contains_runs_one_echelon_and_matches_the_two_rank_rule(case):
+    span, vecs = case
+    with mock.patch.object(ex, "echelon", wraps=ex.echelon) as echelon:
+        got = EXACT.contains(span, vecs)
+    assert echelon.call_count == 1
+    assert got is oracle.contains(span, vecs)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

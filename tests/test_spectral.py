@@ -221,11 +221,26 @@ def test_is_integral_decided_by_bivariate_factorization(monkeypatch):
     assert (verdict, kind, as_expr(g)) == ("not_integral", "factor", LAM - Z)
 
 
-def test_is_integral_rejects_non_squarefree(monkeypatch):
-    # the discriminant has z-degree at most 6 and vanishes at all 7 pool points
-    _forbid_factorization(monkeypatch)
+def test_is_integral_rejects_non_squarefree():
+    # the discriminant has z-degree at most 6, and the squarefree walk sees
+    # it vanish at -1, ..., -7
     expr = sympy.expand((LAM - Z) ** 2 * (LAM + 1))
     assert is_integral(spectral_of(expr)) == ("not_integral", "discriminant")
+
+
+@pytest.mark.parametrize("expr", [(LAM - Z**4) ** 2, (LAM - Z**5) ** 2, (LAM - Z**4) ** 2 * (LAM + Z)])
+def test_non_squarefree_walk_evaluates_bound_plus_one_discriminants(monkeypatch, expr):
+    # the walk of _factor is the one squarefree test: a non-squarefree p
+    # whose bound is past the seven pool points costs bound + 1
+    # discriminants, and _certify spends none; (lam - z^4)^2 has bound 8
+    sp = spectral_of(sympy.expand(expr))
+    bound = spectral._discriminant_bound(spectral._integer_form(sp.coeffs)[1])
+    assert bound >= len(SPECIALIZATION_POOL)
+    calls = []
+    vanishes = spectral._discriminant_vanishes
+    monkeypatch.setattr(spectral, "_discriminant_vanishes", lambda f: calls.append(f) or vanishes(f))
+    assert is_integral(sp) == ("not_integral", "discriminant")
+    assert len(calls) == bound + 1
 
 
 def test_is_integral_closed_form(closed_form_tuple, monkeypatch):
@@ -246,9 +261,8 @@ def test_closed_form_integrality_by_the_sympy_fallback(monkeypatch, closed_form_
     assert factor_verdict(as_expr(sp)) == verdict[0]
 
 
-def test_is_integral_heavy_top_by_discriminant(monkeypatch):
-    # p = lam^2: the discriminant bound is 0 and the first pool point exceeds it
-    _forbid_factorization(monkeypatch)
+def test_is_integral_heavy_top_by_discriminant():
+    # p = lam^2: the discriminant bound is 0, and the walk's first point exceeds it
     hp = HitchinPoint(rank=2, points=(0, 1, 2, 3), coeffs=[[], []])
     assert is_integral(spectral_poly(hp)) == ("not_integral", "discriminant")
 
