@@ -16,9 +16,10 @@ scalars; reducible limits are only returned when no restart does better.
 rational one: each point's image flag, one basis filled deepest step first,
 is snapped to an integer basis, in which strong preservation is a pattern
 of free entries, and the zero-sum condition couples the points in one
-fraction-free elimination over the integers, anchored at the floating
-solution.  The result sums to zero exactly and is exactly nilpotent; the
-rank profile is then re-verified exactly.
+fraction-free elimination over the integers, of its leading square block
+when that is nonsingular, anchored at the floating solution.  The result
+sums to zero exactly and is exactly nilpotent; the rank profile is then
+re-verified exactly.
 """
 
 import math
@@ -179,12 +180,11 @@ def is_smooth_point(mats):
     return sv[mats[0].size - 2] >= _SMOOTH_RATIO * sv[0]
 
 
-def _gauss_newton_run(instance, config, rng):
-    """One restart of damped Gauss-Newton; returns (residual, matrices,
-    conjugators, iterations) as stacked arrays over all points."""
-    r = instance.rank
-    active = np.array([bool(c.rank_sequence) for c in instance.classes])
-    jordans = np.array([_jordan_float(c) for c in instance.classes])
+def _gauss_newton_run(jordans, active, config, rng):
+    """One restart of damped Gauss-Newton from the stacked Jordan forms of
+    the classes (``active`` marks the nonzero ones); returns (residual,
+    matrices, conjugators, iterations) as stacked arrays over all points."""
+    n, r = jordans.shape[:2]
     ps = np.array([_random_orthogonal(r, rng) if a else np.eye(r) for a in active])
     mats = ps @ jordans @ np.linalg.inv(ps)
     s = mats.sum(axis=0)
@@ -193,7 +193,7 @@ def _gauss_newton_run(instance, config, rng):
     while norm >= config.tolerance and iterations < config.max_iters:
         # minimum-norm solution of the linearization S + sum_i [X_i, A_i] = 0
         x = np.linalg.lstsq(orbit_jacobian(mats), -s.reshape(-1), rcond=None)[0]
-        x = x.reshape(instance.n, r, r)
+        x = x.reshape(n, r, r)
         x[~active] = 0.0  # zero classes: zero columns, keep P_i = I exactly
         step = 1.0
         while step >= _MIN_STEP:
@@ -224,11 +224,13 @@ def solve(instance: DSInstance, config: SolverConfig = None) -> SolveOutcome:
     """
     config = config or SolverConfig()
     feas = instance.feasibility()
+    active = np.array([bool(c.rank_sequence) for c in instance.classes])
+    jordans = np.array([_jordan_float(c) for c in instance.classes])
     best_residuals = []
     fallback = None
     for restart in range(config.restarts):
         rng = np.random.default_rng([config.seed, restart])
-        resid, mats, ps, iters = _gauss_newton_run(instance, config, rng)
+        resid, mats, ps, iters = _gauss_newton_run(jordans, active, config, rng)
         best_residuals.append(resid)
         if resid < config.tolerance:
             sol = DSSolution(
@@ -426,23 +428,29 @@ def _free_entries(ranks, r):
 
 
 def _solve_anchored(columns, anchor):
-    """The point x of the kernel of the integer matrix with these columns
+    """The point x of the kernel of the integer matrix M with these columns
     whose free unknowns keep their (Fraction) anchor values and whose pivot
     unknowns are solved for exactly.
 
-    One forward elimination ``R`` (pivots p_k, last pivot d) of the system;
-    with the free anchors cleared to integers y over their denominator s,
-    ``back_substitute`` of the one right-hand column ``R_k·y`` at the free
-    columns gives ``d s x[p_k]``.
+    With the anchors cleared to integers y over one denominator s and
+    h = M·y, x is the anchor plus a correction δ on the pivots with
+    M·(s δ) = -h.  M has m rows, so its rank is at most m: when its first m
+    columns are independent they are the pivots, and one ``echelon`` of
+    [first m columns | h] solves the system.  Only a singular block is
+    eliminated again with all columns.  ``back_substitute`` of the
+    eliminated h column gives d s δ at the pivots, d the last pivot.
     """
+    if not columns:
+        return []
+    m = len(columns[0])
+    (y,), scale = ex.clear([anchor])
+    h = [sum(c[i] * v for c, v in zip(columns, y)) for i in range(m)]
+    red, piv, d = ex.echelon(ex.mtrans(columns[:m] + [h]))
+    if piv != list(range(m)) and len(columns) > m:
+        red, piv, d = ex.echelon(ex.mtrans(columns + [h]))
     x = list(anchor)
-    red, piv, d = ex.echelon(ex.mtrans(columns))
-    pivot_set = set(piv)
-    free = [j for j in range(len(columns)) if j not in pivot_set]
-    (y,), scale = ex.clear([[anchor[j] for j in free]])
-    rhs = [[sum(row[j] * yj for j, yj in zip(free, y))] for row in red[: len(piv)]]
-    for p, (v,) in zip(piv, ex.back_substitute(red, piv, d, rhs)):
-        x[p] = Fraction(v, d * scale)
+    for p, (v,) in zip(piv, ex.back_substitute(red, piv, d, [[row[-1]] for row in red[: len(piv)]])):
+        x[p] += Fraction(v, d * scale)
     return x
 
 
@@ -450,7 +458,9 @@ def _refine_at(solution, instance, nested, den):
     """The exact tuple for one snap at denominator ``den``, or None when the
     snap is rejected (singular flag basis, wrong profile, or drift).  Each
     flag basis Q is inverted in integers: ``back_substitute`` on the
-    ``echelon`` of [Q | I] gives d·Q^-1, d its last pivot."""
+    ``echelon`` of [Q | I] gives d·Q^-1, d its last pivot.  The zero sum
+    is r^2 - 1 integer equations in the free entries: every column is
+    trace-free, so the (r-1, r-1) equation follows from the others."""
     r = instance.rank
     frames, unknowns, columns, anchor = [], [], [], []
     for i, (rows, c) in enumerate(zip(nested, instance.classes)):
@@ -467,12 +477,14 @@ def _refine_at(solution, instance, nested, den):
         nf = np.linalg.solve(qf, np.asarray(solution.matrices[i]).real @ qf)
         g = c.rank_sequence[0]
         # N = Q^-1 A Q = d K: the zero sum is sum_i Q_i K_i adj_i = 0 over Z.
+        # Entry (a, b) of K has a < b: its column q_a adj_b has trace
+        # (adj Q)[b][a] = 0, so its (r-1, r-1) entry is left out.
         # Free entries of N sit in flag rows (scale den); each is snapped at
         # the same precision relative to its column's scale: to 1/den in a
         # flag column, to 1/den^2 in a completion column (scale 1).
         for a, b in _free_entries(c.rank_sequence, r):
             unknowns.append((i, a, b))
-            columns.append([q[p][a] * adj[b][t] for p in range(r) for t in range(r)])
+            columns.append([q[p][a] * adj[b][t] for p in range(r) for t in range(r)][:-1])
             e = den if b < g else den * den
             anchor.append(Fraction(round(nf[a, b] * e), e * d))
     ks = [ex.mzeros(r, r) for _ in frames]
@@ -514,11 +526,14 @@ def exact_refine(solution: DSSolution, instance: DSInstance) -> DSSolution:
     its float image flag (``_flag_rows``, with no tuple built), scaled by the
     snapping denominator and rounded, is completed to an integer basis
     ``Q_i``, in which strong preservation is a pattern of free entries of
-    ``N_i = Q_i^-1 A_i Q_i``.  The zero sum is then r^2 integer equations
-    in those entries, eliminated once without fractions; free entries keep
-    the snapped floating values and pivot entries are solved exactly.  Exact
-    nilpotency and strong preservation hold by construction; the rank
-    profile and closeness are re-verified, with a finer snap on failure.
+    ``N_i = Q_i^-1 A_i Q_i``.  The zero sum is then r^2 - 1 integer
+    equations in those entries (the last diagonal one follows from the
+    trace), solved without fractions on the leading square block of
+    unknowns, and on all of them only when that block is singular; free
+    entries keep the snapped floating values and pivot entries are solved
+    exactly.  Exact nilpotency and strong preservation hold by
+    construction; the rank profile and closeness are re-verified, with a
+    finer snap on failure.
     Conjugators are ``Q_i P_i`` with ``P_i`` a Jordan basis of ``N_i``.
     """
     if solution.mode == "exact":

@@ -472,6 +472,25 @@ def test_conjugated_instance_same_report(rank2_instance):
     )
 
 
+def test_jordan_forms_are_built_once_per_solve(monkeypatch):
+    # item 28 of the bridge stream (default_rng(9), solver seed 528) takes
+    # six restarts; every one starts from the same Jordan forms
+    rng = np.random.default_rng(9)
+    for _ in range(29):
+        inst = random_feasible_instance(rng, max_rank=3, max_points=6)
+    built = []
+    jordan = dsolve._jordan
+
+    def counting(cls):
+        built.append(cls)
+        return jordan(cls)
+
+    monkeypatch.setattr(dsolve, "_jordan", counting)
+    out = solve(inst, SolverConfig(seed=528))
+    assert out.success and len(out.best_residuals) == 6
+    assert built == list(inst.classes)
+
+
 def test_random_feasible_instances_valid():
     rng = np.random.default_rng(31)
     for _ in range(20):

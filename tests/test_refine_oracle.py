@@ -1,7 +1,9 @@
 """The integer refinement against the Fraction oracle in ``refine_oracle``,
 its snapping branches, and property tests of its kernels."""
 
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -179,12 +181,14 @@ def anchored_systems(draw):
     return columns, anchor
 
 
-def _check_anchored(columns, anchor):
-    system = [[F(x) for x in row] for row in ex.mtrans(columns)]
-    expected = oracle.solve_anchored(system, anchor)
+def _check_anchored(columns, anchor, full=None):
+    """The solve of ``columns`` is the oracle's solve of ``full`` (by
+    default the same system) and makes it vanish."""
+    full = columns if full is None else full
+    system = [[F(x) for x in row] for row in ex.mtrans(full)]
     x = dsolve._solve_anchored(columns, anchor)
-    assert x == expected
-    assert all(sum(v * c[i] for v, c in zip(x, columns)) == 0 for i in range(len(columns[0])))
+    assert x == oracle.solve_anchored(system, anchor)
+    assert all(sum(v * c[i] for v, c in zip(x, full)) == 0 for i in range(len(full[0])))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -193,24 +197,147 @@ def test_anchored_zero_sum_solve_matches_oracle(case):
     _check_anchored(*case)
 
 
-def test_anchored_zero_sum_solve_matches_oracle_on_the_batch(certified_batch, monkeypatch):
-    # the zero-sum systems of the refined batch up to rank 3, as built
-    systems = []
-    solve_anchored = dsolve._solve_anchored
+def _trace_free(columns, r):
+    """The r x r columns of a system that leaves out the (r-1, r-1)
+    equation: each column gets back that entry, minus the sum of its other
+    diagonal entries."""
+    return [c + [-sum(c[p * r + p] for p in range(r - 1))] for c in columns]
 
-    def recording(columns, anchor):
-        systems.append((columns, anchor))
+
+@contextmanager
+def _echelon_shapes():
+    """The shape of every matrix ``linalg_exact.echelon`` eliminates."""
+    shapes = []
+    echelon = ex.echelon
+
+    def recording(a):
+        shapes.append(ex.shape(a))
+        return echelon(a)
+
+    with mock.patch.object(ex, "echelon", recording):
+        yield shapes
+
+
+@st.composite
+def block_systems(draw, case):
+    """(columns, anchor, r): a trace-free system as ``_refine_at`` builds
+    it, r^2 - 1 equations for r from 2 to 4, with small entries or entries
+    up to 2^100 and one rational anchor per column.  ``case``:
+    'nonsingular' makes the leading square block invertible (unit lower
+    triangular times upper triangular), 'repeat' repeats a leading column
+    in a later leading column and adds columns after the block, 'fewer'
+    has fewer columns than equations."""
+    r = draw(st.integers(2, 4))
+    m = r * r - 1
+    entries = draw(st.sampled_from([st.integers(-9, 9), st.integers(-(2**100), 2**100)]))
+    column = st.lists(entries, min_size=m, max_size=m)
+    if case == "fewer":
+        columns = draw(st.lists(column, min_size=1, max_size=m - 1))
+    else:
+        if case == "nonsingular":
+            upper = [
+                [draw(entries.filter(bool)) if i == j else draw(entries) if i < j else 0 for j in range(m)]
+                for i in range(m)
+            ]
+            lower = [[draw(st.integers(-3, 3)) if j < i else int(i == j) for j in range(m)] for i in range(m)]
+            block = ex.mtrans(ex.imul(lower, upper))
+        else:
+            block = draw(st.lists(column, min_size=m, max_size=m))
+            j = draw(st.integers(1, m - 1))
+            block[j] = block[draw(st.integers(0, j - 1))]
+        extra = draw(st.lists(column, min_size=case == "repeat", max_size=12))
+        columns = block + extra
+    denominators = st.sampled_from([1, 3, 2**16, 2**40 * 7]) | st.integers(1, 2**64)
+    n = len(columns)
+    anchor = draw(st.lists(st.builds(F, st.integers(-(2**80), 2**80), denominators), min_size=n, max_size=n))
+    return columns, anchor, r
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(block_systems("nonsingular"))
+def test_a_nonsingular_leading_block_is_solved_alone(case):
+    # one echelon of the m leading columns and the anchor column, whatever
+    # the number of columns after them
+    columns, anchor, r = case
+    m = r * r - 1
+    with _echelon_shapes() as shapes:
+        _check_anchored(columns, anchor, _trace_free(columns, r))
+    assert shapes == [(m, m + 1)]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(block_systems("repeat"))
+def test_a_repeated_leading_column_widens_to_all_columns(case):
+    columns, anchor, r = case
+    m = r * r - 1
+    with _echelon_shapes() as shapes:
+        _check_anchored(columns, anchor, _trace_free(columns, r))
+    assert shapes == [(m, m + 1), (m, len(columns) + 1)]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(block_systems("fewer"))
+def test_fewer_columns_than_equations_are_eliminated_once(case):
+    columns, anchor, r = case
+    with _echelon_shapes() as shapes:
+        _check_anchored(columns, anchor, _trace_free(columns, r))
+    assert shapes == [(r * r - 1, len(columns) + 1)]
+
+
+def test_anchored_solve_without_columns_or_equations():
+    assert dsolve._solve_anchored([], []) == []
+    # rank 1 leaves no equation: every unknown keeps its anchor, and the
+    # restored trace equation is zero
+    anchor = [F(1, 3), F(-7, 2**16), F(0)]
+    columns = [[] for _ in anchor]
+    assert dsolve._solve_anchored(columns, anchor) == anchor
+    _check_anchored(columns, anchor, _trace_free(columns, 1))
+
+
+def test_anchored_zero_sum_solve_matches_oracle_on_the_batch(certified_batch, monkeypatch):
+    # the zero-sum systems of the refined batch up to rank 3, and of the
+    # rank-4 instance with solver seed 104, whose 15 leading columns have
+    # rank 14, as built; each column is checked against its flag basis Q
+    # and d Q^-1 and solved against the oracle's solve of the full system
+    systems, attempt = [], {}
+    refine_at, flag_basis, solve_anchored = dsolve._refine_at, dsolve._flag_basis, dsolve._solve_anchored
+
+    def recording_refine(solution, instance, nested, den):
+        attempt.update(instance=instance, bases=[])
+        return refine_at(solution, instance, nested, den)
+
+    def recording_basis(rows, den):
+        attempt["bases"].append(flag_basis(rows, den))
+        return attempt["bases"][-1]
+
+    def recording_solve(columns, anchor):
+        systems.append((attempt["instance"], attempt["bases"], columns, anchor))
         return solve_anchored(columns, anchor)
 
-    monkeypatch.setattr(dsolve, "_solve_anchored", recording)
-    for inst, out in certified_batch:
-        if inst.rank <= 3:
+    monkeypatch.setattr(dsolve, "_refine_at", recording_refine)
+    monkeypatch.setattr(dsolve, "_flag_basis", recording_basis)
+    monkeypatch.setattr(dsolve, "_solve_anchored", recording_solve)
+    for k, (inst, out) in enumerate(certified_batch):
+        if inst.rank <= 3 or k == 5:
             exact_refine(out.solution, inst)
     monkeypatch.undo()
-    assert len(systems) >= 10
-    for columns, anchor in systems:
-        if columns:
-            _check_anchored(columns, anchor)
+    assert len(systems) >= 11
+    widened = 0
+    for inst, qs, columns, anchor in systems:
+        r = inst.rank
+        full = []
+        for q, c in zip(qs, [c for c in inst.classes if c.rank_sequence], strict=True):
+            d = ex.echelon(q)[2]  # the last pivot of [Q | I] is that of Q
+            adj = [[d * x for x in row] for row in inverse(q)]
+            for a, b in dsolve._free_entries(c.rank_sequence, r):
+                col = [q[p][a] * adj[b][t] for p in range(r) for t in range(r)]
+                assert sum(col[p * r + p] for p in range(r)) == 0
+                full.append(col)
+        assert columns == [col[:-1] for col in full]
+        _check_anchored(columns, anchor, full)
+        m = r * r - 1
+        widened += ex.rank([[F(x) for x in row] for row in ex.mtrans(columns[:m])]) < m
+    assert widened == 1
 
 
 _PARTITIONS = [(1,), (2,), (1, 1), (2, 1), (3,), (1, 1, 1), (2, 2), (3, 1), (2, 1, 1), (4,), (3, 2), (4, 1), (2, 2, 1)]
