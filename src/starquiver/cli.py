@@ -322,25 +322,6 @@ def cmd_bridge_to_higgs(args):
 # poisson check
 
 
-def _hamiltonian_samples(points, count):
-    """``count`` real sample points for the Hamiltonian count: the half
-    steps lo - h/2, lo + h/2, lo + 3h/2, ... of the mean spacing h of the
-    marked points (1 for fewer than two), from the lowest point lo, skipping
-    any within h/4 of a marked point.  At the points 0..n-1 they are
-    -1/2, 1/2, 3/2, ...  Samples that interleave with the poles keep the
-    sampled differentials apart; as many on one side of all the poles see
-    nearly the same phi, and the rank cut drops true directions."""
-    lo = min(points, default=0.0)
-    h = (max(points) - lo) / (len(points) - 1) if len(points) > 1 else 1.0
-    zs, k = [], 0
-    while len(zs) < count:
-        z = lo + (k - 0.5) * h
-        if all(abs(z - x) >= h / 4 for x in points):
-            zs.append(z)
-        k += 1
-    return zs
-
-
 def cmd_poisson_check(args):
     if args.grid < 1:
         raise ValueError(f"--grid must be at least 1, got {args.grid}")
@@ -355,6 +336,7 @@ def cmd_poisson_check(args):
         check_commutativity,
         entry_bracket_residuals,
         entry_observable,
+        hamiltonian_samples,
         independent_hamiltonian_count,
         pack_rep,
         poisson_tensor,
@@ -430,7 +412,7 @@ def cmd_poisson_check(args):
     if resid < HAMILTONIAN_MOMENT_TOL:
         # each level's numerator has degree at most r(n - 2): one sample more
         # than it needs, and at least one when that bound is not positive
-        zs = _hamiltonian_samples(points, max(1, r * (n - 2) + 2))
+        zs = hamiltonian_samples(points, max(1, r * (n - 2) + 2))
         payload["independent_hamiltonians"] = independent_hamiltonian_count(
             rep, points, list(range(1, r + 3)), zs
         )

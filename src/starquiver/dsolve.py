@@ -457,10 +457,9 @@ def _solve_anchored(columns, anchor):
 def _refine_at(solution, instance, nested, den):
     """The exact tuple for one snap at denominator ``den``, or None when the
     snap is rejected (singular flag basis, wrong profile, or drift).  Each
-    flag basis Q is inverted in integers: ``back_substitute`` on the
-    ``echelon`` of [Q | I] gives d·Q^-1, d its last pivot.  The zero sum
-    is r^2 - 1 integer equations in the free entries: every column is
-    trace-free, so the (r-1, r-1) equation follows from the others."""
+    flag basis Q is inverted in integers, as d·Q^-1 by ``int_inverse``.  The
+    zero sum is r^2 - 1 integer equations in the free entries: every column
+    is trace-free, so the (r-1, r-1) equation follows from the others."""
     r = instance.rank
     frames, unknowns, columns, anchor = [], [], [], []
     for i, (rows, c) in enumerate(zip(nested, instance.classes)):
@@ -468,10 +467,10 @@ def _refine_at(solution, instance, nested, den):
             frames.append(None)
             continue
         q = _flag_basis(rows, den)
-        red, piv, d = ex.echelon([row + [int(p == t) for t in range(r)] for p, row in enumerate(q)])
-        if piv != list(range(r)):
+        inverse = ex.int_inverse(q)
+        if inverse is None:
             return None  # the snapped flag steps lost rank
-        adj = ex.back_substitute(red, piv, d, [[-v for v in row[r:]] for row in red])  # d Q^-1
+        adj, d = inverse  # d Q^-1
         frames.append((q, adj, d))
         qf = np.array(q, dtype=float)
         nf = np.linalg.solve(qf, np.asarray(solution.matrices[i]).real @ qf)

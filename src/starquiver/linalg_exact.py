@@ -8,11 +8,11 @@ its rows bottom-up for d times the pivot unknowns, for any number of
 right-hand columns at once.  ``clear`` is the one clearing rule: it writes
 a rational matrix as integer rows over one denominator, and every exact
 kernel that takes rational input calls it.  ``rank`` counts the pivots of
-``echelon`` alone; ``solve`` and the one kernel, ``int_kernel``, read their
-answers off ``back_substitute``; ``Span`` decides the independence of one
-vector at a time in integers.  Products run on integers too: ``imul``
-multiplies integer matrices, and ``mmul`` builds one Fraction per entry of
-the integer product.
+``echelon`` alone; ``solve``, the one kernel, ``int_kernel``, and the one
+inverse, ``int_inverse``, read their answers off ``back_substitute``;
+``Span`` decides the independence of one vector at a time in integers.
+Products run on integers too: ``imul`` multiplies integer matrices, and
+``mmul`` builds one Fraction per entry of the integer product.
 
 Polynomials are dense coefficient lists in ascending order; trailing
 zeros are trimmed so that ``[]`` is the zero polynomial.  ``paddmul`` is
@@ -183,8 +183,7 @@ def back_substitute(r, pivots, d, rhs):
     all right-hand columns at once.  Every caller's c is an integer
     combination of columns of R: xs is then the same combination of
     columns of -d·rref, whose entries are minors of the eliminated matrix,
-    so each division is exact.  For an invertible square ``a``, the rows of
-    ``echelon([a | I])`` with their -I parts on the right give ``d a^-1``.
+    so each division is exact.
     """
     xs = [None] * len(pivots)
     for k in range(len(pivots) - 1, -1, -1):
@@ -196,6 +195,18 @@ def back_substitute(r, pivots, d, rhs):
                 acc = [x + c * y for x, y in zip(acc, xs[l])]
         xs[k] = [-(x // row[pivots[k]]) for x in acc]
     return xs
+
+
+def int_inverse(a):
+    """(x, d) with x / d the inverse of the square integer matrix ``a``, or
+    None when ``a`` is singular: the rows of ``echelon([a | I])`` with their
+    -I parts on the right give x = d a^-1, d the last pivot (det a up to
+    sign)."""
+    n = len(a)
+    r, pivots, d = echelon([row + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
+    if pivots != list(range(n)):
+        return None
+    return back_substitute(r, pivots, d, [[-v for v in row[n:]] for row in r]), d
 
 
 class Span:

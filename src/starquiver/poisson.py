@@ -317,39 +317,26 @@ def check_commutativity(rep: StarRep, points, t, t_prime, z, w) -> float:
 
 class SignedPermutation:
     """The d x d matrix whose row a holds one entry, ``sign[a]``, in column
-    ``perm[a]``, applied without forming it.  ``J @ x`` is ``sign * x[perm]``
-    along x's row axis (its only axis for a vector, else the second to
-    last), and ``x @ J`` scatters ``sign * x`` to the positions ``perm``
-    along x's last axis; both broadcast over leading stack axes like numpy's
-    matmul.  With one entry per row and column, each product is the dense
-    one's sum of a single term, so it keeps the dense product's bits.
-    ``sign`` is complex, so a float operand gives a complex product, as a
-    complex dense matrix would."""
+    ``perm[a]``, applied to vectors without forming it: ``J @ x`` is
+    ``sign * x[perm]``, and ``x @ J`` is ``-(J @ x)`` because the pairing
+    is antisymmetric.  With one entry per row and column, each product is
+    the dense one's sum of a single term, so it keeps the dense product's
+    bits.  ``sign`` is complex, so a float operand gives a complex product,
+    as a complex dense matrix would."""
 
     __array_ufunc__ = None  # ndarray @ J defers to __rmatmul__
 
     def __init__(self, perm, sign):
         self.perm, self.sign = np.asarray(perm, dtype=np.intp), np.asarray(sign, dtype=complex)
 
-    def _operand(self, x, axis):
-        """x as an array; ValueError unless its ``axis`` (its only axis, for
-        a vector) has length d, as numpy's matmul refuses."""
-        x = np.asarray(x)
-        if x.ndim == 0 or x.shape[axis if x.ndim > 1 else 0] != self.perm.size:
-            raise ValueError(f"matmul: an operand of shape {x.shape} against a pairing of dimension {self.perm.size}")
-        return x
-
     def __matmul__(self, x):
-        x = self._operand(x, -2)
-        if x.ndim == 1:
-            return self.sign * x[self.perm]
-        return self.sign[:, None] * x[..., self.perm, :]
+        x = np.asarray(x)
+        if x.shape != self.perm.shape:
+            raise ValueError(f"matmul: an operand of shape {x.shape} against a pairing of dimension {self.perm.size}")
+        return self.sign * x[self.perm]
 
     def __rmatmul__(self, x):
-        x = self._operand(x, -1)
-        out = np.empty(x.shape, dtype=complex)
-        out[..., self.perm] = self.sign * x
-        return out
+        return -(self @ x)
 
 
 def poisson_tensor(quiver: StarQuiver) -> SignedPermutation:
@@ -484,13 +471,10 @@ HAMILTONIAN_RANK_RTOL = 1e-6
 
 def moment_zero_tangent(rep: StarRep) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel of the moment
-    differential at the representation."""
-    jac = moment_entry_gradients(rep)
-    rk = 0
-    if jac.shape[0]:
-        _, s, vh = np.linalg.svd(jac)
-        rk = singular_rank(s, MOMENT_RANK_RTOL)
-    return vh[rk:].conj().T if rk else np.eye(jac.shape[1], dtype=complex)
+    differential at the representation: the right singular vectors of
+    its Jacobian past the Jacobian's rank, all of them at rank 0."""
+    _, s, vh = np.linalg.svd(moment_entry_gradients(rep))
+    return vh[singular_rank(s, MOMENT_RANK_RTOL) :].conj().T
 
 
 def _level1_coordinates(quiver: StarQuiver) -> np.ndarray:
@@ -518,6 +502,25 @@ def _hamiltonian_rows(rep: StarRep, points, ts, zs) -> np.ndarray:
     fs, gs = _trace_power_slots(rep, points, t[:, None], zc, powers[t - 1])
     n_rows = t.size * zc.size
     return np.concatenate([np.zeros((n_rows, 0), dtype=complex), *(x.reshape(n_rows, -1) for x in fs + gs)], axis=1)
+
+
+def hamiltonian_samples(points, count):
+    """``count`` real sample points for the Hamiltonian count: the half
+    steps lo - h/2, lo + h/2, lo + 3h/2, ... of the mean spacing h of the
+    marked points (1 for fewer than two), from the lowest point lo, skipping
+    any within h/4 of a marked point.  At the points 0..n-1 they are
+    -1/2, 1/2, 3/2, ...  Samples that interleave with the poles keep the
+    sampled differentials apart; as many on one side of all the poles see
+    nearly the same phi, and the rank cut drops true directions."""
+    lo = min(points, default=0.0)
+    h = (max(points) - lo) / (len(points) - 1) if len(points) > 1 else 1.0
+    zs, k = [], 0
+    while len(zs) < count:
+        z = lo + (k - 0.5) * h
+        if all(abs(z - x) >= h / 4 for x in points):
+            zs.append(z)
+        k += 1
+    return zs
 
 
 def independent_hamiltonian_count(rep: StarRep, points, ts, zs) -> int:

@@ -489,7 +489,7 @@ def _hensel(f, factors, q):
     lifted = []
     for k, g in enumerate(factors[:-1]):
         h = _product(factors[k + 1 :], q)
-        x, d = _sylvester_inverse(g, h)
+        x, d = ex.int_inverse(_sylvester(g, h))
         inv, dg, p = pow(d, -1, q), len(g) - 1, q
         while p < m:  # f = g h mod p, and the step makes it so mod p q
             e = [(u - v) // p * inv for u, v in zip(f, ex.paddmul([], g, h))]
@@ -508,7 +508,7 @@ def _lift(fz, g, h):
     coefficient lists in y.  G and H are lifted one power of y at a time
     up to F's degree in y; None when a coefficient is not an integer or
     G H != F."""
-    x, d = _sylvester_inverse(g, h)
+    x, d = ex.int_inverse(_sylvester(g, h))
     dg = len(g) - 1
     big_g, big_h = [[c] for c in g], [[c] for c in h]
     for k in range(1, max(map(len, fz))):
@@ -524,18 +524,12 @@ def _lift(fz, g, h):
 def _sylvester(g, h):
     """The Sylvester matrix of g and h (ascending integer lists, nonzero
     leading coefficients): the map (a, b) -> a h + b g on ascending
-    coefficients, deg a < deg g and deg b < deg h, those of a first."""
+    coefficients, deg a < deg g and deg b < deg h, those of a first.  It
+    is invertible exactly when g and h are coprime."""
     dg, dh = len(g) - 1, len(h) - 1
     cols = [[0] * j + h + [0] * (dg - 1 - j) for j in range(dg)]
     cols += [[0] * j + g + [0] * (dh - 1 - j) for j in range(dh)]
     return ex.mtrans(cols)
-
-
-def _sylvester_inverse(g, h):
-    """(x, d): x / d inverts the Sylvester matrix of coprime monic integer
-    polynomials g and h, so x e / d lists the coefficients of a, then of
-    b, with a h + b g = e."""
-    return ex.clear(ex.solve(_sylvester(g, h), ex.meye(len(g) + len(h) - 2)))
 
 
 def _bmul(a, b):

@@ -16,12 +16,24 @@ check applies the quadratics' own brackets.
 ``dense_tensor`` is the former ``poisson_tensor``, the pairing as a dense
 d x d complex matrix, and ``quadratic_draw`` the former
 ``QuadraticObservable.random``, which symmetrized with ``s += s.T``.
+``moment_zero_tangent`` is the former tangent basis, which skipped the SVD
+of a Jacobian without rows and returned the identity at rank 0.
 """
 
 import numpy as np
 
 from common import copy_rep
-from starquiver.poisson import Observable, QuadraticObservable, _matrices, _offsets, pack_rep, zero_gradient
+from starquiver.floatarith import singular_rank
+from starquiver.poisson import (
+    MOMENT_RANK_RTOL,
+    Observable,
+    QuadraticObservable,
+    _matrices,
+    _offsets,
+    moment_entry_gradients,
+    pack_rep,
+    zero_gradient,
+)
 
 
 def bracket_with(self, other, jmat):
@@ -98,3 +110,12 @@ def quadratic_draw(quiver, rng, scale=1.0):
     s *= scale / 2
     b = scale * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
     return s, b, complex(rng.standard_normal())
+
+
+def moment_zero_tangent(rep):
+    jac = moment_entry_gradients(rep)
+    rk = 0
+    if jac.shape[0]:
+        _, s, vh = np.linalg.svd(jac)
+        rk = singular_rank(s, MOMENT_RANK_RTOL)
+    return vh[rk:].conj().T if rk else np.eye(jac.shape[1], dtype=complex)

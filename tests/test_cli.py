@@ -32,6 +32,7 @@ from starquiver.dsolve import (
     solve,
 )
 from starquiver.higgs import BridgeError, HiggsTuple, WeightsNotSmallError, higgs_to_quiver
+from starquiver.poisson import hamiltonian_samples
 from starquiver.spectral import ExactnessRequired, HitchinPoint
 from starquiver.starrep import StarQuiver, StarRep, random_rep
 
@@ -496,11 +497,11 @@ def test_poisson_check_counts_every_hamiltonian_of_eight_arms(tmp_path, capsys):
 
 
 def test_hamiltonian_samples_interleave_with_the_poles():
-    assert cli._hamiltonian_samples([0.0, 1.0, 2.0, 3.0], 6) == [-0.5, 0.5, 1.5, 2.5, 3.5, 4.5]
-    assert cli._hamiltonian_samples([5.0], 2) == [4.5, 5.5]
+    assert hamiltonian_samples([0.0, 1.0, 2.0, 3.0], 6) == [-0.5, 0.5, 1.5, 2.5, 3.5, 4.5]
+    assert hamiltonian_samples([5.0], 2) == [4.5, 5.5]
     # mean spacing 1.5: 0.75 lies within 0.375 of the pole 0.5 and is skipped
     points = [0.0, 0.5, 3.0]
-    assert cli._hamiltonian_samples(points, 3) == [-0.75, 2.25, 3.75]
+    assert hamiltonian_samples(points, 3) == [-0.75, 2.25, 3.75]
 
 
 RESIDUALS = ("entry_bracket_max_residual", "commutativity_max_residual", "jacobi_max_residual", "moment_residual")

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import poisson_oracle
 from starquiver import poisson
 from starquiver.combinat import spectral_degrees
 from starquiver.dsolve import SolverConfig, flags_from_solution, orbit_jacobian, random_feasible_instance, solve
@@ -248,6 +249,36 @@ def test_hamiltonian_counts_on_the_bridge_batch():
         points, ts = [float(x) for x in inst.points], list(range(1, r + 1))
         count = independent_hamiltonian_count(rep, points, ts, zs)
         assert count == per_observable_count(rep, points, ts, zs) == spectral_degrees(sigma)[1]
+
+
+@pytest.mark.parametrize(
+    "quiver",
+    [
+        StarQuiver(rank=2, arms=((1,),) * 4),
+        StarQuiver(rank=3, arms=((2, 1),) * 4),
+        StarQuiver(rank=5, arms=((4, 3, 2, 1),) * 4),
+        StarQuiver(rank=3, arms=((), (2, 1), ())),
+        StarQuiver(rank=2, arms=((), ())),
+    ],
+    ids=["d16", "d64", "d320", "one-arm", "d0"],
+)
+def test_moment_zero_tangent_is_the_identity_at_a_zero_rep(quiver):
+    # the Jacobian is zero: its right singular vectors are the identity
+    # that the former rank-0 branch returned
+    rep = random_rep(quiver, np.random.default_rng(0), scale=0.0)
+    tangent = moment_zero_tangent(rep)
+    assert tangent.shape == (quiver.phase_dim(),) * 2 and tangent.dtype == complex
+    assert np.array_equal(tangent, poisson_oracle.moment_zero_tangent(rep))
+    points = [0.0, 1.0, 2.0, 3.0][: quiver.n_arms]
+    assert independent_hamiltonian_count(rep, points, [1, 2], [0.5, 1.5]) == 0
+
+
+def test_moment_zero_tangent_keeps_its_bits_on_bridge_reps():
+    rng = np.random.default_rng(9)
+    for k in range(10):
+        inst = random_feasible_instance(rng, max_rank=3, max_points=6)
+        rep = higgs_to_quiver(flags_from_solution(solve(inst, SolverConfig(seed=500 + k)).solution, inst.parabolic_type()))
+        assert moment_zero_tangent(rep).tobytes() == poisson_oracle.moment_zero_tangent(rep).tobytes()
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])

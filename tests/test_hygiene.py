@@ -8,7 +8,8 @@ that none of those reads, no option that
 every caller in the package and the benchmark leaves at its default, no
 new mode comparison outside `arith`, no seeded
 random vectors in the stability verdict, one Kronecker product and no
-`np.kron`, one fraction-free elimination loop, and subcommands that load
+`np.kron`, one fraction-free elimination loop, one integer inverse and no
+solve against the identity, and subcommands that load
 only the layers they run: a CLI import, `type-check`, the exact layers
 and the exact `bridge --hitchin` conversions without numpy.  No package
 module imports sympy, numpy is the one runtime dependency, and an exact
@@ -745,11 +746,44 @@ def owners_of(find):
     return owners
 
 
+def calls_of(name):
+    """A finder of the calls of ``name`` (bare or as a module attribute)."""
+
+    def find(f):
+        return [
+            node
+            for node in ast.walk(f)
+            if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+
+    return find
+
+
+def identity_solves(f):
+    """Calls of ``solve`` whose right-hand side calls ``meye`` or ``eye``:
+    an inverse written as a linear solve."""
+    return [node for node in calls_of("solve")(f) if len(node.args) > 1 and (calls_of("meye")(node.args[1]) or calls_of("eye")(node.args[1]))]
+
+
 def test_one_back_substitution():
     # linalg_exact.back_substitute is the package's one division by the
-    # echelon pivots: int_kernel, solve, the refinement's d·Q^-1 and the
-    # anchored zero-sum solve all read their answers off it
+    # echelon pivots; solve, int_kernel, int_inverse (the refinement's
+    # d·Q^-1 and the Sylvester inverses of the Hensel lifts) and the
+    # anchored zero-sum solve read their answers off it, and nothing else
+    # calls it
     assert owners_of(pivot_divisions) == ["linalg_exact.back_substitute"]
+    assert sorted(owners_of(calls_of("back_substitute"))) == [
+        "dsolve._solve_anchored",
+        "linalg_exact.int_inverse",
+        "linalg_exact.int_kernel",
+        "linalg_exact.solve",
+    ]
+
+
+def test_one_integer_inverse():
+    # linalg_exact.int_inverse is the package's one exact inverse; no
+    # function inverts by solving against the identity
+    assert owners_of(identity_solves) == []
 
 
 def test_one_clearing_rule():
@@ -759,13 +793,7 @@ def test_one_clearing_rule():
     assert owners_of(clearing_steps) == ["linalg_exact.clear", "spectral._integer_form"]
 
 
-def squarefree_tests(f):
-    """Calls of ``_discriminant_vanishes``, a squarefree test, in ``f``."""
-    return [
-        node
-        for node in ast.walk(f)
-        if isinstance(node, ast.Call) and "_discriminant_vanishes" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-    ]
+squarefree_tests = calls_of("_discriminant_vanishes")  # the squarefree test
 
 
 def doubled_comparisons(f):
@@ -815,3 +843,8 @@ def test_the_guards_see_the_former_copies():
     type_check = ast.parse("gamma1_sum = sum(sigma.rank - m[0] for m in sigma.multiplicities)\nfeasible = 2 * sigma.rank <= gamma1_sum\n")
     assert len(squarefree_tests(certify.body[0])) == 1
     assert len(doubled_comparisons(type_check)) == len(first_flag_dimensions(type_check)) == 1
+    # the inverses of the former _sylvester_inverse and _refine_at
+    sylvester = ast.parse("def s(g, h):\n    return ex.clear(ex.solve(_sylvester(g, h), ex.meye(len(g) + len(h) - 2)))\n")
+    refine = ast.parse("def r(red, piv, d):\n    adj = ex.back_substitute(red, piv, d, [[-v for v in row[r:]] for row in red])\n")
+    assert len(identity_solves(sylvester.body[0])) == 1
+    assert len(calls_of("back_substitute")(refine.body[0])) == 1

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import linalg_oracle as oracle
 from common import inverse
 from starquiver import linalg_exact as ex
+from starquiver import spectral
 from starquiver.arith import EXACT
 from starquiver.floatarith import FLOAT
 from starquiver.combinat import NilpotentClass
@@ -260,6 +261,66 @@ def test_exact_contains_runs_one_echelon_and_matches_the_two_rank_rule(case):
 def test_inv_matches_oracle(a):
     assert ex.rank(a) == _rank_ref(a)
     assert _same_outcome(inverse, _inv_ref, a) == (ex.rank(a) == len(a))
+
+
+def _check_int_inverse(a):
+    """``int_inverse(a)`` against the Fraction ``rref`` of [a | I]: x / d is
+    its right half when the left half reduces to I, and None otherwise."""
+    n = len(a)
+    red, pivots = oracle.rref([[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)])
+    got = ex.int_inverse(a)
+    if pivots[:n] != list(range(n)):
+        assert got is None
+        return
+    x, d = got
+    assert all(type(v) is int for row in x for v in row) and type(d) is int
+    assert [[Fraction(v, d) for v in row] for row in x] == [row[n:] for row in red]
+    assert d == ex.echelon(a)[2]  # the last pivot, det a up to sign
+
+
+@st.composite
+def square_integer_matrices(draw):
+    """n x n integer matrices, n 0 to 6: drawn freely with small or 200-bit
+    entries, diagonally dominant (nonsingular), or a product through k < n
+    columns (singular)."""
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["free", "dominant", "low rank"]))
+    if kind == "low rank" and n:
+        k = draw(st.integers(0, n - 1))
+        left, right = draw(_grid(n, k, _SMALL)), draw(_grid(k, n, _SMALL))
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] if k else [0] * n for row in left]
+    a = draw(_grid(n, n, draw(st.sampled_from([_SMALL, _HUGE]))))
+    if kind == "dominant":
+        for i in range(n):
+            a[i][i] += 2**204
+    return a
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(square_integer_matrices())
+def test_int_inverse_matches_the_oracle(a):
+    _check_int_inverse(a)
+
+
+@st.composite
+def sylvester_pairs(draw):
+    """Sylvester matrices of two monic integer polynomials of degree 1 to
+    4, ascending, now and then with a common linear factor."""
+    g, h = ([*draw(st.lists(_SMALL, min_size=d, max_size=d)), 1] for d in (draw(st.integers(1, 4)), draw(st.integers(1, 4))))
+    if draw(st.booleans()):
+        c = draw(_SMALL)
+        g, h = ex.paddmul([], g, [c, 1]), ex.paddmul([], h, [c, 1])
+    return g, h
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(sylvester_pairs())
+def test_int_inverse_inverts_the_sylvester_matrix_of_coprime_pairs(pair):
+    g, h = pair
+    a = spectral._sylvester(g, h)
+    coprime = len(oracle.rref([[Fraction(v) for v in row] for row in a])[1]) == len(a)
+    assert (ex.int_inverse(a) is not None) == coprime
+    _check_int_inverse(a)
 
 
 @st.composite
