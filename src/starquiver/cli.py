@@ -25,13 +25,12 @@ what its decoder needed.  An option left unset takes the library's default.
 
 import argparse
 import dataclasses
+import math
 import sys
-from fractions import Fraction
 
 from . import jsonio
 from .combinat import (
     EnumerationBoundExceeded,
-    MarkedLine,
     check_small_weights,
     ds_feasible,
     mu_eps,
@@ -42,11 +41,6 @@ from .combinat import (
 from .jsonio import InputFormatError
 
 OK, INPUT_ERROR, BUDGET, INVARIANT_VIOLATION = 0, 1, 2, 3
-
-# ``poisson check`` counts independent Hamiltonians only on a representation
-# whose moment residual is below this: the count is a statement about the
-# moment-zero locus
-HAMILTONIAN_MOMENT_TOL = 1e-6
 
 # first match wins: a failed rational refinement leaves the answer
 # undetermined, an exact-mode invariant breaking inside the pipeline is an
@@ -72,6 +66,13 @@ def _exit_code(error):
 def _write_report(path, payload):
     if path:
         jsonio.dump(path, payload)
+
+
+def _refuse_tolerances(*flags):
+    """Refuse each (flag, value) that no check passes (<= 0, NaN) or that switches a gate off (inf); None is unset."""
+    for flag, value in flags:
+        if value is not None and not 0 < value < math.inf:
+            raise ValueError(f"{flag} must be a positive finite number, got {value}")
 
 
 def _fmt_bool(b):
@@ -291,6 +292,7 @@ def cmd_bridge_to_quiver(args):
 
 
 def cmd_bridge_to_higgs(args):
+    _refuse_tolerances(("--tol", args.tol))
     rep = jsonio.rep_from_json(jsonio.load(args.rep))
     sigma = jsonio.type_from_json(jsonio.load(args.type))
 
@@ -325,109 +327,44 @@ def cmd_bridge_to_higgs(args):
 def cmd_poisson_check(args):
     if args.grid < 1:
         raise ValueError(f"--grid must be at least 1, got {args.grid}")
+    _refuse_tolerances(("--entry-tol", args.entry_tol), ("--comm-tol", args.comm_tol), ("--jacobi-tol", args.jacobi_tol))
     rep = jsonio.rep_from_json(jsonio.load(args.rep)).to_float()
 
     import numpy as np
 
     from .arith import exact_float
-    from .poisson import (
-        GradientOracleError,
-        QuadraticObservable,
-        check_commutativity,
-        entry_bracket_residuals,
-        entry_observable,
-        hamiltonian_samples,
-        independent_hamiltonian_count,
-        pack_rep,
-        poisson_tensor,
-        trace_power_observable,
-    )
-    from .starrep import moment_residual, worst
+    from .poisson import check
 
-    n = rep.quiver.n_arms
     if args.points:
-        points = [exact_float(x) for x in MarkedLine(tuple(jsonio.parse_frac(p) for p in args.points.split(","))).points]
-        if len(points) != n:
+        points = [exact_float(jsonio.parse_frac(p)) for p in args.points.split(",")]
+        if len(set(points)) != len(points):  # as floats: distinct rationals may round to one
+            raise InputFormatError("marked points must be pairwise distinct")
+        if len(points) != rep.quiver.n_arms:
             raise InputFormatError("need one point per arm")
     else:
-        points = [float(i) for i in range(n)]
-    rng = np.random.default_rng(args.seed)
-    r = rep.quiver.rank
-    pool = [
-        float(Fraction(k, 4))
-        for k in range(-20, 8 * n + 20)
-        if all(abs(k / 4 - x) >= 0.25 for x in points)
-    ]
-
-    def draw_zw():
-        z, w = rng.choice(pool, size=2, replace=False)
-        return float(z), float(w)
-
-    # gradient oracles against finite differences, slot by slot
-    oracle_ok = True
-    try:
-        trace_power_observable(rep.quiver, points, 3, draw_zw()[0], selfcheck=True)
-        entry_observable(rep.quiver, points, draw_zw()[0], 0, r - 1, selfcheck=True)
-    except GradientOracleError:
-        oracle_ok = False
-    # entry bracket sweep; an overflowed residual is NaN, and ``worst``
-    # keeps it, so it fails its gate
-    entry = []
-    for _ in range(max(1, args.grid // 20)):
-        z, w = draw_zw()
-        entry.append(entry_bracket_residuals(rep, points, z, w).max())
-    entry_worst = worst(entry)
-    # commutativity grid
-    comm = []
-    for _ in range(args.grid):
-        z, w = draw_zw()
-        t = int(rng.integers(1, 5))
-        t2 = int(rng.integers(1, 5))
-        comm.append(check_commutativity(rep, points, t, t2, z, w))
-    comm_worst = worst(comm)
-    # Jacobi residuals on random quadratics
-    jmat = poisson_tensor(rep.quiver)
-    v = pack_rep(rep)
-    jacobi = []
-    for _ in range(max(1, args.grid // 10)):
-        a = QuadraticObservable.random(rep.quiver, rng, 0.5)
-        b = QuadraticObservable.random(rep.quiver, rng, 0.5)
-        c = QuadraticObservable.random(rep.quiver, rng, 0.5)
-        lhs = a.bracket_with(b.bracket_with(c, jmat), jmat).value_at(v)
-        rhs = (
-            a.bracket_with(b, jmat).bracket_with(c, jmat).value_at(v)
-            + b.bracket_with(a.bracket_with(c, jmat), jmat).value_at(v)
-        )
-        jacobi.append(abs(lhs - rhs))
-    jacobi_worst = worst(jacobi)
+        points = [float(i) for i in range(rep.quiver.n_arms)]
+    report = check(rep, points, np.random.default_rng(args.seed), args.grid)
     payload = {
         "config": {"grid": args.grid, "seed": args.seed, "points": [str(p) for p in points]},
-        "gradient_oracles_ok": oracle_ok,
-        "entry_bracket_max_residual": entry_worst,
-        "commutativity_max_residual": comm_worst,
-        "jacobi_max_residual": jacobi_worst,
+        "gradient_oracles_ok": report.gradient_oracles_ok,
+        "entry_bracket_max_residual": report.entry_bracket_max_residual,
+        "commutativity_max_residual": report.commutativity_max_residual,
+        "jacobi_max_residual": report.jacobi_max_residual,
+        "moment_residual": report.moment_residual,
     }
-    resid = moment_residual(rep)
-    payload["moment_residual"] = resid
-    if resid < HAMILTONIAN_MOMENT_TOL:
-        # each level's numerator has degree at most r(n - 2): one sample more
-        # than it needs, and at least one when that bound is not positive
-        zs = hamiltonian_samples(points, max(1, r * (n - 2) + 2))
-        payload["independent_hamiltonians"] = independent_hamiltonian_count(
-            rep, points, list(range(1, r + 3)), zs
-        )
-    print(f"gradient oracles        : {_fmt_bool(oracle_ok)}")
-    print(f"entry-bracket residual  : {entry_worst:.3e}")
-    print(f"commutativity residual  : {comm_worst:.3e}")
-    print(f"jacobi residual         : {jacobi_worst:.3e}")
-    if "independent_hamiltonians" in payload:
-        print(f"independent hamiltonians: {payload['independent_hamiltonians']}")
+    print(f"gradient oracles        : {_fmt_bool(report.gradient_oracles_ok)}")
+    print(f"entry-bracket residual  : {report.entry_bracket_max_residual:.3e}")
+    print(f"commutativity residual  : {report.commutativity_max_residual:.3e}")
+    print(f"jacobi residual         : {report.jacobi_max_residual:.3e}")
+    if report.independent_hamiltonians is not None:
+        payload["independent_hamiltonians"] = report.independent_hamiltonians
+        print(f"independent hamiltonians: {report.independent_hamiltonians}")
     _write_report(args.report, payload)
     ok = (
-        oracle_ok
-        and entry_worst < args.entry_tol
-        and comm_worst < args.comm_tol
-        and jacobi_worst < args.jacobi_tol
+        report.gradient_oracles_ok
+        and report.entry_bracket_max_residual < args.entry_tol
+        and report.commutativity_max_residual < args.comm_tol
+        and report.jacobi_max_residual < args.jacobi_tol
     )
     return OK if ok else INVARIANT_VIOLATION
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .floatarith import kron, singular_rank
-from .starrep import StarQuiver, StarRep, random_rep
+from .starrep import StarQuiver, StarRep, moment_residual, random_rep, worst
 
 
 @dataclass
@@ -537,3 +537,64 @@ def independent_hamiltonian_count(rep: StarRep, points, ts, zs) -> int:
     tangent = moment_zero_tangent(rep)[_level1_coordinates(rep.quiver)]
     rows = _hamiltonian_rows(rep, points, ts, zs) @ tangent  # holomorphic pairing
     return singular_rank(np.linalg.svd(rows, compute_uv=False), HAMILTONIAN_RANK_RTOL)
+
+
+# ---------------------------------------------------------------------------
+# the check of ``poisson check``
+
+# the Hamiltonians are counted only below this moment residual, on the moment-zero locus
+HAMILTONIAN_MOMENT_TOL = 1e-6
+
+
+@dataclass(frozen=True)
+class PoissonReport:
+    """Worst residuals (NaN when one overflowed); no count off the locus."""
+
+    gradient_oracles_ok: bool
+    entry_bracket_max_residual: float
+    commutativity_max_residual: float
+    jacobi_max_residual: float
+    moment_residual: float
+    independent_hamiltonians: int | None
+
+
+def check(rep: StarRep, points, rng, grid: int) -> PoissonReport:
+    """The bracket identities at a float representation, drawn from ``rng``
+    in this order: the gradient oracles against finite differences,
+    max(1, grid // 20) entry-bracket sweeps, ``grid`` commutativity checks
+    and max(1, grid // 10) Jacobi triples, each (z, w) two distinct quarter
+    steps 1/4 or more from every marked point; then the count at levels
+    1..r+2 on the moment-zero locus."""
+    if grid < 1:
+        raise ValueError(f"grid must be at least 1, got {grid}")
+    q, n, r = rep.quiver, rep.quiver.n_arms, rep.quiver.rank
+    pool = [k / 4 for k in range(-20, 8 * n + 20) if all(abs(k / 4 - x) >= 0.25 for x in points)]
+
+    def draw_zw():
+        return rng.choice(pool, size=2, replace=False).tolist()
+
+    try:
+        trace_power_observable(q, points, 3, draw_zw()[0], selfcheck=True)
+        entry_observable(q, points, draw_zw()[0], 0, r - 1, selfcheck=True)
+        oracles_ok = True
+    except GradientOracleError:
+        oracles_ok = False
+    entry = [entry_bracket_residuals(rep, points, *draw_zw()).max() for _ in range(max(1, grid // 20))]
+    comm = []
+    for _ in range(grid):
+        z, w = draw_zw()
+        comm.append(check_commutativity(rep, points, int(rng.integers(1, 5)), int(rng.integers(1, 5)), z, w))
+    jmat, v = poisson_tensor(q), pack_rep(rep)
+    jacobi = []
+    for _ in range(max(1, grid // 10)):
+        a, b, c = (QuadraticObservable.random(q, rng, 0.5) for _ in range(3))
+        lhs = a.bracket_with(b.bracket_with(c, jmat), jmat).value_at(v)
+        rhs = a.bracket_with(b, jmat).bracket_with(c, jmat).value_at(v) + b.bracket_with(a.bracket_with(c, jmat), jmat).value_at(v)
+        jacobi.append(abs(lhs - rhs))
+    resid, count = moment_residual(rep), None
+    if resid < HAMILTONIAN_MOMENT_TOL:
+        # each level's numerator has degree at most r(n - 2): one sample more
+        # than it needs, and at least one when that bound is not positive
+        zs = hamiltonian_samples(points, max(1, r * (n - 2) + 2))
+        count = independent_hamiltonian_count(rep, points, list(range(1, r + 3)), zs)
+    return PoissonReport(oracles_ok, worst(entry), worst(comm), worst(jacobi), resid, count)

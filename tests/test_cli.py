@@ -17,7 +17,7 @@ from common import (
     mscale,
     unnested_tuple,
 )
-from starquiver import cli, combinat, jsonio, starrep
+from starquiver import cli, combinat, jsonio, poisson
 from starquiver import linalg_exact as ex
 from starquiver.cli import main
 from starquiver.combinat import NilpotentClass
@@ -529,6 +529,11 @@ def test_poisson_check_fails_on_nan_residuals(tmp_path, capsys, rep, nan_keys):
     assert [key for key in RESIDUALS if math.isnan(report[key])] == list(nan_keys)
     assert "independent_hamiltonians" not in report
     assert "jacobi residual         : nan" in capsys.readouterr().out
+    # the library report keeps each NaN and counts no Hamiltonians
+    with np.errstate(all="ignore"):
+        library = poisson.check(rep, [0.0, 1.0, 2.0, 3.0][: rep.quiver.n_arms], np.random.default_rng(3), 20)
+    assert [key for key in RESIDUALS if math.isnan(getattr(library, key))] == list(nan_keys)
+    assert library.independent_hamiltonians is None
 
 
 def test_reports_byte_identical(tmp_path):
@@ -719,6 +724,9 @@ def test_poisson_points_must_be_distinct(tmp_path, capsys):
     assert capsys.readouterr().err == "error: marked points must be pairwise distinct\n"
     assert main(["poisson", "check", "--rep", str(rep), "--points", "0,1,2/2,2"]) == 1
     assert capsys.readouterr().err == "error: marked points must be pairwise distinct\n"
+    # distinct rationals that round to one float put two poles at one point
+    assert main(["poisson", "check", "--rep", str(rep), "--points", "0,1,1000000000000000000001/1000000000000000000000,3"]) == 1
+    assert capsys.readouterr().err == "error: marked points must be pairwise distinct\n"
 
 
 def test_arm_dimensions_are_decoded_as_integers(tmp_path, capsys):
@@ -819,6 +827,20 @@ def test_ds_solve_refuses_a_budget_that_cannot_run(capsys, options, message):
     assert main(["ds", "solve", "--instance", RANK2_INSTANCE, *options]) == 1
     out = capsys.readouterr()
     assert (out.out, out.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("flag", ["--entry-tol", "--comm-tol", "--jacobi-tol", "--tol"])
+@pytest.mark.parametrize("value,shown", [("nan", "nan"), ("inf", "inf"), ("0", "0.0"), ("-1", "-1.0")])
+def test_tolerance_flags_refuse_values_that_fail_or_switch_off_a_gate(tmp_path, capsys, flag, value, shown):
+    # nan, 0 and -1 failed every poisson check on a valid representation
+    # (exit 3); bridge to-higgs --tol inf passed a float representation off
+    # the moment-zero locus, and nan or -1 blamed the representation.  The
+    # flag is refused before decoding: no file is read
+    missing = str(tmp_path / "missing.json")
+    command = ["bridge", "to-higgs", "--type", missing] if flag == "--tol" else ["poisson", "check"]
+    assert main([*command, "--rep", missing, flag, value]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {flag} must be a positive finite number, got {shown}\n")
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -979,10 +1001,10 @@ def test_two_delta_passes_the_necessary_conditions_without_an_irreducible_tuple(
 
 @pytest.mark.parametrize("factor,counted", [(0.99, True), (1.01, False)])
 def test_hamiltonian_count_needs_a_vanishing_moment(tmp_path, capsys, monkeypatch, factor, counted):
-    # the count runs only below HAMILTONIAN_MOMENT_TOL; the residual is
-    # pinned at the edge on the closed-form representation, through the name
-    # the handler imports when it runs
-    monkeypatch.setattr(starrep, "moment_residual", lambda rep: factor * cli.HAMILTONIAN_MOMENT_TOL)
+    # the count runs only below poisson.HAMILTONIAN_MOMENT_TOL; the residual
+    # is pinned at the edge on the closed-form representation, through the
+    # name that poisson.check reads
+    monkeypatch.setattr(poisson, "moment_residual", lambda rep: factor * poisson.HAMILTONIAN_MOMENT_TOL)
     report = tmp_path / "report.json"
     rep = str(Path(__file__).resolve().parent / "golden" / "closed_form_rep.json")
     assert main(["poisson", "check", "--rep", rep, "--grid", "1", "--report", str(report)]) == 0

@@ -830,6 +830,19 @@ def test_one_residue_sum_inequality():
     assert first_flag_dimensions(ast.parse((SRC / "starquiver" / "cli.py").read_text(encoding="utf-8"))) == []
 
 
+def test_one_poisson_check():
+    # poisson.check is the one Poisson check: the brackets of its Jacobi
+    # triples, its commutativity grid and its Hamiltonian count have no other
+    # caller in the package, its entry sweeps share their kernel only with
+    # check_entry_bracket, and poisson check imports nothing else of poisson
+    for name in ("bracket_with", "check_commutativity", "independent_hamiltonian_count"):
+        assert set(owners_of(calls_of(name))) == {"poisson.check"}, name
+    assert set(owners_of(calls_of("entry_bracket_residuals"))) == {"poisson.check", "poisson.check_entry_bracket"}
+    cli = ast.parse((SRC / "starquiver" / "cli.py").read_text(encoding="utf-8"))
+    imported = [a.name for node in ast.walk(cli) if isinstance(node, ast.ImportFrom) and node.module == "poisson" for a in node.names]
+    assert imported == ["check"]
+
+
 def test_the_guards_see_the_former_copies():
     # the shapes the two guards look for, as the former bareiss and
     # _integer_rows wrote them
@@ -848,3 +861,6 @@ def test_the_guards_see_the_former_copies():
     refine = ast.parse("def r(red, piv, d):\n    adj = ex.back_substitute(red, piv, d, [[-v for v in row[r:]] for row in red])\n")
     assert len(identity_solves(sylvester.body[0])) == 1
     assert len(calls_of("back_substitute")(refine.body[0])) == 1
+    # the Jacobi left-hand side of the former poisson check handler
+    handler = ast.parse("def cmd_poisson_check(args):\n    lhs = a.bracket_with(b.bracket_with(c, jmat), jmat).value_at(v)\n")
+    assert len(calls_of("bracket_with")(handler.body[0])) == 2

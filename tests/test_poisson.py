@@ -612,6 +612,13 @@ def test_moment_entry_gradients_match_central_differences(rank, arms):
     assert np.max(np.abs(jac - fd)) < 1e-8
 
 
+@pytest.mark.parametrize("grid", [0, -1])
+def test_check_refuses_a_grid_below_one(quiver4, grid):
+    # a grid below 1 would run no commutativity check and report residual 0
+    with pytest.raises(ValueError, match=f"grid must be at least 1, got {grid}"):
+        poisson.check(random_rep(quiver4, np.random.default_rng(0)), PTS4, np.random.default_rng(3), grid)
+
+
 def test_hamiltonian_count_rank2_four_points(rank2_instance):
     # coefficient space dimension is 1 for this type
     for seed in (1, 2, 3):
