@@ -181,12 +181,12 @@ def _verify_payload(rep):
 
 
 def cmd_ds_solve(args):
-    inst = jsonio.instance_from_json(jsonio.load(args.instance))
-
     from .dsolve import SolverConfig, solve, verify
 
+    # the budget is refused before the instance is read
     given = {"tolerance": args.tol, "max_iters": args.max_iters, "restarts": args.restarts, "seed": args.seed}
     config = SolverConfig(**{k: v for k, v in given.items() if v is not None})
+    inst = jsonio.instance_from_json(jsonio.load(args.instance))
     outcome = solve(inst, config)
     feas = outcome.feasibility
     report = {
@@ -327,6 +327,8 @@ def cmd_bridge_to_higgs(args):
 def cmd_poisson_check(args):
     if args.grid < 1:
         raise ValueError(f"--grid must be at least 1, got {args.grid}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     _refuse_tolerances(("--entry-tol", args.entry_tol), ("--comm-tol", args.comm_tol), ("--jacobi-tol", args.jacobi_tol))
     rep = jsonio.rep_from_json(jsonio.load(args.rep)).to_float()
 

@@ -118,6 +118,8 @@ class SolverConfig:
             raise ValueError(f"max_iters must be at least 0, got {self.max_iters}")
         if not 0 < self.tolerance < math.inf:
             raise ValueError(f"tolerance must be a positive finite number, got {self.tolerance}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass

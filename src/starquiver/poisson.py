@@ -220,26 +220,45 @@ def trace_power_observable(
     return obs
 
 
+def _entry_slots(rep: StarRep, points, z):
+    """The level-1 gradients of every entry of phi(z): one (m, fs, gs) per
+    nonempty arm m, where fs[i, j] (g_1 x r) and gs[i, j] (r x g_1) are the
+    f- and g-gradients of phi_ij(z).  With c = 1 / (z - x_m) the only
+    nonzero column of fs[i, j] is column j, c times row i of g_1^m, and the
+    only nonzero row of gs[i, j] is row i, c times column j of f_1^m.
+
+    Raises ValueError at a marked point, as ``phi_value`` does."""
+    zc, r = complex(z), rep.quiver.rank
+    if any(zc == complex(x) for x in points):
+        raise ValueError(f"evaluation at the pole {z}")
+    on, out = np.arange(r), []
+    for m, (fm, gm) in enumerate(zip(rep.f, rep.g)):
+        if fm:
+            c = 1.0 / (zc - complex(points[m]))
+            fs = np.zeros((r, r) + fm[0].shape, dtype=complex)
+            gs = np.zeros((r, r) + gm[0].shape, dtype=complex)
+            fs[:, on, :, on] = c * gm[0]  # fs[i, j, :, j] = c g[i, :]
+            gs[on, :, on, :] = (c * fm[0]).T  # gs[i, j, i, :] = c f[:, j]
+            out.append((m, fs, gs))
+    return out
+
+
 def entry_observable(
     quiver: StarQuiver, points, z, row: int, col: int, selfcheck=True
 ) -> Observable:
-    """The (row, col) entry of phi(z) with closed-form gradient."""
+    """The (row, col) entry of phi(z) with the closed-form gradient of
+    ``_entry_slots``."""
     r = quiver.rank
     if not (0 <= row < r and 0 <= col < r):
         raise IndexError("entry indices out of range")
-    zc = complex(z)
 
     def value(rep):
-        return _per_row(phi_value(rep, points, zc)[..., row, col])
+        return _per_row(phi_value(rep, points, z)[..., row, col])
 
     def grad(rep):
         out = zero_gradient(quiver)
-        for m in range(quiver.n_arms):
-            if not rep.f[m]:
-                continue
-            c = 1.0 / (zc - complex(points[m]))
-            out.f[m][0][:, col] = c * rep.g[m][0][row, :]
-            out.g[m][0][row, :] = c * rep.f[m][0][:, col]
+        for m, fs, gs in _entry_slots(rep, points, z):
+            out.f[m][0], out.g[m][0] = fs[row, col], gs[row, col]
         return out
 
     obs = Observable(
@@ -254,22 +273,21 @@ def entry_bracket_residuals(rep: StarRep, points, z, w) -> np.ndarray:
     """The (r, r, r, r) array of
     |{phi_ij(z), phi_kl(w)} - (delta_jk Delta_il - delta_li Delta_kj)|.
 
-    The 2 r^2 entry gradients come from ``entry_observable``, so the sweep
-    checks its closed form.  They touch level 1 only, where ``bracket``'s
+    The entry gradients of every (i, j) come stacked from ``_entry_slots``,
+    the closed form that ``entry_observable`` exposes, so the sweep checks
+    the observable's gradient.  They touch level 1 only, where ``bracket``'s
     trace form is Tr(G_g F_f) = vec(G_g) . vec(F_f^T): with the rows
     u = vec(F_f^T) and v = vec(F_g), stacked for every (i, j) at z and
     every (k, l) at w, all r^4 brackets are U_z V_w^T - V_z U_w^T.  The
     products are summed arm by arm, + then -, in ``bracket``'s order, so
-    each residual rounds as the per-pair bracket does.
+    each residual rounds as the per-pair bracket does.  Raises ValueError
+    when z or w is a marked point.
     """
-    q, r = rep.quiver, rep.quiver.rank
-    arms = [m for m in range(q.n_arms) if rep.f[m]]
+    r = rep.quiver.rank
 
     def rows(x):
-        grads = [entry_observable(q, points, x, i, j, selfcheck=False).grad(rep) for i in range(r) for j in range(r)]
-        u = [np.stack([gr.f[m][0] for gr in grads]).transpose(0, 2, 1).reshape(r * r, -1) for m in arms]
-        v = [np.stack([gr.g[m][0] for gr in grads]).reshape(r * r, -1) for m in arms]
-        return u, v
+        slots = _entry_slots(rep, points, x)
+        return [fs.swapaxes(-1, -2).reshape(r * r, -1) for _, fs, _ in slots], [gs.reshape(r * r, -1) for _, _, gs in slots]
 
     (uz, vz), (uw, vw) = rows(z), rows(w)
     lhs = np.zeros((r * r, r * r), dtype=complex)
@@ -305,10 +323,36 @@ def check_entry_bracket(rep: StarRep, points, z, w, i, j, k, l) -> float:
 
 
 def check_commutativity(rep: StarRep, points, t, t_prime, z, w) -> float:
-    """|{Tr(phi(z)^t), Tr(phi(w)^t')}| at the representation."""
-    it = trace_power_observable(rep.quiver, points, t, z, selfcheck=False)
-    it2 = trace_power_observable(rep.quiver, points, t_prime, w, selfcheck=False)
-    return abs(bracket(it, it2, rep))
+    """|{Tr(phi(z)^t), Tr(phi(w)^t')}| at the representation.
+
+    The gradients are ``trace_power_observable``'s, formed in one pass: the
+    residues once, phi(z)^(t-1) and phi(w)^(t'-1) once, and the level-1
+    slots of both observables on every arm whose g_1 has one shape by one
+    stacked product.  Each coefficient t / (z - x_m) is a Python complex
+    and each product the per-matrix one, so the slots keep the observables'
+    bits; the arm terms Tr(G_g F_f) and Tr(F_g G_f) are folded in arm
+    order, + then -, as ``bracket`` folds them."""
+    if min(t, t_prime) < 1:
+        raise ValueError("trace power must be at least 1")
+    r, residues = rep.quiver.rank, _residues(rep)
+    at = ((z, t), (w, t_prime))
+    pw = np.stack([np.linalg.matrix_power(_phi_at(residues, points, x, r), s - 1) for x, s in at])[:, None]
+    shapes = {}
+    for m, gm in enumerate(rep.g):
+        if gm:
+            shapes.setdefault(gm[0].shape, []).append(m)
+    terms = {}
+    for arms in shapes.values():
+        f, g = np.stack([rep.f[m][0] for m in arms]), np.stack([rep.g[m][0] for m in arms])
+        c = np.array([[s / (complex(x) - complex(points[m])) for m in arms] for x, s in at])[..., None, None]
+        fs = c * np.swapaxes(pw @ g, -1, -2)  # (2, arms, g_1, r): the f-slots at z, then at w
+        gs = c * np.swapaxes(f @ pw, -1, -2)
+        terms.update(zip(arms, np.trace(gs[::-1] @ fs, axis1=-2, axis2=-1).T))
+    total = 0.0 + 0.0j
+    for m in sorted(terms):
+        total += terms[m][0]
+        total -= terms[m][1]
+    return abs(total)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +402,7 @@ def pack_rep(rep) -> np.ndarray:
     each matrix row-major; leading stack axes broadcast, to (..., d)."""
     mats = _matrices(rep)
     lead = np.broadcast_shapes(*(m.shape[:-2] for m in mats))
-    parts = [np.broadcast_to(m, lead + m.shape[-2:]).reshape(*lead, -1) for m in mats]
+    parts = [(m if m.shape[:-2] == lead else np.broadcast_to(m, lead + m.shape[-2:])).reshape(*lead, -1) for m in mats]
     return np.concatenate(parts, axis=-1) if parts else np.zeros(0, dtype=complex)
 
 

@@ -18,6 +18,12 @@ d x d complex matrix, and ``quadratic_draw`` the former
 ``QuadraticObservable.random``, which symmetrized with ``s += s.T``.
 ``moment_zero_tangent`` is the former tangent basis, which skipped the SVD
 of a Jacobian without rows and returned the identity at rank 0.
+
+``check_commutativity`` is the former per-observable commutativity check:
+two ``trace_power_observable``s and their generic ``bracket``.
+``entry_gradient`` is the former closed form of one entry observable's
+gradient, written entry by entry, and ``entry_bracket_residuals`` the former
+sweep, which stacked the 2 r^2 gradients it returns.
 """
 
 import numpy as np
@@ -30,8 +36,11 @@ from starquiver.poisson import (
     QuadraticObservable,
     _matrices,
     _offsets,
+    bracket,
+    delta,
     moment_entry_gradients,
     pack_rep,
+    trace_power_observable,
     zero_gradient,
 )
 
@@ -119,3 +128,41 @@ def moment_zero_tangent(rep):
         _, s, vh = np.linalg.svd(jac)
         rk = singular_rank(s, MOMENT_RANK_RTOL)
     return vh[rk:].conj().T if rk else np.eye(jac.shape[1], dtype=complex)
+
+
+def check_commutativity(rep, points, t, t_prime, z, w):
+    it = trace_power_observable(rep.quiver, points, t, z, selfcheck=False)
+    it2 = trace_power_observable(rep.quiver, points, t_prime, w, selfcheck=False)
+    return abs(bracket(it, it2, rep))
+
+
+def entry_gradient(rep, points, z, row, col):
+    """The gradient of phi_{row, col}(z), one column and one row per arm."""
+    out, zc = zero_gradient(rep.quiver), complex(z)
+    for m in range(rep.quiver.n_arms):
+        if rep.f[m]:
+            c = 1.0 / (zc - complex(points[m]))
+            out.f[m][0][:, col] = c * rep.g[m][0][row, :]
+            out.g[m][0][row, :] = c * rep.f[m][0][:, col]
+    return out
+
+
+def entry_bracket_residuals(rep, points, z, w):
+    q, r = rep.quiver, rep.quiver.rank
+    arms = [m for m in range(q.n_arms) if rep.f[m]]
+
+    def rows(x):
+        grads = [entry_gradient(rep, points, x, i, j) for i in range(r) for j in range(r)]
+        u = [np.stack([gr.f[m][0] for gr in grads]).transpose(0, 2, 1).reshape(r * r, -1) for m in arms]
+        v = [np.stack([gr.g[m][0] for gr in grads]).reshape(r * r, -1) for m in arms]
+        return u, v
+
+    (uz, vz), (uw, vw) = rows(z), rows(w)
+    lhs = np.zeros((r * r, r * r), dtype=complex)
+    for a, b, c, d in zip(uz, vw, vz, uw):
+        lhs += a @ b.T
+        lhs -= c @ d.T
+    lhs = lhs.reshape(r, r, r, r)
+    dm, eye = delta(rep, points, z, w), np.eye(r)
+    rhs = np.einsum("jk,il->ijkl", eye, dm) - np.einsum("li,kj->ijkl", eye, dm)
+    return np.abs(lhs - rhs)

@@ -843,6 +843,19 @@ def test_tolerance_flags_refuse_values_that_fail_or_switch_off_a_gate(tmp_path, 
     assert (out.out, out.err) == ("", f"error: {flag} must be a positive finite number, got {shown}\n")
 
 
+@pytest.mark.parametrize("command,message", [
+    (["ds", "solve", "--instance"], "seed must be a non-negative integer, got -1"),
+    (["poisson", "check", "--rep"], "--seed must be a non-negative integer, got -1"),
+])
+def test_a_negative_seed_is_refused_before_any_file_is_read(tmp_path, capsys, command, message):
+    # numpy refused it inside the run with "expected non-negative integer",
+    # which named neither the flag nor the value
+    missing = str(tmp_path / "missing.json")
+    assert main([*command, missing, "--seed", "-1"]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_poisson_check_refuses_a_non_finite_entry(tmp_path, capsys, value):
     # Python's json reads the NaN and Infinity tokens; such an entry failed

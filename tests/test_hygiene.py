@@ -9,7 +9,8 @@ every caller in the package and the benchmark leaves at its default, no
 new mode comparison outside `arith`, no seeded
 random vectors in the stability verdict, one Kronecker product and no
 `np.kron`, one fraction-free elimination loop, one integer inverse and no
-solve against the identity, and subcommands that load
+solve against the identity, stacked Poisson bracket kernels with one home
+for the entry closed form, and subcommands that load
 only the layers they run: a CLI import, `type-check`, the exact layers
 and the exact `bridge --hitchin` conversions without numpy.  No package
 module imports sympy, numpy is the one runtime dependency, and an exact
@@ -843,6 +844,30 @@ def test_one_poisson_check():
     assert imported == ["check"]
 
 
+def observable_calls(f):
+    """Calls that build an observable, a zero gradient or a generic bracket."""
+    return [node for name in ("trace_power_observable", "entry_observable", "bracket", "zero_gradient") for node in calls_of(name)(f)]
+
+
+def entry_coefficients(f):
+    """Divisions of the constant 1: the entry closed form's 1 / (z - x_m)."""
+    return [node for node in ast.walk(f) if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and getattr(node.left, "value", None) == 1]
+
+
+def test_stacked_bracket_kernels():
+    # check_commutativity and entry_bracket_residuals form their slots in one
+    # stacked pass, with no observable, zero gradient or generic bracket per
+    # term; poisson._entry_slots is the one home of the entry closed form,
+    # which entry_observable's gradient and the sweep both read
+    tree = ast.parse((SRC / "starquiver" / "poisson.py").read_text(encoding="utf-8"))
+    kernels = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    for name in ("check_commutativity", "entry_bracket_residuals"):
+        assert observable_calls(kernels[name]) == [], name
+    assert owners_of(entry_coefficients) == ["poisson._entry_slots"]
+    readers = {"poisson.entry_observable", "poisson.grad", "poisson.entry_bracket_residuals", "poisson.rows"}
+    assert set(owners_of(calls_of("_entry_slots"))) == readers
+
+
 def test_the_guards_see_the_former_copies():
     # the shapes the two guards look for, as the former bareiss and
     # _integer_rows wrote them
@@ -864,3 +889,16 @@ def test_the_guards_see_the_former_copies():
     # the Jacobi left-hand side of the former poisson check handler
     handler = ast.parse("def cmd_poisson_check(args):\n    lhs = a.bracket_with(b.bracket_with(c, jmat), jmat).value_at(v)\n")
     assert len(calls_of("bracket_with")(handler.body[0])) == 2
+    # the former per-observable commutativity check, the former sweep's rows
+    # and the former entry gradient, which held its own closed form
+    commutativity = ast.parse(
+        "def check_commutativity(rep, points, t, t_prime, z, w):\n"
+        "    it = trace_power_observable(rep.quiver, points, t, z, selfcheck=False)\n"
+        "    it2 = trace_power_observable(rep.quiver, points, t_prime, w, selfcheck=False)\n"
+        "    return abs(bracket(it, it2, rep))\n"
+    )
+    rows = ast.parse("def rows(x):\n    return [entry_observable(q, points, x, i, j, selfcheck=False).grad(rep) for i in range(r) for j in range(r)]\n")
+    grad = ast.parse("def grad(rep):\n    out = zero_gradient(quiver)\n    c = 1.0 / (zc - complex(points[m]))\n")
+    assert len(observable_calls(commutativity.body[0])) == 3
+    assert len(observable_calls(rows.body[0])) == 1
+    assert len(observable_calls(grad.body[0])) == len(entry_coefficients(grad.body[0])) == 1

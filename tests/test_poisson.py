@@ -1,3 +1,6 @@
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,6 +218,13 @@ def test_sample_point_on_a_marked_point_is_refused(quiver4, pole):
         lambda: delta(rep, PTS4, pole, 0.5),
         lambda: delta(rep, PTS4, 0.5, pole),
         lambda: independent_hamiltonian_count(rep, PTS4, [1, 2], [0.5, pole]),
+        lambda: check_commutativity(rep, PTS4, 2, 3, pole, 0.5),
+        lambda: check_commutativity(rep, PTS4, 2, 3, 0.5, pole),
+        # the entry gradients divided by zero here (ZeroDivisionError)
+        lambda: entry_observable(quiver4, PTS4, pole, 0, 1, selfcheck=False).grad(rep),
+        lambda: entry_bracket_residuals(rep, PTS4, pole, 0.5),
+        lambda: entry_bracket_residuals(rep, PTS4, 0.5, pole),
+        lambda: check_entry_bracket(rep, PTS4, pole, 0.5, 0, 0, 0, 0),
     ]
     for call in calls:
         with pytest.raises(ValueError) as err:
@@ -410,27 +420,20 @@ def test_sweep_memo_errors_match_the_per_call_check(counted_sweeps, z, w, idx):
 
 
 def test_sweep_fails_a_transposed_entry_gradient(monkeypatch):
-    # the sweep checks entry_observable's gradient and the pairing, not the
-    # closed form against itself: an f-gradient of entry (col, row) in place
-    # of (row, col) must show
+    # the sweep checks the closed form that entry_observable exposes and the
+    # pairing, not the closed form against itself: f-gradients of the
+    # entries (col, row) in place of (row, col) must show
     q = StarQuiver(rank=3, arms=((2, 1),) * 4)
     rep = random_rep(q, np.random.default_rng(14), scale=0.5)
     z, w = 0.5, -0.75
     assert entry_bracket_residuals(rep, PTS4, z, w).max() <= _sweep_tolerance(rep, PTS4, z, w)
-    honest = poisson.entry_observable
+    honest = poisson._entry_slots
 
-    def swapped(quiver, points, z, row, col, selfcheck=True):
-        obs = honest(quiver, points, z, row, col, selfcheck=False)
-        twin = honest(quiver, points, z, col, row, selfcheck=False)
+    def swapped(rep, points, z):
+        return [(m, fs.swapaxes(0, 1), gs) for m, fs, gs in honest(rep, points, z)]
 
-        def grad(rep):
-            out = obs.grad(rep)
-            out.f = twin.grad(rep).f
-            return out
-
-        return Observable(quiver, obs.value, grad, obs.label, obs.levels)
-
-    monkeypatch.setattr(poisson, "entry_observable", swapped)
+    monkeypatch.setattr(poisson, "_entry_slots", swapped)
+    assert np.array_equal(entry_observable(q, PTS4, z, 0, 1, selfcheck=False).grad(rep).f[0][0], honest(rep, PTS4, z)[0][1][1, 0])
     assert entry_bracket_residuals(rep, PTS4, z, w).max() > 1e-3
 
 
@@ -455,6 +458,25 @@ def test_commutativity_grid():
 
 def test_commutativity_closed_form(moment_zero_rep):
     assert check_commutativity(moment_zero_rep, PTS4, 2, 3, 0.37, -0.81) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "mutation",
+    [
+        ("total -= terms[m][1]", "total += terms[m][1]"),  # the sign of the g-slot term Tr(F_g G_f)
+        ("gs[::-1] @ fs", "gs @ fs"),  # each g-slot paired with its own observable's f-slot
+    ],
+)
+def test_a_mutated_commutativity_kernel_fails(mutation):
+    # the check sees a wrong bracket: the kernel's source, mutated once and
+    # run in the module's namespace, exceeds 1e-3 where the kernel is ~1e-15
+    source = textwrap.dedent(inspect.getsource(check_commutativity))
+    assert source.count(mutation[0]) == 1
+    namespace = dict(vars(poisson))
+    exec(source.replace(*mutation), namespace)
+    rep = random_rep(StarQuiver(rank=3, arms=((2, 1),) * 4), np.random.default_rng(15), scale=0.5)
+    assert check_commutativity(rep, PTS4, 2, 3, 0.5, -0.75) < 1e-12
+    assert namespace["check_commutativity"](rep, PTS4, 2, 3, 0.5, -0.75) > 1e-3
 
 
 def hamiltonian_vector_field(f_obs, rep):

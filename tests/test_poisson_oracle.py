@@ -1,7 +1,8 @@
 """Differential tests of the matrix-free quadratic brackets, the signed
 permutation pairing, the quadratic draw, the slot-stacked finite
-differences and the level-skipping bracket against the dense and
-copy-based references in ``poisson_oracle``."""
+differences, the level-skipping bracket and the stacked commutativity
+check and entry sweep against the dense, copy-based and per-observable
+references in ``poisson_oracle``."""
 
 import dataclasses
 import math
@@ -19,6 +20,8 @@ from starquiver.poisson import (
     QuadraticObservable,
     _matrices,
     bracket,
+    check_commutativity,
+    entry_bracket_residuals,
     entry_observable,
     fd_gradient,
     pack_rep,
@@ -277,3 +280,50 @@ def test_level_skipping_bracket_bit_identical_to_full_sum(q, seed):
         for g_obs in second:
             full = [dataclasses.replace(obs, levels=math.inf) for obs in (f_obs, g_obs)]
             assert bracket(f_obs, g_obs, rep) == bracket(*full, rep)
+
+
+# ---------------------------------------------------------------------------
+# the stacked bracket kernels against the per-observable ones
+
+PTS4 = [0.0, 1.0, 2.0, 3.0]
+STACKED_QUIVERS = [
+    *(StarQuiver(rank=r, arms=(tuple(range(r - 1, 0, -1)),) * 4) for r in (2, 3, 4, 5)),
+    StarQuiver(rank=4, arms=((3, 1), (), (2,), (3, 2, 1))),  # mixed level-1 shapes and an empty arm
+    StarQuiver(rank=5, arms=((4, 3, 2, 1), (2,), (3, 1), (4, 2))),
+]
+
+
+def _pool(points):
+    """The quarter steps ``poisson.check`` draws z and w from."""
+    return [k / 4 for k in range(-20, 8 * len(points) + 20) if all(abs(k / 4 - x) >= 0.25 for x in points)]
+
+
+@pytest.mark.parametrize("q", STACKED_QUIVERS, ids=lambda q: f"r{q.rank}-" + "-".join(map(str, map(len, q.arms))))
+def test_stacked_kernels_keep_the_per_observable_bits(q):
+    rng = np.random.default_rng(31 + q.rank)
+    for _ in range(3):
+        rep = random_rep(q, rng, scale=0.5)
+        z, w = rng.choice(_pool(PTS4), size=2, replace=False).tolist()
+        for t in range(1, 5):
+            for t_prime in range(1, 5):
+                assert check_commutativity(rep, PTS4, t, t_prime, z, w) == oracle.check_commutativity(rep, PTS4, t, t_prime, z, w)
+        assert np.array_equal(entry_bracket_residuals(rep, PTS4, z, w), oracle.entry_bracket_residuals(rep, PTS4, z, w))
+        for i, j in np.ndindex(q.rank, q.rank):
+            got, want = entry_observable(q, PTS4, z, i, j, selfcheck=False).grad(rep), oracle.entry_gradient(rep, PTS4, z, i, j)
+            assert all(np.array_equal(a, b) for a, b in zip(_matrices(got), _matrices(want)))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(q=quivers(ranks=(1, 5), armless=True), seed=st.integers(0, 2**32 - 1), complex_points=st.booleans())
+def test_stacked_kernels_keep_the_per_observable_bits_on_random_cases(q, seed, complex_points):
+    rng = np.random.default_rng(seed)
+    rep = random_rep(q, rng, scale=float(rng.choice([0.3, 0.5, 1.0])))
+    points = [float(x) for x in range(q.n_arms)]
+    for _ in range(4):
+        if complex_points:
+            z, w = (complex(*rng.standard_normal(2)) for _ in range(2))
+        else:
+            z, w = rng.choice(_pool(points), size=2, replace=False).tolist()
+        t, t_prime = (int(x) for x in rng.integers(1, 5, size=2))
+        assert check_commutativity(rep, points, t, t_prime, z, w) == oracle.check_commutativity(rep, points, t, t_prime, z, w)
+        assert np.array_equal(entry_bracket_residuals(rep, points, z, w), oracle.entry_bracket_residuals(rep, points, z, w))
