@@ -238,6 +238,7 @@ def cmd_ds_verify(args):
     print(f"residual            : {vrep.residual:.3e}")
     print(f"rank profile        : {_fmt_bool(vrep.profile_ok)}")
     print(f"irreducible         : {_fmt_bool(vrep.irreducible)}")
+    print(f"conjugators         : {_fmt_bool(vrep.conjugators_ok)} (error {vrep.conjugator_error:.3e})")
     if vrep.hitchin is not None:
         print(f"spectral membership : {_fmt_bool(vrep.hitchin.member)}")
         print(f"orders all exact    : {_fmt_bool(vrep.hitchin.all_exact)}")

@@ -502,10 +502,7 @@ def _refine_at(solution, instance, nested, den):
         a = ex.divide(ex.imul(ex.imul(q, kint), adj), den_k)
         if np.linalg.norm(FLOAT.from_exact(a) - np.asarray(af).real) > _MAX_DRIFT:
             return None
-        try:
-            p, ranks = ex.nilpotent_jordan_basis([[v * d for v in row] for row in k])
-        except ValueError:  # not nilpotent
-            return None
+        p, ranks = ex.nilpotent_jordan_basis([[v * d for v in row] for row in k])  # K is strictly upper triangular
         if ranks != c.rank_sequence:
             return None
         mats.append(a)

@@ -204,11 +204,11 @@ def trace_power_observable(
     zc = complex(z)
 
     def value(rep):
-        return _per_row(np.trace(np.linalg.matrix_power(phi_value(rep, points, zc), t), axis1=-2, axis2=-1))
+        return _per_row(np.trace(np.linalg.matrix_power(phi_value(rep, points, z), t), axis1=-2, axis2=-1))
 
     def grad(rep):
         out = zero_gradient(quiver)
-        pw = np.linalg.matrix_power(phi_value(rep, points, zc), t - 1)
+        pw = np.linalg.matrix_power(phi_value(rep, points, z), t - 1)
         fs, gs = _trace_power_slots(rep, points, t, zc, pw)
         for m, gf, gg in zip([m for m in range(quiver.n_arms) if rep.f[m]], fs, gs):
             out.f[m][0], out.g[m][0] = gf, gg

@@ -5,11 +5,12 @@ With marked points x_1..x_n and residues A_i, write
 ``M(z) = sum_i A_i prod_{k != i} (z - x_k)``, the pole-cleared matrix.
 The coefficient of lambda^{r-j} in det(lambda I - M(z)) is the numerator
 polynomial p_j; residues summing to zero kill the z^{n-1} terms of M, so
-deg p_j <= j(n-2).  Only exact tuples have a characteristic point: their
-p_j come from the denominator-cleared matrix, by an integer
-Faddeev-LeVerrier pass at each integer node z = 0..r·deg and Newton
-interpolation from forward differences, in plain Python integers, so the
-exact cross-check of ``ds verify --hitchin`` never loads sympy.
+deg p_j <= j(n-2).  Only exact tuples have a characteristic point: the
+denominator-cleared M is formed as an integer matrix at each node
+z = 0..N (N = r(n-2) for a zero sum, r(n-1) otherwise), an integer
+Faddeev-LeVerrier pass gives its coefficients there, and Newton
+interpolation from forward differences gives p_j, all in plain integers,
+so the exact cross-check of ``ds verify --hitchin`` never loads sympy.
 Membership in the admissible coefficient space means p_j vanishes at x_i
 to order at least eps_j(x_i); the order at x = a/b comes from repeated
 exact integer division of the denominator-cleared p_j by (b z - a).
@@ -35,7 +36,8 @@ witnesses.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count
-from math import factorial, isqrt, lcm
+from math import factorial, isqrt, lcm, prod
+from operator import mul
 from random import Random
 
 from . import linalg_exact as ex
@@ -65,36 +67,6 @@ class HitchinPoint:
         self.coeffs = [ex.ptrim(list(p)) for p in self.coeffs]
 
 
-def _zx_charpoly(a):
-    """(c_1..c_r) of det(lambda I - a) for a square matrix over Z[z], each
-    a trimmed integer list, by evaluation and interpolation.
-
-    With N = r·deg(a), every c_k has degree at most N, so its values at
-    t = 0..N fix it; each value comes from the integer Faddeev-LeVerrier
-    of a(t).  The forward differences of those values give the
-    falling-factorial coefficients b_j = Δ^j c_k(0) / j!, integers because
-    c_k has integer coefficients, and c_k = b_0 + z (b_1 + (z - 1)(b_2 + ...)).
-    """
-    r = len(a)
-    a = [[ex.ptrim(list(e)) for e in row] for row in a]
-    top = r * max(max((len(e) for row in a for e in row), default=0) - 1, 0)
-    values = [_int_charpoly([[ex.peval(e, t) for e in row] for row in a]) for t in range(top + 1)]
-    coeffs = []
-    for v in zip(*values):
-        b = []
-        for j in range(top + 1):
-            b.append(v[0] // factorial(j))
-            v = [y - x for x, y in zip(v, v[1:])]
-        p = []
-        for j in range(top, -1, -1):  # p <- b_j + (z - j) p
-            p = [0] + p
-            for i in range(len(p) - 1):
-                p[i] -= j * p[i + 1]
-            p[0] += b[j]
-        coeffs.append(ex.ptrim(p))
-    return coeffs
-
-
 def _int_charpoly(a):
     """(c_1..c_r) of det(lambda I - a) for an integer matrix, by
     Faddeev-LeVerrier: M_1 = a, c_k = -tr(M_k) / k, M_{k+1} = a (M_k + c_k I).
@@ -121,12 +93,17 @@ def _int_charpoly(a):
 def char_poly(h: HiggsTuple) -> HitchinPoint:
     """Coefficient polynomials of det(lambda I - M(z)).
 
-    Exact tuples are computed directly over Z[z]: with D the lcm of the
-    entry denominators and E the lcm of the point denominators,
-    s M(z) = sum_i (D A_i) prod_{k != i} (E z - E x_k) for s = D E^{n-1}
-    is an integer polynomial matrix, and p_j = c_j(s M) / s^j.  A level
-    whose degree exceeds j(n-2), or a float tuple, raises
-    ``ExactnessRequired``.
+    Exact tuples are computed in plain integers: with D the lcm of the
+    entry denominators and E the lcm of the point denominators, the node
+    value s M(t) = sum_i (D A_i) prod_{k != i} (E t - E x_k), s = D E^{n-1},
+    is an integer matrix, and p_j = c_j(s M) / s^j.  M's entries have
+    degree at most n - 2 when the cleared residues sum to zero (the residue
+    theorem) and n - 1 otherwise, so c_j is fixed by its values at the
+    nodes t = 0..N, N = r times that degree (at least 0): the integer
+    Faddeev-LeVerrier gives each value, and Newton interpolation from the
+    forward differences, c_j = b_0 + z (b_1 + (z - 1)(b_2 + ...)) with
+    b_k = Δ^k c_j(0) / k! an integer, gives c_j.  A level whose degree
+    exceeds j(n-2), or a float tuple, raises ``ExactnessRequired``.
 
     The sign convention: p_j is (-1)^j times the j-th elementary symmetric
     function of the eigenvalues of M(z), so lambda^r + sum_j p_j
@@ -139,21 +116,29 @@ def char_poly(h: HiggsTuple) -> HitchinPoint:
     points = h.sigma.line.points
     (ints,), e = ex.clear([points])
     rows, d = ex.clear([row for a in h.matrices for row in a])
-    factors = [[-x, e] for x in ints]
-    zm = [[[] for _ in range(r)] for _ in range(r)]
-    for i in range(n):
-        weight = [1]
-        for k, f in enumerate(factors):
-            if k != i:
-                weight = ex.paddmul([], weight, f)
-        for row, zrow in zip(rows[i * r : (i + 1) * r], zm):
-            for x, entry in zip(row, zrow):
-                if x:
-                    ex.paddmul(entry, [x], weight)
+    # entries[a][b] = (D A_1[a][b], ..., D A_n[a][b]): r x r even when n = 0
+    entries = [[tuple(rows[i * r + a][b] for i in range(n)) for b in range(r)] for a in range(r)]
+    top = r * (n - 1) if any(sum(x) for row in entries for x in row) else max(0, r * (n - 2))
+    values = []
+    for t in range(top + 1):
+        gaps = [e * t - x for x in ints]
+        w = [prod(gaps[:i]) * prod(gaps[i + 1 :]) for i in range(n)]
+        values.append(_int_charpoly([[sum(map(mul, w, x)) for x in row] for row in entries]))
     scale = d * e ** (n - 1)
     coeffs = []
-    for j, c in enumerate(_zx_charpoly(zm), start=1):
-        p = ex.ptrim([Fraction(x, scale**j) for x in c])
+    for j, v in enumerate(zip(*values), start=1):
+        b = []
+        for k in range(top + 1):
+            b.append(v[0] // factorial(k))
+            v = [y - x for x, y in zip(v, v[1:])]
+        c = []
+        for k in range(top, -1, -1):  # c <- b_k + (z - k) c
+            c = [0] + c
+            for i in range(len(c) - 1):
+                c[i] -= k * c[i + 1]
+            c[0] += b[k]
+        # trimmed first: at n = 0 the scale is the float 1.0
+        p = [Fraction(x, scale**j) for x in ex.ptrim(c)]
         bound = j * (n - 2)
         if p and len(p) - 1 > bound:
             raise ExactnessRequired(f"level {j} coefficient has degree {len(p) - 1} > {bound}; "

@@ -8,11 +8,7 @@ the integer kernel in ``starquiver.spectral``, which is what makes it a
 useful oracle.  One fix rides along: the zero polynomial passes every
 degree bound, which matters only for single-point tuples (bound -j).
 Its sample points and the pole-cleared matrix M(z) live here too, since
-no library code evaluates M(z) any more.
-
-``zx_charpoly`` is the library's former kernel over Z[z]: Faddeev-LeVerrier
-with polynomial entries, r^4 products in Z[z].  ``starquiver.spectral``
-now runs the integer Faddeev-LeVerrier at integer nodes and interpolates.
+no library code evaluates M(z) over the rationals.
 """
 
 from fractions import Fraction
@@ -67,30 +63,6 @@ def charpoly(a):
             for i in range(n):
                 mk[i][i] += ck
             mk = ex.mmul(a, mk)
-    return coeffs
-
-
-def zx_charpoly(a):
-    """(c_1..c_r) of det(lambda I - a) for a square matrix over Z[z], by
-    Faddeev-LeVerrier: M_1 = a, c_k = -tr(M_k) / k, M_{k+1} = a M_k + c_k a.
-    Every c_k lies in Z[z], so the division by k is exact."""
-    r = len(a)
-    coeffs = []
-    m = a
-    for k in range(1, r + 1):
-        tr = []
-        for i in range(r):
-            ex.paddmul(tr, m[i][i], [1])
-        ck = [-x // k for x in tr]
-        coeffs.append(ck)
-        if k < r:
-            prev, m = m, [[ex.paddmul([], ck, a[i][j]) for j in range(r)] for i in range(r)]
-            for i in range(r):
-                for t in range(r):
-                    if a[i][t]:
-                        # the last product only feeds a trace
-                        for j in range(r) if k < r - 1 else (i,):
-                            ex.paddmul(m[i][j], a[i][t], prev[t][j])
     return coeffs
 
 

@@ -101,6 +101,16 @@ def assert_witness_pairing(h, report):
         assert theta(h, report.witness_subspace) == 0
 
 
+def partitions_of(r, largest=None):
+    """Every partition of r, parts largest first."""
+    if r == 0:
+        yield ()
+        return
+    for p in range(min(r, largest or r), 0, -1):
+        for rest in partitions_of(r - p, p):
+            yield (p,) + rest
+
+
 def random_parabolic_type(rng, max_rank=6, max_points=8):
     r = int(rng.integers(1, max_rank + 1))
     n = int(rng.integers(4, max_points + 1))

@@ -1,7 +1,5 @@
 """Differential tests of the integer characteristic-polynomial kernel
-against the Fraction oracle in ``charpoly_oracle``, and of its evaluation
-and interpolation kernel against the former Faddeev-LeVerrier over Z[z]
-kept there."""
+against the Fraction oracle in ``charpoly_oracle``."""
 
 from fractions import Fraction
 from pathlib import Path
@@ -53,19 +51,24 @@ def test_oracle_on_fixture_tuples(path):
     assert char_poly(h).coeffs == oracle.char_poly(h)
 
 
-def _rationals(max_den):
-    return st.builds(Fraction, st.integers(-12, 12), st.integers(1, max_den))
+def _rationals(numerators, max_den):
+    return st.builds(Fraction, numerators, st.integers(1, max_den))
+
+
+SMALL = st.integers(-12, 12)
+# in about half of the tuples, some residue numerators are near 2^64, of either sign
+LARGE = SMALL | st.integers(2**64 - 3, 2**64 + 3).flatmap(lambda x: st.sampled_from([x, -x]))
 
 
 @st.composite
 def residue_tuples(draw):
     """(points, matrices, sums_to_zero): 1 to 5 distinct rational points, at
-    least one of them not an integer, and rank 1 to 3 rational residues."""
+    least one of them not an integer, and rank 1 to 5 rational residues."""
     n = draw(st.integers(1, 5))
-    r = draw(st.integers(1, 3))
-    points = draw(st.lists(_rationals(6), min_size=n, max_size=n, unique=True))
+    r = draw(st.integers(1, 5))
+    points = draw(st.lists(_rationals(SMALL, 6), min_size=n, max_size=n, unique=True))
     assume(any(x.denominator > 1 for x in points))
-    entry = _rationals(9)
+    entry = _rationals(draw(st.sampled_from([SMALL, LARGE])), 9)
     matrix = st.lists(st.lists(entry, min_size=r, max_size=r), min_size=r, max_size=r)
     zero_sum = draw(st.booleans())
     mats = draw(st.lists(matrix, min_size=n - 1 if zero_sum else n, max_size=n - 1 if zero_sum else n))
@@ -107,41 +110,25 @@ def test_char_poly_matches_oracle_on_random_tuples(case):
         assert char_poly(h).coeffs == expected
 
 
-@st.composite
-def zx_matrices(draw):
-    """Square matrices over Z[z] of rank 1 to 6: entries of degree up to 0,
-    1 or 4 (an empty list is zero), often with zero entries and trailing
-    zero coefficients; the trace is not forced to vanish, unlike the
-    pole-cleared matrix of a zero-sum tuple."""
-    r = draw(st.integers(1, 6))
-    top = draw(st.sampled_from([0, 1, 4]))
-    coefficient = st.integers(-50, 50) | st.integers(-(2**70), 2**70)
-    entry = st.lists(coefficient, max_size=top + 1) | st.just([]) | st.just([0] * (top + 1))
-    return [[draw(entry) for _ in range(r)] for _ in range(r)]
-
-
-def _check_zx(a):
-    before = [[list(e) for e in row] for row in a]
-    assert spectral._zx_charpoly(a) == [ex.ptrim(c) for c in oracle.zx_charpoly(before)]
-    assert a == before
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(zx_matrices())
-def test_zx_charpoly_matches_the_former_kernel(a):
-    _check_zx(a)
-
-
-@pytest.mark.parametrize("a", [
-    [[[]]],  # rank 1, zero
-    [[[7]]],  # rank 1, degree 0
-    [[[1, 2], [0, 1]], [[3], [5, 0, 0]]],  # trailing zeros, nonzero trace
-    [[[2], [1]], [[0], [3]]],  # degree 0, trace 5
-    [[[0, 1] if i == j else [] for j in range(6)] for i in range(6)],  # z I at rank 6
-    [[[i + j, i - j, 1] for j in range(5)] for i in range(5)],  # rank 5, degree 2
-])
-def test_zx_charpoly_matches_the_former_kernel_at_the_edges(a):
-    _check_zx(a)
+@pytest.mark.parametrize("zero_sum", [True, False])
+def test_char_poly_runs_one_node_per_degree(monkeypatch, zero_sum):
+    # N + 1 integer nodes: N = r(n-2) when the residues sum to zero, since
+    # then M's entries have degree n - 2, and r(n-1) when they do not
+    calls = []
+    kernel = spectral._int_charpoly
+    monkeypatch.setattr(spectral, "_int_charpoly", lambda a: calls.append(a) or kernel(a))
+    r, points = 3, [Fraction(0), Fraction(1, 2), Fraction(3), Fraction(-2, 3)]
+    mats = [[[Fraction(3 * i + a - b, 1 + (a + b) % 2) for b in range(r)] for a in range(r)] for i in range(3)]
+    total = ex.madd(ex.madd(mats[0], mats[1]), mats[2])
+    mats.append(mscale(Fraction(-1), total) if zero_sum else ex.mzeros(r, r))
+    h = _flagless_tuple(points, mats)
+    if zero_sum:
+        assert char_poly(h).coeffs == oracle.char_poly(h)
+    else:
+        assert any(oracle.charpoly(total))
+        with pytest.raises(ExactnessRequired):
+            char_poly(h)
+    assert len(calls) == r * (len(points) - (2 if zero_sum else 1)) + 1
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

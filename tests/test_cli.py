@@ -373,6 +373,29 @@ def test_ds_verify_checks_exact_conjugators_exactly(tmp_path, capsys, rank2_exac
     assert (report["conjugator_error"] == 0.0) == (tamper != "entry")
 
 
+@pytest.mark.parametrize("flags", [(), ("--hitchin",)])
+def test_ds_verify_prints_the_conjugator_verdict(tmp_path, capsys, flags):
+    # an exact zero-sum solution on its classes, stored with identity
+    # conjugators, passes every other line; the conjugators line says why
+    # it is not certified, and the conjugators that do carry the Jordan
+    # form to each matrix certify it
+    mats = [[[0, 1], [0, 0]], [[0, -1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [-1, 0]]]
+    good = [[[0, 1], [1, 0]], [[0, 1], [-1, 0]], [[1, 0], [0, 1]], [[1, 0], [0, -1]]]
+    for conjugators, expected in (([ex.meye(2)] * 4, 2), (good, 0)):
+        sol = DSSolution(
+            matrices=[[[Fraction(x) for x in row] for row in m] for m in mats],
+            conjugators=[[[Fraction(x) for x in row] for row in p] for p in conjugators],
+            residual=0.0,
+            mode="exact",
+        )
+        code, out, err = _verify_run(tmp_path, capsys, sol, *flags)
+        lines = out.splitlines()
+        assert (code, err) == (expected, "")
+        assert {"residual            : 0.000e+00", "rank profile        : PASS", "irreducible         : PASS"} <= set(lines)
+        verdict = "FAIL (error 2.000e+00)" if expected else "PASS (error 0.000e+00)"
+        assert f"conjugators         : {verdict}" in lines
+
+
 def test_ds_verify_rejects_misshapen_matrices(tmp_path, capsys, rank2_solution):
     sol = rank2_solution
     sol.matrices = [np.zeros((3, 3)) for _ in sol.matrices]

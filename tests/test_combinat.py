@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from common import random_parabolic_type
+from common import partitions_of, random_parabolic_type
 from starquiver import combinat
 from starquiver.combinat import (
     EnumerationBoundExceeded,
@@ -274,16 +274,6 @@ def test_partition_rank_sequence_round_trip():
         assert c.to_partition() == parts
         c2 = NilpotentClass(rank=r, rank_sequence=c.rank_sequence)
         assert c2.to_partition() == parts
-
-
-def partitions_of(r, largest=None):
-    """Every partition of r, parts largest first."""
-    if r == 0:
-        yield ()
-        return
-    for p in range(min(r, largest or r), 0, -1):
-        for rest in partitions_of(r - p, p):
-            yield (p,) + rest
 
 
 @st.composite

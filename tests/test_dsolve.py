@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from common import closed_form_matrices, inverse
+from common import closed_form_matrices, inverse, partitions_of
 from starquiver import dsolve
 from starquiver import linalg_exact as ex
 from starquiver.combinat import NilpotentClass
@@ -437,6 +437,16 @@ def test_exact_refine_properties(rank2_instance):
             np.array([[float(x) for x in row] for row in m]) - np.asarray(a).real
         )
         assert drift < 1e-2
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_free_entries_lie_above_the_diagonal(r):
+    # every free entry (a, b) has a < gamma <= b for a flag step gamma, so
+    # the K that the refinement fills is strictly upper triangular, hence
+    # nilpotent, and its Jordan basis needs no refusal path
+    for p in partitions_of(r):
+        ranks = NilpotentClass.from_partition(p).rank_sequence
+        assert all(a < b for a, b in dsolve._free_entries(ranks, r)), p
 
 
 def test_solver_reports_are_deterministic(rank2_instance):

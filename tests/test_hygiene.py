@@ -868,6 +868,21 @@ def test_stacked_bracket_kernels():
     assert set(owners_of(calls_of("_entry_slots"))) == readers
 
 
+def polynomial_entries(f):
+    """Calls of the dense polynomial product or evaluation: an entry of M
+    built, or read, over Z[z]."""
+    return calls_of("paddmul")(f) + calls_of("peval")(f)
+
+
+def test_char_poly_forms_integer_matrices():
+    # char_poly forms s M(t) as an integer matrix at each node; there is no
+    # matrix over Z[z] and no kernel that evaluates one
+    tree = ast.parse((SRC / "starquiver" / "spectral.py").read_text(encoding="utf-8"))
+    kernels = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    assert "_zx_charpoly" not in kernels
+    assert polynomial_entries(kernels["char_poly"]) == []
+
+
 def test_the_guards_see_the_former_copies():
     # the shapes the two guards look for, as the former bareiss and
     # _integer_rows wrote them
@@ -902,3 +917,6 @@ def test_the_guards_see_the_former_copies():
     assert len(observable_calls(commutativity.body[0])) == 3
     assert len(observable_calls(rows.body[0])) == 1
     assert len(observable_calls(grad.body[0])) == len(entry_coefficients(grad.body[0])) == 1
+    # the former Z[z] matrix of char_poly
+    zm = ast.parse("def char_poly(h):\n    for x, entry in zip(row, zrow):\n        ex.paddmul(entry, [x], weight)\n")
+    assert len(polynomial_entries(zm.body[0])) == 1

@@ -220,6 +220,8 @@ def test_sample_point_on_a_marked_point_is_refused(quiver4, pole):
         lambda: independent_hamiltonian_count(rep, PTS4, [1, 2], [0.5, pole]),
         lambda: check_commutativity(rep, PTS4, 2, 3, pole, 0.5),
         lambda: check_commutativity(rep, PTS4, 2, 3, 0.5, pole),
+        lambda: trace_power_observable(quiver4, PTS4, 2, pole, selfcheck=False).value(rep),
+        lambda: trace_power_observable(quiver4, PTS4, 2, pole, selfcheck=False).grad(rep),
         # the entry gradients divided by zero here (ZeroDivisionError)
         lambda: entry_observable(quiver4, PTS4, pole, 0, 1, selfcheck=False).grad(rep),
         lambda: entry_bracket_residuals(rep, PTS4, pole, 0.5),
