@@ -5,7 +5,8 @@ Subcommands:
 - ``type-check``: combinatorial report for a parabolic type (weight bound,
   residue-sum inequality, spectral top degree, arm chain condition,
   gamma/mu/eps tables, coefficient space dimension).
-- ``ds solve`` / ``ds verify``: run and certify the residue-sum solver.
+- ``ds solve`` / ``ds verify``: run and certify the residue-sum solver;
+  ``ds verify --hitchin`` adds the bridge's spectral appendix.
 - ``bridge to-quiver`` / ``bridge to-higgs``: convert between residue
   tuples and doubled-quiver representations, with invariant reports and an
   optional spectral appendix.
@@ -153,17 +154,6 @@ def cmd_type_check(args):
 # ds solve / verify
 
 
-def _orders_payload(report):
-    """The vanishing-order entries that ``ds verify`` and the bridge
-    appendix both report (an infinite order reads ``"inf"``)."""
-    return {
-        "member": report.member,
-        "all_orders_exact": report.all_exact,
-        "orders": [[("inf" if o is None else o) for o in row] for row in report.orders],
-        "required": report.required,
-    }
-
-
 def _verify_payload(rep):
     payload = {
         "residual": rep.residual,
@@ -175,8 +165,6 @@ def _verify_payload(rep):
         "conjugator_error": rep.conjugator_error,
         "certified": rep.passed(),
     }
-    if rep.hitchin is not None:
-        payload["spectral"] = {**_orders_payload(rep.hitchin), "degrees": rep.hitchin.degrees}
     return payload
 
 
@@ -231,22 +219,21 @@ def cmd_ds_verify(args):
     inst = jsonio.instance_from_json(jsonio.load(args.instance))
     sol = jsonio.solution_from_json(jsonio.load(args.solution))
 
-    from .dsolve import verify
+    from .dsolve import exact_refine, flags_from_solution, verify
 
-    vrep = verify(sol, inst, hitchin=args.hitchin)
+    vrep = verify(sol, inst)
     payload = _verify_payload(vrep)
     print(f"residual            : {vrep.residual:.3e}")
+    print(f"zero sum            : {_fmt_bool(vrep.sum_ok)}")
     print(f"rank profile        : {_fmt_bool(vrep.profile_ok)}")
     print(f"irreducible         : {_fmt_bool(vrep.irreducible)}")
     print(f"conjugators         : {_fmt_bool(vrep.conjugators_ok)} (error {vrep.conjugator_error:.3e})")
-    if vrep.hitchin is not None:
-        print(f"spectral membership : {_fmt_bool(vrep.hitchin.member)}")
-        print(f"orders all exact    : {_fmt_bool(vrep.hitchin.all_exact)}")
-        print(vrep.hitchin.order_table())
+    ok = vrep.passed()
+    # the exact cross-check needs a tuple in its classes with a zero sum
+    if args.hitchin and vrep.sum_ok and vrep.profile_ok:
+        payload.update(_spectral_appendix(flags_from_solution(exact_refine(sol, inst), inst.parabolic_type())))
+        ok = ok and payload["spectral"]["member"] and payload["spectral"]["all_orders_exact"]
     _write_report(args.report, payload)
-    ok = vrep.passed() and (
-        vrep.hitchin is None or (vrep.hitchin.member and vrep.hitchin.all_exact)
-    )
     return OK if ok else BUDGET
 
 
@@ -255,7 +242,9 @@ def cmd_ds_verify(args):
 
 
 def _spectral_appendix(h):
-    """Report entries for the exact spectral appendix; none for floats."""
+    """The exact spectral appendix of ``bridge`` and ``ds verify`` under ``--hitchin``: the coefficient point,
+    vanishing orders against their minima (``"inf"`` for an infinite one), membership, exact orders and
+    integrality, printed and returned as the report's ``spectral`` entry; none for floats."""
     if h.mode != "exact":
         print("spectral appendix skipped: requires exact mode", file=sys.stderr)
         return {}
@@ -269,9 +258,9 @@ def _spectral_appendix(h):
     print(f"membership        : {_fmt_bool(report.member)}")
     print(f"orders all exact  : {_fmt_bool(report.all_exact)}")
     print(f"spectral polynomial integral: {verdict}")
-    return {
-        "spectral": {"point": jsonio.hitchin_to_json(hp), **_orders_payload(report), "integral": verdict}
-    }
+    orders = [[("inf" if o is None else o) for o in row] for row in report.orders]
+    entries = {"member": report.member, "all_orders_exact": report.all_exact, "orders": orders, "required": report.required}
+    return {"spectral": {"point": jsonio.hitchin_to_json(hp), **entries, "integral": verdict}}
 
 
 def cmd_bridge_to_quiver(args):
@@ -403,7 +392,7 @@ def build_parser():
     dsw = dssub.add_parser("verify", help="re-certify a stored solution")
     dsw.add_argument("--solution", required=True)
     dsw.add_argument("--instance", required=True)
-    dsw.add_argument("--hitchin", action="store_true", help="exact spectral cross-check")
+    dsw.add_argument("--hitchin", action="store_true", help="spectral appendix of the exact refinement")
     dsw.add_argument("--report")
     dsw.set_defaults(func=cmd_ds_verify)
 

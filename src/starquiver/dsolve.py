@@ -40,8 +40,8 @@ from .combinat import (
     type_from_classes,
 )
 from .floatarith import FLOAT, kron
-from .higgs import HiggsTuple, irreducible
-from .spectral import char_poly, rank_profile, vanishing_orders
+from .higgs import BridgeError, HiggsTuple, irreducible
+from .spectral import rank_profile
 from .starrep import BRIDGE_TOL
 
 # a Gauss-Newton step is halved while it would push a conjugator past this
@@ -52,10 +52,10 @@ _MIN_STEP = 2.0**-20
 # converged tuples count as irreducible only at or above this singular
 # value ratio of the orbit Jacobian (see is_smooth_point)
 _SMOOTH_RATIO = 1e-3
-# a float conjugator certifies its matrix when ||A - P N P^-1|| is at most
-# this: roundoff in P N P^-1 at the solver's condition cap is about
-# 1e-16 * 1e8, a hundred times smaller, and a changed entry of P moves it by
-# the size of the change
+# a float solution certifies its sum, and a conjugator its matrix, when
+# ||sum_i A_i||, and ||A - P N P^-1||, is at most this: roundoff in P N P^-1 at
+# the solver's condition cap is about 1e-16 * 1e8, a hundred times smaller,
+# and a changed entry of A or P moves either norm by the size of the change
 CONJUGATOR_TOL = 1e-6
 
 
@@ -265,7 +265,10 @@ def solve(instance: DSInstance, config: SolverConfig = None) -> SolveOutcome:
 
 @dataclass
 class VerifyReport:
+    """``verify``'s certificate of one tuple; ``passed`` needs the zero sum, profiles, irreducibility and conjugators."""
+
     residual: float
+    sum_ok: bool
     profile_ok: bool
     profiles: list
     expected: list
@@ -273,24 +276,21 @@ class VerifyReport:
     words: list
     conjugator_error: float
     conjugators_ok: bool
-    hitchin: object = None  # VanishingOrderReport from the exact cross-check
 
     def passed(self):
-        return self.profile_ok and self.irreducible and self.conjugators_ok
+        return self.sum_ok and self.profile_ok and self.irreducible and self.conjugators_ok
 
 
-def verify(solution: DSSolution, instance: DSInstance, hitchin=False) -> VerifyReport:
-    """Certification report: sum residual, exact-class rank profile,
-    irreducibility words, conjugator consistency, and optionally the exact
-    spectral cross-check via rational refinement, which runs only when the
-    rank profile passes.
+def verify(solution: DSSolution, instance: DSInstance) -> VerifyReport:
+    """Certification report of the tuple as given: sum residual, zero sum,
+    exact-class rank profile, irreducibility words, conjugator consistency.
 
-    The report passes only when every conjugator is invertible and
-    conjugates its class's Jordan form to its matrix: exactly, as
-    ``A_i P_i = P_i N_i`` in integers, for an exact solution, and up to
-    ``CONJUGATOR_TOL`` in ``||A_i - P_i N_i P_i^-1||`` for a float one.
-    ``conjugator_error`` is the largest norm of those differences over the
-    invertible conjugators.
+    The report passes only when the sum vanishes and every conjugator is
+    invertible and conjugates its class's Jordan form to its matrix:
+    exactly, as ``A_i P_i = P_i N_i`` in integers, for an exact solution,
+    and up to ``CONJUGATOR_TOL`` in ``||sum_i A_i||`` and
+    ``||A_i - P_i N_i P_i^-1||`` for a float one.  ``conjugator_error`` is
+    the largest norm of those differences over the invertible conjugators.
 
     Raises ``ValueError`` naming the first point without one rank x rank
     matrix and one rank x rank conjugator for its class.
@@ -307,7 +307,8 @@ def verify(solution: DSSolution, instance: DSInstance, hitchin=False) -> VerifyR
     # summed from the first matrix, not from o.zeros: a complex zero would
     # make the sum of a real float solution complex, whose norm can round
     # differently
-    residual = o.norm(reduce(o.add, solution.matrices))
+    total = reduce(o.add, solution.matrices)
+    residual = o.norm(total)
     profiles = solution.profile(rank_tolerance(residual))
     expected = [c.rank_sequence for c in instance.classes]
     profile_ok = all(p == e for p, e in zip(profiles, expected))
@@ -320,15 +321,9 @@ def verify(solution: DSSolution, instance: DSInstance, hitchin=False) -> VerifyR
         gap = o.conjugation_gap(a, p, o.from_exact(_jordan(c)))
         conj_err = max(conj_err, o.norm(gap))
         conj_ok = conj_ok and o.is_zero(gap, CONJUGATOR_TOL)
-    hitchin_report = None
-    if hitchin and profile_ok:
-        exact_sol = exact_refine(solution, instance)
-        sigma = instance.parabolic_type()
-        h = flags_from_solution(exact_sol, sigma)
-        hp = char_poly(h)
-        hitchin_report = vanishing_orders(hp, sigma)
     return VerifyReport(
         residual=residual,
+        sum_ok=o.is_zero(total, CONJUGATOR_TOL),
         profile_ok=profile_ok,
         profiles=profiles,
         expected=expected,
@@ -336,7 +331,6 @@ def verify(solution: DSSolution, instance: DSInstance, hitchin=False) -> VerifyR
         words=cert.words,
         conjugator_error=conj_err,
         conjugators_ok=conj_ok,
-        hitchin=hitchin_report,
     )
 
 
@@ -344,6 +338,7 @@ def verify(solution: DSSolution, instance: DSInstance, hitchin=False) -> VerifyR
 # flags from a solution
 
 
+_COUNT_MESSAGE = "need one residue matrix and one flag list per marked point"
 # a unit flag vector whose Gram-Schmidt residual is at most this lies in the span so far
 _NESTED_TOL = 1e-6
 
@@ -374,6 +369,8 @@ def flags_from_solution(solution: DSSolution, sigma: ParabolicType) -> HiggsTupl
     preserve, and the tuple's validation, at a tolerance inflated by the
     sum residual (see ``higgs_tolerance``), rejects it with ``BridgeError``.
     """
+    if len(solution.matrices) != sigma.n_points:
+        raise BridgeError(_COUNT_MESSAGE)
     o = ops(solution.mode)
     gammas = [sigma.gamma(i) for i in range(sigma.n_points)]
     rows = [_flag_rows(o, solution.matrices[i], g, i) for i, g in enumerate(gammas)]
@@ -534,6 +531,8 @@ def exact_refine(solution: DSSolution, instance: DSInstance) -> DSSolution:
     finer snap on failure.
     Conjugators are ``Q_i P_i`` with ``P_i`` a Jordan basis of ``N_i``.
     """
+    if len(solution.matrices) != instance.n:
+        raise ValueError(_COUNT_MESSAGE)
     if solution.mode == "exact":
         return solution
     sigma = instance.parabolic_type()

@@ -174,11 +174,10 @@ def rank_profile(matrices, mode="float", tol=None):
 
 @dataclass
 class VanishingOrderReport:
-    """Root orders against their minima; compare ``orders`` with ``required`` for where they meet."""
+    """Root orders against their minima (compare ``orders`` with ``required``), as the spectral appendix reports them."""
 
     orders: list  # orders[j-1][i]: int, or None for an identically zero p_j
     required: list  # required[j-1][i] = eps_j(x_i)
-    degrees: list  # coefficient space degree per level
     member: bool
     all_exact: bool  # order == eps everywhere it is achievable, p_j = 0 where forced
 
@@ -218,7 +217,6 @@ def vanishing_orders(hp: HitchinPoint, sigma: ParabolicType) -> VanishingOrderRe
     return VanishingOrderReport(
         orders=orders,
         required=required,
-        degrees=degrees,
         member=member,
         all_exact=all_exact,
     )

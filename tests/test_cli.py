@@ -296,10 +296,12 @@ def test_ds_verify_hitchin_rejects_an_off_class_solution(tmp_path, capsys, rank2
     sol = rank2_solution
     g = 1e-3 * np.random.default_rng(0).standard_normal((2, 2))
     sol.matrices[0], sol.matrices[1] = sol.matrices[0] + g, sol.matrices[1] - g
-    code, out, err = _verify_run(tmp_path, capsys, sol, "--hitchin")
+    report = tmp_path / "report.json"
+    code, out, err = _verify_run(tmp_path, capsys, sol, "--hitchin", "--report", str(report))
     assert code == 2
     assert "rank profile        : FAIL" in out.splitlines()
-    assert "spectral membership" not in out
+    assert "vanishing orders (found/required):" not in out
+    assert "spectral" not in jsonio.load(report)
     assert err == ""
 
 
@@ -394,6 +396,73 @@ def test_ds_verify_prints_the_conjugator_verdict(tmp_path, capsys, flags):
         assert {"residual            : 0.000e+00", "rank profile        : PASS", "irreducible         : PASS"} <= set(lines)
         verdict = "FAIL (error 2.000e+00)" if expected else "PASS (error 0.000e+00)"
         assert f"conjugators         : {verdict}" in lines
+
+
+@pytest.mark.parametrize("flags", [(), ("--hitchin",)])
+def test_ds_verify_rejects_residues_that_do_not_sum_to_zero(tmp_path, capsys, flags):
+    # each A_i = P_i N P_i^-1 exactly, on its class, but the sum is
+    # [[0, 1], [0, 0]]: the zero sum line voids the certificate, and the
+    # exact cross-check, which needs a zero sum, does not run
+    mats = [[[0, 2], [0, 0]], [[0, -1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [-1, 0]]]
+    conjugators = [[[0, 2], [1, 0]], [[0, -1], [1, 0]], [[1, 0], [0, 1]], [[1, 0], [0, -1]]]
+    sol = DSSolution(
+        matrices=[[[Fraction(x) for x in row] for row in m] for m in mats],
+        conjugators=[[[Fraction(x) for x in row] for row in p] for p in conjugators],
+        residual=0.0,
+        mode="exact",
+    )
+    report = tmp_path / "report.json"
+    code, out, err = _verify_run(tmp_path, capsys, sol, "--report", str(report), *flags)
+    assert (code, err) == (2, "")
+    assert out.splitlines() == [
+        "residual            : 1.000e+00",
+        "zero sum            : FAIL",
+        "rank profile        : PASS",
+        "irreducible         : PASS",
+        "conjugators         : PASS (error 0.000e+00)",
+    ]
+    data = jsonio.load(report)
+    assert data["certified"] is False and "spectral" not in data
+
+
+@pytest.mark.parametrize("delta,certified", [(5e-7, True), (2e-6, False)])
+def test_ds_verify_bounds_a_float_sum_by_the_conjugator_tolerance(tmp_path, capsys, rank2_solution, delta, certified):
+    # A_1 scaled by 1 + delta, with its conjugator's second column scaled to
+    # match, still conjugates its Jordan form to it; the sum moves by
+    # delta ||A_1|| (||A_1|| is about 0.97), inside or outside CONJUGATOR_TOL
+    sol = rank2_solution
+    sol.matrices[0] = (1 + delta) * sol.matrices[0]
+    sol.conjugators[0] = sol.conjugators[0] @ np.diag([1.0, 1.0 + delta])
+    report = tmp_path / "report.json"
+    code, out, _ = _verify_run(tmp_path, capsys, sol, "--report", str(report))
+    data = jsonio.load(report)
+    assert (code, data["certified"]) == ((0, True) if certified else (2, False))
+    assert data["residual"] == pytest.approx(delta * np.linalg.norm(sol.matrices[0]), rel=1e-3)
+    assert data["conjugator_error"] < 1e-12
+    assert f"zero sum            : {'PASS' if certified else 'FAIL'}" in out.splitlines()
+
+
+def test_ds_verify_hitchin_reports_the_bridge_appendix(tmp_path, capsys, rank2_solution, certified_batch):
+    # ds verify --hitchin runs the appendix of bridge --hitchin on the flags
+    # of the solution's exact refinement: the same printed block and the
+    # same spectral object, on the fixture's seed-7 solution and on three
+    # solutions of the certified batch (ranks 2, 5 and 4)
+    fixture = jsonio.instance_from_json(jsonio.load(RANK2_INSTANCE))
+    cases = [(fixture, rank2_solution)] + [(inst, o.solution) for inst, o in certified_batch[1:4]]
+    for inst, sol in cases:
+        paths = {name: tmp_path / f"{name}.json" for name in ("instance", "solution", "higgs", "verify", "bridge")}
+        jsonio.dump(paths["instance"], instance_to_json(inst))
+        jsonio.dump(paths["solution"], jsonio.solution_to_json(sol))
+        h = flags_from_solution(exact_refine(sol, inst), inst.parabolic_type())
+        jsonio.dump(paths["higgs"], jsonio.higgs_to_json(h))
+        argv = ["--solution", str(paths["solution"]), "--instance", str(paths["instance"]), "--hitchin"]
+        assert main(["ds", "verify", *argv, "--report", str(paths["verify"])]) == 0
+        verify_out = capsys.readouterr().out.splitlines()
+        assert main(["bridge", "to-quiver", "--higgs", str(paths["higgs"]), "--hitchin", "--report", str(paths["bridge"])]) == 0
+        bridge_out = capsys.readouterr().out.splitlines()
+        assert verify_out[5:] == bridge_out[1:]
+        assert sum(line.startswith("spectral polynomial integral:") for line in verify_out) == 1
+        assert jsonio.load(paths["verify"])["spectral"] == jsonio.load(paths["bridge"])["spectral"]
 
 
 def test_ds_verify_rejects_misshapen_matrices(tmp_path, capsys, rank2_solution):

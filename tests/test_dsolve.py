@@ -207,6 +207,21 @@ def test_exact_flag_step_of_another_width_is_named(rank2_instance):
         flags_from_solution(sol, rank2_instance.parabolic_type())
 
 
+@pytest.mark.parametrize("count", [3, 5])
+def test_a_solution_with_another_point_count_is_refused(refined_batch, count):
+    # the fixture instance's float solution and its exact refinement, cut to
+    # three matrices or grown to five: both refuse the count up front, not
+    # with a bare IndexError or an undetermined RefinementError
+    inst, outcome, exact, _ = refined_batch[0]
+    message = "need one residue matrix and one flag list per marked point"
+    for sol in (outcome.solution, exact):
+        wrong = replace(sol, matrices=(list(sol.matrices) * 2)[:count], conjugators=(list(sol.conjugators) * 2)[:count])
+        with pytest.raises(BridgeError, match=message):
+            flags_from_solution(wrong, inst.parabolic_type())
+        with pytest.raises(ValueError, match=message):
+            exact_refine(wrong, inst)
+
+
 def test_pipeline_rank3_classes():
     c21 = NilpotentClass(rank=3, rank_sequence=(2, 1))
     c1 = NilpotentClass(rank=3, rank_sequence=(1,))

@@ -883,6 +883,22 @@ def test_char_poly_forms_integer_matrices():
     assert polynomial_entries(kernels["char_poly"]) == []
 
 
+SPECTRAL_CHAIN = ("char_poly", "vanishing_orders", "spectral_poly", "is_integral")
+
+
+def test_one_spectral_chain():
+    # cli._spectral_appendix runs the exact spectral cross-check for both
+    # bridge --hitchin and ds verify --hitchin; dsolve.verify certifies only
+    # the tuple it is given and has no spectral option
+    for name in SPECTRAL_CHAIN:
+        assert owners_of(calls_of(name)) == ["cli._spectral_appendix"], name
+    dsolve = ast.parse((SRC / "starquiver" / "dsolve.py").read_text(encoding="utf-8"))
+    imported = {a.name for node in ast.walk(dsolve) if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert imported.isdisjoint(SPECTRAL_CHAIN)
+    verify = next(f for f in dsolve.body if isinstance(f, ast.FunctionDef) and f.name == "verify")
+    assert [a.arg for a in verify.args.args + verify.args.kwonlyargs] == ["solution", "instance"]
+
+
 def test_the_guards_see_the_former_copies():
     # the shapes the two guards look for, as the former bareiss and
     # _integer_rows wrote them
@@ -920,3 +936,6 @@ def test_the_guards_see_the_former_copies():
     # the former Z[z] matrix of char_poly
     zm = ast.parse("def char_poly(h):\n    for x, entry in zip(row, zrow):\n        ex.paddmul(entry, [x], weight)\n")
     assert len(polynomial_entries(zm.body[0])) == 1
+    # the former inline cross-check of dsolve.verify
+    chain = ast.parse("def verify(solution, instance, hitchin=False):\n    hp = char_poly(h)\n    hitchin_report = vanishing_orders(hp, sigma)\n")
+    assert len(calls_of("char_poly")(chain.body[0])) == len(calls_of("vanishing_orders")(chain.body[0])) == 1
