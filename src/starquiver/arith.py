@@ -58,6 +58,7 @@ class _Exact:
     sub = staticmethod(ex.msub)
     mul = staticmethod(ex.mmul)
     trace = staticmethod(ex.mtrace)
+    solve = staticmethod(ex.solve)
 
     def nullspace(self, a):
         """Right kernel basis: one primitive integer vector per non-pivot
@@ -115,9 +116,6 @@ class _Exact:
 
     def flatten(self, a):
         return [x for row in a for x in row]
-
-    def solve(self, a, b, *_):
-        return ex.solve(a, b)
 
     def contains(self, span, vecs, *_):
         """Column space of vecs contained in column space of span?  One

@@ -155,17 +155,18 @@ def cmd_type_check(args):
 
 
 def _verify_payload(rep):
-    payload = {
+    return {
         "residual": rep.residual,
+        "sum_ok": rep.sum_ok,
         "profile_ok": rep.profile_ok,
         "profiles": [list(p) for p in rep.profiles],
         "expected": [list(e) for e in rep.expected],
         "irreducible": rep.irreducible,
         "irreducibility_words": [list(w) for w in rep.words],
         "conjugator_error": rep.conjugator_error,
+        "conjugators_ok": rep.conjugators_ok,
         "certified": rep.passed(),
     }
-    return payload
 
 
 def cmd_ds_solve(args):
@@ -407,7 +408,7 @@ def build_parser():
     b2h = brsub.add_parser("to-higgs", help="representation to residue tuple")
     b2h.add_argument("--rep", required=True)
     b2h.add_argument("--type", required=True)
-    b2h.add_argument("--tol", type=float, help="moment tolerance (default: the library's BRIDGE_TOL)")
+    b2h.add_argument("--tol", type=float, help="moment tolerance, and the residue tuple's validation tolerance (default: the library's BRIDGE_TOL)")
     b2h.add_argument("--out")
     b2h.add_argument("--report")
     b2h.add_argument("--hitchin", action="store_true")

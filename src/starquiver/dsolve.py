@@ -42,7 +42,6 @@ from .combinat import (
 from .floatarith import FLOAT, kron
 from .higgs import BridgeError, HiggsTuple, irreducible
 from .spectral import rank_profile
-from .starrep import BRIDGE_TOL
 
 # a Gauss-Newton step is halved while it would push a conjugator past this
 # condition number, or while it does not lower the residual; steps shorter
@@ -65,13 +64,6 @@ def rank_tolerance(residual):
     up to that residual, so the cut sits 1e3 above it, and never below
     1e-7."""
     return max(1e-7, 1e3 * residual)
-
-
-def higgs_tolerance(residual):
-    """Validation tolerance of the tuple that ``flags_from_solution``
-    builds: its flags hold only up to the sum residual, so the tolerance
-    sits 1e2 above it, and never below the bridge's ``BRIDGE_TOL``."""
-    return max(BRIDGE_TOL, 1e2 * residual)
 
 
 @dataclass(frozen=True)
@@ -366,8 +358,9 @@ def flags_from_solution(solution: DSSolution, sigma: ParabolicType) -> HiggsTupl
     left singular vectors of A_i^j, an exact one the pivot columns of the
     integer power, and a step of another dimension raises ``ValueError``.
     A float solution off its classes therefore gets flags it does not
-    preserve, and the tuple's validation, at a tolerance inflated by the
-    sum residual (see ``higgs_tolerance``), rejects it with ``BridgeError``.
+    preserve, and the tuple's validation rejects it with ``BridgeError``,
+    at the tuple's default ``starrep.BRIDGE_TOL``: neither the stated
+    ``residual`` nor the sum under test widens it.
     """
     if len(solution.matrices) != sigma.n_points:
         raise BridgeError(_COUNT_MESSAGE)
@@ -375,13 +368,7 @@ def flags_from_solution(solution: DSSolution, sigma: ParabolicType) -> HiggsTupl
     gammas = [sigma.gamma(i) for i in range(sigma.n_points)]
     rows = [_flag_rows(o, solution.matrices[i], g, i) for i, g in enumerate(gammas)]
     flags = [[o.from_columns(basis[:g]) for g in gs] for basis, gs in zip(rows, gammas)]
-    return HiggsTuple(
-        sigma=sigma,
-        matrices=list(solution.matrices),
-        flags=flags,
-        mode=solution.mode,
-        tol=higgs_tolerance(solution.residual),
-    )
+    return HiggsTuple(sigma=sigma, matrices=list(solution.matrices), flags=flags, mode=solution.mode)
 
 
 # ---------------------------------------------------------------------------

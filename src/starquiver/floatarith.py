@@ -142,14 +142,9 @@ class _Float:
     def flatten(self, a):
         return np.asarray(a, dtype=complex).reshape(-1)
 
-    def solve(self, a, b, tol):
-        """Least-squares solution; raises ValueError when the residual
-        exceeds ``tol * max(1, |b|)``."""
-        x, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
-        resid = np.linalg.norm(a @ x - b)
-        if resid > tol * max(1.0, np.linalg.norm(b)):
-            raise ValueError(f"residual {resid:.2e}")
-        return x
+    def solve(self, a, b):
+        """Least-squares solution, with no residual check (see ``higgs_to_quiver``)."""
+        return np.linalg.lstsq(a, b, rcond=None)[0]
 
     def contains(self, span, vecs, tol):
         """Column space of vecs inside that of span: the residual of the

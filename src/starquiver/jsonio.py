@@ -249,7 +249,7 @@ def solution_from_json(data):
     from .dsolve import DSSolution
 
     mode = data.get("mode", "float")
-    residual = data.get("residual", 0.0)  # it sets the verification tolerances: read JSON numbers only
+    residual = data.get("residual", 0.0)  # reported, and recomputed by verify; read JSON numbers only
     if isinstance(residual, bool) or not isinstance(residual, (int, float)):
         raise InputFormatError(f"not a number: {residual!r}")
     if not math.isfinite(residual):

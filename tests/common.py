@@ -1,5 +1,6 @@
 """Data and helpers shared by the test modules: the fixture directory, the
 exact scalar multiple and inverse of a matrix, the closed-form rank-2 residue tuple, a rank-3 tuple whose flags are not nested,
+a valid float rank-3 tuple with flag bases of any scale,
 a random parabolic type generator, the dimension in which two column
 spaces meet, the stability character paired with a subspace of a residue
 tuple, the slope of a subbundle whose fibers vary, a
@@ -63,6 +64,17 @@ def unnested_tuple(mode, check=True):
     flags = [[e12, e3]] + [[e12, e1]] * 3
     o = arith.ops(mode)
     return HiggsTuple(sigma, [o.zeros(3, 3)] * 4, [[o.from_exact(b) for b in fl] for fl in flags], mode=mode, check=check)
+
+
+def scaled_flag_tuple(scale):
+    """A = [[0, 1e-4, 0], [1e-9, 0, 1e-4], [0, 0, 0]] at point 0 and -A at
+    point 1, with full flags spanned by scale * (e1, e2) and scale * e1.
+    Validation accepts it at every scale: A pushes span(e1, e2) into span(e1)
+    only up to its 1e-9 entry, inside ``BRIDGE_TOL``."""
+    sigma = ParabolicType(line=MarkedLine((0, 1)), rank=3, K=72, multiplicities=((1, 1, 1),) * 2, weights=((0, 1, 2),) * 2)
+    a = np.array([[0, 1e-4, 0], [1e-9, 0, 1e-4], [0, 0, 0]], dtype=complex)
+    e = scale * np.eye(3, dtype=complex)
+    return HiggsTuple(sigma, [a, -a], [[e[:, :2], e[:, :1]]] * 2)
 
 
 def meet_dim(o, a, b):

@@ -15,6 +15,7 @@ from common import (
     closed_form_matrices,
     instance_to_json,
     mscale,
+    scaled_flag_tuple,
     unnested_tuple,
 )
 from starquiver import cli, combinat, jsonio, poisson
@@ -191,6 +192,7 @@ def test_ds_solve_certified(tmp_path, capsys):
     assert code == 0
     report = json.loads(rep_path.read_text())
     assert report["verification"]["certified"] is True
+    assert report["verification"]["sum_ok"] is report["verification"]["conjugators_ok"] is True
     assert report["feasibility"]["inequality"] is True
     sol = json.loads(out_path.read_text())
     assert len(sol["matrices"]) == 4
@@ -379,10 +381,11 @@ def test_ds_verify_checks_exact_conjugators_exactly(tmp_path, capsys, rank2_exac
 def test_ds_verify_prints_the_conjugator_verdict(tmp_path, capsys, flags):
     # an exact zero-sum solution on its classes, stored with identity
     # conjugators, passes every other line; the conjugators line says why
-    # it is not certified, and the conjugators that do carry the Jordan
-    # form to each matrix certify it
+    # it is not certified, as does the report's conjugators_ok, and the
+    # conjugators that do carry the Jordan form to each matrix certify it
     mats = [[[0, 1], [0, 0]], [[0, -1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [-1, 0]]]
     good = [[[0, 1], [1, 0]], [[0, 1], [-1, 0]], [[1, 0], [0, 1]], [[1, 0], [0, -1]]]
+    report = tmp_path / "report.json"
     for conjugators, expected in (([ex.meye(2)] * 4, 2), (good, 0)):
         sol = DSSolution(
             matrices=[[[Fraction(x) for x in row] for row in m] for m in mats],
@@ -390,9 +393,11 @@ def test_ds_verify_prints_the_conjugator_verdict(tmp_path, capsys, flags):
             residual=0.0,
             mode="exact",
         )
-        code, out, err = _verify_run(tmp_path, capsys, sol, *flags)
+        code, out, err = _verify_run(tmp_path, capsys, sol, "--report", str(report), *flags)
         lines = out.splitlines()
         assert (code, err) == (expected, "")
+        data = jsonio.load(report)
+        assert (data["sum_ok"], data["conjugators_ok"], data["certified"]) == (True, not expected, not expected)
         assert {"residual            : 0.000e+00", "rank profile        : PASS", "irreducible         : PASS"} <= set(lines)
         verdict = "FAIL (error 2.000e+00)" if expected else "PASS (error 0.000e+00)"
         assert f"conjugators         : {verdict}" in lines
@@ -423,6 +428,7 @@ def test_ds_verify_rejects_residues_that_do_not_sum_to_zero(tmp_path, capsys, fl
     ]
     data = jsonio.load(report)
     assert data["certified"] is False and "spectral" not in data
+    assert (data["sum_ok"], data["conjugators_ok"]) == (False, True)
 
 
 @pytest.mark.parametrize("delta,certified", [(5e-7, True), (2e-6, False)])
@@ -742,6 +748,17 @@ def test_residue_tuple_json_cannot_set_its_tolerance(tmp_path, capsys, tol):
     assert err.count("\n") == 1
 
 
+def test_bridge_converts_a_validated_tuple_with_large_flag_bases(tmp_path, capsys):
+    # validation accepts the tuple at every scale of its flag bases, and is
+    # the conversion's one test of strong preservation: with bases of norm
+    # 1e3 the conversion's own corestriction check used to exit 1
+    path = _dump(tmp_path, jsonio.higgs_to_json(scaled_flag_tuple(1e3)))
+    capsys.readouterr()
+    assert main(["bridge", "to-quiver", "--higgs", str(path)]) == 0
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("moment residual after conversion: 1.000e-09\n", "")
+
+
 def _dump(tmp_path, data):
     path = tmp_path / "data.json"
     jsonio.dump(path, data)
@@ -1009,8 +1026,8 @@ def test_malformed_solution_is_an_input_error(tmp_path, capsys, data):
 
 
 def test_unnested_flags_are_an_input_error(tmp_path, capsys):
-    # the conversion used to fail on this tuple's corestriction solve, with a
-    # message about strong preservation
+    # the tuple's validation refuses it when the file is decoded, naming the
+    # nesting it breaks, before any conversion runs
     data = jsonio.higgs_to_json(unnested_tuple("exact", check=False))
     code, err = _malformed_run(tmp_path, capsys, data, ["bridge", "to-quiver", "--higgs", "BAD"])
     assert (code, err) == (1, "error: invalid residue tuple: point 0: flag step 2 is not inside step 1\n")

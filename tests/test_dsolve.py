@@ -18,7 +18,6 @@ from starquiver.dsolve import (
     SolverConfig,
     exact_refine,
     flags_from_solution,
-    higgs_tolerance,
     is_smooth_point,
     orbit_jacobian,
     random_feasible_instance,
@@ -28,7 +27,7 @@ from starquiver.dsolve import (
 )
 from starquiver.floatarith import FLOAT
 from starquiver.higgs import BridgeError, HiggsTuple, higgs_to_quiver
-from starquiver.starrep import moment_residual
+from starquiver.starrep import BRIDGE_TOL, moment_residual
 
 F = Fraction
 
@@ -186,14 +185,26 @@ def test_flags_from_zero_solution():
     assert all(fl == [] for fl in h.flags)
 
 
-def test_off_class_float_solution_gets_no_flags(rank2_instance):
-    # the boundary solution moved off its classes, with the sum kept at zero:
-    # the flags of the prescribed widths are not preserved
+def _off_class_solution(rank2_instance):
+    """The boundary solution moved off its classes, with the sum kept at
+    zero: the flags of the prescribed widths are not preserved."""
     out = solve(rank2_instance, SolverConfig(seed=2))
     g = 1e-3 * np.random.default_rng(0).standard_normal((2, 2))
     mats = list(out.solution.matrices)
     mats[0], mats[1] = mats[0] + g, mats[1] - g
-    moved = replace(out.solution, matrices=mats)
+    return replace(out.solution, matrices=mats)
+
+
+def test_off_class_float_solution_gets_no_flags(rank2_instance):
+    with pytest.raises(BridgeError, match="point 0: residue does not push the full space deeper"):
+        flags_from_solution(_off_class_solution(rank2_instance), rank2_instance.parabolic_type())
+
+
+@pytest.mark.parametrize("residual", [1e-4, 1.0])
+def test_a_stated_residual_does_not_loosen_the_flag_check(rank2_instance, residual):
+    # the tuple validates at BRIDGE_TOL, so the solution's stated residual
+    # (its true one is 3.6e-16) cannot widen the check
+    moved = replace(_off_class_solution(rank2_instance), residual=residual)
     with pytest.raises(BridgeError, match="point 0: residue does not push the full space deeper"):
         flags_from_solution(moved, rank2_instance.parabolic_type())
 
@@ -382,14 +393,19 @@ def test_rank_tolerance_floor():
 
 
 def test_higgs_tolerance_floor(rank2_instance):
-    # below a residual of 1e-10 the 1e-8 floor holds; above it the tolerance
-    # follows 1e2 times the residual, and the built tuple carries it
-    assert higgs_tolerance(0.0) == 1e-8
-    assert higgs_tolerance(5e-11) == 1e-8
-    assert higgs_tolerance(1e-9) == pytest.approx(1e-7, rel=1e-12)
-    out = solve(rank2_instance, SolverConfig(seed=3))
-    h = flags_from_solution(out.solution, rank2_instance.parabolic_type())
-    assert h.tol == higgs_tolerance(out.solution.residual)
+    # the built tuple validates at BRIDGE_TOL whatever residual the solution
+    # states, and the sum under test cannot widen it: A_1 scaled by 1 + t
+    # keeps its flags and moves the sum by t |A_1|, refused from t = 1e-7,
+    # with the residual 0.0 that solution_from_json defaults to and with t
+    sol = solve(rank2_instance, SolverConfig(seed=3)).solution
+    sigma = rank2_instance.parabolic_type()
+    for residual in (0.0, 1e-9, 1.0):
+        assert flags_from_solution(replace(sol, residual=residual), sigma).tol == BRIDGE_TOL
+    for t in (1e-7, 1e-3):
+        for residual in (0.0, t):
+            off = replace(sol, matrices=[(1 + t) * sol.matrices[0]] + list(sol.matrices[1:]), residual=residual)
+            with pytest.raises(BridgeError, match="residues do not sum to zero"):
+                flags_from_solution(off, sigma)
 
 
 def test_solver_falls_back_to_a_converged_reducible_tuple():

@@ -12,6 +12,7 @@ from common import (
     closed_form_matrices,
     inverse,
     mscale,
+    scaled_flag_tuple,
     theta,
     twisted_slope,
     unnested_tuple,
@@ -101,6 +102,37 @@ def test_scaled_flag_bases_are_refused(build, problem, scale):
     h = build()
     h.flags = [[scale * b for b in fl] for fl in h.flags]
     assert h.validate() == [problem]
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e6])
+def test_a_validated_tuple_converts_at_every_flag_scale(scale):
+    # validation is the one test of strong preservation, and it accepts this
+    # tuple at every scale of its flag bases; the conversion's corestriction
+    # solves used to refuse it from 1e3 on, at the cut tol * max(1, |b|)
+    h = scaled_flag_tuple(scale)
+    assert h.validate() == []
+    rep = higgs_to_quiver(h)
+    assert moment_residual(rep) == pytest.approx(1e-9, rel=1e-9)
+    back = quiver_to_higgs(rep, h.sigma)
+    assert all(np.linalg.norm(b - a) <= BRIDGE_TOL for a, b in zip(h.matrices, back.matrices))
+
+
+def test_every_batch_tuple_converts_at_any_flag_scale(refined_batch, certified_batch):
+    # every exact refinement, its flag bases x1 and x1000, and every float
+    # image-flag tuple of the certified batch, its flag bases x1e-6 .. x1e6,
+    # converts; quiver_to_higgs gives back the residues, exactly for the
+    # exact tuples and within BRIDGE_TOL for the float ones
+    for _, _, _, h in refined_batch:
+        for c in (F(1), F(1000)):
+            scaled = HiggsTuple(h.sigma, h.matrices, [[mscale(c, b) for b in fl] for fl in h.flags], mode="exact")
+            assert quiver_to_higgs(higgs_to_quiver(scaled), h.sigma).matrices == h.matrices
+    float_tuples = [flags_from_solution(out.solution, inst.parabolic_type()) for inst, out in certified_batch if out.success]
+    assert len(float_tuples) == len(refined_batch)
+    for h in float_tuples:
+        for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            scaled = HiggsTuple(h.sigma, h.matrices, [[scale * b for b in fl] for fl in h.flags], tol=h.tol)
+            back = quiver_to_higgs(higgs_to_quiver(scaled), h.sigma)
+            assert all(np.linalg.norm(b - a) <= BRIDGE_TOL for a, b in zip(h.matrices, back.matrices))
 
 
 def test_round_trip_exact(closed_form_tuple):

@@ -10,7 +10,9 @@ new mode comparison outside `arith`, no seeded
 random vectors in the stability verdict, one Kronecker product and no
 `np.kron`, one fraction-free elimination loop, one integer inverse and no
 solve against the identity, stacked Poisson bracket kernels with one home
-for the entry closed form, and subcommands that load
+for the entry closed form, one test of strong preservation (no second
+check in `higgs_to_quiver`, no tolerance in either backend's `solve`),
+and subcommands that load
 only the layers they run: a CLI import, `type-check`, the exact layers
 and the exact `bridge --hitchin` conversions without numpy.  No package
 module imports sympy, numpy is the one runtime dependency, and an exact
@@ -899,6 +901,42 @@ def test_one_spectral_chain():
     assert [a.arg for a in verify.args.args + verify.args.kwonlyargs] == ["solution", "instance"]
 
 
+def second_preservation_checks(f):
+    """A ``try``, a ``BridgeError`` built, or a ``solve`` given a third
+    argument (a tolerance): a test of strong preservation besides
+    ``HiggsTuple.validate``."""
+    tries = [node for node in ast.walk(f) if isinstance(node, ast.Try)]
+    return tries + calls_of("BridgeError")(f) + [node for node in calls_of("solve")(f) if len(node.args) + len(node.keywords) > 2]
+
+
+def solve_parameters(cls):
+    """The parameters after ``self`` of a backend class's ``solve`` (a
+    catch-all as ``*name``), or the source of the value it is bound to."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef) and node.name == "solve":
+            args = node.args
+            return [a.arg for a in args.args[1:] + args.kwonlyargs] + [f"*{v.arg}" for v in (args.vararg, args.kwarg) if v]
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["solve"]:
+            return ast.unparse(node.value)
+    return None
+
+
+def test_one_preservation_rule():
+    # HiggsTuple.validate is the one test of strong preservation:
+    # higgs_to_quiver reads the corestrictions of a validated tuple with no
+    # try, no BridgeError and no tolerance, and neither backend's solve
+    # takes a tolerance
+    higgs = ast.parse((SRC / "starquiver" / "higgs.py").read_text(encoding="utf-8"))
+    convert = next(f for f in higgs.body if isinstance(f, ast.FunctionDef) and f.name == "higgs_to_quiver")
+    assert second_preservation_checks(convert) == []
+    backends = {}
+    for name in ("arith", "floatarith"):
+        tree = ast.parse((SRC / "starquiver" / f"{name}.py").read_text(encoding="utf-8"))
+        backends.update({c.name: c for c in tree.body if isinstance(c, ast.ClassDef)})
+    assert solve_parameters(backends["_Float"]) == ["a", "b"]
+    assert solve_parameters(backends["_Exact"]) in (["a", "b"], "staticmethod(ex.solve)")
+
+
 def test_the_guards_see_the_former_copies():
     # the shapes the two guards look for, as the former bareiss and
     # _integer_rows wrote them
@@ -939,3 +977,18 @@ def test_the_guards_see_the_former_copies():
     # the former inline cross-check of dsolve.verify
     chain = ast.parse("def verify(solution, instance, hitchin=False):\n    hp = char_poly(h)\n    hitchin_report = vanishing_orders(hp, sigma)\n")
     assert len(calls_of("char_poly")(chain.body[0])) == len(calls_of("vanishing_orders")(chain.body[0])) == 1
+    # the former corestriction check of higgs_to_quiver, and the former
+    # solves with a tolerance
+    convert = ast.parse(
+        "def higgs_to_quiver(h):\n"
+        "    try:\n"
+        "        gj.append(o.solve(prev, cur, h.tol))\n"
+        "    except ValueError as e:\n"
+        "        raise BridgeError(f'point {i}: flag step {j} is not preserved strongly ({e})') from None\n"
+    )
+    assert len(second_preservation_checks(convert.body[0])) == 3
+    backends = ast.parse(
+        "class _Float:\n    def solve(self, a, b, tol):\n        pass\n"
+        "class _Exact:\n    def solve(self, a, b, *_):\n        return ex.solve(a, b)\n"
+    )
+    assert [solve_parameters(c) for c in backends.body] == [["a", "b", "tol"], ["a", "b", "*_"]]
