@@ -103,8 +103,7 @@ class _Exact:
         invertible p; it needs no inverse."""
         return ex.msub(ex.mmul(a, p), ex.mmul(p, n))
 
-    def columns(self, a):
-        return [list(col) for col in zip(*a)]
+    columns = staticmethod(ex.mtrans)
 
     def from_columns(self, cols):
         return [[Fraction(x) for x in row] for row in zip(*cols)]

@@ -3,7 +3,7 @@
 Subcommands:
 
 - ``type-check``: combinatorial report for a parabolic type (weight bound,
-  residue-sum inequality, spectral top degree, arm chain condition,
+  residue-sum inequality, spectral top degree, arm chains, Sigma_0 verdict,
   gamma/mu/eps tables, coefficient space dimension).
 - ``ds solve`` / ``ds verify``: run and certify the residue-sum solver;
   ``ds verify --hitchin`` adds the bridge's spectral appendix.
@@ -105,6 +105,7 @@ def cmd_type_check(args):
     )
     lines.append(f"spectral top degree >= 0 : {_fmt_bool(top)}")
     lines.append(f"arm chain condition      : {_fmt_bool(chains_ok)}")
+    lines.append(f"irreducible tuple exists : {_fmt_bool(feas.in_sigma0)}  (dimension vector in Sigma_0)")
     lines.append(f"weights generic          : {generic_str}")
     lines.append("")
     lines.append("point      multiplicities   weights          gamma            mu               eps")
@@ -129,6 +130,7 @@ def cmd_type_check(args):
                 "residue_sum_inequality": feas.feasible,
                 "spectral_top_degree": top,
                 "arm_chains": chains_ok,
+                "in_sigma0": feas.in_sigma0,
                 "weights_generic": generic_str,
             },
             "degrees": degrees,
@@ -186,6 +188,7 @@ def cmd_ds_solve(args):
             "two_r": feas.two_r,
             "n_at_least_4": feas.n_at_least_4,
             "r_at_least_4": feas.r_at_least_4,
+            "in_sigma0": feas.in_sigma0,
         },
         "best_residual_per_restart": outcome.best_residuals,
         "converged": outcome.success,
@@ -207,6 +210,7 @@ def cmd_ds_solve(args):
         f"rank profile {_fmt_bool(vrep.profile_ok)}, "
         f"irreducible {_fmt_bool(vrep.irreducible)}"
         + ("" if vrep.passed() else " (solution delivered without full certificate)")
+        + ("" if feas.in_sigma0 else "; no irreducible tuple exists (dimension vector not in Sigma_0)")
     )
     if args.out:
         jsonio.dump(args.out, jsonio.solution_to_json(sol, report=report))
@@ -220,7 +224,7 @@ def cmd_ds_verify(args):
     inst = jsonio.instance_from_json(jsonio.load(args.instance))
     sol = jsonio.solution_from_json(jsonio.load(args.solution))
 
-    from .dsolve import exact_refine, flags_from_solution, verify
+    from .dsolve import RefinementError, exact_refine, flags_from_solution, verify
 
     vrep = verify(sol, inst)
     payload = _verify_payload(vrep)
@@ -232,7 +236,12 @@ def cmd_ds_verify(args):
     ok = vrep.passed()
     # the exact cross-check needs a tuple in its classes with a zero sum
     if args.hitchin and vrep.sum_ok and vrep.profile_ok:
-        payload.update(_spectral_appendix(flags_from_solution(exact_refine(sol, inst), inst.parabolic_type())))
+        try:
+            exact = exact_refine(sol, inst)
+        except RefinementError as e:
+            _write_report(args.report, {**payload, "message": str(e)})
+            raise
+        payload.update(_spectral_appendix(flags_from_solution(exact, inst.parabolic_type())))
         ok = ok and payload["spectral"]["member"] and payload["spectral"]["all_orders_exact"]
     _write_report(args.report, payload)
     return OK if ok else BUDGET

@@ -18,6 +18,7 @@ Derived data:
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -232,30 +233,47 @@ class FeasibilityReport:
     two_r: int
     n_at_least_4: bool
     r_at_least_4: bool
+    in_sigma0: bool  # an irreducible tuple with these classes exists
+
+
+def _isotropic_multiple(r, arms):
+    """m when the star's vector (center r, arms outward), taken in the
+    fundamental region, is m delta, m >= 2: q = 0 and gcd m.  Else 0."""
+    tits = r * r + sum(b * b - a * b for arm in arms for a, b in zip((r,) + arm, arm))
+    m = math.gcd(r, *itertools.chain(*arms))
+    return m if m >= 2 and tits == 0 else 0
 
 
 def ds_feasible(sigma: ParabolicType) -> FeasibilityReport:
-    """Residue-sum inequality of a parabolic type: 2r <= sum over the
-    points of gamma_1 = r - n_1, the first power rank of a nilpotent class
-    with those flag steps.
+    """Residue-sum inequality, 2r <= sum over the points of gamma_1 =
+    r - n_1, and Crawley-Boevey's existence verdict.
 
-    A necessary condition for an irreducible tuple, not a sufficient one, at
-    any n and r.  It is (alpha, e_0) <= 0 at the central vertex of the star
-    quiver, which every non-simple alpha in Crawley-Boevey's set Sigma_0
-    satisfies; the criterion itself asks p(alpha) > p(beta_1) + ... +
-    p(beta_k) for every decomposition into positive roots.  Four (2, 2)
-    classes at rank 4 pass with n = r = 4, yet alpha = 2 delta of affine D4
-    has p(2 delta) = 1 < 2 p(delta) = 2, and no irreducible tuple exists.
+    The inequality, (alpha, e_0) <= 0 at the center of the star quiver, is
+    necessary for an irreducible tuple, not sufficient.  One with sum zero
+    exists exactly when alpha is in Sigma_0: alpha = e_0 (rank 1), or alpha
+    in the fundamental region (the inequality and ``simpleness_condition``)
+    but neither of the two exceptions there of a quiver without loops, for
+    m >= 2 and delta the root of an extended Dynkin star: m delta, and
+    m delta + e_v, v a leaf where delta is 1.  Four (2, 2) classes at rank 4
+    give 2 delta of affine D4, three and a (3, 1) give 2 delta + e_v.
     Whether n >= 4 and r >= 4 hold is reported as separate flags.
     """
     r = sigma.rank
     s = sum(r - mult[0] for mult in sigma.multiplicities)
+    feasible = 2 * r <= s
+    arms = [sigma.gamma(i) for i in range(sigma.n_points)]
+    # m delta + e_v: an arm ends (..., m, 1), and without its 1 alpha is m delta
+    exception = _isotropic_multiple(r, arms) or any(
+        arm[-1:] == (1,) and ((r,) + arm)[-2] == _isotropic_multiple(r, arms[:i] + [arm[:-1]] + arms[i + 1 :])
+        for i, arm in enumerate(arms)
+    )
     return FeasibilityReport(
-        feasible=2 * r <= s,
+        feasible=feasible,
         sum_gamma1=s,
         two_r=2 * r,
         n_at_least_4=sigma.n_points >= 4,
         r_at_least_4=r >= 4,
+        in_sigma0=r == 1 or (feasible and simpleness_condition(sigma) and not exception),
     )
 
 
@@ -272,10 +290,8 @@ def chain_simple(r: int, chain) -> bool:
 def simpleness_condition(sigma: ParabolicType) -> bool:
     """Arm chain condition: (alpha, e_i) <= 0 at every arm vertex.
 
-    Necessary for a simple moment-zero representation, not sufficient: a
-    non-simple alpha in Crawley-Boevey's Sigma_0 lies in the fundamental
-    region, but the four (2, 2) classes of ``ds_feasible`` pass this too and
-    have no simple one."""
+    With the residue-sum inequality it places alpha in the fundamental
+    region, which ``ds_feasible`` needs for its Sigma_0 verdict."""
     return all(chain_simple(sigma.rank, sigma.gamma(i)) for i in range(sigma.n_points))
 
 

@@ -40,7 +40,7 @@ from .combinat import (
     type_from_classes,
 )
 from .floatarith import FLOAT, kron
-from .higgs import BridgeError, HiggsTuple, irreducible
+from .higgs import HiggsTuple, irreducible
 from .spectral import rank_profile
 
 # a Gauss-Newton step is halved while it would push a conjugator past this
@@ -360,13 +360,12 @@ def flags_from_solution(solution: DSSolution, sigma: ParabolicType) -> HiggsTupl
     A float solution off its classes therefore gets flags it does not
     preserve, and the tuple's validation rejects it with ``BridgeError``,
     at the tuple's default ``starrep.BRIDGE_TOL``: neither the stated
-    ``residual`` nor the sum under test widens it.
+    ``residual`` nor the sum under test widens it.  So is a solution with
+    another number of matrices than the type has points.
     """
-    if len(solution.matrices) != sigma.n_points:
-        raise BridgeError(_COUNT_MESSAGE)
     o = ops(solution.mode)
     gammas = [sigma.gamma(i) for i in range(sigma.n_points)]
-    rows = [_flag_rows(o, solution.matrices[i], g, i) for i, g in enumerate(gammas)]
+    rows = [_flag_rows(o, a, g, i) for i, (a, g) in enumerate(zip(solution.matrices, gammas))]
     flags = [[o.from_columns(basis[:g]) for g in gs] for basis, gs in zip(rows, gammas)]
     return HiggsTuple(sigma=sigma, matrices=list(solution.matrices), flags=flags, mode=solution.mode)
 
@@ -449,10 +448,7 @@ def _refine_at(solution, instance, nested, den):
     r = instance.rank
     frames, unknowns, columns, anchor = [], [], [], []
     for i, (rows, c) in enumerate(zip(nested, instance.classes)):
-        if not c.rank_sequence:
-            frames.append(None)
-            continue
-        q = _flag_basis(rows, den)
+        q = _flag_basis(np.reshape(rows, (-1, r)), den)  # a zero class has no rows: Q = I
         inverse = ex.int_inverse(q)
         if inverse is None:
             return None  # the snapped flag steps lost rank
@@ -460,7 +456,7 @@ def _refine_at(solution, instance, nested, den):
         frames.append((q, adj, d))
         qf = np.array(q, dtype=float)
         nf = np.linalg.solve(qf, np.asarray(solution.matrices[i]).real @ qf)
-        g = c.rank_sequence[0]
+        g = len(rows)  # gamma_1
         # N = Q^-1 A Q = d K: the zero sum is sum_i Q_i K_i adj_i = 0 over Z.
         # Entry (a, b) of K has a < b: its column q_a adj_b has trace
         # (adj Q)[b][a] = 0, so its (r-1, r-1) entry is left out.
@@ -476,12 +472,7 @@ def _refine_at(solution, instance, nested, den):
     for (i, a, b), v in zip(unknowns, _solve_anchored(columns, anchor)):
         ks[i][a][b] = v
     mats, conjugators = [], []
-    for k, f, c, af in zip(ks, frames, instance.classes, solution.matrices):
-        if f is None:
-            mats.append(k)
-            conjugators.append(ex.meye(r))
-            continue
-        q, adj, d = f
+    for k, (q, adj, d), c, af in zip(ks, frames, instance.classes, solution.matrices):
         kint, den_k = ex.clear(k)
         a = ex.divide(ex.imul(ex.imul(q, kint), adj), den_k)
         if np.linalg.norm(FLOAT.from_exact(a) - np.asarray(af).real) > _MAX_DRIFT:

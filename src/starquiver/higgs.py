@@ -197,9 +197,9 @@ def parabolic_slope(h: HiggsTuple, w=None):
     """Weighted slope of the constant subobject spanned by the columns of
     ``w`` (the full object when ``w`` is None), as an exact rational: a
     subspace of the trivialized bundle, of degree 0, with the same fiber at
-    every marked point.  The fiber meets each flag step F in dimension
-    rk F + k - rk [F w], k the number of columns of ``w``, which must be
-    independent."""
+    every marked point.  It meets the flag step F_j, of the type's (and
+    validated) dimension gamma_j, in dimension gamma_j + k - rk [F_j w], k
+    the number of columns of ``w``, which must be independent."""
     sig = h.sigma
     if w is None:
         return sig.full_slope()
@@ -212,7 +212,7 @@ def parabolic_slope(h: HiggsTuple, w=None):
     total = Fraction(0)
     for i in range(sig.n_points):
         # the full space, the proper flag steps, the zero space
-        inter = [k] + [o.rank(step) + k - o.rank(o.from_columns(o.columns(step) + o.columns(w))) for step in h.flags[i]] + [0]
+        inter = [k] + [g + k - o.rank(o.from_columns(o.columns(step) + o.columns(w))) for step, g in zip(h.flags[i], sig.gamma(i))] + [0]
         for j, a in enumerate(sig.weights[i], start=1):
             total += a * (inter[j - 1] - inter[j])
     return total / sig.K / k
@@ -343,7 +343,8 @@ def stability_verdict(h: HiggsTuple) -> StabilityReport:
             "the reduction to constant subspaces requires the small-weights bound"
         )
     full = parabolic_slope(h)
-    cert = irreducible(h.matrices, h.mode)
+    # no residues generate the scalars, as the zero matrix does
+    cert = irreducible(h.matrices or [h.ops.zeros(h.rank, h.rank)], h.mode)
     if cert.irreducible:
         return StabilityReport(verdict="stable", full_slope=full, exhaustive=True)
     # reducible: every subobject test happens on invariant subspaces

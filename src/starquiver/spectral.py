@@ -7,8 +7,8 @@ The coefficient of lambda^{r-j} in det(lambda I - M(z)) is the numerator
 polynomial p_j; residues summing to zero kill the z^{n-1} terms of M, so
 deg p_j <= j(n-2).  Only exact tuples have a characteristic point: the
 denominator-cleared M is formed as an integer matrix at each node
-z = 0..N (N = r(n-2) for a zero sum, r(n-1) otherwise), an integer
-Faddeev-LeVerrier pass gives its coefficients there, and Newton
+z = 0..N, N = r(n-2) (a nonzero residue sum is refused first), an
+integer Faddeev-LeVerrier pass gives its coefficients there, and Newton
 interpolation from forward differences gives p_j, all in plain integers,
 so the exact cross-check of ``ds verify --hitchin`` never loads sympy.
 Membership in the admissible coefficient space means p_j vanishes at x_i
@@ -96,14 +96,14 @@ def char_poly(h: HiggsTuple) -> HitchinPoint:
     Exact tuples are computed in plain integers: with D the lcm of the
     entry denominators and E the lcm of the point denominators, the node
     value s M(t) = sum_i (D A_i) prod_{k != i} (E t - E x_k), s = D E^{n-1},
-    is an integer matrix, and p_j = c_j(s M) / s^j.  M's entries have
-    degree at most n - 2 when the cleared residues sum to zero (the residue
-    theorem) and n - 1 otherwise, so c_j is fixed by its values at the
-    nodes t = 0..N, N = r times that degree (at least 0): the integer
+    is an integer matrix, and p_j = c_j(s M) / s^j.  The cleared residues
+    must sum to zero, as ``HiggsTuple.validate`` requires; then M's entries
+    have degree at most n - 2 (the residue theorem), so c_j is fixed by its
+    values at the nodes t = 0..N, N = max(0, r(n-2)): the integer
     Faddeev-LeVerrier gives each value, and Newton interpolation from the
     forward differences, c_j = b_0 + z (b_1 + (z - 1)(b_2 + ...)) with
-    b_k = Δ^k c_j(0) / k! an integer, gives c_j.  A level whose degree
-    exceeds j(n-2), or a float tuple, raises ``ExactnessRequired``.
+    b_k = Δ^k c_j(0) / k! an integer, gives c_j.  A float tuple, or
+    residues that do not sum to zero, raise ``ExactnessRequired`` first.
 
     The sign convention: p_j is (-1)^j times the j-th elementary symmetric
     function of the eigenvalues of M(z), so lambda^r + sum_j p_j
@@ -118,7 +118,9 @@ def char_poly(h: HiggsTuple) -> HitchinPoint:
     rows, d = ex.clear([row for a in h.matrices for row in a])
     # entries[a][b] = (D A_1[a][b], ..., D A_n[a][b]): r x r even when n = 0
     entries = [[tuple(rows[i * r + a][b] for i in range(n)) for b in range(r)] for a in range(r)]
-    top = r * (n - 1) if any(sum(x) for row in entries for x in row) else max(0, r * (n - 2))
+    if any(sum(x) for row in entries for x in row):
+        raise ExactnessRequired("the residues do not sum to zero exactly")
+    top = max(0, r * (n - 2))
     values = []
     for t in range(top + 1):
         gaps = [e * t - x for x in ints]
@@ -138,12 +140,7 @@ def char_poly(h: HiggsTuple) -> HitchinPoint:
                 c[i] -= k * c[i + 1]
             c[0] += b[k]
         # trimmed first: at n = 0 the scale is the float 1.0
-        p = [Fraction(x, scale**j) for x in ex.ptrim(c)]
-        bound = j * (n - 2)
-        if p and len(p) - 1 > bound:
-            raise ExactnessRequired(f"level {j} coefficient has degree {len(p) - 1} > {bound}; "
-                                    "the residues do not sum to zero exactly")
-        coeffs.append(p)
+        coeffs.append([Fraction(x, scale**j) for x in ex.ptrim(c)])
     return HitchinPoint(rank=r, points=points, coeffs=coeffs)
 
 

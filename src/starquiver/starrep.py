@@ -307,8 +307,6 @@ def center_cycles(quiver: StarQuiver, max_len: int):
     excursion, in the depth-first order of the arms, each followed by every
     walk that can continue it; the continuations of each length are built
     once.  No walk is shorter than 2, so none for ``max_len`` < 2."""
-    if max_len < 2:
-        return []
     excursions = []
 
     def descend(j, path, level, room):

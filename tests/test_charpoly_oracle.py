@@ -85,35 +85,22 @@ def residue_tuples(draw):
 def test_char_poly_matches_oracle_on_random_tuples(case):
     points, mats, zero_sum = case
     h = _flagless_tuple(points, mats)
-    if zero_sum:
-        assert char_poly(h).coeffs == oracle.char_poly(h)
-        return
     total = ex.mzeros(len(mats[0]), len(mats[0]))
     for m in mats:
         total = ex.madd(total, m)
-    # M(z) = S z^{n-1} + lower terms for S the residue sum, so c_j(S) is the
-    # z^{j(n-1)} coefficient of p_j: a sum that is not nilpotent breaks the
-    # degree bound at some level, in both implementations
-    if any(oracle.charpoly(total)):
-        with pytest.raises(ExactnessRequired):
-            char_poly(h)
-        with pytest.raises(ExactnessRequired):
-            oracle.char_poly(h)
+    if zero_sum or ex.is_zero(total):
+        assert char_poly(h).coeffs == oracle.char_poly(h)
         return
-    # a nonzero nilpotent sum may or may not break it; both must agree
-    try:
-        expected = oracle.char_poly(h)
-    except ExactnessRequired:
-        with pytest.raises(ExactnessRequired):
-            char_poly(h)
-    else:
-        assert char_poly(h).coeffs == expected
+    # a sum that is not zero is refused up front, whether or not it breaks
+    # the oracle's degree bound (a nonzero nilpotent sum may not)
+    with pytest.raises(ExactnessRequired, match="do not sum to zero"):
+        char_poly(h)
 
 
 @pytest.mark.parametrize("zero_sum", [True, False])
 def test_char_poly_runs_one_node_per_degree(monkeypatch, zero_sum):
-    # N + 1 integer nodes: N = r(n-2) when the residues sum to zero, since
-    # then M's entries have degree n - 2, and r(n-1) when they do not
+    # N + 1 integer nodes, N = r(n-2), when the residues sum to zero, since
+    # then M's entries have degree n - 2; none when they do not
     calls = []
     kernel = spectral._int_charpoly
     monkeypatch.setattr(spectral, "_int_charpoly", lambda a: calls.append(a) or kernel(a))
@@ -126,9 +113,23 @@ def test_char_poly_runs_one_node_per_degree(monkeypatch, zero_sum):
         assert char_poly(h).coeffs == oracle.char_poly(h)
     else:
         assert any(oracle.charpoly(total))
-        with pytest.raises(ExactnessRequired):
+        with pytest.raises(ExactnessRequired, match="do not sum to zero"):
             char_poly(h)
-    assert len(calls) == r * (len(points) - (2 if zero_sum else 1)) + 1
+    assert len(calls) == (r * (len(points) - 2) + 1 if zero_sum else 0)
+
+
+def test_char_poly_refuses_a_nonzero_sum_before_any_node(monkeypatch):
+    # the three residues sum to E12; before the sum was decided first,
+    # nodes at r(n-1) gave p_1 = -4 + 3z, p_2 = -8 + 2z + 4z^2, which no
+    # degree bound caught
+    calls = []
+    monkeypatch.setattr(spectral, "_int_charpoly", lambda a: calls.append(a))
+    mats = [[[Fraction(x) for x in row] for row in a] for a in ([[2, -2], [-1, 0]], [[-2, 0], [2, 1]], [[0, 3], [-1, -1]])]
+    h = _flagless_tuple([Fraction(0), Fraction(1), Fraction(2)], mats)
+    assert ex.madd(ex.madd(mats[0], mats[1]), mats[2]) == [[0, 1], [0, 0]]
+    with pytest.raises(ExactnessRequired, match="the residues do not sum to zero exactly"):
+        char_poly(h)
+    assert calls == []
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

@@ -193,7 +193,7 @@ def test_ds_solve_certified(tmp_path, capsys):
     report = json.loads(rep_path.read_text())
     assert report["verification"]["certified"] is True
     assert report["verification"]["sum_ok"] is report["verification"]["conjugators_ok"] is True
-    assert report["feasibility"]["inequality"] is True
+    assert report["feasibility"]["inequality"] is report["feasibility"]["in_sigma0"] is True
     sol = json.loads(out_path.read_text())
     assert len(sol["matrices"]) == 4
 
@@ -215,7 +215,7 @@ def test_ds_solve_infeasible_flagged(tmp_path):
         ]
     )
     report = json.loads(rep_path.read_text())
-    assert report["feasibility"]["inequality"] is False
+    assert report["feasibility"]["inequality"] is report["feasibility"]["in_sigma0"] is False
     if report["converged"]:
         # the sum can vanish here (images cancel pairwise), but no
         # irreducible tuple exists: four rank-one images span at most four
@@ -225,6 +225,27 @@ def test_ds_solve_infeasible_flagged(tmp_path):
         assert report["verification"]["certified"] is False
     else:
         assert code == 2
+
+
+def test_no_irreducible_tuple_at_twice_the_d4_root(tmp_path, capsys):
+    # four (2, 2) classes at rank 4 pass the inequality and the arm chains,
+    # but alpha = 2 delta of affine D4 is not in Sigma_0
+    typ, inst, report = tmp_path / "type.json", tmp_path / "inst.json", tmp_path / "report.json"
+    instance = DSInstance(rank=4, classes=(NilpotentClass.from_partition((2, 2)),) * 4)
+    jsonio.dump(typ, jsonio.type_to_json(instance.parabolic_type()))
+    jsonio.dump(inst, instance_to_json(instance))
+    assert main(["type-check", "--type", str(typ), "--report", str(report)]) == 0
+    out = capsys.readouterr().out
+    assert "residue-sum inequality   : PASS" in out and "arm chain condition      : PASS" in out
+    assert "irreducible tuple exists : FAIL  (dimension vector in Sigma_0)" in out
+    assert json.loads(report.read_text())["conditions"]["in_sigma0"] is False
+    assert main(["ds", "solve", "--instance", str(inst), "--seed", "0", "--restarts", "5", "--report", str(report)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "rank profile PASS, irreducible FAIL (solution delivered without full certificate)"
+        "; no irreducible tuple exists (dimension vector not in Sigma_0)"
+    )
+    feasibility = json.loads(report.read_text())["feasibility"]
+    assert (feasibility["inequality"], feasibility["in_sigma0"]) == (True, False)
 
 
 def test_ds_solve_zero_classes(tmp_path):
@@ -527,19 +548,24 @@ def test_bridge_rejects_nontrivial_splitting(capsys):
 
 def test_bridge_residue_tuple_without_marked_points(tmp_path, capsys):
     # the empty residue sum is the zero matrix, so the tuple is valid and
-    # converts to a quiver without arms; the stability verdict then refuses
-    # a tuple without residues as bad input
-    sigma = {"points": [], "rank": 2, "K": 5, "flags": []}
-    higgs = _dump(tmp_path, {"type": sigma, "mode": "exact", "matrices": [], "flags": []})
-    rep, report, type_path = tmp_path / "rep.json", tmp_path / "report.json", tmp_path / "type.json"
-    jsonio.dump(type_path, sigma)
-    code = main(["bridge", "to-quiver", "--higgs", str(higgs), "--hitchin", "--out", str(rep), "--report", str(report)])
-    assert code == 0
-    assert json.loads(report.read_text())["moment_residual"] == 0.0
-    assert json.loads(rep.read_text())["arms"] == []
-    capsys.readouterr()
-    code = main(["bridge", "to-higgs", "--rep", str(rep), "--type", str(type_path)])
-    assert (code, capsys.readouterr().err) == (1, "error: need at least one matrix\n")
+    # converts to a quiver without arms and back; no residues generate the
+    # scalars, as the zero matrix does, so every line has slope 0, the full
+    # slope: semistable only at rank 2, and stable at rank 1
+    for rank, verdict in [(1, "stable"), (2, "semistable_only")]:
+        sigma = {"points": [], "rank": rank, "K": 3, "flags": []}
+        higgs = _dump(tmp_path, {"type": sigma, "mode": "exact", "matrices": [], "flags": []})
+        rep, report, type_path = tmp_path / "rep.json", tmp_path / "report.json", tmp_path / "type.json"
+        jsonio.dump(type_path, sigma)
+        code = main(["bridge", "to-quiver", "--higgs", str(higgs), "--hitchin", "--out", str(rep), "--report", str(report)])
+        assert code == 0
+        assert json.loads(report.read_text())["moment_residual"] == 0.0
+        assert json.loads(rep.read_text())["arms"] == []
+        capsys.readouterr()
+        code = main(["bridge", "to-higgs", "--rep", str(rep), "--type", str(type_path), "--report", str(report)])
+        assert (code, capsys.readouterr()) == (0, (
+            "conversion produced a valid residue tuple: PASS\n"
+            f"stability verdict : {verdict} (full slope 0)\n", ""))
+        assert json.loads(report.read_text())["stability"] == {"verdict": verdict, "full_slope": "0"}
 
 
 def test_poisson_check_on_a_representation_without_arms(tmp_path, capsys):

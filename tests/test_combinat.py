@@ -6,7 +6,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from common import partitions_of, random_parabolic_type
+import sigma0_oracle
+from common import FIXTURES, partitions_of, random_parabolic_type
+from starquiver import jsonio
 from starquiver import combinat
 from starquiver.combinat import (
     EnumerationBoundExceeded,
@@ -187,6 +189,86 @@ def test_ds_feasible_rank5_rank1_classes():
 def test_ds_feasible_zero_classes():
     c = NilpotentClass(rank=3, rank_sequence=())
     assert ds_feasible(type_from_classes([c] * 5)).feasible is False
+
+
+def _type_of(*partitions):
+    return type_from_classes([NilpotentClass.from_partition(p) for p in partitions])
+
+
+# the indivisible isotropic root delta of each extended Dynkin star, as classes
+DELTA = {
+    "D4": [(2,)] * 4,
+    "E6": [(3,)] * 3,
+    "E7": [(4,), (4,), (2, 2)],
+    "E8": [(6,), (3, 3), (2, 2, 2)],
+}
+
+
+def _times(m, partitions):
+    """The classes of m times the dimension vector: every block m times."""
+    return [tuple(b for b in p for _ in range(m)) for p in partitions]
+
+
+@pytest.mark.parametrize("star", sorted(DELTA))
+def test_sigma0_keeps_delta_and_drops_its_multiples(star):
+    # p(m delta) = 1 < m p(delta) = m: only delta itself has an irreducible
+    # tuple, although every m delta passes the inequality and the arm chains
+    for m in (1, 2, 3) if star == "D4" else (1, 2):
+        sigma = _type_of(*_times(m, DELTA[star]))
+        rep = ds_feasible(sigma)
+        assert rep.feasible and simpleness_condition(sigma)
+        assert rep.in_sigma0 is (m == 1), m
+
+
+def _leaf_at(arm, m, star):
+    """The type of m delta + e_v, v a new leaf at the tip of the given arm,
+    and delta's value at that tip."""
+    classes = [NilpotentClass.from_partition(p) for p in _times(m, DELTA[star])]
+    arms = [c.rank_sequence for c in classes]
+    tip = arms[arm][-1] // m
+    arms[arm] += (1,)
+    return type_from_classes([NilpotentClass(rank=classes[0].rank, rank_sequence=a) for a in arms]), tip
+
+
+@pytest.mark.parametrize("star", sorted(DELTA))
+def test_sigma0_drops_a_leaf_at_an_extending_vertex(star):
+    # Crawley-Boevey's second exception: m delta + e_v, v a new leaf where
+    # delta is 1, has p = m = p(delta + e_v) + (m - 1) p(delta), so no
+    # irreducible tuple, although it lies in the fundamental region; where
+    # delta is 2 or 3 the same leaf keeps alpha in Sigma_0
+    for arm in range(len(DELTA[star])):
+        for m in (2, 3):
+            sigma, tip = _leaf_at(arm, m, star)
+            rep = ds_feasible(sigma)
+            assert rep.feasible and simpleness_condition(sigma)
+            assert rep.in_sigma0 is (tip > 1), (arm, m, tip)
+
+
+def test_sigma0_of_the_shipped_fixtures():
+    for name, expected in [("type_rank2_full_flags.json", True), ("type_rank2_tight_weights.json", True)]:
+        assert ds_feasible(jsonio.type_from_json(jsonio.load(FIXTURES / name))).in_sigma0 is expected
+    for name, expected in [("ds_rank2_four_rank1.json", True), ("ds_rank5_infeasible.json", False)]:
+        assert jsonio.instance_from_json(jsonio.load(FIXTURES / name)).feasibility().in_sigma0 is expected
+
+
+def test_sigma0_at_rank_1_and_for_zero_classes():
+    # alpha = e_0 at rank 1, with or without marked points; zero classes
+    # of a higher rank add no arm, and r e_0 is no root
+    assert ds_feasible(_type_of((1,))).in_sigma0 is True
+    assert ds_feasible(ParabolicType(MarkedLine(()), 1, 1, (), ())).in_sigma0 is True
+    assert ds_feasible(_type_of((1, 1, 1), (1, 1, 1))).in_sigma0 is False
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda r: st.lists(st.sampled_from(list(partitions_of(r))), min_size=1, max_size=4)))
+@example([(2, 2)] * 4)
+@example([(2,)] * 4)
+@example([(2, 2)] * 3 + [(3, 1)])  # 2 delta + e_v of affine D4
+@example([(2, 2, 2)] * 3 + [(3, 2, 1)])  # 3 delta + e_v of affine D4
+@example([(3, 3), (3, 3), (4, 2)])  # 2 delta + e_v of affine E6
+def test_sigma0_matches_the_brute_force_oracle(partitions):
+    sigma = _type_of(*partitions)
+    assert ds_feasible(sigma).in_sigma0 is sigma0_oracle.in_sigma0(*sigma0_oracle.star_vector(sigma))
 
 
 def test_ds_feasible_rank_mismatch():

@@ -261,6 +261,18 @@ def test_slopes_heavy_top_type(heavy_top_type):
         parabolic_slope(h, w=[[F(1), F(2)], [F(1), F(2)]])
 
 
+def test_parabolic_slope_ranks_no_flag_step_alone(heavy_top_type, monkeypatch):
+    # a step's dimension is the type's gamma_j, which the tuple's validation
+    # matched to its rank: only w and each [F_j w] are ranked
+    lines = [[[F(1)], [F(0)]], [[F(0)], [F(1)]], [[F(1)], [F(1)]], [[F(1)], [F(-1)]]]
+    h = HiggsTuple(heavy_top_type, [ex.mzeros(2, 2)] * 4, [[l] for l in lines], mode="exact")
+    ranked, rank = [], type(h.ops).rank
+    monkeypatch.setattr(type(h.ops), "rank", lambda self, a, *rest: ranked.append(a) or rank(self, a, *rest))
+    w = [[F(1)], [F(2)]]  # meets no flag line, so only the weights 0 count
+    assert parabolic_slope(h, w=w) == 0
+    assert ranked == [w] + [ex.hstack([l, w]) for l in lines]
+
+
 # ---------------------------------------------------------------------------
 # irreducibility
 

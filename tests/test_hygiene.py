@@ -937,6 +937,38 @@ def test_one_preservation_rule():
     assert solve_parameters(backends["_Exact"]) in (["a", "b"], "staticmethod(ex.solve)")
 
 
+def late_raises(f):
+    """``raise`` statements of ``f`` at or after its first top-level ``for``
+    loop (the node loop of ``char_poly``), and the conditional expressions in
+    the assignments of the name that loop's ``range(name + 1)`` reads."""
+    loop = next(i for i, node in enumerate(f.body) if isinstance(node, ast.For))
+    raises = [node for stmt in f.body[loop:] for node in ast.walk(stmt) if isinstance(node, ast.Raise)]
+    count = f.body[loop].iter.args[0].left.id
+    assigned = [node.value for node in ast.walk(f) if isinstance(node, ast.Assign) and count in [getattr(t, "id", None) for t in node.targets]]
+    conditional = [node for value in assigned for node in ast.walk(value) if isinstance(node, ast.IfExp)]
+    return raises, len(assigned), conditional
+
+
+def none_frames(f):
+    """Calls in ``f`` given a literal ``None``, such as ``frames.append(None)``."""
+    return [node for node in ast.walk(f) if isinstance(node, ast.Call) and any(getattr(a, "value", 0) is None for a in node.args)]
+
+
+def test_one_path_through_the_exact_chain():
+    # each fact of the exact chain is decided once: char_poly refuses a
+    # nonzero residue sum before any node and counts its nodes one way;
+    # _refine_at takes every class, zero classes too, through its one
+    # general path; the tuple's validation refuses a wrong point count
+    # for flags_from_solution; parabolic_slope reads each flag step's
+    # dimension from the type, ranking only w and [F w]
+    trees = {name: ast.parse((SRC / "starquiver" / f"{name}.py").read_text(encoding="utf-8")) for name in ("spectral", "dsolve", "higgs")}
+    kernels = {f.name: f for tree in trees.values() for f in tree.body if isinstance(f, ast.FunctionDef)}
+    assert late_raises(kernels["char_poly"]) == ([], 1, [])
+    assert none_frames(kernels["_refine_at"]) == calls_of("meye")(kernels["_refine_at"]) == []
+    assert calls_of("BridgeError")(kernels["flags_from_solution"]) == []
+    assert len(calls_of("rank")(kernels["parabolic_slope"])) <= 2
+
+
 def test_the_guards_see_the_former_copies():
     # the shapes the two guards look for, as the former bareiss and
     # _integer_rows wrote them
@@ -992,3 +1024,35 @@ def test_the_guards_see_the_former_copies():
         "class _Exact:\n    def solve(self, a, b, *_):\n        return ex.solve(a, b)\n"
     )
     assert [solve_parameters(c) for c in backends.body] == [["a", "b", "tol"], ["a", "b", "*_"]]
+    # the former second decisions of the exact chain: char_poly's node count
+    # by the residue sum and its degree check after interpolation, the zero
+    # class frames of _refine_at, the up-front count of flags_from_solution
+    # and the per-step ranks of parabolic_slope
+    nodes = ast.parse(
+        "def char_poly(h):\n"
+        "    top = r * (n - 1) if any(sum(x) for row in entries for x in row) else max(0, r * (n - 2))\n"
+        "    for t in range(top + 1):\n"
+        "        values.append(t)\n"
+        "    for j, v in enumerate(zip(*values), start=1):\n"
+        "        if p and len(p) - 1 > bound:\n"
+        "            raise ExactnessRequired(f'level {j} coefficient has degree {len(p) - 1} > {bound}')\n"
+    )
+    raises, count, conditional = late_raises(nodes.body[0])
+    assert (len(raises), count, len(conditional)) == (1, 1, 1)
+    zero = ast.parse(
+        "def _refine_at(solution, instance, nested, den):\n"
+        "    if not c.rank_sequence:\n"
+        "        frames.append(None)\n"
+        "    if f is None:\n"
+        "        conjugators.append(ex.meye(r))\n"
+    )
+    assert len(none_frames(zero.body[0])) == len(calls_of("meye")(zero.body[0])) == 1
+    flags = ast.parse("def flags_from_solution(solution, sigma):\n    if len(solution.matrices) != sigma.n_points:\n        raise BridgeError(_COUNT_MESSAGE)\n")
+    assert len(calls_of("BridgeError")(flags.body[0])) == 1
+    slope = ast.parse(
+        "def parabolic_slope(h, w=None):\n"
+        "    if o.rank(w) != k:\n"
+        "        raise BridgeError('subobject basis is rank deficient')\n"
+        "    inter = [k] + [o.rank(step) + k - o.rank(o.from_columns(o.columns(step) + o.columns(w))) for step in h.flags[i]] + [0]\n"
+    )
+    assert len(calls_of("rank")(slope.body[0])) == 3

@@ -1,6 +1,7 @@
 """The integer refinement against the Fraction oracle in ``refine_oracle``,
 its snapping branches, and property tests of its kernels."""
 
+import json
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
@@ -16,7 +17,9 @@ from common import FIXTURES, inverse
 from starquiver import dsolve, jsonio
 from starquiver import linalg_exact as ex
 from starquiver.cli import main
+from starquiver.combinat import NilpotentClass
 from starquiver.dsolve import (
+    DSInstance,
     DSSolution,
     RefinementError,
     SolverConfig,
@@ -24,6 +27,7 @@ from starquiver.dsolve import (
     flags_from_solution,
     random_feasible_instance,
     solve,
+    verify,
 )
 from starquiver.spectral import char_poly, is_integral, spectral_poly, vanishing_orders
 
@@ -131,11 +135,76 @@ def test_exhausted_snaps_raise(rank2_instance, monkeypatch):
 
 
 def test_exhausted_snaps_exit_2_from_verify_hitchin(tmp_path, capsys):
-    sol = tmp_path / "sol.json"
+    # the certificate's report is written although the refinement fails
+    sol, report = tmp_path / "sol.json", tmp_path / "report.json"
     jsonio.dump(sol, jsonio.solution_to_json(_vanishing_pair_solution()))
     instance = str(FIXTURES / "ds_rank2_four_rank1.json")
-    assert main(["ds", "verify", "--solution", str(sol), "--instance", instance, "--hitchin"]) == 2
+    assert main(["ds", "verify", "--solution", str(sol), "--instance", instance, "--hitchin", "--report", str(report)]) == 2
     assert capsys.readouterr().err.startswith("error: rational refinement failed")
+    payload = json.loads(report.read_text(encoding="utf-8"))
+    assert payload["certified"] is False and "spectral" not in payload
+    assert payload["message"] == "rational refinement failed: snapped flags kept degenerating"
+
+
+def test_a_certified_solution_whose_refinement_fails_says_so_in_its_report(tmp_path, capsys, monkeypatch):
+    # the certificate passes, so only the report's message tells this run
+    # from a certified one without --hitchin
+    inst = jsonio.instance_from_json(jsonio.load(FIXTURES / "ds_rank2_four_rank1.json"))
+    solution = solve(inst, SolverConfig(seed=0)).solution
+    assert verify(solution, inst).passed()
+    sol, report = tmp_path / "sol.json", tmp_path / "report.json"
+    jsonio.dump(sol, jsonio.solution_to_json(solution))
+
+    def refuse(*_):
+        raise RefinementError("rational refinement failed: snapped flags kept degenerating")
+
+    monkeypatch.setattr(dsolve, "exact_refine", refuse)
+    argv = ["ds", "verify", "--solution", str(sol), "--instance", str(FIXTURES / "ds_rank2_four_rank1.json")]
+    assert main([*argv, "--hitchin", "--report", str(report)]) == 2
+    assert capsys.readouterr().err == "error: rational refinement failed: snapped flags kept degenerating\n"
+    payload = json.loads(report.read_text(encoding="utf-8"))
+    assert payload["certified"] is True and "spectral" not in payload
+    assert payload["message"] == "rational refinement failed: snapped flags kept degenerating"
+    # without --hitchin the same solution reports no message
+    assert main([*argv, "--report", str(report)]) == 0
+    assert "message" not in json.loads(report.read_text(encoding="utf-8"))
+
+
+def _zero_class_instance(rank):
+    """Regular classes with a zero class among them: (2) four times at rank
+    2, (3) three times at rank 3."""
+    c, zero = NilpotentClass.from_partition((rank,)), NilpotentClass(rank=rank, rank_sequence=())
+    return DSInstance(rank=rank, classes=(c, c, zero, c, c) if rank == 2 else (c, zero, c, c))
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_zero_classes_take_the_general_path(rank, monkeypatch):
+    # a zero class gets the completed flag basis Q = I and no free entry,
+    # so its residue is exactly 0 and its conjugator Q P exactly I, and the
+    # exact tuple certifies
+    inst = _zero_class_instance(rank)
+    out = solve(inst, SolverConfig(seed=0))
+    bases, flag_basis = [], dsolve._flag_basis
+    monkeypatch.setattr(dsolve, "_flag_basis", lambda rows, den: bases.append(flag_basis(rows, den)) or bases[-1])
+    exact = exact_refine(out.solution, inst)
+    _assert_valid(exact, out.solution, inst)
+    assert len(bases) == inst.n
+    for q, a, p, c in zip(bases, exact.matrices, exact.conjugators, inst.classes):
+        if not c.rank_sequence:
+            assert (q, a, p) == (ex.meye(rank), ex.mzeros(rank, rank), ex.meye(rank))
+    assert verify(exact, inst).passed()
+
+
+def test_a_float_residue_off_its_zero_class_is_refused():
+    # the zero class rounds to 0, which is farther than the drift bound
+    # from 0.1 E12: the refinement refuses, as at any other class, where
+    # it used to put 0 in its place
+    inst = _zero_class_instance(2)
+    out = solve(inst, SolverConfig(seed=0))
+    mats = list(out.solution.matrices)
+    mats[2] = np.array([[0.0, 0.1], [0.0, 0.0]])
+    with pytest.raises(RefinementError, match="snapped flags kept degenerating"):
+        exact_refine(DSSolution(matrices=mats, conjugators=out.solution.conjugators, residual=0.0), inst)
 
 
 def _int_matrices(max_rows=5, max_cols=7):
@@ -326,7 +395,7 @@ def test_anchored_zero_sum_solve_matches_oracle_on_the_batch(certified_batch, mo
     for inst, qs, columns, anchor in systems:
         r = inst.rank
         full = []
-        for q, c in zip(qs, [c for c in inst.classes if c.rank_sequence], strict=True):
+        for q, c in zip(qs, inst.classes, strict=True):  # every class gets a flag basis, a zero class I
             d = ex.echelon(q)[2]  # the last pivot of [Q | I] is that of Q
             adj = [[d * x for x in row] for row in inverse(q)]
             for a, b in dsolve._free_entries(c.rank_sequence, r):

@@ -180,9 +180,10 @@ def test_center_cycles_enumeration():
     assert center_cycles(q, 4) == [e0, e0 + e0, e0 + e1, e1, e1 + e0, e1 + e1]
 
 
-@pytest.mark.parametrize("max_len", [0, -1, -5])
+@pytest.mark.parametrize("max_len", [1, 0, -1, -5])
 def test_center_cycles_of_no_length(max_len):
-    # a negative length used to recurse until RecursionError
+    # no walk is shorter than 2, and the general path finds none, with no
+    # guard; a negative length used to recurse until RecursionError
     assert center_cycles(StarQuiver(rank=2, arms=((1,),) * 4), max_len) == []
 
 
