@@ -40,8 +40,6 @@ def exact_float(x):
 
 
 class _Exact:
-    name = "exact"
-
     def coerce(self, a):
         return a
 

@@ -123,9 +123,9 @@ class NilpotentClass:
     """Nilpotent conjugacy class encoded by the ranks of its powers.
 
     ``rank_sequence[j-1]`` is the rank of the j-th power of any class
-    representative; the sequence is strictly decreasing and positive, and
-    the consecutive differences (with rank prepended) are nonincreasing.
-    The zero class has an empty sequence.
+    representative, and ``chain_simple`` is the one rule (which makes the
+    sequence strictly decreasing, positive and below the rank).  The zero
+    class has an empty sequence.
     """
 
     rank: int
@@ -136,15 +136,8 @@ class NilpotentClass:
         object.__setattr__(self, "rank_sequence", seq)
         if self.rank < 1:
             raise ValueError("rank must be positive")
-        if seq:
-            if seq[0] >= self.rank:
-                raise ValueError("a nilpotent class has first power rank below the rank")
-            if any(a <= b for a, b in zip(seq, seq[1:])) or seq[-1] <= 0:
-                raise ValueError("power ranks must be strictly decreasing and positive")
-            if not chain_simple(self.rank, seq):
-                raise ValueError(
-                    "rank differences must be nonincreasing (not a valid Jordan type)"
-                )
+        if not chain_simple(self.rank, seq):
+            raise ValueError("power ranks must satisfy r - g_1 >= g_1 - g_2 >= ... >= g_s > 0")
 
     def to_partition(self):
         """Jordan block sizes, largest first, summing to the rank (rank

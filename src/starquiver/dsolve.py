@@ -41,7 +41,6 @@ from .combinat import (
 )
 from .floatarith import FLOAT, kron
 from .higgs import HiggsTuple, irreducible
-from .spectral import rank_profile
 
 # a Gauss-Newton step is halved while it would push a conjugator past this
 # condition number, or while it does not lower the residual; steps shorter
@@ -64,6 +63,31 @@ def rank_tolerance(residual):
     up to that residual, so the cut sits 1e3 above it, and never below
     1e-7."""
     return max(1e-7, 1e3 * residual)
+
+
+def rank_profile(matrices, mode="float", tol=None):
+    """Per matrix: ranks of its successive powers, stopping at zero.
+
+    Returns tuples shaped like class rank sequences (strictly positive
+    prefix); a nonnilpotent matrix yields a full-length tuple.  In float
+    mode the threshold for the j-th power is ``tol`` (relative, default
+    max-dimension times machine epsilon) times the j-th power of the base
+    matrix's largest singular value: a near-nilpotent power must be
+    compared against the base scale, not against its own vanishing norm.
+    """
+    o = ops(mode)
+    out = []
+    for a in matrices:
+        a = o.coerce(a)
+        scale = o.singular_scale(a)
+        ranks = []
+        for j, power in enumerate(o.powers(a, o.shape(a)[0]), start=1):
+            rk = o.rank(power, tol, scale**j)
+            if rk == 0:
+                break
+            ranks.append(rk)
+        out.append(tuple(ranks))
+    return out
 
 
 @dataclass(frozen=True)

@@ -56,8 +56,6 @@ class _FloatSpan:
 
 
 class _Float:
-    name = "float"
-
     def coerce(self, a):
         return np.asarray(a, dtype=complex)
 

@@ -16,11 +16,15 @@ The two conversions:
 Both directions work for either entry format of ``arith``: each value
 resolves its backend once and runs the same code on floats and exact
 rationals.
+
+``irreducible`` certifies from the closed word basis alone; the stability
+verdict alone searches invariant subspaces, closing vectors under it.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
 
 from . import arith
 from .combinat import ParabolicType, check_small_weights
@@ -228,10 +232,9 @@ class IrreducibilityCertificate:
 
     irreducible: bool
     words: list  # index words spanning the algebra (0-based, () = identity)
-    invariant_subspace: object = None  # basis of a common invariant subspace
     # the product of each word of the matrices scaled together to unit norm,
     # in the order of ``words``
-    elements: list = field(default=None, repr=False, compare=False)
+    elements: list = field(repr=False, compare=False)
 
 
 # a word of the residues, scaled together to unit norm, spans a new direction
@@ -248,9 +251,9 @@ def irreducible(mats, mode="float"):
     Closes a word basis of the matrices, scaled together to unit norm (the
     same algebra at any scale), under left multiplication, breadth first,
     until the span stabilizes; the tuple has no common proper invariant
-    subspace exactly when the closed span has dimension rank squared.  When
-    it does not, a common invariant subspace is extracted from the
-    stabilized span by closing candidate vectors under the algebra.
+    subspace exactly when the closed span has dimension rank squared.
+    ``stability_verdict`` searches invariant subspaces from the word
+    products the certificate carries.
     """
     if not mats:
         raise ValueError("need at least one matrix")
@@ -272,10 +275,7 @@ def irreducible(mats, mode="float"):
                 if len(tracker) == r * r:
                     break
         idx += 1
-    if len(tracker) == r * r:
-        return IrreducibilityCertificate(True, words, elements=elements)
-    witness = next(_proper_closures(elements, ([v] for v in _witness_candidates(mats, mode)), o), None)
-    return IrreducibilityCertificate(False, words, invariant_subspace=witness, elements=elements)
+    return IrreducibilityCertificate(len(tracker) == r * r, words, elements)
 
 
 def _proper_closures(elements, seeds, o):
@@ -295,7 +295,7 @@ def _proper_closures(elements, seeds, o):
 
 
 def _witness_candidates(mats, mode):
-    """Vectors whose closures may give an irreducibility witness."""
+    """Vectors whose closures may give an invariant subspace."""
     o = arith.ops(mode)
     r = o.shape(mats[0])[0]
     candidates = o.columns(o.eye(r))
@@ -329,7 +329,7 @@ class StabilityReport:
 
 def stability_verdict(h: HiggsTuple) -> StabilityReport:
     """Stable when the residues act irreducibly; otherwise compares the
-    slopes of the invariant subspaces the search finds.
+    slopes of the invariant subspaces its candidate search finds.
 
     Requires the small-weights bound: without it, constant-subspace slope
     comparisons cannot certify semistability (a twisted sub-line-bundle
@@ -343,14 +343,12 @@ def stability_verdict(h: HiggsTuple) -> StabilityReport:
             "the reduction to constant subspaces requires the small-weights bound"
         )
     full = parabolic_slope(h)
-    # no residues generate the scalars, as the zero matrix does
-    cert = irreducible(h.matrices or [h.ops.zeros(h.rank, h.rank)], h.mode)
+    cert = irreducible(_residues(h), h.mode)
     if cert.irreducible:
         return StabilityReport(verdict="stable", full_slope=full, exhaustive=True)
     # reducible: every subobject test happens on invariant subspaces
-    candidates = _invariant_subspace_candidates(h, cert)
     best = None
-    for basis in candidates:
+    for basis in _invariant_subspace_candidates(h, cert):
         slope = parabolic_slope(h, basis)
         if slope > full:
             return StabilityReport(
@@ -371,12 +369,19 @@ def stability_verdict(h: HiggsTuple) -> StabilityReport:
     return StabilityReport(verdict="inconclusive", full_slope=full)
 
 
+def _residues(h: HiggsTuple):
+    """The residues, or the zero matrix, which generates the scalars as no residues do."""
+    return h.matrices or [h.ops.zeros(h.rank, h.rank)]
+
+
 def _invariant_subspace_candidates(h: HiggsTuple, cert):
-    """Invariant subspaces to test: the certificate witness, then the proper
-    algebra closures of every flag column and of every flag step (an
-    invariant step is its own closure)."""
+    """Invariant subspaces to test: the first proper algebra closure of a
+    witness candidate vector, then those of every flag column and flag step
+    (an invariant step is its own closure).  No later witness closure: a
+    float eigenvector of a nilpotent combination is off by a fractional
+    power of roundoff, so its closure need not be invariant."""
     o = h.ops
     steps = [o.columns(b) for fl in h.flags for b in fl]
     seeds = [[v] for cols in steps for v in cols] + steps
-    out = [] if cert.invariant_subspace is None else [cert.invariant_subspace]
-    return out + list(_proper_closures(cert.elements, seeds, o))
+    witness = _proper_closures(cert.elements, ([v] for v in _witness_candidates(_residues(h), h.mode)), o)
+    return list(islice(witness, 1)) + list(_proper_closures(cert.elements, seeds, o))

@@ -7,9 +7,9 @@ produce byte-identical files.
 
 Only ``combinat`` loads with this module: every other value type's module
 is imported by the decoder that builds the value, once its fields have
-decoded, and numpy only by a float matrix.  So reading a parabolic type
-loads no array code, and a rejected file loads no more than its decoding
-reached.
+decoded, ``arith`` by a matrix and numpy by a float one.  So reading a
+parabolic type loads no array code, and a rejected file loads no more
+than its decoding reached.
 """
 
 import functools
@@ -85,6 +85,9 @@ def matrix_to_json(m, mode):
 
 
 def matrix_from_json(rows, mode):
+    from .arith import ops
+
+    ops(mode)  # the branch below reads every mode but exact as float: refuse an unknown one first
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise InputFormatError("matrix must be a list of rows")
     width = len(rows[0]) if rows else 0

@@ -41,7 +41,6 @@ from operator import mul
 from random import Random
 
 from . import linalg_exact as ex
-from .arith import ops
 from .combinat import ParabolicType, mu_eps, spectral_degrees
 from .higgs import HiggsTuple
 
@@ -142,31 +141,6 @@ def char_poly(h: HiggsTuple) -> HitchinPoint:
         # trimmed first: at n = 0 the scale is the float 1.0
         coeffs.append([Fraction(x, scale**j) for x in ex.ptrim(c)])
     return HitchinPoint(rank=r, points=points, coeffs=coeffs)
-
-
-def rank_profile(matrices, mode="float", tol=None):
-    """Per matrix: ranks of its successive powers, stopping at zero.
-
-    Returns tuples shaped like class rank sequences (strictly positive
-    prefix); a nonnilpotent matrix yields a full-length tuple.  In float
-    mode the threshold for the j-th power is ``tol`` (relative, default
-    max-dimension times machine epsilon) times the j-th power of the base
-    matrix's largest singular value: a near-nilpotent power must be
-    compared against the base scale, not against its own vanishing norm.
-    """
-    o = ops(mode)
-    out = []
-    for a in matrices:
-        a = o.coerce(a)
-        scale = o.singular_scale(a)
-        ranks = []
-        for j, power in enumerate(o.powers(a, o.shape(a)[0]), start=1):
-            rk = o.rank(power, tol, scale**j)
-            if rk == 0:
-                break
-            ranks.append(rk)
-        out.append(tuple(ranks))
-    return out
 
 
 @dataclass

@@ -8,23 +8,25 @@ could be:
   ``starquiver.linalg_exact`` now keeps one incremental ``Span`` per level.
 - ``irreducible`` closed the word basis frontier by frontier, tracked
   independence over Fraction in exact mode (``FractionSpan``), and searched
-  for a witness with its own closure loop; ``starquiver.higgs`` now walks
-  one element index, tracks exact independence in integers and shares one
-  generator of proper closures with the stability candidates.
-- ``invariant_subspace_candidates`` rebuilt the word products from the
-  certificate's words, took every nonzero seed line directly when all
-  residues were zero, seeded closures with coordinate and random vectors
-  besides the flag columns, and added the flag steps that passed a
-  containment test.  Its closures cut float ranks at the absolute value
-  ``IRREDUCIBLE_RTOL``; the library's closures now work at unit scale and
-  count as the algebra's span does.
+  for a witness with its own closure loop; here it returns that witness
+  beside the certificate, which used to carry it.  ``starquiver.higgs`` now
+  walks one element index, tracks exact independence in integers, and
+  leaves the search to the stability verdict, whose first candidate
+  (``witness``) is the witness its certificate carried.
+- ``invariant_subspace_candidates`` put the certificate's witness first,
+  rebuilt the word products from the certificate's words, took every
+  nonzero seed line directly when all residues were zero, seeded closures
+  with coordinate and random vectors besides the flag columns, and added
+  the flag steps that passed a containment test.  Its closures cut float
+  ranks at the absolute value ``IRREDUCIBLE_RTOL``; the library's closures
+  now work at unit scale and count as the algebra's span does.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from starquiver import arith
+from starquiver import arith, higgs
 from starquiver import linalg_exact as ex
 from starquiver.higgs import IRREDUCIBLE_RTOL, IrreducibilityCertificate
 from starquiver.starrep import BRIDGE_TOL
@@ -86,7 +88,16 @@ def _tracker(o):
     return FractionSpan() if o is arith.EXACT else o.span_tracker(IRREDUCIBLE_RTOL)
 
 
+def witness(elements, mats, mode):
+    """The first proper closure of a witness candidate vector of ``mats``
+    under the word products ``elements``: the invariant subspace that the
+    certificate of ``starquiver.higgs.irreducible`` used to carry."""
+    seeds = ([v] for v in higgs._witness_candidates(mats, mode))
+    return next(higgs._proper_closures(elements, seeds, arith.ops(mode)), None)
+
+
 def irreducible(mats, mode="float"):
+    """The former certificate, and its witness (None when irreducible)."""
     o = arith.ops(mode)
     r = o.shape(mats[0])[0]
     eye = o.eye(r)
@@ -110,9 +121,8 @@ def irreducible(mats, mode="float"):
                 break
         frontier = next_frontier
     if len(tracker) == r * r:
-        return IrreducibilityCertificate(True, words)
-    witness = _find_invariant_subspace(mats, elements, mode)
-    return IrreducibilityCertificate(False, words, invariant_subspace=witness)
+        return IrreducibilityCertificate(True, words, elements), None
+    return IrreducibilityCertificate(False, words, elements), _find_invariant_subspace(mats, elements, mode)
 
 
 def _column(o, v):
@@ -164,9 +174,8 @@ def invariant_subspace_candidates(h, cert):
         for idx in word:
             m = o.mul(mats[idx], m)
         elements.append(m)
-    out = []
-    if cert.invariant_subspace is not None:
-        out.append(cert.invariant_subspace)
+    first = witness(cert.elements, mats or [o.zeros(r, r)], h.mode)
+    out = [] if first is None else [first]
     seeds = [v for fl in h.flags for b in fl for v in o.columns(b)]
     seeds += o.columns(eye)
     rng = np.random.default_rng(0)

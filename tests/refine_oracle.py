@@ -17,9 +17,8 @@ import numpy as np
 
 from linalg_oracle import nullspace, rref
 from starquiver import linalg_exact as ex
-from starquiver.dsolve import _NESTED_TOL, DSSolution, RefinementError, flags_from_solution
+from starquiver.dsolve import _NESTED_TOL, DSSolution, RefinementError, flags_from_solution, rank_profile
 from starquiver.floatarith import FLOAT
-from starquiver.spectral import rank_profile
 
 
 def nested_columns(float_flags, r):

@@ -949,6 +949,17 @@ def test_ds_solve_refuses_repeated_marked_points(tmp_path, capsys):
     assert not sol.exists()
 
 
+@pytest.mark.parametrize("sequence", [[2], [1, 0]])
+def test_ds_solve_names_the_rule_a_malformed_class_breaks(tmp_path, capsys, sequence):
+    # a first rank at the rank, and a zero rank, had messages of their own;
+    # both break the one chain rule of a class, which the message names
+    data = jsonio.load(RANK2_INSTANCE)
+    data["classes"][0] = {"rank": 2, "rank_sequence": sequence}
+    code, err = _malformed_run(tmp_path, capsys, data, ["ds", "solve", "--instance", "BAD"])
+    rule = "power ranks must satisfy r - g_1 >= g_1 - g_2 >= ... >= g_s > 0"
+    assert (code, err) == (1, f"error: invalid instance: invalid nilpotent class: {rule}\n")
+
+
 @pytest.mark.parametrize("options,message", [
     (["--restarts", "0"], "restarts must be at least 1, got 0"),
     (["--restarts", "-2"], "restarts must be at least 1, got -2"),
@@ -1049,6 +1060,26 @@ def test_malformed_solution_is_an_input_error(tmp_path, capsys, data):
     assert code == 1
     assert err.startswith("error: invalid solution:")
     assert "Traceback" not in err
+
+
+_STRING_ENTRIES = {
+    "representation": lambda: jsonio.load(_GOLDEN / "closed_form_rep.json"),
+    "residue tuple": lambda: jsonio.load(FIXTURES / "higgs_rank2_heavy_top.json"),
+    "solution": lambda: {"matrices": [[["0", "1"], ["0", "0"]]] * 4, "conjugators": [[["1", "0"], ["0", "1"]]] * 4},
+}
+
+
+@pytest.mark.parametrize("what,mode,argv", [
+    ("representation", "Exact", ["poisson", "check", "--rep", "BAD", "--grid", "1"]),
+    ("residue tuple", "rational", ["bridge", "to-quiver", "--higgs", "BAD"]),
+    ("solution", "exact ", ["ds", "verify", "--solution", "BAD", "--instance", RANK2_INSTANCE]),
+])
+def test_an_unknown_mode_is_refused_as_a_mode(tmp_path, capsys, what, mode, argv):
+    # a mode other than float or exact was read as float, and the error
+    # named the first string entry as a floating scalar
+    data = dict(_STRING_ENTRIES[what](), mode=mode)
+    code, err = _malformed_run(tmp_path, capsys, data, argv)
+    assert (code, err) == (1, f"error: invalid {what}: mode must be 'float' or 'exact'\n")
 
 
 def test_unnested_flags_are_an_input_error(tmp_path, capsys):

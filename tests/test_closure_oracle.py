@@ -17,9 +17,8 @@ import linalg_oracle
 from starquiver import arith, floatarith, higgs
 from starquiver import linalg_exact as ex
 from starquiver.combinat import MarkedLine, NilpotentClass, ParabolicType
-from starquiver.dsolve import DSInstance, DSSolution, exact_refine, flags_from_solution
+from starquiver.dsolve import DSInstance, DSSolution, exact_refine, flags_from_solution, rank_profile
 from starquiver.higgs import HiggsTuple, irreducible, parabolic_slope, stability_verdict
-from starquiver.spectral import rank_profile
 from starquiver.starrep import BRIDGE_TOL
 
 F = Fraction
@@ -160,23 +159,27 @@ SCALES = (1e-6, 1e-3, 1e3, 1e6)
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_irreducible_matches_oracle_on_reducible_tuples(mode):
-    # witnesses agree with the oracle's as column spaces: the closures keep
-    # their span trackers' rows (primitive integer rows, or Gram-Schmidt
-    # rows of unit-scale inputs), not the oracle's columns
+    # the first closure of a witness candidate (the verdict's first
+    # candidate, which the certificate used to carry) agrees with the
+    # oracle's witness as a column space: the closures keep their span
+    # trackers' rows (primitive integer rows, or Gram-Schmidt rows of
+    # unit-scale inputs), not the oracle's columns
     o = arith.ops(mode)
     witnesses = 0
     for seed in range(60):
         mats = _as_mode(block_triangular_tuple(seed), mode)
-        new, old = irreducible(mats, mode), oracle.irreducible(mats, mode)
+        new, (old, old_witness) = irreducible(mats, mode), oracle.irreducible(mats, mode)
         assert (new.irreducible, new.words) == (old.irreducible, old.words)
         assert not new.irreducible
-        assert _same_column_space(new.invariant_subspace, old.invariant_subspace, o)
+        witness = oracle.witness(new.elements, mats, mode)
+        assert _same_column_space(witness, old_witness, o)
         if o is floatarith.FLOAT:
             for c in SCALES:
-                w = irreducible([c * m for m in mats], mode).invariant_subspace
+                scaled = [c * m for m in mats]
+                w = oracle.witness(irreducible(scaled, mode).elements, scaled, mode)
                 assert w is not None and _proper_and_invariant(w, mats, o)
-        if new.invariant_subspace is not None:
-            assert _proper_and_invariant(new.invariant_subspace, mats, o)
+        if witness is not None:
+            assert _proper_and_invariant(witness, mats, o)
             witnesses += 1
     # the witness candidates are heuristic: about half of the exact tuples
     # get no witness
@@ -193,20 +196,21 @@ def test_certificate_carries_the_word_products():
         assert m == product
 
 
-def nilpotent_tuple(seed, mode):
-    """Four strictly upper triangular integer residues summing to zero,
+def nilpotent_tuple(seed, mode, stream=11, ranks=(2, 5), n=4):
+    """n strictly upper triangular integer residues summing to zero,
     conjugated by a unimodular matrix, with their image flags: reducible
-    residue tuples whose flag steps need not be invariant."""
-    rng = np.random.default_rng([11, seed])
-    r = int(rng.integers(2, 5))
-    mats = [np.triu(rng.integers(-2, 3, size=(r, r)), 1) for _ in range(3)]
+    residue tuples whose flag steps need not be invariant.  The rank is
+    drawn from ``range(*ranks)`` of the random stream (stream, seed)."""
+    rng = np.random.default_rng([stream, seed])
+    r = int(rng.integers(*ranks))
+    mats = [np.triu(rng.integers(-2, 3, size=(r, r)), 1) for _ in range(n - 1)]
     mats.append(-sum(mats))
     p, pinv = _unimodular(rng, r)
     mats = [p @ m @ pinv for m in mats]
     classes = [NilpotentClass(rank=r, rank_sequence=s) for s in rank_profile(_as_mode(mats, "exact"), "exact")]
     sigma = DSInstance(rank=r, classes=classes).parabolic_type()
     entries = _as_mode(mats, "exact") if mode == "exact" else [m.astype(float) for m in mats]
-    return flags_from_solution(DSSolution(entries, [ex.meye(r)] * 4, 0.0, mode=mode), sigma)
+    return flags_from_solution(DSSolution(entries, [ex.meye(r)] * n, 0.0, mode=mode), sigma)
 
 
 def _former_verdict(h, monkeypatch):
@@ -243,6 +247,25 @@ def test_every_candidate_and_witness_is_proper_and_invariant(mode, monkeypatch):
                 scaled = replace(h, matrices=[c * m for m in h.matrices], tol=h.tol * max(1.0, c))
                 assert stability_verdict(scaled).verdict == rep.verdict
     assert former_misses >= 1
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_five_point_verdicts_match_the_former_ones(mode, monkeypatch):
+    # ranks 3 to 5 at five points: the search, first witness closure first,
+    # reaches the verdicts and full slopes of the former candidates, and
+    # every witness is proper, invariant and paired as its verdict says
+    o = arith.ops(mode)
+    verdicts = set()
+    for seed in range(40):
+        h = nilpotent_tuple(seed, mode, stream=13, ranks=(3, 6), n=5)
+        rep = stability_verdict(h)
+        if rep.witness_subspace is not None:
+            assert _proper_and_invariant(rep.witness_subspace, h.matrices, o)
+        assert_witness_pairing(h, rep)
+        old = _former_verdict(h, monkeypatch)
+        assert (rep.verdict, rep.full_slope) == (old.verdict, old.full_slope)
+        verdicts.add(rep.verdict)
+    assert "unstable" in verdicts
 
 
 def zero_residue_tuple(rng, r, mode):

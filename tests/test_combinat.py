@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -440,18 +442,37 @@ def test_partitions_and_valid_rank_sequences_are_in_bijection(r):
     assert len(set(classes)) == len(classes) and set(classes) == valid
 
 
+def _former_class_checks(r, seq):
+    """The three checks a class used to make: first rank below the rank,
+    strictly decreasing and positive, then the chain rule."""
+    if not seq:
+        return True
+    return seq[0] < r and all(a > b for a, b in zip(seq, seq[1:])) and seq[-1] > 0 and chain_simple(r, seq)
+
+
 def test_invalid_rank_sequence_rejected():
-    with pytest.raises(ValueError):
+    rule = "power ranks must satisfy r - g_1 >= g_1 - g_2 >= ... >= g_s > 0"
+    with pytest.raises(ValueError, match=re.escape(rule)):
         NilpotentClass(rank=3, rank_sequence=(3,))  # not nilpotent
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(rule)):
         NilpotentClass(rank=3, rank_sequence=(1, 1))  # not strictly decreasing
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(rule)):
         NilpotentClass(rank=4, rank_sequence=(1, 0))  # zero tail entry
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(rule)):
         NilpotentClass(rank=5, rank_sequence=(4, 3))  # differences increase
     # valid convex sequences construct fine
     NilpotentClass(rank=5, rank_sequence=(2, 1))
     NilpotentClass(rank=5, rank_sequence=(3, 1))
+    # the one rule accepts and refuses exactly as the former three checks
+    for r in range(1, 7):
+        for length in range(5):
+            for seq in itertools.product(range(-1, 8), repeat=length):
+                try:
+                    NilpotentClass(rank=r, rank_sequence=seq)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == _former_class_checks(r, seq), (r, seq)
 
 
 def test_marked_line_invariants():

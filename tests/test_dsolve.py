@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from common import closed_form_matrices, inverse, partitions_of
-from starquiver import dsolve
+from common import FIXTURES, closed_form_matrices, inverse, partitions_of
+from starquiver import dsolve, higgs, jsonio
 from starquiver import linalg_exact as ex
 from starquiver.combinat import NilpotentClass
 from starquiver.dsolve import (
@@ -419,6 +419,20 @@ def test_solver_falls_back_to_a_converged_reducible_tuple():
     assert out.solution.residual == out.best_residuals[out.solution.restart_index]
     assert not is_smooth_point(out.solution.matrices)
     assert not verify(out.solution, inst).irreducible
+
+
+def test_verify_searches_no_invariant_subspace(monkeypatch):
+    # verify reads only the certificate's verdict and words: on the reducible
+    # tuple that ds solve finds for the rank-5 infeasible fixture (seed 1,
+    # three restarts) it draws no witness candidate and forms no closure
+    inst = jsonio.instance_from_json(jsonio.load(FIXTURES / "ds_rank5_infeasible.json"))
+    out = solve(inst, SolverConfig(seed=1, restarts=3))
+    calls = []
+    for name in ("_witness_candidates", "_proper_closures"):
+        monkeypatch.setattr(higgs, name, lambda *a, f=getattr(higgs, name), name=name: calls.append(name) or f(*a))
+    rep = verify(out.solution, inst)
+    assert out.success and not rep.irreducible and rep.words
+    assert calls == []
 
 
 @pytest.mark.parametrize("mode", ["float", "exact"])

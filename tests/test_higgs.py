@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import closure_oracle
 from common import (
     assert_witness_pairing,
     closed_form_flags,
@@ -286,9 +287,11 @@ def test_irreducible_closed_form():
 
 def test_reducible_upper_triangular():
     e12 = [[F(0), F(1)], [F(0), F(0)]]
-    cert = irreducible([e12, mscale(F(-1), e12)], "exact")
+    mats = [e12, mscale(F(-1), e12)]
+    cert = irreducible(mats, "exact")
     assert not cert.irreducible
-    w = cert.invariant_subspace
+    # the verdict's first candidate, which the certificate used to carry
+    w = closure_oracle.witness(cert.elements, mats, "exact")
     assert w is not None
     # the invariant line is the span of the first coordinate vector
     assert ex.rank(w) == 1

@@ -12,9 +12,12 @@ random vectors in the stability verdict, one Kronecker product and no
 solve against the identity, stacked Poisson bracket kernels with one home
 for the entry closed form, one test of strong preservation (no second
 check in `higgs_to_quiver`, no tolerance in either backend's `solve`),
-and subcommands that load
-only the layers they run: a CLI import, `type-check`, the exact layers
-and the exact `bridge --hitchin` conversions without numpy.  No package
+one home per certification fact (no invariant subspace search in
+`irreducible`, no import of `spectral` but `cli`'s, one chain check of a
+nilpotent class), and subcommands that load
+only the layers they run: a CLI import, `type-check`, `ds solve` without
+`spectral`, the exact layers and the exact `bridge --hitchin` conversions
+without numpy.  No package
 module imports sympy, numpy is the one runtime dependency, and an exact
 `ds verify --hitchin` and the `bridge --hitchin` conversions, the integer
 factorization included, load no sympy."""
@@ -160,15 +163,21 @@ def test_cli_import_leaves_sympy_unloaded(tmp_path):
 
 def test_verify_hitchin_leaves_sympy_unloaded(tmp_path):
     # the exact spectral cross-check (char_poly and vanishing orders) runs on
-    # plain integers; ds loads no poisson
+    # plain integers; ds loads no poisson, and spectral only for the
+    # appendix of ds verify --hitchin: ds solve and a plain ds verify
+    # certify with dsolve's own rank profile
     instance, sol = str(FIXTURES / "ds_rank2_four_rank1.json"), str(tmp_path / "sol.json")
     code = (
         "import sys; from starquiver.cli import main; "
         f"assert main(['ds', 'solve', '--instance', {instance!r}, '--seed', '7', '--out', {sol!r}]) == 0; "
+        f"{LOADED}; "
+        f"assert main(['ds', 'verify', '--solution', {sol!r}, '--instance', {instance!r}]) == 0; "
+        f"{LOADED}; "
         f"assert main(['ds', 'verify', '--solution', {sol!r}, '--instance', {instance!r}, '--hitchin']) == 0; "
         f"{LOADED}"
     )
-    loaded = run_fresh(code)[-1].split()
+    solved, verified, loaded = (line.split() for line in run_fresh(code) if line.startswith("arith "))
+    assert "dsolve" in solved and "spectral" not in solved and solved == verified
     assert "dsolve" in loaded and "spectral" in loaded and "numpy" in loaded
     assert "poisson" not in loaded and "sympy" not in loaded
 
@@ -643,8 +652,8 @@ def test_mode_forks_stay_in_arith():
 
 
 def test_stability_verdict_draws_no_random_vectors():
-    # the verdict tests the algebra closures of the flags; seeded random
-    # vectors stay in the irreducibility witness search
+    # the verdict's search draws seeded random vectors only through
+    # _witness_candidates, whose first proper closure leads its candidates
     tree = ast.parse((SRC / "starquiver" / "higgs.py").read_text(encoding="utf-8"))
     callers = [
         f.name
@@ -969,6 +978,49 @@ def test_one_path_through_the_exact_chain():
     assert len(calls_of("rank")(kernels["parabolic_slope"])) <= 2
 
 
+def package_imports(tree):
+    """Stems of the package modules that the imports of ``tree`` name,
+    function-local ones included: ``from .m import x``, ``from . import m``
+    and the same written from ``starquiver``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("starquiver")):
+            module = (node.module or "").removeprefix("starquiver").lstrip(".")
+            out += [module] if module else [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            out += [a.name.removeprefix("starquiver.") for a in node.names if a.name.startswith("starquiver.")]
+    return out
+
+
+def class_fields(cls):
+    """The annotated names in the body of class ``cls``."""
+    return [node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)]
+
+
+def guarded_raises(f, name):
+    """``raise`` statements of ``f`` inside an ``if`` whose test reads ``name``."""
+    found = {}
+    for node in ast.walk(f):
+        if isinstance(node, ast.If) and name in {n.id for n in ast.walk(node.test) if isinstance(n, ast.Name)}:
+            found.update((id(r), r) for stmt in node.body for r in ast.walk(stmt) if isinstance(r, ast.Raise))
+    return list(found.values())
+
+
+def test_one_home_per_certification_fact():
+    # irreducible certifies from its word closure and searches no invariant
+    # subspace, which stability_verdict alone does; dsolve owns the rank
+    # profile, so only cli's spectral appendix imports spectral; a nilpotent
+    # class checks its power ranks by the one chain rule
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE}
+    higgs = {node.name: node for node in trees["higgs"].body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert calls_of("_witness_candidates")(higgs["irreducible"]) == calls_of("_proper_closures")(higgs["irreducible"]) == []
+    assert class_fields(higgs["IrreducibilityCertificate"]) == ["irreducible", "words", "elements"]
+    assert [stem for stem, tree in trees.items() if "spectral" in package_imports(tree)] == ["cli"]
+    nilpotent = next(node for node in trees["combinat"].body if isinstance(node, ast.ClassDef) and node.name == "NilpotentClass")
+    post_init = next(node for node in nilpotent.body if isinstance(node, ast.FunctionDef) and node.name == "__post_init__")
+    assert len(guarded_raises(post_init, "seq")) == 1
+
+
 def test_the_guards_see_the_former_copies():
     # the shapes the two guards look for, as the former bareiss and
     # _integer_rows wrote them
@@ -1056,3 +1108,28 @@ def test_the_guards_see_the_former_copies():
         "    inter = [k] + [o.rank(step) + k - o.rank(o.from_columns(o.columns(step) + o.columns(w))) for step in h.flags[i]] + [0]\n"
     )
     assert len(calls_of("rank")(slope.body[0])) == 3
+    # the former witness of irreducible and its certificate field, the
+    # former home of the rank profile, and the three chain checks a
+    # nilpotent class made
+    witness = ast.parse(
+        "def irreducible(mats, mode='float'):\n"
+        "    witness = next(_proper_closures(elements, ([v] for v in _witness_candidates(mats, mode)), o), None)\n"
+    )
+    assert len(calls_of("_witness_candidates")(witness.body[0])) == len(calls_of("_proper_closures")(witness.body[0])) == 1
+    cert = ast.parse("class IrreducibilityCertificate:\n    irreducible: bool\n    words: list\n    invariant_subspace: object = None\n")
+    assert "invariant_subspace" in class_fields(cert.body[0])
+    imports = ast.parse("from .spectral import rank_profile\nfrom . import spectral\nimport starquiver.spectral\nfrom starquiver.spectral import char_poly\n")
+    assert package_imports(imports) == ["spectral"] * 4
+    chain = ast.parse(
+        "def __post_init__(self):\n"
+        "    if self.rank < 1:\n"
+        "        raise ValueError('rank must be positive')\n"
+        "    if seq:\n"
+        "        if seq[0] >= self.rank:\n"
+        "            raise ValueError('a nilpotent class has first power rank below the rank')\n"
+        "        if any(a <= b for a, b in zip(seq, seq[1:])) or seq[-1] <= 0:\n"
+        "            raise ValueError('power ranks must be strictly decreasing and positive')\n"
+        "        if not chain_simple(self.rank, seq):\n"
+        "            raise ValueError('rank differences must be nonincreasing (not a valid Jordan type)')\n"
+    )
+    assert len(guarded_raises(chain.body[0], "seq")) == 3

@@ -23,7 +23,7 @@ from starquiver import spectral
 from starquiver.arith import EXACT
 from starquiver.floatarith import FLOAT
 from starquiver.combinat import NilpotentClass
-from starquiver.spectral import rank_profile
+from starquiver.dsolve import rank_profile
 
 _ENTRIES = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
 

@@ -10,7 +10,7 @@ from integral_oracle import as_expr, check_certificate, factor_verdict, spectral
 from starquiver import linalg_exact as ex
 from starquiver import spectral
 from starquiver.combinat import MarkedLine, NilpotentClass, ParabolicType
-from starquiver.dsolve import DSInstance, SolverConfig, flags_from_solution, solve
+from starquiver.dsolve import DSInstance, SolverConfig, flags_from_solution, rank_profile, solve
 from starquiver.higgs import HiggsTuple
 from starquiver.spectral import (
     SPECIALIZATION_POOL,
@@ -18,7 +18,6 @@ from starquiver.spectral import (
     HitchinPoint,
     char_poly,
     is_integral,
-    rank_profile,
     spectral_poly,
     vanishing_orders,
 )
