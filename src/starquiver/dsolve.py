@@ -147,6 +147,9 @@ class DSSolution:
     restart_index: int = -1
     iterations: int = 0
 
+    def __post_init__(self):
+        self.ops = ops(self.mode)  # an unknown mode is refused here, as StarRep and HiggsTuple refuse it
+
     def profile(self, tol=None):
         return rank_profile(self.matrices, self.mode, tol)
 
@@ -311,7 +314,7 @@ def verify(solution: DSSolution, instance: DSInstance) -> VerifyReport:
     Raises ``ValueError`` naming the first point without one rank x rank
     matrix and one rank x rank conjugator for its class.
     """
-    o = ops(solution.mode)
+    o = solution.ops
     r, mats, conj = instance.rank, solution.matrices, solution.conjugators
     for i in range(max(instance.n, len(mats), len(conj))):
         pair = [x[i] for x in (mats, conj) if i < len(x)]
@@ -387,7 +390,7 @@ def flags_from_solution(solution: DSSolution, sigma: ParabolicType) -> HiggsTupl
     ``residual`` nor the sum under test widens it.  So is a solution with
     another number of matrices than the type has points.
     """
-    o = ops(solution.mode)
+    o = solution.ops
     gammas = [sigma.gamma(i) for i in range(sigma.n_points)]
     rows = [_flag_rows(o, a, g, i) for i, (a, g) in enumerate(zip(solution.matrices, gammas))]
     flags = [[o.from_columns(basis[:g]) for g in gs] for basis, gs in zip(rows, gammas)]

@@ -44,15 +44,23 @@ def int_from_json(v):
     return int(x)
 
 
+# the JSON names of the values json.load returns, which a decoder's message
+# gives when the value is not an object
+_JSON_TYPES = {list: "an array", str: "a string", bool: "a boolean", int: "a number", float: "a number", type(None): "null"}
+
+
 def _decoder(what):
     """Decorate the decoder of the value ``what`` so that malformed data ends
-    in one ``InputFormatError``: a missing field, or an invalid value with
-    the message of the error that decoding it raised (a zero denominator,
-    or a number too large for a float, among them)."""
+    in one ``InputFormatError``: a value that is not a JSON object, a missing
+    field, or an invalid value with the message of the error that decoding
+    it raised (a zero denominator, or a number too large for a float, among
+    them)."""
 
     def wrap(decode):
         @functools.wraps(decode)
         def run(data, *args, **kwargs):
+            if not isinstance(data, dict):
+                raise InputFormatError(f"invalid {what}: expected a JSON object, got {_JSON_TYPES.get(type(data), type(data).__name__)}")
             try:
                 return decode(data, *args, **kwargs)
             except KeyError as e:

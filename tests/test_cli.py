@@ -741,7 +741,7 @@ def test_residue_tuple_with_scalar_matrices_is_an_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("data,message", [
-    (5, "argument of type 'int' is not iterable"),
+    pytest.param(5, "expected a JSON object, got a number", id="number"),
     ({"splitting_type": 5}, "'int' object is not iterable"),
 ])
 def test_residue_tuple_that_is_not_an_object_is_an_input_error(tmp_path, capsys, data, message):
@@ -1060,12 +1060,19 @@ def test_malformed_solution_is_an_input_error(tmp_path, capsys, data):
     assert code == 1
     assert err.startswith("error: invalid solution:")
     assert "Traceback" not in err
+    # a file that is not an object is refused by its JSON type
+    assert isinstance(data, dict) or err == "error: invalid solution: expected a JSON object, got an array\n"
 
 
 _STRING_ENTRIES = {
     "representation": lambda: jsonio.load(_GOLDEN / "closed_form_rep.json"),
     "residue tuple": lambda: jsonio.load(FIXTURES / "higgs_rank2_heavy_top.json"),
     "solution": lambda: {"matrices": [[["0", "1"], ["0", "0"]]] * 4, "conjugators": [[["1", "0"], ["0", "1"]]] * 4},
+}
+_NO_ENTRIES = {
+    "representation": lambda: {"rank": 2, "arms": [], "matrices": {}},
+    "residue tuple": lambda: {"type": jsonio.load(FIXTURES / "type_rank2_full_flags.json"), "matrices": [], "flags": []},
+    "solution": lambda: {"matrices": [], "conjugators": []},
 }
 
 
@@ -1076,10 +1083,11 @@ _STRING_ENTRIES = {
 ])
 def test_an_unknown_mode_is_refused_as_a_mode(tmp_path, capsys, what, mode, argv):
     # a mode other than float or exact was read as float, and the error
-    # named the first string entry as a floating scalar
-    data = dict(_STRING_ENTRIES[what](), mode=mode)
-    code, err = _malformed_run(tmp_path, capsys, data, argv)
-    assert (code, err) == (1, f"error: invalid {what}: mode must be 'float' or 'exact'\n")
+    # named the first string entry as a floating scalar; with no matrix at
+    # all, the value refuses the mode when it is built
+    for entries in (_STRING_ENTRIES, _NO_ENTRIES):
+        code, err = _malformed_run(tmp_path, capsys, dict(entries[what](), mode=mode), argv)
+        assert (code, err) == (1, f"error: invalid {what}: mode must be 'float' or 'exact'\n")
 
 
 def test_unnested_flags_are_an_input_error(tmp_path, capsys):
@@ -1137,6 +1145,27 @@ def test_exit_code_table(monkeypatch, capsys, error, code):
 
 _GOLDEN = Path(__file__).resolve().parent / "golden"
 _TYPE = str(FIXTURES / "type_rank2_full_flags.json")
+
+
+@pytest.mark.parametrize("what,argv", [
+    ("parabolic type", ["type-check", "--type", "BAD"]),
+    ("instance", ["ds", "solve", "--instance", "BAD"]),
+    ("instance", ["ds", "verify", "--solution", "SOLUTION", "--instance", "BAD"]),
+    ("solution", ["ds", "verify", "--solution", "BAD", "--instance", RANK2_INSTANCE]),
+    ("residue tuple", ["bridge", "to-quiver", "--higgs", "BAD"]),
+    ("representation", ["bridge", "to-higgs", "--rep", "BAD", "--type", _TYPE]),
+    ("parabolic type", ["bridge", "to-higgs", "--rep", str(_GOLDEN / "closed_form_rep.json"), "--type", "BAD"]),
+    ("representation", ["poisson", "check", "--rep", "BAD", "--grid", "1"]),
+], ids=["type-check", "ds-solve", "ds-verify-instance", "ds-verify-solution", "to-quiver", "to-higgs-rep", "to-higgs-type", "poisson-check"])
+@pytest.mark.parametrize("data,name", [([], "an array"), ("x", "a string"), (None, "null")], ids=["array", "string", "null"])
+def test_a_file_that_is_not_an_object_is_an_input_error(tmp_path, capsys, what, argv, data, name):
+    # every decoder names the JSON type it got instead of an object, before
+    # it reads a field; the command's other file is a valid one
+    solution = tmp_path / "solution.json"
+    jsonio.dump(solution, dict(_STRING_ENTRIES["solution"](), mode="exact"))
+    argv = [str(solution) if a == "SOLUTION" else a for a in argv]
+    code, err = _malformed_run(tmp_path, capsys, data, argv)
+    assert (code, err) == (1, f"error: invalid {what}: expected a JSON object, got {name}\n")
 
 
 @pytest.mark.parametrize("argv,option", [

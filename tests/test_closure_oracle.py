@@ -3,7 +3,7 @@ the algebra closures against the former implementations in
 ``closure_oracle``, and properties of every invariant subspace the
 closures return."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -187,8 +187,12 @@ def test_irreducible_matches_oracle_on_reducible_tuples(mode):
 
 
 def test_certificate_carries_the_word_products():
+    # and nothing else: a reducible tuple's certificate holds no invariant
+    # subspace, which stability_verdict alone searches
     mats = _as_mode(block_triangular_tuple(3), "exact")
     cert = irreducible(mats, "exact")
+    assert not cert.irreducible
+    assert [f.name for f in fields(cert)] == ["irreducible", "words", "elements"]
     for word, m in zip(cert.words, cert.elements, strict=True):
         product = ex.meye(len(mats[0]))
         for idx in reversed(word):

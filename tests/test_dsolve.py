@@ -421,6 +421,12 @@ def test_solver_falls_back_to_a_converged_reducible_tuple():
     assert not verify(out.solution, inst).irreducible
 
 
+def test_verify_has_no_spectral_option():
+    # cli._spectral_appendix runs the spectral cross-check; verify certifies
+    # only the tuple it is given
+    assert list(inspect.signature(verify).parameters) == ["solution", "instance"]
+
+
 def test_verify_searches_no_invariant_subspace(monkeypatch):
     # verify reads only the certificate's verdict and words: on the reducible
     # tuple that ds solve finds for the rank-5 infeasible fixture (seed 1,

@@ -1,28 +1,11 @@
-"""Source hygiene: no unused imports in the package or the tests (a
-function-local one is read in its own function), no unread private
-module-level names or function parameters in the package, no public
-function, class, method or `arith` backend op that the pipeline does not
-reach from its roots (module-level statements, the console entry point,
-the benchmark harness and the names README.md gives), no dataclass field
-that none of those reads, no option that
-every caller in the package and the benchmark leaves at its default, no
-new mode comparison outside `arith`, no seeded
-random vectors in the stability verdict, one Kronecker product and no
-`np.kron`, one fraction-free elimination loop, one integer inverse and no
-solve against the identity, stacked Poisson bracket kernels with one home
-for the entry closed form, one test of strong preservation (no second
-check in `higgs_to_quiver`, no tolerance in either backend's `solve`),
-one home per certification fact (no invariant subspace search in
-`irreducible`, no import of `spectral` but `cli`'s, one chain check of a
-nilpotent class), and subcommands that load
-only the layers they run: a CLI import, `type-check`, `ds solve` without
-`spectral`, the exact layers and the exact `bridge --hitchin` conversions
-without numpy.  No package
-module imports sympy, numpy is the one runtime dependency, and an exact
-`ds verify --hitchin` and the `bridge --hitchin` conversions, the integer
-factorization included, load no sympy."""
+"""Source hygiene: no unused imports, unread private names or parameters,
+no public definition, dataclass field or option that the pipeline leaves
+unreached, subcommands that load only the layers they run, no sympy in the
+package and numpy its one runtime dependency, and one home per fact, kept
+as the rows of ``GUARDS`` below.  Each file is parsed once."""
 
 import ast
+import collections
 import functools
 import json
 import os
@@ -39,6 +22,12 @@ GOLDEN = SRC.parent / "tests" / "golden"
 PACKAGE = sorted((SRC / "starquiver").glob("*.py"))
 # the benchmark harness, its tests left out
 BENCH = [p for p in sorted((SRC.parent / "perfbench").glob("*.py")) if not p.name.startswith("test_") and p.name != "conftest.py"]
+
+
+@functools.cache
+def parsed(path):
+    """The syntax tree of the file at ``path``, parsed once per session."""
+    return ast.parse(path.read_text(encoding="utf-8"))
 
 
 def scoped_imports(tree):
@@ -61,7 +50,7 @@ def unused_imports(path):
     module for a module-level import, inside its own function (nested
     functions included) for a function-local one."""
     hits = []
-    for scope, imports in scoped_imports(ast.parse(path.read_text(encoding="utf-8"))).items():
+    for scope, imports in scoped_imports(parsed(path)).items():
         used = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
         for node in imports:
             names = {(alias.asname or alias.name).split(".")[0] for alias in node.names}
@@ -70,7 +59,7 @@ def unused_imports(path):
 
 
 def test_no_unused_imports():
-    hits = [hit for path in sorted((SRC / "starquiver").glob("*.py")) for hit in unused_imports(path)]
+    hits = [hit for path in PACKAGE for hit in unused_imports(path)]
     assert hits == []
 
 
@@ -111,7 +100,7 @@ def private_definitions(tree):
 
 
 def test_no_unread_private_names():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted((SRC / "starquiver").glob("*.py"))}
+    trees = {path.name: parsed(path) for path in PACKAGE}
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -257,7 +246,7 @@ def sympy_imports(tree):
 
 def test_no_package_module_imports_sympy():
     # integrality runs in plain integers; sympy is the tests' oracle only
-    hits = {path.name: sympy_imports(ast.parse(path.read_text(encoding="utf-8"))) for path in PACKAGE}
+    hits = {path.name: sympy_imports(parsed(path)) for path in PACKAGE}
     assert {name: lines for name, lines in hits.items() if lines} == {}
     # the guard sees the imports of the former fallback, function-local both
     former = "def f(poly):\n    import sympy\n    from sympy.polys.polyerrors import BasePolynomialError\n"
@@ -341,7 +330,7 @@ def definition_units(path):
     module-level function, a class apart from its members, a method or a
     method alias such as ``copy = staticmethod(...)`` (key ``Class.name``),
     and the remaining module-level statements (key None)."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    tree = parsed(path)
     modules = module_aliases(tree)
     units, rest = [], []
     for node in tree.body:
@@ -505,10 +494,9 @@ def test_reachability_ignores_module_attributes_locals_and_dead_cycles(tmp_path)
 
 def dataclass_fields(path):
     """``module.Class.field`` of each field of the module's dataclasses."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
     return [
         f"{path.stem}.{node.name}.{m.target.id}"
-        for node in tree.body
+        for node in parsed(path).body
         if isinstance(node, ast.ClassDef)
         and any("dataclass" in (getattr(d, "id", None), getattr(getattr(d, "func", None), "id", None)) for d in node.decorator_list)
         for m in node.body
@@ -555,8 +543,8 @@ def test_every_parameter_is_read():
     # an option no body reads is an option no caller can use
     hits = [
         f"{path.name}:{line}: {name}({arg})"
-        for path in sorted((SRC / "starquiver").glob("*.py"))
-        for name, arg, line in unread_parameters(ast.parse(path.read_text(encoding="utf-8")))
+        for path in PACKAGE
+        for name, arg, line in unread_parameters(parsed(path))
     ]
     assert hits == []
 
@@ -619,517 +607,329 @@ def test_every_option_is_set():
     # an option that every caller of the package or its benchmark leaves at
     # its default is a constant: each one doubles the configurations the
     # tests must cover, and a test setting it does not make it an option
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE + BENCH}
+    trees = {path: parsed(path) for path in PACKAGE + BENCH}
     hits = {"{}:{}".format(*hit.split(":")[::2]): hit for hit in unset_options(trees, SRC)}
     assert sorted(hit for key, hit in hits.items() if key not in UNSET_OPTIONS_KEPT) == []
     assert sorted(hits.keys() & UNSET_OPTIONS_KEPT.keys()) == sorted(UNSET_OPTIONS_KEPT)
 
 
-def mode_comparisons(tree):
-    """Lines comparing a ``mode`` name or attribute with == or !=."""
+# ---------------------------------------------------------------------------
+# One home per fact.  Each row of GUARDS names a fact, a finder of the code
+# that states it, the functions that own it (none for "nowhere") and the
+# former copies that the finder must see.  A new one-home fact is a new row,
+# with ``calls_of`` wherever it can say the fact; a finder of its own only
+# where it cannot.
 
-    def is_mode(node):
-        return getattr(node, "id", None) == "mode" or getattr(node, "attr", None) == "mode"
 
-    return [
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Compare)
-        and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
-        and any(is_mode(x) for x in [node.left, *node.comparators])
+def outline(tree, module):
+    """({id(node): owner}, {owner: node}) over ``tree``.  The owner of a node
+    is ``module.Class.function``, the qualified name of the innermost class or
+    function that holds it (a definition holds itself), else ``module``."""
+    home, defs = {}, {module: tree}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{owner}.{child.name}"
+                defs[inner] = child
+            home[id(child)] = inner
+            visit(child, inner)
+
+    visit(tree, module)
+    return home, defs
+
+
+@functools.cache
+def package_outline(path):
+    return outline(parsed(path), path.stem)
+
+
+def owners(find, scope=""):
+    """The sorted owners of the nodes that ``find`` reports in the package,
+    run on the node of ``scope`` (a module or a qualified name) or on each
+    module."""
+    out = []
+    for path in PACKAGE:
+        home, defs = package_outline(path)
+        if scope.split(".")[0] in ("", path.stem):
+            out += [home[id(node)] for node in find(defs[scope or path.stem])]
+    return sorted(out)
+
+
+def calls_of(*names):
+    """A finder of the calls of any of ``names`` (bare or as an attribute)."""
+    return lambda f: [
+        n for n in ast.walk(f) if isinstance(n, ast.Call) and {getattr(n.func, "id", None), getattr(n.func, "attr", None)} & set(names)
     ]
 
 
-def test_mode_forks_stay_in_arith():
-    # arith chooses between the entry formats; a new exact-only or float-only
-    # path elsewhere must come through a backend operation, not a mode test
-    counts = {
-        path.stem: len(mode_comparisons(ast.parse(path.read_text(encoding="utf-8"))))
-        for path in sorted((SRC / "starquiver").glob("*.py"))
-        if path.stem != "arith"
-    }
-    assert {k: v for k, v in counts.items() if v} == {"cli": 1, "dsolve": 1, "higgs": 1, "jsonio": 2, "spectral": 1}
+def binops(f, op, test):
+    """The binary operations ``op`` in ``f`` for which ``test(left, right)`` holds."""
+    return [n for n in ast.walk(f) if isinstance(n, ast.BinOp) and isinstance(n.op, op) and test(n.left, n.right)]
 
 
-def test_stability_verdict_draws_no_random_vectors():
-    # the verdict's search draws seeded random vectors only through
-    # _witness_candidates, whose first proper closure leads its candidates
-    tree = ast.parse((SRC / "starquiver" / "higgs.py").read_text(encoding="utf-8"))
-    callers = [
-        f.name
-        for f in tree.body
-        if isinstance(f, ast.FunctionDef)
-        for node in ast.walk(f)
-        if isinstance(node, ast.Call) and "default_rng" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
-    ]
-    assert callers == ["_witness_candidates"]
+def is_op(node, op):
+    return isinstance(node, ast.BinOp) and isinstance(node.op, op)
 
 
-def test_one_kronecker_product_and_no_numpy_kron():
-    # np.kron costs tens of microseconds a call on the solver's small
-    # matrices; floatarith.kron is the package's one Kronecker product
-    defined, numpy_kron = [], []
-    for path in sorted((SRC / "starquiver").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.FunctionDef) and "kron" in node.name.lower():
-                defined.append(f"{path.stem}.{node.name}")
-            elif isinstance(node, ast.Attribute) and node.attr == "kron":
-                numpy_kron.append(f"{path.name}:{node.lineno}")
-            elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
-                numpy_kron += [f"{path.name}:{node.lineno}" for a in node.names if a.name == "kron"]
-    assert defined == ["floatarith.kron"]
-    assert numpy_kron == []
+def mode_comparisons(f):
+    """Comparisons of a ``mode`` name or attribute with == or !=."""
+    compares = [n for n in ast.walk(f) if isinstance(n, ast.Compare) and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in n.ops)]
+    return [n for n in compares if "mode" in {getattr(x, "id", None) or getattr(x, "attr", None) for x in [n.left, *n.comparators]}]
 
 
-def fraction_free_steps(tree):
-    """Floor divisions of a difference of two products, ``(p*x - f*y) // prev``:
-    the row update of a fraction-free elimination."""
-
-    def is_product(node):
-        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
-
-    return [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.BinOp)
-        and isinstance(node.op, ast.FloorDiv)
-        and isinstance(node.left, ast.BinOp)
-        and isinstance(node.left.op, ast.Sub)
-        and is_product(node.left.left)
-        and is_product(node.left.right)
-    ]
+def definitions(word):
+    """A finder of the functions whose name holds ``word``, in any case."""
+    return lambda f: [n for n in ast.walk(f) if isinstance(n, ast.FunctionDef) and word in n.name.lower()]
 
 
-def test_one_elimination_loop():
-    # linalg_exact.echelon is the package's one forward elimination; rank,
-    # solve, int_kernel, the refinement's flag inverses and the anchored
-    # zero-sum solve all run it, and none keeps a second copy of the loop
-    # beside it
-    assert owners_of(fraction_free_steps) == ["linalg_exact.echelon"]
+def numpy_kron(f):
+    """``.kron`` read as an attribute, and ``kron`` imported from numpy."""
+    attrs = [n for n in ast.walk(f) if isinstance(n, ast.Attribute) and n.attr == "kron"]
+    return attrs + [a for n in ast.walk(f) if isinstance(n, ast.ImportFrom) and n.module == "numpy" for a in n.names if a.name == "kron"]
+
+
+def fraction_free_steps(f):
+    """``(p*x - f*y) // prev``: the row update of a fraction-free elimination."""
+    return binops(f, ast.FloorDiv, lambda a, b: is_op(a, ast.Sub) and is_op(a.left, ast.Mult) and is_op(a.right, ast.Mult))
 
 
 def pivot_divisions(f):
-    """Floor divisions in function ``f`` by a pivot entry: by a subscript
-    ``row[pivots[k]]`` indexed by another subscript, or by a name bound to
-    one in ``f``."""
+    """Floor divisions by a pivot entry: by a subscript ``row[pivots[k]]``
+    indexed by another subscript, or by a name bound to one in ``f``."""
 
-    def is_pivot_entry(node):
+    def is_pivot(node):
         return isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Subscript)
 
-    bound = {
-        t.id
-        for node in ast.walk(f)
-        if isinstance(node, ast.Assign) and is_pivot_entry(node.value)
-        for t in node.targets
-        if isinstance(t, ast.Name)
-    }
-    return [
-        node
-        for node in ast.walk(f)
-        if isinstance(node, ast.BinOp)
-        and isinstance(node.op, ast.FloorDiv)
-        and (is_pivot_entry(node.right) or (isinstance(node.right, ast.Name) and node.right.id in bound))
-    ]
-
-
-def clearing_steps(tree):
-    """``x.numerator * (d // x.denominator)``: a rational written as an
-    integer over the denominator d."""
-    return [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.BinOp)
-        and isinstance(node.op, ast.Mult)
-        and getattr(node.left, "attr", None) == "numerator"
-        and isinstance(node.right, ast.BinOp)
-        and isinstance(node.right.op, ast.FloorDiv)
-        and getattr(node.right.right, "attr", None) == "denominator"
-    ]
-
-
-def owners_of(find):
-    """``module.function`` once for each node ``find`` returns in the body
-    of a package function."""
-    owners = []
-    for path in sorted((SRC / "starquiver").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.FunctionDef):
-                owners += [f"{path.stem}.{node.name}"] * len(find(node))
-    return owners
-
-
-def calls_of(name):
-    """A finder of the calls of ``name`` (bare or as a module attribute)."""
-
-    def find(f):
-        return [
-            node
-            for node in ast.walk(f)
-            if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-        ]
-
-    return find
+    bound = {t.id for n in ast.walk(f) if isinstance(n, ast.Assign) and is_pivot(n.value) for t in n.targets if isinstance(t, ast.Name)}
+    return binops(f, ast.FloorDiv, lambda a, b: is_pivot(b) or getattr(b, "id", None) in bound)
 
 
 def identity_solves(f):
-    """Calls of ``solve`` whose right-hand side calls ``meye`` or ``eye``:
-    an inverse written as a linear solve."""
-    return [node for node in calls_of("solve")(f) if len(node.args) > 1 and (calls_of("meye")(node.args[1]) or calls_of("eye")(node.args[1]))]
+    """Calls of ``solve`` whose right-hand side calls ``meye`` or ``eye``: an
+    inverse written as a linear solve."""
+    return [n for n in calls_of("solve")(f) if len(n.args) > 1 and calls_of("meye", "eye")(n.args[1])]
 
 
-def test_one_back_substitution():
-    # linalg_exact.back_substitute is the package's one division by the
-    # echelon pivots; solve, int_kernel, int_inverse (the refinement's
-    # d·Q^-1 and the Sylvester inverses of the Hensel lifts) and the
-    # anchored zero-sum solve read their answers off it, and nothing else
-    # calls it
-    assert owners_of(pivot_divisions) == ["linalg_exact.back_substitute"]
-    assert sorted(owners_of(calls_of("back_substitute"))) == [
-        "dsolve._solve_anchored",
-        "linalg_exact.int_inverse",
-        "linalg_exact.int_kernel",
-        "linalg_exact.solve",
-    ]
+def clearing_steps(f):
+    """``x.numerator * (d // x.denominator)``: a rational as an integer over d."""
+    def test(a, b):
+        return getattr(a, "attr", None) == "numerator" and is_op(b, ast.FloorDiv) and getattr(b.right, "attr", None) == "denominator"
 
-
-def test_one_integer_inverse():
-    # linalg_exact.int_inverse is the package's one exact inverse; no
-    # function inverts by solving against the identity
-    assert owners_of(identity_solves) == []
-
-
-def test_one_clearing_rule():
-    # linalg_exact.clear writes rationals as integers over one denominator;
-    # spectral._integer_form keeps its own step because it scales level j
-    # by s^j, which no single denominator does
-    assert owners_of(clearing_steps) == ["linalg_exact.clear", "spectral._integer_form"]
-
-
-squarefree_tests = calls_of("_discriminant_vanishes")  # the squarefree test
+    return binops(f, ast.Mult, test)
 
 
 def doubled_comparisons(f):
-    """Comparisons with ``2 * x`` on one side, as the residue-sum inequality
-    2r <= sum of gamma_1 is written."""
-
-    def doubled(node):
-        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and getattr(node.left, "value", None) == 2
-
-    return [node for node in ast.walk(f) if isinstance(node, ast.Compare) and any(map(doubled, [node.left, *node.comparators]))]
+    """Comparisons with ``2 * x`` on one side, as 2r <= sum of gamma_1 is written."""
+    sides = [(n, x) for n in ast.walk(f) if isinstance(n, ast.Compare) for x in [n.left, *n.comparators]]
+    return list({id(n): n for n, x in sides if is_op(x, ast.Mult) and getattr(x.left, "value", None) == 2}.values())
 
 
 def first_flag_dimensions(f):
     """``x.rank - ...``: a rank minus a flag step, gamma_1 = r - n_1."""
-    return [
-        node
-        for node in ast.walk(f)
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) and getattr(node.left, "attr", None) == "rank"
-    ]
+    return binops(f, ast.Sub, lambda a, b: getattr(a, "attr", None) == "rank")
 
 
-def test_one_squarefree_walk():
-    # the walk of spectral._factor over z0 = -1, -2, ... is the one place
-    # that evaluates the discriminant; the pool certificates of _certify
-    # only read factor degrees
-    assert owners_of(squarefree_tests) == ["spectral._factor"]
+def imports_of(module, *besides):
+    """A finder of the names imported from the package module ``module`` (of
+    ``module`` itself for ``from . import module``), ``besides`` left out."""
 
+    def find(f):
+        out = [a for n in ast.walk(f) if isinstance(n, ast.Import) for a in n.names if a.name == f"starquiver.{module}"]
+        for n in ast.walk(f):
+            if isinstance(n, ast.ImportFrom) and (n.level or (n.module or "").startswith("starquiver")):
+                source = (n.module or "").removeprefix("starquiver").lstrip(".")
+                out += [a for a in n.names if (source or a.name) == module and a.name not in besides]
+        return out
 
-def test_one_residue_sum_inequality():
-    # combinat.ds_feasible owns 2r <= sum of gamma_1; type-check prints and
-    # reports its FeasibilityReport.  The degree loop of
-    # spectral._distinct_degree compares a doubled degree with len(f)
-    assert owners_of(doubled_comparisons) == ["combinat.ds_feasible", "spectral._distinct_degree"]
-    assert first_flag_dimensions(ast.parse((SRC / "starquiver" / "cli.py").read_text(encoding="utf-8"))) == []
-
-
-def test_one_poisson_check():
-    # poisson.check is the one Poisson check: the brackets of its Jacobi
-    # triples, its commutativity grid and its Hamiltonian count have no other
-    # caller in the package, its entry sweeps share their kernel only with
-    # check_entry_bracket, and poisson check imports nothing else of poisson
-    for name in ("bracket_with", "check_commutativity", "independent_hamiltonian_count"):
-        assert set(owners_of(calls_of(name))) == {"poisson.check"}, name
-    assert set(owners_of(calls_of("entry_bracket_residuals"))) == {"poisson.check", "poisson.check_entry_bracket"}
-    cli = ast.parse((SRC / "starquiver" / "cli.py").read_text(encoding="utf-8"))
-    imported = [a.name for node in ast.walk(cli) if isinstance(node, ast.ImportFrom) and node.module == "poisson" for a in node.names]
-    assert imported == ["check"]
-
-
-def observable_calls(f):
-    """Calls that build an observable, a zero gradient or a generic bracket."""
-    return [node for name in ("trace_power_observable", "entry_observable", "bracket", "zero_gradient") for node in calls_of(name)(f)]
+    return find
 
 
 def entry_coefficients(f):
     """Divisions of the constant 1: the entry closed form's 1 / (z - x_m)."""
-    return [node for node in ast.walk(f) if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and getattr(node.left, "value", None) == 1]
-
-
-def test_stacked_bracket_kernels():
-    # check_commutativity and entry_bracket_residuals form their slots in one
-    # stacked pass, with no observable, zero gradient or generic bracket per
-    # term; poisson._entry_slots is the one home of the entry closed form,
-    # which entry_observable's gradient and the sweep both read
-    tree = ast.parse((SRC / "starquiver" / "poisson.py").read_text(encoding="utf-8"))
-    kernels = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
-    for name in ("check_commutativity", "entry_bracket_residuals"):
-        assert observable_calls(kernels[name]) == [], name
-    assert owners_of(entry_coefficients) == ["poisson._entry_slots"]
-    readers = {"poisson.entry_observable", "poisson.grad", "poisson.entry_bracket_residuals", "poisson.rows"}
-    assert set(owners_of(calls_of("_entry_slots"))) == readers
-
-
-def polynomial_entries(f):
-    """Calls of the dense polynomial product or evaluation: an entry of M
-    built, or read, over Z[z]."""
-    return calls_of("paddmul")(f) + calls_of("peval")(f)
-
-
-def test_char_poly_forms_integer_matrices():
-    # char_poly forms s M(t) as an integer matrix at each node; there is no
-    # matrix over Z[z] and no kernel that evaluates one
-    tree = ast.parse((SRC / "starquiver" / "spectral.py").read_text(encoding="utf-8"))
-    kernels = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
-    assert "_zx_charpoly" not in kernels
-    assert polynomial_entries(kernels["char_poly"]) == []
-
-
-SPECTRAL_CHAIN = ("char_poly", "vanishing_orders", "spectral_poly", "is_integral")
-
-
-def test_one_spectral_chain():
-    # cli._spectral_appendix runs the exact spectral cross-check for both
-    # bridge --hitchin and ds verify --hitchin; dsolve.verify certifies only
-    # the tuple it is given and has no spectral option
-    for name in SPECTRAL_CHAIN:
-        assert owners_of(calls_of(name)) == ["cli._spectral_appendix"], name
-    dsolve = ast.parse((SRC / "starquiver" / "dsolve.py").read_text(encoding="utf-8"))
-    imported = {a.name for node in ast.walk(dsolve) if isinstance(node, ast.ImportFrom) for a in node.names}
-    assert imported.isdisjoint(SPECTRAL_CHAIN)
-    verify = next(f for f in dsolve.body if isinstance(f, ast.FunctionDef) and f.name == "verify")
-    assert [a.arg for a in verify.args.args + verify.args.kwonlyargs] == ["solution", "instance"]
+    return binops(f, ast.Div, lambda a, b: getattr(a, "value", None) == 1)
 
 
 def second_preservation_checks(f):
     """A ``try``, a ``BridgeError`` built, or a ``solve`` given a third
     argument (a tolerance): a test of strong preservation besides
     ``HiggsTuple.validate``."""
-    tries = [node for node in ast.walk(f) if isinstance(node, ast.Try)]
-    return tries + calls_of("BridgeError")(f) + [node for node in calls_of("solve")(f) if len(node.args) + len(node.keywords) > 2]
+    tries = [n for n in ast.walk(f) if isinstance(n, ast.Try)]
+    return tries + calls_of("BridgeError")(f) + [n for n in calls_of("solve")(f) if len(n.args) + len(n.keywords) > 2]
 
 
-def solve_parameters(cls):
-    """The parameters after ``self`` of a backend class's ``solve`` (a
-    catch-all as ``*name``), or the source of the value it is bound to."""
-    for node in cls.body:
-        if isinstance(node, ast.FunctionDef) and node.name == "solve":
-            args = node.args
-            return [a.arg for a in args.args[1:] + args.kwonlyargs] + [f"*{v.arg}" for v in (args.vararg, args.kwarg) if v]
-        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["solve"]:
-            return ast.unparse(node.value)
-    return None
-
-
-def test_one_preservation_rule():
-    # HiggsTuple.validate is the one test of strong preservation:
-    # higgs_to_quiver reads the corestrictions of a validated tuple with no
-    # try, no BridgeError and no tolerance, and neither backend's solve
-    # takes a tolerance
-    higgs = ast.parse((SRC / "starquiver" / "higgs.py").read_text(encoding="utf-8"))
-    convert = next(f for f in higgs.body if isinstance(f, ast.FunctionDef) and f.name == "higgs_to_quiver")
-    assert second_preservation_checks(convert) == []
-    backends = {}
-    for name in ("arith", "floatarith"):
-        tree = ast.parse((SRC / "starquiver" / f"{name}.py").read_text(encoding="utf-8"))
-        backends.update({c.name: c for c in tree.body if isinstance(c, ast.ClassDef)})
-    assert solve_parameters(backends["_Float"]) == ["a", "b"]
-    assert solve_parameters(backends["_Exact"]) in (["a", "b"], "staticmethod(ex.solve)")
-
-
-def late_raises(f):
-    """``raise`` statements of ``f`` at or after its first top-level ``for``
-    loop (the node loop of ``char_poly``), and the conditional expressions in
-    the assignments of the name that loop's ``range(name + 1)`` reads."""
-    loop = next(i for i, node in enumerate(f.body) if isinstance(node, ast.For))
-    raises = [node for stmt in f.body[loop:] for node in ast.walk(stmt) if isinstance(node, ast.Raise)]
+def late_checks(f):
+    """In a function whose first top-level loop runs ``range(name + 1)``, the
+    node loop of ``char_poly``: the raises from that loop on, each assignment
+    of ``name`` after the first, and the conditional expressions in the first."""
+    loop = next(i for i, n in enumerate(f.body) if isinstance(n, ast.For))
     count = f.body[loop].iter.args[0].left.id
-    assigned = [node.value for node in ast.walk(f) if isinstance(node, ast.Assign) and count in [getattr(t, "id", None) for t in node.targets]]
-    conditional = [node for value in assigned for node in ast.walk(value) if isinstance(node, ast.IfExp)]
-    return raises, len(assigned), conditional
+    assigned = [n.value for n in ast.walk(f) if isinstance(n, ast.Assign) and count in [getattr(t, "id", None) for t in n.targets]]
+    raises = [n for stmt in f.body[loop:] for n in ast.walk(stmt) if isinstance(n, ast.Raise)]
+    return raises + assigned[1:] + [n for n in ast.walk(assigned[0]) if isinstance(n, ast.IfExp)]
 
 
 def none_frames(f):
-    """Calls in ``f`` given a literal ``None``, such as ``frames.append(None)``."""
-    return [node for node in ast.walk(f) if isinstance(node, ast.Call) and any(getattr(a, "value", 0) is None for a in node.args)]
+    """Calls given a literal ``None``, such as ``frames.append(None)``."""
+    return [n for n in ast.walk(f) if isinstance(n, ast.Call) and any(getattr(a, "value", 0) is None for a in n.args)]
 
 
-def test_one_path_through_the_exact_chain():
+def raises_under(name):
+    """A finder of the ``raise`` statements inside an ``if`` whose test reads ``name``."""
+
+    def find(f):
+        tests = [n for n in ast.walk(f) if isinstance(n, ast.If) and name in {x.id for x in ast.walk(n.test) if isinstance(x, ast.Name)}]
+        return list({id(r): r for n in tests for stmt in n.body for r in ast.walk(stmt) if isinstance(r, ast.Raise)}.values())
+
+    return find
+
+
+Guard = collections.namedtuple("Guard", "fact find owners former scope", defaults=("",))
+
+# former copies that more than one row must see
+CANDIDATES = "def _invariant_subspace_candidates(h, cert):\n    rng = np.random.default_rng(0)\n    if h.mode == 'exact':\n        pass\n"
+BAREISS = "def bareiss(a, pivots, k, prev):\n    p = a[k][pivots[k]]\n    a[i][j] = (p * a[i][j] - a[i][k] * a[k][j]) // prev\n    return [x // p for x in a[k]]\n"
+TYPE_CHECK = "def cmd_type_check(args):\n    gamma1_sum = sum(sigma.rank - m[0] for m in sigma.multiplicities)\n    feasible = 2 * sigma.rank <= gamma1_sum\n"
+POISSON_CHECK = (
+    "def cmd_poisson_check(args):\n    from .poisson import QuadraticObservable, check_commutativity, entry_bracket_residuals\n"
+    "    lhs = a.bracket_with(b.bracket_with(c, jmat), jmat).value_at(v)\n    entry.append(entry_bracket_residuals(rep, points, z, w).max())\n"
+    "    comm.append(check_commutativity(rep, points, t, t2, z, w))\n    count = independent_hamiltonian_count(rep, points, list(range(1, r + 3)), zs)\n"
+)
+OBSERVABLES = calls_of("trace_power_observable", "entry_observable", "bracket", "zero_gradient")
+CHAR_POLY = (
+    "def char_poly(h):\n    top = r * (n - 1) if any(sum(x) for row in entries for x in row) else max(0, r * (n - 2))\n"
+    "    for t in range(top + 1):\n        values.append(ex.paddmul(entry, [x], weight))\n    for j, v in enumerate(zip(*values), start=1):\n"
+    "        if p and len(p) - 1 > bound:\n            raise ExactnessRequired(f'level {j} coefficient has degree {len(p) - 1} > {bound}')\n"
+)
+VERIFY = "def verify(solution, instance, hitchin=False):\n    hp = char_poly(h)\n    orders = vanishing_orders(hp, sigma)\n    ok = is_integral(spectral_poly(hp))\n"
+REFINE_AT = (
+    "def _refine_at(solution, instance, nested, den):\n    if not c.rank_sequence:\n        frames.append(None)\n    if f is None:\n"
+    "        conjugators.append(ex.meye(r))\n    adj = ex.back_substitute(red, piv, d, [[-v for v in row[r:]] for row in red])\n"
+)
+GRAD = "def grad(rep):\n    out = zero_gradient(quiver)\n    c = 1.0 / (zc - complex(points[m]))\n"  # the former entry gradient
+IRREDUCIBLE = "def irreducible(mats, mode='float'):\n    witness = next(_proper_closures(elements, ([v] for v in _witness_candidates(mats, mode)), o), None)\n"
+
+GUARDS = [
+    # arith chooses between the entry formats; an exact-only or float-only
+    # path elsewhere comes through a backend operation, not a mode test
+    Guard("mode_forks_stay_in_arith", mode_comparisons, ["arith.ops"] * 2 + ["cli._spectral_appendix", "dsolve.exact_refine", "higgs._witness_candidates",
+          "jsonio.matrix_from_json", "jsonio.matrix_to_json", "spectral.char_poly"], {CANDIDATES: 1}),
+    # the verdict's search draws seeded random vectors only through
+    # _witness_candidates, whose first proper closure leads its candidates
+    Guard("stability_verdict_draws_no_random_vectors", calls_of("default_rng"), ["higgs._witness_candidates"], {CANDIDATES: 1}, "higgs"),
+    # np.kron costs tens of microseconds a call on the solver's small
+    # matrices; floatarith.kron is the one Kronecker product
+    Guard("one_kronecker_product", definitions("kron"), ["floatarith.kron"], {"def _kron_blocks(a, b):\n    pass\n": 1}),
+    Guard("no_numpy_kron", numpy_kron, [], {"def f(a, b):\n    from numpy import kron\n    return np.kron(a, b) + kron(a, b)\n": 2}),
+    # linalg_exact.echelon is the one forward elimination and back_substitute
+    # the one division by its pivots: solve, int_kernel, int_inverse (the
+    # refinement's d Q^-1 and the Sylvester inverses of the Hensel lifts) and
+    # the anchored zero-sum solve read their answers off it
+    Guard("one_elimination_loop", fraction_free_steps, ["linalg_exact.echelon"], {BAREISS: 1}),
+    Guard("one_back_substitution", pivot_divisions, ["linalg_exact.back_substitute"], {BAREISS: 1}),
+    Guard("back_substitution_callers", calls_of("back_substitute"),
+          ["dsolve._solve_anchored", "linalg_exact.int_inverse", "linalg_exact.int_kernel", "linalg_exact.solve"], {REFINE_AT: 1}),
+    # linalg_exact.int_inverse is the one exact inverse
+    Guard("one_integer_inverse", identity_solves, [], {"def s(g, h):\n    return ex.solve(_sylvester(g, h), ex.meye(len(g) + len(h) - 2))\n": 1}),
+    # linalg_exact.clear writes rationals over one denominator;
+    # spectral._integer_form scales level j by s^j, which no one denominator does
+    Guard("one_clearing_rule", clearing_steps, ["linalg_exact.clear", "spectral._integer_form"],
+          {"def g(row, den):\n    return [x.numerator * (den // x.denominator) for x in row]\n": 1}),
+    # spectral._factor's walk over z0 = -1, -2, ... is the one evaluation of
+    # the discriminant; the pool certificates of _certify read factor degrees
+    Guard("one_squarefree_walk", calls_of("_discriminant_vanishes"), ["spectral._factor"],
+          {"def c(f, vanishing):\n    if _discriminant_vanishes(f):\n        vanishing += 1\n": 1}),
+    # combinat.ds_feasible owns 2r <= sum of gamma_1, which type-check only
+    # reports; spectral._distinct_degree compares a doubled degree with len(f)
+    Guard("one_residue_sum_inequality", doubled_comparisons, ["combinat.ds_feasible", "spectral._distinct_degree"], {TYPE_CHECK: 1}),
+    Guard("cli_takes_no_first_flag_dimension", first_flag_dimensions, [], {TYPE_CHECK: 1}, "cli"),
+    # poisson.check is the one Poisson check: its Jacobi brackets, its
+    # commutativity grid and its Hamiltonian count have no other caller, its
+    # entry sweeps share their kernel only with check_entry_bracket, and
+    # poisson check imports nothing else of poisson
+    Guard("jacobi_brackets_in_the_check", calls_of("bracket_with"), ["poisson.check"] * 6, {POISSON_CHECK: 2}),
+    Guard("commutativity_grid_in_the_check", calls_of("check_commutativity"), ["poisson.check"], {POISSON_CHECK: 1}),
+    Guard("hamiltonian_count_in_the_check", calls_of("independent_hamiltonian_count"), ["poisson.check"], {POISSON_CHECK: 1}),
+    Guard("entry_sweeps_in_the_check", calls_of("entry_bracket_residuals"), ["poisson.check", "poisson.check_entry_bracket"], {POISSON_CHECK: 1}),
+    Guard("poisson_check_imports_only_check", imports_of("poisson", "check"), [], {POISSON_CHECK: 3}),
+    # the bracket kernels form their slots in one stacked pass, with no
+    # observable, zero gradient or generic bracket per term; _entry_slots is
+    # the one home of the entry closed form
+    Guard("stacked_commutativity", OBSERVABLES, [], {
+        "def check_commutativity(rep, points, t, t_prime, z, w):\n    it = trace_power_observable(rep.quiver, points, t, z, selfcheck=False)\n"
+        "    it2 = trace_power_observable(rep.quiver, points, t_prime, w, selfcheck=False)\n    return abs(bracket(it, it2, rep))\n": 3,
+    }, "poisson.check_commutativity"),
+    Guard("stacked_entry_sweep", OBSERVABLES, [], {
+        "def entry_bracket_residuals(rep, points, z, w):\n    def rows(x):\n"
+        "        return [entry_observable(q, points, x, i, j, selfcheck=False).grad(rep) for i in range(r) for j in range(r)]\n": 1,
+        GRAD: 1,
+    }, "poisson.entry_bracket_residuals"),
+    Guard("one_entry_closed_form", entry_coefficients, ["poisson._entry_slots"], {GRAD: 1}),
+    Guard("entry_slot_readers", calls_of("_entry_slots"), ["poisson.entry_bracket_residuals.rows", "poisson.entry_observable.grad"],
+          {"def grad(rep):\n    for m, fs, gs in _entry_slots(rep, points, z):\n        pass\n": 1}),
+    # char_poly forms s M(t) as an integer matrix at each node: no matrix
+    # over Z[z] and no kernel that evaluates one
+    Guard("no_polynomial_matrix_kernel", definitions("_zx_charpoly"), [], {"def _zx_charpoly(a):\n    pass\n": 1}),
+    Guard("char_poly_forms_integer_matrices", calls_of("paddmul", "peval"), [], {CHAR_POLY: 1}, "spectral.char_poly"),
+    # cli._spectral_appendix runs the exact spectral cross-check for both
+    # bridge --hitchin and ds verify --hitchin
+    *(Guard(f"one_spectral_chain_{name}", calls_of(name), ["cli._spectral_appendix"], {VERIFY: 1})
+      for name in ("char_poly", "vanishing_orders", "spectral_poly", "is_integral")),
+    # HiggsTuple.validate is the one test of strong preservation:
+    # higgs_to_quiver reads the corestrictions with no try, no BridgeError
+    # and no tolerance
+    Guard("one_preservation_rule", second_preservation_checks, [], {
+        "def higgs_to_quiver(h):\n    try:\n        gj.append(o.solve(prev, cur, h.tol))\n    except ValueError as e:\n"
+        "        raise BridgeError(f'point {i}: flag step {j} is not preserved strongly ({e})') from None\n": 3,
+    }, "higgs.higgs_to_quiver"),
     # each fact of the exact chain is decided once: char_poly refuses a
     # nonzero residue sum before any node and counts its nodes one way;
-    # _refine_at takes every class, zero classes too, through its one
-    # general path; the tuple's validation refuses a wrong point count
-    # for flags_from_solution; parabolic_slope reads each flag step's
-    # dimension from the type, ranking only w and [F w]
-    trees = {name: ast.parse((SRC / "starquiver" / f"{name}.py").read_text(encoding="utf-8")) for name in ("spectral", "dsolve", "higgs")}
-    kernels = {f.name: f for tree in trees.values() for f in tree.body if isinstance(f, ast.FunctionDef)}
-    assert late_raises(kernels["char_poly"]) == ([], 1, [])
-    assert none_frames(kernels["_refine_at"]) == calls_of("meye")(kernels["_refine_at"]) == []
-    assert calls_of("BridgeError")(kernels["flags_from_solution"]) == []
-    assert len(calls_of("rank")(kernels["parabolic_slope"])) <= 2
+    # _refine_at takes every class through its one general path; the
+    # tuple's validation refuses a wrong point count for
+    # flags_from_solution; parabolic_slope ranks only w and [F w]
+    Guard("char_poly_decides_its_node_count_once", late_checks, [], {CHAR_POLY: 2}, "spectral.char_poly"),
+    Guard("refine_at_keeps_no_zero_class_frames", none_frames, [], {REFINE_AT: 1}, "dsolve._refine_at"),
+    Guard("refine_at_builds_no_identity", calls_of("meye"), [], {REFINE_AT: 1}, "dsolve._refine_at"),
+    Guard("flags_trust_the_tuple_point_count", calls_of("BridgeError"), [], {
+        "def flags_from_solution(solution, sigma):\n    if len(solution.matrices) != sigma.n_points:\n        raise BridgeError(_COUNT_MESSAGE)\n": 1,
+    }, "dsolve.flags_from_solution"),
+    Guard("slope_ranks_only_w_and_its_span", calls_of("rank"), ["higgs.parabolic_slope"] * 2, {
+        "def parabolic_slope(h, w=None):\n    if o.rank(w) != k:\n        raise BridgeError('subobject basis is rank deficient')\n"
+        "    inter = [k] + [o.rank(step) + k - o.rank(o.from_columns(o.columns(step) + o.columns(w))) for step in h.flags[i]]\n": 3,
+    }, "higgs.parabolic_slope"),
+    # irreducible certifies from its word closure and stability_verdict
+    # alone searches an invariant subspace; dsolve owns the rank profile, so
+    # only cli's spectral appendix imports spectral; a nilpotent class checks
+    # its power ranks by the one chain rule
+    Guard("one_witness_search", calls_of("_witness_candidates"), ["higgs._invariant_subspace_candidates"], {IRREDUCIBLE: 1}),
+    Guard("one_closure_search", calls_of("_proper_closures"), ["higgs._invariant_subspace_candidates"] * 2, {IRREDUCIBLE: 1}),
+    Guard("only_the_appendix_imports_spectral", imports_of("spectral"), ["cli._spectral_appendix"] * 4,
+          {"from .spectral import rank_profile\nfrom . import spectral\nimport starquiver.spectral\nfrom starquiver.spectral import char_poly\n": 4}),
+    Guard("one_chain_check_per_nilpotent_class", raises_under("seq"), ["combinat.NilpotentClass.__post_init__"], {
+        "def __post_init__(self):\n    if seq:\n        if seq[0] >= self.rank:\n            raise ValueError('first power rank not below the rank')\n"
+        "        if any(a <= b for a, b in zip(seq, seq[1:])) or seq[-1] <= 0:\n            raise ValueError('power ranks must be strictly decreasing')\n"
+        "        if not chain_simple(self.rank, seq):\n            raise ValueError('rank differences must be nonincreasing')\n": 3,
+    }, "combinat.NilpotentClass.__post_init__"),
+]
 
 
-def package_imports(tree):
-    """Stems of the package modules that the imports of ``tree`` name,
-    function-local ones included: ``from .m import x``, ``from . import m``
-    and the same written from ``starquiver``."""
-    out = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("starquiver")):
-            module = (node.module or "").removeprefix("starquiver").lstrip(".")
-            out += [module] if module else [a.name for a in node.names]
-        elif isinstance(node, ast.Import):
-            out += [a.name.removeprefix("starquiver.") for a in node.names if a.name.startswith("starquiver.")]
-    return out
+@pytest.mark.parametrize("guard", GUARDS, ids=lambda g: g.fact)
+def test_one_home(guard):
+    assert owners(guard.find, guard.scope) == sorted(guard.owners)
 
 
-def class_fields(cls):
-    """The annotated names in the body of class ``cls``."""
-    return [node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)]
+@pytest.mark.parametrize("guard", GUARDS, ids=lambda g: g.fact)
+def test_guard_sees_its_former_copy(guard):
+    # the former copy of a scoped row is the former code of its scope
+    assert guard.former
+    for snippet, hits in guard.former.items():
+        tree = ast.parse(snippet)
+        assert hits and len(guard.find(tree.body[0] if "." in guard.scope else tree)) == hits, snippet
 
 
-def guarded_raises(f, name):
-    """``raise`` statements of ``f`` inside an ``if`` whose test reads ``name``."""
-    found = {}
-    for node in ast.walk(f):
-        if isinstance(node, ast.If) and name in {n.id for n in ast.walk(node.test) if isinstance(n, ast.Name)}:
-            found.update((id(r), r) for stmt in node.body for r in ast.walk(stmt) if isinstance(r, ast.Raise))
-    return list(found.values())
-
-
-def test_one_home_per_certification_fact():
-    # irreducible certifies from its word closure and searches no invariant
-    # subspace, which stability_verdict alone does; dsolve owns the rank
-    # profile, so only cli's spectral appendix imports spectral; a nilpotent
-    # class checks its power ranks by the one chain rule
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE}
-    higgs = {node.name: node for node in trees["higgs"].body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    assert calls_of("_witness_candidates")(higgs["irreducible"]) == calls_of("_proper_closures")(higgs["irreducible"]) == []
-    assert class_fields(higgs["IrreducibilityCertificate"]) == ["irreducible", "words", "elements"]
-    assert [stem for stem, tree in trees.items() if "spectral" in package_imports(tree)] == ["cli"]
-    nilpotent = next(node for node in trees["combinat"].body if isinstance(node, ast.ClassDef) and node.name == "NilpotentClass")
-    post_init = next(node for node in nilpotent.body if isinstance(node, ast.FunctionDef) and node.name == "__post_init__")
-    assert len(guarded_raises(post_init, "seq")) == 1
-
-
-def test_the_guards_see_the_former_copies():
-    # the shapes the two guards look for, as the former bareiss and
-    # _integer_rows wrote them
-    bareiss = ast.parse("def f(row, pivots, k, acc):\n    p = row[pivots[k]]\n    return [x // p for x in acc]\n")
-    integer_rows = ast.parse("def g(row, den):\n    return [x.numerator * (den // x.denominator) for x in row]\n")
-    assert len(pivot_divisions(bareiss.body[0])) == 1
-    assert len(clearing_steps(integer_rows)) == 1
-    # the pool walk of the former _certify, and the inequality as the former
-    # type-check computed it
-    certify = ast.parse("def c(f, vanishing):\n    if _discriminant_vanishes(f):\n        vanishing += 1\n")
-    type_check = ast.parse("gamma1_sum = sum(sigma.rank - m[0] for m in sigma.multiplicities)\nfeasible = 2 * sigma.rank <= gamma1_sum\n")
-    assert len(squarefree_tests(certify.body[0])) == 1
-    assert len(doubled_comparisons(type_check)) == len(first_flag_dimensions(type_check)) == 1
-    # the inverses of the former _sylvester_inverse and _refine_at
-    sylvester = ast.parse("def s(g, h):\n    return ex.clear(ex.solve(_sylvester(g, h), ex.meye(len(g) + len(h) - 2)))\n")
-    refine = ast.parse("def r(red, piv, d):\n    adj = ex.back_substitute(red, piv, d, [[-v for v in row[r:]] for row in red])\n")
-    assert len(identity_solves(sylvester.body[0])) == 1
-    assert len(calls_of("back_substitute")(refine.body[0])) == 1
-    # the Jacobi left-hand side of the former poisson check handler
-    handler = ast.parse("def cmd_poisson_check(args):\n    lhs = a.bracket_with(b.bracket_with(c, jmat), jmat).value_at(v)\n")
-    assert len(calls_of("bracket_with")(handler.body[0])) == 2
-    # the former per-observable commutativity check, the former sweep's rows
-    # and the former entry gradient, which held its own closed form
-    commutativity = ast.parse(
-        "def check_commutativity(rep, points, t, t_prime, z, w):\n"
-        "    it = trace_power_observable(rep.quiver, points, t, z, selfcheck=False)\n"
-        "    it2 = trace_power_observable(rep.quiver, points, t_prime, w, selfcheck=False)\n"
-        "    return abs(bracket(it, it2, rep))\n"
-    )
-    rows = ast.parse("def rows(x):\n    return [entry_observable(q, points, x, i, j, selfcheck=False).grad(rep) for i in range(r) for j in range(r)]\n")
-    grad = ast.parse("def grad(rep):\n    out = zero_gradient(quiver)\n    c = 1.0 / (zc - complex(points[m]))\n")
-    assert len(observable_calls(commutativity.body[0])) == 3
-    assert len(observable_calls(rows.body[0])) == 1
-    assert len(observable_calls(grad.body[0])) == len(entry_coefficients(grad.body[0])) == 1
-    # the former Z[z] matrix of char_poly
-    zm = ast.parse("def char_poly(h):\n    for x, entry in zip(row, zrow):\n        ex.paddmul(entry, [x], weight)\n")
-    assert len(polynomial_entries(zm.body[0])) == 1
-    # the former inline cross-check of dsolve.verify
-    chain = ast.parse("def verify(solution, instance, hitchin=False):\n    hp = char_poly(h)\n    hitchin_report = vanishing_orders(hp, sigma)\n")
-    assert len(calls_of("char_poly")(chain.body[0])) == len(calls_of("vanishing_orders")(chain.body[0])) == 1
-    # the former corestriction check of higgs_to_quiver, and the former
-    # solves with a tolerance
-    convert = ast.parse(
-        "def higgs_to_quiver(h):\n"
-        "    try:\n"
-        "        gj.append(o.solve(prev, cur, h.tol))\n"
-        "    except ValueError as e:\n"
-        "        raise BridgeError(f'point {i}: flag step {j} is not preserved strongly ({e})') from None\n"
-    )
-    assert len(second_preservation_checks(convert.body[0])) == 3
-    backends = ast.parse(
-        "class _Float:\n    def solve(self, a, b, tol):\n        pass\n"
-        "class _Exact:\n    def solve(self, a, b, *_):\n        return ex.solve(a, b)\n"
-    )
-    assert [solve_parameters(c) for c in backends.body] == [["a", "b", "tol"], ["a", "b", "*_"]]
-    # the former second decisions of the exact chain: char_poly's node count
-    # by the residue sum and its degree check after interpolation, the zero
-    # class frames of _refine_at, the up-front count of flags_from_solution
-    # and the per-step ranks of parabolic_slope
-    nodes = ast.parse(
-        "def char_poly(h):\n"
-        "    top = r * (n - 1) if any(sum(x) for row in entries for x in row) else max(0, r * (n - 2))\n"
-        "    for t in range(top + 1):\n"
-        "        values.append(t)\n"
-        "    for j, v in enumerate(zip(*values), start=1):\n"
-        "        if p and len(p) - 1 > bound:\n"
-        "            raise ExactnessRequired(f'level {j} coefficient has degree {len(p) - 1} > {bound}')\n"
-    )
-    raises, count, conditional = late_raises(nodes.body[0])
-    assert (len(raises), count, len(conditional)) == (1, 1, 1)
-    zero = ast.parse(
-        "def _refine_at(solution, instance, nested, den):\n"
-        "    if not c.rank_sequence:\n"
-        "        frames.append(None)\n"
-        "    if f is None:\n"
-        "        conjugators.append(ex.meye(r))\n"
-    )
-    assert len(none_frames(zero.body[0])) == len(calls_of("meye")(zero.body[0])) == 1
-    flags = ast.parse("def flags_from_solution(solution, sigma):\n    if len(solution.matrices) != sigma.n_points:\n        raise BridgeError(_COUNT_MESSAGE)\n")
-    assert len(calls_of("BridgeError")(flags.body[0])) == 1
-    slope = ast.parse(
-        "def parabolic_slope(h, w=None):\n"
-        "    if o.rank(w) != k:\n"
-        "        raise BridgeError('subobject basis is rank deficient')\n"
-        "    inter = [k] + [o.rank(step) + k - o.rank(o.from_columns(o.columns(step) + o.columns(w))) for step in h.flags[i]] + [0]\n"
-    )
-    assert len(calls_of("rank")(slope.body[0])) == 3
-    # the former witness of irreducible and its certificate field, the
-    # former home of the rank profile, and the three chain checks a
-    # nilpotent class made
-    witness = ast.parse(
-        "def irreducible(mats, mode='float'):\n"
-        "    witness = next(_proper_closures(elements, ([v] for v in _witness_candidates(mats, mode)), o), None)\n"
-    )
-    assert len(calls_of("_witness_candidates")(witness.body[0])) == len(calls_of("_proper_closures")(witness.body[0])) == 1
-    cert = ast.parse("class IrreducibilityCertificate:\n    irreducible: bool\n    words: list\n    invariant_subspace: object = None\n")
-    assert "invariant_subspace" in class_fields(cert.body[0])
-    imports = ast.parse("from .spectral import rank_profile\nfrom . import spectral\nimport starquiver.spectral\nfrom starquiver.spectral import char_poly\n")
-    assert package_imports(imports) == ["spectral"] * 4
-    chain = ast.parse(
-        "def __post_init__(self):\n"
-        "    if self.rank < 1:\n"
-        "        raise ValueError('rank must be positive')\n"
-        "    if seq:\n"
-        "        if seq[0] >= self.rank:\n"
-        "            raise ValueError('a nilpotent class has first power rank below the rank')\n"
-        "        if any(a <= b for a, b in zip(seq, seq[1:])) or seq[-1] <= 0:\n"
-        "            raise ValueError('power ranks must be strictly decreasing and positive')\n"
-        "        if not chain_simple(self.rank, seq):\n"
-        "            raise ValueError('rank differences must be nonincreasing (not a valid Jordan type)')\n"
-    )
-    assert len(guarded_raises(chain.body[0], "seq")) == 3
+def test_every_guard_names_live_code():
+    # a renamed function would leave its row passing on nothing
+    live = set().union(*(package_outline(path)[1] for path in PACKAGE))
+    assert sorted({name for g in GUARDS for name in [*g.owners, g.scope] if name} - live) == []
+    assert len({g.fact for g in GUARDS}) == len(GUARDS)

@@ -5,6 +5,7 @@ integer products against the Fraction oracle in ``linalg_oracle``, of
 agreement of rank profiles on integer nilpotents, and the exact Frobenius
 norm against numpy's and at the edges of the float range."""
 
+import inspect
 import math
 import sys
 from fractions import Fraction
@@ -216,6 +217,13 @@ def inconsistent_systems(draw):
     b = ex.mmul(a, draw(_grid(n, k))) if n else [[Fraction(0)] * k for _ in range(m)]
     b[i][draw(st.integers(0, k - 1))] += draw(_ENTRIES.filter(bool))
     return a, b
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT], ids=["exact", "float"])
+def test_backend_solve_takes_no_tolerance(backend):
+    # HiggsTuple.validate is the one test of strong preservation, so
+    # neither backend's solve takes a tolerance
+    assert list(inspect.signature(backend.solve).parameters) == ["a", "b"]
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
