@@ -85,7 +85,7 @@ class _Float:
         """a^1 .. a^count."""
         return accumulate(repeat(a, count), np.matmul)
 
-    trace = staticmethod(np.trace)
+    trace = staticmethod(np.ndarray.trace)  # the method np.trace forwards to, without its wrapper
 
     def norm(self, a):
         return float(np.linalg.norm(a))

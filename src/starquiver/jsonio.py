@@ -45,8 +45,25 @@ def int_from_json(v):
 
 
 # the JSON names of the values json.load returns, which a decoder's message
-# gives when the value is not an object
-_JSON_TYPES = {list: "an array", str: "a string", bool: "a boolean", int: "a number", float: "a number", type(None): "null"}
+# gives when a value has the wrong JSON type
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean", int: "a number", float: "a number", type(None): "null"}
+
+
+def _json_type(value):
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def _expect(value, kind, field):
+    """``value`` when it is a JSON array (``kind`` list) or object (dict);
+    otherwise an ``InputFormatError`` naming ``field`` and the type it got."""
+    if not isinstance(value, kind):
+        raise InputFormatError(f"{field}: expected {_JSON_TYPES[kind]}, got {_json_type(value)}")
+    return value
+
+
+def _array(data, field):
+    """The array ``data[field]``, checked by ``_expect``."""
+    return _expect(data[field], list, field)
 
 
 def _decoder(what):
@@ -60,7 +77,7 @@ def _decoder(what):
         @functools.wraps(decode)
         def run(data, *args, **kwargs):
             if not isinstance(data, dict):
-                raise InputFormatError(f"invalid {what}: expected a JSON object, got {_JSON_TYPES.get(type(data), type(data).__name__)}")
+                raise InputFormatError(f"invalid {what}: expected a JSON object, got {_json_type(data)}")
             try:
                 return decode(data, *args, **kwargs)
             except KeyError as e:
@@ -126,10 +143,10 @@ def type_to_json(sigma: ParabolicType) -> dict:
 
 @_decoder("parabolic type")
 def type_from_json(data) -> ParabolicType:
-    points = tuple(parse_frac(p) for p in data["points"])
-    flags = data["flags"]
-    mults = tuple(tuple(int_from_json(x) for x in f["multiplicities"]) for f in flags)
-    weights = tuple(tuple(int_from_json(x) for x in f["weights"]) for f in flags)
+    points = tuple(parse_frac(p) for p in _array(data, "points"))
+    flags = [_expect(f, dict, f"flags[{i}]") for i, f in enumerate(_array(data, "flags"))]
+    mults = tuple(tuple(int_from_json(x) for x in _array(f, "multiplicities")) for f in flags)
+    weights = tuple(tuple(int_from_json(x) for x in _array(f, "weights")) for f in flags)
     return ParabolicType(
         line=MarkedLine(points),
         rank=int_from_json(data["rank"]),
@@ -144,18 +161,18 @@ def class_from_json(data) -> NilpotentClass:
     if "rank_sequence" in data:
         return NilpotentClass(
             rank=int_from_json(data["rank"]),
-            rank_sequence=tuple(int_from_json(x) for x in data["rank_sequence"]),
+            rank_sequence=tuple(int_from_json(x) for x in _array(data, "rank_sequence")),
         )
-    partition = [int_from_json(x) for x in data["partition"]]
+    partition = [int_from_json(x) for x in _array(data, "partition")]
     return NilpotentClass.from_partition(partition, rank=int_from_json(data["rank"]))
 
 
 @_decoder("instance")
 def instance_from_json(data):
-    classes = tuple(class_from_json(c) for c in data["classes"])
+    classes = tuple(class_from_json(c) for c in _array(data, "classes"))
     points = None
     if "points" in data and data["points"] is not None:
-        points = tuple(parse_frac(p) for p in data["points"])
+        points = tuple(parse_frac(p) for p in _array(data, "points"))
     from .dsolve import DSInstance
 
     return DSInstance(rank=int_from_json(data["rank"]), classes=classes, points=points)
@@ -183,16 +200,17 @@ def rep_to_json(rep) -> dict:
 def rep_from_json(data):
     from .starrep import StarQuiver, StarRep
 
-    arms = tuple(tuple(int_from_json(d) for d in a) for a in data["arms"])
+    arms = tuple(tuple(int_from_json(d) for d in _expect(a, list, f"arms[{j}]")) for j, a in enumerate(_array(data, "arms")))
     quiver = StarQuiver(rank=int_from_json(data["rank"]), arms=arms)
     mode = data.get("mode", "float")
+    mats = _expect(data["matrices"], dict, "matrices")
     f, g = [], []
     for j in range(quiver.n_arms):
         f.append([])
         g.append([])
         for i in range(1, len(quiver.dims(j))):
-            f[j].append(matrix_from_json(data["matrices"][f"f/{j + 1}/{i}"], mode))
-            g[j].append(matrix_from_json(data["matrices"][f"g/{j + 1}/{i}"], mode))
+            f[j].append(matrix_from_json(mats[f"f/{j + 1}/{i}"], mode))
+            g[j].append(matrix_from_json(mats[f"g/{j + 1}/{i}"], mode))
     return StarRep(quiver, f, g, mode)
 
 
@@ -213,7 +231,7 @@ def higgs_to_json(h) -> dict:
 
 @_decoder("residue tuple")
 def higgs_from_json(data, check=True):
-    if "splitting_type" in data and any(int_from_json(d) != 0 for d in data["splitting_type"]):
+    if "splitting_type" in data and any(int_from_json(d) != 0 for d in _array(data, "splitting_type")):
         raise InputFormatError(
             "the underlying bundle is not a sum of trivial line bundles "
             f"(splitting type {data['splitting_type']}); residue-matrix form "
@@ -222,8 +240,8 @@ def higgs_from_json(data, check=True):
         )
     sigma = type_from_json(data["type"])
     mode = data.get("mode", "float")
-    mats = [matrix_from_json(m, mode) for m in data["matrices"]]
-    flags = [[matrix_from_json(b, mode) for b in fl] for fl in data["flags"]]
+    mats = [matrix_from_json(m, mode) for m in _array(data, "matrices")]
+    flags = [[matrix_from_json(b, mode) for b in _expect(fl, list, f"flags[{i}]")] for i, fl in enumerate(_array(data, "flags"))]
     from .higgs import HiggsTuple
 
     return HiggsTuple(sigma=sigma, matrices=mats, flags=flags, mode=mode, check=check)
@@ -266,8 +284,8 @@ def solution_from_json(data):
     if not math.isfinite(residual):
         raise InputFormatError(f"not a finite number: {residual!r}")
     return DSSolution(
-        matrices=[matrix_from_json(m, mode) for m in data["matrices"]],
-        conjugators=[matrix_from_json(p, mode) for p in data["conjugators"]],
+        matrices=[matrix_from_json(m, mode) for m in _array(data, "matrices")],
+        conjugators=[matrix_from_json(p, mode) for p in _array(data, "conjugators")],
         residual=float(residual),
         mode=mode,
         restart_index=int_from_json(data.get("restart_index", -1)),

@@ -414,7 +414,9 @@ class QuadraticObservable:
     H v + b, {A, B} = (grad A)^T J (grad B) has the Hessian
     H_A J H_B - H_B J H_A (H symmetric, J^T = -J), b' = H_A J b_B - H_B J b_A
     and c' = b_A^T J b_B.  A ``QuadraticBracket`` applies its Hessian to a
-    vector through its operands', so no d x d matrix is formed for it.
+    vector through its operands', so no d x d matrix is formed for it, and
+    forms b' and c' only when they are read: its gradient at v is
+    H_A J grad B(v) - H_B J grad A(v).
     """
 
     def __init__(self, quiver, s, b, c=0.0):
@@ -456,12 +458,23 @@ class QuadraticBracket(QuadraticObservable):
 
     def __init__(self, left, right, jmat):
         self.quiver, self.left, self.right, self.jmat = left.quiver, left, right, jmat
-        self.b = left.hessian_product(jmat @ right.b) - right.hessian_product(jmat @ left.b)
-        self.c = complex(left.b @ jmat @ right.b)
+
+    @property
+    def b(self):
+        ha, hb, j = self.left.hessian_product, self.right.hessian_product, self.jmat
+        return ha(j @ self.right.b) - hb(j @ self.left.b)
+
+    @property
+    def c(self):
+        return complex(self.left.b @ self.jmat @ self.right.b)
 
     def hessian_product(self, u):
         ha, hb, j = self.left.hessian_product, self.right.hessian_product, self.jmat
         return ha(j @ hb(u)) - hb(j @ ha(u))
+
+    def gradient_at(self, vec):
+        ha, hb, j = self.left.hessian_product, self.right.hessian_product, self.jmat
+        return ha(j @ self.right.gradient_at(vec)) - hb(j @ self.left.gradient_at(vec))
 
     def value_at(self, vec):
         return complex(self.left.gradient_at(vec) @ self.jmat @ self.right.gradient_at(vec))

@@ -272,7 +272,7 @@ def trace_along_cycle(rep: StarRep, cycle):
     gives the trace of the identity, i.e. the rank.
     """
     o = rep.ops
-    arms, n_arms, mul = rep.quiver.arms, len(rep.quiver.arms), o.mul
+    arms, n_arms, mul, f, g = rep.quiver.arms, len(rep.quiver.arms), o.mul, rep.f, rep.g
     at = None  # None = center, else (arm, level)
     acc = None  # the product so far; the walk's first factor starts it
     for step in cycle:
@@ -283,12 +283,12 @@ def trace_along_cycle(rep: StarRep, cycle):
             here = None if level == 1 else (j, level - 1)
             if at != here:
                 raise InvalidCycle(f"outward step {step} does not start at {at}")
-            factor = rep.f[j][level - 1]
+            factor = f[j][level - 1]
             at = (j, level)
         elif kind == "g":
             if at != (j, level):
                 raise InvalidCycle(f"inward step {step} does not start at {at}")
-            factor = rep.g[j][level - 1]
+            factor = g[j][level - 1]
             at = None if level == 1 else (j, level - 1)
         else:
             raise InvalidCycle(f"unknown step kind {kind!r}")

@@ -1,11 +1,12 @@
 """Differential and property tests of the float kernels behind the bridge
 round trip: the broadcast Kronecker product ``floatarith.kron`` against
 ``np.kron``, ``orbit_jacobian`` against its per-block ``np.kron`` formula,
-cycle traces against an identity-started product, center cycles against
-a step-by-step enumeration, the cut of ``floatarith.singular_rank``, and
-the batched level-1 Hamiltonian rows and count against the per-(t, z)
-trace-power gradients."""
+cycle traces against an identity-started product and bit for bit against
+``np.trace``, center cycles against a step-by-step enumeration, the cut
+of ``floatarith.singular_rank``, and the batched level-1 Hamiltonian rows
+and count against the per-(t, z) trace-power gradients."""
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -137,6 +138,17 @@ def test_trace_along_cycle_equals_the_identity_started_product(cycle_rep):
     for cyc in [()] + cycles:
         assert trace_along_cycle(cycle_rep, cyc) == identity_started_trace(cycle_rep, cyc)
     assert trace_along_cycle(cycle_rep, []) == QUIVER.rank
+
+
+def test_float_cycle_traces_keep_the_bits_of_np_trace():
+    # FLOAT.trace is the ndarray method that np.trace forwards to: every
+    # trace keeps its bits, on the walk's product from its first factor on
+    rep = random_rep(QUIVER, np.random.default_rng(7))
+    for cyc in center_cycles(QUIVER, 6):
+        factors = [(rep.f if kind == "f" else rep.g)[j][level - 1] for kind, j, level in cyc]
+        expected = np.trace(functools.reduce(lambda acc, factor: factor @ acc, factors))
+        got = trace_along_cycle(rep, cyc)
+        assert (type(got), got.tobytes()) == (type(expected), expected.tobytes())
 
 
 def step_by_step_cycles(quiver, max_len):

@@ -134,6 +134,17 @@ def test_jacobi_residuals_bit_identical_with_the_dense_pairing(q, seed, checks):
     assert got == _jacobi_residuals(q, np.random.default_rng(seed), oracle.dense_tensor(q), checks)
 
 
+def test_a_jacobi_triple_makes_fifteen_dense_hessian_products(monkeypatch):
+    # a bracket forms nothing when it is built, and its gradient takes one
+    # Hessian product per operand and gradient: lhs and both rhs terms call
+    # the quadratics' dense products 5 times each
+    q, calls = StarQuiver(rank=2, arms=((1,),) * 4), []
+    dense = QuadraticObservable.hessian_product
+    monkeypatch.setattr(QuadraticObservable, "hessian_product", lambda self, u: calls.append(1) or dense(self, u))
+    (residual,) = _jacobi_residuals(q, np.random.default_rng(4), poisson_tensor(q), 1)
+    assert (len(calls), residual < 1e-12) == (15, True)
+
+
 @pytest.mark.parametrize(
     "q",
     [
