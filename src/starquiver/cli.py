@@ -13,7 +13,8 @@ Subcommands:
 - ``poisson check``: bracket identity residuals on a representation.
 
 Exit codes: 0 success / all checks pass, 1 input error (a usage error that
-argparse rejects included), 2 budget exhausted or undetermined, 3 violated
+argparse rejects included, as one ``error:`` line), 2 budget exhausted or
+undetermined, 3 violated
 invariant; ``EXIT_CODES`` maps the exceptions that end a command to 1, 2
 or 3.  Identical configuration and seed produce byte-identical reports (no
 timestamps, sorted keys).
@@ -375,8 +376,16 @@ def cmd_poisson_check(args):
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error, reported in one ``error:`` line like
+    any other; ``add_subparsers`` builds the subcommands from this class."""
+
+    def error(self, message):
+        raise InputFormatError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="starquiver",
         description="star quiver representations, residue tuples, and their checks",
     )
@@ -440,14 +449,11 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        # argparse exits 2 on a usage error, which is bad input here; 0 on --help
-        return INPUT_ERROR if e.code == 2 else e.code
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as e:  # --help prints the usage and exits 0
+        return e.code
     except Exception as e:
         code = _exit_code(e)
         if code is None:

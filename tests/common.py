@@ -1,14 +1,17 @@
-"""Data and helpers shared by the test modules: the fixture directory, the
-exact scalar multiple and inverse of a matrix, the closed-form rank-2 residue tuple, a rank-3 tuple whose flags are not nested,
+"""Data and helpers shared by the test modules: the fixture and golden
+directories, an integer beyond the largest float, four marked points, the
+exact scalar multiple and inverse of a matrix, the closed-form rank-2
+residue tuple, a rank-3 tuple whose flags are not nested,
 a valid float rank-3 tuple with flag bases of any scale,
 a random parabolic type generator, the dimension in which two column
-spaces meet, the stability character paired with a subspace of a residue
-tuple, the slope of a subbundle whose fibers vary, a
-copy of a float representation, the base change of a representation by a
-group element, JSON encoders of nilpotent classes and solver instances
-(the CLI only decodes them), and a rejection sampler of integral
-coefficient points with the Fraction polynomial products it builds them
-from.
+spaces meet and whether they are one, the stability character paired with
+a subspace of a residue tuple, the slope of a subbundle whose fibers vary,
+a strategy of star quivers, the quarter steps that ``poisson check`` draws
+from, a copy of a float representation, the base change of a
+representation by a group element, JSON encoders of nilpotent classes and
+solver instances (the CLI only decodes them), and a rejection sampler of
+integral coefficient points with the Fraction polynomial products it
+builds them from.
 
 A plain module rather than ``conftest.py``, so that test modules can import
 it by name in a session that also collects another directory's conftest."""
@@ -18,15 +21,20 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
+import linalg_oracle
 from starquiver import arith
 from starquiver import linalg_exact as ex
 from starquiver.combinat import MarkedLine, ParabolicType, mu_eps, spectral_degrees
 from starquiver.higgs import HiggsTuple
 from starquiver.spectral import HitchinPoint, is_integral, spectral_poly, vanishing_orders
-from starquiver.starrep import StarRep, build_character
+from starquiver.starrep import StarQuiver, StarRep, build_character
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+HUGE = 2**2000  # a JSON integer, and a rational, of about 2000 bits: beyond the largest float
+PTS4 = [0.0, 1.0, 2.0, 3.0]
 
 F = Fraction
 
@@ -80,6 +88,27 @@ def scaled_flag_tuple(scale):
 def meet_dim(o, a, b):
     """dim(col a meet col b) = rk a + rk b - rk [a b] in the backend ``o``."""
     return o.rank(a) + o.rank(b) - o.rank(o.from_columns(o.columns(a) + o.columns(b)))
+
+
+def column_space(w, o=arith.EXACT):
+    """A canonical form of the column space of ``w``: the oracle's reduced
+    row echelon form of the transpose (exact) or the orthogonal projector
+    (float)."""
+    if o is arith.EXACT:
+        rr, piv = linalg_oracle.rref([[Fraction(x) for x in row] for row in ex.mtrans(w)])
+        return rr[: len(piv)]
+    q, _ = np.linalg.qr(w)
+    return q @ q.conj().T
+
+
+def same_column_space(a, b, o=arith.EXACT):
+    """Whether the columns of ``a`` and ``b`` span one space (to 1e-12 in
+    floats); None, no subspace, is the same as None only."""
+    if a is None or b is None:
+        return a is None and b is None
+    if o is arith.EXACT:
+        return column_space(a, o) == column_space(b, o)
+    return np.allclose(column_space(a, o), column_space(b, o), atol=1e-12)
 
 
 def theta(h, w):
@@ -149,6 +178,29 @@ def random_parabolic_type(rng, max_rank=6, max_points=8):
         multiplicities=tuple(mults),
         weights=tuple(weights),
     )
+
+
+@st.composite
+def quivers(draw, ranks=(2, 4), max_arms=4, max_steps=3, armless=False):
+    """Star quivers of central rank in ``ranks`` with one to ``max_arms``
+    arms, each a strictly decreasing chain of at most ``max_steps``
+    dimensions up to the rank, possibly empty, and the first one not empty.
+    With ``armless``, zero to ``max_arms`` arms, all of which may be empty."""
+    r = draw(st.integers(*ranks))
+
+    def chains(min_size=0):
+        dims = st.sets(st.integers(1, r), min_size=min_size, max_size=max_steps)
+        return dims.map(lambda s: tuple(sorted(s, reverse=True)))
+
+    if armless:
+        return StarQuiver(rank=r, arms=tuple(draw(chains()) for _ in range(draw(st.integers(0, max_arms)))))
+    return StarQuiver(rank=r, arms=(draw(chains(1)), *draw(st.lists(chains(), max_size=max_arms - 1))))
+
+
+def quarter_steps(points):
+    """The quarter steps ``poisson check`` draws z and w from: at least 0.25
+    from every marked point."""
+    return [k / 4 for k in range(-20, 8 * len(points) + 20) if all(abs(k / 4 - x) >= 0.25 for x in points)]
 
 
 def copy_rep(rep):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from common import FIXTURES, random_parabolic_type, sample_hitchin_point, twisted_slope
+from common import FIXTURES, PTS4, random_parabolic_type, sample_hitchin_point, twisted_slope
 from poisson_oracle import to_observable
 from starquiver import linalg_exact as ex
 from starquiver.cli import main
@@ -20,7 +20,6 @@ from starquiver.dsolve import (
     SolverConfig,
     flags_from_solution,
     orbit_jacobian,
-    random_feasible_instance,
     solve,
     verify,
 )
@@ -86,26 +85,15 @@ def test_combinatorial_identities():
     _report("mu/eps identities on 1000 random types", t0, 5.0)
 
 
-def test_bridge_round_trip():
+def test_bridge_round_trip(bridge_batch):
     t0 = time.time()
-    rng = np.random.default_rng(9)
-    count = 0
-    while count < 50:
-        inst = random_feasible_instance(rng, max_rank=3, max_points=6)
-        out = solve(inst, SolverConfig(seed=500 + count))
-        if not out.success:
-            continue
-        sigma = inst.parabolic_type()
-        h = flags_from_solution(out.solution, sigma)
-        rep = higgs_to_quiver(h)
-        h2 = quiver_to_higgs(rep, sigma)
-        rep2 = higgs_to_quiver(h2)
+    for _, h, rep in bridge_batch:
+        rep2 = higgs_to_quiver(quiver_to_higgs(rep, h.sigma))
         assert moment_residual(rep2) < 1e-8
         for cyc in center_cycles(rep.quiver, 6):
             t1 = trace_along_cycle(rep, cyc)
             t2 = trace_along_cycle(rep2, cyc)
             assert abs(t1 - t2) < 1e-9
-        count += 1
     _report("bridge round trip on 50 moment-zero representations", t0, 60.0)
 
 
@@ -166,7 +154,6 @@ def test_integrality_sampler(full_flag_type):
 def test_poisson_identities():
     t0 = time.time()
     rng = np.random.default_rng(31)
-    pts = [0.0, 1.0, 2.0, 3.0]
     # entry bracket over the full index range for ranks 2 and 3
     entry_worst = 0.0
     for r in (2, 3):
@@ -183,7 +170,7 @@ def test_poisson_identities():
                             for l in range(r):
                                 entry_worst = max(
                                     entry_worst,
-                                    check_entry_bracket(rep, pts, z, w, i, j, k, l),
+                                    check_entry_bracket(rep, PTS4, z, w, i, j, k, l),
                                 )
     assert entry_worst < 1e-9, f"entry-bracket residual {entry_worst:.2e}"
     # commutativity of the trace powers
@@ -196,7 +183,7 @@ def test_poisson_identities():
         z = 0.45 + 0.2 * rng.standard_normal()
         w = -0.6 + 0.2 * rng.standard_normal()
         t, t2 = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        comm_worst = max(comm_worst, check_commutativity(rep, pts, t, t2, z, w))
+        comm_worst = max(comm_worst, check_commutativity(rep, PTS4, t, t2, z, w))
     assert comm_worst < 1e-8, f"commutativity residual {comm_worst:.2e}"
     # Jacobi identity on quadratic observables
     q = StarQuiver(rank=2, arms=((1,),) * 4)
@@ -226,7 +213,6 @@ def test_poisson_identities():
 def test_gradient_oracles():
     t0 = time.time()
     rng = np.random.default_rng(17)
-    pts = [0.0, 1.0, 2.0, 3.0]
     q = StarQuiver(rank=2, arms=((1,),) * 4)
 
     def rel_err(analytic, fd):
@@ -245,7 +231,7 @@ def test_gradient_oracles():
         rep = random_rep(q, rng, scale=0.7)
         t = int(rng.integers(1, 5))
         z = 0.45 + 0.25 * rng.standard_normal()
-        obs = trace_power_observable(q, pts, t, z)
+        obs = trace_power_observable(q, PTS4, t, z)
         worst = max(worst, rel_err(obs.grad(rep), fd_gradient(obs, rep)))
     assert worst < 1e-6, f"trace-power gradient error {worst:.2e}"
     # entry observables
@@ -253,7 +239,7 @@ def test_gradient_oracles():
     for _ in range(100):
         rep = random_rep(q, rng, scale=0.7)
         z = -0.6 + 0.25 * rng.standard_normal()
-        obs = entry_observable(q, pts, z, int(rng.integers(2)), int(rng.integers(2)))
+        obs = entry_observable(q, PTS4, z, int(rng.integers(2)), int(rng.integers(2)))
         worst_e = max(worst_e, rel_err(obs.grad(rep), fd_gradient(obs, rep)))
     assert worst_e < 1e-6, f"entry gradient error {worst_e:.2e}"
     # Gauss-Newton Jacobian of the solver: J vec(X) is the derivative of
@@ -294,95 +280,37 @@ def test_hamiltonian_count(rank2_instance, full_flag_type):
     t0 = time.time()
     expected = spectral_degrees(full_flag_type)[1]
     assert expected == 1
-    pts = [0.0, 1.0, 2.0, 3.0]
     for seed in range(10):
         out = solve(rank2_instance, SolverConfig(seed=seed))
         assert out.success
         h = flags_from_solution(out.solution, rank2_instance.parabolic_type())
         rep = higgs_to_quiver(h)
         count = independent_hamiltonian_count(
-            rep, pts, [1, 2, 3, 4], [0.31, -0.77, 1.43, 2.61]
+            rep, PTS4, [1, 2, 3, 4], [0.31, -0.77, 1.43, 2.61]
         )
         assert count == expected
     _report("independent Hamiltonians match the coefficient space dimension", t0, 60.0)
 
 
 def test_cli_determinism(tmp_path):
+    # each subcommand, run twice with the same configuration and seed,
+    # exits 0 and writes the same bytes
     t0 = time.time()
+    instance = str(FIXTURES / "ds_rank2_four_rank1.json")
+    names = ("tc.json", "sol.json", "solve.json", "verify.json", "rep.json", "bridge.json", "poisson.json")
     runs = {}
     for tag in ("first", "second"):
         d = tmp_path / tag
         d.mkdir()
-        blobs = []
-        main(
-            [
-                "type-check",
-                "--type",
-                str(FIXTURES / "type_rank2_full_flags.json"),
-                "--report",
-                str(d / "tc.json"),
-            ]
-        )
-        blobs.append((d / "tc.json").read_bytes())
-        main(
-            [
-                "ds",
-                "solve",
-                "--instance",
-                str(FIXTURES / "ds_rank2_four_rank1.json"),
-                "--seed",
-                "11",
-                "--out",
-                str(d / "sol.json"),
-                "--report",
-                str(d / "solve.json"),
-            ]
-        )
-        blobs.append((d / "sol.json").read_bytes())
-        blobs.append((d / "solve.json").read_bytes())
-        main(
-            [
-                "ds",
-                "verify",
-                "--solution",
-                str(d / "sol.json"),
-                "--instance",
-                str(FIXTURES / "ds_rank2_four_rank1.json"),
-                "--hitchin",
-                "--report",
-                str(d / "verify.json"),
-            ]
-        )
-        blobs.append((d / "verify.json").read_bytes())
-        main(
-            [
-                "bridge",
-                "to-quiver",
-                "--higgs",
-                str(FIXTURES / "higgs_rank2_heavy_top.json"),
-                "--out",
-                str(d / "rep.json"),
-                "--report",
-                str(d / "bridge.json"),
-            ]
-        )
-        blobs.append((d / "rep.json").read_bytes())
-        blobs.append((d / "bridge.json").read_bytes())
-        main(
-            [
-                "poisson",
-                "check",
-                "--rep",
-                str(d / "rep.json"),
-                "--grid",
-                "25",
-                "--seed",
-                "3",
-                "--report",
-                str(d / "poisson.json"),
-            ]
-        )
-        blobs.append((d / "poisson.json").read_bytes())
-        runs[tag] = blobs
+        tc, sol, solve_report, verify_report, rep, bridge, poisson_report = (str(d / name) for name in names)
+        for argv in (
+            ["type-check", "--type", str(FIXTURES / "type_rank2_full_flags.json"), "--report", tc],
+            ["ds", "solve", "--instance", instance, "--seed", "11", "--out", sol, "--report", solve_report],
+            ["ds", "verify", "--solution", sol, "--instance", instance, "--hitchin", "--report", verify_report],
+            ["bridge", "to-quiver", "--higgs", str(FIXTURES / "higgs_rank2_heavy_top.json"), "--out", rep, "--report", bridge],
+            ["poisson", "check", "--rep", rep, "--grid", "25", "--seed", "3", "--report", poisson_report],
+        ):
+            assert main(argv) == 0, argv
+        runs[tag] = [(d / name).read_bytes() for name in names]
     assert runs["first"] == runs["second"]
     _report("byte-identical reports for identical config and seed", t0, 120.0)

@@ -2,22 +2,19 @@
 against the Fraction oracle in ``charpoly_oracle``."""
 
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import charpoly_oracle as oracle
-from common import FIXTURES, mscale
+from common import FIXTURES, GOLDEN, mscale
 from starquiver import jsonio
 from starquiver import linalg_exact as ex
 from starquiver.combinat import MarkedLine, ParabolicType
 from starquiver.higgs import HiggsTuple
 from starquiver import spectral
 from starquiver.spectral import ExactnessRequired, char_poly
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _flagless_tuple(points, mats):
@@ -61,7 +58,7 @@ LARGE = SMALL | st.integers(2**64 - 3, 2**64 + 3).flatmap(lambda x: st.sampled_f
 
 
 @st.composite
-def residue_tuples(draw):
+def rational_residues(draw):
     """(points, matrices, sums_to_zero): 1 to 5 distinct rational points, at
     least one of them not an integer, and rank 1 to 5 rational residues."""
     n = draw(st.integers(1, 5))
@@ -81,7 +78,7 @@ def residue_tuples(draw):
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(residue_tuples())
+@given(rational_residues())
 def test_char_poly_matches_oracle_on_random_tuples(case):
     points, mats, zero_sum = case
     h = _flagless_tuple(points, mats)

@@ -11,16 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from common import (
-    FIXTURES,
-    class_to_json,
-    closed_form_flags,
-    closed_form_matrices,
-    instance_to_json,
-    mscale,
-    scaled_flag_tuple,
-    unnested_tuple,
-)
+from common import FIXTURES, GOLDEN, HUGE, class_to_json, closed_form_flags, closed_form_matrices, instance_to_json, mscale, scaled_flag_tuple, unnested_tuple
 from starquiver import cli, combinat, jsonio, poisson
 from starquiver import linalg_exact as ex
 from starquiver.cli import main
@@ -44,13 +35,12 @@ F = Fraction
 
 
 # ---------------------------------------------------------------------------
-# serialization round trips
+# serialization round trips on fixed examples; test_json_roundtrip draws them
 
 
 def test_type_round_trip(full_flag_type):
     data = jsonio.type_to_json(full_flag_type)
-    back = jsonio.type_from_json(data)
-    assert back == full_flag_type
+    assert jsonio.type_from_json(data) == full_flag_type
     assert data["points"] == ["0", "1", "2", "3"]
 
 
@@ -64,56 +54,35 @@ def test_class_round_trip():
 
 
 def test_instance_round_trip(rank2_instance):
-    data = instance_to_json(rank2_instance)
-    back = jsonio.instance_from_json(data)
-    assert back == rank2_instance
+    assert jsonio.instance_from_json(instance_to_json(rank2_instance)) == rank2_instance
 
 
 def test_rep_round_trip_float():
-    rng = np.random.default_rng(0)
-    q = StarQuiver(rank=3, arms=((2, 1), (1,)))
-    rep = random_rep(q, rng)
-    data = jsonio.rep_to_json(rep)
-    back = jsonio.rep_from_json(data)
-    assert back.quiver == q
-    for j in range(q.n_arms):
-        for i in range(len(rep.f[j])):
-            assert np.array_equal(back.f[j][i], rep.f[j][i])
-            assert np.array_equal(back.g[j][i], rep.g[j][i])
+    rep = random_rep(StarQuiver(rank=3, arms=((2, 1), (1,))), np.random.default_rng(0))
+    back = jsonio.rep_from_json(jsonio.rep_to_json(rep))
+    assert back.quiver == rep.quiver
+    for ours, theirs in ((back.f, rep.f), (back.g, rep.g)):
+        assert all(np.array_equal(a, b) for arm, ref in zip(ours, theirs, strict=True) for a, b in zip(arm, ref, strict=True))
 
 
 def test_rep_round_trip_exact():
-    q = StarQuiver(rank=2, arms=((1,),))
-    f = [[[[F(0), F("1/3")]]]]
-    g = [[[[F(2)], [F("-5/7")]]]]
-    rep = StarRep(q, f, g, "exact")
-    data = jsonio.rep_to_json(rep)
+    f, g = [[[[F(0), F("1/3")]]]], [[[[F(2)], [F("-5/7")]]]]
+    data = jsonio.rep_to_json(StarRep(StarQuiver(rank=2, arms=((1,),)), f, g, "exact"))
     assert data["matrices"]["f/1/1"] == [["0", "1/3"]]
     back = jsonio.rep_from_json(data)
-    assert back.f[0][0] == f[0][0]
-    assert back.g[0][0] == g[0][0]
+    assert (back.f[0][0], back.g[0][0]) == (f[0][0], g[0][0])
 
 
 def test_higgs_round_trip(full_flag_type):
-    h = HiggsTuple(
-        sigma=full_flag_type,
-        matrices=closed_form_matrices(),
-        flags=closed_form_flags(),
-        mode="exact",
-    )
+    h = HiggsTuple(sigma=full_flag_type, matrices=closed_form_matrices(), flags=closed_form_flags(), mode="exact")
     back = jsonio.higgs_from_json(jsonio.higgs_to_json(h))
-    assert back.matrices == h.matrices
-    assert back.flags == h.flags
+    assert (back.matrices, back.flags) == (h.matrices, h.flags)
 
 
 def test_hitchin_round_trip(full_flag_type):
     # no subcommand reads a coefficient point; the --hitchin appendix
     # writes one with exact rational strings
-    hp = HitchinPoint(
-        rank=2,
-        points=full_flag_type.line.points,
-        coeffs=[[], [F(0), F(6), F(-11), F(6), F(-1)]],
-    )
+    hp = HitchinPoint(rank=2, points=full_flag_type.line.points, coeffs=[[], [F(0), F(6), F(-11), F(6), F(-1)]])
     assert jsonio.hitchin_to_json(hp) == {
         "rank": 2,
         "points": ["0", "1", "2", "3"],
@@ -122,13 +91,13 @@ def test_hitchin_round_trip(full_flag_type):
 
 
 def test_solution_round_trip():
-    sol = DSSolution(
-        matrices=[np.eye(2) * 0 for _ in range(3)],
-        conjugators=[np.eye(2) for _ in range(3)],
-        residual=0.0,
-    )
+    sol = DSSolution(matrices=[np.zeros((2, 2))] * 3, conjugators=[np.eye(2)] * 3, residual=0.0)
     back = jsonio.solution_from_json(jsonio.solution_to_json(sol))
-    assert all(np.array_equal(a, b) for a, b in zip(back.matrices, sol.matrices))
+    assert all(np.array_equal(a, b) for a, b in zip(back.matrices, sol.matrices, strict=True))
+
+
+# ---------------------------------------------------------------------------
+# reading JSON
 
 
 def test_malformed_json_diagnostics(tmp_path):
@@ -160,32 +129,6 @@ def test_type_check_reports_an_undetermined_genericity(tmp_path, capsys, monkeyp
     assert code == 0
     assert "weights generic          : undetermined" in capsys.readouterr().out
     assert json.loads(report.read_text(encoding="utf-8"))["conditions"]["weights_generic"] == "undetermined"
-
-
-def test_ds_solve_certified(tmp_path, capsys):
-    out_path = tmp_path / "sol.json"
-    rep_path = tmp_path / "rep.json"
-    code = main(
-        [
-            "ds",
-            "solve",
-            "--instance",
-            str(FIXTURES / "ds_rank2_four_rank1.json"),
-            "--seed",
-            "7",
-            "--out",
-            str(out_path),
-            "--report",
-            str(rep_path),
-        ]
-    )
-    assert code == 0
-    report = json.loads(rep_path.read_text())
-    assert report["verification"]["certified"] is True
-    assert report["verification"]["sum_ok"] is report["verification"]["conjugators_ok"] is True
-    assert report["feasibility"]["inequality"] is report["feasibility"]["in_sigma0"] is True
-    sol = json.loads(out_path.read_text())
-    assert len(sol["matrices"]) == 4
 
 
 def test_ds_solve_infeasible_flagged(tmp_path):
@@ -248,49 +191,33 @@ def test_ds_solve_zero_classes(tmp_path):
     assert code == 0
 
 
-def test_ds_verify_roundtrip(tmp_path):
-    out_path = tmp_path / "sol.json"
-    main(
-        [
-            "ds",
-            "solve",
-            "--instance",
-            str(FIXTURES / "ds_rank2_four_rank1.json"),
-            "--seed",
-            "7",
-            "--out",
-            str(out_path),
-        ]
-    )
-    code = main(
-        [
-            "ds",
-            "verify",
-            "--solution",
-            str(out_path),
-            "--instance",
-            str(FIXTURES / "ds_rank2_four_rank1.json"),
-            "--hitchin",
-        ]
-    )
-    assert code == 0
-
-
 RANK2_INSTANCE = str(FIXTURES / "ds_rank2_four_rank1.json")
 
 
 @pytest.fixture(scope="module")
 def rank2_solution_data(tmp_path_factory):
-    """The rank-2 fixture's stored solution JSON, solved once."""
-    out_path = tmp_path_factory.mktemp("rank2") / "sol.json"
-    assert main(["ds", "solve", "--instance", RANK2_INSTANCE, "--seed", "7", "--out", str(out_path)]) == 0
-    return jsonio.load(out_path)
+    """The rank-2 fixture's stored solution JSON, solved once; the --report
+    of the run is the report the solution carries."""
+    out_path, report_path = (tmp_path_factory.mktemp("rank2") / name for name in ("sol.json", "report.json"))
+    assert main(["ds", "solve", "--instance", RANK2_INSTANCE, "--seed", "7", "--out", str(out_path), "--report", str(report_path)]) == 0
+    data = jsonio.load(out_path)
+    assert jsonio.load(report_path) == data["report"]
+    return data
 
 
 @pytest.fixture
 def rank2_solution(rank2_solution_data):
     """The rank-2 fixture's solution, decoded afresh for each test."""
     return jsonio.solution_from_json(rank2_solution_data)
+
+
+def test_ds_solve_certified(rank2_solution_data):
+    # the fixture's run: exit 0, and a --report equal to the solution's own
+    report = rank2_solution_data["report"]
+    assert report["verification"]["certified"] is True
+    assert report["verification"]["sum_ok"] is report["verification"]["conjugators_ok"] is True
+    assert report["feasibility"]["inequality"] is report["feasibility"]["in_sigma0"] is True
+    assert len(rank2_solution_data["matrices"]) == 4
 
 
 def _verify_run(tmp_path, capsys, sol, *flags):
@@ -300,6 +227,13 @@ def _verify_run(tmp_path, capsys, sol, *flags):
     code = main(["ds", "verify", "--solution", str(path), "--instance", RANK2_INSTANCE, *flags])
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_ds_verify_roundtrip(tmp_path, rank2_solution_data):
+    # the file `ds solve --out` wrote verifies, the --hitchin appendix included
+    path = tmp_path / "sol.json"
+    jsonio.dump(path, rank2_solution_data)
+    assert main(["ds", "verify", "--solution", str(path), "--instance", RANK2_INSTANCE, "--hitchin"]) == 0
 
 
 def test_ds_verify_hitchin_rejects_an_off_class_solution(tmp_path, capsys, rank2_solution):
@@ -615,47 +549,6 @@ def test_poisson_check_fails_on_nan_residuals(tmp_path, capsys, rep, nan_keys):
     assert library.independent_hamiltonians is None
 
 
-def test_reports_byte_identical(tmp_path):
-    paths = []
-    for tag in ("a", "b"):
-        rep_path = tmp_path / f"report_{tag}.json"
-        sol_path = tmp_path / f"sol_{tag}.json"
-        code = main(
-            [
-                "ds",
-                "solve",
-                "--instance",
-                str(FIXTURES / "ds_rank2_four_rank1.json"),
-                "--seed",
-                "11",
-                "--out",
-                str(sol_path),
-                "--report",
-                str(rep_path),
-            ]
-        )
-        assert code == 0
-        paths.append((rep_path.read_bytes(), sol_path.read_bytes()))
-    assert paths[0] == paths[1]
-
-
-def test_type_check_report_byte_identical(tmp_path):
-    blobs = []
-    for tag in ("a", "b"):
-        p = tmp_path / f"tc_{tag}.json"
-        main(
-            [
-                "type-check",
-                "--type",
-                str(FIXTURES / "type_rank2_full_flags.json"),
-                "--report",
-                str(p),
-            ]
-        )
-        blobs.append(p.read_bytes())
-    assert blobs[0] == blobs[1]
-
-
 def test_bridge_converts_a_validated_tuple_with_large_flag_bases(tmp_path, capsys):
     # validation accepts the tuple at every scale of its flag bases, and is
     # the conversion's one test of strong preservation: with bases of norm
@@ -746,8 +639,16 @@ def test_exit_code_table(monkeypatch, capsys, error, code):
     assert capsys.readouterr().err == f"error: {error}\n"
 
 
-_GOLDEN = Path(__file__).resolve().parent / "golden"
 _TYPE = str(FIXTURES / "type_rank2_full_flags.json")
+
+
+def test_type_check_report_byte_identical(tmp_path):
+    blobs = []
+    for tag in ("a", "b"):
+        path = tmp_path / f"tc_{tag}.json"
+        assert main(["type-check", "--type", _TYPE, "--report", str(path)]) == 0
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_two_delta_passes_the_necessary_conditions_without_an_irreducible_tuple(tmp_path, capsys):
@@ -775,7 +676,7 @@ def test_hamiltonian_count_needs_a_vanishing_moment(tmp_path, capsys, monkeypatc
     # name that poisson.check reads
     monkeypatch.setattr(poisson, "moment_residual", lambda rep: factor * poisson.HAMILTONIAN_MOMENT_TOL)
     report = tmp_path / "report.json"
-    rep = str(Path(__file__).resolve().parent / "golden" / "closed_form_rep.json")
+    rep = str(GOLDEN / "closed_form_rep.json")
     assert main(["poisson", "check", "--rep", rep, "--grid", "1", "--report", str(report)]) == 0
     capsys.readouterr()
     assert ("independent_hamiltonians" in jsonio.load(report)) is counted
@@ -794,10 +695,9 @@ def test_hamiltonian_count_needs_a_vanishing_moment(tmp_path, capsys, monkeypatc
 # a new row, never a new test function.
 
 _NO_FILE = object()
-_HUGE = 10**400  # a JSON integer, and a rational, beyond the largest float
 _HEAVY_TOP = FIXTURES / "higgs_rank2_heavy_top.json"
-_CLOSED_FORM_HIGGS = _GOLDEN / "closed_form_higgs.json"
-_CLOSED_FORM_REP = _GOLDEN / "closed_form_rep.json"
+_CLOSED_FORM_HIGGS = GOLDEN / "closed_form_higgs.json"
+_CLOSED_FORM_REP = GOLDEN / "closed_form_rep.json"
 _FLOAT_REP = jsonio.rep_to_json(random_rep(StarQuiver(rank=2, arms=((1,),) * 4), np.random.default_rng(5), scale=0.5))
 _VERIFY = ["ds", "verify", "--solution", "BAD", "--instance", RANK2_INSTANCE]
 _POISSON = ["poisson", "check", "--rep", "BAD", "--grid", "1"]
@@ -872,7 +772,7 @@ INPUT_ERRORS = [
     # the first row has the right length, so only a full rectangularity
     # check catches the empty second row before the exact kernels index it
     _row("ragged-exact-matrix", _TO_HIGGS, "error: invalid representation: matrix rows have different lengths",
-         _GOLDEN / "heavy_top_rep.json", ("matrices", "g/1/1"), [["1"], []]),
+         GOLDEN / "heavy_top_rep.json", ("matrices", "g/1/1"), [["1"], []]),
     _row("scalar-matrices", _TO_QUIVER, "error: invalid residue tuple: matrices: expected an array, got a number", _HEAVY_TOP, ("matrices",), 5),
     # the splitting-type guard reads the document inside the decoder
     _row("tuple-number", _TO_QUIVER, "error: invalid residue tuple: expected a JSON object, got a number", 5),
@@ -895,18 +795,18 @@ INPUT_ERRORS = [
     _row("solution-bool-residual", _VERIFY, "error: invalid solution: not a number: True", "SOL", ("residual",), True),
     # numbers too large for a float are one error line
     *[_row(f"huge-float-rep-entry-{argv[0]}", argv, "error: invalid representation: int too large to convert to float",
-           _FLOAT_REP, ("matrices", "f/1/1", 0, 0), _HUGE) for argv in (_POISSON, _TO_HIGGS)],
-    *[_row(f"huge-solution-{name}", _VERIFY, "error: invalid solution: int too large to convert to float", "SOL", at, _HUGE)
+           _FLOAT_REP, ("matrices", "f/1/1", 0, 0), HUGE) for argv in (_POISSON, _TO_HIGGS)],
+    *[_row(f"huge-solution-{name}", _VERIFY, "error: invalid solution: int too large to convert to float", "SOL", at, HUGE)
       for name, at in (("entry", ("matrices", 0, 0, 0)), ("residual", ("residual",)))],
     # poisson check runs in floats: the exact entry converts, or names itself
-    _row("huge-exact-rep-entry", _POISSON, f"error: {_HUGE} is too large for a float",
+    _row("huge-exact-rep-entry", _POISSON, f"error: {HUGE} is too large for a float",
          {"rank": 2, "arms": [[1]] * 4, "mode": "exact",
           "matrices": {f"{s}/{j}/1": m for j in range(1, 5) for s, m in (("f", [["1", "0"]]), ("g", [["0"], ["1"]]))}},
-         ("matrices", "f/1/1"), [[str(_HUGE), "0"]]),
+         ("matrices", "f/1/1"), [[str(HUGE), "0"]]),
     # phi(z) has a pole at each marked point, so a repeated point is bad
     # input, as are distinct rationals that round to one float
     *[_row(f"points-{id}", _POISSON + ["--points", points], err, _FLOAT_REP) for id, points, err in (
-        ("huge", f"0,1,2,{_HUGE}", f"error: {_HUGE} is too large for a float"),
+        ("huge", f"0,1,2,{HUGE}", f"error: {HUGE} is too large for a float"),
         ("zero-denominator", "1/0,1,2,3", "error: not an exact rational: '1/0'"),
         ("repeated", "0,1,1,2", "error: marked points must be pairwise distinct"),
         ("repeated-rational", "0,1,2/2,2", "error: marked points must be pairwise distinct"),
@@ -977,12 +877,13 @@ INPUT_ERRORS = [
            FIXTURES / "type_rank2_full_flags.json", ("points", 0), value) for value in (0.1, False, 1.0)],
     *[_row(f"exact-entry-{value!r}", _TO_QUIVER, f"error: invalid residue tuple: not an exact rational: {value!r}",
            _HEAVY_TOP, ("flags", 0, 0, 0, 0), value) for value in (0.5, True)],
-    # argparse exits 2 on a usage error, the code of an undetermined answer
-    _row("usage-missing-option", ["type-check"], "starquiver type-check: error: the following arguments are required: --type"),
-    _row("usage-unknown-command", ["no-such-command"], "starquiver: error: argument command: invalid choice: 'no-such-command' "
+    # argparse exits 2 on a usage error, the code of an undetermined answer,
+    # after a usage block wrapped at the terminal's width: the parser makes
+    # it one error line instead
+    _row("usage-missing-option", ["type-check"], "error: the following arguments are required: --type"),
+    _row("usage-unknown-command", ["no-such-command"], "error: argument command: invalid choice: 'no-such-command' "
          "(choose from 'type-check', 'ds', 'bridge', 'poisson')"),
-    _row("usage-grid-abc", ["poisson", "check", "--rep", "rep.json", "--grid", "abc"],
-         "starquiver poisson check: error: argument --grid: invalid int value: 'abc'"),
+    _row("usage-grid-abc", ["poisson", "check", "--rep", "rep.json", "--grid", "abc"], "error: argument --grid: invalid int value: 'abc'"),
 ]
 # Two groups of rows keep the names and ids of the tests they were before.
 # Every decoder names the JSON type it got instead of an object, before it
@@ -997,7 +898,7 @@ UNWRITABLE_OUTPUTS = [_row(f"{'-'.join(argv[:2])}-{option}", argv + [option, "UN
 
 
 def _refused(tmp_path, capsys, rank2_solution_data, argv, doc, at, value, err):
-    """Run one row through ``main`` and check the one line it must end in."""
+    """Run one row through ``main``: exit 1, and stderr the row's one line."""
     files = {"BAD": tmp_path / "bad.json", "SOL": tmp_path / "sol.json", "OUT": tmp_path / "out.json", "UNWRITABLE": tmp_path / "missing" / "out.json"}
     if "SOL" in argv:
         jsonio.dump(files["SOL"], rank2_solution_data)
@@ -1012,11 +913,7 @@ def _refused(tmp_path, capsys, rank2_solution_data, argv, doc, at, value, err):
         warnings.simplefilter("error")
         code = main([str(files.get(a, a)) for a in argv])
     out, stderr = capsys.readouterr()
-    *usage, line = stderr.splitlines() or [""]
-    assert (code, line) == (1, err.replace("{UNWRITABLE}", str(files["UNWRITABLE"])))
-    assert stderr.endswith("\n") and "Traceback" not in stderr
-    # argparse prints its usage before the error line, and nothing else may
-    assert not usage or (line.startswith("starquiver") and usage[0].startswith("usage: starquiver"))
+    assert (code, stderr) == (1, err.replace("{UNWRITABLE}", str(files["UNWRITABLE"])) + "\n")
     # only a failed write comes after the command ran and printed
     assert out == "" or "UNWRITABLE" in argv
     assert not files["OUT"].exists() and not files["UNWRITABLE"].exists()

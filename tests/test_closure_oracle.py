@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import closure_oracle as oracle
-from common import assert_witness_pairing, twisted_slope
+from common import assert_witness_pairing, same_column_space, twisted_slope
 import linalg_oracle
 from starquiver import arith, floatarith, higgs
 from starquiver import linalg_exact as ex
@@ -128,24 +128,6 @@ def block_triangular_tuple(seed):
     return [p @ m @ pinv for m in mats]
 
 
-def _column_space(w, o):
-    """A canonical form of the column space: the reduced row echelon form
-    of the transpose (exact) or the orthogonal projector (float)."""
-    if o is arith.EXACT:
-        rr, piv = linalg_oracle.rref(ex.mtrans(w))
-        return rr[: len(piv)]
-    q, _ = np.linalg.qr(w)
-    return q @ q.conj().T
-
-
-def _same_column_space(a, b, o):
-    if a is None or b is None:
-        return a is None and b is None
-    if o is arith.EXACT:
-        return _column_space(a, o) == _column_space(b, o)
-    return np.allclose(_column_space(a, o), _column_space(b, o), atol=1e-12)
-
-
 def _proper_and_invariant(w, mats, o):
     k = o.shape(w)[1]
     r = o.shape(mats[0])[0]
@@ -172,7 +154,7 @@ def test_irreducible_matches_oracle_on_reducible_tuples(mode):
         assert (new.irreducible, new.words) == (old.irreducible, old.words)
         assert not new.irreducible
         witness = oracle.witness(new.elements, mats, mode)
-        assert _same_column_space(witness, old_witness, o)
+        assert same_column_space(witness, old_witness, o)
         if o is floatarith.FLOAT:
             for c in SCALES:
                 scaled = [c * m for m in mats]

@@ -442,13 +442,12 @@ def test_verify_searches_no_invariant_subspace(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["float", "exact"])
-def test_flag_steps_are_prefixes_of_one_basis(refined_batch, mode):
+def test_flag_steps_are_prefixes_of_one_basis(refined_batch, float_tuples, mode):
     # each point's flag is one basis filled deepest step first: every step
     # is the leading columns of the next shallower one, and exact steps
     # stay Fraction matrices
     checked = 0
-    for inst, out, _, exact_h in refined_batch:
-        h = flags_from_solution(out.solution, inst.parabolic_type()) if mode == "float" else exact_h
+    for h in float_tuples if mode == "float" else [exact_h for _, _, _, exact_h in refined_batch]:
         for fl in h.flags:
             for outer, inner in zip(fl, fl[1:]):
                 if mode == "float":
@@ -533,12 +532,10 @@ def test_conjugated_instance_same_report(rank2_instance):
     )
 
 
-def test_jordan_forms_are_built_once_per_solve(monkeypatch):
+def test_jordan_forms_are_built_once_per_solve(bridge_batch, monkeypatch):
     # item 28 of the bridge stream (default_rng(9), solver seed 528) takes
     # six restarts; every one starts from the same Jordan forms
-    rng = np.random.default_rng(9)
-    for _ in range(29):
-        inst = random_feasible_instance(rng, max_rank=3, max_points=6)
+    inst = bridge_batch[28][0]
     built = []
     jordan = dsolve._jordan
 

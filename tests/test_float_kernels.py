@@ -15,11 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poisson_oracle
+from common import quivers
 from starquiver import poisson
 from starquiver.combinat import spectral_degrees
-from starquiver.dsolve import SolverConfig, flags_from_solution, orbit_jacobian, random_feasible_instance, solve
+from starquiver.dsolve import orbit_jacobian
 from starquiver.floatarith import kron, singular_rank
-from starquiver.higgs import higgs_to_quiver
 from starquiver.poisson import (
     HAMILTONIAN_RANK_RTOL,
     MOMENT_RANK_RTOL,
@@ -176,16 +176,12 @@ def step_by_step_cycles(quiver, max_len):
     return out
 
 
-@st.composite
-def quivers(draw):
-    """Rank 1-4, 0-5 arms, each possibly empty."""
-    r = draw(st.integers(1, 4))
-    arms = tuple(tuple(sorted(draw(st.sets(st.integers(1, r))), reverse=True)) for _ in range(draw(st.integers(0, 5))))
-    return StarQuiver(rank=r, arms=arms)
+# rank 1-4, 0-5 arms, each possibly empty
+QUIVERS = quivers(ranks=(1, 4), max_arms=5, max_steps=None, armless=True)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(quivers(), st.integers(-3, 8))
+@given(QUIVERS, st.integers(-3, 8))
 def test_center_cycles_equal_the_step_by_step_enumeration(quiver, max_len):
     assert center_cycles(quiver, max_len) == step_by_step_cycles(quiver, max_len)
 
@@ -246,21 +242,13 @@ def per_observable_count(rep, points, ts, zs):
     return singular_rank(np.linalg.svd(np.stack(rows), compute_uv=False), HAMILTONIAN_RANK_RTOL)
 
 
-def test_hamiltonian_counts_on_the_bridge_batch():
-    # the first 50 draws of the bridge stream with solver seeds 500 + k, as
-    # the bridge benchmark and the acceptance round trip use them
-    rng = np.random.default_rng(9)
-    for k in range(50):
-        inst = random_feasible_instance(rng, max_rank=3, max_points=6)
-        out = solve(inst, SolverConfig(seed=500 + k))
-        assert out.success
-        sigma = inst.parabolic_type()
-        rep = higgs_to_quiver(flags_from_solution(out.solution, sigma))
+def test_hamiltonian_counts_on_the_bridge_batch(bridge_batch):
+    for inst, h, rep in bridge_batch:
         r, n = inst.rank, inst.n
         zs = [i - 0.5 for i in range(r * (n - 2) + 2)]
         points, ts = [float(x) for x in inst.points], list(range(1, r + 1))
         count = independent_hamiltonian_count(rep, points, ts, zs)
-        assert count == per_observable_count(rep, points, ts, zs) == spectral_degrees(sigma)[1]
+        assert count == per_observable_count(rep, points, ts, zs) == spectral_degrees(h.sigma)[1]
 
 
 @pytest.mark.parametrize(
@@ -285,11 +273,8 @@ def test_moment_zero_tangent_is_the_identity_at_a_zero_rep(quiver):
     assert independent_hamiltonian_count(rep, points, [1, 2], [0.5, 1.5]) == 0
 
 
-def test_moment_zero_tangent_keeps_its_bits_on_bridge_reps():
-    rng = np.random.default_rng(9)
-    for k in range(10):
-        inst = random_feasible_instance(rng, max_rank=3, max_points=6)
-        rep = higgs_to_quiver(flags_from_solution(solve(inst, SolverConfig(seed=500 + k)).solution, inst.parabolic_type()))
+def test_moment_zero_tangent_keeps_its_bits_on_bridge_reps(bridge_batch):
+    for _, _, rep in bridge_batch[:10]:
         assert moment_zero_tangent(rep).tobytes() == poisson_oracle.moment_zero_tangent(rep).tobytes()
 
 
@@ -350,9 +335,9 @@ def test_hamiltonian_rows_form_each_residue_once(r, monkeypatch):
 
 @st.composite
 def count_cases(draw):
-    """A random representation of one of ``quivers``, trace powers up to
+    """A random representation of one of ``QUIVERS``, trace powers up to
     r + 2 and 1-6 sample points at quarter steps off the poles 0, 1, 2, ..."""
-    quiver = draw(quivers())
+    quiver = draw(QUIVERS)
     r, arms = quiver.rank, quiver.arms
     rep = random_rep(quiver, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     ts = sorted(draw(st.sets(st.integers(1, r + 2), min_size=1)))

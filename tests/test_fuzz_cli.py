@@ -19,10 +19,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from common import FIXTURES
+from common import FIXTURES, GOLDEN
 from starquiver.cli import main
 
-GOLDEN = FIXTURES.parent / "tests" / "golden"
 
 # Python's words for a value of the wrong type, which no error line may use
 PYTHON_WORDS = ("object is not iterable", "object is not subscriptable", "indices must be integers", "has no attribute")

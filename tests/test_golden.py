@@ -8,16 +8,12 @@ the heavy-top fixture, with its zero residues, does not.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
-from common import FIXTURES, closed_form_flags, closed_form_matrices
+from common import FIXTURES, GOLDEN
 from starquiver import jsonio
 from starquiver.cli import main
-from starquiver.higgs import HiggsTuple
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _run(argv, tmp_path, produced):
@@ -51,8 +47,7 @@ def test_golden_heavy_top_bridge(tmp_path):
     _bridge_round_trip(tmp_path, "heavy_top", fixture, type_path)
 
 
-def test_golden_closed_form_bridge(tmp_path, full_flag_type):
-    h = HiggsTuple(full_flag_type, closed_form_matrices(), closed_form_flags(), mode="exact")
+def test_golden_closed_form_bridge(tmp_path, closed_form_tuple):
     higgs_path = tmp_path / "closed_form_input.json"
-    jsonio.dump(higgs_path, jsonio.higgs_to_json(h))
+    jsonio.dump(higgs_path, jsonio.higgs_to_json(closed_form_tuple))
     _bridge_round_trip(tmp_path, "closed_form", higgs_path, FIXTURES / "type_rank2_full_flags.json")

@@ -13,6 +13,7 @@ from common import (
     closed_form_matrices,
     inverse,
     mscale,
+    same_column_space,
     scaled_flag_tuple,
     theta,
     twisted_slope,
@@ -47,16 +48,6 @@ from starquiver.starrep import (
 )
 
 F = Fraction
-
-
-@pytest.fixture()
-def closed_form_tuple(full_flag_type):
-    return HiggsTuple(
-        sigma=full_flag_type,
-        matrices=closed_form_matrices(),
-        flags=closed_form_flags(),
-        mode="exact",
-    )
 
 
 def test_tuple_invariants_enforced(full_flag_type):
@@ -118,7 +109,7 @@ def test_a_validated_tuple_converts_at_every_flag_scale(scale):
     assert all(np.linalg.norm(b - a) <= BRIDGE_TOL for a, b in zip(h.matrices, back.matrices))
 
 
-def test_every_batch_tuple_converts_at_any_flag_scale(refined_batch, certified_batch):
+def test_every_batch_tuple_converts_at_any_flag_scale(refined_batch, float_tuples):
     # every exact refinement, its flag bases x1 and x1000, and every float
     # image-flag tuple of the certified batch, its flag bases x1e-6 .. x1e6,
     # converts; quiver_to_higgs gives back the residues, exactly for the
@@ -127,7 +118,6 @@ def test_every_batch_tuple_converts_at_any_flag_scale(refined_batch, certified_b
         for c in (F(1), F(1000)):
             scaled = HiggsTuple(h.sigma, h.matrices, [[mscale(c, b) for b in fl] for fl in h.flags], mode="exact")
             assert quiver_to_higgs(higgs_to_quiver(scaled), h.sigma).matrices == h.matrices
-    float_tuples = [flags_from_solution(out.solution, inst.parabolic_type()) for inst, out in certified_batch if out.success]
     assert len(float_tuples) == len(refined_batch)
     for h in float_tuples:
         for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
@@ -145,11 +135,10 @@ def test_round_trip_exact(closed_form_tuple):
 
 
 @pytest.fixture(scope="module")
-def exact_tuples(refined_batch, full_flag_type):
+def exact_tuples(refined_batch, closed_form_tuple):
     """The closed-form tuple and the exact refinement of every solved
     instance of the certified batch: ranks 2 to 5, four to six points."""
-    closed = HiggsTuple(full_flag_type, closed_form_matrices(), closed_form_flags(), mode="exact")
-    return [closed] + [h for _, _, _, h in refined_batch]
+    return [closed_form_tuple] + [h for _, _, _, h in refined_batch]
 
 
 def _invertible(data, n):
@@ -160,10 +149,6 @@ def _invertible(data, n):
     lower = [[data.draw(entry) if j < i else F(int(i == j)) for j in range(n)] for i in range(n)]
     upper = [[data.draw(pivot if i == j else entry) if j >= i else F(0) for j in range(n)] for i in range(n)]
     return ex.mmul(lower, upper)
-
-
-def _same_column_space(a, b):
-    return ex.rank(a) == ex.rank(b) == ex.rank(ex.hstack([a, b]))
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -186,7 +171,7 @@ def test_round_trip_exact_on_conjugated_tuples(exact_tuples, data):
     assert h2.matrices == h.matrices
     assert [len(fl) for fl in h2.flags] == [len(fl) for fl in h.flags]
     for fl, fl2 in zip(h.flags, h2.flags):
-        assert all(_same_column_space(b, b2) for b, b2 in zip(fl, fl2))
+        assert all(same_column_space(b, b2) for b, b2 in zip(fl, fl2))
 
 
 def test_round_trip_preserves_traces_float(rank2_instance):
@@ -415,12 +400,6 @@ def test_reducible_verdict_builds_the_algebra_once(full_flag_type, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # one stability across the bridge
-
-
-@pytest.fixture(scope="module")
-def float_tuples(certified_batch):
-    """The float solution of every solved instance of the certified batch."""
-    return [flags_from_solution(out.solution, inst.parabolic_type()) for inst, out in certified_batch if out.success]
 
 
 def _gap_scale(sigma):

@@ -1,8 +1,9 @@
 """Source hygiene: no unused imports, unread private names or parameters,
 no public definition, dataclass field or option that the pipeline leaves
 unreached, subcommands that load only the layers they run, no sympy in the
-package and numpy its one runtime dependency, and one home per fact, kept
-as the rows of ``GUARDS`` below.  Each file is parsed once."""
+package and numpy its one runtime dependency, one home per test helper,
+and one home per fact, kept as the rows of ``GUARDS`` below.  Each file is
+parsed once."""
 
 import ast
 import collections
@@ -16,10 +17,11 @@ from pathlib import Path
 
 import pytest
 
+from common import FIXTURES, GOLDEN
+
 SRC = Path(__file__).resolve().parent.parent / "src"
-FIXTURES = SRC.parent / "fixtures"
-GOLDEN = SRC.parent / "tests" / "golden"
 PACKAGE = sorted((SRC / "starquiver").glob("*.py"))
+TESTS = sorted((SRC.parent / "tests").glob("*.py"))
 # the benchmark harness, its tests left out
 BENCH = [p for p in sorted((SRC.parent / "perfbench").glob("*.py")) if not p.name.startswith("test_") and p.name != "conftest.py"]
 
@@ -64,8 +66,20 @@ def test_no_unused_imports():
 
 
 def test_no_unused_test_imports():
-    hits = [hit for path in sorted((SRC.parent / "tests").glob("*.py")) for hit in unused_imports(path)]
+    hits = [hit for path in TESTS for hit in unused_imports(path)]
     assert hits == []
+
+
+def test_one_home_per_test_helper():
+    # a helper or strategy defined in two test modules is one fact kept
+    # twice: the shared one lives in common or conftest (pytest names a test
+    # by its module, so test functions are left out)
+    homes = collections.defaultdict(list)
+    for path in TESTS:
+        for node in parsed(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("test_"):
+                homes[node.name].append(path.name)
+    assert {name: paths for name, paths in homes.items() if len(paths) > 1} == {}
 
 
 def test_local_import_must_be_read_in_its_own_function(tmp_path):

@@ -4,7 +4,6 @@ them and vanishing orders against their oracles: the former sympy
 former Fraction ``root_order`` in ``linalg_oracle``."""
 
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 import sympy
@@ -12,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import integral_oracle as oracle
-from common import pmul, poly_from_roots
+from common import GOLDEN, pmul, poly_from_roots
 from linalg_oracle import root_order
 from starquiver import jsonio
 from starquiver import linalg_exact as ex
@@ -20,7 +19,6 @@ from starquiver import spectral
 from starquiver.spectral import char_poly, is_integral, spectral_poly, vanishing_orders
 
 LAM, Z = oracle.LAM, oracle.Z
-GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_certificates_match_oracle_on_certified_batch(refined_batch):

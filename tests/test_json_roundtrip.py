@@ -9,10 +9,10 @@ import json
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from common import class_to_json, instance_to_json
+from common import HUGE, class_to_json, instance_to_json
 from starquiver import jsonio
 from starquiver.combinat import MarkedLine, NilpotentClass, ParabolicType
 from starquiver.dsolve import DSInstance, DSSolution
@@ -20,11 +20,10 @@ from starquiver.higgs import HiggsTuple
 from starquiver.spectral import HitchinPoint
 from starquiver.starrep import StarQuiver, StarRep
 
-_HUGE = 2**2000
 _MODES = st.sampled_from(["exact", "float"])
 
 _fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)) | st.builds(
-    Fraction, st.integers(-_HUGE, _HUGE), st.integers(1, _HUGE)
+    Fraction, st.integers(-HUGE, HUGE), st.integers(1, HUGE)
 )
 _complexes = st.complex_numbers(allow_nan=False, allow_infinity=False)
 
@@ -87,9 +86,12 @@ def test_type_round_trip(sigma):
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.integers(1, 7).flatmap(_partitions))
+@example([3, 2])
 def test_class_round_trip(partition):
     c = NilpotentClass.from_partition(partition)
     assert jsonio.class_from_json(_through_text(class_to_json(c))) == c
+    # a partition alone decodes to the same class
+    assert jsonio.class_from_json({"rank": c.rank, "partition": partition}) == c
 
 
 @st.composite
@@ -132,7 +134,7 @@ def test_rep_round_trip(rep):
 
 
 @st.composite
-def residue_tuples(draw):
+def unchecked_residue_tuples(draw):
     """Unchecked residue tuples: any matrices, flag bases of the step widths."""
     mode = draw(_MODES)
     sigma = draw(st.integers(1, 4).flatmap(parabolic_types))
@@ -143,7 +145,7 @@ def residue_tuples(draw):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(residue_tuples())
+@given(unchecked_residue_tuples())
 def test_higgs_round_trip(h):
     back = jsonio.higgs_from_json(_through_text(jsonio.higgs_to_json(h)), check=False)
     assert back.sigma == h.sigma and back.mode == h.mode

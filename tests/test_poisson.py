@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from common import copy_rep, group_act, random_group_element
+from common import PTS4, copy_rep, group_act, quarter_steps, random_group_element
 from poisson_oracle import gradient_from_vector, to_observable
 from starquiver import poisson
 from starquiver.combinat import NilpotentClass
@@ -34,8 +34,6 @@ from starquiver.poisson import (
     zero_gradient,
 )
 from starquiver.starrep import StarQuiver, StarRep, moment_map, moment_residual, random_rep
-
-PTS4 = [0.0, 1.0, 2.0, 3.0]
 
 
 def _coordinate_observable(q, kind, j, i, a, b):
@@ -291,11 +289,6 @@ def _sweep_tolerance(rep, points, z, w):
     return 1e-15 * max(1.0, float(np.max(terms)))
 
 
-def _quarter_steps(points):
-    """The quarter steps `poisson check` draws z and w from."""
-    return [k / 4 for k in range(-20, 8 * len(points) + 20) if min(abs(k / 4 - x) for x in points) >= 0.25]
-
-
 SWEEP_QUIVERS = [
     *(StarQuiver(rank=r, arms=(tuple(range(r - 1, 0, -1)),) * 4) for r in (2, 3, 4, 5)),
     StarQuiver(rank=5, arms=((4, 3, 2, 1), (2,), (3, 1), (4, 2))),  # arms of unequal length
@@ -306,7 +299,7 @@ SWEEP_QUIVERS = [
 @pytest.mark.parametrize("q", SWEEP_QUIVERS, ids=lambda q: f"r{q.rank}-" + "-".join(map(str, map(len, q.arms))))
 def test_sweep_matches_the_per_call_bracket(q):
     rng = np.random.default_rng(q.rank + 10 * sum(map(len, q.arms)))
-    pool = _quarter_steps(PTS4)
+    pool = quarter_steps(PTS4)
     for _ in range(3):
         rep = random_rep(q, rng, scale=0.5)
         z, w = (float(x) for x in rng.choice(pool, size=2, replace=False))
@@ -327,7 +320,7 @@ def sweep_cases(draw):
     arms = draw(st.lists(chains, min_size=1, max_size=4))
     points = draw(st.lists(st.integers(-4, 8), min_size=len(arms), max_size=len(arms), unique=True))
     points = [p / 2 for p in points]
-    pool = _quarter_steps(points)
+    pool = quarter_steps(points)
     z = draw(st.sampled_from(pool))
     w = draw(st.sampled_from([x for x in pool if x != z]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -560,25 +553,6 @@ def test_quadratic_bracket_matches_generic(quiver4):
     assert abs(direct - structural) < 1e-10 * max(1.0, abs(direct))
 
 
-def test_jacobi_identity_quadratics(quiver4):
-    rng = np.random.default_rng(12)
-    jmat = poisson_tensor(quiver4)
-    rep = random_rep(quiver4, rng, scale=0.5)
-    v = pack_rep(rep)
-    worst = 0.0
-    for _ in range(10):
-        a = QuadraticObservable.random(quiver4, rng, 0.5)
-        b = QuadraticObservable.random(quiver4, rng, 0.5)
-        c = QuadraticObservable.random(quiver4, rng, 0.5)
-        lhs = a.bracket_with(b.bracket_with(c, jmat), jmat).value_at(v)
-        rhs = (
-            a.bracket_with(b, jmat).bracket_with(c, jmat).value_at(v)
-            + b.bracket_with(a.bracket_with(c, jmat), jmat).value_at(v)
-        )
-        worst = max(worst, abs(lhs - rhs))
-    assert worst < 1e-9
-
-
 def test_leibniz_property(quiver4):
     # {F, GH} = {F, G} H + G {F, H} on coordinate products
     rng = np.random.default_rng(13)
@@ -641,18 +615,6 @@ def test_check_refuses_a_grid_below_one(quiver4, grid):
     # a grid below 1 would run no commutativity check and report residual 0
     with pytest.raises(ValueError, match=f"grid must be at least 1, got {grid}"):
         poisson.check(random_rep(quiver4, np.random.default_rng(0)), PTS4, np.random.default_rng(3), grid)
-
-
-def test_hamiltonian_count_rank2_four_points(rank2_instance):
-    # coefficient space dimension is 1 for this type
-    for seed in (1, 2, 3):
-        sol = solve(rank2_instance, SolverConfig(seed=seed)).solution
-        h = flags_from_solution(sol, rank2_instance.parabolic_type())
-        rep = higgs_to_quiver(h)
-        count = independent_hamiltonian_count(
-            rep, PTS4, [1, 2, 3, 4], [0.31, -0.77, 1.43, 2.61]
-        )
-        assert count == 1
 
 
 def test_hamiltonian_count_five_points():

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import poisson_oracle as oracle
+from common import PTS4, quarter_steps, quivers
 from starquiver.poisson import (
     FD_STEP,
     Observable,
@@ -29,23 +30,6 @@ from starquiver.poisson import (
     trace_power_observable,
 )
 from starquiver.starrep import StarQuiver, random_rep
-
-
-@st.composite
-def quivers(draw, ranks=(2, 4), armless=False):
-    """Star quivers of central rank in ``ranks`` with one to four arms; each
-    arm a strictly decreasing chain of dimensions up to the rank, possibly
-    empty, and at least one arm not empty.  With ``armless``, zero to four
-    arms, all of which may be empty."""
-    r = draw(st.integers(*ranks))
-
-    def chains(min_size=0):
-        dims = st.sets(st.integers(1, r), min_size=min_size, max_size=3)
-        return dims.map(lambda s: tuple(sorted(s, reverse=True)))
-
-    if armless:
-        return StarQuiver(rank=r, arms=tuple(draw(st.lists(chains(), max_size=4))))
-    return StarQuiver(rank=r, arms=(draw(chains(1)), *draw(st.lists(chains(), max_size=3))))
 
 
 def _close(x, ref, rtol=1e-12):
@@ -296,7 +280,6 @@ def test_level_skipping_bracket_bit_identical_to_full_sum(q, seed):
 # ---------------------------------------------------------------------------
 # the stacked bracket kernels against the per-observable ones
 
-PTS4 = [0.0, 1.0, 2.0, 3.0]
 STACKED_QUIVERS = [
     *(StarQuiver(rank=r, arms=(tuple(range(r - 1, 0, -1)),) * 4) for r in (2, 3, 4, 5)),
     StarQuiver(rank=4, arms=((3, 1), (), (2,), (3, 2, 1))),  # mixed level-1 shapes and an empty arm
@@ -304,17 +287,12 @@ STACKED_QUIVERS = [
 ]
 
 
-def _pool(points):
-    """The quarter steps ``poisson.check`` draws z and w from."""
-    return [k / 4 for k in range(-20, 8 * len(points) + 20) if all(abs(k / 4 - x) >= 0.25 for x in points)]
-
-
 @pytest.mark.parametrize("q", STACKED_QUIVERS, ids=lambda q: f"r{q.rank}-" + "-".join(map(str, map(len, q.arms))))
 def test_stacked_kernels_keep_the_per_observable_bits(q):
     rng = np.random.default_rng(31 + q.rank)
     for _ in range(3):
         rep = random_rep(q, rng, scale=0.5)
-        z, w = rng.choice(_pool(PTS4), size=2, replace=False).tolist()
+        z, w = rng.choice(quarter_steps(PTS4), size=2, replace=False).tolist()
         for t in range(1, 5):
             for t_prime in range(1, 5):
                 assert check_commutativity(rep, PTS4, t, t_prime, z, w) == oracle.check_commutativity(rep, PTS4, t, t_prime, z, w)
@@ -334,7 +312,7 @@ def test_stacked_kernels_keep_the_per_observable_bits_on_random_cases(q, seed, c
         if complex_points:
             z, w = (complex(*rng.standard_normal(2)) for _ in range(2))
         else:
-            z, w = rng.choice(_pool(points), size=2, replace=False).tolist()
+            z, w = rng.choice(quarter_steps(points), size=2, replace=False).tolist()
         t, t_prime = (int(x) for x in rng.integers(1, 5, size=2))
         assert check_commutativity(rep, points, t, t_prime, z, w) == oracle.check_commutativity(rep, points, t, t_prime, z, w)
         assert np.array_equal(entry_bracket_residuals(rep, points, z, w), oracle.entry_bracket_residuals(rep, points, z, w))

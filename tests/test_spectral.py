@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 from charpoly_oracle import pole_cleared_matrix
-from common import closed_form_flags, closed_form_matrices, inverse, poly_from_roots, sample_hitchin_point
+from common import closed_form_flags, inverse, poly_from_roots, sample_hitchin_point
 from integral_oracle import as_expr, check_certificate, factor_verdict, spectral_of
 from starquiver import linalg_exact as ex
 from starquiver import spectral
@@ -24,16 +24,6 @@ from starquiver.spectral import (
 
 F = Fraction
 LAM, Z = sympy.symbols("lam z")
-
-
-@pytest.fixture()
-def closed_form_tuple(full_flag_type):
-    return HiggsTuple(
-        sigma=full_flag_type,
-        matrices=closed_form_matrices(),
-        flags=closed_form_flags(),
-        mode="exact",
-    )
 
 
 def _zero_tuple(full_flag_type):
